@@ -79,11 +79,11 @@ type (
 	Cluster = sim.Cluster
 	// Client reads and writes the replicated variable via quorums; its
 	// context-aware operations fan probes out to quorum members in
-	// parallel and honor deadlines and cancellation.
+	// parallel and honor deadlines and cancellation. Cluster.NewClient
+	// returns one running the masking protocol,
+	// Cluster.NewDisseminationClient one running the [MR98a]
+	// self-verifying-data protocol, which needs only IS ≥ b+1.
 	Client = sim.Client
-	// DisseminationClient runs the [MR98a] self-verifying-data protocol,
-	// which needs only IS ≥ b+1.
-	DisseminationClient = sim.DisseminationClient
 	// Authenticator simulates the signature scheme dissemination relies on.
 	Authenticator = sim.Authenticator
 	// Behavior is a server fault mode for injection.
@@ -318,7 +318,7 @@ func NewDisseminationThreshold(n, b int) (*Threshold, error) {
 }
 
 // NewAuthenticator returns the simulated signature registry used by
-// DisseminationClient.
+// Cluster.NewDisseminationClient.
 func NewAuthenticator() *Authenticator { return sim.NewAuthenticator() }
 
 // NewGrid returns the b-masking grid of [MR98a] on a d×d universe.

@@ -31,9 +31,18 @@
 //     Transport) that fans probes out to quorum members in parallel,
 //     supports any number of concurrent clients, and measures empirical
 //     load from live traffic (Cluster.LoadProfile) for comparison against
-//     the Theorem 4.1 bounds. Client.ReadKey/WriteKey address individual
-//     registers (Read/Write are the DefaultKey register), and the Session
-//     API (Client.NewSession) pipelines keyed operations asynchronously —
+//     the Theorem 4.1 bounds. There is one Client and one quorum-access
+//     loop; what separates the masking protocol (Cluster.NewClient) from
+//     the dissemination one (Cluster.NewDisseminationClient) is only the
+//     reply-acceptance rule — b+1 matching votes, or a verified
+//     signature. A masking write takes the (b+1)-th largest timestamp a
+//     quorum reports: some correct server reported at least that, so b
+//     liars cannot inflate it, and b+1 correct servers report at least
+//     any completed write's, so it dominates them all — with no vote to
+//     lose, the phase never retries under contention. Client.ReadKey
+//     and WriteKey address individual registers (Read/Write are the
+//     DefaultKey register), and the Session API (Client.NewSession)
+//     pipelines keyed operations asynchronously —
 //     ReadAsync/WriteAsync futures whose quorum probes coalesce into
 //     batched transport frames, flushed on size or a short linger.
 //   - A real network stack behind the same Transport seam: NewWireServer

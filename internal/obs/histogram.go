@@ -83,21 +83,34 @@ func (h *Histogram) Quantile(q float64) float64 { return QuantileOf(q, h) }
 // given histograms, which must share one bucket layout (nil histograms
 // are skipped). This is how read- and write-latency histograms combine
 // into a single per-op quantile without double accounting.
+//
+// Every bucket is read once and the total is the sum of those same
+// reads: taking it from Count() while writers advance the buckets would
+// pair a stale rank with newer buckets and land it in too low a bucket.
 func QuantileOf(q float64, hs ...*Histogram) float64 {
 	var bounds []float64
-	var total int64
+	var cums []int64 // merged cumulative counts
 	for _, h := range hs {
 		if h == nil {
 			continue
 		}
-		if bounds == nil {
-			bounds = h.bounds
-		} else if len(bounds) != len(h.bounds) {
+		b, c := h.buckets()
+		if cums == nil {
+			bounds, cums = b, c
+			continue
+		}
+		if len(bounds) != len(b) {
 			panic("obs: QuantileOf over histograms with different bucket layouts")
 		}
-		total += h.Count()
+		for i := range cums {
+			cums[i] += c[i]
+		}
 	}
-	if total == 0 || len(bounds) == 0 {
+	if len(bounds) == 0 {
+		return 0
+	}
+	total := cums[len(cums)-1]
+	if total == 0 {
 		return 0
 	}
 	rank := int64(math.Ceil(q * float64(total)))
@@ -107,21 +120,12 @@ func QuantileOf(q float64, hs ...*Histogram) float64 {
 	if rank > total {
 		rank = total
 	}
-	var cum int64
-	for i := 0; i <= len(bounds); i++ {
-		for _, h := range hs {
-			if h != nil {
-				cum += h.counts[i].Load()
-			}
-		}
+	for i, cum := range cums[:len(bounds)] {
 		if cum >= rank {
-			if i == len(bounds) {
-				return bounds[len(bounds)-1] // overflow bucket: clamp to the last bound
-			}
 			return bounds[i]
 		}
 	}
-	return bounds[len(bounds)-1]
+	return bounds[len(bounds)-1] // overflow bucket: clamp to the last bound
 }
 
 // DurationQuantile is QuantileOf converted to a time.Duration.
@@ -131,7 +135,8 @@ func DurationQuantile(q float64, hs ...*Histogram) time.Duration {
 
 // buckets returns a point-in-time copy of the per-bucket cumulative
 // counts in Prometheus le-semantics: cums[i] counts samples <= bounds[i],
-// with one extra +Inf entry equal to Count().
+// with one extra +Inf entry: the total of the counts read, which is
+// Count() once writers are quiet.
 func (h *Histogram) buckets() (bounds []float64, cums []int64) {
 	if h == nil {
 		return nil, nil

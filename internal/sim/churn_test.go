@@ -260,9 +260,9 @@ func TestForgivenessIsPerServer(t *testing.T) {
 	for i := 0; i < c.N(); i++ {
 		cl.suspected.suspect(i)
 	}
-	q, err := cl.quorumOrForgive(ctx)
+	q, err := cl.pickQuorum(ctx)
 	if err != nil {
-		t.Fatalf("quorumOrForgive after probe-on-forgive: %v", err)
+		t.Fatalf("pickQuorum after probe-on-forgive: %v", err)
 	}
 	if cl.suspected.contains(dead) == false {
 		t.Fatal("dead server was forgiven without responding — forgive-all regression")

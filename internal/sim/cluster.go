@@ -570,234 +570,3 @@ func (c *Cluster) clientRNG(id int) *rand.Rand {
 	// SplitMix64-style odd multiplier keeps nearby ids uncorrelated.
 	return rand.New(rand.NewSource(c.seed + (int64(id)+1)*-0x61c8864680b583eb))
 }
-
-// Client accesses the keyed object space through quorums. Each client
-// owns its rng and suspicion state, so distinct clients can run
-// concurrently without sharing anything but the cluster; a single Client
-// is also safe to share across goroutines — its internal mutex guards
-// only the rng, suspicion and per-key sequence floors, so concurrent
-// operations on one client genuinely overlap (which is what lets a
-// Session pipeline many keyed operations at once).
-type Client struct {
-	clientCore
-	// MaxRetries bounds quorum re-selection on unresponsiveness.
-	MaxRetries int
-	// SuspicionTTL ages the client's failure detector: a server suspected
-	// longer than this is optimistically forgiven at the next quorum
-	// selection (one failed probe re-suspects it if it is still dead).
-	// Zero — the default — disables aging: suspicion then clears only
-	// through probe-on-forgive when it exhausts the quorum space. Set it
-	// for churn workloads, where servers recover and must regain traffic.
-	SuspicionTTL time.Duration
-}
-
-// Protocol errors.
-var (
-	// ErrNoCandidate means no value was vouched for by b+1 quorum members
-	// (possible under concurrency or excessive faults).
-	ErrNoCandidate = errors.New("sim: read found no value vouched by b+1 servers")
-	// ErrRetriesExhausted means live quorums kept containing unresponsive
-	// servers beyond the retry budget.
-	ErrRetriesExhausted = errors.New("sim: retries exhausted")
-)
-
-// NewClient attaches a client to the cluster.
-func (c *Cluster) NewClient(id int) *Client {
-	return &Client{clientCore: newClientCore(c, id), MaxRetries: 32}
-}
-
-// quorumOrForgive picks a quorum avoiding suspects, with the client's
-// SuspicionTTL driving rehabilitation; see clientCore.pickQuorumTTL for
-// the full contract.
-func (cl *Client) quorumOrForgive(ctx context.Context) (bitset.Set, error) {
-	return cl.pickQuorumTTL(ctx, cl.SuspicionTTL)
-}
-
-// Write performs the [MR98a] write on the DefaultKey register — the
-// original single-object API, now a thin wrapper over WriteKey.
-func (cl *Client) Write(ctx context.Context, value string) error {
-	return cl.WriteKey(ctx, DefaultKey, value)
-}
-
-// WriteKey performs the [MR98a] write on key's register: obtain a
-// timestamp greater than any vouched in some quorum, then store
-// (value, ts) at every member of a quorum. Timestamps are per key, so
-// the protocol's safety argument applies to each key independently. It
-// returns as soon as ctx is done, with an error wrapping ctx.Err().
-func (cl *Client) WriteKey(ctx context.Context, key, value string) error {
-	return cl.writeKey(ctx, key, value, nil)
-}
-
-// writeKey is WriteKey with an explicit probe route (nil = the cluster's
-// counting transport; a Session passes its batcher). It is also the
-// epoch gate — the whole operation runs inside the epoch it entered, so
-// a reconfiguration's drain can wait it out — and the write-op telemetry
-// span: every completion lands in the epoch/crash counters, successful
-// ones in the write-latency histogram.
-func (cl *Client) writeKey(ctx context.Context, key, value string, via Transport) error {
-	st, err := cl.cluster.enterOp(ctx)
-	if err != nil {
-		return fmt.Errorf("sim: write: %w", err)
-	}
-	defer st.exit()
-	if m := &cl.cluster.met; m.on {
-		start := time.Now()
-		err := cl.doWriteKey(ctx, key, value, via)
-		m.opDone(false, time.Since(start), err)
-		return err
-	}
-	return cl.doWriteKey(ctx, key, value, via)
-}
-
-func (cl *Client) doWriteKey(ctx context.Context, key, value string, via Transport) error {
-	// Phase 1: read timestamps from a quorum.
-	maxTS, err := cl.maxTimestamp(ctx, key, via)
-	if err != nil {
-		return fmt.Errorf("sim: write: %w", err)
-	}
-	tv := TaggedValue{Value: value, TS: cl.nextTS(key, maxTS)}
-	// Phase 2: push to every member of a quorum; on unresponsive members,
-	// suspect them and retry with a fresh quorum.
-	for attempt := 0; attempt < cl.MaxRetries; attempt++ {
-		if attempt > 0 {
-			cl.cluster.met.retries.Inc()
-		}
-		q, err := cl.quorumOrForgive(ctx)
-		if err != nil {
-			return fmt.Errorf("sim: write: %w", err)
-		}
-		replies, err := cl.cluster.probeQuorum(ctx, q, Request{Op: OpWrite, Key: key, Value: tv}, via)
-		if err != nil {
-			return fmt.Errorf("sim: write: %w", err)
-		}
-		if cl.noteReplies(replies) {
-			return nil
-		}
-	}
-	return fmt.Errorf("sim: write: %w", ErrRetriesExhausted)
-}
-
-// maxTimestamp collects key's timestamps from a full quorum. Byzantine
-// servers may report inflated timestamps; that only pushes the clock
-// forward, which is harmless for safety (MR98a discusses bounding this;
-// we accept it as the paper's protocol does).
-func (cl *Client) maxTimestamp(ctx context.Context, key string, via Transport) (Timestamp, error) {
-	for attempt := 0; attempt < cl.MaxRetries; attempt++ {
-		if attempt > 0 {
-			cl.cluster.met.retries.Inc()
-		}
-		q, err := cl.quorumOrForgive(ctx)
-		if err != nil {
-			return Timestamp{}, err
-		}
-		replies, err := cl.cluster.probeQuorum(ctx, q, Request{Op: OpReadTimestamps, Key: key, ReaderID: cl.id}, via)
-		if err != nil {
-			return Timestamp{}, err
-		}
-		// To keep fabricated timestamps from exploding the clock, accept
-		// only timestamps vouched by b+1 members — the same masking rule
-		// reads use.
-		votes := make(map[Timestamp]int)
-		complete := cl.noteReplies(replies)
-		for _, resp := range replies {
-			if resp.OK {
-				votes[resp.Value.TS]++
-			}
-		}
-		if !complete {
-			continue
-		}
-		// Under concurrency the quorum can catch several writes in flight,
-		// each vouched by fewer than b+1 servers. Falling back to the zero
-		// timestamp here would let this write be ordered before values
-		// already committed — a silent lost update — so retry until some
-		// timestamp (possibly the initial zero one) is properly vouched.
-		var max Timestamp
-		vouched := false
-		for ts, n := range votes {
-			if n >= cl.cluster.b+1 {
-				vouched = true
-				if max.Less(ts) {
-					max = ts
-				}
-			}
-		}
-		if !vouched {
-			continue
-		}
-		return max, nil
-	}
-	return Timestamp{}, ErrRetriesExhausted
-}
-
-// Read performs the [MR98a] masking read on the DefaultKey register — the
-// original single-object API, now a thin wrapper over ReadKey.
-func (cl *Client) Read(ctx context.Context) (TaggedValue, error) {
-	return cl.ReadKey(ctx, DefaultKey)
-}
-
-// ReadKey performs the [MR98a] masking read on key's register: gather
-// answers from a quorum in parallel, keep pairs vouched for by ≥ b+1
-// members, return the one with the highest timestamp. It returns as soon
-// as ctx is done, with an error wrapping ctx.Err().
-func (cl *Client) ReadKey(ctx context.Context, key string) (TaggedValue, error) {
-	return cl.readKey(ctx, key, nil)
-}
-
-// readKey is ReadKey with an explicit probe route (nil = the cluster's
-// counting transport; a Session passes its batcher). It is also the
-// epoch gate — the whole operation runs inside the epoch it entered, so
-// a reconfiguration's drain can wait it out — and the read-op telemetry
-// span: every completion lands in the epoch/crash counters, successful
-// ones in the read-latency histogram.
-func (cl *Client) readKey(ctx context.Context, key string, via Transport) (TaggedValue, error) {
-	st, err := cl.cluster.enterOp(ctx)
-	if err != nil {
-		return TaggedValue{}, fmt.Errorf("sim: read: %w", err)
-	}
-	defer st.exit()
-	if m := &cl.cluster.met; m.on {
-		start := time.Now()
-		tv, err := cl.doReadKey(ctx, key, via)
-		m.opDone(true, time.Since(start), err)
-		return tv, err
-	}
-	return cl.doReadKey(ctx, key, via)
-}
-
-func (cl *Client) doReadKey(ctx context.Context, key string, via Transport) (TaggedValue, error) {
-	for attempt := 0; attempt < cl.MaxRetries; attempt++ {
-		if attempt > 0 {
-			cl.cluster.met.retries.Inc()
-		}
-		q, err := cl.quorumOrForgive(ctx)
-		if err != nil {
-			return TaggedValue{}, fmt.Errorf("sim: read: %w", err)
-		}
-		replies, err := cl.cluster.probeQuorum(ctx, q, Request{Op: OpRead, Key: key, ReaderID: cl.id}, via)
-		if err != nil {
-			return TaggedValue{}, fmt.Errorf("sim: read: %w", err)
-		}
-		complete := cl.noteReplies(replies)
-		if !complete {
-			continue
-		}
-		votes := make(map[TaggedValue]int)
-		for _, resp := range replies {
-			votes[resp.Value]++
-		}
-		best, found := TaggedValue{}, false
-		for tv, n := range votes {
-			if n >= cl.cluster.b+1 {
-				if !found || best.TS.Less(tv.TS) {
-					best, found = tv, true
-				}
-			}
-		}
-		if !found {
-			return TaggedValue{}, ErrNoCandidate
-		}
-		return best, nil
-	}
-	return TaggedValue{}, fmt.Errorf("sim: read: %w", ErrRetriesExhausted)
-}

@@ -1,13 +1,6 @@
 package sim
 
-import (
-	"context"
-	"fmt"
-	"sync"
-	"time"
-
-	"bqs/internal/bitset"
-)
+import "sync"
 
 // This file implements the OTHER quorum variety of [MR98a] that the paper
 // mentions in Section 3: dissemination quorum systems, used for
@@ -58,182 +51,39 @@ func (a *Authenticator) Verify(key string, tv TaggedValue) bool {
 	return ok
 }
 
-// DisseminationClient accesses the keyed object space with the
-// dissemination protocol: reads return the highest-timestamped VERIFIED
-// value from a quorum, with no b+1 vouching requirement. It needs the
-// quorum system to have IS ≥ b+1 rather than 2b+1. Like Client (the two
-// share clientCore), it owns its rng and suspicion state, guards them
-// with a fine-grained mutex, and is safe for concurrent operations — on
-// its own or through a Session.
-type DisseminationClient struct {
-	clientCore
-	auth *Authenticator
-	// MaxRetries bounds quorum re-selection on unresponsiveness.
-	MaxRetries int
-	// SuspicionTTL ages suspicion exactly as Client.SuspicionTTL does:
-	// zero disables aging, a positive value lets recovered servers regain
-	// traffic after at most that long.
-	SuspicionTTL time.Duration
+// NewDisseminationClient attaches a dissemination-protocol client: the
+// same Client as NewClient returns, believing replies by the signed rule
+// instead of the masking one. Reads return the highest-timestamped
+// VERIFIED value from a quorum, with no b+1 vouching requirement, so it
+// needs the quorum system to have IS ≥ b+1 rather than 2b+1.
+func (c *Cluster) NewDisseminationClient(id int, auth *Authenticator) *Client {
+	return c.newClient(id, signed{auth})
 }
 
-// NewDisseminationClient attaches a dissemination-protocol client.
-func (c *Cluster) NewDisseminationClient(id int, auth *Authenticator) *DisseminationClient {
-	return &DisseminationClient{clientCore: newClientCore(c, id), auth: auth, MaxRetries: 32}
+// signed is the dissemination rule: believe exactly what verifies. A
+// Byzantine server cannot sign, so one correct server in the intersection
+// is enough and nothing needs votes.
+type signed struct{ auth *Authenticator }
+
+// timestamp returns the largest verified timestamp — the zero one for a
+// key no writer has signed anything for. Byzantine servers cannot inflate
+// the clock because they cannot sign.
+func (s signed) timestamp(key string, replies map[int]Response) Timestamp {
+	tv, _ := s.value(key, replies)
+	return tv.TS
 }
 
-// quorumOrForgive mirrors Client.quorumOrForgive; see
-// clientCore.pickQuorumTTL for the full rehabilitation contract.
-func (dc *DisseminationClient) quorumOrForgive(ctx context.Context) (bitset.Set, error) {
-	return dc.pickQuorumTTL(ctx, dc.SuspicionTTL)
-}
-
-// Write signs and stores a value under the DefaultKey register — the
-// original single-object API, now a thin wrapper over WriteKey.
-func (dc *DisseminationClient) Write(ctx context.Context, value string) error {
-	return dc.WriteKey(ctx, DefaultKey, value)
-}
-
-// WriteKey signs (key, value, ts) and stores it at every member of a
-// quorum. The timestamp phase accepts the max VERIFIED timestamp seen —
-// Byzantine servers cannot inflate the clock because they cannot sign.
-func (dc *DisseminationClient) WriteKey(ctx context.Context, key, value string) error {
-	return dc.writeKey(ctx, key, value, nil)
-}
-
-// writeKey is WriteKey with an explicit probe route (nil = the cluster's
-// counting transport; a Session passes its batcher). Like Client, it is
-// the epoch gate and the write-op telemetry span.
-func (dc *DisseminationClient) writeKey(ctx context.Context, key, value string, via Transport) error {
-	st, err := dc.cluster.enterOp(ctx)
-	if err != nil {
-		return fmt.Errorf("sim: dissemination write: %w", err)
-	}
-	defer st.exit()
-	if m := &dc.cluster.met; m.on {
-		start := time.Now()
-		err := dc.doWriteKey(ctx, key, value, via)
-		m.opDone(false, time.Since(start), err)
-		return err
-	}
-	return dc.doWriteKey(ctx, key, value, via)
-}
-
-func (dc *DisseminationClient) doWriteKey(ctx context.Context, key, value string, via Transport) error {
-	maxTS, err := dc.maxVerifiedTimestamp(ctx, key, via)
-	if err != nil {
-		return fmt.Errorf("sim: dissemination write: %w", err)
-	}
-	tv := TaggedValue{Value: value, TS: dc.nextTS(key, maxTS)}
-	dc.auth.Sign(key, tv)
-	for attempt := 0; attempt < dc.MaxRetries; attempt++ {
-		if attempt > 0 {
-			dc.cluster.met.retries.Inc()
-		}
-		q, err := dc.quorumOrForgive(ctx)
-		if err != nil {
-			return fmt.Errorf("sim: dissemination write: %w", err)
-		}
-		replies, err := dc.cluster.probeQuorum(ctx, q, Request{Op: OpWrite, Key: key, Value: tv}, via)
-		if err != nil {
-			return fmt.Errorf("sim: dissemination write: %w", err)
-		}
-		if dc.noteReplies(replies) {
-			return nil
+// value returns the highest-timestamped reply that verifies for key.
+func (s signed) value(key string, replies map[int]Response) (TaggedValue, bool) {
+	best, found := TaggedValue{}, false
+	for _, resp := range replies {
+		if s.auth.Verify(key, resp.Value) && (!found || best.TS.Less(resp.Value.TS)) {
+			best, found = resp.Value, true
 		}
 	}
-	return fmt.Errorf("sim: dissemination write: %w", ErrRetriesExhausted)
+	return best, found
 }
 
-func (dc *DisseminationClient) maxVerifiedTimestamp(ctx context.Context, key string, via Transport) (Timestamp, error) {
-	for attempt := 0; attempt < dc.MaxRetries; attempt++ {
-		if attempt > 0 {
-			dc.cluster.met.retries.Inc()
-		}
-		q, err := dc.quorumOrForgive(ctx)
-		if err != nil {
-			return Timestamp{}, err
-		}
-		replies, err := dc.cluster.probeQuorum(ctx, q, Request{Op: OpReadTimestamps, Key: key, ReaderID: dc.id}, via)
-		if err != nil {
-			return Timestamp{}, err
-		}
-		complete := dc.noteReplies(replies)
-		var max Timestamp
-		for _, resp := range replies {
-			if resp.OK && dc.auth.Verify(key, resp.Value) && max.Less(resp.Value.TS) {
-				max = resp.Value.TS
-			}
-		}
-		if complete {
-			return max, nil
-		}
-	}
-	return Timestamp{}, ErrRetriesExhausted
-}
-
-// Read returns the highest-timestamped verified value of the DefaultKey
-// register — the original single-object API, now a wrapper over ReadKey.
-func (dc *DisseminationClient) Read(ctx context.Context) (TaggedValue, error) {
-	return dc.ReadKey(ctx, DefaultKey)
-}
-
-// ReadKey returns the highest-timestamped verified value found in a
-// quorum for key. With IS ≥ b+1 every read quorum shares a correct server
-// with the last write quorum, so the newest authentic value is always
-// present; values signed for other keys fail verification, which is what
-// stops cross-key replay.
-func (dc *DisseminationClient) ReadKey(ctx context.Context, key string) (TaggedValue, error) {
-	return dc.readKey(ctx, key, nil)
-}
-
-// readKey is ReadKey with an explicit probe route (nil = the cluster's
-// counting transport; a Session passes its batcher). Like Client, it is
-// the epoch gate and the read-op telemetry span.
-func (dc *DisseminationClient) readKey(ctx context.Context, key string, via Transport) (TaggedValue, error) {
-	st, err := dc.cluster.enterOp(ctx)
-	if err != nil {
-		return TaggedValue{}, fmt.Errorf("sim: dissemination read: %w", err)
-	}
-	defer st.exit()
-	if m := &dc.cluster.met; m.on {
-		start := time.Now()
-		tv, err := dc.doReadKey(ctx, key, via)
-		m.opDone(true, time.Since(start), err)
-		return tv, err
-	}
-	return dc.doReadKey(ctx, key, via)
-}
-
-func (dc *DisseminationClient) doReadKey(ctx context.Context, key string, via Transport) (TaggedValue, error) {
-	for attempt := 0; attempt < dc.MaxRetries; attempt++ {
-		if attempt > 0 {
-			dc.cluster.met.retries.Inc()
-		}
-		q, err := dc.quorumOrForgive(ctx)
-		if err != nil {
-			return TaggedValue{}, fmt.Errorf("sim: dissemination read: %w", err)
-		}
-		replies, err := dc.cluster.probeQuorum(ctx, q, Request{Op: OpRead, Key: key, ReaderID: dc.id}, via)
-		if err != nil {
-			return TaggedValue{}, fmt.Errorf("sim: dissemination read: %w", err)
-		}
-		complete := dc.noteReplies(replies)
-		var best TaggedValue
-		found := false
-		for _, resp := range replies {
-			if resp.OK && dc.auth.Verify(key, resp.Value) {
-				if !found || best.TS.Less(resp.Value.TS) {
-					best, found = resp.Value, true
-				}
-			}
-		}
-		if !complete {
-			continue
-		}
-		if !found {
-			return TaggedValue{}, ErrNoCandidate
-		}
-		return best, nil
-	}
-	return TaggedValue{}, fmt.Errorf("sim: dissemination read: %w", ErrRetriesExhausted)
-}
+// sign registers (key, tv) with the authenticator, so every reader
+// sharing it verifies the value.
+func (s signed) sign(key string, tv TaggedValue) { s.auth.Sign(key, tv) }

@@ -10,7 +10,10 @@
 // key by key. Fault injection covers crashes (silent servers) and several
 // Byzantine behaviors (fabrication, stale replay, equivocation), so tests
 // can demonstrate both the protocol's guarantees at ≤ b faults and its
-// collapse past the 2b+1 bound.
+// collapse past the 2b+1 bound. The dissemination protocol of [MR98a]
+// (self-verifying data, intersections of b+1) is the same Client running
+// the same quorum-access loop with a different reply-acceptance rule —
+// see acceptance in client.go.
 //
 // The access layer is a concurrent engine: clients take a context.Context,
 // fan probes out to quorum members in parallel goroutines through a

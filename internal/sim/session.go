@@ -7,15 +7,6 @@ import (
 	"time"
 )
 
-// sessionOps is what a Session needs from a client: the keyed protocol
-// operations with an explicit probe route. Client and
-// DisseminationClient both satisfy it, so one Session type serves both
-// protocols.
-type sessionOps interface {
-	readKey(ctx context.Context, key string, via Transport) (TaggedValue, error)
-	writeKey(ctx context.Context, key, value string, via Transport) error
-}
-
 // sessionConfig collects the Session functional options.
 type sessionConfig struct {
 	maxBatch int
@@ -70,7 +61,7 @@ func WithSessionLinger(d time.Duration) SessionOption {
 // operations and flushes the batcher; operations issued after Close fail
 // with ErrSessionClosed.
 type Session struct {
-	ops sessionOps
+	cl  *Client
 	b   *batcher  // nil when the transport is not worth batching
 	via Transport // probe route for operations: b, or nil for direct
 
@@ -81,30 +72,22 @@ type Session struct {
 	closed bool
 }
 
-// NewSession opens a batching session over the client.
+// NewSession opens a batching session over the client, whichever
+// protocol it runs.
 func (cl *Client) NewSession(opts ...SessionOption) *Session {
-	return newSession(cl, cl.cluster, opts)
-}
-
-// NewSession opens a batching session over the dissemination client.
-func (dc *DisseminationClient) NewSession(opts ...SessionOption) *Session {
-	return newSession(dc, dc.cluster, opts)
-}
-
-func newSession(ops sessionOps, c *Cluster, opts []SessionOption) *Session {
 	cfg := sessionConfig{maxBatch: DefaultSessionBatch, linger: DefaultSessionLinger}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	s := &Session{ops: ops}
+	s := &Session{cl: cl}
 	// Only put the batcher between operations and the transport when the
 	// transport has a per-frame cost to amortize (see FrameCoster): the
 	// default in-memory transport does not, and there queueing behind the
 	// linger was measured at 0.70× the unbatched throughput. The async
 	// future API is unchanged either way — operations still overlap, their
 	// probes just travel directly.
-	if fc, ok := c.transport.(FrameCoster); !ok || fc.WorthBatching() {
-		s.b = newBatcher(c, cfg.maxBatch, cfg.linger)
+	if fc, ok := cl.cluster.transport.(FrameCoster); !ok || fc.WorthBatching() {
+		s.b = newBatcher(cl.cluster, cfg.maxBatch, cfg.linger)
 		s.b.inflight = func() int { return int(s.inflight.Load()) }
 		s.via = s.b
 	}
@@ -179,7 +162,7 @@ func (s *Session) ReadAsync(ctx context.Context, key string) *ReadFuture {
 	}
 	go func() {
 		defer s.done()
-		f.tv, f.err = s.ops.readKey(ctx, key, s.via)
+		f.tv, f.err = s.cl.readKey(ctx, key, s.via)
 		close(f.done)
 	}()
 	return f
@@ -197,7 +180,7 @@ func (s *Session) WriteAsync(ctx context.Context, key, value string) *WriteFutur
 	}
 	go func() {
 		defer s.done()
-		f.err = s.ops.writeKey(ctx, key, value, s.via)
+		f.err = s.cl.writeKey(ctx, key, value, s.via)
 		close(f.done)
 	}()
 	return f

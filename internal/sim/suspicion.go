@@ -11,13 +11,12 @@ import (
 	"bqs/internal/core"
 )
 
-// suspicion is the per-client failure-detector state shared by Client and
-// DisseminationClient: which servers the client currently believes are
-// unresponsive, and since when. It exists because the paper's availability
-// story (Section 4, Definition 3.10) is about crashes that COME AND GO —
-// a server that recovers must be forgiven and re-probed, never suspected
-// forever, or measured availability would drift arbitrarily below F_p(Q)
-// under churn.
+// suspicion is the per-client failure-detector state: which servers the
+// client currently believes are unresponsive, and since when. It exists
+// because the paper's availability story (Section 4, Definition 3.10) is
+// about crashes that COME AND GO — a server that recovers must be
+// forgiven and re-probed, never suspected forever, or measured
+// availability would drift arbitrarily below F_p(Q) under churn.
 //
 // Two rehabilitation paths re-admit servers:
 //
@@ -79,7 +78,7 @@ func (s *suspicion) forgiveAged() int {
 	return forgiven
 }
 
-// pickQuorum is the quorum-selection path both client types share: ask
+// pickQuorum is the quorum-selection path under Client.pickQuorum: ask
 // the cluster's picker (strategy-aware when one is installed) for a
 // quorum avoiding the suspects, after retiring suspicions older than the
 // client's TTL. When suspicion has exhausted the quorum space it probes

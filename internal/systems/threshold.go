@@ -67,8 +67,8 @@ func NewMaskingThreshold(n, b int) (*Threshold, error) {
 // NewDisseminationThreshold builds the threshold dissemination quorum
 // system of [MR98a] for self-verifying data: quorums of size
 // ⌈(n+b+1)/2⌉, which intersect in ≥ b+1 servers (at least one correct).
-// It requires n ≥ 3b+1. Use it with sim.DisseminationClient, not with the
-// masking protocol (its intersections are below 2b+1).
+// It requires n ≥ 3b+1. Use it with sim.Cluster.NewDisseminationClient,
+// not with the masking protocol (its intersections are below 2b+1).
 func NewDisseminationThreshold(n, b int) (*Threshold, error) {
 	if b < 0 {
 		return nil, fmt.Errorf("systems: dissemination threshold: b=%d must be non-negative", b)
