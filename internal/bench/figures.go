@@ -62,19 +62,19 @@ func Figure2RT(seed int64) (string, error) {
 
 // Figure3MPath renders Figure 3: the multi-path construction on a 9×9
 // triangulated grid with b = 4, one quorum (3 disjoint LR paths + 3
-// disjoint TB paths) shaded. Unlike the straight-line strategy, this picks
-// the quorum with the max-flow machinery under a few injected failures so
-// the paths genuinely wiggle.
+// disjoint TB paths) shaded. The picker draws straight lines while three
+// rows and three columns are alive, so the figure crashes one site in each
+// of seven rows and seven columns: both axes fall back to the max-flow
+// machinery and the paths genuinely wiggle.
 func Figure3MPath(seed int64) (string, error) {
 	m, err := systems.NewMPath(9, 4)
 	if err != nil {
 		return "", err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	// Inject a handful of failures to force non-straight paths.
 	dead := bitset.New(81)
 	g := m.Grid()
-	for _, rc := range [][2]int{{1, 1}, {4, 4}, {6, 2}, {3, 7}} {
+	for _, rc := range [][2]int{{0, 3}, {1, 6}, {2, 1}, {3, 7}, {4, 4}, {6, 2}, {7, 5}} {
 		dead.Add(g.Index(rc[0], rc[1]))
 	}
 	q, err := m.SelectQuorum(rng, dead)

@@ -511,6 +511,19 @@ func runSession(runCtx context.Context, cl *bqs.Client, w Workload, id int,
 	}
 }
 
+// faultFree reports whether no pick of the run had to route around a
+// server, so the measured load is the picker's own: no operation failed,
+// no server is crashed, and (on an instrumented cluster) no client ever
+// suspected one — which also covers drops, churn and adversaries.
+func faultFree(cluster *bqs.Cluster, c Counters) bool {
+	crashed, _ := cluster.FaultCounts()
+	if c.Failures > 0 || crashed > 0 {
+		return false
+	}
+	reg := cluster.Registry()
+	return reg == nil || reg.Counter("bqs_client_suspicions_total").Value() == 0
+}
+
 // Summary is the result block Report printed, returned so
 // harness-specific acceptance checks compare against exactly the numbers
 // the user saw.
@@ -519,6 +532,7 @@ type Summary struct {
 	Lower        float64 // Theorem 4.1 lower bound on L(Q)
 	StrategyLoad float64 // L_w(Q) of the installed strategy (the LP optimum under -strategy optimal); NaN under uniform selection
 	Epoch        uint64  // configuration epoch the run ended on (0: never reconfigured)
+	OffBound     bool    // fault-free, yet Peak is > 10% above the load the construction advertises
 }
 
 // Report prints the shared result block: outcome counts, successful
@@ -526,7 +540,10 @@ type Summary struct {
 // times out cannot masquerade as fast), and the measured busiest-server
 // frequency next to the paper's L(Q) lower bounds — plus, when a
 // strategy-backed picker is installed, the L_w(Q) the strategy actually
-// in use induces, which is what the measurement should converge to.
+// in use induces, which is what the measurement should converge to. A
+// fault-free run whose busiest server sits more than 10% above the load
+// the construction itself advertises is flagged OFF BOUND on the measured
+// line: the picker is not running the strategy the theorem is about.
 func Report(cluster *bqs.Cluster, sys System, b int, c Counters) Summary {
 	fmt.Printf("result: %d reads ok, %d writes ok, %d no-candidate, %d failed, %d VIOLATIONS\n",
 		c.Reads, c.Writes, c.NoCandidates, c.Failures, c.Violations)
@@ -550,7 +567,13 @@ func Report(cluster *bqs.Cluster, sys System, b int, c Counters) Summary {
 	if s.Epoch > 0 {
 		fmt.Printf("epoch:      %d (%s, n=%d)\n", s.Epoch, sys.Name(), n)
 	}
-	fmt.Printf("measured load: busiest server at %.4f of quorum accesses\n", s.Peak)
+	measured := fmt.Sprintf("measured load: busiest server at %.4f of quorum accesses", s.Peak)
+	if adv, ok := sys.(interface{ Load() float64 }); ok && faultFree(cluster, c) && s.Peak > 1.10*adv.Load() {
+		s.OffBound = true
+		measured += fmt.Sprintf(" — OFF BOUND: %+.1f%% from the construction's load %.4f",
+			100*(s.Peak/adv.Load()-1), adv.Load())
+	}
+	fmt.Println(measured)
 	fmt.Printf("paper bounds:  L(Q) ≥ %.4f (Thm 4.1), ≥ %.4f (Cor 4.2)\n",
 		s.Lower, bqs.GlobalLoadLowerBound(n, b))
 	if !math.IsNaN(s.StrategyLoad) {

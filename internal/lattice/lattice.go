@@ -3,9 +3,10 @@
 // {(i,j) : 0 ≤ i,j < d}; edges connect (i,j)–(i,j+1), (i,j)–(i+1,j) and
 // (i,j)–(i−1,j+1) (the paper's triangulation). A site is open when the
 // corresponding server is alive; the package finds open left-right (LR)
-// and top-bottom (TB) paths, counts vertex-disjoint families of them via
-// max-flow (Menger's theorem), and samples site percolation for the
-// Appendix B experiments (critical probability 1/2 on this lattice).
+// and top-bottom (TB) paths, finds vertex-disjoint families of them via
+// max-flow (Menger's theorem; the kernel is flowNet, shared with the
+// square edge lattice), and samples site percolation for the Appendix B
+// experiments (critical probability 1/2 on this lattice).
 package lattice
 
 import (
@@ -13,7 +14,6 @@ import (
 	"math/rand"
 
 	"bqs/internal/bitset"
-	"bqs/internal/maxflow"
 )
 
 // Axis selects the traversal direction.
@@ -25,9 +25,14 @@ const (
 	TopBottom                 // paths from row 0 to row d−1
 )
 
-// Grid is a d×d triangulated lattice.
+// Grid is a d×d triangulated lattice. It holds pooled flow scratch, so it
+// is used through the pointer New returns and never copied.
 type Grid struct {
 	d int
+	// One vertex-split flow network per axis: in(v) = 2v → out(v) = 2v+1
+	// carries vertex v, out(v) → in(w) joins neighbours, and the source
+	// and sink hang off the axis's two boundary lines.
+	lr, tb *flowNet
 }
 
 // New returns a d×d grid; d must be at least 1.
@@ -35,7 +40,35 @@ func New(d int) (*Grid, error) {
 	if d < 1 {
 		return nil, fmt.Errorf("lattice: side %d must be at least 1", d)
 	}
-	return &Grid{d: d}, nil
+	g := &Grid{d: d}
+	src, snk := 2*d*d, 2*d*d+1
+	var shared []link
+	var buf [][2]int
+	for v := 0; v < d*d; v++ {
+		shared = append(shared, link{from: 2 * v, to: 2*v + 1, elem: v})
+		buf = g.Neighbors(v/d, v%d, buf[:0])
+		for _, nb := range buf {
+			shared = append(shared, link{from: 2*v + 1, to: 2 * g.Index(nb[0], nb[1]), elem: -1})
+		}
+	}
+	lr, tb := shared, append([]link(nil), shared...)
+	for k := 0; k < d; k++ {
+		lr = append(lr,
+			link{from: src, to: 2 * g.Index(k, 0), elem: -1},
+			link{from: 2*g.Index(k, d-1) + 1, to: snk, elem: -1})
+		tb = append(tb,
+			link{from: src, to: 2 * g.Index(0, k), elem: -1},
+			link{from: 2*g.Index(d-1, k) + 1, to: snk, elem: -1})
+	}
+	g.lr, g.tb = newFlowNet(2*d*d+2, src, snk, lr), newFlowNet(2*d*d+2, src, snk, tb)
+	return g, nil
+}
+
+func (g *Grid) net(axis Axis) *flowNet {
+	if axis == LeftRight {
+		return g.lr
+	}
+	return g.tb
 }
 
 // Side returns d; NumVertices returns d².
@@ -66,124 +99,34 @@ func (g *Grid) Neighbors(row, col int, buf [][2]int) [][2]int {
 }
 
 // HasOpenPath reports whether an open path crosses the grid along the axis
-// (every vertex on the path avoids the dead set). BFS, O(d²).
+// (every vertex on the path avoids the dead set).
 func (g *Grid) HasOpenPath(axis Axis, dead bitset.Set) bool {
-	d := g.d
-	visited := bitset.New(d * d)
-	var queue []int
-	for k := 0; k < d; k++ {
-		var v int
-		if axis == LeftRight {
-			v = g.Index(k, 0)
-		} else {
-			v = g.Index(0, k)
-		}
-		if !dead.Contains(v) {
-			visited.Add(v)
-			queue = append(queue, v)
-		}
-	}
-	var buf [][2]int
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		row, col := g.Coords(v)
-		if (axis == LeftRight && col == d-1) || (axis == TopBottom && row == d-1) {
-			return true
-		}
-		buf = g.Neighbors(row, col, buf[:0])
-		for _, nb := range buf {
-			w := g.Index(nb[0], nb[1])
-			if !dead.Contains(w) && !visited.Contains(w) {
-				visited.Add(w)
-				queue = append(queue, w)
-			}
-		}
-	}
-	return false
+	return g.net(axis).disjoint(dead, 1, nil, nil) == 1
 }
 
 // DisjointPaths returns up to maxPaths vertex-disjoint open crossing paths
-// along the axis, each as a sequence of vertex ids. It returns fewer when
-// the dead set does not admit maxPaths of them; the second result is the
-// attainable count (the full max-flow value, even when it exceeds
-// maxPaths... capped by construction at maxPaths via source capacities).
+// along the axis, each as its vertex ids in path order. It returns fewer
+// than maxPaths exactly when the dead set admits no more, so asking for d
+// counts them all; a non-positive maxPaths is an error.
 func (g *Grid) DisjointPaths(axis Axis, dead bitset.Set, maxPaths int) ([][]int, error) {
 	if maxPaths < 1 {
 		return nil, fmt.Errorf("lattice: maxPaths %d must be positive", maxPaths)
 	}
-	d := g.d
-	// Vertex-split graph: in(v) = 2v, out(v) = 2v+1; a gate node throttles
-	// the source to maxPaths so the flow computation stops as soon as the
-	// requested number of disjoint paths is established.
-	src, gate, snk := 2*d*d, 2*d*d+1, 2*d*d+2
-	fg := maxflow.New(2*d*d + 3)
-	addEdge := func(u, v, c int) error { return fg.AddEdge(u, v, c) }
-	if err := addEdge(src, gate, maxPaths); err != nil {
-		return nil, err
-	}
+	return g.net(axis).pathLists(dead, maxPaths), nil
+}
 
-	for v := 0; v < d*d; v++ {
-		if dead.Contains(v) {
-			continue
-		}
-		if err := addEdge(2*v, 2*v+1, 1); err != nil {
-			return nil, err
-		}
-		row, col := g.Coords(v)
-		var buf [][2]int
-		buf = g.Neighbors(row, col, buf)
-		for _, nb := range buf {
-			w := g.Index(nb[0], nb[1])
-			if dead.Contains(w) {
-				continue
-			}
-			if err := addEdge(2*v+1, 2*w, 1); err != nil {
-				return nil, err
-			}
-		}
-		isStart := (axis == LeftRight && col == 0) || (axis == TopBottom && row == 0)
-		isEnd := (axis == LeftRight && col == d-1) || (axis == TopBottom && row == d-1)
-		if isStart {
-			if err := addEdge(gate, 2*v, 1); err != nil {
-				return nil, err
-			}
-		}
-		if isEnd {
-			if err := addEdge(2*v+1, snk, 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if _, err := fg.MaxFlow(src, snk); err != nil {
-		return nil, err
-	}
-	raw := fg.DecomposePaths(src, snk)
-	paths := make([][]int, 0, len(raw))
-	for _, rp := range raw {
-		if len(paths) == maxPaths {
-			break
-		}
-		// rp = src, in(a), out(a), in(b), out(b), …, snk.
-		var p []int
-		for _, node := range rp[1 : len(rp)-1] {
-			if node%2 == 0 { // in-vertex
-				p = append(p, node/2)
-			}
-		}
-		paths = append(paths, p)
-	}
-	return paths, nil
+// AddDisjointPaths adds the vertices of k vertex-disjoint open crossing
+// paths along the axis to q and reports whether k exist (when they do not,
+// q holds a partial family to discard). Which paths are found is
+// randomized by rng; they always avoid dead and stay as short as it allows.
+func (g *Grid) AddDisjointPaths(q *bitset.Set, axis Axis, dead bitset.Set, k int, rng *rand.Rand) bool {
+	return g.net(axis).addPaths(q, dead, k, rng)
 }
 
 // CountDisjointPaths returns the maximum number of vertex-disjoint open
 // crossing paths along the axis (unbounded by any quorum size).
-func (g *Grid) CountDisjointPaths(axis Axis, dead bitset.Set) (int, error) {
-	paths, err := g.DisjointPaths(axis, dead, g.d)
-	if err != nil {
-		return 0, err
-	}
-	return len(paths), nil
+func (g *Grid) CountDisjointPaths(axis Axis, dead bitset.Set) int {
+	return g.net(axis).disjoint(dead, g.d, nil, nil)
 }
 
 // SampleDead fills a fresh dead set where each site is closed independently
@@ -203,23 +146,13 @@ func (g *Grid) SampleDead(p float64, rng *rand.Rand) bitset.Set {
 // percolation with closure probability p. This is the quantity Appendix B
 // bounds via Theorems B.1 and B.3.
 func (g *Grid) CrossingProbability(axis Axis, p float64, k, trials int, rng *rand.Rand) (float64, error) {
-	if trials <= 0 {
-		return 0, fmt.Errorf("lattice: trials must be positive")
+	if trials <= 0 || k < 1 {
+		return 0, fmt.Errorf("lattice: trials %d and k %d must be positive", trials, k)
 	}
 	success := 0
 	for t := 0; t < trials; t++ {
 		dead := g.SampleDead(p, rng)
-		if k == 1 {
-			if g.HasOpenPath(axis, dead) {
-				success++
-			}
-			continue
-		}
-		paths, err := g.DisjointPaths(axis, dead, k)
-		if err != nil {
-			return 0, err
-		}
-		if len(paths) >= k {
+		if g.net(axis).disjoint(dead, k, nil, nil) == k {
 			success++
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"bqs/internal/bitset"
-	"bqs/internal/maxflow"
 )
 
 // SquareEdgeGrid is the square-lattice bond variant the paper mentions at
@@ -23,6 +22,13 @@ import (
 // The universe size is 2d(d−1).
 type SquareEdgeGrid struct {
 	d int
+	// lr is the primal network (vertices joined by their edges, source on
+	// the left column, sink on the right); dualTB is the dual one (cells
+	// joined by the primal edge between them, source above the top row of
+	// cells, sink below the bottom row). Each arc carries the primal edge
+	// it uses or crosses: every primal edge is crossed by exactly one dual
+	// step, so unit arcs give edge-disjoint crossed sets.
+	lr, dualTB *flowNet
 }
 
 // NewSquareEdge returns the edge lattice on a d×d vertex grid (d ≥ 2).
@@ -30,7 +36,42 @@ func NewSquareEdge(d int) (*SquareEdgeGrid, error) {
 	if d < 2 {
 		return nil, fmt.Errorf("lattice: square-edge side %d must be at least 2", d)
 	}
-	return &SquareEdgeGrid{d: d}, nil
+	g := &SquareEdgeGrid{d: d}
+
+	vid := func(i, j int) int { return i*d + j }
+	src, snk := d*d, d*d+1
+	var lr []link
+	for i := 0; i < d; i++ {
+		lr = append(lr,
+			link{from: src, to: vid(i, 0), elem: -1},
+			link{from: vid(i, d-1), to: snk, elem: -1})
+		for j := 0; j < d-1; j++ {
+			lr = append(lr,
+				link{from: vid(i, j), to: vid(i, j+1), elem: g.HEdge(i, j), twoWay: true},
+				link{from: vid(j, i), to: vid(j+1, i), elem: g.VEdge(j, i), twoWay: true})
+		}
+	}
+	g.lr = newFlowNet(d*d+2, src, snk, lr)
+
+	// Moving down from cell (i,j) crosses H(i+1,j), entering from the top
+	// crosses H(0,j), leaving at the bottom crosses H(d−1,j), and moving
+	// right from cell (i,j) crosses V(i,j+1).
+	c := d - 1 // cells per side
+	cell := func(i, j int) int { return i*c + j }
+	top, bottom := c*c, c*c+1
+	var tb []link
+	for j := 0; j < c; j++ {
+		tb = append(tb,
+			link{from: top, to: cell(0, j), elem: g.HEdge(0, j)},
+			link{from: cell(c-1, j), to: bottom, elem: g.HEdge(d-1, j)})
+		for i := 0; i < c-1; i++ {
+			tb = append(tb,
+				link{from: cell(i, j), to: cell(i+1, j), elem: g.HEdge(i+1, j), twoWay: true},
+				link{from: cell(j, i), to: cell(j, i+1), elem: g.VEdge(j, i+1), twoWay: true})
+		}
+	}
+	g.dualTB = newFlowNet(c*c+2, top, bottom, tb)
+	return g, nil
 }
 
 // Side returns d; NumEdges returns the universe size 2d(d−1).
@@ -41,204 +82,39 @@ func (g *SquareEdgeGrid) NumEdges() int { return 2 * g.d * (g.d - 1) }
 func (g *SquareEdgeGrid) HEdge(i, j int) int { return i*(g.d-1) + j }
 func (g *SquareEdgeGrid) VEdge(i, j int) int { return g.d*(g.d-1) + i*g.d + j }
 
+func (g *SquareEdgeGrid) net(axis Axis) *flowNet {
+	if axis == LeftRight {
+		return g.lr
+	}
+	return g.dualTB
+}
+
 // DisjointLRPaths returns up to maxPaths edge-disjoint open left-right
 // paths in the primal lattice, each as a list of edge ids.
 func (g *SquareEdgeGrid) DisjointLRPaths(dead bitset.Set, maxPaths int) ([][]int, error) {
 	if maxPaths < 1 {
 		return nil, fmt.Errorf("lattice: maxPaths %d must be positive", maxPaths)
 	}
-	d := g.d
-	// Flow nodes: primal vertices (i,j) = i·d+j, then src, gate, snk.
-	src, gate, snk := d*d, d*d+1, d*d+2
-	fg := maxflow.New(d*d + 3)
-	if err := fg.AddEdge(src, gate, maxPaths); err != nil {
-		return nil, err
-	}
-	vid := func(i, j int) int { return i*d + j }
-	// Open edges become antiparallel unit arcs (standard reduction for
-	// edge-disjoint undirected paths).
-	for i := 0; i < d; i++ {
-		for j := 0; j < d-1; j++ {
-			if !dead.Contains(g.HEdge(i, j)) {
-				if err := fg.AddEdge(vid(i, j), vid(i, j+1), 1); err != nil {
-					return nil, err
-				}
-				if err := fg.AddEdge(vid(i, j+1), vid(i, j), 1); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	for i := 0; i < d-1; i++ {
-		for j := 0; j < d; j++ {
-			if !dead.Contains(g.VEdge(i, j)) {
-				if err := fg.AddEdge(vid(i, j), vid(i+1, j), 1); err != nil {
-					return nil, err
-				}
-				if err := fg.AddEdge(vid(i+1, j), vid(i, j), 1); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	for i := 0; i < d; i++ {
-		if err := fg.AddEdge(gate, vid(i, 0), 1); err != nil {
-			return nil, err
-		}
-		if err := fg.AddEdge(vid(i, d-1), snk, 1); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := fg.MaxFlow(src, snk); err != nil {
-		return nil, err
-	}
-	raw := fg.DecomposePaths(src, snk)
-	paths := make([][]int, 0, len(raw))
-	for _, rp := range raw {
-		if len(paths) == maxPaths {
-			break
-		}
-		// rp = src, gate, v0, v1, …, snk → translate vertex steps to edges.
-		var edges []int
-		for k := 2; k+1 < len(rp)-1; k++ {
-			e, err := g.edgeBetween(rp[k], rp[k+1])
-			if err != nil {
-				return nil, err
-			}
-			edges = append(edges, e)
-		}
-		paths = append(paths, edges)
-	}
-	return paths, nil
-}
-
-func (g *SquareEdgeGrid) edgeBetween(u, v int) (int, error) {
-	d := g.d
-	iu, ju := u/d, u%d
-	iv, jv := v/d, v%d
-	switch {
-	case iu == iv && jv == ju+1:
-		return g.HEdge(iu, ju), nil
-	case iu == iv && ju == jv+1:
-		return g.HEdge(iu, jv), nil
-	case ju == jv && iv == iu+1:
-		return g.VEdge(iu, ju), nil
-	case ju == jv && iu == iv+1:
-		return g.VEdge(iv, ju), nil
-	default:
-		return 0, fmt.Errorf("lattice: vertices %d,%d not adjacent", u, v)
-	}
+	return g.lr.pathLists(dead, maxPaths), nil
 }
 
 // DisjointDualTBPaths returns up to maxPaths top-bottom paths in the
 // planar dual whose crossed primal edges are all open and pairwise
 // disjoint. Each path is returned as the list of crossed primal edge ids.
-// Dual vertices are the (d−1)×(d−1) cells plus top/bottom boundary nodes;
-// moving down from cell (i,j) crosses H(i+1,j), entering from the top
-// crosses H(0,j), leaving at the bottom crosses H(d−1,j), and moving
-// right from cell (i,j) crosses V(i,j+1).
 func (g *SquareEdgeGrid) DisjointDualTBPaths(dead bitset.Set, maxPaths int) ([][]int, error) {
 	if maxPaths < 1 {
 		return nil, fmt.Errorf("lattice: maxPaths %d must be positive", maxPaths)
 	}
-	d := g.d
-	c := d - 1 // cells per side
-	cellID := func(i, j int) int { return i*c + j }
-	top, bottom := c*c, c*c+1
-	src, gate := c*c+2, c*c+3
-	fg := maxflow.New(c*c + 4)
-	if err := fg.AddEdge(src, gate, maxPaths); err != nil {
-		return nil, err
-	}
-	if err := fg.AddEdge(gate, top, maxPaths); err != nil {
-		return nil, err
-	}
-	// The crossed primal edge is the capacity carrier: since each dual
-	// step crosses a distinct primal edge and each primal edge is crossed
-	// by exactly one dual edge, unit arc capacities give edge-disjoint
-	// crossed sets.
-	for j := 0; j < c; j++ {
-		if !dead.Contains(g.HEdge(0, j)) {
-			if err := fg.AddEdge(top, cellID(0, j), 1); err != nil {
-				return nil, err
-			}
-		}
-		if !dead.Contains(g.HEdge(d-1, j)) {
-			if err := fg.AddEdge(cellID(c-1, j), bottom, 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for i := 0; i < c-1; i++ {
-		for j := 0; j < c; j++ {
-			if !dead.Contains(g.HEdge(i+1, j)) {
-				if err := fg.AddEdge(cellID(i, j), cellID(i+1, j), 1); err != nil {
-					return nil, err
-				}
-				if err := fg.AddEdge(cellID(i+1, j), cellID(i, j), 1); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	for i := 0; i < c; i++ {
-		for j := 0; j < c-1; j++ {
-			if !dead.Contains(g.VEdge(i, j+1)) {
-				if err := fg.AddEdge(cellID(i, j), cellID(i, j+1), 1); err != nil {
-					return nil, err
-				}
-				if err := fg.AddEdge(cellID(i, j+1), cellID(i, j), 1); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if _, err := fg.MaxFlow(src, bottom); err != nil {
-		return nil, err
-	}
-	raw := fg.DecomposePaths(src, bottom)
-	paths := make([][]int, 0, len(raw))
-	for _, rp := range raw {
-		if len(paths) == maxPaths {
-			break
-		}
-		// rp = src, gate, top, cell…, bottom → crossed primal edges.
-		var edges []int
-		for k := 2; k+1 < len(rp); k++ {
-			e, err := g.crossedEdge(rp[k], rp[k+1], top, bottom)
-			if err != nil {
-				return nil, err
-			}
-			edges = append(edges, e)
-		}
-		paths = append(paths, edges)
-	}
-	return paths, nil
+	return g.dualTB.pathLists(dead, maxPaths), nil
 }
 
-func (g *SquareEdgeGrid) crossedEdge(u, v, top, bottom int) (int, error) {
-	c := g.d - 1
-	switch {
-	case u == top:
-		return g.HEdge(0, v%c), nil
-	case v == bottom:
-		return g.HEdge(g.d-1, u%c), nil
-	default:
-		iu, ju := u/c, u%c
-		iv, jv := v/c, v%c
-		switch {
-		case ju == jv && iv == iu+1:
-			return g.HEdge(iu+1, ju), nil
-		case ju == jv && iu == iv+1:
-			return g.HEdge(iv+1, ju), nil
-		case iu == iv && jv == ju+1:
-			return g.VEdge(iu, jv), nil
-		case iu == iv && ju == jv+1:
-			return g.VEdge(iu, ju), nil
-		default:
-			return 0, fmt.Errorf("lattice: dual cells %d,%d not adjacent", u, v)
-		}
-	}
+// AddDisjointPaths adds the edges of k disjoint open crossings to q —
+// primal left-right paths for LeftRight, the crossed sets of dual
+// top-bottom paths for TopBottom — and reports whether k exist (when they
+// do not, q holds a partial family to discard). Which crossings are found
+// is randomized by rng; they always avoid dead.
+func (g *SquareEdgeGrid) AddDisjointPaths(q *bitset.Set, axis Axis, dead bitset.Set, k int, rng *rand.Rand) bool {
+	return g.net(axis).addPaths(q, dead, k, rng)
 }
 
 // SampleDeadEdges closes each edge independently with probability p.

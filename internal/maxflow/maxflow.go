@@ -1,9 +1,9 @@
 // Package maxflow implements Dinic's maximum-flow algorithm on small
-// integer-capacity graphs. The M-Path construction (Section 7 of the paper)
-// needs it twice: a quorum is √(2b+1) vertex-disjoint left-right paths plus
-// √(2b+1) vertex-disjoint top-bottom paths, and by Menger's theorem the
-// maximum number of vertex-disjoint open paths equals the max-flow of the
-// vertex-split lattice with unit vertex capacities.
+// integer-capacity graphs. By Menger's theorem the maximum number of
+// disjoint open crossings of an M-Path lattice (Section 7 of the paper)
+// equals a max-flow value; the lattice package computes it with its own
+// fixed-topology unit-capacity kernel, and this general implementation is
+// the reference that kernel is tested against.
 package maxflow
 
 import "fmt"
@@ -11,7 +11,6 @@ import "fmt"
 type edge struct {
 	to, rev int
 	cap     int
-	isRev   bool // true for the auto-created residual counterpart
 }
 
 // Graph is a flow network under construction. Vertices are integers in
@@ -48,7 +47,7 @@ func (g *Graph) AddEdge(u, v, capacity int) error {
 		return fmt.Errorf("maxflow: negative capacity %d", capacity)
 	}
 	g.adj[u] = append(g.adj[u], edge{to: v, rev: len(g.adj[v]), cap: capacity})
-	g.adj[v] = append(g.adj[v], edge{to: u, rev: len(g.adj[u]) - 1, cap: 0, isRev: true})
+	g.adj[v] = append(g.adj[v], edge{to: u, rev: len(g.adj[u]) - 1, cap: 0})
 	return nil
 }
 
@@ -117,79 +116,4 @@ func (g *Graph) dfs(u, t, f int) int {
 		}
 	}
 	return 0
-}
-
-// DecomposePaths extracts s→t paths from the current integral flow (call
-// after MaxFlow). Each path is a vertex sequence s, …, t; the number of
-// returned paths equals the flow value. Antiparallel flows are cancelled
-// first, so graphs built with explicit edges in both directions decompose
-// cleanly. Flow cycles not incident to s are ignored, as flow decomposition
-// permits.
-func (g *Graph) DecomposePaths(s, t int) [][]int {
-	// Net shipped flow per ordered vertex pair. The shipped flow on a
-	// forward edge equals the residual capacity of its auto-created
-	// reverse edge (which started at 0).
-	net := make(map[[2]int]int)
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if e.isRev {
-				continue
-			}
-			if f := g.adj[e.to][e.rev].cap; f > 0 {
-				net[[2]int{u, e.to}] += f
-			}
-		}
-	}
-	// Cancel antiparallel flow so walks cannot bounce between two vertices.
-	for key, f := range net {
-		rkey := [2]int{key[1], key[0]}
-		if rf := net[rkey]; f > 0 && rf > 0 {
-			c := f
-			if rf < c {
-				c = rf
-			}
-			net[key] -= c
-			net[rkey] -= c
-		}
-	}
-	succ := make(map[int][][2]int) // vertex → outgoing keys with flow
-	for key, f := range net {
-		if f > 0 {
-			succ[key[0]] = append(succ[key[0]], key)
-		}
-	}
-
-	take := func(u int) (int, bool) {
-		for _, key := range succ[u] {
-			if net[key] > 0 {
-				net[key]--
-				return key[1], true
-			}
-		}
-		return 0, false
-	}
-
-	var paths [][]int
-	for {
-		v, ok := take(s)
-		if !ok {
-			return paths
-		}
-		path := []int{s, v}
-		// Flow conservation guarantees an exit from every interior vertex;
-		// capacities strictly decrease, so the walk terminates.
-		for v != t {
-			next, ok := take(v)
-			if !ok {
-				// Dead end: can only happen if flow is inconsistent;
-				// abandon this partial path rather than loop.
-				break
-			}
-			v = next
-			path = append(path, v)
-		}
-		if v == t {
-			paths = append(paths, path)
-		}
-	}
 }

@@ -1,9 +1,6 @@
 package maxflow
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func mustAdd(t *testing.T, g *Graph, u, v, c int) {
 	t.Helper()
@@ -79,48 +76,6 @@ func TestUnitCapacityDisjointPaths(t *testing.T) {
 	f, err := g.MaxFlow(0, 3)
 	if err != nil || f != 2 {
 		t.Fatalf("flow = %d, %v; want 2", f, err)
-	}
-	paths := g.DecomposePaths(0, 3)
-	if len(paths) != 2 {
-		t.Fatalf("decomposed %d paths, want 2: %v", len(paths), paths)
-	}
-	// Paths must be edge-disjoint and valid.
-	seen := map[[2]int]bool{}
-	for _, p := range paths {
-		if p[0] != 0 || p[len(p)-1] != 3 {
-			t.Fatalf("path %v does not run s→t", p)
-		}
-		for i := 1; i < len(p); i++ {
-			e := [2]int{p[i-1], p[i]}
-			if seen[e] {
-				t.Fatalf("edge %v reused", e)
-			}
-			seen[e] = true
-		}
-	}
-}
-
-func TestDecomposeAccountsForFullFlow(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 8
-		g := New(n)
-		// Random unit-capacity DAG edges from lower to higher index.
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Intn(2) == 0 {
-					mustAdd(t, g, u, v, 1)
-				}
-			}
-		}
-		f, err := g.MaxFlow(0, n-1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths := g.DecomposePaths(0, n-1)
-		if len(paths) != f {
-			t.Fatalf("trial %d: flow %d but %d paths", trial, f, len(paths))
-		}
 	}
 }
 

@@ -19,11 +19,19 @@ import (
 // (F_p ≤ exp(−Ω(√n−√b)) for every p < 1/2, Proposition 7.3 — via site
 // percolation on the triangular lattice, whose critical probability is
 // 1/2).
+//
+// Quorums are picked per axis (selectPathQuorum): straight rows or columns
+// while enough of them are alive — the Proposition 7.2 strategy — and
+// max-flow paths only on an axis the failures have blocked. Straight,
+// wiggly and mixed quorums all intersect, because any LR path crosses any
+// TB path of the triangulated lattice; Proposition 7.1 needs nothing
+// straighter.
 type MPath struct {
-	name string
-	d, b int
-	r    int // disjoint paths per direction: ⌈√(2b+1)⌉
-	grid *lattice.Grid
+	name  string
+	d, b  int
+	r     int // disjoint paths per direction: ⌈√(2b+1)⌉
+	grid  *lattice.Grid
+	lines [2]lineFamily // straight rows (LR paths), straight columns (TB paths)
 }
 
 var (
@@ -55,6 +63,10 @@ func NewMPath(d, b int) (*MPath, error) {
 		name: fmt.Sprintf("M-Path(d=%d,b=%d)", d, b),
 		d:    d, b: b, r: r,
 		grid: g,
+		lines: [2]lineFamily{
+			{lines: d, length: d, step: d, stride: 1},
+			{lines: d, length: d, step: 1, stride: d},
+		},
 	}, nil
 }
 
@@ -71,53 +83,76 @@ func (m *MPath) PathsPerAxis() int { return m.r }
 // Grid exposes the underlying lattice (for rendering and analysis).
 func (m *MPath) Grid() *lattice.Grid { return m.grid }
 
-// SelectQuorum finds √(2b+1) vertex-disjoint open LR paths and as many TB
-// paths via max-flow (Menger's theorem) and returns their union.
+// SelectQuorum returns √(2b+1) vertex-disjoint open LR paths plus as many
+// TB paths: uniformly random live rows and columns where enough exist,
+// randomized max-flow paths (Menger's theorem) on an axis where they do
+// not. It fails exactly when an axis has fewer than √(2b+1) disjoint open
+// crossings of any shape.
 func (m *MPath) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error) {
-	lr, err := m.grid.DisjointPaths(lattice.LeftRight, dead, m.r)
-	if err != nil {
-		return bitset.Set{}, fmt.Errorf("systems: m-path: %w", err)
-	}
-	if len(lr) < m.r {
-		return bitset.Set{}, core.ErrNoLiveQuorum
-	}
-	tb, err := m.grid.DisjointPaths(lattice.TopBottom, dead, m.r)
-	if err != nil {
-		return bitset.Set{}, fmt.Errorf("systems: m-path: %w", err)
-	}
-	if len(tb) < m.r {
-		return bitset.Set{}, core.ErrNoLiveQuorum
-	}
-	q := bitset.New(m.d * m.d)
-	for _, p := range lr {
-		for _, v := range p {
-			q.Add(v)
-		}
-	}
-	for _, p := range tb {
-		for _, v := range p {
-			q.Add(v)
-		}
-	}
-	return q, nil
+	return selectPathQuorum(m.grid, m.d*m.d, m.lines, m.r, rng, dead)
 }
 
 // SampleQuorum implements the Proposition 7.2 strategy: √(2b+1) uniformly
 // random straight rows (as LR paths) and as many straight columns (as TB
-// paths), giving load ≤ 2√(2b+1)/√n — optimal by Corollary 4.2.
+// paths), giving load ≤ 2√(2b+1)/√n — optimal by Corollary 4.2. It is
+// SelectQuorum with nothing dead.
 func (m *MPath) SampleQuorum(rng *rand.Rand) bitset.Set {
-	q := bitset.New(m.d * m.d)
-	for _, row := range combin.RandomKSubset(rng, m.d, m.r) {
-		for c := 0; c < m.d; c++ {
-			q.Add(m.grid.Index(row, c))
-		}
-	}
-	for _, col := range combin.RandomKSubset(rng, m.d, m.r) {
-		for r := 0; r < m.d; r++ {
-			q.Add(m.grid.Index(r, col))
-		}
-	}
+	q, _ := m.SelectQuorum(rng, bitset.Set{}) // all d ≥ r lines are free
 	return q
+}
+
+// pathLattice is what a path construction needs of its lattice when
+// straight lines run out: k disjoint open crossings along an axis, added
+// to q, or false when the dead set admits fewer.
+type pathLattice interface {
+	AddDisjointPaths(q *bitset.Set, axis lattice.Axis, dead bitset.Set, k int, rng *rand.Rand) bool
+}
+
+// lineFamily describes the straight lines of one axis as arithmetic
+// progressions of element ids: line l is {l·step + k·stride : 0 ≤ k < length}.
+type lineFamily struct{ lines, length, step, stride int }
+
+// addFree adds r of the family's lines that avoid dead, drawn uniformly
+// with rng, to q. With fewer than r free lines it adds nothing and
+// reports false.
+func (f lineFamily) addFree(q *bitset.Set, dead bitset.Set, r int, rng *rand.Rand) bool {
+	var buf [32]int
+	free := buf[:0]
+	for l := 0; l < f.lines; l++ {
+		k := 0
+		for k < f.length && !dead.Contains(l*f.step+k*f.stride) {
+			k++
+		}
+		if k == f.length {
+			free = append(free, l)
+		}
+	}
+	if len(free) < r {
+		return false
+	}
+	for i := 0; i < r; i++ { // partial Fisher–Yates: a uniform r-subset
+		j := i + rng.Intn(len(free)-i)
+		free[i], free[j] = free[j], free[i]
+		for k := 0; k < f.length; k++ {
+			q.Add(free[i]*f.step + k*f.stride)
+		}
+	}
+	return true
+}
+
+// selectPathQuorum is the picker of both path constructions, axis by axis:
+// r straight lines drawn uniformly from those avoiding dead (with nothing
+// dead, exactly the Proposition 7.2 strategy), and the lattice's max-flow
+// only for an axis with fewer than r free lines — so the flow still decides
+// whether a quorum exists (Definition 3.10), the lines only short-cut it.
+func selectPathQuorum(g pathLattice, n int, lines [2]lineFamily, r int, rng *rand.Rand, dead bitset.Set) (bitset.Set, error) {
+	q := bitset.New(n)
+	for i, axis := range [2]lattice.Axis{lattice.LeftRight, lattice.TopBottom} {
+		if !lines[i].addFree(&q, dead, r, rng) && !g.AddDisjointPaths(&q, axis, dead, r, rng) {
+			return bitset.Set{}, core.ErrNoLiveQuorum
+		}
+	}
+	return q, nil
 }
 
 // MinQuorumSize returns the straight-line quorum size 2rd − r², which

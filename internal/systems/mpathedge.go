@@ -21,11 +21,17 @@ import (
 // availability behavior matches the triangular M-Path; the ablation
 // finding is the load: the straight-line strategy touches only horizontal
 // edges, costing a factor ≈ √2 over the triangular construction.
+//
+// Quorums are picked like M-Path's (selectPathQuorum): straight lines of
+// horizontal edges per axis while enough are alive, max-flow paths only on
+// a blocked axis; duality holds for paths of any shape, so mixed quorums
+// intersect too.
 type MPathEdge struct {
-	name string
-	d, b int
-	r    int
-	grid *lattice.SquareEdgeGrid
+	name  string
+	d, b  int
+	r     int
+	grid  *lattice.SquareEdgeGrid
+	lines [2]lineFamily // rows of H edges (LR paths), columns of H edges (crossed by straight dual TB paths)
 }
 
 var (
@@ -57,6 +63,10 @@ func NewMPathEdge(d, b int) (*MPathEdge, error) {
 		name: fmt.Sprintf("M-PathEdge(d=%d,b=%d)", d, b),
 		d:    d, b: b, r: r,
 		grid: g,
+		lines: [2]lineFamily{
+			{lines: d, length: d - 1, step: d - 1, stride: 1},
+			{lines: d - 1, length: d, step: 1, stride: d - 1},
+		},
 	}, nil
 }
 
@@ -70,48 +80,20 @@ func (m *MPathEdge) UniverseSize() int { return m.grid.NumEdges() }
 func (m *MPathEdge) Side() int         { return m.d }
 func (m *MPathEdge) PathsPerAxis() int { return m.r }
 
-// SelectQuorum finds r edge-disjoint open LR primal paths plus r dual TB
-// paths with open, disjoint crossed edges, returning the union of all
-// involved edges.
+// SelectQuorum returns r edge-disjoint open LR primal paths plus r dual TB
+// paths with open, disjoint crossed edges, as the union of all involved
+// edges: uniformly random live rows and columns of horizontal edges where
+// enough exist, randomized max-flow paths on an axis where they do not.
 func (m *MPathEdge) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error) {
-	lr, err := m.grid.DisjointLRPaths(dead, m.r)
-	if err != nil {
-		return bitset.Set{}, fmt.Errorf("systems: m-path-edge: %w", err)
-	}
-	if len(lr) < m.r {
-		return bitset.Set{}, core.ErrNoLiveQuorum
-	}
-	tb, err := m.grid.DisjointDualTBPaths(dead, m.r)
-	if err != nil {
-		return bitset.Set{}, fmt.Errorf("systems: m-path-edge: %w", err)
-	}
-	if len(tb) < m.r {
-		return bitset.Set{}, core.ErrNoLiveQuorum
-	}
-	q := bitset.New(m.UniverseSize())
-	for _, p := range append(lr, tb...) {
-		for _, e := range p {
-			q.Add(e)
-		}
-	}
-	return q, nil
+	return selectPathQuorum(m.grid, m.UniverseSize(), m.lines, m.r, rng, dead)
 }
 
 // SampleQuorum uses the straight-line strategy: r random rows of
 // horizontal edges as LR paths, and r random columns of horizontal edges
-// as the crossed sets of straight dual TB paths.
+// as the crossed sets of straight dual TB paths. It is SelectQuorum with
+// nothing dead.
 func (m *MPathEdge) SampleQuorum(rng *rand.Rand) bitset.Set {
-	q := bitset.New(m.UniverseSize())
-	for _, row := range combin.RandomKSubset(rng, m.d, m.r) {
-		for j := 0; j < m.d-1; j++ {
-			q.Add(m.grid.HEdge(row, j))
-		}
-	}
-	for _, col := range combin.RandomKSubset(rng, m.d-1, m.r) {
-		for i := 0; i < m.d; i++ {
-			q.Add(m.grid.HEdge(i, col))
-		}
-	}
+	q, _ := m.SelectQuorum(rng, bitset.Set{}) // all d−1 ≥ r lines are free
 	return q
 }
 

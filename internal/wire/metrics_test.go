@@ -53,11 +53,22 @@ func TestWireMetricsEndToEnd(t *testing.T) {
 	if v, _ := regC.Value("bqs_wire_dials_total", "result", "err"); v != 0 {
 		t.Fatalf("client dial errors = %v, want 0", v)
 	}
-	// Hello + 20 requests out; hello-ack + 20 responses in.
-	cOut, _ := regC.Value("bqs_wire_frames_total", "side", "client", "dir", "out")
-	cIn, _ := regC.Value("bqs_wire_frames_total", "side", "client", "dir", "in")
-	sIn, _ := regS.Value("bqs_wire_frames_total", "side", "server", "dir", "in")
-	sOut, _ := regS.Value("bqs_wire_frames_total", "side", "server", "dir", "out")
+	// Hello + 20 requests out; hello-ack + 20 responses in. The server
+	// counts a frame out after its write returns, by which time the client
+	// may already have read the reply and returned — so the mirror is
+	// polled until it settles rather than read once.
+	frames := func(reg *obs.Registry, side, dir string) float64 {
+		v, _ := reg.Value("bqs_wire_frames_total", "side", side, "dir", dir)
+		return v
+	}
+	var cOut, cIn, sIn, sOut float64
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		cOut, cIn = frames(regC, "client", "out"), frames(regC, "client", "in")
+		sIn, sOut = frames(regS, "server", "in"), frames(regS, "server", "out")
+		if (cOut == sIn && cIn == sOut) || time.Now().After(deadline) {
+			break
+		}
+	}
 	if cOut < ops+1 || cIn < ops+1 {
 		t.Fatalf("client frames out=%v in=%v, want >= %d each", cOut, cIn, ops+1)
 	}
