@@ -276,9 +276,6 @@ const (
 	// DefaultSessionLinger is the frame linger NewSession uses unless
 	// WithSessionLinger overrides it.
 	DefaultSessionLinger = sim.DefaultSessionLinger
-	// WireProtoVersion is the highest wire protocol version this build
-	// speaks (2: keyed, batched frames with hello negotiation).
-	WireProtoVersion = wire.ProtoVersion
 )
 
 // WithSessionBatch sets how many probes a session frame holds before it
@@ -681,12 +678,6 @@ func WithWireDialTimeout(d time.Duration) WireDialOption { return wire.WithDialT
 // a failed connection attempt (default 100ms).
 func WithWireRedialBackoff(d time.Duration) WireDialOption { return wire.WithRedialBackoff(d) }
 
-// WithWireVersion caps the wire protocol version DialWire speaks
-// (default WireProtoVersion). Use 1 against a fleet of old daemons: no
-// hello, v1 single frames only, keyed operations answering
-// Response{OK: false}.
-func WithWireVersion(v int) WireDialOption { return wire.WithVersion(v) }
-
 // ParseRoutes parses "0-8=hostA:7000,9-24=hostB:7000" into the route
 // table DialWire consumes.
 func ParseRoutes(spec string) (map[int]string, error) { return wire.ParseRoutes(spec) }
@@ -761,8 +752,7 @@ func WithMetrics(reg *MetricsRegistry) ClusterOption { return sim.WithMetrics(re
 func WithStoreMetrics(reg *MetricsRegistry) DiskOption { return store.WithMetrics(reg) }
 
 // WithWireMetrics instruments a wire client: frames and bytes by
-// direction, ops per batch frame, dial successes and failures, and the
-// negotiated-version mix.
+// direction, ops per batch frame, and dial successes and failures.
 func WithWireMetrics(reg *MetricsRegistry) WireDialOption { return wire.WithMetrics(reg) }
 
 // WithWireServerMetrics is WithWireMetrics for the daemon side, plus a

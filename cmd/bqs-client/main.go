@@ -18,9 +18,8 @@
 // -keys/-key-dist spread the workload over a keyed object space (zipf:S
 // for skewed popularity), and -batch M drives each client through a
 // Session with M operations in flight: probes destined for replicas of
-// one shard coalesce into a single wire-v2 batch frame, the biggest
-// throughput lever on a real network. -wire-version 1 talks to old
-// daemons (single keyless v1 frames only).
+// one shard coalesce into a single batch frame — the same frame kind a
+// lone probe travels in — the biggest throughput lever on a real network.
 //
 // The route table must cover every server of the chosen system's
 // universe; run bqs-client with a -system/-b pair first to learn the
@@ -51,7 +50,7 @@
 // safety violations under sustained load. The route table must cover
 // the largest target universe, so provision shard daemons for the
 // post-resize fleet up front (idle replicas cost nothing). The client
-// is epoch-aware by default at wire v2: every pipelined request is
+// is epoch-aware by default: every pipelined request is
 // covered by an announce frame pinning its epoch, stale requests bounce
 // with a retriable wrongepoch answer, and a follower self-heals the
 // epoch plane when another coordinator resizes the fleet first.
@@ -88,7 +87,6 @@ func run() error {
 	keys := flag.Int("keys", 0, "key-space size: each op targets one of N keys (0 = the single default register)")
 	keyDist := flag.String("key-dist", "uniform", "key popularity: uniform|zipf:S (S > 1, e.g. zipf:1.1)")
 	batch := flag.Int("batch", 1, "operations in flight per client via a Session; probes to one shard share a frame (1 = blocking calls)")
-	wireVersion := flag.Int("wire-version", bqs.WireProtoVersion, "highest wire protocol version to speak (1 for old daemons: keyless single frames only)")
 	faultSchedule := flag.String("fault-schedule", "", "fault timeline \"100ms:3:crashed,600ms:3:correct\" driven remotely via control frames")
 	churn := flag.String("churn", "", "stochastic churn \"mtbf=300ms,mttr=100ms[,down=behavior][,servers=lo-hi]\" over the -duration horizon, driven remotely")
 	suspicionTTL := flag.Duration("suspicion-ttl", 0, "client suspicion TTL so recovered servers regain traffic (0 = auto: 50ms when churn is active)")
@@ -134,15 +132,13 @@ func run() error {
 		defer ms.Close()
 		fmt.Printf("metrics: http://%s/metrics (also /vars, /events, /debug/pprof)\n", ms.Addr())
 	}
-	// The client is always epoch-aware at wire v2: requests announce the
-	// epoch their quorum was drawn from, and the follower self-heals on
+	// The client is always epoch-aware: requests announce the epoch
+	// their quorum was drawn from, and the follower self-heals on
 	// wrongepoch bounces (adopting a newer record another coordinator
 	// installed, or re-pushing ours to a shard that lost its epoch).
-	// Against v1 daemons the epoch plane disables itself per connection.
 	follower := &harness.EpochFollower{}
 	tr, err := bqs.DialWire(table, bqs.WithWirePoolSize(*poolSize),
-		bqs.WithWireVersion(*wireVersion), bqs.WithWireMetrics(reg),
-		bqs.WithWireEpochs(follower.OnStale))
+		bqs.WithWireMetrics(reg), bqs.WithWireEpochs(follower.OnStale))
 	if err != nil {
 		return err
 	}

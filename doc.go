@@ -47,8 +47,8 @@
 //     batched transport frames, flushed on size or a short linger.
 //   - A real network stack behind the same Transport seam: NewWireServer
 //     hosts shards of sim replicas over TCP with a length-prefixed binary
-//     protocol (v2: keyed, batched frames, version-negotiated at connect
-//     with v1 interop) and graceful shutdown, and DialWire returns a
+//     protocol (one format: keyed, batched frames; an unknown frame kind
+//     drops the connection) and graceful shutdown, and DialWire returns a
 //     pipelined, connection-pooled, auto-reconnecting client transport
 //     that maps unreachable servers to Response{OK: false} — a batched
 //     frame to a dead shard fails fast as a unit — so quorum re-selection

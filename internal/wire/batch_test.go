@@ -2,9 +2,9 @@ package wire
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +16,7 @@ import (
 
 // TestBatchedSessionOverLoopback runs keyed Session traffic over real
 // TCP: an MGrid(4,1) universe split across two shards, concurrent
-// sessions writing and reading distinct keys through batched v2 frames,
+// sessions writing and reading distinct keys through batched frames,
 // with a Byzantine fabricator inside the masking bound. Every read must
 // return the value written under its own key.
 func TestBatchedSessionOverLoopback(t *testing.T) {
@@ -111,8 +111,9 @@ func TestBatchedSessionOverLoopback(t *testing.T) {
 
 // TestWireBatchMixedServers exercises the shard fan-out directly: one
 // batch frame carrying operations for several replicas of one shard,
-// plus an item for a server the shard does not host, which must answer
-// OK: false without disturbing its neighbors.
+// plus an item for a server the shard does not host and one no frame can
+// carry, each of which must answer OK: false without disturbing its
+// neighbors.
 func TestWireBatchMixedServers(t *testing.T) {
 	reps := newReplicas([]int{0, 1, 2})
 	addr, _ := startShard(t, reps)
@@ -130,12 +131,13 @@ func TestWireBatchMixedServers(t *testing.T) {
 		{Server: 1, Req: sim.Request{Op: sim.OpWrite, Key: "a", Value: tv}},
 		{Server: 9, Req: sim.Request{Op: sim.OpRead, Key: "a", ReaderID: 1}}, // not hosted
 		{Server: 2, Req: sim.Request{Op: sim.OpWrite, Key: "a", Value: tv}},
+		{Server: 0, Req: sim.Request{Op: sim.OpWrite, Key: "b", Value: sim.TaggedValue{Value: strings.Repeat("v", MaxValueLen+1)}}}, // unsendable
 	}
 	resps, err := tr.InvokeBatch(ctx, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []bool{true, true, false, true} {
+	for i, want := range []bool{true, true, false, true, false} {
 		if resps[i].OK != want {
 			t.Errorf("item %d: OK=%v, want %v", i, resps[i].OK, want)
 		}
@@ -157,9 +159,10 @@ func TestWireBatchMixedServers(t *testing.T) {
 // attempt for the whole frame — not one per operation — and while the
 // redial backoff holds, further batches answer immediately off the gate.
 func TestWireBatchFailFast(t *testing.T) {
-	// A shard that accepts and instantly hangs up: every op that dials
-	// individually would burn its own accept, so the accept count is a
-	// direct measurement of how many connection attempts the batch cost.
+	// A shard that hangs up on the first frame it reads — what a peer does
+	// with a frame kind it does not know. Every op that dials individually
+	// would burn its own accept, so the accept count is a direct
+	// measurement of how many connection attempts the batch cost.
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +176,10 @@ func TestWireBatchFailFast(t *testing.T) {
 				return
 			}
 			accepts.Add(1)
-			nc.Close()
+			go func() {
+				ReadFrame(nc, nil)
+				nc.Close()
+			}()
 		}
 	}()
 
@@ -191,6 +197,7 @@ func TestWireBatchFailFast(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	start := time.Now()
 	resps, err := tr.InvokeBatch(ctx, items)
 	if err != nil {
 		t.Fatal(err)
@@ -199,6 +206,11 @@ func TestWireBatchFailFast(t *testing.T) {
 		if r.OK {
 			t.Fatalf("item %d answered OK from a dead shard", i)
 		}
+	}
+	// The hang-up is the answer: the batch reads as a crashed shard at
+	// once, it does not wait out ctx for a reply that will never come.
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("batch to a shard that drops the connection took %v; want prompt OK: false", elapsed)
 	}
 	// The whole 32-op frame must have cost one connection attempt (allow
 	// one extra for an unlucky teardown/redial race), not one per op.
@@ -214,142 +226,11 @@ func TestWireBatchFailFast(t *testing.T) {
 	}
 	// ...and inside the backoff window the gate answers the whole batch at
 	// once, with no network activity at all.
-	start := time.Now()
+	start = time.Now()
 	if _, err := tr.InvokeBatch(ctx, items); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Errorf("backoff-gated batch took %v; want immediate", elapsed)
 	}
-}
-
-// serveV1 emulates an old (pre-v2) daemon: request and control frames
-// are answered, anything else — a hello, a batch frame — kills the
-// connection, which is exactly what the v1 serveConn did with an
-// unknown tag.
-func serveV1(t *testing.T, reps map[int]*sim.Server) string {
-	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lis.Close() })
-	go func() {
-		for {
-			nc, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go func(nc net.Conn) {
-				defer nc.Close()
-				var buf []byte
-				for {
-					frame, err := ReadFrame(nc, buf)
-					if err != nil {
-						return
-					}
-					buf = frame
-					if len(frame) == 0 || frame[0] != tagRequest {
-						return // v1 server: unknown frame kind drops the conn
-					}
-					id, server, req, err := DecodeRequest(frame)
-					if err != nil {
-						return
-					}
-					resp := sim.Response{OK: false}
-					if rep, ok := reps[int(server)]; ok {
-						if r, err := rep.HandleRequest(req); err == nil {
-							resp = r
-						}
-					}
-					out, _ := AppendResponse(nil, id, resp)
-					if _, err := nc.Write(out); err != nil {
-						return
-					}
-				}
-			}(nc)
-		}
-	}()
-	return lis.Addr().String()
-}
-
-// TestWireVersionNegotiation pins the interop edges of the connect-time
-// hello:
-//
-//   - a WithVersion(1) client against a v2 server: keyless single
-//     frames work, keyed operations answer OK: false (the v1 frame
-//     cannot carry a key), batches fall back to pipelined singles;
-//   - a v2 client against a v1 server: the hello kills the connection,
-//     which reads as a crashed shard (OK: false), never a hang or a
-//     wrong answer.
-func TestWireVersionNegotiation(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-
-	t.Run("v1-client-v2-server", func(t *testing.T) {
-		reps := newReplicas([]int{0, 1})
-		addr, _ := startShard(t, reps)
-		tr, err := Dial(map[int]string{0: addr, 1: addr}, WithVersion(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-
-		tv := sim.TaggedValue{Value: "legacy", TS: sim.Timestamp{Seq: 1, Writer: 0}}
-		resp, err := tr.Invoke(ctx, 0, sim.Request{Op: sim.OpWrite, Value: tv})
-		if err != nil || !resp.OK {
-			t.Fatalf("keyless v1 write: resp=%+v err=%v", resp, err)
-		}
-		resp, err = tr.Invoke(ctx, 0, sim.Request{Op: sim.OpRead, ReaderID: 1})
-		if err != nil || !resp.OK || resp.Value != tv {
-			t.Fatalf("keyless v1 read: resp=%+v err=%v", resp, err)
-		}
-		// Keyed operation: no frame for it at v1 — reads as crashed.
-		resp, err = tr.Invoke(ctx, 0, sim.Request{Op: sim.OpRead, Key: "k", ReaderID: 1})
-		if err != nil {
-			t.Fatalf("keyed op on v1 conn must not error, got %v", err)
-		}
-		if resp.OK {
-			t.Fatal("keyed op on v1 conn answered OK")
-		}
-		// Batch: falls back to pipelined singles; keyed item stays OK: false.
-		resps, err := tr.InvokeBatch(ctx, []sim.BatchItem{
-			{Server: 0, Req: sim.Request{Op: sim.OpRead, ReaderID: 1}},
-			{Server: 1, Req: sim.Request{Op: sim.OpRead, Key: "k", ReaderID: 1}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resps[0].OK || resps[0].Value != tv {
-			t.Errorf("batch fallback keyless item: %+v", resps[0])
-		}
-		if resps[1].OK {
-			t.Error("batch fallback keyed item answered OK on a v1 connection")
-		}
-	})
-
-	t.Run("v2-client-v1-server", func(t *testing.T) {
-		reps := newReplicas([]int{0})
-		addr := serveV1(t, reps)
-		tr, err := Dial(map[int]string{0: addr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-
-		// The hello kills the conn; the op must come back OK: false
-		// promptly (a crash signal), not hang on the dead exchange.
-		opCtx, opCancel := context.WithTimeout(ctx, 5*time.Second)
-		defer opCancel()
-		resp, err := tr.Invoke(opCtx, 0, sim.Request{Op: sim.OpRead, Key: "k", ReaderID: 1})
-		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("unexpected error: %v", err)
-		}
-		if err != nil {
-			t.Fatal("keyed op against a v1 server hung until the deadline instead of failing fast")
-		}
-		if resp.OK {
-			t.Fatal("keyed op against a v1 server answered OK")
-		}
-	})
 }

@@ -22,14 +22,12 @@ type dialConfig struct {
 	poolSize      int
 	dialTimeout   time.Duration
 	redialBackoff time.Duration
-	version       int
 	met           *wireMetrics
 
 	// Epoch awareness (WithEpochs): epoch is the configuration epoch the
 	// client announces ahead of its requests, rec the record it last
 	// adopted, onStale the callback for wrongepoch rejections. All nil
-	// for epoch-unaware clients, whose connections are served ungated
-	// like v1 peers.
+	// for epoch-unaware clients, whose connections are served ungated.
 	epoch   *atomic.Uint64
 	rec     *atomic.Pointer[reconfig.Record]
 	onStale func(reconfig.Record)
@@ -69,9 +67,8 @@ func WithRedialBackoff(d time.Duration) DialOption {
 }
 
 // WithMetrics wires the client into an obs.Registry: frames and bytes in
-// each direction, batch-frame op counts, dial outcomes (the redial
-// stream of a flapping shard), and the per-connection negotiated version
-// mix. A nil registry is a no-op.
+// each direction, batch-frame op counts, and dial outcomes (the redial
+// stream of a flapping shard). A nil registry is a no-op.
 func WithMetrics(reg *obs.Registry) DialOption {
 	return func(c *dialConfig) {
 		if reg != nil {
@@ -98,19 +95,6 @@ func WithEpochs(onStale func(reconfig.Record)) DialOption {
 		c.epoch = new(atomic.Uint64)
 		c.rec = new(atomic.Pointer[reconfig.Record])
 		c.onStale = onStale
-	}
-}
-
-// WithVersion caps the protocol version the client speaks (default
-// ProtoVersion). At 1 the client sends no hello and frames every
-// operation as a v1 single — the mode for talking to a fleet of old
-// daemons, where keyed operations answer Response{OK: false} because the
-// v1 frame cannot carry a key.
-func WithVersion(v int) DialOption {
-	return func(c *dialConfig) {
-		if v >= 1 && v <= ProtoVersion {
-			c.version = v
-		}
 	}
 }
 
@@ -162,7 +146,6 @@ func Dial(routes map[int]string, opts ...DialOption) (*Client, error) {
 		poolSize:      1,
 		dialTimeout:   2 * time.Second,
 		redialBackoff: 100 * time.Millisecond,
-		version:       ProtoVersion,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -220,11 +203,15 @@ func (c *Client) Invoke(ctx context.Context, server int, req sim.Request) (sim.R
 	if err != nil {
 		return sim.Response{}, err
 	}
-	return p.pick().roundTrip(ctx, uint32(server), req)
+	resps, err := p.pick().roundTripBatch(ctx, []sim.BatchItem{{Server: server, Req: req}})
+	if err != nil {
+		return sim.Response{}, err
+	}
+	return resps[0], nil
 }
 
 // InvokeBatch implements sim.BatchTransport: items are grouped by the
-// address hosting their servers and each group travels as one v2 batch
+// address hosting their servers and each group travels as one batch
 // frame. A group whose address is unreachable fails fast AS A UNIT — one
 // backoff-gate check for the whole frame, every item answering
 // Response{OK: false} — so a dead shard costs one redial-backoff window,
@@ -290,8 +277,7 @@ func chunkEnd(items []sim.BatchItem, start int) int {
 	bytes := batchHeaderLen
 	end := start
 	for end < len(items) && end-start < MaxBatchOps {
-		it := items[end]
-		sz := reqItemOverhead + len(it.Req.Key) + valueHeaderLen + len(it.Req.Value.Value)
+		sz := reqItemLen(items[end])
 		if end > start && bytes+sz > MaxFrame {
 			break
 		}
@@ -327,11 +313,13 @@ func (c *Client) Flip(ctx context.Context, server int, behavior sim.Behavior) er
 	if err != nil {
 		return err
 	}
-	resp, err := p.pick().roundTripControl(ctx, uint32(server), behavior)
+	ack, err := p.pick().roundTrip(ctx, 1, func(id uint64) ([]byte, error) {
+		return AppendControl(nil, id, uint32(server), behavior)
+	})
 	if err != nil {
 		return err
 	}
-	if !resp.OK {
+	if !ack.resps[0].OK {
 		return fmt.Errorf("wire: flip server %d to %v: shard %s unreachable or not hosting it", server, behavior, addr)
 	}
 	return nil
@@ -387,7 +375,7 @@ func (c *Client) InstallEpoch(ctx context.Context, rec reconfig.Record) error {
 		if err != nil {
 			return err
 		}
-		if !got.ok {
+		if !got.stateOK {
 			return fmt.Errorf("wire: install epoch %d: shard %s unreachable", rec.Epoch, addr)
 		}
 		if got.rec.Epoch < rec.Epoch {
@@ -425,7 +413,7 @@ func (c *Client) FetchConfig(ctx context.Context) (reconfig.Record, bool, error)
 		if err != nil {
 			return reconfig.Record{}, false, err
 		}
-		if got.ok && got.rec.Epoch >= best.Epoch && got.rec != (reconfig.Record{}) {
+		if got.stateOK && got.rec.Epoch >= best.Epoch && got.rec != (reconfig.Record{}) {
 			best, found = got.rec, true
 		}
 	}
@@ -520,8 +508,6 @@ type conn struct {
 	mu         sync.Mutex
 	nc         net.Conn
 	bw         *bufio.Writer
-	ver        int           // negotiated protocol version; 0 while the hello answer is pending
-	helloWait  chan struct{} // non-nil while ver is pending; closed on answer or teardown
 	nextID     uint64
 	pending    map[uint64]*pendingCall
 	nextDialAt time.Time     // backoff gate after a failed dial
@@ -529,179 +515,77 @@ type conn struct {
 	closed     bool
 }
 
-// pendingCall is one in-flight frame awaiting its response: a single
-// operation, a batch, or a reconfig install/query awaiting a state
-// frame. Channels are buffered so teardown and readLoop never block on
-// an abandoned waiter.
+// pendingCall is one in-flight frame awaiting its reply. The channel is
+// buffered so teardown and readLoop never block on an abandoned waiter.
 type pendingCall struct {
-	single chan sim.Response   // non-nil for single-operation frames
-	batch  chan []sim.Response // non-nil for batch frames
-	state  chan stateReply     // non-nil for reconfig install/query frames
-	n      int                 // expected batch response count
+	done chan reply
+	n    int // responses the reply must carry; 0 for a call awaiting a state frame
 }
 
-// stateReply is the outcome of a reconfig install or query round trip:
-// the shard's record (zero when it has nothing installed) and whether
-// the shard answered at all.
-type stateReply struct {
-	rec reconfig.Record
-	ok  bool
+// reply is what a pending call resolves to: the responses of a batchResp
+// frame, aligned with the request's items, or the record of a reconfig
+// state frame (zero when the shard has nothing installed). A dead
+// connection resolves every call to what a crashed peer would have
+// answered (downReply).
+type reply struct {
+	resps   []sim.Response
+	rec     reconfig.Record
+	stateOK bool // a state frame arrived
 }
+
+// downReply is the answer of a crashed peer to a call expecting n
+// responses: every one the zero Response (OK: false), and no state.
+func downReply(n int) reply { return reply{resps: make([]sim.Response, n)} }
 
 // fail answers the call the way a crashed peer would. Called with the
 // conn state mutex held.
-func (pc *pendingCall) fail() {
-	switch {
-	case pc.single != nil:
-		pc.single <- sim.Response{OK: false}
-	case pc.state != nil:
-		pc.state <- stateReply{}
-	default:
-		pc.batch <- make([]sim.Response, pc.n) // zero Responses: all OK: false
-	}
-}
+func (pc *pendingCall) fail() { pc.done <- downReply(pc.n) }
 
-// errDown is the internal signal that the remote end is unreachable; the
-// caller translates it into Response{OK: false}.
+// errDown is the internal signal that the remote end is unreachable;
+// roundTrip translates it into the crashed-peer reply.
 var errDown = fmt.Errorf("wire: server down")
 
-// roundTrip sends req and waits for its response, ctx, or connection
-// death (which counts as Response{OK: false}). Keyless requests travel as
-// v1 single frames at every version; a keyed request needs v2 — against a
-// v1 peer it answers Response{OK: false}, the suspicion signal, because a
-// peer that cannot name the key cannot serve the data.
-func (cn *conn) roundTrip(ctx context.Context, server uint32, req sim.Request) (sim.Response, error) {
-	if req.Key == "" {
-		return cn.roundTripFrame(ctx, func(id uint64) ([]byte, error) {
-			return AppendRequest(nil, id, server, req)
-		})
-	}
-	resps, err := cn.roundTripBatch(ctx, []sim.BatchItem{{Server: int(server), Req: req}})
-	if err != nil {
-		return sim.Response{}, err
-	}
-	return resps[0], nil
-}
-
-// roundTripControl sends a behavior flip and waits for its acknowledgement
-// under the same contract as roundTrip: an unreachable shard answers
-// Response{OK: false} rather than erroring, because a churn schedule must
-// keep running over a partially dead deployment.
-func (cn *conn) roundTripControl(ctx context.Context, server uint32, behavior sim.Behavior) (sim.Response, error) {
-	return cn.roundTripFrame(ctx, func(id uint64) ([]byte, error) {
-		return AppendControl(nil, id, server, behavior)
-	})
-}
-
-// roundTripReconfig sends a reconfig install or query frame and waits
-// for the shard's state reply. An unreachable shard — or a negotiated v1
-// peer, which cannot speak the epoch plane — answers stateReply{ok:
-// false} rather than erroring; the error return is reserved for aborts
-// (ctx done, closed client).
-func (cn *conn) roundTripReconfig(ctx context.Context, f ReconfigFrame) (stateReply, error) {
-	ver, err := cn.version(ctx)
+// roundTrip sends the frame built by encode (called with the fresh
+// request ID under the connection's state mutex) and waits for a reply
+// carrying n responses — or, for n = 0, a state frame. An unreachable
+// peer, at send time or any time before the answer, is not an error: the
+// call resolves to the crashed-peer reply, so dead servers read as
+// crashed. The error return is reserved for aborts (ctx done, closed
+// client, unencodable frame).
+func (cn *conn) roundTrip(ctx context.Context, n int, encode func(id uint64) ([]byte, error)) (reply, error) {
+	pc := &pendingCall{done: make(chan reply, 1), n: n}
+	id, err := cn.send(ctx, encode, pc)
 	if err == errDown {
-		return stateReply{}, nil
+		return downReply(n), nil
 	}
 	if err != nil {
-		return stateReply{}, err
-	}
-	if ver < 2 {
-		return stateReply{}, nil
-	}
-	pc := &pendingCall{state: make(chan stateReply, 1)}
-	id, err := cn.send(ctx, func(id uint64) ([]byte, error) {
-		return AppendReconfig(nil, id, f)
-	}, pc)
-	if err == errDown {
-		return stateReply{}, nil
-	}
-	if err != nil {
-		return stateReply{}, err
+		return reply{}, err
 	}
 	select {
-	case got := <-pc.state:
-		// Connection teardown answers pending calls with the zero reply,
-		// so an answer always arrives; dead shards read as unreachable.
+	case got := <-pc.done:
 		return got, nil
 	case <-ctx.Done():
 		cn.forget(id)
-		return stateReply{}, ctx.Err()
+		return reply{}, ctx.Err()
 	}
 }
 
-// roundTripFrame sends the single-operation frame built by encode (called
-// with the fresh request ID under the connection's state mutex) and waits
-// for the matching response, ctx, or connection death (which counts as
-// Response{OK: false}).
-func (cn *conn) roundTripFrame(ctx context.Context, encode func(id uint64) ([]byte, error)) (sim.Response, error) {
-	pc := &pendingCall{single: make(chan sim.Response, 1)}
-	id, err := cn.send(ctx, encode, pc)
-	if err == errDown {
-		return sim.Response{OK: false}, nil
-	}
-	if err != nil {
-		return sim.Response{}, err
-	}
-	select {
-	case resp := <-pc.single:
-		// Connection teardown answers all pending requests with OK: false,
-		// so a response always arrives; dead servers read as crashed.
-		return resp, nil
-	case <-ctx.Done():
-		cn.forget(id)
-		return sim.Response{}, ctx.Err()
-	}
+// roundTripReconfig sends a reconfig install or query frame and waits
+// for the shard's state reply; an unreachable shard reads as
+// reply{stateOK: false}.
+func (cn *conn) roundTripReconfig(ctx context.Context, f ReconfigFrame) (reply, error) {
+	return cn.roundTrip(ctx, 0, func(id uint64) ([]byte, error) {
+		return AppendReconfig(nil, id, f)
+	})
 }
 
 // roundTripBatch sends one batch frame and waits for its aligned
 // responses. An unreachable peer fails the WHOLE batch fast, as a unit:
 // one dial attempt or one backoff-gate check answers every item with
 // Response{OK: false} — this is what keeps a dead shard's cost at one
-// redial-backoff window instead of one per operation. Against a
-// negotiated v1 peer there are no batch frames; items fall back to
-// pipelined v1 singles, and keyed items answer Response{OK: false}.
+// redial-backoff window instead of one per operation.
 func (cn *conn) roundTripBatch(ctx context.Context, items []sim.BatchItem) ([]sim.Response, error) {
-	ver, err := cn.version(ctx)
-	if err == errDown {
-		return make([]sim.Response, len(items)), nil // whole frame down, as a unit
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ver < 2 {
-		// Legacy peer: no batch frames. Items travel as concurrent v1
-		// singles pipelined on this connection, so batching against a v1
-		// daemon costs what not batching costs; keyed items answer
-		// OK: false (the v1 frame cannot carry a key).
-		out := make([]sim.Response, len(items))
-		errs := make(chan error, len(items))
-		sent := 0
-		for i, it := range items {
-			if it.Req.Key != "" {
-				continue
-			}
-			sent++
-			go func(i int, server uint32, req sim.Request) {
-				resp, rerr := cn.roundTrip(ctx, server, req)
-				if rerr == nil {
-					out[i] = resp
-				}
-				errs <- rerr
-			}(i, uint32(it.Server), it.Req)
-		}
-		var firstErr error
-		for ; sent > 0; sent-- {
-			if rerr := <-errs; rerr != nil && firstErr == nil {
-				firstErr = rerr
-			}
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return out, nil
-	}
-	// An item no frame can carry (key or value past the per-frame bounds)
+	// An item no frame can carry (key or value past the per-item bounds)
 	// answers OK: false on its own; it must not poison the frame with an
 	// encode error that would fail every innocent operation sharing it.
 	out := make([]sim.Response, len(items))
@@ -716,71 +600,24 @@ func (cn *conn) roundTripBatch(ctx context.Context, items []sim.BatchItem) ([]si
 	if len(sendable) == 0 {
 		return out, nil
 	}
-	pc := &pendingCall{batch: make(chan []sim.Response, 1), n: len(sendable)}
 	cn.cfg.met.batchOps.Observe(float64(len(sendable)))
-	id, err := cn.send(ctx, func(id uint64) ([]byte, error) {
+	got, err := cn.roundTrip(ctx, len(sendable), func(id uint64) ([]byte, error) {
 		return AppendBatchRequest(nil, id, sendable)
-	}, pc)
-	if err == errDown {
-		return out, nil
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
-	select {
-	case resps := <-pc.batch:
-		for k, r := range resps {
-			out[idx[k]] = r
-		}
-		return out, nil
-	case <-ctx.Done():
-		cn.forget(id)
-		return nil, ctx.Err()
+	for k, r := range got.resps {
+		out[idx[k]] = r
 	}
+	return out, nil
 }
 
-// fitsFrame reports whether the item can be encoded in a batch frame at
-// all, even alone. v1's MaxValueLen is sized for the smaller v1 header,
-// so a handful of maximum-length values that were legal as v1 single
-// frames do not fit the roomier v2 item encoding; they read as
-// unresponsive rather than as an abort.
+// fitsFrame reports whether AppendBatchRequest accepts the item; one that
+// fits can always be sent, alone in its frame if need be (MaxValueLen
+// leaves room for the longest key).
 func fitsFrame(it sim.BatchItem) bool {
-	return it.Server >= 0 &&
-		len(it.Req.Key) <= MaxKeyLen &&
-		batchHeaderLen+reqItemOverhead+len(it.Req.Key)+valueHeaderLen+len(it.Req.Value.Value) <= MaxFrame
-}
-
-// version returns the connection's negotiated protocol version,
-// establishing the connection and waiting out the hello exchange as
-// needed. errDown reports an unreachable peer — including a v1 peer that
-// dropped the connection at our hello, which is indistinguishable from a
-// crash and handled the same way.
-func (cn *conn) version(ctx context.Context) (int, error) {
-	if err := cn.ensureConn(ctx); err != nil {
-		return 0, err
-	}
-	for {
-		cn.mu.Lock()
-		switch {
-		case cn.closed:
-			cn.mu.Unlock()
-			return 0, fmt.Errorf("wire: client closed")
-		case cn.ver != 0 && cn.nc != nil:
-			v := cn.ver
-			cn.mu.Unlock()
-			return v, nil
-		case cn.nc == nil:
-			cn.mu.Unlock()
-			return 0, errDown // died before (or during) the hello exchange
-		}
-		wait := cn.helloWait
-		cn.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		case <-wait:
-		}
-	}
+	return it.Server >= 0 && len(it.Req.Key) <= MaxKeyLen && len(it.Req.Value.Value) <= MaxValueLen
 }
 
 // send ensures the connection is up, registers the pending call, and
@@ -806,21 +643,19 @@ func (cn *conn) send(ctx context.Context, encode func(id uint64) ([]byte, error)
 	frame, err := encode(id)
 	if err != nil {
 		cn.mu.Unlock()
-		return 0, err // unencodable frame (oversized value): caller bug, abort
+		return 0, err // unencodable frame (invalid record or behavior): caller bug, abort
 	}
 	cn.pending[id] = pc
-	nc, bw, ver := cn.nc, cn.bw, cn.ver
+	nc, bw := cn.nc, cn.bw
 	cn.mu.Unlock()
 
 	cn.wmu.Lock()
 	var werr error
 	frames, bytes := 1, len(frame)
-	if cn.cfg.epoch != nil && ver != 1 {
+	if cn.cfg.epoch != nil {
 		// Epoch-aware clients preface the frame with an announce whenever
 		// this connection has not yet named the current epoch — on first
 		// use, after a reconnect, and after each InstallEpoch adoption.
-		// Negotiated v1 peers are exempt: they cannot parse the frame, and
-		// their servers serve un-announced connections ungated anyway.
 		if cur := cn.cfg.epoch.Load(); cn.annNC != nc || cn.announced != cur {
 			preface, perr := AppendReconfig(nil, 0, ReconfigFrame{Kind: ReconfigAnnounce, Epoch: cur})
 			if perr == nil {
@@ -920,30 +755,6 @@ func (cn *conn) ensureConn(ctx context.Context) error {
 		cn.nc = nc
 		cn.bw = bufio.NewWriter(nc)
 		cn.pending = make(map[uint64]*pendingCall)
-		if cn.cfg.version >= 2 {
-			// Open with the version hello; the negotiated answer arrives on
-			// the readLoop. No other writer can exist yet — the connection
-			// becomes visible only when cn.mu is released — so writing here
-			// cannot interleave with a request frame.
-			cn.ver = 0
-			cn.helloWait = make(chan struct{})
-			hello := AppendHello(nil, byte(cn.cfg.version))
-			cn.bw.Write(hello)
-			if err := cn.bw.Flush(); err != nil {
-				cn.teardownLocked(nc)
-				cn.mu.Unlock()
-				return errDown
-			}
-			// The hello travels outside sendFrame, so it is counted here —
-			// keeping the client's out-frame count the mirror image of the
-			// server's in-frame count.
-			cn.cfg.met.framesOut.Inc()
-			cn.cfg.met.bytesOut.Add(int64(len(hello)))
-		} else {
-			cn.ver = 1
-			cn.helloWait = nil
-			cn.cfg.met.connNegotiated(1)
-		}
 		go cn.readLoop(nc)
 		cn.mu.Unlock()
 		return nil
@@ -967,19 +778,6 @@ func (cn *conn) readLoop(nc net.Conn) {
 		cn.cfg.met.framesIn.Inc()
 		cn.cfg.met.bytesIn.Add(int64(len(frame)) + 4) // +4: the length prefix is wire bytes too
 		switch frame[0] {
-		case tagHello:
-			sv, err := DecodeHello(frame)
-			if err != nil {
-				goto done // corrupt stream: no way to re-synchronize
-			}
-			cn.mu.Lock()
-			if cn.nc == nc && cn.helloWait != nil {
-				cn.ver = min(cn.cfg.version, int(sv))
-				cn.cfg.met.connNegotiated(cn.ver)
-				close(cn.helloWait)
-				cn.helloWait = nil
-			}
-			cn.mu.Unlock()
 		case tagReconfig:
 			rid, rf, err := DecodeReconfig(frame)
 			if err != nil {
@@ -989,15 +787,15 @@ func (cn *conn) readLoop(nc net.Conn) {
 			case ReconfigState:
 				cn.mu.Lock()
 				pc, ok := cn.pending[rid]
-				if ok && pc.state != nil {
+				if ok && pc.n == 0 {
 					delete(cn.pending, rid)
 					cn.mu.Unlock()
-					pc.state <- stateReply{rec: rf.Rec, ok: true} // buffered; never blocks
+					pc.done <- reply{rec: rf.Rec, stateOK: true} // buffered; never blocks
 					continue
 				}
 				cn.mu.Unlock()
 				if ok {
-					goto done // a non-reconfig call answered with a state frame
+					goto done // a batch or control call answered with a state frame
 				}
 			case ReconfigWrongEpoch:
 				// The shard refused the request because this connection's
@@ -1026,10 +824,10 @@ func (cn *conn) readLoop(nc net.Conn) {
 			}
 			cn.mu.Lock()
 			pc, ok := cn.pending[id]
-			if ok && pc.batch != nil && len(resps) == pc.n {
+			if ok && len(resps) == pc.n {
 				delete(cn.pending, id)
 				cn.mu.Unlock()
-				pc.batch <- resps // buffered; never blocks
+				pc.done <- reply{resps: resps} // buffered; never blocks
 				continue
 			}
 			cn.mu.Unlock()
@@ -1038,22 +836,7 @@ func (cn *conn) readLoop(nc net.Conn) {
 			}
 			// Unknown id: a late response for a forgotten call; drop it.
 		default:
-			id, resp, err := DecodeResponse(frame)
-			if err != nil {
-				goto done
-			}
-			cn.mu.Lock()
-			pc, ok := cn.pending[id]
-			if ok && pc.single != nil {
-				delete(cn.pending, id)
-				cn.mu.Unlock()
-				pc.single <- resp // buffered; never blocks
-				continue
-			}
-			cn.mu.Unlock()
-			if ok {
-				goto done // a batch call answered with a single frame: protocol error
-			}
+			goto done // unknown frame kind: protocol error
 		}
 	}
 done:
@@ -1064,8 +847,7 @@ done:
 
 // teardownLocked closes nc and, if it is still the active connection,
 // answers every pending call with OK: false so waiters treat the remote
-// servers as crashed, and releases any goroutine parked on the hello
-// exchange. Called with cn.mu held.
+// servers as crashed. Called with cn.mu held.
 func (cn *conn) teardownLocked(nc net.Conn) {
 	nc.Close()
 	if cn.nc != nc {
@@ -1073,11 +855,6 @@ func (cn *conn) teardownLocked(nc net.Conn) {
 	}
 	cn.nc = nil
 	cn.bw = nil
-	if cn.helloWait != nil {
-		close(cn.helloWait)
-		cn.helloWait = nil
-	}
-	cn.ver = 0
 	for id, pc := range cn.pending {
 		delete(cn.pending, id)
 		pc.fail()

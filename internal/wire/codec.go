@@ -2,9 +2,10 @@
 // supplies the three pieces the in-memory simulator deliberately left
 // pluggable behind sim.Transport:
 //
-//   - a length-prefixed binary wire format for sim.Request/sim.Response
-//     frames, with request IDs so one connection can carry many
-//     outstanding operations (this file);
+//   - one length-prefixed binary wire format for sim.Request/sim.Response
+//     traffic — keyed, batched frames with request IDs, so one connection
+//     carries many outstanding operations (this file; the epoch plane's
+//     frames are in codecreconfig.go);
 //   - Server, a TCP listener hosting a shard of sim.Server replicas
 //     behind concurrent connection handlers with graceful shutdown
 //     (server.go);
@@ -31,14 +32,20 @@ import (
 
 // Frame layout. Every message is a 4-byte big-endian payload length
 // followed by the payload; the first payload byte tags the message kind.
-// This file defines the protocol v1 frames (one keyless operation each)
-// plus the version-independent control frame; codecv2.go adds the v2
-// hello and keyed batch frames.
 //
-//	request  := tagRequest id:u64 server:u32 op:u8 reader:i64 value
-//	response := tagResponse id:u64 flags:u8 value
-//	control  := tagControl id:u64 server:u32 behavior:u8
-//	value    := seq:i64 writer:i64 len:u32 bytes
+//	batchReq  := tagBatchRequest id:u64 count:u16 reqItem*
+//	reqItem   := server:u32 op:u8 reader:i64 keylen:u16 key value
+//	batchResp := tagBatchResponse id:u64 count:u16 respItem*
+//	respItem  := flags:u8 value
+//	control   := tagControl id:u64 server:u32 behavior:u8
+//	value     := seq:i64 writer:i64 len:u32 bytes
+//
+// There is one data format: every operation, alone or in company, travels
+// as an item of a batch frame, and an operation on the default register
+// is simply keylen = 0. A batch frame carries operations for any mix of
+// servers, so one frame serves a whole shard: the receiving daemon fans
+// the items across the replicas it hosts and answers with a batchResp
+// whose items align index-by-index with the request.
 //
 // id is the pipelining correlation token: the client picks it, the server
 // echoes it, and responses may arrive in any order. flags bit 0 is
@@ -48,30 +55,45 @@ import (
 //
 // The control frame is the fault-injection channel of the churn engine:
 // it asks the shard hosting the addressed server to flip that replica to
-// the given sim.Behavior, and is answered with an ordinary response frame
+// the given sim.Behavior, and is answered with a batchResp of one item
 // (OK reports whether the replica is hosted here). It is what lets a
 // remote schedule driver (sim.FaultController over a wire.Client) crash
 // and recover servers mid-run, so live availability can be measured
 // against F_p(Q) (Definition 3.10) over real TCP.
+//
+// Compatibility is fail-closed, with no negotiation: a peer that receives
+// a tag it does not know drops the connection, which the other end reads
+// as a crashed shard — Response{OK: false} — and routes around. Tags 0x51,
+// 0x52 and 0x54 belonged to retired frame kinds (a keyless single
+// request, its response, a version hello) and are never reused, so a
+// build that still sends them is refused rather than misread.
 const (
-	tagRequest  = 0x51
-	tagResponse = 0x52
-	tagControl  = 0x53
+	tagControl       = 0x53
+	tagBatchRequest  = 0x55
+	tagBatchResponse = 0x56
 
 	// MaxFrame bounds a payload so a corrupt or hostile length prefix
 	// cannot make a peer allocate unboundedly. It also caps the value a
 	// write can carry (MaxValueLen).
 	MaxFrame = 1 << 20
 
-	valueHeaderLen   = 8 + 8 + 4         // seq + writer + len
-	requestOverhead  = 1 + 8 + 4 + 1 + 8 // tag + id + server + op + reader
-	responseOverhead = 1 + 8 + 1         // tag + id + flags
-	reqHeaderLen     = requestOverhead + valueHeaderLen
-	respHeaderLen    = responseOverhead + valueHeaderLen
-	controlLen       = 1 + 8 + 4 + 1 // tag + id + server + behavior
+	valueHeaderLen  = 8 + 8 + 4          // seq + writer + len
+	batchHeaderLen  = 1 + 8 + 2          // tag + id + count
+	reqItemOverhead = 4 + 1 + 8 + 2      // server + op + reader + keylen
+	respItemMinLen  = 1 + valueHeaderLen // flags + value header
+	controlLen      = 1 + 8 + 4 + 1      // tag + id + server + behavior
 
-	// MaxValueLen is the longest register value a frame can carry.
-	MaxValueLen = MaxFrame - reqHeaderLen
+	// MaxKeyLen bounds a register key on the wire, so a hostile keylen
+	// cannot push the item header past the frame.
+	MaxKeyLen = 1 << 12
+
+	// MaxBatchOps bounds how many operations one batch frame may carry.
+	MaxBatchOps = 1 << 10
+
+	// MaxValueLen is the longest register value the wire carries. It is
+	// what a frame holding a single item has left after the longest key,
+	// so any operation within MaxKeyLen and MaxValueLen can be sent.
+	MaxValueLen = MaxFrame - batchHeaderLen - reqItemOverhead - MaxKeyLen - valueHeaderLen
 )
 
 const flagOK = 1 << 0
@@ -102,90 +124,170 @@ func decodeValue(p []byte) (sim.TaggedValue, []byte, error) {
 	return tv, p[n:], nil
 }
 
-// AppendRequest appends a complete request frame (length prefix included)
-// for req addressed to the given global server index, correlated by id.
-// This is the v1 single-operation frame, which has no room for a register
-// key: a keyed request is rejected rather than silently collapsed onto
-// the default key (that would be data corruption, not interop) — keyed
-// operations need the v2 batch frames of codecv2.go.
-func AppendRequest(dst []byte, id uint64, server uint32, req sim.Request) ([]byte, error) {
-	if req.Key != "" {
-		return dst, fmt.Errorf("wire: v1 request frame cannot carry key %q", req.Key)
-	}
-	if len(req.Value.Value) > MaxValueLen {
-		return dst, fmt.Errorf("wire: value of %d bytes exceeds %d", len(req.Value.Value), MaxValueLen)
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(reqHeaderLen+len(req.Value.Value)))
-	dst = append(dst, tagRequest)
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	dst = binary.BigEndian.AppendUint32(dst, server)
-	dst = append(dst, byte(req.Op))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(req.ReaderID)))
-	return appendValue(dst, req.Value), nil
+// reqItemLen is the encoded size of one batch-request item.
+func reqItemLen(it sim.BatchItem) int {
+	return reqItemOverhead + len(it.Req.Key) + valueHeaderLen + len(it.Req.Value.Value)
 }
 
-// DecodeRequest parses a request payload (the frame minus its length
-// prefix, as returned by ReadFrame).
-func DecodeRequest(p []byte) (id uint64, server uint32, req sim.Request, err error) {
-	if len(p) < reqHeaderLen {
-		return 0, 0, sim.Request{}, fmt.Errorf("wire: request payload of %d bytes shorter than header %d", len(p), reqHeaderLen)
+// AppendBatchRequest appends a complete batch-request frame (length
+// prefix included) carrying items, correlated by id. Items may address
+// different servers — the shard hosting them fans the batch across its
+// replicas. Oversized keys, values, batches, or a total payload past
+// MaxFrame are rejected at encode time, mirroring the decoder.
+func AppendBatchRequest(dst []byte, id uint64, items []sim.BatchItem) ([]byte, error) {
+	if len(items) == 0 || len(items) > MaxBatchOps {
+		return dst, fmt.Errorf("wire: batch of %d operations outside [1,%d]", len(items), MaxBatchOps)
 	}
-	if p[0] != tagRequest {
-		return 0, 0, sim.Request{}, fmt.Errorf("wire: payload tag %#x is not a request", p[0])
+	total := batchHeaderLen
+	for _, it := range items {
+		if it.Server < 0 || int64(it.Server) > int64(^uint32(0)) {
+			return dst, fmt.Errorf("wire: server index %d does not fit a frame", it.Server)
+		}
+		if len(it.Req.Key) > MaxKeyLen {
+			return dst, fmt.Errorf("wire: key of %d bytes exceeds %d", len(it.Req.Key), MaxKeyLen)
+		}
+		if len(it.Req.Value.Value) > MaxValueLen {
+			return dst, fmt.Errorf("wire: value of %d bytes exceeds %d", len(it.Req.Value.Value), MaxValueLen)
+		}
+		total += reqItemLen(it)
+	}
+	if total > MaxFrame {
+		return dst, fmt.Errorf("wire: batch frame of %d bytes exceeds %d", total, MaxFrame)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(total))
+	dst = append(dst, tagBatchRequest)
+	dst = binary.BigEndian.AppendUint64(dst, id)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(items)))
+	for _, it := range items {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(it.Server))
+		dst = append(dst, byte(it.Req.Op))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(it.Req.ReaderID)))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(it.Req.Key)))
+		dst = append(dst, it.Req.Key...)
+		dst = appendValue(dst, it.Req.Value)
+	}
+	return dst, nil
+}
+
+// DecodeBatchRequest parses a batch-request payload (the frame minus its
+// length prefix, as returned by ReadFrame).
+func DecodeBatchRequest(p []byte) (id uint64, items []sim.BatchItem, err error) {
+	if len(p) < batchHeaderLen {
+		return 0, nil, fmt.Errorf("wire: batch payload of %d bytes shorter than header %d", len(p), batchHeaderLen)
+	}
+	if p[0] != tagBatchRequest {
+		return 0, nil, fmt.Errorf("wire: payload tag %#x is not a batch request", p[0])
 	}
 	id = binary.BigEndian.Uint64(p[1:])
-	server = binary.BigEndian.Uint32(p[9:])
-	req.Op = sim.Op(p[13])
-	req.ReaderID = int(int64(binary.BigEndian.Uint64(p[14:])))
-	tv, rest, err := decodeValue(p[requestOverhead:])
-	if err != nil {
-		return 0, 0, sim.Request{}, err
+	count := int(binary.BigEndian.Uint16(p[9:]))
+	if count == 0 || count > MaxBatchOps {
+		return 0, nil, fmt.Errorf("wire: batch count %d outside [1,%d]", count, MaxBatchOps)
 	}
-	if len(rest) != 0 {
-		return 0, 0, sim.Request{}, fmt.Errorf("wire: %d trailing bytes after request", len(rest))
+	p = p[batchHeaderLen:]
+	items = make([]sim.BatchItem, 0, count)
+	for i := 0; i < count; i++ {
+		if len(p) < reqItemOverhead {
+			return 0, nil, fmt.Errorf("wire: truncated batch item %d (%d bytes)", i, len(p))
+		}
+		var it sim.BatchItem
+		it.Server = int(binary.BigEndian.Uint32(p))
+		it.Req.Op = sim.Op(p[4])
+		it.Req.ReaderID = int(int64(binary.BigEndian.Uint64(p[5:])))
+		klen := int(binary.BigEndian.Uint16(p[13:]))
+		if klen > MaxKeyLen {
+			return 0, nil, fmt.Errorf("wire: key length %d exceeds %d", klen, MaxKeyLen)
+		}
+		p = p[reqItemOverhead:]
+		if len(p) < klen {
+			return 0, nil, fmt.Errorf("wire: truncated key (%d of %d bytes)", len(p), klen)
+		}
+		it.Req.Key = string(p[:klen])
+		tv, rest, err := decodeValue(p[klen:])
+		if err != nil {
+			return 0, nil, err
+		}
+		it.Req.Value = tv
+		p = rest
+		items = append(items, it)
 	}
-	req.Value = tv
-	return id, server, req, nil
+	if len(p) != 0 {
+		return 0, nil, fmt.Errorf("wire: %d trailing bytes after batch request", len(p))
+	}
+	return id, items, nil
 }
 
-// AppendResponse appends a complete response frame answering request id.
-func AppendResponse(dst []byte, id uint64, resp sim.Response) ([]byte, error) {
-	if len(resp.Value.Value) > MaxValueLen {
-		return dst, fmt.Errorf("wire: value of %d bytes exceeds %d", len(resp.Value.Value), MaxValueLen)
+// AppendBatchResponse appends a complete batch-response frame answering
+// frame id; resps must align index-by-index with the request's items (a
+// control frame is answered with one). A response value too large for a
+// frame is the caller's bug at this layer (the server degrades oversized
+// replica answers to unresponsiveness before encoding).
+func AppendBatchResponse(dst []byte, id uint64, resps []sim.Response) ([]byte, error) {
+	if len(resps) == 0 || len(resps) > MaxBatchOps {
+		return dst, fmt.Errorf("wire: batch of %d responses outside [1,%d]", len(resps), MaxBatchOps)
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(respHeaderLen+len(resp.Value.Value)))
-	dst = append(dst, tagResponse)
+	total := batchHeaderLen
+	for _, r := range resps {
+		if len(r.Value.Value) > MaxValueLen {
+			return dst, fmt.Errorf("wire: value of %d bytes exceeds %d", len(r.Value.Value), MaxValueLen)
+		}
+		total += respItemMinLen + len(r.Value.Value)
+	}
+	if total > MaxFrame {
+		return dst, fmt.Errorf("wire: batch frame of %d bytes exceeds %d", total, MaxFrame)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(total))
+	dst = append(dst, tagBatchResponse)
 	dst = binary.BigEndian.AppendUint64(dst, id)
-	var flags byte
-	if resp.OK {
-		flags |= flagOK
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(resps)))
+	for _, r := range resps {
+		var flags byte
+		if r.OK {
+			flags |= flagOK
+		}
+		dst = append(dst, flags)
+		dst = appendValue(dst, r.Value)
 	}
-	dst = append(dst, flags)
-	return appendValue(dst, resp.Value), nil
+	return dst, nil
 }
 
-// DecodeResponse parses a response payload.
-func DecodeResponse(p []byte) (id uint64, resp sim.Response, err error) {
-	if len(p) < respHeaderLen {
-		return 0, sim.Response{}, fmt.Errorf("wire: response payload of %d bytes shorter than header %d", len(p), respHeaderLen)
+// DecodeBatchResponse parses a batch-response payload. Unknown flag bits
+// are rejected so a future protocol revision cannot be half-understood
+// silently.
+func DecodeBatchResponse(p []byte) (id uint64, resps []sim.Response, err error) {
+	if len(p) < batchHeaderLen {
+		return 0, nil, fmt.Errorf("wire: batch payload of %d bytes shorter than header %d", len(p), batchHeaderLen)
 	}
-	if p[0] != tagResponse {
-		return 0, sim.Response{}, fmt.Errorf("wire: payload tag %#x is not a response", p[0])
+	if p[0] != tagBatchResponse {
+		return 0, nil, fmt.Errorf("wire: payload tag %#x is not a batch response", p[0])
 	}
 	id = binary.BigEndian.Uint64(p[1:])
-	if p[9]&^flagOK != 0 {
-		return 0, sim.Response{}, fmt.Errorf("wire: unknown response flags %#x", p[9])
+	count := int(binary.BigEndian.Uint16(p[9:]))
+	if count == 0 || count > MaxBatchOps {
+		return 0, nil, fmt.Errorf("wire: batch count %d outside [1,%d]", count, MaxBatchOps)
 	}
-	resp.OK = p[9]&flagOK != 0
-	tv, rest, err := decodeValue(p[responseOverhead:])
-	if err != nil {
-		return 0, sim.Response{}, err
+	p = p[batchHeaderLen:]
+	resps = make([]sim.Response, 0, count)
+	for i := 0; i < count; i++ {
+		if len(p) < respItemMinLen {
+			return 0, nil, fmt.Errorf("wire: truncated batch response item %d (%d bytes)", i, len(p))
+		}
+		if p[0]&^flagOK != 0 {
+			return 0, nil, fmt.Errorf("wire: unknown response flags %#x", p[0])
+		}
+		var r sim.Response
+		r.OK = p[0]&flagOK != 0
+		tv, rest, err := decodeValue(p[1:])
+		if err != nil {
+			return 0, nil, err
+		}
+		r.Value = tv
+		p = rest
+		resps = append(resps, r)
 	}
-	if len(rest) != 0 {
-		return 0, sim.Response{}, fmt.Errorf("wire: %d trailing bytes after response", len(rest))
+	if len(p) != 0 {
+		return 0, nil, fmt.Errorf("wire: %d trailing bytes after batch response", len(p))
 	}
-	resp.Value = tv
-	return id, resp, nil
+	return id, resps, nil
 }
 
 // AppendControl appends a complete control frame (length prefix included)

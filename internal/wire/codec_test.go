@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"math"
 	"strings"
@@ -11,6 +12,9 @@ import (
 	"bqs/internal/sim"
 )
 
+// requestCases are single operations on the default register. Each
+// travels the way every lone probe does: as a batch frame of one item
+// with keylen = 0.
 var requestCases = []struct {
 	name   string
 	id     uint64
@@ -43,29 +47,76 @@ var requestCases = []struct {
 	}},
 }
 
+var batchRequestCases = []struct {
+	name  string
+	id    uint64
+	items []sim.BatchItem
+}{
+	{"single-keyless", 1, []sim.BatchItem{
+		{Server: 0, Req: sim.Request{Op: sim.OpRead, ReaderID: 7}},
+	}},
+	{"single-keyed", 2, []sim.BatchItem{
+		{Server: 3, Req: sim.Request{Op: sim.OpWrite, Key: "user/42", Value: sim.TaggedValue{Value: "v", TS: sim.Timestamp{Seq: 9, Writer: 2}}}},
+	}},
+	{"mixed-servers", math.MaxUint64, []sim.BatchItem{
+		{Server: 0, Req: sim.Request{Op: sim.OpReadTimestamps, Key: "a", ReaderID: -1}},
+		{Server: 5, Req: sim.Request{Op: sim.OpWrite, Key: "b", Value: sim.TaggedValue{Value: "x", TS: sim.Timestamp{Seq: 1 << 40, Writer: -1}}}},
+		{Server: math.MaxUint32, Req: sim.Request{Op: sim.OpRead, Key: strings.Repeat("k", MaxKeyLen), ReaderID: math.MinInt32}},
+	}},
+	{"full-batch", 3, func() []sim.BatchItem {
+		items := make([]sim.BatchItem, MaxBatchOps)
+		for i := range items {
+			items[i] = sim.BatchItem{Server: i, Req: sim.Request{Op: sim.OpRead, Key: "k", ReaderID: i}}
+		}
+		return items
+	}()},
+	{"utf8-key-and-value", 4, []sim.BatchItem{
+		{Server: 1, Req: sim.Request{Op: sim.OpWrite, Key: "clé/ключ ✓", Value: sim.TaggedValue{Value: "\x00\xff", TS: sim.Timestamp{Seq: math.MinInt64, Writer: math.MaxInt32}}}},
+	}},
+}
+
+// checkRequestRoundTrip encodes items as one frame, reads it back off a
+// stream and requires the decoder to return them bit-for-bit.
+func checkRequestRoundTrip(t *testing.T, wantID uint64, want []sim.BatchItem) {
+	t.Helper()
+	frame, err := AppendBatchRequest(nil, wantID, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := ReadFrame(bytes.NewReader(frame), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, items, err := DecodeBatchRequest(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != wantID || len(items) != len(want) {
+		t.Fatalf("round trip mangled frame: id=%d n=%d, want id=%d n=%d", id, len(items), wantID, len(want))
+	}
+	for i := range items {
+		if items[i] != want[i] {
+			t.Fatalf("item %d mangled:\n got %+v\nwant %+v", i, items[i], want[i])
+		}
+	}
+}
+
 func TestRequestRoundTrip(t *testing.T) {
 	for _, tc := range requestCases {
 		t.Run(tc.name, func(t *testing.T) {
-			frame, err := AppendRequest(nil, tc.id, tc.server, tc.req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload, err := ReadFrame(bytes.NewReader(frame), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			id, server, req, err := DecodeRequest(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if id != tc.id || server != tc.server || req != tc.req {
-				t.Fatalf("round trip mangled message:\n got (%d, %d, %+v)\nwant (%d, %d, %+v)",
-					id, server, req, tc.id, tc.server, tc.req)
-			}
+			checkRequestRoundTrip(t, tc.id, []sim.BatchItem{{Server: int(tc.server), Req: tc.req}})
 		})
 	}
 }
 
+func TestBatchRequestRoundTrip(t *testing.T) {
+	for _, tc := range batchRequestCases {
+		t.Run(tc.name, func(t *testing.T) { checkRequestRoundTrip(t, tc.id, tc.items) })
+	}
+}
+
+// responseCases are single answers: what a lone probe, or a control
+// frame, is answered with — a batch response of one item.
 var responseCases = []struct {
 	name string
 	id   uint64
@@ -79,63 +130,230 @@ var responseCases = []struct {
 	{"extremes", math.MaxUint64, sim.Response{OK: true, Value: sim.TaggedValue{Value: strings.Repeat("\xff", 999), TS: sim.Timestamp{Seq: math.MinInt64, Writer: math.MinInt32}}}},
 }
 
+var batchResponseCases = []struct {
+	name  string
+	id    uint64
+	resps []sim.Response
+}{
+	{"one-down", 1, []sim.Response{{}}},
+	{"mixed", 2, []sim.Response{
+		{OK: true, Value: sim.TaggedValue{Value: "v", TS: sim.Timestamp{Seq: 3, Writer: 1}}},
+		{OK: false},
+		{OK: true},
+	}},
+	{"extremes", math.MaxUint64, []sim.Response{
+		{OK: true, Value: sim.TaggedValue{Value: strings.Repeat("\xfe", 999), TS: sim.Timestamp{Seq: math.MinInt64, Writer: math.MinInt32}}},
+	}},
+}
+
+// checkResponseRoundTrip is the response-side twin of
+// checkRequestRoundTrip.
+func checkResponseRoundTrip(t *testing.T, wantID uint64, want []sim.Response) {
+	t.Helper()
+	frame, err := AppendBatchResponse(nil, wantID, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := ReadFrame(bytes.NewReader(frame), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, resps, err := DecodeBatchResponse(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != wantID || len(resps) != len(want) {
+		t.Fatalf("round trip mangled frame: id=%d n=%d, want id=%d n=%d", id, len(resps), wantID, len(want))
+	}
+	for i := range resps {
+		if resps[i] != want[i] {
+			t.Fatalf("item %d mangled:\n got %+v\nwant %+v", i, resps[i], want[i])
+		}
+	}
+}
+
 func TestResponseRoundTrip(t *testing.T) {
 	for _, tc := range responseCases {
-		t.Run(tc.name, func(t *testing.T) {
-			frame, err := AppendResponse(nil, tc.id, tc.resp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload, err := ReadFrame(bytes.NewReader(frame), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			id, resp, err := DecodeResponse(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if id != tc.id || resp != tc.resp {
-				t.Fatalf("round trip mangled message:\n got (%d, %+v)\nwant (%d, %+v)", id, resp, tc.id, tc.resp)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkResponseRoundTrip(t, tc.id, []sim.Response{tc.resp}) })
 	}
 }
 
+func TestBatchResponseRoundTrip(t *testing.T) {
+	for _, tc := range batchResponseCases {
+		t.Run(tc.name, func(t *testing.T) { checkResponseRoundTrip(t, tc.id, tc.resps) })
+	}
+}
+
+// TestGoldenFrames pins the three frame layouts byte for byte. The bytes
+// are the format daemons already deployed speak, so they never change: a
+// build that fails this test cannot talk to one that passes it.
+func TestGoldenFrames(t *testing.T) {
+	batchReq, err := AppendBatchRequest(nil, 0x0102030405060708, []sim.BatchItem{
+		{Server: 3, Req: sim.Request{Op: sim.OpWrite, Key: "k1", ReaderID: -2,
+			Value: sim.TaggedValue{Value: "hi", TS: sim.Timestamp{Seq: 9, Writer: -1}}}},
+		{Server: 0x01020304, Req: sim.Request{Op: sim.OpRead, ReaderID: 7}}, // keyless: keylen = 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchResp, err := AppendBatchResponse(nil, 0x0102030405060708, []sim.Response{
+		{OK: true, Value: sim.TaggedValue{Value: "hi", TS: sim.Timestamp{Seq: 9, Writer: -1}}},
+		{OK: false},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := AppendControl(nil, 0x0102030405060708, 0x0a0b0c0d, sim.Crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		got  []byte
+		want string // hex; spaces separate the grammar's fields
+	}{
+		{"batchReq", batchReq, "00000055 55 0102030405060708 0002" +
+			" 00000003 03 fffffffffffffffe 0002 6b31 0000000000000009 ffffffffffffffff 00000002 6869" +
+			" 01020304 02 0000000000000007 0000 0000000000000000 0000000000000000 00000000"},
+		{"batchResp", batchResp, "00000037 56 0102030405060708 0002" +
+			" 01 0000000000000009 ffffffffffffffff 00000002 6869" +
+			" 00 0000000000000000 0000000000000000 00000000"},
+		{"control", control, "0000000e 53 0102030405060708 0a0b0c0d 02"},
+	} {
+		want, err := hex.DecodeString(strings.ReplaceAll(tc.want, " ", ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tc.got, want) {
+			t.Errorf("%s layout changed:\n got %x\nwant %x", tc.name, tc.got, want)
+		}
+	}
+}
+
+// TestAppendRejectsOversizedValue pins both edges of MaxValueLen on both
+// encoders: a value of exactly MaxValueLen fits a frame even under the
+// longest key — filling it to the last byte — and one byte more is
+// refused whatever the key.
 func TestAppendRejectsOversizedValue(t *testing.T) {
-	huge := strings.Repeat("x", MaxValueLen+1)
-	if _, err := AppendRequest(nil, 1, 0, sim.Request{Op: sim.OpWrite, Value: sim.TaggedValue{Value: huge}}); err == nil {
-		t.Fatal("AppendRequest accepted a value longer than MaxValueLen")
+	longest := sim.TaggedValue{Value: strings.Repeat("x", MaxValueLen)}
+	huge := sim.TaggedValue{Value: longest.Value + "x"}
+	frame, err := AppendBatchRequest(nil, 1, []sim.BatchItem{
+		{Server: 0, Req: sim.Request{Op: sim.OpWrite, Key: strings.Repeat("k", MaxKeyLen), Value: longest}},
+	})
+	if err != nil {
+		t.Fatalf("AppendBatchRequest refused a MaxKeyLen key with a MaxValueLen value: %v", err)
 	}
-	if _, err := AppendResponse(nil, 1, sim.Response{OK: true, Value: sim.TaggedValue{Value: huge}}); err == nil {
-		t.Fatal("AppendResponse accepted a value longer than MaxValueLen")
+	if len(frame)-4 != MaxFrame {
+		t.Fatalf("the largest item makes a payload of %d bytes, want exactly MaxFrame = %d", len(frame)-4, MaxFrame)
+	}
+	if _, err := AppendBatchRequest(nil, 1, []sim.BatchItem{{Server: 0, Req: sim.Request{Op: sim.OpWrite, Value: huge}}}); err == nil {
+		t.Fatal("AppendBatchRequest accepted a value longer than MaxValueLen")
+	}
+	if _, err := AppendBatchResponse(nil, 1, []sim.Response{{OK: true, Value: longest}}); err != nil {
+		t.Fatalf("AppendBatchResponse refused a MaxValueLen value: %v", err)
+	}
+	if _, err := AppendBatchResponse(nil, 1, []sim.Response{{OK: true, Value: huge}}); err == nil {
+		t.Fatal("AppendBatchResponse accepted a value longer than MaxValueLen")
 	}
 }
 
-func TestDecodeRejectsMalformed(t *testing.T) {
-	good, err := AppendRequest(nil, 1, 2, sim.Request{Op: sim.OpWrite, Value: sim.TaggedValue{Value: "ok"}})
+func TestAppendBatchRequestRejects(t *testing.T) {
+	if _, err := AppendBatchRequest(nil, 1, nil); err == nil {
+		t.Error("accepted an empty batch")
+	}
+	over := make([]sim.BatchItem, MaxBatchOps+1)
+	for i := range over {
+		over[i] = sim.BatchItem{Server: i, Req: sim.Request{Op: sim.OpRead}}
+	}
+	if _, err := AppendBatchRequest(nil, 1, over); err == nil {
+		t.Error("accepted a batch beyond MaxBatchOps")
+	}
+	if _, err := AppendBatchRequest(nil, 1, []sim.BatchItem{
+		{Server: 0, Req: sim.Request{Op: sim.OpRead, Key: strings.Repeat("k", MaxKeyLen+1)}},
+	}); err == nil {
+		t.Error("accepted a key beyond MaxKeyLen")
+	}
+	if _, err := AppendBatchRequest(nil, 1, []sim.BatchItem{
+		{Server: -1, Req: sim.Request{Op: sim.OpRead}},
+	}); err == nil {
+		t.Error("accepted a negative server index")
+	}
+	// Two near-limit values overflow the frame even though each fits.
+	big := strings.Repeat("v", MaxValueLen)
+	if _, err := AppendBatchRequest(nil, 1, []sim.BatchItem{
+		{Server: 0, Req: sim.Request{Op: sim.OpWrite, Value: sim.TaggedValue{Value: big}}},
+		{Server: 1, Req: sim.Request{Op: sim.OpWrite, Value: sim.TaggedValue{Value: big}}},
+	}); err == nil {
+		t.Error("accepted a batch whose total exceeds MaxFrame")
+	}
+}
+
+// patched returns a copy of p with fn applied, for building one
+// malformed payload out of a well-formed one.
+func patched(p []byte, fn func(p []byte)) []byte {
+	p = append([]byte{}, p...)
+	fn(p)
+	return p
+}
+
+func TestDecodeBatchRejectsMalformed(t *testing.T) {
+	good, err := AppendBatchRequest(nil, 9, []sim.BatchItem{
+		{Server: 2, Req: sim.Request{Op: sim.OpWrite, Key: "k", Value: sim.TaggedValue{Value: "ok"}}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := good[4:]
+	const valueLenAt = batchHeaderLen + reqItemOverhead + len("k") + 16 // the value's len:u32
 	cases := map[string][]byte{
-		"empty":        {},
-		"short-header": payload[:10],
-		"wrong-tag":    append([]byte{tagResponse}, payload[1:]...),
-		"trailing":     append(append([]byte{}, payload...), 0xAA),
-		"value-overrun": func() []byte {
-			p := append([]byte{}, payload...)
-			// Inflate the declared value length past the actual bytes.
-			binary.BigEndian.PutUint32(p[requestOverhead+16:], 1000)
-			return p
-		}(),
+		"empty":         {},
+		"short-header":  payload[:5],
+		"retired-tag":   append([]byte{0x51}, payload[1:]...),
+		"response-tag":  append([]byte{tagBatchResponse}, payload[1:]...),
+		"trailing":      append(append([]byte{}, payload...), 0xAA),
+		"zero-count":    patched(payload, func(p []byte) { binary.BigEndian.PutUint16(p[9:], 0) }),
+		"count-overrun": patched(payload, func(p []byte) { binary.BigEndian.PutUint16(p[9:], 7) }), // promises 7 items, carries 1
+		// Declared lengths inflated past the bytes actually carried.
+		"key-overrun":       patched(payload, func(p []byte) { binary.BigEndian.PutUint16(p[batchHeaderLen+13:], 5000) }),
+		"value-overrun":     patched(payload, func(p []byte) { binary.BigEndian.PutUint32(p[valueLenAt:], 1000) }),
+		"value-oversize":    patched(payload, func(p []byte) { binary.BigEndian.PutUint32(p[valueLenAt:], MaxValueLen+1) }),
+		"truncated-value":   payload[:len(payload)-1],
+		"truncated-valhdr":  payload[:valueLenAt+2],
+		"truncated-itemhdr": payload[:batchHeaderLen+reqItemOverhead-1],
 	}
 	for name, p := range cases {
-		if _, _, _, err := DecodeRequest(p); err == nil {
-			t.Errorf("%s: DecodeRequest accepted malformed payload", name)
+		if _, _, err := DecodeBatchRequest(p); err == nil {
+			t.Errorf("%s: DecodeBatchRequest accepted malformed payload", name)
 		}
 	}
-	if _, _, err := DecodeResponse(payload); err == nil {
-		t.Error("DecodeResponse accepted a request payload")
+}
+
+// TestDecodeRejectsMalformed is the response-side table: the decoder
+// every reply — a probe's answer or a control ack — goes through.
+func TestDecodeRejectsMalformed(t *testing.T) {
+	good, err := AppendBatchResponse(nil, 9, []sim.Response{{OK: true, Value: sim.TaggedValue{Value: "ok"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := good[4:]
+	const valueLenAt = batchHeaderLen + 1 + 16 // the value's len:u32
+	cases := map[string][]byte{
+		"empty":           {},
+		"short-header":    payload[:10],
+		"retired-tag":     append([]byte{0x52}, payload[1:]...),
+		"request-tag":     append([]byte{tagBatchRequest}, payload[1:]...),
+		"trailing":        append(append([]byte{}, payload...), 0xAA),
+		"zero-count":      patched(payload, func(p []byte) { binary.BigEndian.PutUint16(p[9:], 0) }),
+		"count-overrun":   patched(payload, func(p []byte) { binary.BigEndian.PutUint16(p[9:], 2) }),
+		"unknown-flags":   patched(payload, func(p []byte) { p[batchHeaderLen] |= 0x80 }),
+		"value-overrun":   patched(payload, func(p []byte) { binary.BigEndian.PutUint32(p[valueLenAt:], 1000) }),
+		"value-oversize":  patched(payload, func(p []byte) { binary.BigEndian.PutUint32(p[valueLenAt:], MaxValueLen+1) }),
+		"truncated-value": payload[:len(payload)-1],
+	}
+	for name, p := range cases {
+		if _, _, err := DecodeBatchResponse(p); err == nil {
+			t.Errorf("%s: DecodeBatchResponse accepted malformed payload", name)
+		}
 	}
 }
 
@@ -153,7 +371,7 @@ func TestReadFrameLimits(t *testing.T) {
 		t.Fatal("ReadFrame accepted a truncated prefix")
 	}
 	// Truncated payload: prefix promises more than the stream holds.
-	frame, err := AppendResponse(nil, 1, sim.Response{OK: true, Value: sim.TaggedValue{Value: "abc"}})
+	frame, err := AppendBatchResponse(nil, 1, []sim.Response{{OK: true, Value: sim.TaggedValue{Value: "abc"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +383,7 @@ func TestReadFrameLimits(t *testing.T) {
 func TestReadFrameReusesBuffer(t *testing.T) {
 	var stream bytes.Buffer
 	for i := 0; i < 3; i++ {
-		frame, err := AppendResponse(nil, uint64(i), sim.Response{OK: true, Value: sim.TaggedValue{Value: "abc"}})
+		frame, err := AppendBatchResponse(nil, uint64(i), []sim.Response{{OK: true, Value: sim.TaggedValue{Value: "abc"}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,12 +395,12 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, resp, err := DecodeResponse(payload)
+		id, resps, err := DecodeBatchResponse(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id != uint64(i) || resp.Value.Value != "abc" {
-			t.Fatalf("frame %d mangled: id=%d resp=%+v", i, id, resp)
+		if id != uint64(i) || resps[0].Value.Value != "abc" {
+			t.Fatalf("frame %d mangled: id=%d resps=%+v", i, id, resps)
 		}
 		buf = payload
 	}
@@ -191,90 +409,136 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRequest asserts decode never panics on arbitrary payloads,
-// and that anything it does accept re-encodes to an identical frame.
-func FuzzDecodeRequest(f *testing.F) {
-	for _, tc := range requestCases {
-		frame, err := AppendRequest(nil, tc.id, tc.server, tc.req)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(frame[4:])
+// fuzzDecodeRequest asserts the request decoder never panics on an
+// arbitrary payload, and that anything it does accept re-encodes to an
+// identical frame.
+func fuzzDecodeRequest(t *testing.T, payload []byte) {
+	id, items, err := DecodeBatchRequest(payload)
+	if err != nil {
+		return
 	}
-	f.Add([]byte{})
-	f.Add([]byte{tagRequest})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		id, server, req, err := DecodeRequest(payload)
-		if err != nil {
-			return
-		}
-		frame, err := AppendRequest(nil, id, server, req)
-		if err != nil {
-			t.Fatalf("decoded request fails to re-encode: %v", err)
-		}
-		if !bytes.Equal(frame[4:], payload) {
-			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", frame[4:], payload)
-		}
-	})
+	frame, err := AppendBatchRequest(nil, id, items)
+	if err != nil {
+		t.Fatalf("decoded batch fails to re-encode: %v", err)
+	}
+	if !bytes.Equal(frame[4:], payload) {
+		t.Fatalf("re-encode mismatch:\n got %x\nwant %x", frame[4:], payload)
+	}
 }
 
-// FuzzDecodeResponse is the response-side twin of FuzzDecodeRequest.
-func FuzzDecodeResponse(f *testing.F) {
-	for _, tc := range responseCases {
-		frame, err := AppendResponse(nil, tc.id, tc.resp)
+// fuzzDecodeResponse is the response-side twin of fuzzDecodeRequest.
+func fuzzDecodeResponse(t *testing.T, payload []byte) {
+	id, resps, err := DecodeBatchResponse(payload)
+	if err != nil {
+		return
+	}
+	frame, err := AppendBatchResponse(nil, id, resps)
+	if err != nil {
+		t.Fatalf("decoded batch fails to re-encode: %v", err)
+	}
+	if !bytes.Equal(frame[4:], payload) {
+		t.Fatalf("re-encode mismatch:\n got %x\nwant %x", frame[4:], payload)
+	}
+}
+
+// FuzzDecodeRequest starts the request decoder's fuzzer from lone keyless
+// operations — the shape of DefaultKey traffic.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, tc := range requestCases {
+		frame, err := AppendBatchRequest(nil, tc.id, []sim.BatchItem{{Server: int(tc.server), Req: tc.req}})
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(frame[4:])
 	}
 	f.Add([]byte{})
-	f.Add([]byte{tagResponse})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		id, resp, err := DecodeResponse(payload)
+	f.Add([]byte{0x51}) // retired tag
+	f.Fuzz(fuzzDecodeRequest)
+}
+
+// FuzzDecodeResponse starts the response decoder's fuzzer from lone
+// answers — the shape of a probe's reply and of a control ack.
+func FuzzDecodeResponse(f *testing.F) {
+	for _, tc := range responseCases {
+		frame, err := AppendBatchResponse(nil, tc.id, []sim.Response{tc.resp})
 		if err != nil {
-			return
+			f.Fatal(err)
 		}
-		frame, err := AppendResponse(nil, id, resp)
+		f.Add(frame[4:])
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x52}) // retired tag
+	f.Fuzz(fuzzDecodeResponse)
+}
+
+// FuzzDecodeBatchRequest starts the same fuzzer from keyed and multi-item
+// frames, plus payloads of other kinds — a control frame, a retired
+// hello — that the decoder must reject.
+func FuzzDecodeBatchRequest(f *testing.F) {
+	for _, tc := range batchRequestCases {
+		if len(tc.items) > 8 {
+			continue // keep the seed corpus small
+		}
+		frame, err := AppendBatchRequest(nil, tc.id, tc.items)
 		if err != nil {
-			t.Fatalf("decoded response fails to re-encode: %v", err)
+			f.Fatal(err)
 		}
-		if !bytes.Equal(frame[4:], payload) {
-			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", frame[4:], payload)
+		f.Add(frame[4:])
+	}
+	f.Add([]byte{})
+	f.Add([]byte{tagBatchRequest})
+	f.Add([]byte{0x54, 2}) // retired hello
+	if ctl, err := AppendControl(nil, 3, 1, sim.Crashed); err == nil {
+		f.Add(ctl[4:])
+	}
+	if keyless, err := AppendBatchRequest(nil, 5, []sim.BatchItem{
+		{Server: 1, Req: sim.Request{Op: sim.OpWrite, Value: sim.TaggedValue{Value: "v", TS: sim.Timestamp{Seq: 1}}}},
+		{Server: 2, Req: sim.Request{Op: sim.OpWrite, Key: "k", Value: sim.TaggedValue{Value: "v", TS: sim.Timestamp{Seq: 1}}}},
+	}); err == nil {
+		f.Add(keyless[4:])
+	}
+	f.Fuzz(fuzzDecodeRequest)
+}
+
+// FuzzDecodeBatchResponse is the response-side twin of
+// FuzzDecodeBatchRequest.
+func FuzzDecodeBatchResponse(f *testing.F) {
+	for _, tc := range batchResponseCases {
+		frame, err := AppendBatchResponse(nil, tc.id, tc.resps)
+		if err != nil {
+			f.Fatal(err)
 		}
-	})
+		f.Add(frame[4:])
+	}
+	f.Add([]byte{})
+	f.Add([]byte{tagBatchResponse})
+	f.Add([]byte{0x54, 2}) // retired hello
+	if ack, err := AppendBatchResponse(nil, 3, []sim.Response{{OK: true}}); err == nil {
+		f.Add(ack[4:]) // a control ack
+	}
+	f.Fuzz(fuzzDecodeResponse)
 }
 
 // FuzzRequestRoundTrip drives the encoder with arbitrary field values and
 // asserts the decoder returns them bit-for-bit.
 func FuzzRequestRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint32(3), byte(sim.OpWrite), int64(42), int64(7), int64(2), "value")
-	f.Add(uint64(0), uint32(0), byte(0), int64(-1), int64(math.MinInt64), int64(-1), "")
-	f.Fuzz(func(t *testing.T, id uint64, server uint32, op byte, reader, seq, writer int64, value string) {
-		req := sim.Request{
-			Op:       sim.Op(op),
-			ReaderID: int(reader),
-			Value:    sim.TaggedValue{Value: value, TS: sim.Timestamp{Seq: seq, Writer: int(writer)}},
-		}
-		frame, err := AppendRequest(nil, id, server, req)
-		if err != nil {
-			if len(value) > MaxValueLen {
-				return // correctly rejected
-			}
-			t.Fatal(err)
-		}
-		payload, err := ReadFrame(bytes.NewReader(frame), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotID, gotServer, gotReq, err := DecodeRequest(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
+	f.Add(uint64(1), uint32(3), byte(sim.OpWrite), int64(42), "key", int64(7), int64(2), "value")
+	f.Add(uint64(0), uint32(0), byte(0), int64(-1), "", int64(math.MinInt64), int64(-1), "")
+	f.Fuzz(func(t *testing.T, id uint64, server uint32, op byte, reader int64, key string, seq, writer int64, value string) {
 		// ReaderID and Writer travel as 64-bit, so they survive exactly on
 		// 64-bit platforms (int == int64 everywhere this repo targets).
-		if gotID != id || gotServer != server || gotReq != req {
-			t.Fatalf("round trip mangled message:\n got (%d, %d, %+v)\nwant (%d, %d, %+v)",
-				gotID, gotServer, gotReq, id, server, req)
+		item := sim.BatchItem{Server: int(server), Req: sim.Request{
+			Op:       sim.Op(op),
+			Key:      key,
+			ReaderID: int(reader),
+			Value:    sim.TaggedValue{Value: value, TS: sim.Timestamp{Seq: seq, Writer: int(writer)}},
+		}}
+		if !fitsFrame(item) {
+			if _, err := AppendBatchRequest(nil, id, []sim.BatchItem{item}); err == nil {
+				t.Fatal("AppendBatchRequest accepted an item fitsFrame refuses")
+			}
+			return
 		}
+		checkRequestRoundTrip(t, id, []sim.BatchItem{item})
 	})
 }

@@ -8,8 +8,8 @@ import (
 	"bqs/internal/reconfig"
 )
 
-// Reconfiguration control frames. Protocol v2 clients and servers agree
-// on the current configuration epoch with one extra frame kind:
+// Reconfiguration control frames. Clients and servers agree on the
+// current configuration epoch with one extra frame kind:
 //
 //	reconfig   := tagReconfig id:u64 kind:u8 body
 //	body       := epoch:u64            (kind announce)
@@ -25,8 +25,8 @@ import (
 //     after this frame was routed with epoch E's quorum system." The
 //     server gates announced connections: a request arriving at a
 //     different epoch is answered with wrongepoch instead of reaching a
-//     replica. Connections that never announce are served ungated,
-//     exactly like v1 peers — the epoch plane is opt-in.
+//     replica. Connections that never announce are served ungated — the
+//     epoch plane is opt-in.
 //   - install (coordinator → server, answered with state): adopt the
 //     record if its epoch is newer, merging the shard's replica state
 //     into the replicas that remain in the new universe. Idempotent: a

@@ -72,6 +72,15 @@ func TestAppendReconfigRejects(t *testing.T) {
 			t.Errorf("%s: AppendReconfig accepted %+v", name, f)
 		}
 	}
+	// A server reply over such a record keeps the kind its caller waits
+	// for, saying "nothing installed" — any other frame kind would make
+	// the client tear the connection down.
+	for _, kind := range []ReconfigKind{ReconfigState, ReconfigWrongEpoch} {
+		id, f, err := DecodeReconfig(recordFrame(7, kind, cases["oversized-b"].Rec)[4:])
+		if err != nil || id != 7 || f != (ReconfigFrame{Kind: kind}) {
+			t.Errorf("recordFrame(%v) over an unencodable record = id %d %+v, %v; want an empty %v frame", kind, id, f, err, kind)
+		}
+	}
 }
 
 func TestDecodeReconfigRejectsMalformed(t *testing.T) {
@@ -88,7 +97,7 @@ func TestDecodeReconfigRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":        {},
 		"short-header": payload[:5],
-		"wrong-tag":    append([]byte{tagRequest}, payload[1:]...),
+		"wrong-tag":    append([]byte{tagBatchRequest}, payload[1:]...),
 		"unknown-kind": func() []byte {
 			p := append([]byte{}, payload...)
 			p[9] = 99
@@ -129,8 +138,8 @@ func TestDecodeReconfigRejectsMalformed(t *testing.T) {
 // identical frame — the epoch plane keeps the decode/re-encode identity
 // every other frame kind pins. Seeds cover all five kinds, the
 // empty-body state/wrongepoch encoding of the zero record, and
-// cross-kind payloads (hello, v1 request, v2 batch) that must be
-// rejected here.
+// cross-kind payloads (a retired hello, a control frame, a batch) that
+// must be rejected here.
 func FuzzReconfigFrame(f *testing.F) {
 	for _, tc := range reconfigFrameCases {
 		frame, err := AppendReconfig(nil, tc.id, tc.f)
@@ -142,9 +151,9 @@ func FuzzReconfigFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{tagReconfig})
 	f.Add([]byte{tagReconfig, 0, 0, 0, 0, 0, 0, 0, 1, 99})
-	f.Add(AppendHello(nil, 2)[4:])
-	if v1, err := AppendRequest(nil, 3, 1, sim.Request{Op: sim.OpRead, ReaderID: 1}); err == nil {
-		f.Add(v1[4:])
+	f.Add([]byte{0x54, 2}) // retired hello
+	if ctl, err := AppendControl(nil, 3, 1, sim.Crashed); err == nil {
+		f.Add(ctl[4:])
 	}
 	if batch, err := AppendBatchRequest(nil, 4, []sim.BatchItem{{Server: 0, Req: sim.Request{Op: sim.OpRead, Key: "k"}}}); err == nil {
 		f.Add(batch[4:])

@@ -46,7 +46,7 @@ func TestControlRejectsMalformed(t *testing.T) {
 		t.Fatal("oversized control decoded")
 	}
 	bad := append([]byte(nil), payload...)
-	bad[0] = tagRequest
+	bad[0] = tagBatchRequest
 	if _, _, _, err := DecodeControl(bad); err == nil {
 		t.Fatal("wrong tag decoded")
 	}

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bqs/internal/obs"
 	"bqs/internal/sim"
 	"bqs/internal/systems"
 )
@@ -275,10 +277,12 @@ func TestWirePipelining(t *testing.T) {
 
 // TestWireInvokeContract pins the transport error contract: ctx done is
 // an error, unrouted servers are an error, probes to a live daemon for a
-// server it does not host are OK: false (suspicion, not abort).
+// server it does not host — and probes no frame can carry — are OK: false
+// (suspicion, not abort).
 func TestWireInvokeContract(t *testing.T) {
 	addr, _ := startShard(t, newReplicas([]int{0}))
-	tr, err := Dial(map[int]string{0: addr, 1: addr})
+	reg := obs.NewRegistry()
+	tr, err := Dial(map[int]string{0: addr, 1: addr}, WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,10 +308,34 @@ func TestWireInvokeContract(t *testing.T) {
 	if err != nil || resp.OK {
 		t.Fatalf("unknown-op probe: resp=%+v err=%v, want OK:false and nil error", resp, err)
 	}
+	// A value one byte past MaxValueLen cannot travel: keyed or keyless,
+	// the probe reads as unresponsive — never an abort — and nothing is
+	// sent.
+	longest := sim.TaggedValue{Value: strings.Repeat("v", MaxValueLen), TS: sim.Timestamp{Seq: 1, Writer: 1}}
+	huge := sim.TaggedValue{Value: longest.Value + "v", TS: sim.Timestamp{Seq: 2, Writer: 1}}
+	longKey := strings.Repeat("k", MaxKeyLen)
+	for _, key := range []string{"", "k", longKey} {
+		resp, err = tr.Invoke(ctx, 0, sim.Request{Op: sim.OpWrite, Key: key, Value: huge})
+		if err != nil || resp.OK {
+			t.Fatalf("oversized write under a %d-byte key: resp.OK=%v err=%v, want OK:false and nil error", len(key), resp.OK, err)
+		}
+	}
+	// Exactly MaxValueLen travels both ways, even under the longest key.
+	resp, err = tr.Invoke(ctx, 0, sim.Request{Op: sim.OpWrite, Key: longKey, Value: longest})
+	if err != nil || !resp.OK {
+		t.Fatalf("MaxValueLen write under a MaxKeyLen key: resp.OK=%v err=%v", resp.OK, err)
+	}
+	resp, err = tr.Invoke(ctx, 0, sim.Request{Op: sim.OpRead, Key: longKey})
+	if err != nil || !resp.OK || resp.Value != longest {
+		t.Fatalf("MaxValueLen read back: OK=%v err=%v, %d value bytes", resp.OK, err, len(resp.Value.Value))
+	}
 	// The connection survived all of the above.
 	resp, err = tr.Invoke(ctx, 0, sim.Request{Op: sim.OpRead})
 	if err != nil || !resp.OK {
 		t.Fatalf("healthy probe after misroutes: resp=%+v err=%v", resp, err)
+	}
+	if v, _ := reg.Value("bqs_wire_dials_total", "result", "ok"); v != 1 {
+		t.Fatalf("the contract cases cost %v connections, want the 1 they all share", v)
 	}
 }
 
@@ -358,23 +386,36 @@ func TestServerGracefulShutdown(t *testing.T) {
 	lis2.Close()
 }
 
-// TestServerRejectsGarbage verifies a malformed stream just drops the
-// connection without wedging the server.
+// TestServerRejectsGarbage verifies a malformed stream — or a well-framed
+// payload under a tag this build does not speak, the retired ones
+// included — just drops the connection without wedging the server.
 func TestServerRejectsGarbage(t *testing.T) {
 	addr, _ := startShard(t, newReplicas([]int{0}))
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	for name, stream := range map[string][]byte{
+		"garbage-prefix": {0xff, 0xff, 0xff, 0xff, 1, 2, 3},
+		"unknown-tag":    {0, 0, 0, 1, 0x7f},
+		// The retired frames, byte for byte as their last build sent them:
+		// a keyless read of server 0, its answer, a version-2 hello.
+		"retired-request":  append([]byte{0, 0, 0, 42, 0x51, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2}, make([]byte, 28)...),
+		"retired-response": append([]byte{0, 0, 0, 30, 0x52, 0, 0, 0, 0, 0, 0, 0, 1, 1}, make([]byte, 20)...),
+		"retired-hello":    {0, 0, 0, 2, 0x54, 2},
+	} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 1)
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := nc.Read(buf); err == nil {
+			t.Fatalf("%s: server answered instead of dropping the connection", name)
+		} else if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: server kept the connection open", name)
+		}
+		nc.Close()
 	}
-	if _, err := nc.Write([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1)
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := nc.Read(buf); err == nil {
-		t.Fatal("server answered a garbage frame instead of dropping the connection")
-	}
-	nc.Close()
 	// The server still serves well-formed clients.
 	tr, err := Dial(map[int]string{0: addr})
 	if err != nil {

@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"strconv"
-
-	"bqs/internal/obs"
-)
+import "bqs/internal/obs"
 
 // wireMetrics is the pre-resolved instrument set for one side of the
 // protocol. Client and server register the same series distinguished by
@@ -12,9 +8,7 @@ import (
 // separate. All fields are nil without a registry; obs instruments are
 // nil-safe, so call sites need no guards.
 type wireMetrics struct {
-	on   bool
-	reg  *obs.Registry
-	side string
+	reg *obs.Registry
 
 	framesIn   *obs.Counter   // bqs_wire_frames_total{side,dir="in"}
 	framesOut  *obs.Counter   // bqs_wire_frames_total{side,dir="out"}
@@ -31,9 +25,7 @@ func newWireMetrics(reg *obs.Registry, side string) *wireMetrics {
 		return &wireMetrics{}
 	}
 	return &wireMetrics{
-		on:         true,
 		reg:        reg,
-		side:       side,
 		framesIn:   reg.Counter("bqs_wire_frames_total", "side", side, "dir", "in"),
 		framesOut:  reg.Counter("bqs_wire_frames_total", "side", side, "dir", "out"),
 		bytesIn:    reg.Counter("bqs_wire_bytes_total", "side", side, "dir", "in"),
@@ -43,15 +35,4 @@ func newWireMetrics(reg *obs.Registry, side string) *wireMetrics {
 		dialsErr:   reg.Counter("bqs_wire_dials_total", "result", "err"),
 		wrongEpoch: reg.Counter("bqs_wire_wrong_epoch_total", "side", side),
 	}
-}
-
-// connNegotiated counts one connection at its negotiated protocol
-// version — the live version-mix series for a fleet mid-upgrade.
-// Registration is get-or-create, so the registry lookup per connection
-// is a cold-path map hit, not a new series each time.
-func (m *wireMetrics) connNegotiated(ver int) {
-	if m == nil || !m.on {
-		return
-	}
-	m.reg.Counter("bqs_wire_conns_total", "side", m.side, "version", strconv.Itoa(ver)).Inc()
 }

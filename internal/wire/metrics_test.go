@@ -12,10 +12,10 @@ import (
 
 // TestWireMetricsEndToEnd drives real frames over loopback with both
 // sides instrumented into separate registries and pins the series: frame
-// and byte counters by direction, the negotiated-version mix, batch-op
-// distributions, dial outcomes, and the server's open-connection gauge.
-// The client and server views must be mirror images — every frame the
-// client sends is a frame the server receives.
+// and byte counters by direction, batch-op distributions, dial outcomes,
+// and the server's open-connection gauge. The client and server views
+// must be mirror images — every frame the client sends is a frame the
+// server receives.
 func TestWireMetricsEndToEnd(t *testing.T) {
 	regS := obs.NewRegistry()
 	regC := obs.NewRegistry()
@@ -53,10 +53,10 @@ func TestWireMetricsEndToEnd(t *testing.T) {
 	if v, _ := regC.Value("bqs_wire_dials_total", "result", "err"); v != 0 {
 		t.Fatalf("client dial errors = %v, want 0", v)
 	}
-	// Hello + 20 requests out; hello-ack + 20 responses in. The server
-	// counts a frame out after its write returns, by which time the client
-	// may already have read the reply and returned — so the mirror is
-	// polled until it settles rather than read once.
+	// 20 requests out, 20 responses in. The server counts a frame out
+	// after its write returns, by which time the client may already have
+	// read the reply and returned — so the mirror is polled until it
+	// settles rather than read once.
 	frames := func(reg *obs.Registry, side, dir string) float64 {
 		v, _ := reg.Value("bqs_wire_frames_total", "side", side, "dir", dir)
 		return v
@@ -69,8 +69,8 @@ func TestWireMetricsEndToEnd(t *testing.T) {
 			break
 		}
 	}
-	if cOut < ops+1 || cIn < ops+1 {
-		t.Fatalf("client frames out=%v in=%v, want >= %d each", cOut, cIn, ops+1)
+	if cOut != ops || cIn != ops {
+		t.Fatalf("client frames out=%v in=%v, want %d each", cOut, cIn, ops)
 	}
 	if cOut != sIn || cIn != sOut {
 		t.Fatalf("mirror broken: client out=%v server in=%v, client in=%v server out=%v",
@@ -82,20 +82,13 @@ func TestWireMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("bytes mirror broken: client out=%v server in=%v", cBytesOut, sBytesIn)
 	}
 
-	// Both sides saw one connection negotiate the current version.
-	ver := "2"
-	if v, _ := regC.Value("bqs_wire_conns_total", "side", "client", "version", ver); v != 1 {
-		t.Fatalf("client conns at v%s = %v, want 1", ver, v)
-	}
-	if v, _ := regS.Value("bqs_wire_conns_total", "side", "server", "version", ver); v != 1 {
-		t.Fatalf("server conns at v%s = %v, want 1", ver, v)
-	}
 	if v, _ := regS.Value("bqs_wire_open_conns_count"); v != 1 {
 		t.Fatalf("open conns gauge = %v, want 1", v)
 	}
 
-	// Batch frames feed the per-frame op-count distributions on both
-	// sides.
+	// Every data frame feeds the per-frame op-count distributions on both
+	// sides: the 20 lone probes above as frames of one, then a frame of
+	// three.
 	items := []sim.BatchItem{
 		{Server: 0, Req: sim.Request{Op: sim.OpRead}},
 		{Server: 1, Req: sim.Request{Op: sim.OpRead}},
@@ -106,11 +99,11 @@ func TestWireMetricsEndToEnd(t *testing.T) {
 	}
 	ch := regC.Histogram("bqs_wire_batch_ops", obs.SizeBuckets, "side", "client")
 	sh := regS.Histogram("bqs_wire_batch_ops", obs.SizeBuckets, "side", "server")
-	if ch.Count() != 1 || int(ch.Sum()) != len(items) {
-		t.Fatalf("client batch hist count=%d sum=%v, want 1 frame of %d ops", ch.Count(), ch.Sum(), len(items))
+	if ch.Count() != ops+1 || int(ch.Sum()) != ops+len(items) {
+		t.Fatalf("client batch hist count=%d sum=%v, want %d frames carrying %d ops", ch.Count(), ch.Sum(), ops+1, ops+len(items))
 	}
-	if sh.Count() != 1 || int(sh.Sum()) != len(items) {
-		t.Fatalf("server batch hist count=%d sum=%v, want 1 frame of %d ops", sh.Count(), sh.Sum(), len(items))
+	if sh.Count() != ops+1 || int(sh.Sum()) != ops+len(items) {
+		t.Fatalf("server batch hist count=%d sum=%v, want %d frames carrying %d ops", sh.Count(), sh.Sum(), ops+1, ops+len(items))
 	}
 
 	// Closing the client drains the server's open-connection gauge.
@@ -155,31 +148,5 @@ func TestWireMetricsDialError(t *testing.T) {
 	evs := reg.Events()
 	if len(evs) == 0 {
 		t.Fatal("dial failure left no event")
-	}
-}
-
-// TestWireMetricsV1 pins the version-mix label under a capped client: a
-// v1 connection shows up as version="1" on the client side.
-func TestWireMetricsV1(t *testing.T) {
-	reps := newReplicas([]int{0})
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(reps)
-	go srv.Serve(lis)
-	defer srv.Close()
-
-	reg := obs.NewRegistry()
-	cl, err := Dial(map[int]string{0: lis.Addr().String()}, WithMetrics(reg), WithVersion(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if resp, err := cl.Invoke(context.Background(), 0, sim.Request{Op: sim.OpRead}); err != nil || !resp.OK {
-		t.Fatalf("v1 read: resp %+v err %v", resp, err)
-	}
-	if v, _ := reg.Value("bqs_wire_conns_total", "side", "client", "version", "1"); v != 1 {
-		t.Fatalf(`conns{version="1"} = %v, want 1`, v)
 	}
 }

@@ -48,8 +48,8 @@ type Server struct {
 type ServerOption func(*Server)
 
 // WithServerMetrics wires the daemon into an obs.Registry: frames and
-// bytes in each direction, batch-frame op counts, negotiated-version
-// counts, and a live open-connection gauge. A nil registry is a no-op.
+// bytes in each direction, batch-frame op counts, and a live
+// open-connection gauge. A nil registry is a no-op.
 func WithServerMetrics(reg *obs.Registry) ServerOption {
 	return func(s *Server) {
 		if reg == nil {
@@ -146,13 +146,11 @@ func (s *Server) Serve(lis net.Listener) error {
 	}
 }
 
-// serveConn reads request, batch, control and hello frames and answers
-// them. Version negotiation is stateless on this side: a hello is
-// answered with min(ProtoVersion, client's version), and every frame
-// kind is accepted at any time — a connection that never says hello is
-// simply a v1 peer sending v1 frames. A malformed frame is a protocol
-// error: the connection is dropped (a well-behaved peer never sends one,
-// and there is no way to re-synchronize a corrupt stream).
+// serveConn reads batch, control and reconfig frames and answers them. A
+// malformed frame or an unknown tag is a protocol error: the connection
+// is dropped (a well-behaved peer never sends one, and there is no way to
+// re-synchronize a corrupt stream) — which is also the whole of version
+// compatibility, since the peer reads the drop as a crashed shard.
 func (s *Server) serveConn(nc net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -195,14 +193,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.met.bytesIn.Add(int64(len(frame)) + 4) // +4: the length prefix is wire bytes too
 		var encode func() []byte                 // deferred so it runs on the handler goroutine
 		switch frame[0] {
-		case tagHello:
-			cv, err := DecodeHello(frame)
-			if err != nil {
-				return
-			}
-			s.met.connNegotiated(min(ProtoVersion, int(cv)))
-			send(AppendHello(nil, byte(min(ProtoVersion, int(cv)))))
-			continue
 		case tagReconfig:
 			recID, rf, err := DecodeReconfig(frame)
 			if err != nil {
@@ -214,43 +204,14 @@ func (s *Server) serveConn(nc net.Conn) {
 				continue // no reply; the next frames are gated at this epoch
 			case ReconfigInstall:
 				rec := rf.Rec
-				encode = func() []byte {
-					out, err := AppendReconfig(nil, recID, ReconfigFrame{Kind: ReconfigState, Rec: s.install(rec)})
-					if err != nil {
-						out, _ = AppendResponse(nil, recID, sim.Response{OK: false})
-					}
-					return out
-				}
+				encode = func() []byte { return recordFrame(recID, ReconfigState, s.install(rec)) }
 			case ReconfigQuery:
 				encode = func() []byte {
 					cur, _ := s.CurrentRecord()
-					// A zero record travels as an empty state body: "no
-					// install yet".
-					out, err := AppendReconfig(nil, recID, ReconfigFrame{Kind: ReconfigState, Rec: cur})
-					if err != nil {
-						out, _ = AppendResponse(nil, recID, sim.Response{OK: false})
-					}
-					return out
+					return recordFrame(recID, ReconfigState, cur)
 				}
 			default:
 				return // state/wrongepoch are server→client only: protocol error
-			}
-		case tagRequest:
-			reqID, server, req, err := DecodeRequest(frame)
-			if err != nil {
-				return
-			}
-			ann, set := announced, annSet
-			encode = func() []byte {
-				return s.gated(set, ann, reqID, func() []byte {
-					out, err := AppendResponse(nil, reqID, s.handle(server, req))
-					if err != nil {
-						// A response that cannot be encoded (oversized value from
-						// a Byzantine replica) degrades to unresponsiveness.
-						out, _ = AppendResponse(nil, reqID, sim.Response{OK: false})
-					}
-					return out
-				})
 			}
 		case tagBatchRequest:
 			batchID, items, err := DecodeBatchRequest(frame)
@@ -272,7 +233,7 @@ func (s *Server) serveConn(nc net.Conn) {
 				return
 			}
 			encode = func() []byte {
-				out, _ := AppendResponse(nil, ctlID, s.control(server, behavior))
+				out, _ := AppendBatchResponse(nil, ctlID, []sim.Response{s.control(server, behavior)})
 				return out
 			}
 		default:
@@ -292,29 +253,30 @@ func (s *Server) serveConn(nc net.Conn) {
 // is dispatched to the replica hosting its server — concurrently, because
 // a durable replica may park an item on its store's group commit, and
 // serializing the frame would turn one fsync per frame into one per item
-// — and the responses align index-by-index with the items. An item for a
-// server this shard does not host — or one whose value cannot travel
-// back — answers Response{OK: false}, per item, exactly as the
-// single-frame path does; degradation is always per item, never per
-// frame, so one huge stored value cannot make the shard's other replicas
-// read as crashed. The returned responses are guaranteed to fit one
-// frame: values are dropped item by item once the running total would
-// exceed MaxFrame (the flags+header floor of every item fits MaxBatchOps
-// many times over).
+// — and the responses align index-by-index with the items. The first item
+// (the decoder admits no empty batch) runs on the calling handler
+// goroutine, which would otherwise only wait, so a frame of one — a lone
+// probe — costs no goroutine beyond its handler. An item for a server
+// this shard does not host — or one whose value cannot travel back (an
+// oversized answer from a Byzantine replica) — answers
+// Response{OK: false}; degradation is always per item, never per frame,
+// so one huge stored value cannot make the shard's other replicas read as
+// crashed. The returned responses are guaranteed to fit one frame: values
+// are dropped item by item once the running total would exceed MaxFrame
+// (the flags+header floor of every item fits MaxBatchOps many times
+// over).
 func (s *Server) handleBatch(items []sim.BatchItem) []sim.Response {
 	s.met.batchOps.Observe(float64(len(items)))
 	out := make([]sim.Response, len(items))
 	var wg sync.WaitGroup
-	for i, it := range items {
-		if it.Server < 0 {
-			continue // out[i] stays Response{OK: false}
-		}
+	for i, it := range items[1:] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i] = s.handle(uint32(it.Server), it.Req)
+			out[i+1] = s.handle(it.Server, it.Req)
 		}()
 	}
+	out[0] = s.handle(items[0].Server, items[0].Req)
 	wg.Wait()
 	total := batchHeaderLen
 	for i, resp := range out {
@@ -345,8 +307,8 @@ func (s *Server) beginRequest() bool {
 // server this shard does not host answers Response{OK: false}: to the
 // client that is indistinguishable from a crash, which is the correct
 // suspicion signal for a misconfigured route.
-func (s *Server) handle(server uint32, req sim.Request) sim.Response {
-	rep, ok := s.replicas[int(server)]
+func (s *Server) handle(server int, req sim.Request) sim.Response {
+	rep, ok := s.replicas[server]
 	if !ok {
 		return sim.Response{OK: false}
 	}
@@ -418,7 +380,7 @@ func (s *Server) mergeReplicasLocked(universe int) {
 // straddle an install — and a mismatch answers a wrongepoch frame
 // carrying the shard's record (the retriable OK: false signal on the
 // client side, never an abort). Connections that never announced are
-// served ungated, exactly like v1 peers.
+// served ungated: the epoch plane is opt-in.
 func (s *Server) gated(annSet bool, announced, id uint64, work func() []byte) []byte {
 	if !annSet {
 		return work()
@@ -427,13 +389,23 @@ func (s *Server) gated(annSet bool, announced, id uint64, work func() []byte) []
 	defer s.epochMu.RUnlock()
 	if announced != s.rec.Epoch {
 		s.met.wrongEpoch.Inc()
-		out, err := AppendReconfig(nil, id, ReconfigFrame{Kind: ReconfigWrongEpoch, Rec: s.rec})
-		if err != nil {
-			out, _ = AppendResponse(nil, id, sim.Response{OK: false})
-		}
-		return out
+		return recordFrame(id, ReconfigWrongEpoch, s.rec)
 	}
 	return work()
+}
+
+// recordFrame encodes the shard's record as a state or wrongepoch reply.
+// A record only reaches the shard through DecodeReconfig, which validates
+// it exactly as the encoder does; should one fail to encode regardless,
+// the reply says "nothing installed" — still the frame kind the caller is
+// waiting for, where any other kind would make the client tear the whole
+// connection down.
+func recordFrame(id uint64, kind ReconfigKind, rec reconfig.Record) []byte {
+	out, err := AppendReconfig(nil, id, ReconfigFrame{Kind: kind, Rec: rec})
+	if err != nil {
+		out, _ = AppendReconfig(nil, id, ReconfigFrame{Kind: kind})
+	}
+	return out
 }
 
 // control applies a remote behavior flip to the addressed replica — the
