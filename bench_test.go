@@ -19,20 +19,20 @@ import (
 	"testing"
 
 	"bqs"
-	"bqs/internal/bench"
 	"bqs/internal/lattice"
 	"bqs/internal/measures"
+	"bqs/internal/paper"
 )
 
 // --- Table 2 -------------------------------------------------------------
 
 func BenchmarkTable2(b *testing.B) {
-	cfg := bench.DefaultTable2Config()
+	cfg := paper.DefaultTable2Config()
 	cfg.Trials = 1000
-	var rows []bench.Table2Row
+	var rows []paper.Table2Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.Table2(cfg)
+		rows, err = paper.Table2(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,10 +50,10 @@ func BenchmarkTable2(b *testing.B) {
 // --- Section 8 worked example ---------------------------------------------
 
 func BenchmarkSection8(b *testing.B) {
-	var rows []bench.Section8Row
+	var rows []paper.Section8Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.Section8(1500, 7)
+		rows, err = paper.Section8(1500, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkSection8(b *testing.B) {
 
 func BenchmarkFigure1MGrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure1MGrid(int64(i)); err != nil {
+		if _, err := paper.Figure1MGrid(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func BenchmarkFigure1MGrid(b *testing.B) {
 
 func BenchmarkFigure2RT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure2RT(int64(i)); err != nil {
+		if _, err := paper.Figure2RT(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func BenchmarkFigure2RT(b *testing.B) {
 
 func BenchmarkFigure3MPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure3MPath(int64(i)); err != nil {
+		if _, err := paper.Figure3MPath(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func BenchmarkFigure3MPath(b *testing.B) {
 
 func BenchmarkLoadVsLowerBound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.LoadVsLowerBound(); err != nil {
+		if _, err := paper.LoadVsLowerBound(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,10 +175,10 @@ func BenchmarkRTParams(b *testing.B) {
 }
 
 func BenchmarkRTCriticalProbability(b *testing.B) {
-	var rows []bench.RTCriticalRow
+	var rows []paper.RTCriticalRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.RTCriticalProbabilities()
+		rows, err = paper.RTCriticalProbabilities()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func BenchmarkComposition(b *testing.B) {
 
 func BenchmarkResilienceLoadTradeoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.ResilienceLoadTradeoff()
+		rows, err := paper.ResilienceLoadTradeoff()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -691,7 +691,7 @@ func BenchmarkSessionBatched(b *testing.B) {
 func BenchmarkBoostingTable(b *testing.B) {
 	// §6 boosting applied to majority, NW-grid, FPP and crumbling wall.
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.BoostingTable(0.05, 300, 9)
+		rows, err := paper.BoostingTable(0.05, 300, 9)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -704,10 +704,10 @@ func BenchmarkBoostingTable(b *testing.B) {
 }
 
 func BenchmarkStrategyAblation(b *testing.B) {
-	var rows []bench.AblationRow
+	var rows []paper.AblationRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.StrategyAblation(2000, 11)
+		rows, err = paper.StrategyAblation(2000, 11)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -735,23 +735,6 @@ func BenchmarkMPathEdgeAblation(b *testing.B) {
 		}
 	}
 	b.ReportMetric(edge.Load()/vertex.Load(), "edge_vs_vertex_load")
-}
-
-func BenchmarkProbMaskingEpsilon(b *testing.B) {
-	// [MRWW98] extension: ε-masking beats the f ≤ nL tradeoff.
-	p, err := bqs.NewProbMasking(1024, 160, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var eps float64
-	for i := 0; i < b.N; i++ {
-		eps = p.EpsilonMasking()
-	}
-	breaks, _ := p.BreaksTradeoff()
-	if !breaks {
-		b.Fatal("probabilistic system should break f ≤ nL")
-	}
-	b.ReportMetric(eps, "epsilon")
 }
 
 func BenchmarkCrashPolynomial(b *testing.B) {

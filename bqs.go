@@ -70,9 +70,6 @@ type (
 	// MPathEdge is the square-lattice bond variant mentioned at the end
 	// of §7 (servers on edges, dual-path TB quorums).
 	MPathEdge = systems.MPathEdge
-	// ProbMasking is the probabilistic masking system of [MRWW98] cited
-	// in §8 as the way past the f ≤ nL tradeoff.
-	ProbMasking = systems.ProbMasking
 
 	// Cluster is a simulated server fleet behind a masking quorum system,
 	// safe for any number of concurrent clients.
@@ -195,17 +192,6 @@ type (
 	// ReconfigReport summarizes a completed Cluster.Reconfigure: the
 	// record installed, drain and total durations, keys handed off.
 	ReconfigReport = sim.ReconfigReport
-	// ReconfigInstaller is the transport seam Cluster.Reconfigure uses to
-	// push a record to remote shards; WireClient implements it when
-	// dialed with WithWireEpochs.
-	ReconfigInstaller = reconfig.Installer
-	// ReconfigPhase names the stations of the two-phase install
-	// (Idle → Proposed → Draining → CutOver → Retired), as exposed by the
-	// bqs_reconfig_phase gauge.
-	ReconfigPhase = reconfig.Phase
-	// WireReconfigFrame is the decoded payload of a wire reconfig control
-	// frame, for custom tooling over the epoch plane.
-	WireReconfigFrame = wire.ReconfigFrame
 )
 
 // Sentinel errors.
@@ -270,21 +256,11 @@ const (
 	// Client.Write operate on; the keyed API is a superset of that
 	// original data plane.
 	DefaultKey = sim.DefaultKey
-	// DefaultSessionBatch is the frame-size flush threshold NewSession
-	// uses unless WithSessionBatch overrides it.
-	DefaultSessionBatch = sim.DefaultSessionBatch
-	// DefaultSessionLinger is the frame linger NewSession uses unless
-	// WithSessionLinger overrides it.
-	DefaultSessionLinger = sim.DefaultSessionLinger
 )
 
 // WithSessionBatch sets how many probes a session frame holds before it
 // flushes; 1 disables coalescing (the unbatched baseline).
 func WithSessionBatch(n int) SessionOption { return sim.WithSessionBatch(n) }
-
-// WithSessionLinger sets how long a non-full session frame waits for
-// company before flushing; 0 flushes every probe immediately.
-func WithSessionLinger(d time.Duration) SessionOption { return sim.WithSessionLinger(d) }
 
 // NewSet returns an empty Set sized for a universe of n servers.
 func NewSet(n int) Set { return bitset.New(n) }
@@ -321,9 +297,6 @@ func NewAuthenticator() *Authenticator { return sim.NewAuthenticator() }
 // NewGrid returns the b-masking grid of [MR98a] on a d×d universe.
 func NewGrid(d, b int) (*Grid, error) { return systems.NewGrid(d, b) }
 
-// NewNWGrid returns the regular row-plus-column grid (the b = 0 Grid).
-func NewNWGrid(d int) (*Grid, error) { return systems.NewNWGrid(d) }
-
 // NewMGrid returns the M-Grid construction of §5.1 on a d×d universe:
 // quorums of √(b+1) rows plus √(b+1) columns, optimal load.
 func NewMGrid(d, b int) (*MGrid, error) { return systems.NewMGrid(d, b) }
@@ -343,10 +316,6 @@ func NewMPath(d, b int) (*MPath, error) { return systems.NewMPath(d, b) }
 // NewMPathEdge returns the square-lattice edge variant of M-Path: servers
 // on the bonds of a d×d grid, dual top-bottom paths (end of §7).
 func NewMPathEdge(d, b int) (*MPathEdge, error) { return systems.NewMPathEdge(d, b) }
-
-// NewProbMasking returns the probabilistic b-masking system of [MRWW98]
-// with quorum size s over n servers; see (*ProbMasking).EpsilonMasking.
-func NewProbMasking(n, s, b int) (*ProbMasking, error) { return systems.NewProbMasking(n, s, b) }
 
 // NewCrumblingWall returns the crumbling-wall regular system of [PW97b]
 // with the given row widths (explicit; small walls only).
@@ -443,23 +412,11 @@ func CrashProbabilityMC(sys System, p float64, trials int, rng *rand.Rand) (MCRe
 	return measures.CrashProbabilityMC(sys, p, trials, rng)
 }
 
-// CrashProbabilityExactVec computes the heterogeneous F_p exactly for a
-// per-server crash probability vector (universe ≤ 24).
-func CrashProbabilityExactVec(sys Enumerable, p []float64) (float64, error) {
-	return measures.CrashProbabilityExactVec(sys, p)
-}
-
 // CrashProbabilityExactModel computes F exactly under a full
 // FailureModel (per-server vector plus correlated domains); the model's
 // independent failure sources are capped at 24.
 func CrashProbabilityExactModel(sys Enumerable, m FailureModel) (float64, error) {
 	return measures.CrashProbabilityExactModel(sys, m)
-}
-
-// CrashProbabilityMCVec estimates the heterogeneous F_p by Monte Carlo
-// for a per-server probability vector.
-func CrashProbabilityMCVec(sys System, p []float64, trials int, rng *rand.Rand) (MCResult, error) {
-	return measures.CrashProbabilityMCVec(sys, p, trials, rng)
 }
 
 // CrashProbabilityMCModel estimates F under a full FailureModel by Monte
@@ -567,7 +524,7 @@ func ParseChurn(spec string) (ChurnConfig, error) { return sim.ParseChurn(spec) 
 
 // ParseAdversary parses the adversary spec: a strategy name (random,
 // targeted, timing) optionally followed by b=<budget>,
-// behavior=<ParseBehavior name>, interval=<duration>, seed=<int>.
+// behavior=<mode>, interval=<duration>, seed=<int>.
 func ParseAdversary(spec string) (AdversaryConfig, error) { return sim.ParseAdversary(spec) }
 
 // NewAdversary builds an adversarial Byzantine scheduler over an
@@ -578,11 +535,6 @@ func ParseAdversary(spec string) (AdversaryConfig, error) { return sim.ParseAdve
 func NewAdversary(cfg AdversaryConfig, f Flipper, loads LoadSource, n int) (*Adversary, error) {
 	return sim.NewAdversary(cfg, f, loads, n)
 }
-
-// ParseBehavior maps a behavior name ("correct", "crashed",
-// "byz-fabricate", "byz-stale", "byz-equivocate" and common aliases) to
-// its Behavior constant.
-func ParseBehavior(s string) (Behavior, error) { return sim.ParseBehavior(s) }
 
 // NewFaultController binds a fault schedule to the Flipper (a Cluster, or
 // a WireClient for remote deployments) that will apply it; run it with
@@ -636,15 +588,6 @@ func OpenDiskStore(dir string, opts ...DiskOption) (*DiskStore, error) {
 // last few records for throughput.
 func WithFsync(on bool) DiskOption { return store.WithFsync(on) }
 
-// WithSnapshotThreshold sets the WAL size that triggers a snapshot and
-// log truncation (default store.DefaultSnapshotThreshold).
-func WithSnapshotThreshold(n int64) DiskOption { return store.WithSnapshotThreshold(n) }
-
-// WithCommitLinger sets the durable engine's group-commit window — how
-// long the flusher collects concurrent writes before each fsync (default
-// store.DefaultCommitLinger; 0 flushes immediately).
-func WithCommitLinger(d time.Duration) DiskOption { return store.WithCommitLinger(d) }
-
 // NewWireServer returns a TCP daemon hosting the given replicas, keyed by
 // global server index. Start it with ListenAndServe or Serve; stop it
 // with Shutdown (graceful) or Close.
@@ -671,13 +614,6 @@ func DialWire(routes map[int]string, opts ...WireDialOption) (*WireClient, error
 // address (default 1; pipelining usually makes one enough).
 func WithWirePoolSize(n int) WireDialOption { return wire.WithPoolSize(n) }
 
-// WithWireDialTimeout bounds each connection attempt (default 2s).
-func WithWireDialTimeout(d time.Duration) WireDialOption { return wire.WithDialTimeout(d) }
-
-// WithWireRedialBackoff sets how long an address stays marked down after
-// a failed connection attempt (default 100ms).
-func WithWireRedialBackoff(d time.Duration) WireDialOption { return wire.WithRedialBackoff(d) }
-
 // ParseRoutes parses "0-8=hostA:7000,9-24=hostB:7000" into the route
 // table DialWire consumes.
 func ParseRoutes(spec string) (map[int]string, error) { return wire.ParseRoutes(spec) }
@@ -694,7 +630,7 @@ func CheckRouteCoverage(routes map[int]string, n int) error { return wire.CheckC
 // request is prefaced (once per connection per epoch) with an announce
 // frame pinning the epoch its quorum was drawn from, shards reject
 // mismatches with a retriable wrongepoch answer, and the client gains
-// InstallEpoch/FetchConfig plus the ReconfigInstaller seam
+// InstallEpoch/FetchConfig plus the installer seam
 // Cluster.Reconfigure drives. onStale, if non-nil, fires with the
 // shard's newer record whenever a request is bounced; it must not
 // block (it runs on the connection's read loop).

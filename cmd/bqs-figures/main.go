@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"os"
 
-	"bqs/internal/bench"
+	"bqs/internal/paper"
 )
 
 func main() {
@@ -30,25 +30,25 @@ func run() error {
 	trials := flag.Int("trials", 200, "percolation trials per point")
 	flag.Parse()
 
-	f1, err := bench.Figure1MGrid(*seed)
+	f1, err := paper.Figure1MGrid(*seed)
 	if err != nil {
 		return err
 	}
 	fmt.Println(f1)
 
-	f2, err := bench.Figure2RT(*seed)
+	f2, err := paper.Figure2RT(*seed)
 	if err != nil {
 		return err
 	}
 	fmt.Println(f2)
 
-	f3, err := bench.Figure3MPath(*seed)
+	f3, err := paper.Figure3MPath(*seed)
 	if err != nil {
 		return err
 	}
 	fmt.Println(f3)
 
-	perc, err := bench.PercolationFigure(*d, *k, *trials, *seed)
+	perc, err := paper.PercolationFigure(*d, *k, *trials, *seed)
 	if err != nil {
 		return err
 	}

@@ -15,15 +15,17 @@
 //	        [-fault-schedule SPEC] [-churn SPEC] [-suspicion-ttl 0]
 //	        [-availability SPEC] [-p-vector SPEC] [-domains SPEC]
 //	        [-adversary SPEC] [-reconfig SPEC] [-data-dir DIR] [-fsync=true]
-//	        [-bench-json out.json]
+//	        [-metrics-addr ADDR]
 //
 // With -duration the run is time-bounded instead of op-bounded. With
 // -strategy optimal, quorum selection samples the LP-optimal access
 // strategy of Definition 3.8 (solved at startup), so the measured load
 // converges to L(Q) itself; the run fails if a fault-free measurement
-// lands more than 10% from the LP value. The workload and report come
+// lands more than 10% from the LP value. The shared flags, the run
+// pipeline (workload, churn/adversary/resize drivers) and the report come
 // from internal/harness, shared with cmd/bqs-client, so in-memory and TCP
-// clusters are measured comparably.
+// clusters are measured comparably; this file keeps the in-memory knobs,
+// the availability experiment and the LP-convergence verdict.
 //
 // The keyed data plane: -keys N spreads operations over an N-key object
 // space with popularity -key-dist (uniform, or zipf:S for rank-S^-s skew
@@ -57,9 +59,7 @@
 // store (one engine per server under DIR/server-NNNN), so writes are
 // persisted before they are acknowledged and churn behaviors like
 // "recover=restart" exercise true crash-recovery; -fsync=false trades
-// tail durability for throughput. -bench-json PATH writes the run's
-// machine-readable benchmark snapshot (ops/s, p50/p99 latency, measured
-// load, store engine) for the CI bench trajectory.
+// tail durability for throughput.
 //
 // -availability replaces the workload with the Definition 3.10
 // experiment: many seeded epochs each crash servers i.i.d. with
@@ -105,56 +105,36 @@ func main() {
 }
 
 func run() error {
-	system := flag.String("system", "threshold", "quorum system: threshold|grid|mgrid|rt|boostfpp|mpath|wheel")
-	b := flag.Int("b", 3, "masking bound b")
-	strategy := flag.String("strategy", "uniform", "quorum selection: uniform|optimal (optimal installs the Definition 3.8 LP strategy)")
+	shared := harness.NewFlags("threshold", 3, 0)
+	shared.Register(flag.CommandLine)
 	byzantine := flag.Int("byzantine", 3, "number of Byzantine (fabricating) servers to inject")
 	crashed := flag.Int("crashed", 0, "number of crashed servers to inject")
-	clients := flag.Int("clients", 8, "concurrent clients")
-	ops := flag.Int("ops", 100, "operations per client (mixed ~50/50 writes and reads)")
-	duration := flag.Duration("duration", 0, "time-bounded run: clients issue ops until this elapses (overrides -ops)")
 	drop := flag.Float64("drop", 0, "per-message response-loss probability")
 	latency := flag.Duration("latency", 0, "base per-server round-trip latency")
 	jitter := flag.Duration("jitter", 0, "per-server latency jitter (uniform on [0,jitter])")
-	timeout := flag.Duration("timeout", 0, "per-operation deadline (0 = none)")
 	deterministic := flag.Bool("deterministic", false, "probe sequentially for exact reproducibility")
-	seed := flag.Int64("seed", 1, "random seed")
-	keys := flag.Int("keys", 0, "key-space size: each op targets one of N keys (0 = the single default register)")
-	keyDist := flag.String("key-dist", "uniform", "key popularity: uniform|zipf:S (S > 1, e.g. zipf:1.1)")
-	batch := flag.Int("batch", 1, "operations in flight per client via a Session; probes coalesce into batched frames (1 = blocking calls)")
-	faultSchedule := flag.String("fault-schedule", "", "fault timeline \"100ms:3:crashed,600ms:3:correct\" replayed while the workload runs")
-	churn := flag.String("churn", "", "stochastic churn \"mtbf=300ms,mttr=100ms[,down=behavior][,servers=lo-hi]\" over the -duration horizon")
-	suspicionTTL := flag.Duration("suspicion-ttl", 0, "client suspicion TTL so recovered servers regain traffic (0 = auto: 50ms when churn is active)")
-	availability := flag.String("availability", "", "availability experiment \"p=0.1,epochs=2000[,seed=N][,mctrials=N]\": empirical crash rate vs F_p(Q); replaces the workload")
+	availability := flag.String("availability", "", "availability experiment \"p=0.1,epochs=2000[,seed=N][,mctrials=N]\": empirical crash rate vs F_p(Q); replaces the workload (-adversary then places faults per epoch)")
 	pVector := flag.String("p-vector", "", "heterogeneous per-server crash probabilities for -availability: \"0.1\" uniform, \"0.1,0.2,...\" positional, or \"*:0.05,0-3:0.2\" ranged")
 	domains := flag.String("domains", "", "correlated failure domains for -availability: \"members:prob\" entries, e.g. \"0-3:0.05,8+12:0.2\"")
-	adversary := flag.String("adversary", "", "adversarial fault placement \"random|targeted|timing[,b=N][,behavior=MODE][,interval=D][,seed=N]\": live against the workload, or per-epoch with -availability")
-	reconfigSpec := flag.String("reconfig", "", "resize schedule \"at=5s:mgrid:36[,at=20s:compose:6x6]\" replayed while the workload runs; each target keeps -b")
 	dataDir := flag.String("data-dir", "", "back every server with a durable WAL+snapshot store under DIR/server-NNNN (empty = in-memory registers)")
 	fsync := flag.Bool("fsync", true, "fsync each durable group commit (only with -data-dir)")
-	benchJSON := flag.String("bench-json", "", "write the run's benchmark snapshot (ops/s, p50/p99, measured load) as JSON to this path")
-	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry on this address: /metrics (Prometheus), /vars, /events, /debug/pprof")
-	flag.Parse()
+	// Not flag.Parse: a test's non-exiting FlagSet gets the error back.
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		return err
+	}
+	b := shared.B
 
-	sys, err := harness.BuildSystem(*system, *b)
+	sys, err := harness.BuildSystem(shared.System, b)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("system: %s (n=%d, b=%d, f=%d)\n",
-		sys.Name(), sys.UniverseSize(), *b, bqs.Resilience(sys))
-
-	// The registry always exists — instruments are cheap and the bench
-	// snapshot reads its latency histograms — but the HTTP endpoint only
-	// binds under -metrics-addr.
-	reg := bqs.NewMetricsRegistry()
-	if *metricsAddr != "" {
-		ms, err := bqs.ServeMetrics(*metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer ms.Close()
-		fmt.Printf("metrics: http://%s/metrics (also /vars, /events, /debug/pprof)\n", ms.Addr())
+		sys.Name(), sys.UniverseSize(), b, bqs.Resilience(sys))
+	reg, stopMetrics, err := shared.Metrics()
+	if err != nil {
+		return err
 	}
+	defer stopMetrics()
 
 	if *availability != "" {
 		// The availability experiment defines its own workload and fault
@@ -163,69 +143,44 @@ func run() error {
 		if conflicts := availabilityFlagConflicts(); len(conflicts) > 0 {
 			return fmt.Errorf("-availability is a standalone experiment (only -system, -b, -seed, -p-vector, -domains and -adversary compose with it); drop -%s", strings.Join(conflicts, ", -"))
 		}
-		return runAvailability(sys, *b, *availability, *pVector, *domains, *adversary, *seed, reg)
+		return runAvailability(sys, b, *availability, *pVector, *domains, shared.Adversary, shared.Seed, reg)
 	}
 	if *pVector != "" || *domains != "" {
 		return fmt.Errorf("-p-vector and -domains shape the -availability crash model; for live-workload faults use -churn (per-group mtbf/mttr and correlated domains)")
 	}
-	var advCfg *bqs.AdversaryConfig
-	if *adversary != "" {
-		parsed, err := bqs.ParseAdversary(*adversary)
-		if err != nil {
-			return err
-		}
-		advCfg = &parsed
-	}
 
-	schedule, err := harness.BuildSchedule(*faultSchedule, *churn, sys.UniverseSize(), *duration, *seed)
-	if err != nil {
-		return err
-	}
-	reconfigSteps, err := harness.ParseReconfigSchedule(*reconfigSpec, *b)
-	if err != nil {
-		return err
-	}
-	ttl := harness.ChurnTTL(schedule, *suspicionTTL)
-	if advCfg != nil && ttl == 0 {
-		// A live adversary flips behaviors just like churn does; clients
-		// need suspicion aging to re-admit restored victims.
-		ttl = harness.DefaultChurnSuspicionTTL
-	}
-
-	opts := []bqs.ClusterOption{bqs.WithSeed(*seed), bqs.WithDropRate(*drop),
+	opts := []bqs.ClusterOption{bqs.WithSeed(shared.Seed), bqs.WithDropRate(*drop),
 		bqs.WithLatency(*latency, *jitter), bqs.WithMetrics(reg)}
-	stratOpt, err := harness.StrategyOption(*strategy)
-	if err != nil {
-		return err
-	}
-	if stratOpt != nil {
-		opts = append(opts, stratOpt)
-	}
 	if *deterministic {
 		opts = append(opts, bqs.WithDeterministic())
 		// Reproducibility needs a single-threaded workload: concurrent
 		// clients interleave nondeterministically over the shared servers
 		// and transport rng no matter how probes are issued.
-		if *clients != 1 {
-			fmt.Printf("note: -deterministic forces -clients 1 (was %d)\n", *clients)
-			*clients = 1
+		if shared.Clients != 1 {
+			fmt.Printf("note: -deterministic forces -clients 1 (was %d)\n", shared.Clients)
+			shared.Clients = 1
 		}
 		// Session pipelining interleaves operations nondeterministically.
-		if *batch > 1 {
-			fmt.Printf("note: -deterministic forces -batch 1 (was %d)\n", *batch)
-			*batch = 1
+		if shared.Batch > 1 {
+			fmt.Printf("note: -deterministic forces -batch 1 (was %d)\n", shared.Batch)
+			shared.Batch = 1
 		}
 	}
-	storeLabel := "memory"
+	plan, err := shared.Plan(sys)
+	if err != nil {
+		return err
+	}
+	if plan.Strategy != nil {
+		opts = append(opts, plan.Strategy)
+	}
 	if *dataDir != "" {
-		storeLabel = "durable"
 		dir, syncOn := *dataDir, *fsync
 		opts = append(opts, bqs.WithStores(func(id int) (bqs.Store, error) {
 			return bqs.OpenDiskStore(filepath.Join(dir, fmt.Sprintf("server-%04d", id)),
 				bqs.WithFsync(syncOn), bqs.WithStoreMetrics(reg))
 		}))
 	}
-	cluster, err := bqs.NewCluster(sys, *b, opts...)
+	cluster, err := bqs.NewCluster(sys, b, opts...)
 	if err != nil {
 		return err
 	}
@@ -233,7 +188,7 @@ func run() error {
 	if *dataDir != "" {
 		fmt.Printf("store: durable under %s (fsync=%v)\n", *dataDir, *fsync)
 	}
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(rand.NewSource(shared.Seed))
 	perm := rng.Perm(sys.UniverseSize())
 	if *byzantine+*crashed > len(perm) {
 		return fmt.Errorf("too many faults for %d servers", len(perm))
@@ -246,61 +201,16 @@ func run() error {
 	}
 	fmt.Printf("faults: %d byzantine (fabricating), %d crashed\n", *byzantine, *crashed)
 
-	dist, err := harness.ParseKeyDist(*keyDist)
+	counters, sum, err := plan.Execute(cluster, cluster, reg,
+		fmt.Sprintf("(strategy=%s, drop=%.3f, latency=%v±%v)", shared.Strategy, *drop, *latency, *jitter))
 	if err != nil {
 		return err
 	}
-	w := harness.Workload{Clients: *clients, Ops: *ops, Duration: *duration, Timeout: *timeout,
-		SuspicionTTL: ttl, Keys: *keys, Dist: dist, Batch: *batch, Seed: *seed}
-	fmt.Printf("workload: %s (strategy=%s, drop=%.3f, latency=%v±%v)\n",
-		w.Describe(), *strategy, *drop, *latency, *jitter)
-
-	// The churn engine, the adversary and the resize schedule run beside
-	// the workload, cancelled at the run boundary.
-	driver := harness.StartChurn(cluster, schedule, ttl, reg)
-	var advDriver *harness.AdversaryDriver
-	if advCfg != nil {
-		advDriver, err = harness.StartAdversary(*advCfg, cluster, cluster, sys.UniverseSize(), reg)
-		if err != nil {
-			return err
-		}
-	}
-	recDriver := harness.StartReconfig(cluster, reconfigSteps)
-	counters := harness.Run(cluster, w)
-	recErr := recDriver.Stop()
-	if err := advDriver.Stop(); err != nil {
-		return err
-	}
-	if err := driver.Stop(); err != nil {
-		return err
-	}
-	if recErr != nil {
-		return recErr
-	}
-
-	// After a resize the report and snapshot describe the system the run
-	// ended on — its universe sizes the Theorem 4.1 bounds and its LP is
-	// what the (current-epoch-only) measurement must converge to.
-	reportSys := sys
-	if recDriver.Applied() > 0 {
-		if hs, ok := cluster.System().(harness.System); ok {
-			reportSys = hs
-		}
-	}
-	sum := harness.Report(cluster, reportSys, *b, counters)
-	if *benchJSON != "" {
-		snap := harness.Snapshot("sim", reportSys, *b, storeLabel, w, counters, sum)
-		if err := harness.WriteBenchJSON(*benchJSON, []harness.BenchSnapshot{snap}); err != nil {
-			return err
-		}
-		fmt.Printf("bench: wrote %s (%.0f ops/s, p50 %.2fms, p99 %.2fms, %s store)\n",
-			*benchJSON, snap.OpsPerSec, snap.P50Ms, snap.P99Ms, snap.Store)
-	}
 	knob := "-ops"
-	if *duration > 0 {
+	if shared.Duration > 0 {
 		knob = "-duration"
 	}
-	faultFree := *crashed == 0 && *drop == 0 && schedule.FaultFree() && advCfg == nil
+	faultFree := *crashed == 0 && *drop == 0 && plan.Schedule.FaultFree() && plan.Adversary == nil
 	switch {
 	case !math.IsNaN(sum.StrategyLoad) && faultFree:
 		// With the LP strategy installed and no fault-driven re-selection,
@@ -312,11 +222,11 @@ func run() error {
 			return fmt.Errorf("measured peak load %.4f is %+.1f%% from the LP L(Q) = %.4f (outside 10%%) — increase %s for convergence, or report a strategy bug",
 				sum.Peak, 100*dev, sum.StrategyLoad, knob)
 		}
-	case math.IsNaN(sum.StrategyLoad) && *byzantine <= *b && faultFree && sum.Peak < sum.Lower:
+	case math.IsNaN(sum.StrategyLoad) && *byzantine <= b && faultFree && sum.Peak < sum.Lower:
 		fmt.Printf("  note: measurement below the lower bound — increase %s for convergence\n", knob)
 	}
 
-	withinBudget := *byzantine <= *b && (advCfg == nil || advCfg.B <= *b)
+	withinBudget := *byzantine <= b && (plan.Adversary == nil || plan.Adversary.B <= b)
 	if counters.Violations > 0 && withinBudget {
 		return fmt.Errorf("safety violated within the masking bound — this is a bug")
 	}

@@ -14,7 +14,7 @@ import (
 	"math/rand"
 	"os"
 
-	"bqs/internal/bench"
+	"bqs/internal/paper"
 	"bqs/internal/systems"
 )
 
@@ -35,52 +35,52 @@ func run() error {
 	want := func(name string) bool { return *only == "" || *only == name }
 
 	if want("table2") {
-		cfg := bench.DefaultTable2Config()
+		cfg := paper.DefaultTable2Config()
 		cfg.P = *p
 		cfg.Trials = *trials
 		cfg.Seed = *seed
-		rows, err := bench.Table2(cfg)
+		rows, err := paper.Table2(cfg)
 		if err != nil {
 			return err
 		}
 		fmt.Println("== Table 2: constructions at n ≈ 1024 ==")
-		fmt.Println(bench.FormatTable2(rows))
+		fmt.Println(paper.FormatTable2(rows))
 	}
 
 	if want("section8") {
-		rows, err := bench.Section8(*trials, *seed)
+		rows, err := paper.Section8(*trials, *seed)
 		if err != nil {
 			return err
 		}
 		fmt.Println("== Section 8 worked example ==")
-		fmt.Println(bench.FormatSection8(rows))
+		fmt.Println(paper.FormatSection8(rows))
 	}
 
 	if want("load") {
-		rows, err := bench.LoadVsLowerBound()
+		rows, err := paper.LoadVsLowerBound()
 		if err != nil {
 			return err
 		}
 		fmt.Println("== Load vs Theorem 4.1 / Corollary 4.2 lower bounds ==")
-		fmt.Println(bench.FormatLoadRows(rows))
+		fmt.Println(paper.FormatLoadRows(rows))
 	}
 
 	if want("rt") {
-		rows, err := bench.RTCriticalProbabilities()
+		rows, err := paper.RTCriticalProbabilities()
 		if err != nil {
 			return err
 		}
 		fmt.Println("== RT critical probabilities (Proposition 5.6) ==")
-		fmt.Println(bench.FormatRTCritical(rows))
+		fmt.Println(paper.FormatRTCritical(rows))
 	}
 
 	if want("tradeoff") {
-		rows, err := bench.ResilienceLoadTradeoff()
+		rows, err := paper.ResilienceLoadTradeoff()
 		if err != nil {
 			return err
 		}
 		fmt.Println("== Resilience–load tradeoff (Section 8) ==")
-		fmt.Println(bench.FormatTradeoff(rows))
+		fmt.Println(paper.FormatTradeoff(rows))
 	}
 
 	if want("crash") {
@@ -90,41 +90,41 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rtRows, err := bench.CrashSweep(rt, func(p float64) (float64, float64, error) {
+		rtRows, err := paper.CrashSweep(rt, func(p float64) (float64, float64, error) {
 			return rt.CrashProbability(p), 0, nil
 		}, ps)
 		if err != nil {
 			return err
 		}
 		fmt.Println("== Crash-probability sweeps vs lower bounds ==")
-		fmt.Println(bench.FormatCrashRows(rtRows))
+		fmt.Println(paper.FormatCrashRows(rtRows))
 		mg, err := systems.NewMGrid(32, 15)
 		if err != nil {
 			return err
 		}
-		mgRows, err := bench.CrashSweep(mg, bench.MCEvaluator(mg, *trials, rng), ps)
+		mgRows, err := paper.CrashSweep(mg, paper.MCEvaluator(mg, *trials, rng), ps)
 		if err != nil {
 			return err
 		}
-		fmt.Println(bench.FormatCrashRows(mgRows))
+		fmt.Println(paper.FormatCrashRows(mgRows))
 	}
 
 	if want("boosting") {
-		rows, err := bench.BoostingTable(*p, *trials, *seed)
+		rows, err := paper.BoostingTable(*p, *trials, *seed)
 		if err != nil {
 			return err
 		}
 		fmt.Println("== Boosting arbitrary regular systems (Section 6) ==")
-		fmt.Println(bench.FormatBoosting(rows))
+		fmt.Println(paper.FormatBoosting(rows))
 	}
 
 	if want("ablation") {
-		rows, err := bench.StrategyAblation(*trials, *seed)
+		rows, err := paper.StrategyAblation(*trials, *seed)
 		if err != nil {
 			return err
 		}
 		fmt.Println("== Strategy ablation (Definition 3.8 is about strategies) ==")
-		fmt.Println(bench.FormatAblation(rows))
+		fmt.Println(paper.FormatAblation(rows))
 	}
 	return nil
 }

@@ -2,11 +2,8 @@ package bqs_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"net"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -148,8 +145,6 @@ func TestWireKillAndRecover(t *testing.T) {
 // TestDurableThroughputRatio is the acceptance gauge for the durable
 // engine's cost: at batch=32 over TCP loopback, group commit must hold
 // the WAL+fsync store at no worse than half the in-memory throughput.
-// Both measurements land in a BENCH_*.json snapshot (written to
-// BQS_BENCH_DIR when set — CI uploads it — else the test's temp dir).
 func TestDurableThroughputRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive throughput gauge")
@@ -160,7 +155,8 @@ func TestDurableThroughputRatio(t *testing.T) {
 	}
 	w := harness.Workload{Clients: 4, Ops: 200, Batch: 32, Keys: 16, Seed: 3, Timeout: 10 * time.Second}
 
-	run := func(t *testing.T, root string) (harness.BenchSnapshot, harness.Counters) {
+	// run returns the delivered throughput (ok ops/s) next to the counters.
+	run := func(t *testing.T, root string) (float64, harness.Counters) {
 		t.Helper()
 		replicas := make(map[int]*bqs.Server, sys.UniverseSize())
 		for i := 0; i < sys.UniverseSize(); i++ {
@@ -196,22 +192,13 @@ func TestDurableThroughputRatio(t *testing.T) {
 			t.Fatal(err)
 		}
 		counters := harness.Run(cluster, w)
-		label := "memory"
-		if root != "" {
-			label = "durable"
-		}
-		sum := harness.Summary{
-			Peak:         cluster.PeakLoad(),
-			Lower:        bqs.LoadLowerBound(sys.UniverseSize(), 1, sys.MinQuorumSize()),
-			StrategyLoad: math.NaN(),
-		}
-		return harness.Snapshot("TestDurableThroughputRatio", sys, 1, label, w, counters, sum), counters
+		return float64(counters.Succeeded()) / counters.Elapsed.Seconds(), counters
 	}
 
 	// Interleaved best-of-3: a single trial per engine is hostage to
 	// scheduler noise, and the ratio of best-vs-best is what the 0.5×
 	// floor is meant to gauge.
-	var memSnap, durSnap harness.BenchSnapshot
+	var memBest, durBest float64
 	for trial := 0; trial < 3; trial++ {
 		m, mc := run(t, "")
 		d, dc := run(t, t.TempDir())
@@ -223,57 +210,12 @@ func TestDurableThroughputRatio(t *testing.T) {
 				t.Fatalf("%s run: %d failed operations", label, c.Failures)
 			}
 		}
-		if trial == 0 || m.OpsPerSec > memSnap.OpsPerSec {
-			memSnap = m
-		}
-		if trial == 0 || d.OpsPerSec > durSnap.OpsPerSec {
-			durSnap = d
-		}
+		memBest, durBest = max(memBest, m), max(durBest, d)
 	}
 
-	dir := os.Getenv("BQS_BENCH_DIR")
-	if dir == "" {
-		dir = t.TempDir()
-	}
-	out := filepath.Join(dir, "BENCH_durable_vs_memory.json")
-	if err := harness.WriteBenchJSON(out, []harness.BenchSnapshot{memSnap, durSnap}); err != nil {
-		t.Fatal(err)
-	}
-	ratio := durSnap.OpsPerSec / memSnap.OpsPerSec
-	t.Logf("durable %.0f ops/s vs memory %.0f ops/s = %.2f× (snapshot: %s)",
-		durSnap.OpsPerSec, memSnap.OpsPerSec, ratio, out)
+	ratio := durBest / memBest
+	t.Logf("durable %.0f ops/s vs memory %.0f ops/s = %.2f×", durBest, memBest, ratio)
 	if ratio < 0.5 {
 		t.Fatalf("durable store at %.2f× of in-memory throughput (batch=32 TCP loopback); floor is 0.5×", ratio)
-	}
-}
-
-// TestBenchJSONRoundTrip pins the snapshot file format the CI trajectory
-// consumes: WriteBenchJSON output must decode back into the same
-// snapshots.
-func TestBenchJSONRoundTrip(t *testing.T) {
-	sys, err := bqs.NewMaskingThreshold(5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := harness.Workload{Clients: 2, Ops: 10, Batch: 4, Keys: 8, Seed: 1}
-	c := harness.Counters{Reads: 9, Writes: 11, Elapsed: 2 * time.Second}
-	sum := harness.Summary{Peak: 0.81, Lower: 0.8, StrategyLoad: math.NaN()}
-	snap := harness.Snapshot("round-trip", sys, 1, "memory", w, c, sum)
-	if snap.OpsPerSec != 10 {
-		t.Fatalf("ops/s = %v, want 10 (20 ok ops / 2s)", snap.OpsPerSec)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_roundtrip.json")
-	if err := harness.WriteBenchJSON(path, []harness.BenchSnapshot{snap}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := harness.ReadBenchJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != snap {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, snap)
-	}
-	if _, err := harness.ReadBenchJSON(filepath.Join(t.TempDir(), "missing.json")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing file: err = %v, want fs.ErrNotExist", err)
 	}
 }

@@ -154,28 +154,6 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// HypergeomPMF returns P(X = k) for X ~ Hypergeometric(n, succ, draws):
-// the probability that drawing `draws` items without replacement from a
-// population of n containing `succ` marked items yields exactly k marked
-// ones. This is the distribution of |Q1 ∩ Q2| for two independent uniform
-// quorums of the probabilistic systems of [MRWW98].
-func HypergeomPMF(n, succ, draws, k int) float64 {
-	if k < 0 || k > succ || k > draws || draws-k > n-succ {
-		return 0
-	}
-	logp := LogBinomial(succ, k) + LogBinomial(n-succ, draws-k) - LogBinomial(n, draws)
-	return math.Exp(logp)
-}
-
-// HypergeomCDF returns P(X ≤ k) for X ~ Hypergeometric(n, succ, draws).
-func HypergeomCDF(n, succ, draws, k int) float64 {
-	s := 0.0
-	for j := 0; j <= k; j++ {
-		s += HypergeomPMF(n, succ, draws, j)
-	}
-	return clamp01(s)
-}
-
 // Combinations calls fn with each k-subset of {0,…,n−1} in lexicographic
 // order. The slice passed to fn is reused between calls; fn must copy it if
 // it retains it. Enumeration stops early if fn returns false.

@@ -1,0 +1,297 @@
+package harness
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"regexp"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"bqs"
+)
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed — the harness reports on stdout, and the lines CI greps are
+// part of its contract.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	out := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	func() {
+		defer func() {
+			os.Stdout = old
+			w.Close()
+		}()
+		fn()
+	}()
+	return <-out
+}
+
+// planFromArgv parses a command line through the shared flag set with
+// bqs-client's defaults and plans it, exactly as the binaries do.
+func planFromArgv(t *testing.T, argv ...string) (*Flags, *Plan) {
+	t.Helper()
+	f := NewFlags("mgrid", 1, 2*time.Second)
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f.Register(fs)
+	if err := fs.Parse(argv); err != nil {
+		t.Fatalf("parse %v: %v", argv, err)
+	}
+	sys, err := BuildSystem(f.System, f.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := f.Plan(sys)
+	if err != nil {
+		t.Fatalf("plan %v: %v", argv, err)
+	}
+	return f, plan
+}
+
+// newCluster builds the plan's cluster with the options both binaries
+// pass, plus the fleet's own.
+func newCluster(t *testing.T, f *Flags, plan *Plan, reg *bqs.MetricsRegistry, opts ...bqs.ClusterOption) *bqs.Cluster {
+	t.Helper()
+	opts = append(opts, bqs.WithSeed(f.Seed), bqs.WithMetrics(reg))
+	if plan.Strategy != nil {
+		opts = append(opts, plan.Strategy)
+	}
+	cluster, err := bqs.NewCluster(plan.Sys, f.B, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	return cluster
+}
+
+// memoryFleet builds the plan's system the way bqs-sim does: in-memory
+// servers, the Cluster its own Flipper.
+func memoryFleet(t *testing.T, f *Flags, plan *Plan, reg *bqs.MetricsRegistry) (*bqs.Cluster, bqs.Flipper) {
+	cluster := newCluster(t, f, plan, reg)
+	return cluster, cluster
+}
+
+// wireFleet builds the same system the way bqs-client does: every replica
+// (up to the largest resize target) behind a loopback wire.Server, an
+// epoch-aware wire client as both Transport and Flipper.
+func wireFleet(t *testing.T, f *Flags, plan *Plan, reg *bqs.MetricsRegistry) (*bqs.Cluster, bqs.Flipper) {
+	t.Helper()
+	n := MaxReconfigUniverse(plan.Sys.UniverseSize(), plan.Reconfig)
+	replicas := make(map[int]*bqs.Server, n)
+	routes := make(map[int]string, n)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		replicas[i] = bqs.NewServer(i)
+		routes[i] = lis.Addr().String()
+	}
+	srv := bqs.NewWireServer(replicas)
+	go srv.Serve(lis)
+	t.Cleanup(func() { srv.Close() })
+	follower := &EpochFollower{}
+	tr, err := bqs.DialWire(routes, bqs.WithWireMetrics(reg), bqs.WithWireEpochs(follower.OnStale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	cluster := newCluster(t, f, plan, reg, bqs.WithTransport(func([]*bqs.Server) bqs.Transport { return tr }))
+	follower.Bind(tr, cluster)
+	return cluster, tr
+}
+
+// TestExecuteRunPath drives the run path both binaries share — argv →
+// Flags → Plan → Execute — against an in-memory cluster and against the
+// same system over loopback TCP, one case per driver plus the keyed
+// batched data plane.
+func TestExecuteRunPath(t *testing.T) {
+	cases := []struct {
+		name      string
+		argv      []string
+		wantEpoch uint64
+		wantLines []string // regexps, each must match the captured report
+	}{
+		{
+			name:      "fault schedule",
+			argv:      []string{"-duration", "300ms", "-fault-schedule", "20ms:3:crashed,150ms:3:correct"},
+			wantLines: []string{`churn: driving 2 flips over 150ms \(suspicion-ttl 50ms\)`, `churn: 2 flips applied, 0 missed`},
+		},
+		{
+			name:      "adversary",
+			argv:      []string{"-duration", "300ms", "-adversary", "random,b=1,interval=20ms"},
+			wantLines: []string{`adversary: random scheduler, budget 1, re-targeting every 20ms`, `adversary: \d+ flips over \d+ rounds, 0 missed`},
+		},
+		{
+			name:      "reconfig",
+			argv:      []string{"-duration", "500ms", "-keys", "8", "-reconfig", "at=100ms:mgrid:36"},
+			wantEpoch: 1,
+			wantLines: []string{`reconfig: epoch 1 cutover to mgrid:36 \(n=36\)`, `reconfig: 1 applied, 0 aborted, 0 missed`, `epoch:      1 `},
+		},
+		{
+			name:      "keyed batched",
+			argv:      []string{"-ops", "40", "-batch", "16", "-keys", "64", "-key-dist", "zipf:1.1"},
+			wantLines: []string{`workload: 8 clients × 40 ops, 64 keys zipf:1\.1, batch 16 \(test\)`},
+		},
+	}
+	fleets := []struct {
+		name  string
+		build func(*testing.T, *Flags, *Plan, *bqs.MetricsRegistry) (*bqs.Cluster, bqs.Flipper)
+	}{{"memory", memoryFleet}, {"wire", wireFleet}}
+	for _, tc := range cases {
+		for _, fl := range fleets {
+			t.Run(tc.name+"/"+fl.name, func(t *testing.T) {
+				f, plan := planFromArgv(t, tc.argv...)
+				reg := bqs.NewMetricsRegistry()
+				cluster, flipper := fl.build(t, f, plan, reg)
+				var (
+					c   Counters
+					sum Summary
+					err error
+				)
+				out := captureStdout(t, func() { c, sum, err = plan.Execute(cluster, flipper, reg, "(test)") })
+				if err != nil {
+					t.Fatalf("Execute: %v\n%s", err, out)
+				}
+				if c.Violations != 0 || c.Succeeded() == 0 {
+					t.Fatalf("run not clean: %+v\n%s", c, out)
+				}
+				if sum.Epoch != tc.wantEpoch {
+					t.Fatalf("Summary.Epoch = %d, want %d\n%s", sum.Epoch, tc.wantEpoch, out)
+				}
+				want := append([]string{`(?m)^workload: .* \(test\)$`, `(?m)^result: `, `(?m)^measured load: `}, tc.wantLines...)
+				for _, re := range want {
+					if !regexp.MustCompile(re).MatchString(out) {
+						t.Errorf("report lacks %q:\n%s", re, out)
+					}
+				}
+			})
+		}
+	}
+}
+
+// countingFlipper counts the flips that reach the fleet, so a test can
+// tell whether a controller is still alive.
+type countingFlipper struct {
+	bqs.Flipper
+	flips atomic.Int64
+}
+
+func (c *countingFlipper) Flip(ctx context.Context, server int, b bqs.Behavior) error {
+	c.flips.Add(1)
+	return c.Flipper.Flip(ctx, server, b)
+}
+
+// TestExecuteStopsEveryDriverOnError pins the shutdown contract: when one
+// driver reports an error — an aborted resize at Stop, an adversary
+// refused at start — every driver already running is still cancelled,
+// waited for and summarized before Execute returns. The schedule outlives
+// the workload by seconds, so a controller left running keeps flipping
+// after the call.
+func TestExecuteStopsEveryDriverOnError(t *testing.T) {
+	var schedule []string
+	for i := 1; i <= 300; i++ {
+		to := "crashed"
+		if i%2 == 0 {
+			to = "correct"
+		}
+		schedule = append(schedule, fmt.Sprintf("%dms:3:%s", 10*i, to))
+	}
+	churn := []string{"-duration", "150ms", "-fault-schedule", strings.Join(schedule, ",")}
+	cases := []struct {
+		name      string
+		argv      []string
+		wantErr   string
+		wantLines []string
+	}{
+		{
+			name:    "aborted resize",
+			argv:    append([]string{"-adversary", "random,b=1,interval=10ms", "-reconfig", "at=20ms:mgrid:36"}, churn...),
+			wantErr: "reconfig to mgrid:36",
+			wantLines: []string{`reconfig: 0 applied, 1 aborted, 0 missed`,
+				`adversary: \d+ flips over \d+ rounds, \d+ missed`, `churn: \d+ flips applied, \d+ missed`},
+		},
+		{
+			name:      "adversary refused",
+			argv:      append([]string{"-adversary", "random,b=99"}, churn...),
+			wantErr:   "adversary budget",
+			wantLines: []string{`churn: \d+ flips applied, \d+ missed`},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, plan := planFromArgv(t, tc.argv...)
+			if len(plan.Reconfig) > 0 {
+				// A record for another masking bound is refused at propose
+				// time: the step aborts and ReconfigDriver.Stop reports it.
+				plan.Reconfig[0].Rec.B = f.B + 1
+			}
+			reg := bqs.NewMetricsRegistry()
+			cluster, _ := memoryFleet(t, f, plan, reg)
+			flipper := &countingFlipper{Flipper: cluster}
+
+			var err error
+			out := captureStdout(t, func() { _, _, err = plan.Execute(cluster, flipper, reg, "(test)") })
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Execute error = %v, want %q\n%s", err, tc.wantErr, out)
+			}
+			for _, re := range tc.wantLines {
+				if !regexp.MustCompile(re).MatchString(out) {
+					t.Errorf("summary line %q not printed:\n%s", re, out)
+				}
+			}
+			if strings.Contains(out, "measured load:") {
+				t.Errorf("a failed run must not print a report:\n%s", out)
+			}
+			after := flipper.flips.Load()
+			time.Sleep(80 * time.Millisecond)
+			if now := flipper.flips.Load(); now != after {
+				t.Fatalf("%d flips arrived after Execute returned — a controller outlived the call", now-after)
+			}
+		})
+	}
+}
+
+// TestSharedFlags pins what the shared flag set decides itself: the three
+// constructor arguments become the -system/-b/-timeout defaults, and the
+// suspicion-TTL default arms under churn and under an adversary alike.
+// (Each binary's full surface, retired flags included, is pinned by its
+// own TestFlagSurface.)
+func TestSharedFlags(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	NewFlags("threshold", 3, 0).Register(fs)
+	for name, def := range map[string]string{"system": "threshold", "b": "3", "timeout": "0s"} {
+		if got := fs.Lookup(name).DefValue; got != def {
+			t.Errorf("-%s default %q, want %q", name, got, def)
+		}
+	}
+	for _, tc := range []struct {
+		argv []string
+		ttl  time.Duration
+	}{
+		{[]string{"-ops", "1"}, 0},
+		{[]string{"-fault-schedule", "10ms:0:crashed"}, DefaultChurnSuspicionTTL},
+		{[]string{"-adversary", "random,b=1"}, DefaultChurnSuspicionTTL},
+		{[]string{"-adversary", "random,b=1", "-suspicion-ttl", "5ms"}, 5 * time.Millisecond},
+	} {
+		if _, plan := planFromArgv(t, tc.argv...); plan.Workload.SuspicionTTL != tc.ttl {
+			t.Errorf("%v: suspicion TTL %v, want %v", tc.argv, plan.Workload.SuspicionTTL, tc.ttl)
+		}
+	}
+}

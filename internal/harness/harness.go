@@ -1,9 +1,11 @@
-// Package harness is the workload driver shared by cmd/bqs-sim (in-memory
+// Package harness is the run path shared by cmd/bqs-sim (in-memory
 // clusters) and cmd/bqs-client (networked clusters over the wire
 // protocol). Both binaries advertise comparable measurements — same
-// read/write mix, same counters, same report — so the code that produces
-// them lives here once: a change to the workload shape or the load report
-// changes both harnesses together, and their numbers stay commensurable.
+// flags, same read/write mix, same fault and resize drivers, same
+// counters, same report — so the code that produces them lives here once
+// (Flags → Plan → Execute, over Run and Report): a change to the workload
+// shape, the run orchestration or the load report changes both harnesses
+// together, and their numbers stay commensurable.
 package harness
 
 import (
@@ -123,22 +125,12 @@ func BuildSchedule(scheduleSpec, churnSpec string, n int, horizon time.Duration,
 	return s, nil
 }
 
-// DefaultChurnSuspicionTTL is the suspicion TTL both binaries hand their
-// clients when churn is active and the user did not set -suspicion-ttl:
+// DefaultChurnSuspicionTTL is the suspicion TTL clients get when churn
+// or a live adversary is active and the user did not set -suspicion-ttl:
 // short enough that recovered servers regain traffic within a typical
 // run, long enough that a still-dead server is not hammered with
 // optimistic re-probes.
 const DefaultChurnSuspicionTTL = 50 * time.Millisecond
-
-// ChurnTTL resolves the -suspicion-ttl flag against the schedule,
-// identically in both binaries: an explicit user value wins, otherwise
-// the default kicks in exactly when there is churn for it to matter.
-func ChurnTTL(s *bqs.FaultSchedule, userTTL time.Duration) time.Duration {
-	if userTTL == 0 && s.Len() > 0 {
-		return DefaultChurnSuspicionTTL
-	}
-	return userTTL
-}
 
 // ChurnDriver runs a FaultController beside a workload, identically in
 // both binaries: StartChurn launches the controller goroutine, Stop
@@ -309,9 +301,9 @@ type Counters struct {
 	Elapsed       time.Duration
 	// ReadLatency and WriteLatency are the cluster registry's per-op
 	// latency histograms (bqs_client_read_seconds /
-	// bqs_client_write_seconds), captured by Run so reports and bench
-	// snapshots read quantiles from the same instruments the /metrics
-	// endpoint exposes — one data source, no private reservoir. Nil when
+	// bqs_client_write_seconds), captured by Run so the report reads
+	// quantiles from the same instruments the /metrics endpoint exposes
+	// — one data source, no private reservoir. Nil when
 	// the cluster was built without bqs.WithMetrics; quantiles then
 	// report 0. Note the histograms span the cluster's lifetime: a second
 	// Run over the same cluster folds the first run's samples in.
@@ -321,7 +313,7 @@ type Counters struct {
 // LatencyQuantile returns the q-quantile (0 ≤ q ≤ 1) of the merged
 // read+write operation-latency distribution, or 0 when the cluster was
 // not instrumented. q=0.5 is the median p50, q=0.99 the tail p99 of the
-// bench snapshots. The estimate is histogram-backed, exact to within one
+// report's latency line. The estimate is histogram-backed, exact to within one
 // bucket (≤19% relative with obs.DurationBuckets).
 func (c Counters) LatencyQuantile(q float64) time.Duration {
 	return obs.DurationQuantile(q, c.ReadLatency, c.WriteLatency)

@@ -177,16 +177,6 @@ func (d *ReconfigDriver) Stop() error {
 	return d.firstErr
 }
 
-// Applied reports how many scheduled resizes completed.
-func (d *ReconfigDriver) Applied() int {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.applied
-}
-
 // EpochFollower self-heals the epoch plane of a wire-backed client: its
 // OnStale method is the WithWireEpochs callback, and once Bind has
 // handed it the transport and cluster it reacts to wrongepoch bounces

@@ -91,9 +91,6 @@ func TestReconfigDriverEndToEnd(t *testing.T) {
 	if err := d.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
-	if d.Applied() != 2 {
-		t.Fatalf("applied %d steps, want 2", d.Applied())
-	}
 	if got := cluster.Epoch(); got != 2 {
 		t.Fatalf("final epoch %d, want 2", got)
 	}
@@ -110,21 +107,14 @@ func TestReconfigDriverEndToEnd(t *testing.T) {
 	if sum.Epoch != 2 {
 		t.Fatalf("Summary.Epoch = %d, want 2", sum.Epoch)
 	}
-	snap := Snapshot("test", sys, 1, "memory", Workload{Clients: 4}, c, sum)
-	if snap.Epoch != 2 {
-		t.Fatalf("BenchSnapshot.Epoch = %d, want 2", snap.Epoch)
-	}
 }
 
 // TestReconfigDriverNil pins the no-schedule contract: a nil driver
-// whose methods are no-ops, so call sites need no branching.
+// whose Stop is a no-op, so call sites need no branching.
 func TestReconfigDriverNil(t *testing.T) {
 	var d *ReconfigDriver
 	if err := d.Stop(); err != nil {
 		t.Fatalf("nil Stop: %v", err)
-	}
-	if d.Applied() != 0 {
-		t.Fatal("nil Applied != 0")
 	}
 	if StartReconfig(nil, nil) != nil {
 		t.Fatal("empty schedule must return a nil driver")

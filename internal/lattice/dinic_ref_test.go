@@ -1,64 +1,63 @@
-// Package maxflow implements Dinic's maximum-flow algorithm on small
-// integer-capacity graphs. By Menger's theorem the maximum number of
-// disjoint open crossings of an M-Path lattice (Section 7 of the paper)
-// equals a max-flow value; the lattice package computes it with its own
-// fixed-topology unit-capacity kernel, and this general implementation is
-// the reference that kernel is tested against.
-package maxflow
+package lattice
+
+// Dinic's maximum-flow algorithm on small integer-capacity graphs. By
+// Menger's theorem the maximum number of disjoint open crossings of an
+// M-Path lattice (Section 7 of the paper) equals a max-flow value; the
+// package computes it with its own fixed-topology unit-capacity kernel
+// (flow.go), and this general implementation is the reference that kernel
+// is tested against (TestKernelMatchesDinic) — test-only, so it is not
+// part of the non-test build.
 
 import "fmt"
 
-type edge struct {
+type dinicEdge struct {
 	to, rev int
 	cap     int
 }
 
-// Graph is a flow network under construction. Vertices are integers in
-// [0, n). The zero value is not usable; create graphs with New.
-type Graph struct {
+// dinicGraph is a flow network under construction. Vertices are integers in
+// [0, n). The zero value is not usable; create graphs with newDinic.
+type dinicGraph struct {
 	n   int
-	adj [][]edge
+	adj [][]dinicEdge
 
 	// scratch for Dinic
 	level []int
 	iter  []int
 }
 
-// New returns an empty flow network on n vertices.
-func New(n int) *Graph {
-	return &Graph{
+// newDinic returns an empty flow network on n vertices.
+func newDinic(n int) *dinicGraph {
+	return &dinicGraph{
 		n:     n,
-		adj:   make([][]edge, n),
+		adj:   make([][]dinicEdge, n),
 		level: make([]int, n),
 		iter:  make([]int, n),
 	}
 }
 
-// NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return g.n }
-
 // AddEdge inserts a directed edge u→v with the given capacity (and the
 // implicit residual reverse edge of capacity 0).
-func (g *Graph) AddEdge(u, v, capacity int) error {
+func (g *dinicGraph) AddEdge(u, v, capacity int) error {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("maxflow: edge (%d,%d) out of range [0,%d)", u, v, g.n)
+		return fmt.Errorf("dinic: edge (%d,%d) out of range [0,%d)", u, v, g.n)
 	}
 	if capacity < 0 {
-		return fmt.Errorf("maxflow: negative capacity %d", capacity)
+		return fmt.Errorf("dinic: negative capacity %d", capacity)
 	}
-	g.adj[u] = append(g.adj[u], edge{to: v, rev: len(g.adj[v]), cap: capacity})
-	g.adj[v] = append(g.adj[v], edge{to: u, rev: len(g.adj[u]) - 1, cap: 0})
+	g.adj[u] = append(g.adj[u], dinicEdge{to: v, rev: len(g.adj[v]), cap: capacity})
+	g.adj[v] = append(g.adj[v], dinicEdge{to: u, rev: len(g.adj[u]) - 1, cap: 0})
 	return nil
 }
 
 // MaxFlow computes the maximum s→t flow, mutating residual capacities.
 // Calling it twice continues from the residual network (returns 0 more).
-func (g *Graph) MaxFlow(s, t int) (int, error) {
+func (g *dinicGraph) MaxFlow(s, t int) (int, error) {
 	if s < 0 || s >= g.n || t < 0 || t >= g.n {
-		return 0, fmt.Errorf("maxflow: terminal out of range")
+		return 0, fmt.Errorf("dinic: terminal out of range")
 	}
 	if s == t {
-		return 0, fmt.Errorf("maxflow: source equals sink")
+		return 0, fmt.Errorf("dinic: source equals sink")
 	}
 	flow := 0
 	for g.bfs(s, t) {
@@ -76,7 +75,7 @@ func (g *Graph) MaxFlow(s, t int) (int, error) {
 	return flow, nil
 }
 
-func (g *Graph) bfs(s, t int) bool {
+func (g *dinicGraph) bfs(s, t int) bool {
 	for i := range g.level {
 		g.level[i] = -1
 	}
@@ -96,7 +95,7 @@ func (g *Graph) bfs(s, t int) bool {
 	return g.level[t] >= 0
 }
 
-func (g *Graph) dfs(u, t, f int) int {
+func (g *dinicGraph) dfs(u, t, f int) int {
 	if u == t {
 		return f
 	}

@@ -1,8 +1,8 @@
-package maxflow
+package lattice
 
 import "testing"
 
-func mustAdd(t *testing.T, g *Graph, u, v, c int) {
+func mustAdd(t *testing.T, g *dinicGraph, u, v, c int) {
 	t.Helper()
 	if err := g.AddEdge(u, v, c); err != nil {
 		t.Fatal(err)
@@ -10,7 +10,7 @@ func mustAdd(t *testing.T, g *Graph, u, v, c int) {
 }
 
 func TestTrivialDirect(t *testing.T) {
-	g := New(2)
+	g := newDinic(2)
 	mustAdd(t, g, 0, 1, 5)
 	f, err := g.MaxFlow(0, 1)
 	if err != nil || f != 5 {
@@ -20,7 +20,7 @@ func TestTrivialDirect(t *testing.T) {
 
 func TestClassicNetwork(t *testing.T) {
 	// CLRS-style example with known max flow 23.
-	g := New(6)
+	g := newDinic(6)
 	mustAdd(t, g, 0, 1, 16)
 	mustAdd(t, g, 0, 2, 13)
 	mustAdd(t, g, 1, 2, 10)
@@ -38,7 +38,7 @@ func TestClassicNetwork(t *testing.T) {
 }
 
 func TestDisconnected(t *testing.T) {
-	g := New(4)
+	g := newDinic(4)
 	mustAdd(t, g, 0, 1, 3)
 	mustAdd(t, g, 2, 3, 3)
 	f, err := g.MaxFlow(0, 3)
@@ -48,7 +48,7 @@ func TestDisconnected(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	g := New(3)
+	g := newDinic(3)
 	if err := g.AddEdge(-1, 0, 1); err == nil {
 		t.Error("negative vertex should error")
 	}
@@ -68,7 +68,7 @@ func TestErrors(t *testing.T) {
 
 func TestUnitCapacityDisjointPaths(t *testing.T) {
 	// Two vertex-disjoint paths 0→1→3 and 0→2→3 with unit capacities.
-	g := New(4)
+	g := newDinic(4)
 	mustAdd(t, g, 0, 1, 1)
 	mustAdd(t, g, 0, 2, 1)
 	mustAdd(t, g, 1, 3, 1)
@@ -80,7 +80,7 @@ func TestUnitCapacityDisjointPaths(t *testing.T) {
 }
 
 func TestRepeatedMaxFlowReturnsZero(t *testing.T) {
-	g := New(3)
+	g := newDinic(3)
 	mustAdd(t, g, 0, 1, 2)
 	mustAdd(t, g, 1, 2, 2)
 	f1, _ := g.MaxFlow(0, 2)
@@ -99,7 +99,7 @@ func TestMengerOnGrid(t *testing.T) {
 	in := func(i, j int) int { return 2 * (i*k + j) }
 	out := func(i, j int) int { return 2*(i*k+j) + 1 }
 	src, snk := 2*k*k, 2*k*k+1
-	g := New(2*k*k + 2)
+	g := newDinic(2*k*k + 2)
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
 			mustAdd(t, g, in(i, j), out(i, j), 1)

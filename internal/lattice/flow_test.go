@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"bqs/internal/bitset"
-	"bqs/internal/maxflow"
 )
 
 // dinicValue rebuilds net's arcs, gated by dead, as a general flow network
@@ -14,7 +13,7 @@ import (
 func dinicValue(t *testing.T, net *flowNet, dead bitset.Set) int {
 	t.Helper()
 	nodes := len(net.first) - 1
-	g := maxflow.New(nodes)
+	g := newDinic(nodes)
 	for u := 0; u < nodes; u++ {
 		for a := net.first[u]; a < net.first[u+1]; a++ {
 			if net.cap0[a] == 0 || (net.elem[a] >= 0 && dead.Contains(int(net.elem[a]))) {

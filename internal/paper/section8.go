@@ -1,4 +1,4 @@
-package bench
+package paper
 
 import (
 	"fmt"

@@ -1,4 +1,4 @@
-// Package bench regenerates every table and figure in the paper's
+// Package paper regenerates every table and figure in the paper's
 // evaluation: Table 2 (the properties of all six constructions), the
 // Section 8 worked example (n ≈ 1024, p = 1/8), Figures 1–3 (construction
 // diagrams), and the per-proposition sweeps (load vs the Theorem 4.1 /
@@ -7,7 +7,7 @@
 // the Section 8 resilience–load tradeoff). The cmd/ tools print these
 // tables; bench_test.go at the module root wraps each one in a Go
 // benchmark.
-package bench
+package paper
 
 import (
 	"fmt"
@@ -77,14 +77,14 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 	// Threshold [MR98a].
 	th, err := systems.NewMaskingThreshold(4*cfg.ThreshB+1, cfg.ThreshB)
 	if err != nil {
-		return nil, fmt.Errorf("bench: table2 threshold: %w", err)
+		return nil, fmt.Errorf("paper: table2 threshold: %w", err)
 	}
 	rows = append(rows, rowFromParams(th, th.Load(), th.CrashProbability(cfg.P), "exact", cfg.P))
 
 	// Grid [MR98a]: F_p via Monte Carlo (no closed form).
 	grid, err := systems.NewGrid(cfg.Side, cfg.GridB)
 	if err != nil {
-		return nil, fmt.Errorf("bench: table2 grid: %w", err)
+		return nil, fmt.Errorf("paper: table2 grid: %w", err)
 	}
 	gmc, err := measures.CrashProbabilityMC(grid, cfg.P, cfg.Trials, rng)
 	if err != nil {
@@ -95,7 +95,7 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 	// M-Grid (§5.1).
 	mgrid, err := systems.NewMGrid(cfg.Side, cfg.MGridB)
 	if err != nil {
-		return nil, fmt.Errorf("bench: table2 m-grid: %w", err)
+		return nil, fmt.Errorf("paper: table2 m-grid: %w", err)
 	}
 	mmc, err := measures.CrashProbabilityMC(mgrid, cfg.P, cfg.Trials, rng)
 	if err != nil {
@@ -106,14 +106,14 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 	// RT(4,3) (§5.2): exact recurrence.
 	rt, err := systems.NewRT(4, 3, cfg.RTDepth)
 	if err != nil {
-		return nil, fmt.Errorf("bench: table2 rt: %w", err)
+		return nil, fmt.Errorf("paper: table2 rt: %w", err)
 	}
 	rows = append(rows, rowFromParams(rt, rt.Load(), rt.CrashProbability(cfg.P), "recurrence", cfg.P))
 
 	// boostFPP (§6): exact via Theorem 4.7 composition (plane enumerable).
 	bf, err := systems.NewBoostFPP(cfg.FPPOrder, cfg.FPPB)
 	if err != nil {
-		return nil, fmt.Errorf("bench: table2 boostFPP: %w", err)
+		return nil, fmt.Errorf("paper: table2 boostFPP: %w", err)
 	}
 	bfp, err := bf.CrashProbability(cfg.P)
 	method := "exact"
@@ -126,7 +126,7 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 	// M-Path (§7): Monte Carlo.
 	mp, err := systems.NewMPath(cfg.Side, cfg.MPathB)
 	if err != nil {
-		return nil, fmt.Errorf("bench: table2 m-path: %w", err)
+		return nil, fmt.Errorf("paper: table2 m-path: %w", err)
 	}
 	pmc, err := measures.CrashProbabilityMC(mp, cfg.P, cfg.Trials/4+1, rng)
 	if err != nil {

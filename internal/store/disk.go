@@ -27,14 +27,15 @@ const (
 // both disk use and recovery replay time.
 const DefaultSnapshotThreshold = 4 << 20
 
-// DefaultCommitLinger is how long the flusher waits before each fsynced
-// group commit, collecting the records of every Apply that lands in the
+// commitLinger is how long the flusher waits before each fsynced group
+// commit, collecting the records of every Apply that lands in the
 // window. A device sustains only a few thousand fsyncs per second no
 // matter how small they are, so at high concurrency the linger is what
 // turns one-fsync-per-write into one fsync per wave; at low concurrency
 // it is a bounded latency tax on an operation that already pays an
-// fsync.
-const DefaultCommitLinger = 500 * time.Microsecond
+// fsync. It only applies while fsync is enabled: without the fsync there
+// is no per-flush floor worth amortizing.
+const commitLinger = 500 * time.Microsecond
 
 // DiskOption configures Open.
 type DiskOption func(*Disk)
@@ -78,18 +79,6 @@ func WithMetrics(reg *obs.Registry) DiskOption {
 	}
 }
 
-// WithCommitLinger sets the group-commit window (default
-// DefaultCommitLinger; 0 disables it — every batch flushes the moment
-// the flusher is free). The linger only applies while fsync is enabled:
-// without the fsync there is no per-flush floor worth amortizing.
-func WithCommitLinger(window time.Duration) DiskOption {
-	return func(d *Disk) {
-		if window >= 0 {
-			d.linger = window
-		}
-	}
-}
-
 // RecoveryStats describes what Open (or Reopen) reconstructed: how much
 // state came from the snapshot, how much from replaying the WAL tail,
 // how many torn or corrupt trailing bytes were truncated away, and how
@@ -122,7 +111,6 @@ type Disk struct {
 	dir           string
 	fsync         bool
 	snapThreshold int64
-	linger        time.Duration // group-commit window; only applies with fsync
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signalled when the flusher goes idle
@@ -152,7 +140,7 @@ type Disk struct {
 // last-writer-wins merge, and truncate any torn or corrupt suffix left
 // by a crash mid-append. The directory must be private to this store.
 func Open(dir string, opts ...DiskOption) (*Disk, error) {
-	d := &Disk{dir: dir, fsync: true, snapThreshold: DefaultSnapshotThreshold, linger: DefaultCommitLinger}
+	d := &Disk{dir: dir, fsync: true, snapThreshold: DefaultSnapshotThreshold}
 	d.cond = sync.NewCond(&d.mu)
 	for _, opt := range opts {
 		opt(d)
@@ -332,12 +320,12 @@ func (d *Disk) flushLoop() {
 			d.compactLocked()
 			continue
 		}
-		if d.fsync && d.linger > 0 && !d.closed && len(d.waiters) > 0 {
+		if d.fsync && !d.closed && len(d.waiters) > 0 {
 			// Group-commit window: hold the flush open so concurrent
 			// Applies land in this batch instead of each paying their own
 			// fsync. Skipped on close so shutdown drains promptly.
 			d.mu.Unlock()
-			time.Sleep(d.linger)
+			time.Sleep(commitLinger)
 			d.mu.Lock()
 		}
 		buf, waiters := d.pending, d.waiters

@@ -236,8 +236,8 @@ func (h *promHistogram) Swap(i, j int) {
 func (h *promHistogram) Less(i, j int) bool { return h.les[i] < h.les[j] }
 
 // TestReportQuantilesAgreeWithScrape is the quantile-agreement
-// regression test behind the reservoir deletion: the p50/p99 a
-// BenchSnapshot reports and the quantile recomputed from the scraped
+// regression test behind the reservoir deletion: the p50/p99 the
+// report prints and the quantile recomputed from the scraped
 // Prometheus buckets must be the same number — one data source, whether
 // you read the report or the endpoint.
 func TestReportQuantilesAgreeWithScrape(t *testing.T) {
@@ -302,15 +302,6 @@ func TestReportQuantilesAgreeWithScrape(t *testing.T) {
 			t.Fatalf("q=%v: scraped %v != reported %v — report and endpoint disagree",
 				q, fromScrape, fromReport)
 		}
-	}
-	// And the snapshot the CI trajectory stores carries the same numbers.
-	sum := harness.Report(cluster, sys, 1, c)
-	snap := harness.Snapshot("telemetry-test", sys, 1, "memory", harness.Workload{}, c, sum)
-	if want := float64(c.LatencyQuantile(0.50)) / float64(time.Millisecond); snap.P50Ms != want {
-		t.Fatalf("snapshot p50 %v != counters quantile %v", snap.P50Ms, want)
-	}
-	if want := float64(c.LatencyQuantile(0.99)) / float64(time.Millisecond); snap.P99Ms != want {
-		t.Fatalf("snapshot p99 %v != counters quantile %v", snap.P99Ms, want)
 	}
 }
 
