@@ -140,7 +140,9 @@ func BenchmarkMGridLoad(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var emp float64
 	for i := 0; i < b.N; i++ {
-		emp = bqs.EmpiricalLoad(mg, 2000, rng)
+		if emp, err = bqs.EmpiricalLoad(mg, 2000, rng); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(emp, "empirical_load")
 	b.ReportMetric(mg.Load(), "analytic_load")
@@ -235,7 +237,9 @@ func BenchmarkMPathLoad(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	var emp float64
 	for i := 0; i < b.N; i++ {
-		emp = bqs.EmpiricalLoad(mp, 2000, rng)
+		if emp, err = bqs.EmpiricalLoad(mp, 2000, rng); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(emp, "empirical_load")
 	b.ReportMetric(mp.Load(), "analytic_load")

@@ -24,9 +24,6 @@ type (
 	// System is the minimal quorum-system interface (selection under a
 	// failure pattern).
 	System = core.System
-	// Sampler is a System carrying a load-balancing access strategy
-	// (Definition 3.8).
-	Sampler = core.Sampler
 	// Enumerable is a System whose quorum list is materialized.
 	Enumerable = core.Enumerable
 	// Enumerator is an implicit System that can materialize its quorum
@@ -40,6 +37,11 @@ type (
 	Parameterized = core.Parameterized
 	// Masking is a b-masking System (Definition 3.5).
 	Masking = core.Masking
+	// Construction is a System with its parameters — what a cluster, a
+	// harness or a verifier needs of a built quorum system. Its fault-free
+	// SelectQuorum draws the construction's access strategy
+	// (Definition 3.8).
+	Construction = core.Construction
 	// ExplicitSystem is a materialized quorum system with exact analysis.
 	ExplicitSystem = core.ExplicitSystem
 	// Strategy is an access strategy over an explicit system's quorums.
@@ -390,8 +392,9 @@ func AsEnumerable(sys System, limit int) (Enumerable, error) {
 func LoadFair(sys *ExplicitSystem) (float64, error) { return measures.LoadFair(sys) }
 
 // EmpiricalLoad estimates the busiest-server frequency of the system's
-// built-in strategy over the given number of sampled accesses.
-func EmpiricalLoad(sys Sampler, trials int, rng *rand.Rand) float64 {
+// built-in strategy over the given number of fault-free picks; a failed
+// pick is returned as an error.
+func EmpiricalLoad(sys System, trials int, rng *rand.Rand) (float64, error) {
 	return measures.EmpiricalLoad(sys, trials, rng)
 }
 

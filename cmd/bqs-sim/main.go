@@ -257,7 +257,7 @@ func availabilityFlagConflicts() []string {
 // -p-vector/-domains swap the i.i.d. draws for the heterogeneous model
 // (exact companion: the generalized F); -adversary swaps them for
 // adversarial placement (exact companion only for random placement).
-func runAvailability(sys harness.System, b int, spec, pVector, domains, adversary string, seed int64, reg *bqs.MetricsRegistry) error {
+func runAvailability(sys bqs.Construction, b int, spec, pVector, domains, adversary string, seed int64, reg *bqs.MetricsRegistry) error {
 	cfg, err := harness.ParseAvailabilitySpec(spec, seed)
 	if err != nil {
 		return err

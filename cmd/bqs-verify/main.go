@@ -1,16 +1,21 @@
-// bqs-verify builds a construction from command-line parameters and
-// verifies the paper's claims about it: the Lemma 3.6 masking conditions,
-// the Theorem 4.1 / Corollary 4.2 load bounds, the Propositions 4.3–4.5
-// crash bounds, and — when the instance is small enough to enumerate —
-// the closed-form parameters against exhaustive computation.
+// bqs-verify builds a construction from a spec and verifies the paper's
+// claims about it: the Lemma 3.6 masking conditions, the Theorem 4.1 /
+// Corollary 4.2 load bounds, the Propositions 4.3–4.5 crash bounds, and —
+// when the instance is small enough to enumerate — the closed-form
+// parameters against exhaustive computation. It exits non-zero when any
+// check fails.
 //
-// Usage:
+// -system takes the same spec as bqs-sim's -system and a -reconfig target:
+// a kind (threshold, grid, mgrid, rt, boostfpp, mpath, mpathedge, wheel,
+// compose) sized from -b, kind:universe, or compose:OUTERxINNER.
 //
-//	bqs-verify -system rt -k 4 -l 3 -h 2
-//	bqs-verify -system mgrid -d 7 -b 3
-//	bqs-verify -system threshold -n 13 -b 3
-//	bqs-verify -system boostfpp -q 3 -b 2
-//	bqs-verify -system mpath -d 9 -b 4
+// Usage (bare, it checks Figure 1's M-Grid: -system mgrid:49 -b 3):
+//
+//	bqs-verify -system mgrid:25 -b 1
+//	bqs-verify -system rt:16 -b 1
+//	bqs-verify -system threshold:13 -b 3
+//	bqs-verify -system boostfpp -b 2
+//	bqs-verify -system compose:5x5 -b 1
 package main
 
 import (
@@ -18,10 +23,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 
 	"bqs"
 	"bqs/internal/core"
 	"bqs/internal/measures"
+	"bqs/internal/systems"
 )
 
 func main() {
@@ -31,65 +38,37 @@ func main() {
 	}
 }
 
-type verifiable interface {
-	bqs.System
-	bqs.Parameterized
-}
-
-// enumerable lets constructions expose an exhaustive cross-check.
-type enumerable interface {
-	Enumerate(limit int) (*core.ExplicitSystem, error)
-}
-
 func run() error {
-	system := flag.String("system", "mgrid", "threshold|grid|mgrid|rt|boostfpp|mpath|mpathedge")
-	n := flag.Int("n", 13, "universe size (threshold)")
-	d := flag.Int("d", 7, "grid side (grid/mgrid/mpath/mpathedge)")
+	system := flag.String("system", "mgrid:49", "construction spec, as bqs-sim -system: a kind sized from -b, kind:universe, or compose:OUTERxINNER")
 	b := flag.Int("b", 3, "masking target b")
-	k := flag.Int("k", 4, "RT block arity")
-	l := flag.Int("l", 3, "RT block quota")
-	h := flag.Int("h", 2, "RT depth")
-	q := flag.Int("q", 3, "projective plane order (boostfpp)")
 	p := flag.Float64("p", 0.125, "crash probability for bound checks")
 	trials := flag.Int("trials", 3000, "Monte Carlo trials")
-	flag.Parse()
-
-	var (
-		sys verifiable
-		err error
-	)
-	switch *system {
-	case "threshold":
-		sys, err = bqs.NewMaskingThreshold(*n, *b)
-	case "grid":
-		sys, err = bqs.NewGrid(*d, *b)
-	case "mgrid":
-		sys, err = bqs.NewMGrid(*d, *b)
-	case "rt":
-		sys, err = bqs.NewRT(*k, *l, *h)
-	case "boostfpp":
-		sys, err = bqs.NewBoostFPP(*q, *b)
-	case "mpath":
-		sys, err = bqs.NewMPath(*d, *b)
-	case "mpathedge":
-		sys, err = bqs.NewMPathEdge(*d, *b)
-	default:
-		return fmt.Errorf("unknown system %q", *system)
+	// Not flag.Parse: a test's non-exiting FlagSet gets the error back.
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		return err
 	}
+	_, sys, err := systems.Parse(*system, *b)
 	if err != nil {
 		return err
 	}
+	return verify(sys, *p, *trials)
+}
 
+// verify prints one PASS/FAIL line per claim and returns an error naming
+// the claims that failed.
+func verify(sys bqs.Construction, p float64, trials int) error {
 	fmt.Printf("== %s ==\n", sys.Name())
 	nn := sys.UniverseSize()
 	bb := bqs.MaskingBound(sys)
 	fmt.Printf("n=%d  c=%d  IS=%d  MT=%d\n", nn, sys.MinQuorumSize(), sys.MinIntersection(), sys.MinTransversal())
 	fmt.Printf("masking bound b=%d, resilience f=%d\n", bb, bqs.Resilience(sys))
 
+	var failed []string
 	check := func(name string, ok bool) {
 		status := "PASS"
 		if !ok {
 			status = "FAIL"
+			failed = append(failed, name)
 		}
 		fmt.Printf("  [%s] %s\n", status, name)
 	}
@@ -98,8 +77,7 @@ func run() error {
 		bqs.IsBMasking(sys, bb))
 
 	// Load bounds.
-	type loaded interface{ Load() float64 }
-	if ld, ok := sys.(loaded); ok {
+	if ld, ok := sys.(core.AdvertisedLoad); ok {
 		load := ld.Load()
 		check(fmt.Sprintf("Thm 4.1: L=%.4f ≥ max{(2b+1)/c, c/n}=%.4f", load,
 			bqs.LoadLowerBound(nn, bb, sys.MinQuorumSize())),
@@ -110,33 +88,33 @@ func run() error {
 
 	// Crash bounds via Monte Carlo.
 	rng := rand.New(rand.NewSource(1))
-	mc, err := bqs.CrashProbabilityMC(sys, *p, *trials, rng)
+	mc, err := bqs.CrashProbabilityMC(sys, p, trials, rng)
 	if err != nil {
 		return err
 	}
 	slack := 5*mc.StdErr + 1e-9
-	fmt.Printf("F_%.3f ≈ %.4g ± %.2g (%d trials)\n", *p, mc.Estimate, mc.StdErr, mc.Trials)
+	fmt.Printf("F_%.3f ≈ %.4g ± %.2g (%d trials)\n", p, mc.Estimate, mc.StdErr, mc.Trials)
 	check("Prop 4.3: F_p ≥ p^MT",
-		mc.Estimate >= bqs.CrashLowerBoundMT(sys.MinTransversal(), *p)-slack)
+		mc.Estimate >= bqs.CrashLowerBoundMT(sys.MinTransversal(), p)-slack)
 	check("Prop 4.4: F_p ≥ p^(c−2b)",
-		mc.Estimate >= bqs.CrashLowerBoundMasking(sys.MinQuorumSize(), bb, *p)-slack)
+		mc.Estimate >= bqs.CrashLowerBoundMasking(sys.MinQuorumSize(), bb, p)-slack)
 	if bqs.Prop45Applies(sys) {
 		check("Prop 4.5: F_p ≥ p^(b+1)",
-			mc.Estimate >= bqs.CrashLowerBoundB(bb, *p)-slack)
+			mc.Estimate >= bqs.CrashLowerBoundB(bb, p)-slack)
 	}
 
 	// Exhaustive cross-check when the construction supports enumeration
 	// and the instance is small.
-	if en, ok := sys.(enumerable); ok {
+	if en, ok := sys.(bqs.Enumerator); ok {
 		ex, err := en.Enumerate(50000)
 		if err == nil {
 			check("enumeration: c matches", ex.MinQuorumSize() == sys.MinQuorumSize())
 			check("enumeration: IS matches", ex.MinIntersection() == sys.MinIntersection())
 			check("enumeration: MT matches", ex.MinTransversal() == sys.MinTransversal())
 			if ex.UniverseSize() <= measures.MaxExactUniverse {
-				exact, err := bqs.CrashProbabilityExact(ex, *p)
+				exact, err := bqs.CrashProbabilityExact(ex, p)
 				if err == nil {
-					fmt.Printf("exact F_%.3f = %.6g\n", *p, exact)
+					fmt.Printf("exact F_%.3f = %.6g\n", p, exact)
 				}
 			}
 		} else {
@@ -158,5 +136,8 @@ func run() error {
 	}
 	check(fmt.Sprintf("Def 3.5: sampled quorum pairs intersect in ≥ 2b+1 (50/50 → %d/50)", audit),
 		audit == 50)
+	if len(failed) > 0 {
+		return fmt.Errorf("%s: %d checks failed: %s", sys.Name(), len(failed), strings.Join(failed, "; "))
+	}
 	return nil
 }

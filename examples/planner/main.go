@@ -18,15 +18,10 @@ import (
 
 type candidate struct {
 	name string
-	sys  maskingSystem
+	sys  bqs.Construction
 	load float64
 	fp   float64
 	how  string
-}
-
-type maskingSystem interface {
-	bqs.System
-	bqs.Parameterized
 }
 
 func main() {

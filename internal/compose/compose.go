@@ -16,6 +16,7 @@ package compose
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"bqs/internal/bitset"
@@ -73,8 +74,8 @@ func Explicit(outer, inner core.Enumerable, limit int) (*core.ExplicitSystem, er
 	return core.NewExplicit(name, n, composed)
 }
 
-// Composite is the lazy composition S ∘ R. It implements core.System, and
-// core.Sampler / core.Parameterized when both components do.
+// Composite is the lazy composition S ∘ R. Its parameters and its load are
+// Theorem 4.7's products, defined when both components have them.
 type Composite struct {
 	outer core.System
 	inner core.System
@@ -102,7 +103,9 @@ func (c *Composite) UniverseSize() int {
 
 // SelectQuorum implements the modular-decomposition semantics: copy i of R
 // is failed exactly when no quorum of that copy survives, and a composed
-// quorum survives iff a quorum of S survives over the live copies.
+// quorum survives iff a quorum of S survives over the live copies. With
+// nothing dead this is the product strategy of Theorem 4.7's proof, which
+// achieves L(S)·L(R).
 func (c *Composite) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error) {
 	nS := c.outer.UniverseSize()
 	// Split the dead set by module.
@@ -147,62 +150,37 @@ func (c *Composite) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, e
 	return result, nil
 }
 
-// SampleQuorum implements the product strategy from the proof of
-// Theorem 4.7: sample an outer quorum from S's strategy, then an inner
-// quorum per selected copy. This achieves L(S)·L(R). Both components must
-// be Samplers; otherwise SampleQuorum panics by contract (callers check
-// with the core.Sampler type assertion).
-func (c *Composite) SampleQuorum(rng *rand.Rand) bitset.Set {
-	outerS, ok := c.outer.(core.Sampler)
-	if !ok {
-		return bitset.Set{}
-	}
-	innerS, ok := c.inner.(core.Sampler)
-	if !ok {
-		return bitset.Set{}
-	}
-	outerQ := outerS.SampleQuorum(rng)
-	result := bitset.New(c.UniverseSize())
-	outerQ.Range(func(i int) bool {
-		innerS.SampleQuorum(rng).Range(func(e int) bool {
-			result.Add(i*c.nR + e)
-			return true
-		})
-		return true
-	})
-	return result
-}
-
-// MinQuorumSize returns c(S)·c(R) per Theorem 4.7 (0 when a component
-// lacks parameters).
-func (c *Composite) MinQuorumSize() int {
-	o, i := params(c.outer), params(c.inner)
-	if o == nil || i == nil {
+// product is Theorem 4.7's rule for c, IS and MT: the component values
+// multiply (0 when a component lacks parameters).
+func (c *Composite) product(param func(core.Parameterized) int) int {
+	o, ok := c.outer.(core.Parameterized)
+	i, ok2 := c.inner.(core.Parameterized)
+	if !ok || !ok2 {
 		return 0
 	}
-	return o.MinQuorumSize() * i.MinQuorumSize()
+	return param(o) * param(i)
 }
 
-// MinIntersection returns IS(S)·IS(R) per Theorem 4.7.
-func (c *Composite) MinIntersection() int {
-	o, i := params(c.outer), params(c.inner)
-	if o == nil || i == nil {
-		return 0
-	}
-	return o.MinIntersection() * i.MinIntersection()
-}
-
-// MinTransversal returns MT(S)·MT(R) per Theorem 4.7.
-func (c *Composite) MinTransversal() int {
-	o, i := params(c.outer), params(c.inner)
-	if o == nil || i == nil {
-		return 0
-	}
-	return o.MinTransversal() * i.MinTransversal()
-}
+// MinQuorumSize returns c(S)·c(R), MinIntersection IS(S)·IS(R) and
+// MinTransversal MT(S)·MT(R).
+func (c *Composite) MinQuorumSize() int   { return c.product(core.Parameterized.MinQuorumSize) }
+func (c *Composite) MinIntersection() int { return c.product(core.Parameterized.MinIntersection) }
+func (c *Composite) MinTransversal() int  { return c.product(core.Parameterized.MinTransversal) }
 
 // MaskingBound applies Corollary 3.7 to the composed parameters.
 func (c *Composite) MaskingBound() int { return core.MaskingBoundFromParams(c) }
+
+// Load returns L(S)·L(R) per Theorem 4.7 — the load of the product
+// strategy SelectQuorum draws — or NaN when a component does not advertise
+// its own, which no load check passes or flags.
+func (c *Composite) Load() float64 {
+	o, ok := c.outer.(core.AdvertisedLoad)
+	i, ok2 := c.inner.(core.AdvertisedLoad)
+	if !ok || !ok2 {
+		return math.NaN()
+	}
+	return o.Load() * i.Load()
+}
 
 // Enumerate materializes the composed quorum list so the Definition 3.8
 // load LP (and with it -strategy optimal and measures.Load) runs on a
@@ -221,13 +199,6 @@ func (c *Composite) Enumerate(limit int) (*core.ExplicitSystem, error) {
 		return nil, fmt.Errorf("compose: inner: %w", err)
 	}
 	return Explicit(outer, inner, limit)
-}
-
-func params(s core.System) core.Parameterized {
-	if p, ok := s.(core.Parameterized); ok {
-		return p
-	}
-	return nil
 }
 
 // CrashFn maps an element crash probability to a system crash probability.

@@ -180,13 +180,16 @@ func TestCompositeParameters(t *testing.T) {
 	}
 }
 
-func TestCompositeSampleQuorumIsQuorum(t *testing.T) {
+func TestCompositeFaultFreeQuorumIsQuorum(t *testing.T) {
 	m := majority3(t)
 	lazy := New(m, m)
 	explicit, _ := Explicit(m, m, 0)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 100; i++ {
-		q := lazy.SampleQuorum(rng)
+		q, err := lazy.SelectQuorum(rng, bitset.Set{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		found := false
 		for _, eq := range explicit.Quorums() {
 			if eq.Equal(q) {

@@ -31,7 +31,6 @@ type ExplicitSystem struct {
 var (
 	_ System        = (*ExplicitSystem)(nil)
 	_ Enumerable    = (*ExplicitSystem)(nil)
-	_ Sampler       = (*ExplicitSystem)(nil)
 	_ Parameterized = (*ExplicitSystem)(nil)
 	_ Masking       = (*ExplicitSystem)(nil)
 )
@@ -98,13 +97,6 @@ func (s *ExplicitSystem) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.S
 		return bitset.Set{}, ErrNoLiveQuorum
 	}
 	return chosen.Clone(), nil
-}
-
-// SampleQuorum draws a quorum uniformly at random. For fair systems the
-// uniform strategy is load optimal (Proposition 3.9); for exact optima on
-// unbalanced systems use the LP in the measures package.
-func (s *ExplicitSystem) SampleQuorum(rng *rand.Rand) bitset.Set {
-	return s.quorums[rng.Intn(len(s.quorums))].Clone()
 }
 
 // MinQuorumSize returns c(Q).

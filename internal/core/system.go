@@ -35,16 +35,6 @@ type System interface {
 	SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error)
 }
 
-// Sampler is implemented by systems that carry an access strategy
-// (Definition 3.8) — a distribution over quorums used to balance load.
-// Constructions implement their load-optimal strategy from the paper.
-type Sampler interface {
-	System
-	// SampleQuorum draws a quorum from the system's access strategy,
-	// assuming no failures (the load is a failure-free, best-case measure).
-	SampleQuorum(rng *rand.Rand) bitset.Set
-}
-
 // Enumerable is implemented by systems whose quorum set is materialized.
 type Enumerable interface {
 	System
@@ -95,6 +85,21 @@ type Masking interface {
 	System
 	// MaskingBound returns the largest b for which the system is b-masking.
 	MaskingBound() int
+}
+
+// Construction is what every consumer of a built quorum system needs:
+// quorum selection plus the parameters the masking and load bounds are
+// computed from. With nothing dead, SelectQuorum draws the construction's
+// access strategy (Definition 3.8).
+type Construction interface {
+	System
+	Parameterized
+}
+
+// AdvertisedLoad is implemented by constructions that know the load that
+// strategy induces, which measured loads are held against.
+type AdvertisedLoad interface {
+	Load() float64
 }
 
 // Resilience returns f = MT(Q) − 1 (remark after Definition 3.4).

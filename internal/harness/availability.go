@@ -191,7 +191,7 @@ const availabilityEnumLimit = 1 << 17
 // phases) with a fresh client. Epochs whose write fails with
 // ErrNoLiveQuorum are the system-crash count; any other failure is a bug
 // and aborts the experiment.
-func RunAvailability(sys System, b int, cfg AvailabilityConfig) (AvailabilityResult, error) {
+func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (AvailabilityResult, error) {
 	n := sys.UniverseSize()
 	model, hetero, err := cfg.failureModel(n)
 	if err != nil {
@@ -334,7 +334,7 @@ func RunAvailability(sys System, b int, cfg AvailabilityConfig) (AvailabilityRes
 // rate: the fraction of budget-sized victim subsets whose crash kills
 // every quorum. ok is false when the system cannot be enumerated or the
 // subset count is unreasonable.
-func adversaryExactRandom(sys System, budget int) (float64, bool) {
+func adversaryExactRandom(sys bqs.Construction, budget int) (float64, bool) {
 	n := sys.UniverseSize()
 	if budget < 0 || budget > n {
 		return 0, false

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"strings"
 	"time"
 
 	"bqs"
+	"bqs/internal/systems"
 )
 
 // Flags is the command line cmd/bqs-sim and cmd/bqs-client share: the
@@ -44,7 +46,7 @@ func NewFlags(system string, b int, timeout time.Duration) *Flags {
 // Register declares the shared flags on fs, with f's current values as
 // their defaults.
 func (f *Flags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.System, "system", f.System, "quorum system: threshold|grid|mgrid|rt|boostfpp|mpath|wheel")
+	fs.StringVar(&f.System, "system", f.System, "quorum system: "+strings.Join(systems.Kinds(), "|")+" sized from -b, or kind:universe, or compose:OUTERxINNER")
 	fs.IntVar(&f.B, "b", f.B, "masking bound b")
 	fs.StringVar(&f.Strategy, "strategy", f.Strategy, "quorum selection: uniform|optimal (optimal installs the Definition 3.8 LP strategy)")
 	fs.IntVar(&f.Clients, "clients", f.Clients, "concurrent clients")
@@ -82,7 +84,7 @@ func (f *Flags) Metrics() (*bqs.MetricsRegistry, func(), error) {
 // Plan is a parsed run: what Execute drives against a cluster, and what
 // the binaries' own verdicts read back (schedule, adversary budget).
 type Plan struct {
-	Sys       System
+	Sys       bqs.Construction
 	Schedule  *bqs.FaultSchedule   // nil: no churn
 	Adversary *bqs.AdversaryConfig // nil: no live adversary
 	Reconfig  []ReconfigStep
@@ -92,7 +94,7 @@ type Plan struct {
 
 // Plan parses every spec flag against the booted system, so a typo fails
 // before a cluster is built or a connection dialed.
-func (f *Flags) Plan(sys System) (*Plan, error) {
+func (f *Flags) Plan(sys bqs.Construction) (*Plan, error) {
 	p := &Plan{Sys: sys}
 	var err error
 	if p.Schedule, err = BuildSchedule(f.FaultSchedule, f.Churn, sys.UniverseSize(), f.Duration, f.Seed); err != nil {
@@ -152,7 +154,7 @@ func (p *Plan) Execute(cluster *bqs.Cluster, f bqs.Flipper, reg *bqs.MetricsRegi
 		return counters, Summary{}, err
 	}
 	sys := p.Sys
-	if hs, ok := cluster.System().(System); ok {
+	if hs, ok := cluster.System().(bqs.Construction); ok {
 		sys = hs
 	}
 	return counters, Report(cluster, sys, cluster.B(), counters), nil

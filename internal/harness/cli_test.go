@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bqs"
+	"bqs/internal/systems"
 )
 
 // captureStdout runs fn with os.Stdout redirected and returns what it
@@ -143,6 +144,23 @@ func TestExecuteRunPath(t *testing.T) {
 			argv:      []string{"-duration", "500ms", "-keys", "8", "-reconfig", "at=100ms:mgrid:36"},
 			wantEpoch: 1,
 			wantLines: []string{`reconfig: epoch 1 cutover to mgrid:36 \(n=36\)`, `reconfig: 1 applied, 0 aborted, 0 missed`, `epoch:      1 `},
+		},
+		{
+			name:      "reconfig to mpath",
+			argv:      []string{"-duration", "300ms", "-keys", "8", "-reconfig", "at=100ms:mpath:36"},
+			wantEpoch: 1,
+			wantLines: []string{`reconfig: epoch 1 cutover to mpath:36 \(n=36\)`, `epoch:      1 \(M-Path\(d=6,b=1\), n=36\)`},
+		},
+		{
+			name:      "reconfig to rt",
+			argv:      []string{"-duration", "300ms", "-keys", "8", "-reconfig", "at=100ms:rt:64"},
+			wantEpoch: 1,
+			wantLines: []string{`reconfig: epoch 1 cutover to rt:64 \(n=64\)`, `epoch:      1 \(RT\(4,3,h=3\), n=64\)`},
+		},
+		{
+			name:      "boot compose",
+			argv:      []string{"-system", "compose:5x5", "-ops", "40", "-keys", "8"},
+			wantLines: []string{`paper bounds:  L\(Q\) ≥ 0\.6400 \(Thm 4\.1\)`},
 		},
 		{
 			name:      "keyed batched",
@@ -293,5 +311,30 @@ func TestSharedFlags(t *testing.T) {
 		if _, plan := planFromArgv(t, tc.argv...); plan.Workload.SuspicionTTL != tc.ttl {
 			t.Errorf("%v: suspicion TTL %v, want %v", tc.argv, plan.Workload.SuspicionTTL, tc.ttl)
 		}
+	}
+}
+
+// TestKindListsAgree holds the three places a user reads the list of
+// constructions to the registry: the -system help (generated from it) and
+// Record.Kind's doc comment (typed) name exactly its kinds, in its order.
+func TestKindListsAgree(t *testing.T) {
+	kinds := systems.Kinds()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	NewFlags("mgrid", 1, 0).Register(fs)
+	if usage := fs.Lookup("system").Usage; !strings.Contains(usage, strings.Join(kinds, "|")) {
+		t.Errorf("-system help %q does not list %s", usage, strings.Join(kinds, "|"))
+	}
+	src, err := os.ReadFile("../reconfig/record.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?s)// Kind names the construction, a row of the systems registry:(.*?)\n\tKind string`).FindSubmatch(src)
+	if m == nil {
+		t.Fatal("Record.Kind's doc comment not found in ../reconfig/record.go")
+	}
+	doc := regexp.MustCompile(`\(.*?\)|//|\bor\b`).ReplaceAllString(string(m[1]), "")
+	got := strings.FieldsFunc(doc, func(r rune) bool { return r == ',' || r == '.' || r == ' ' || r == '\n' || r == '\t' })
+	if strings.Join(got, "|") != strings.Join(kinds, "|") {
+		t.Errorf("Record.Kind's doc lists %v, the registry %v", got, kinds)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"bqs"
 	"bqs/internal/core"
+	"bqs/internal/systems"
 )
 
 // wheelUniformLoad is the hub's frequency under uniform selection on the
@@ -27,32 +28,28 @@ func TestLiveLoadConformsToAdvertisedLoad(t *testing.T) {
 		load float64
 	}
 	var rows []row
-	for _, kind := range []string{"threshold", "grid", "mgrid", "rt", "boostfpp", "mpath", "wheel"} {
+	// The regular kinds: b = 0 only and no advertised load, so each is
+	// held to a pinned figure instead.
+	pinned := map[string]float64{"wheel": wheelUniformLoad}
+	for _, kind := range systems.Kinds() {
 		for b := 0; b <= 3; b++ {
-			if kind == "wheel" && b > 0 {
-				continue // regular system: b = 0 only
+			load, regular := pinned[kind]
+			if regular && b > 0 {
+				continue
 			}
 			sys, err := BuildSystem(kind, b)
 			if err != nil {
 				t.Errorf("BuildSystem(%q, %d): %v", kind, b, err)
 				continue
 			}
-			load := wheelUniformLoad
-			if l, ok := sys.(interface{ Load() float64 }); ok {
+			if l, ok := sys.(core.AdvertisedLoad); ok {
 				load = l.Load()
-			} else if kind != "wheel" {
+			} else if !regular {
 				t.Errorf("%s advertises no Load()", sys.Name())
 				continue
 			}
 			rows = append(rows, row{sys, load})
 		}
-	}
-	for _, db := range [][2]int{{8, 3}, {9, 4}} {
-		edge, err := bqs.NewMPathEdge(db[0], db[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows = append(rows, row{edge, edge.Load()})
 	}
 
 	const picks = 20000
@@ -102,7 +99,7 @@ func TestReportFlagsOffBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(sys System, crash ...int) Summary {
+	run := func(sys bqs.Construction, crash ...int) Summary {
 		cluster, err := bqs.NewCluster(sys, 3, bqs.WithSeed(16), bqs.WithMetrics(bqs.NewMetricsRegistry()))
 		if err != nil {
 			t.Fatal(err)

@@ -20,50 +20,17 @@ import (
 	"time"
 
 	"bqs"
+	"bqs/internal/core"
 	"bqs/internal/obs"
+	"bqs/internal/systems"
 )
 
-// System is what the harnesses need from a construction: quorum selection
-// plus the c(Q)/IS/MT parameters the load bounds are computed from.
-type System interface {
-	bqs.System
-	bqs.Parameterized
-}
-
-// BuildSystem maps the CLI -system/-b pair to a construction sized for
-// masking bound b, identically in both binaries.
-func BuildSystem(kind string, b int) (System, error) {
-	switch kind {
-	case "threshold":
-		return bqs.NewMaskingThreshold(4*b+1, b)
-	case "grid":
-		return bqs.NewGrid(3*b+1, b)
-	case "mgrid":
-		return bqs.NewMGrid(2*b+2, b)
-	case "rt":
-		// Depth chosen so RT(4,3) masks at least b: b = (2^h − 1)/2.
-		h := 1
-		for (1<<uint(h)-1)/2 < b {
-			h++
-		}
-		return bqs.NewRT(4, 3, h)
-	case "boostfpp":
-		return bqs.NewBoostFPP(3, b)
-	case "mpath":
-		d := 2 * (b + 2)
-		return bqs.NewMPath(d, b)
-	case "wheel":
-		// The unbalanced regular system of [NW98]: the hub sits in n−1 of
-		// the n quorums, so the uniform strategy loads it at ≈ 1 while the
-		// LP strategy shifts weight to the rim — the starkest live demo of
-		// the uniform-vs-optimal gap. Regular means b = 0 only.
-		if b != 0 {
-			return nil, fmt.Errorf("wheel is a regular (b=0) system; got -b %d", b)
-		}
-		return bqs.NewWheel(12)
-	default:
-		return nil, fmt.Errorf("unknown system %q", kind)
-	}
+// BuildSystem maps the CLI -system/-b pair to a construction, identically
+// in both binaries: a systems.Parse spec — a bare kind sized for masking
+// bound b, kind:universe, or compose:OUTERxINNER.
+func BuildSystem(spec string, b int) (bqs.Construction, error) {
+	_, sys, err := systems.Parse(spec, b)
+	return sys, err
 }
 
 // StrategyOption maps the CLI -strategy flag to a cluster option,
@@ -536,7 +503,7 @@ type Summary struct {
 // fault-free run whose busiest server sits more than 10% above the load
 // the construction itself advertises is flagged OFF BOUND on the measured
 // line: the picker is not running the strategy the theorem is about.
-func Report(cluster *bqs.Cluster, sys System, b int, c Counters) Summary {
+func Report(cluster *bqs.Cluster, sys bqs.Construction, b int, c Counters) Summary {
 	fmt.Printf("result: %d reads ok, %d writes ok, %d no-candidate, %d failed, %d VIOLATIONS\n",
 		c.Reads, c.Writes, c.NoCandidates, c.Failures, c.Violations)
 	secs := c.Elapsed.Seconds()
@@ -560,7 +527,7 @@ func Report(cluster *bqs.Cluster, sys System, b int, c Counters) Summary {
 		fmt.Printf("epoch:      %d (%s, n=%d)\n", s.Epoch, sys.Name(), n)
 	}
 	measured := fmt.Sprintf("measured load: busiest server at %.4f of quorum accesses", s.Peak)
-	if adv, ok := sys.(interface{ Load() float64 }); ok && faultFree(cluster, c) && s.Peak > 1.10*adv.Load() {
+	if adv, ok := sys.(core.AdvertisedLoad); ok && faultFree(cluster, c) && s.Peak > 1.10*adv.Load() {
 		s.OffBound = true
 		measured += fmt.Sprintf(" — OFF BOUND: %+.1f%% from the construction's load %.4f",
 			100*(s.Peak/adv.Load()-1), adv.Load())

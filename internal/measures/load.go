@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 
+	"bqs/internal/bitset"
 	"bqs/internal/core"
 	"bqs/internal/lp"
 )
@@ -75,15 +76,21 @@ func LoadFair(sys *core.ExplicitSystem) (float64, error) {
 }
 
 // EmpiricalLoad estimates the load induced by the system's built-in access
-// strategy: it samples quorums and reports the access frequency of the
-// busiest element. For a load-optimal strategy this converges to L(Q).
-func EmpiricalLoad(sys core.Sampler, trials int, rng *rand.Rand) float64 {
+// strategy: it draws fault-free quorums and reports the access frequency
+// of the busiest element. For a load-optimal strategy this converges to
+// L(Q). A failed pick with nothing dead is a broken construction: an error.
+func EmpiricalLoad(sys core.System, trials int, rng *rand.Rand) (float64, error) {
 	if trials <= 0 {
-		return 0
+		return 0, nil
 	}
-	counts := make([]int, sys.UniverseSize())
+	n := sys.UniverseSize()
+	none := bitset.New(n)
+	counts := make([]int, n)
 	for i := 0; i < trials; i++ {
-		q := sys.SampleQuorum(rng)
+		q, err := sys.SelectQuorum(rng, none)
+		if err != nil {
+			return 0, fmt.Errorf("measures: %s: fault-free pick %d: %w", sys.Name(), i, err)
+		}
 		q.Range(func(u int) bool {
 			counts[u]++
 			return true
@@ -95,7 +102,7 @@ func EmpiricalLoad(sys core.Sampler, trials int, rng *rand.Rand) float64 {
 			max = c
 		}
 	}
-	return float64(max) / float64(trials)
+	return float64(max) / float64(trials), nil
 }
 
 // LoadLowerBound is Theorem 4.1: every b-masking quorum system with

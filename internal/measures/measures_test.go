@@ -100,13 +100,25 @@ func TestEmpiricalLoadMatchesUniform(t *testing.T) {
 	// Majority-3 with the built-in uniform sampler: every element hit with
 	// probability 2/3 per access.
 	rng := rand.New(rand.NewSource(11))
-	got := EmpiricalLoad(majority3(t), 50000, rng)
-	if !approx(got, 2.0/3, 0.01) {
-		t.Errorf("empirical load = %g, want ≈2/3", got)
+	got, err := EmpiricalLoad(majority3(t), 50000, rng)
+	if err != nil || !approx(got, 2.0/3, 0.01) {
+		t.Errorf("empirical load = %g, %v, want ≈2/3", got, err)
 	}
-	if EmpiricalLoad(majority3(t), 0, rng) != 0 {
-		t.Error("zero trials should return 0")
+	if got, err := EmpiricalLoad(majority3(t), 0, rng); got != 0 || err != nil {
+		t.Errorf("zero trials = %g, %v, want 0", got, err)
 	}
+	// With nothing dead a failed pick is a broken construction: surfaced,
+	// not counted as an empty quorum.
+	if _, err := EmpiricalLoad(noQuorum{majority3(t)}, 10, rng); !errors.Is(err, core.ErrNoLiveQuorum) {
+		t.Errorf("broken picker: err = %v, want ErrNoLiveQuorum", err)
+	}
+}
+
+// noQuorum is a construction whose picker fails with nothing dead.
+type noQuorum struct{ core.System }
+
+func (noQuorum) SelectQuorum(*rand.Rand, bitset.Set) (bitset.Set, error) {
+	return bitset.Set{}, core.ErrNoLiveQuorum
 }
 
 func TestLoadLowerBoundTheorem41(t *testing.T) {

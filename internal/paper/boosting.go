@@ -108,14 +108,14 @@ type AblationRow struct {
 	Penalty    float64 // NaiveEmp / OptimalEmp
 }
 
-// biasedMGrid samples M-Grid quorums only from the top half of the rows
-// and left half of the columns — a plausible-looking but load-hostile
-// strategy.
+// biasedMGrid picks M-Grid quorums only from the top half of the rows and
+// left half of the columns — a plausible-looking but load-hostile
+// strategy. It is only ever measured fault-free, so it ignores dead.
 type biasedMGrid struct {
 	*systems.MGrid
 }
 
-func (b biasedMGrid) SampleQuorum(rng *rand.Rand) bitset.Set {
+func (b biasedMGrid) SelectQuorum(rng *rand.Rand, _ bitset.Set) (bitset.Set, error) {
 	d := b.Side()
 	r := b.LinesPerAxis()
 	half := d / 2
@@ -133,7 +133,7 @@ func (b biasedMGrid) SampleQuorum(rng *rand.Rand) bitset.Set {
 			q.Add(rr*d + col)
 		}
 	}
-	return q
+	return q, nil
 }
 
 // StrategyAblation measures the load penalty of the biased strategy on
@@ -147,8 +147,14 @@ func StrategyAblation(trials int, seed int64) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		optEmp := measures.EmpiricalLoad(mg, trials, rng)
-		naiveEmp := measures.EmpiricalLoad(biasedMGrid{mg}, trials, rng)
+		optEmp, err := measures.EmpiricalLoad(mg, trials, rng)
+		if err != nil {
+			return nil, err
+		}
+		naiveEmp, err := measures.EmpiricalLoad(biasedMGrid{mg}, trials, rng)
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, AblationRow{
 			System:     mg.Name(),
 			Optimal:    mg.Load(),

@@ -18,7 +18,10 @@ func Figure1MGrid(seed int64) (string, error) {
 		return "", err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	q := m.SampleQuorum(rng)
+	q, err := m.SelectQuorum(rng, bitset.Set{})
+	if err != nil {
+		return "", err
+	}
 	var sb strings.Builder
 	sb.WriteString("Figure 1: M-Grid, n = 7×7, b = 3 (quorum = 2 rows ∪ 2 columns)\n")
 	sb.WriteString(renderGrid(7, q, bitset.Set{}))
@@ -34,7 +37,10 @@ func Figure2RT(seed int64) (string, error) {
 		return "", err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	q := rt.SampleQuorum(rng)
+	q, err := rt.SelectQuorum(rng, bitset.Set{})
+	if err != nil {
+		return "", err
+	}
 	var sb strings.Builder
 	sb.WriteString("Figure 2: RT(4,3) of depth h = 2 (3-of-4 over 3-of-4), one quorum shaded\n")
 	sb.WriteString("                     [ 3 of 4 ]\n")

@@ -28,7 +28,7 @@ type LoadRow struct {
 // 6.2 and 7.2.
 func LoadVsLowerBound() ([]LoadRow, error) {
 	var rows []LoadRow
-	add := func(s paramSystem, load float64) {
+	add := func(s core.Construction, load float64) {
 		b := core.MaskingBoundFromParams(s)
 		c := s.MinQuorumSize()
 		n := s.UniverseSize()
@@ -109,7 +109,7 @@ type CrashRow struct {
 
 // CrashSweep evaluates F_p across p for one system, via the supplied
 // evaluator (exact, recurrence, or Monte Carlo).
-func CrashSweep(s paramSystem, eval func(p float64) (float64, float64, error), ps []float64) ([]CrashRow, error) {
+func CrashSweep(s core.Construction, eval func(p float64) (float64, float64, error), ps []float64) ([]CrashRow, error) {
 	rows := make([]CrashRow, 0, len(ps))
 	for _, p := range ps {
 		fp, se, err := eval(p)
@@ -208,7 +208,7 @@ type TradeoffRow struct {
 // ResilienceLoadTradeoff evaluates f ≤ nL across all constructions.
 func ResilienceLoadTradeoff() ([]TradeoffRow, error) {
 	var rows []TradeoffRow
-	add := func(s paramSystem, load float64) {
+	add := func(s core.Construction, load float64) {
 		f := core.Resilience(s)
 		nl := float64(s.UniverseSize()) * load
 		rows = append(rows, TradeoffRow{

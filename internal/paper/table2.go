@@ -137,12 +137,7 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 	return rows, nil
 }
 
-type paramSystem interface {
-	core.System
-	core.Parameterized
-}
-
-func rowFromParams(s paramSystem, load, fp float64, method string, p float64) Table2Row {
+func rowFromParams(s core.Construction, load, fp float64, method string, p float64) Table2Row {
 	b := core.MaskingBoundFromParams(s)
 	return Table2Row{
 		System:    s.Name(),

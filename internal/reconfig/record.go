@@ -18,18 +18,14 @@ package reconfig
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
 
-	"bqs/internal/compose"
 	"bqs/internal/core"
 	"bqs/internal/systems"
 )
 
-// MaxUniverse bounds the universe size a Record may name, matching the
-// wire layer's server-id range so every server in any epoch is
-// addressable by a route table.
-const MaxUniverse = 1 << 20
+// MaxUniverse bounds the universe size a Record may name.
+const MaxUniverse = systems.MaxUniverse
 
 // MaxKindLen bounds the construction-kind name in a Record; the wire
 // codec enforces it on both encode and decode.
@@ -45,7 +41,8 @@ const MaxKindLen = 32
 type Record struct {
 	// Epoch numbers the configuration; strictly increasing per install.
 	Epoch uint64
-	// Kind names the construction: threshold, grid, mgrid, wheel, or
+	// Kind names the construction, a row of the systems registry:
+	// threshold, grid, mgrid, rt, boostfpp, mpath, mpathedge, wheel, or
 	// compose (threshold∘threshold per Theorem 4.7).
 	Kind string
 	// Universe is n, the number of servers the construction spans.
@@ -60,9 +57,9 @@ type Record struct {
 	Outer int
 }
 
-// Validate checks the bounds the wire codec and BuildSystem both rely
-// on. It does not check construction-specific feasibility (e.g. that a
-// grid universe is square) — BuildSystem does, with a better error.
+// Validate checks the bounds the wire codec relies on. It does not check
+// construction-specific feasibility (that a grid universe is square, that
+// a wheel stays under its cap) — BuildSystem does, with a better error.
 func (r Record) Validate() error {
 	if r.Universe < 1 || r.Universe > MaxUniverse {
 		return fmt.Errorf("reconfig: universe %d out of range [1, %d]", r.Universe, MaxUniverse)
@@ -88,118 +85,34 @@ func (r Record) Validate() error {
 // String renders the record the way ParseTarget reads it, prefixed with
 // the epoch: "e3 mgrid:36".
 func (r Record) String() string {
-	if r.Kind == "compose" {
-		return fmt.Sprintf("e%d compose:%dx%d", r.Epoch, r.Outer, r.Universe/max(r.Outer, 1))
-	}
-	return fmt.Sprintf("e%d %s:%d", r.Epoch, r.Kind, r.Universe)
-}
-
-// System is what a Record builds: quorum selection plus the c(Q)/IS/MT
-// parameters the masking bound and load bounds are computed from.
-type System interface {
-	core.System
-	core.Parameterized
+	return fmt.Sprintf("e%d %s", r.Epoch, systems.Spec{Kind: r.Kind, Universe: r.Universe, Outer: r.Outer})
 }
 
 // BuildSystem constructs the quorum system a Record names, sized to its
-// universe. Unlike the boot-time harness builder (which sizes the
-// universe from b), the Record fixes the universe and the construction
-// must fit it — that is the whole point of a resize.
-func BuildSystem(rec Record) (System, error) {
+// universe. Unlike a boot-time -system (which may size the universe from
+// b), the Record fixes the universe and the construction must fit it —
+// that is the whole point of a resize.
+func BuildSystem(rec Record) (core.Construction, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, err
 	}
-	n, b := rec.Universe, rec.B
-	switch rec.Kind {
-	case "threshold":
-		return systems.NewMaskingThreshold(n, b)
-	case "grid":
-		d, err := side(rec.Kind, n)
-		if err != nil {
-			return nil, err
-		}
-		return systems.NewGrid(d, b)
-	case "mgrid":
-		d, err := side(rec.Kind, n)
-		if err != nil {
-			return nil, err
-		}
-		return systems.NewMGrid(d, b)
-	case "wheel":
-		if b != 0 {
-			return nil, fmt.Errorf("reconfig: wheel is a regular (b=0) system; record has b=%d", b)
-		}
-		return systems.NewWheel(n)
-	case "compose":
-		// Theorem 4.7 composition of two masking thresholds: the outer
-		// system's elements are shards, each running an inner threshold.
-		if rec.Outer < 1 || n%rec.Outer != 0 {
-			return nil, fmt.Errorf("reconfig: compose universe %d is not a multiple of outer size %d", n, rec.Outer)
-		}
-		outer, err := systems.NewMaskingThreshold(rec.Outer, b)
-		if err != nil {
-			return nil, fmt.Errorf("reconfig: compose outer: %w", err)
-		}
-		inner, err := systems.NewMaskingThreshold(n/rec.Outer, b)
-		if err != nil {
-			return nil, fmt.Errorf("reconfig: compose inner: %w", err)
-		}
-		return compose.New(outer, inner), nil
-	}
-	return nil, fmt.Errorf("reconfig: unknown construction kind %q", rec.Kind)
+	return systems.Fit(rec.Kind, rec.Universe, rec.B, rec.Outer)
 }
 
-// side resolves a square universe to its grid side.
-func side(kind string, n int) (int, error) {
-	for d := 1; d*d <= n; d++ {
-		if d*d == n {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("reconfig: %s universe %d is not a perfect square", kind, n)
-}
-
-// ParseTarget parses a resize target "kind:universe" (or
-// "compose:OUTERxINNER" for a Theorem 4.7 composition, universe =
-// outer·inner) into an epoch-less Record carrying the given masking
-// bound. The epoch is assigned at install time by whoever coordinates
-// the reconfiguration.
+// ParseTarget parses a resize target — a systems.Parse spec that names its
+// universe, "kind:universe" or "compose:OUTERxINNER" — into an epoch-less
+// Record carrying the given masking bound, building the target once so a
+// bad one fails at flag-parse time. The epoch is assigned at install time
+// by whoever coordinates the reconfiguration.
 func ParseTarget(spec string, b int) (Record, error) {
-	kind, arg, ok := strings.Cut(spec, ":")
-	if !ok || kind == "" || arg == "" {
+	if !strings.Contains(spec, ":") {
 		return Record{}, fmt.Errorf("reconfig: target %q: want kind:universe (e.g. mgrid:36) or compose:OUTERxINNER", spec)
 	}
-	rec := Record{Kind: kind, B: b}
-	if kind == "compose" {
-		so, si, ok := strings.Cut(arg, "x")
-		if !ok {
-			return Record{}, fmt.Errorf("reconfig: compose target %q: want compose:OUTERxINNER (e.g. compose:5x5)", spec)
-		}
-		outer, err := strconv.Atoi(so)
-		if err != nil {
-			return Record{}, fmt.Errorf("reconfig: compose outer size %q: %w", so, err)
-		}
-		inner, err := strconv.Atoi(si)
-		if err != nil {
-			return Record{}, fmt.Errorf("reconfig: compose inner size %q: %w", si, err)
-		}
-		if outer < 1 || inner < 1 {
-			return Record{}, fmt.Errorf("reconfig: compose sizes %dx%d must be positive", outer, inner)
-		}
-		rec.Outer, rec.Universe = outer, outer*inner
-	} else {
-		n, err := strconv.Atoi(arg)
-		if err != nil {
-			return Record{}, fmt.Errorf("reconfig: universe %q: %w", arg, err)
-		}
-		rec.Universe = n
+	sp, _, err := systems.Parse(spec, b)
+	if err != nil {
+		return Record{}, fmt.Errorf("reconfig: %w", err)
 	}
-	// Build once now so a bad target fails at flag-parse time, not
-	// mid-run at the cutover point.
-	if _, err := BuildSystem(rec); err != nil {
-		return Record{}, err
-	}
-	return rec, nil
+	return Record{Kind: sp.Kind, Universe: sp.Universe, B: b, Outer: sp.Outer}, nil
 }
 
 // Installer is the transport seam Cluster.Reconfigure uses to push a

@@ -3,7 +3,6 @@ package reconfig
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestParseTargetBuilds(t *testing.T) {
@@ -18,6 +17,10 @@ func TestParseTargetBuilds(t *testing.T) {
 		{"threshold:9", 2, 9, "Threshold"},
 		{"wheel:12", 0, 12, "Wheel"},
 		{"compose:5x5", 1, 25, "∘"},
+		{"rt:64", 1, 64, "RT(4,3,h=3)"},
+		{"mpath:36", 1, 36, "M-Path(d=6"},
+		{"mpathedge:24", 1, 24, "M-PathEdge(d=4"},
+		{"boostfpp:65", 1, 65, "boostFPP(q=3"},
 	}
 	for _, tc := range cases {
 		rec, err := ParseTarget(tc.spec, tc.b)
@@ -57,6 +60,17 @@ func TestParseTargetRejects(t *testing.T) {
 		{"nosuch:25", 1},    // unknown kind
 		{"compose:0x5", 1},  // zero outer
 		{"compose:-1x5", 1}, // negative outer
+		// One unfittable universe per kind that derives a parameter from it.
+		{"rt:50", 1},        // not 4^h
+		{"rt:4", 1},         // RT(4,3) of depth 1 masks b = 0 only
+		{"boostfpp:66", 1},  // not 5(q²+q+1)
+		{"boostfpp:215", 1}, // 5·43, but q = 6 is not a prime power
+		{"mpath:35", 1},     // not a square
+		{"mpathedge:25", 1}, // not 2d(d−1)
+		// Explicit-backed kinds stop at their cap, before the constructor.
+		{"wheel:1025", 0},
+		{"boostfpp:2049", 0},
+		{"threshold:1048577", 1}, // past MaxUniverse
 	}
 	for _, tc := range cases {
 		if _, err := ParseTarget(tc.spec, tc.b); err == nil {
@@ -97,37 +111,6 @@ func TestRecordString(t *testing.T) {
 	c := Record{Epoch: 2, Kind: "compose", Universe: 25, Outer: 5, B: 1}
 	if got := c.String(); got != "e2 compose:5x5" {
 		t.Fatalf("String() = %q", got)
-	}
-}
-
-func TestParseSchedule(t *testing.T) {
-	steps, err := ParseSchedule("at=3s:mgrid:36; at=8s:compose:5x5", 1)
-	if err != nil {
-		t.Fatalf("ParseSchedule: %v", err)
-	}
-	if len(steps) != 2 {
-		t.Fatalf("got %d steps, want 2", len(steps))
-	}
-	if steps[0].At != 3*time.Second || steps[0].Target.Kind != "mgrid" {
-		t.Fatalf("step 0 = %+v", steps[0])
-	}
-	if steps[1].At != 8*time.Second || steps[1].Target.Universe != 25 {
-		t.Fatalf("step 1 = %+v", steps[1])
-	}
-	if s, err := ParseSchedule("", 1); err != nil || s != nil {
-		t.Fatalf("empty spec: %v %v", s, err)
-	}
-	for _, bad := range []string{
-		"mgrid:36",                     // missing at=
-		"at=3s",                        // missing target
-		"at=-1s:mgrid:36",              // negative offset
-		"at=3s:mgrid:36;at=3s:grid:25", // not strictly increasing
-		"at=x:mgrid:36",                // bad duration
-		";",                            // no steps
-	} {
-		if _, err := ParseSchedule(bad, 1); err == nil {
-			t.Errorf("ParseSchedule(%q) accepted, want error", bad)
-		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bqs/internal/core"
 	"bqs/internal/reconfig"
 )
 
@@ -75,10 +74,6 @@ func (c *Cluster) Reconfigure(ctx context.Context, rec reconfig.Record) (Reconfi
 	system, err := reconfig.BuildSystem(rec)
 	if err != nil {
 		return ReconfigReport{}, fmt.Errorf("sim: reconfigure: %w", err)
-	}
-	if m, ok := core.System(system).(core.Masking); ok && m.MaskingBound() < c.b {
-		return ReconfigReport{}, fmt.Errorf("sim: reconfigure: system %s masks only %d < b=%d",
-			system.Name(), m.MaskingBound(), c.b)
 	}
 	st := newEpochState()
 	st.epoch, st.rec, st.system, st.b = rec.Epoch, rec, system, c.b

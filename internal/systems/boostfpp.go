@@ -29,7 +29,6 @@ type BoostFPP struct {
 
 var (
 	_ core.System        = (*BoostFPP)(nil)
-	_ core.Sampler       = (*BoostFPP)(nil)
 	_ core.Parameterized = (*BoostFPP)(nil)
 	_ core.Masking       = (*BoostFPP)(nil)
 )
@@ -73,15 +72,11 @@ func (s *BoostFPP) Order() int     { return s.q }
 func (s *BoostFPP) DeclaredB() int { return s.b }
 
 // SelectQuorum delegates to the composition: a surviving line of the plane
-// whose every point's threshold copy still musters 3b+1 live servers.
+// whose every point's threshold copy still musters 3b+1 live servers. With
+// nothing dead that is the product strategy of Theorem 4.7 (uniform line ×
+// uniform 3b+1-subsets), achieving the optimal load of Proposition 6.2.
 func (s *BoostFPP) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error) {
 	return s.comp.SelectQuorum(rng, dead)
-}
-
-// SampleQuorum uses the product strategy of Theorem 4.7 (uniform line ×
-// uniform 3b+1-subsets), achieving the optimal load of Proposition 6.2.
-func (s *BoostFPP) SampleQuorum(rng *rand.Rand) bitset.Set {
-	return s.comp.SampleQuorum(rng)
 }
 
 // MinQuorumSize returns c = (3b+1)(q+1) (Proposition 6.1).

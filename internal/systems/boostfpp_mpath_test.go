@@ -292,7 +292,10 @@ func TestMPathLoadProposition72(t *testing.T) {
 func TestMPathEmpiricalLoad(t *testing.T) {
 	m, _ := NewMPath(9, 4)
 	rng := rand.New(rand.NewSource(43))
-	got := measures.EmpiricalLoad(m, 20000, rng)
+	got, err := measures.EmpiricalLoad(m, 20000, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(got-m.Load()) > 0.04 {
 		t.Errorf("empirical %g vs analytic %g", got, m.Load())
 	}

@@ -21,7 +21,6 @@ type Grid struct {
 
 var (
 	_ core.System        = (*Grid)(nil)
-	_ core.Sampler       = (*Grid)(nil)
 	_ core.Parameterized = (*Grid)(nil)
 	_ core.Enumerator    = (*Grid)(nil)
 )
@@ -90,7 +89,8 @@ func (g *Grid) freeLines(dead bitset.Set, axis int) []int {
 	return free
 }
 
-// SelectQuorum picks a fully-live row and 2b+1 fully-live columns.
+// SelectQuorum picks a fully-live row and 2b+1 fully-live columns,
+// uniformly; with nothing dead that is the fair strategy, with load c/n.
 func (g *Grid) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error) {
 	rows := g.freeLines(dead, 0)
 	cols := g.freeLines(dead, 1)
@@ -105,14 +105,6 @@ func (g *Grid) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error)
 		pick[i] = cols[ci]
 	}
 	return g.quorum(row, pick), nil
-}
-
-// SampleQuorum draws a uniformly random row and column set — the fair
-// strategy, with load c/n.
-func (g *Grid) SampleQuorum(rng *rand.Rand) bitset.Set {
-	row := rng.Intn(g.d)
-	cols := combin.RandomKSubset(rng, g.d, 2*g.b+1)
-	return g.quorum(row, cols)
 }
 
 // MinQuorumSize returns c = d + (2b+1)(d−1): one row plus 2b+1 columns,

@@ -276,7 +276,10 @@ func TestMGridCrashGoesToOne(t *testing.T) {
 func TestMGridEmpiricalLoadMatches(t *testing.T) {
 	m, _ := NewMGrid(7, 3)
 	rng := rand.New(rand.NewSource(20))
-	got := measures.EmpiricalLoad(m, 20000, rng)
+	got, err := measures.EmpiricalLoad(m, 20000, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(got-m.Load()) > 0.03 {
 		t.Errorf("empirical %g vs analytic %g", got, m.Load())
 	}

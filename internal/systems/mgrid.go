@@ -24,7 +24,6 @@ type MGrid struct {
 
 var (
 	_ core.System        = (*MGrid)(nil)
-	_ core.Sampler       = (*MGrid)(nil)
 	_ core.Parameterized = (*MGrid)(nil)
 	_ core.Masking       = (*MGrid)(nil)
 	_ core.Enumerator    = (*MGrid)(nil)
@@ -94,7 +93,8 @@ func (m *MGrid) freeLines(dead bitset.Set, axis int) []int {
 	return free
 }
 
-// SelectQuorum picks √(b+1) fully-live rows and columns.
+// SelectQuorum picks √(b+1) fully-live rows and columns, uniformly; with
+// nothing dead that is the fair strategy of Proposition 5.2's optimal load.
 func (m *MGrid) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error) {
 	rows := m.freeLines(dead, 0)
 	cols := m.freeLines(dead, 1)
@@ -110,15 +110,6 @@ func (m *MGrid) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error
 		pickCols[i] = cols[ci[i]]
 	}
 	return m.quorum(pickRows, pickCols), nil
-}
-
-// SampleQuorum draws uniformly random row and column sets (fair strategy;
-// Proposition 5.2's optimal load).
-func (m *MGrid) SampleQuorum(rng *rand.Rand) bitset.Set {
-	return m.quorum(
-		combin.RandomKSubset(rng, m.d, m.r),
-		combin.RandomKSubset(rng, m.d, m.r),
-	)
 }
 
 // MinQuorumSize returns c = 2rd − r² (r rows + r columns minus crossings).

@@ -36,7 +36,6 @@ type MPath struct {
 
 var (
 	_ core.System        = (*MPath)(nil)
-	_ core.Sampler       = (*MPath)(nil)
 	_ core.Parameterized = (*MPath)(nil)
 	_ core.Masking       = (*MPath)(nil)
 )
@@ -87,18 +86,10 @@ func (m *MPath) Grid() *lattice.Grid { return m.grid }
 // TB paths: uniformly random live rows and columns where enough exist,
 // randomized max-flow paths (Menger's theorem) on an axis where they do
 // not. It fails exactly when an axis has fewer than √(2b+1) disjoint open
-// crossings of any shape.
+// crossings of any shape. With nothing dead it is the Proposition 7.2
+// strategy, giving load ≤ 2√(2b+1)/√n — optimal by Corollary 4.2.
 func (m *MPath) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error) {
 	return selectPathQuorum(m.grid, m.d*m.d, m.lines, m.r, rng, dead)
-}
-
-// SampleQuorum implements the Proposition 7.2 strategy: √(2b+1) uniformly
-// random straight rows (as LR paths) and as many straight columns (as TB
-// paths), giving load ≤ 2√(2b+1)/√n — optimal by Corollary 4.2. It is
-// SelectQuorum with nothing dead.
-func (m *MPath) SampleQuorum(rng *rand.Rand) bitset.Set {
-	q, _ := m.SelectQuorum(rng, bitset.Set{}) // all d ≥ r lines are free
-	return q
 }
 
 // pathLattice is what a path construction needs of its lattice when

@@ -36,7 +36,6 @@ type MPathEdge struct {
 
 var (
 	_ core.System        = (*MPathEdge)(nil)
-	_ core.Sampler       = (*MPathEdge)(nil)
 	_ core.Parameterized = (*MPathEdge)(nil)
 	_ core.Masking       = (*MPathEdge)(nil)
 )
@@ -86,15 +85,6 @@ func (m *MPathEdge) PathsPerAxis() int { return m.r }
 // enough exist, randomized max-flow paths on an axis where they do not.
 func (m *MPathEdge) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error) {
 	return selectPathQuorum(m.grid, m.UniverseSize(), m.lines, m.r, rng, dead)
-}
-
-// SampleQuorum uses the straight-line strategy: r random rows of
-// horizontal edges as LR paths, and r random columns of horizontal edges
-// as the crossed sets of straight dual TB paths. It is SelectQuorum with
-// nothing dead.
-func (m *MPathEdge) SampleQuorum(rng *rand.Rand) bitset.Set {
-	q, _ := m.SelectQuorum(rng, bitset.Set{}) // all d−1 ≥ r lines are free
-	return q
 }
 
 // MinQuorumSize returns the straight-line quorum size

@@ -84,7 +84,10 @@ func TestMPathEdgeStraightQuorumIsValid(t *testing.T) {
 	// intersection property against max-flow-selected quorums.
 	m, _ := NewMPathEdge(9, 4)
 	rng := rand.New(rand.NewSource(52))
-	straight := m.SampleQuorum(rng)
+	straight, err := m.SelectQuorum(rng, bitset.Set{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	flowQ, err := m.SelectQuorum(rng, bitset.New(m.UniverseSize()))
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +126,10 @@ func TestMPathEdgeLoadAblation(t *testing.T) {
 func TestMPathEdgeEmpiricalLoad(t *testing.T) {
 	m, _ := NewMPathEdge(9, 4)
 	rng := rand.New(rand.NewSource(53))
-	got := measures.EmpiricalLoad(m, 20000, rng)
+	got, err := measures.EmpiricalLoad(m, 20000, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(got-m.Load()) > 0.04 {
 		t.Errorf("empirical %g vs analytic %g", got, m.Load())
 	}

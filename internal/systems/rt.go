@@ -25,7 +25,6 @@ type RT struct {
 
 var (
 	_ core.System        = (*RT)(nil)
-	_ core.Sampler       = (*RT)(nil)
 	_ core.Parameterized = (*RT)(nil)
 	_ core.Masking       = (*RT)(nil)
 	_ core.Enumerator    = (*RT)(nil)
@@ -64,7 +63,9 @@ func (r *RT) Depth() int { return r.h }
 
 // SelectQuorum recursively assembles a live quorum: at each internal node,
 // ℓ of the k child subtrees must themselves produce live quorums. Children
-// are tried in random order so repeated calls spread load across subtrees.
+// are tried in random order, so with nothing dead each node takes a
+// uniformly random ℓ-subset of its children — the symmetric strategy, load
+// optimal because the system is fair.
 func (r *RT) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error) {
 	q := bitset.New(r.n)
 	if !r.selectRec(rng, dead, 0, r.h, &q) {
@@ -99,26 +100,6 @@ func (r *RT) selectRec(rng *rand.Rand, dead bitset.Set, offset, depth int, out *
 		}
 	}
 	return false
-}
-
-// SampleQuorum draws from the symmetric strategy: at each node pick a
-// uniformly random ℓ-subset of children. The system is fair, so this is
-// load optimal.
-func (r *RT) SampleQuorum(rng *rand.Rand) bitset.Set {
-	q := bitset.New(r.n)
-	r.sampleRec(rng, 0, r.h, &q)
-	return q
-}
-
-func (r *RT) sampleRec(rng *rand.Rand, offset, depth int, out *bitset.Set) {
-	if depth == 0 {
-		out.Add(offset)
-		return
-	}
-	block := intPow(r.k, depth-1)
-	for _, child := range combin.RandomKSubset(rng, r.k, r.l) {
-		r.sampleRec(rng, offset+child*block, depth-1, out)
-	}
 }
 
 // MinQuorumSize returns c = ℓ^h.

@@ -245,16 +245,22 @@ func TestRTSelectQuorumFailsPastResilience(t *testing.T) {
 	}
 }
 
-func TestRTSampleQuorumShape(t *testing.T) {
+func TestRTFaultFreeQuorumShape(t *testing.T) {
 	r, _ := NewRT(4, 3, 3)
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 50; i++ {
-		q := r.SampleQuorum(rng)
+		q, err := r.SelectQuorum(rng, bitset.Set{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if q.Count() != r.MinQuorumSize() {
 			t.Fatalf("sampled quorum size %d, want %d", q.Count(), r.MinQuorumSize())
 		}
 	}
-	got := measures.EmpiricalLoad(r, 20000, rng)
+	got, err := measures.EmpiricalLoad(r, 20000, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(got-r.Load()) > 0.03 {
 		t.Errorf("empirical load %g vs analytic %g", got, r.Load())
 	}

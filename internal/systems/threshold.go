@@ -28,7 +28,6 @@ type Threshold struct {
 
 var (
 	_ core.System        = (*Threshold)(nil)
-	_ core.Sampler       = (*Threshold)(nil)
 	_ core.Parameterized = (*Threshold)(nil)
 	_ core.Enumerator    = (*Threshold)(nil)
 )
@@ -95,7 +94,8 @@ func (t *Threshold) UniverseSize() int { return t.n }
 func (t *Threshold) QuorumSize() int { return t.l }
 
 // SelectQuorum picks ℓ live elements uniformly at random, or fails when
-// fewer than ℓ survive.
+// fewer than ℓ survive. With nothing dead that is the optimal strategy of
+// this fair system (Proposition 3.9), with load ℓ/n.
 func (t *Threshold) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error) {
 	alive := make([]int, 0, t.n)
 	for i := 0; i < t.n; i++ {
@@ -112,17 +112,6 @@ func (t *Threshold) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, e
 		q.Add(alive[i])
 	}
 	return q, nil
-}
-
-// SampleQuorum draws a uniformly random ℓ-subset — the optimal strategy
-// for this fair system (Proposition 3.9), with load ℓ/n.
-func (t *Threshold) SampleQuorum(rng *rand.Rand) bitset.Set {
-	idx := combin.RandomKSubset(rng, t.n, t.l)
-	q := bitset.New(t.n)
-	for _, i := range idx {
-		q.Add(i)
-	}
-	return q
 }
 
 // MinQuorumSize returns c = ℓ.

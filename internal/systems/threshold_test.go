@@ -138,7 +138,10 @@ func TestThresholdSelectQuorum(t *testing.T) {
 func TestThresholdEmpiricalLoad(t *testing.T) {
 	th, _ := NewMaskingThreshold(9, 2)
 	rng := rand.New(rand.NewSource(8))
-	got := measures.EmpiricalLoad(th, 30000, rng)
+	got, err := measures.EmpiricalLoad(th, 30000, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(got-th.Load()) > 0.02 {
 		t.Errorf("empirical load %g vs analytic %g", got, th.Load())
 	}
