@@ -324,6 +324,7 @@ var allowedUnits = map[string]bool{
 	"bytes":   true,
 	"size":    true, // dimensionless size distributions (histograms)
 	"ops":     true, // operation-count distributions (histograms)
+	"frames":  true, // wire-frame-count distributions (histograms)
 	"load":    true, // paper quantities: Definition 3.8 load values
 	"bound":   true, // analytic bounds (Theorem 4.1)
 	"rate":    true, // dimensionless rates in [0, 1]

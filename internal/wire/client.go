@@ -192,32 +192,49 @@ func (c *Client) Routes() map[int]string {
 // dropped connections answer Response{OK: false}; the error return is
 // reserved for aborts (ctx done, closed client, unrouted server).
 func (c *Client) Invoke(ctx context.Context, server int, req sim.Request) (sim.Response, error) {
-	if err := ctx.Err(); err != nil {
+	cn, err := c.connFor(ctx, server)
+	if err != nil {
 		return sim.Response{}, err
+	}
+	one := [1]sim.BatchItem{{Server: server, Req: req}}
+	if !fitsFrame(one[0]) {
+		return sim.Response{}, nil // no frame can carry it: unresponsive, not an abort
+	}
+	pc, err := cn.sendBatch(ctx, one[:])
+	if err != nil {
+		return sim.Response{}, err
+	}
+	got, err := pc.await(ctx)
+	if err != nil {
+		return sim.Response{}, err
+	}
+	return got.resps[0], nil
+}
+
+// connFor picks a connection to the address hosting the given server.
+func (c *Client) connFor(ctx context.Context, server int) (*conn, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	addr, ok := c.routes[server]
 	if !ok {
-		return sim.Response{}, fmt.Errorf("wire: no route for server %d", server)
+		return nil, fmt.Errorf("wire: no route for server %d", server)
 	}
-	p, err := c.pool(addr)
-	if err != nil {
-		return sim.Response{}, err
-	}
-	resps, err := p.pick().roundTripBatch(ctx, []sim.BatchItem{{Server: server, Req: req}})
-	if err != nil {
-		return sim.Response{}, err
-	}
-	return resps[0], nil
+	return c.conn(addr)
 }
 
 // InvokeBatch implements sim.BatchTransport: items are grouped by the
-// address hosting their servers and each group travels as one batch
-// frame. A group whose address is unreachable fails fast AS A UNIT — one
-// backoff-gate check for the whole frame, every item answering
-// Response{OK: false} — so a dead shard costs one redial-backoff window,
-// not one per operation in the batch. Responses align index-by-index
-// with items; the error return is reserved for aborts (ctx done, closed
-// client, unrouted server).
+// address hosting their servers and each group travels as one batch frame
+// (several when it exceeds a frame's bounds, all on one connection). Every
+// frame is sent before the first reply is awaited, so a call spanning
+// shards costs the slowest shard's round trip, not their sum. A group
+// whose address is unreachable fails fast AS A UNIT — one backoff-gate
+// check for the whole frame, every item answering Response{OK: false} —
+// so a dead shard costs one redial-backoff window, not one per operation.
+// An item no frame can carry (key or value past the per-item bounds)
+// answers OK: false alone and never poisons the frame of the others.
+// Responses align with items; the error return is reserved for aborts
+// (ctx done, closed client, unrouted server).
 func (c *Client) InvokeBatch(ctx context.Context, items []sim.BatchItem) ([]sim.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -226,53 +243,63 @@ func (c *Client) InvokeBatch(ctx context.Context, items []sim.BatchItem) ([]sim.
 	// The batcher already groups per address, so the common case is one
 	// group; the grouping here keeps the contract honest for direct
 	// callers.
-	type group struct {
+	groups := make([]struct {
+		cn    *conn
 		idx   []int
 		items []sim.BatchItem
-	}
-	groups := make(map[string]*group, 1)
-	order := make([]string, 0, 1)
+	}, len(c.addrGroup))
 	for i, it := range items {
 		addr, ok := c.routes[it.Server]
 		if !ok {
 			return nil, fmt.Errorf("wire: no route for server %d", it.Server)
 		}
-		g := groups[addr]
-		if g == nil {
-			g = &group{}
-			groups[addr] = g
-			order = append(order, addr)
+		if !fitsFrame(it) {
+			continue
+		}
+		g := &groups[c.addrGroup[addr]]
+		if g.cn == nil {
+			var err error
+			if g.cn, err = c.conn(addr); err != nil {
+				return nil, err
+			}
 		}
 		g.idx = append(g.idx, i)
 		g.items = append(g.items, it)
 	}
-	for _, addr := range order {
-		g := groups[addr]
-		p, err := c.pool(addr)
-		if err != nil {
-			return nil, err
-		}
-		cn := p.pick()
-		// Chunk so no frame exceeds the op-count or byte limits; every
-		// chunk of a group rides the same connection.
-		for start := 0; start < len(g.items); {
+	var flights []*pendingCall // one per frame sent,
+	var dests [][]int          // and where its responses go in out
+	var err error
+	for _, g := range groups {
+		for start := 0; err == nil && start < len(g.items); {
 			end := chunkEnd(g.items, start)
-			resps, err := cn.roundTripBatch(ctx, g.items[start:end])
-			if err != nil {
-				return nil, err
-			}
-			for k, r := range resps {
-				out[g.idx[start+k]] = r
+			var pc *pendingCall
+			if pc, err = g.cn.sendBatch(ctx, g.items[start:end]); err == nil {
+				flights, dests = append(flights, pc), append(dests, g.idx[start:end])
 			}
 			start = end
 		}
+	}
+	// Every frame that left is awaited even after an abort: ctx done or a
+	// closed client resolves each of them at once.
+	for i, pc := range flights {
+		got, aerr := pc.await(ctx)
+		if aerr != nil {
+			err = aerr
+		}
+		for k, r := range got.resps {
+			out[dests[i][k]] = r
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // chunkEnd returns the end index of the largest frame-sized chunk of
-// items starting at start: at most MaxBatchOps operations and comfortably
-// under the MaxFrame payload bound.
+// items starting at start: at most MaxBatchOps operations and under the
+// MaxFrame payload bound. Every item fits a frame alone (fitsFrame), so a
+// chunk is never empty.
 func chunkEnd(items []sim.BatchItem, start int) int {
 	bytes := batchHeaderLen
 	end := start
@@ -283,12 +310,6 @@ func chunkEnd(items []sim.BatchItem, start int) int {
 		}
 		bytes += sz
 		end++
-	}
-	if end == start {
-		// A single item too big for any frame: give it its own chunk;
-		// roundTripBatch's fitsFrame filter answers it OK: false without
-		// ever encoding it.
-		end = start + 1
 	}
 	return end
 }
@@ -302,25 +323,18 @@ func chunkEnd(items []sim.BatchItem, start int) int {
 // addressed shard does not host; a schedule driver counts such flips as
 // misses and keeps going.
 func (c *Client) Flip(ctx context.Context, server int, behavior sim.Behavior) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	addr, ok := c.routes[server]
-	if !ok {
-		return fmt.Errorf("wire: no route for server %d", server)
-	}
-	p, err := c.pool(addr)
+	cn, err := c.connFor(ctx, server)
 	if err != nil {
 		return err
 	}
-	ack, err := p.pick().roundTrip(ctx, 1, func(id uint64) ([]byte, error) {
-		return AppendControl(nil, id, uint32(server), behavior)
+	ack, err := cn.roundTrip(ctx, 1, func(dst []byte, id uint64) ([]byte, error) {
+		return AppendControl(dst, id, uint32(server), behavior)
 	})
 	if err != nil {
 		return err
 	}
 	if !ack.resps[0].OK {
-		return fmt.Errorf("wire: flip server %d to %v: shard %s unreachable or not hosting it", server, behavior, addr)
+		return fmt.Errorf("wire: flip server %d to %v: shard %s unreachable or not hosting it", server, behavior, cn.addr)
 	}
 	return nil
 }
@@ -367,11 +381,11 @@ func (c *Client) InstallEpoch(ctx context.Context, rec reconfig.Record) error {
 		return fmt.Errorf("wire: install: %w", err)
 	}
 	for _, addr := range c.addrs() {
-		p, err := c.pool(addr)
+		cn, err := c.conn(addr)
 		if err != nil {
 			return err
 		}
-		got, err := p.pick().roundTripReconfig(ctx, ReconfigFrame{Kind: ReconfigInstall, Rec: rec})
+		got, err := cn.roundTripReconfig(ctx, ReconfigFrame{Kind: ReconfigInstall, Rec: rec})
 		if err != nil {
 			return err
 		}
@@ -405,11 +419,11 @@ func (c *Client) FetchConfig(ctx context.Context) (reconfig.Record, bool, error)
 	var best reconfig.Record
 	found := false
 	for _, addr := range c.addrs() {
-		p, err := c.pool(addr)
+		cn, err := c.conn(addr)
 		if err != nil {
 			return reconfig.Record{}, false, err
 		}
-		got, err := p.pick().roundTripReconfig(ctx, ReconfigFrame{Kind: ReconfigQuery})
+		got, err := cn.roundTripReconfig(ctx, ReconfigFrame{Kind: ReconfigQuery})
 		if err != nil {
 			return reconfig.Record{}, false, err
 		}
@@ -431,7 +445,8 @@ func (c *Client) addrs() []string {
 	return out
 }
 
-func (c *Client) pool(addr string) (*pool, error) {
+// conn picks a connection from addr's pool, created on first use.
+func (c *Client) conn(addr string) (*conn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -442,7 +457,7 @@ func (c *Client) pool(addr string) (*pool, error) {
 		p = newPool(addr, &c.cfg)
 		c.pools[addr] = p
 	}
-	return p, nil
+	return p.pick(), nil
 }
 
 // Close tears down every connection. In-flight operations observe
@@ -490,24 +505,8 @@ type conn struct {
 	addr string
 	cfg  *dialConfig
 
-	// wmu serializes socket writes, separately from mu: a blocking flush
-	// must not hold the state mutex, or readLoop could not drain responses
-	// while the kernel send buffer is full — with both sides stalled on
-	// flow control, that is a distributed deadlock.
-	wmu sync.Mutex
-
-	// Announce state, guarded by wmu (NOT mu): the connection the last
-	// announce preface was written to and the epoch it named. The decision
-	// to preface and the write itself must be one critical section, or two
-	// racing senders could order a request ahead of the announce that
-	// covers it. Comparing annNC against the live connection makes a
-	// reconnect re-announce naturally, with no teardown bookkeeping.
-	annNC     net.Conn
-	announced uint64
-
 	mu         sync.Mutex
-	nc         net.Conn
-	bw         *bufio.Writer
+	w          *frameWriter // the live connection, nil while down; its own mutex guards writes
 	nextID     uint64
 	pending    map[uint64]*pendingCall
 	nextDialAt time.Time     // backoff gate after a failed dial
@@ -517,100 +516,62 @@ type conn struct {
 
 // pendingCall is one in-flight frame awaiting its reply. The channel is
 // buffered so teardown and readLoop never block on an abandoned waiter.
+// A call resolves exactly once — by whoever deletes it from conn.pending,
+// or by send when it never got that far — and is recycled only by the
+// goroutine that RECEIVED that reply: a waiter that gave up (ctx done)
+// leaves its call to the collector, so a late reply for the forgotten id
+// can never land in a recycled call.
 type pendingCall struct {
 	done chan reply
+	cn   *conn
+	id   uint64
 	n    int // responses the reply must carry; 0 for a call awaiting a state frame
 }
 
+var callPool = sync.Pool{New: func() any { return &pendingCall{done: make(chan reply, 1)} }}
+
 // reply is what a pending call resolves to: the responses of a batchResp
 // frame, aligned with the request's items, or the record of a reconfig
-// state frame (zero when the shard has nothing installed). A dead
-// connection resolves every call to what a crashed peer would have
-// answered (downReply).
+// state frame (zero when the shard has nothing installed).
 type reply struct {
 	resps   []sim.Response
 	rec     reconfig.Record
 	stateOK bool // a state frame arrived
 }
 
-// downReply is the answer of a crashed peer to a call expecting n
-// responses: every one the zero Response (OK: false), and no state.
-func downReply(n int) reply { return reply{resps: make([]sim.Response, n)} }
+// fail answers the call the way a crashed peer would: every response the
+// zero Response (OK: false), and no state.
+func (pc *pendingCall) fail() { pc.done <- reply{resps: make([]sim.Response, pc.n)} }
 
-// fail answers the call the way a crashed peer would. Called with the
-// conn state mutex held.
-func (pc *pendingCall) fail() { pc.done <- downReply(pc.n) }
-
-// errDown is the internal signal that the remote end is unreachable;
-// roundTrip translates it into the crashed-peer reply.
+// errDown is the internal signal that the remote end is unreachable; send
+// translates it into the crashed-peer reply.
 var errDown = fmt.Errorf("wire: server down")
 
-// roundTrip sends the frame built by encode (called with the fresh
-// request ID under the connection's state mutex) and waits for a reply
-// carrying n responses — or, for n = 0, a state frame. An unreachable
-// peer, at send time or any time before the answer, is not an error: the
-// call resolves to the crashed-peer reply, so dead servers read as
-// crashed. The error return is reserved for aborts (ctx done, closed
-// client, unencodable frame).
-func (cn *conn) roundTrip(ctx context.Context, n int, encode func(id uint64) ([]byte, error)) (reply, error) {
-	pc := &pendingCall{done: make(chan reply, 1), n: n}
-	id, err := cn.send(ctx, encode, pc)
-	if err == errDown {
-		return downReply(n), nil
-	}
+// roundTrip sends the frame built by encode and waits for its reply.
+func (cn *conn) roundTrip(ctx context.Context, n int, encode func(dst []byte, id uint64) ([]byte, error)) (reply, error) {
+	pc, err := cn.send(ctx, n, encode)
 	if err != nil {
 		return reply{}, err
 	}
-	select {
-	case got := <-pc.done:
-		return got, nil
-	case <-ctx.Done():
-		cn.forget(id)
-		return reply{}, ctx.Err()
-	}
+	return pc.await(ctx)
 }
 
 // roundTripReconfig sends a reconfig install or query frame and waits
 // for the shard's state reply; an unreachable shard reads as
 // reply{stateOK: false}.
 func (cn *conn) roundTripReconfig(ctx context.Context, f ReconfigFrame) (reply, error) {
-	return cn.roundTrip(ctx, 0, func(id uint64) ([]byte, error) {
-		return AppendReconfig(nil, id, f)
+	return cn.roundTrip(ctx, 0, func(dst []byte, id uint64) ([]byte, error) {
+		return AppendReconfig(dst, id, f)
 	})
 }
 
-// roundTripBatch sends one batch frame and waits for its aligned
-// responses. An unreachable peer fails the WHOLE batch fast, as a unit:
-// one dial attempt or one backoff-gate check answers every item with
-// Response{OK: false} — this is what keeps a dead shard's cost at one
-// redial-backoff window instead of one per operation.
-func (cn *conn) roundTripBatch(ctx context.Context, items []sim.BatchItem) ([]sim.Response, error) {
-	// An item no frame can carry (key or value past the per-item bounds)
-	// answers OK: false on its own; it must not poison the frame with an
-	// encode error that would fail every innocent operation sharing it.
-	out := make([]sim.Response, len(items))
-	sendable := make([]sim.BatchItem, 0, len(items))
-	idx := make([]int, 0, len(items))
-	for i, it := range items {
-		if fitsFrame(it) {
-			sendable = append(sendable, it)
-			idx = append(idx, i)
-		}
-	}
-	if len(sendable) == 0 {
-		return out, nil
-	}
-	cn.cfg.met.batchOps.Observe(float64(len(sendable)))
-	got, err := cn.roundTrip(ctx, len(sendable), func(id uint64) ([]byte, error) {
-		return AppendBatchRequest(nil, id, sendable)
+// sendBatch sends one batch frame of items that all fit it (fitsFrame,
+// chunkEnd); await returns the aligned responses.
+func (cn *conn) sendBatch(ctx context.Context, items []sim.BatchItem) (*pendingCall, error) {
+	cn.cfg.met.batchOps.Observe(float64(len(items)))
+	return cn.send(ctx, len(items), func(dst []byte, id uint64) ([]byte, error) {
+		return AppendBatchRequest(dst, id, items)
 	})
-	if err != nil {
-		return nil, err
-	}
-	for k, r := range got.resps {
-		out[idx[k]] = r
-	}
-	return out, nil
 }
 
 // fitsFrame reports whether AppendBatchRequest accepts the item; one that
@@ -620,73 +581,89 @@ func fitsFrame(it sim.BatchItem) bool {
 	return it.Server >= 0 && len(it.Req.Key) <= MaxKeyLen && len(it.Req.Value.Value) <= MaxValueLen
 }
 
-// send ensures the connection is up, registers the pending call, and
-// writes the frame built by encode. The write itself happens outside the
-// state mutex (under wmu) so responses keep flowing while it blocks.
-func (cn *conn) send(ctx context.Context, encode func(id uint64) ([]byte, error), pc *pendingCall) (uint64, error) {
-	if err := cn.ensureConn(ctx); err != nil {
-		return 0, err
+// await waits for the reply to a call send returned.
+func (pc *pendingCall) await(ctx context.Context) (reply, error) {
+	select {
+	case got := <-pc.done:
+		callPool.Put(pc)
+		return got, nil
+	case <-ctx.Done():
+		// A late response for the forgotten id is discarded by readLoop.
+		pc.cn.mu.Lock()
+		delete(pc.cn.pending, pc.id)
+		pc.cn.mu.Unlock()
+		return reply{}, ctx.Err()
 	}
-	cn.mu.Lock()
-	if cn.closed {
-		cn.mu.Unlock()
-		return 0, fmt.Errorf("wire: client closed")
-	}
-	if cn.nc == nil {
-		// The connection died between ensureConn and here; treat the
-		// servers behind it as down rather than re-dialing in a loop.
-		cn.mu.Unlock()
-		return 0, errDown
-	}
-	cn.nextID++
-	id := cn.nextID
-	frame, err := encode(id)
-	if err != nil {
-		cn.mu.Unlock()
-		return 0, err // unencodable frame (invalid record or behavior): caller bug, abort
-	}
-	cn.pending[id] = pc
-	nc, bw := cn.nc, cn.bw
-	cn.mu.Unlock()
+}
 
-	cn.wmu.Lock()
-	var werr error
-	frames, bytes := 1, len(frame)
-	if cn.cfg.epoch != nil {
-		// Epoch-aware clients preface the frame with an announce whenever
-		// this connection has not yet named the current epoch — on first
-		// use, after a reconnect, and after each InstallEpoch adoption.
-		if cur := cn.cfg.epoch.Load(); cn.annNC != nc || cn.announced != cur {
-			preface, perr := AppendReconfig(nil, 0, ReconfigFrame{Kind: ReconfigAnnounce, Epoch: cur})
-			if perr == nil {
-				if _, werr = bw.Write(preface); werr == nil {
-					cn.annNC, cn.announced = nc, cur
-					frames, bytes = frames+1, bytes+len(preface)
-				}
+// send ensures the connection is up, registers a pending call expecting n
+// responses (n = 0: a state frame) and puts the frame built by encode —
+// called with the free tail of the write buffer and the fresh request ID —
+// on the connection's frameWriter. An unreachable peer, at send time or
+// any time before the answer, is not an error: after one dial attempt or
+// backoff-gate check the call resolves to the crashed-peer reply, so dead
+// servers read as crashed. The error return is reserved for aborts (ctx
+// done, closed client, unencodable frame).
+func (cn *conn) send(ctx context.Context, n int, encode func(dst []byte, id uint64) ([]byte, error)) (*pendingCall, error) {
+	pc := callPool.Get().(*pendingCall)
+	pc.cn, pc.n = cn, n
+	var w *frameWriter
+	err := cn.ensureConn(ctx)
+	if err == nil {
+		cn.mu.Lock()
+		if w = cn.w; w == nil {
+			// The connection died (or the client closed) between ensureConn
+			// and here; read the servers behind it as down, don't re-dial.
+			err = errDown
+		} else {
+			cn.nextID++
+			pc.id = cn.nextID
+			cn.pending[pc.id] = pc
+		}
+		cn.mu.Unlock()
+	}
+	if err == errDown {
+		pc.fail()
+		return pc, nil
+	}
+	if err != nil {
+		callPool.Put(pc)
+		return nil, err
+	}
+	werr := w.send(func(dst []byte) ([]byte, int) {
+		frames := 0
+		if cn.cfg.epoch != nil {
+			// Epoch-aware clients preface the frame with an announce whenever
+			// this connection (a reconnect is a fresh frameWriter) has not yet
+			// named the current epoch. Deciding and writing under the one lock
+			// keeps racing senders from ordering a request ahead of the
+			// announce that covers it.
+			if cur := cn.cfg.epoch.Load(); !w.annSet || w.announced != cur {
+				dst, _ = AppendReconfig(dst, 0, ReconfigFrame{Kind: ReconfigAnnounce, Epoch: cur}) // always encodes
+				w.annSet, w.announced, frames = true, cur, 1
 			}
 		}
-	}
-	if werr == nil {
-		_, werr = bw.Write(frame)
-	}
-	if werr == nil {
-		werr = bw.Flush()
-	}
-	cn.wmu.Unlock()
-	if werr == nil {
-		cn.cfg.met.framesOut.Add(int64(frames))
-		cn.cfg.met.bytesOut.Add(int64(bytes))
+		if dst, err = encode(dst, pc.id); err == nil {
+			frames++
+		}
+		return dst, frames
+	})
+	if err != nil {
+		// Unencodable frame (invalid record or behavior): caller bug, abort.
+		// The call stays out of the pool — a concurrent teardown may fail it.
+		cn.mu.Lock()
+		delete(cn.pending, pc.id)
+		cn.mu.Unlock()
+		return nil, err
 	}
 	if werr != nil {
+		// Teardown (ours, or a concurrent one that beat us to it) answers the
+		// pending entry, and every other call in flight, with OK: false.
 		cn.mu.Lock()
-		cn.teardownLocked(nc)
+		cn.teardownLocked(w)
 		cn.mu.Unlock()
-		// Teardown (ours, or a concurrent one that beat us to it) already
-		// answered the pending entry with OK: false if it was still
-		// registered; reporting errDown here reads the same to the caller.
-		return 0, errDown
 	}
-	return id, nil
+	return pc, nil
 }
 
 // ensureConn returns once a connection is established (by this goroutine
@@ -702,7 +679,7 @@ func (cn *conn) ensureConn(ctx context.Context) error {
 		case cn.closed:
 			cn.mu.Unlock()
 			return fmt.Errorf("wire: client closed")
-		case cn.nc != nil:
+		case cn.w != nil:
 			cn.mu.Unlock()
 			return nil
 		case cn.dialDone != nil:
@@ -752,19 +729,24 @@ func (cn *conn) ensureConn(ctx context.Context) error {
 			return fmt.Errorf("wire: client closed")
 		}
 		cn.cfg.met.dialsOK.Inc()
-		cn.nc = nc
-		cn.bw = bufio.NewWriter(nc)
-		cn.pending = make(map[uint64]*pendingCall)
-		go cn.readLoop(nc)
+		cn.attachLocked(nc)
 		cn.mu.Unlock()
 		return nil
 	}
 }
 
+// attachLocked makes nc the live connection and starts its read loop.
+// Called with cn.mu held.
+func (cn *conn) attachLocked(nc net.Conn) {
+	cn.w = newFrameWriter(nc, cn.cfg.met)
+	cn.pending = make(map[uint64]*pendingCall)
+	go cn.readLoop(cn.w)
+}
+
 // readLoop dispatches response frames to their pending calls until the
 // connection dies, then fails whatever is still in flight.
-func (cn *conn) readLoop(nc net.Conn) {
-	br := bufio.NewReader(nc)
+func (cn *conn) readLoop(w *frameWriter) {
+	br := bufio.NewReader(w.nc)
 	var buf []byte
 	for {
 		frame, err := ReadFrame(br, buf)
@@ -841,39 +823,30 @@ func (cn *conn) readLoop(nc net.Conn) {
 	}
 done:
 	cn.mu.Lock()
-	cn.teardownLocked(nc)
+	cn.teardownLocked(w)
 	cn.mu.Unlock()
 }
 
-// teardownLocked closes nc and, if it is still the active connection,
+// teardownLocked closes w's connection and, if it is still the live one,
 // answers every pending call with OK: false so waiters treat the remote
 // servers as crashed. Called with cn.mu held.
-func (cn *conn) teardownLocked(nc net.Conn) {
-	nc.Close()
-	if cn.nc != nc {
+func (cn *conn) teardownLocked(w *frameWriter) {
+	w.nc.Close()
+	if cn.w != w {
 		return
 	}
-	cn.nc = nil
-	cn.bw = nil
+	cn.w = nil
 	for id, pc := range cn.pending {
 		delete(cn.pending, id)
 		pc.fail()
 	}
 }
 
-// forget drops a pending entry after ctx cancellation; a late response
-// for it is discarded by readLoop.
-func (cn *conn) forget(id uint64) {
-	cn.mu.Lock()
-	delete(cn.pending, id)
-	cn.mu.Unlock()
-}
-
 func (cn *conn) shutdown() {
 	cn.mu.Lock()
 	cn.closed = true
-	if cn.nc != nil {
-		cn.teardownLocked(cn.nc)
+	if cn.w != nil {
+		cn.teardownLocked(cn.w)
 	}
 	cn.mu.Unlock()
 }

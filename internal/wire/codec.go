@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"bqs/internal/sim"
 )
@@ -154,6 +155,7 @@ func AppendBatchRequest(dst []byte, id uint64, items []sim.BatchItem) ([]byte, e
 	if total > MaxFrame {
 		return dst, fmt.Errorf("wire: batch frame of %d bytes exceeds %d", total, MaxFrame)
 	}
+	dst = slices.Grow(dst, 4+total)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(total))
 	dst = append(dst, tagBatchRequest)
 	dst = binary.BigEndian.AppendUint64(dst, id)
@@ -235,6 +237,7 @@ func AppendBatchResponse(dst []byte, id uint64, resps []sim.Response) ([]byte, e
 	if total > MaxFrame {
 		return dst, fmt.Errorf("wire: batch frame of %d bytes exceeds %d", total, MaxFrame)
 	}
+	dst = slices.Grow(dst, 4+total)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(total))
 	dst = append(dst, tagBatchResponse)
 	dst = binary.BigEndian.AppendUint64(dst, id)
@@ -326,15 +329,18 @@ func DecodeControl(p []byte) (id uint64, server uint32, behavior sim.Behavior, e
 }
 
 // ReadFrame reads one length-prefixed payload from r, reusing buf when it
-// is large enough. The prefix counts the payload only (not itself), and
-// ReadFrame refuses payloads larger than MaxFrame, so a garbage prefix
-// fails fast instead of forcing a huge allocation.
+// is large enough (for the prefix too: a local array would escape through
+// r, one allocation per frame). The prefix counts the payload only (not
+// itself), and ReadFrame refuses payloads larger than MaxFrame, so a
+// garbage prefix fails fast instead of forcing a huge allocation.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 256)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame length %d outside [1,%d]", n, MaxFrame)
 	}

@@ -18,13 +18,13 @@ import (
 
 // startShard serves the given replicas on a fresh loopback listener and
 // returns its address. The server is shut down when the test ends.
-func startShard(t *testing.T, replicas map[int]*sim.Server) (string, *Server) {
+func startShard(t testing.TB, replicas map[int]*sim.Server, opts ...ServerOption) (string, *Server) {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(replicas)
+	srv := NewServer(replicas, opts...)
 	go srv.Serve(lis)
 	t.Cleanup(func() { srv.Close() })
 	return lis.Addr().String(), srv

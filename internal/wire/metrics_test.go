@@ -2,7 +2,9 @@ package wire
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -148,5 +150,73 @@ func TestWireMetricsDialError(t *testing.T) {
 	evs := reg.Events()
 	if len(evs) == 0 {
 		t.Fatal("dial failure left no event")
+	}
+}
+
+// TestWireFlushFramesMetric pins bqs_wire_flush_frames on both sides:
+// sequential probes are one frame per socket flush exactly — a lone frame
+// is never held back — and ten concurrent probes on one connection share
+// flushes, so the mean rises above one.
+func TestWireFlushFramesMetric(t *testing.T) {
+	regS, regC := obs.NewRegistry(), obs.NewRegistry()
+	addr, _ := startShard(t, newReplicas([]int{0}), WithServerMetrics(regS))
+	cl, err := Dial(map[int]string{0: addr}, WithMetrics(regC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	read := func() error {
+		if resp, err := cl.Invoke(ctx, 0, sim.Request{Op: sim.OpRead}); err != nil || !resp.OK {
+			return fmt.Errorf("resp %+v err %v", resp, err)
+		}
+		return nil
+	}
+	hists := map[string]*obs.Histogram{
+		"client": regC.Histogram("bqs_wire_flush_frames", obs.SizeBuckets, "side", "client"),
+		"server": regS.Histogram("bqs_wire_flush_frames", obs.SizeBuckets, "side", "server"),
+	}
+
+	const sequential = 20
+	for i := 0; i < sequential; i++ {
+		if err := read(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for side, h := range hists {
+		if h.Count() != sequential || h.Sum() != sequential {
+			t.Fatalf("%s: %d flushes carried %v frames for %d sequential probes, want one frame per flush", side, h.Count(), h.Sum(), sequential)
+		}
+	}
+
+	const callers, rounds = 10, 100
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := read(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for side, h := range hists {
+		frames, flushes := h.Sum()-sequential, float64(h.Count()-sequential)
+		if frames != callers*rounds {
+			t.Fatalf("%s: flushes carried %v frames, want %d", side, frames, callers*rounds)
+		}
+		if frames/flushes <= 1 {
+			t.Fatalf("%s: %v frames in %v flushes under %d concurrent probes, want more than one per flush", side, frames, flushes, callers)
+		}
+		t.Logf("%s: %.2f frames per flush under %d concurrent probes", side, frames/flushes, callers)
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -356,5 +357,44 @@ func TestWireResizeUnderLoad(t *testing.T) {
 		if want := fmt.Sprintf("w%d-%d", w, ops-1); tv.Value != want {
 			t.Fatalf("key-%d = %q, want %q", w, tv.Value, want)
 		}
+	}
+}
+
+// TestWireAnnounceOrderingUnderRace runs the epoch-bump race 200 times:
+// after each adoption the connection's announced epoch is stale, and two
+// senders race to be the first request behind the bump. Whoever wins must
+// put the announce ahead of BOTH requests — encoding the preface and the
+// request into the connection's buffer is one critical section, and a
+// coalesced flush preserves buffer order — or the loser would be gated at
+// the retired epoch and answered wrongepoch.
+func TestWireAnnounceOrderingUnderRace(t *testing.T) {
+	regS := obs.NewRegistry()
+	addr, _ := startShard(t, newReplicas([]int{0}), WithServerMetrics(regS))
+	tr, err := Dial(map[int]string{0: addr}, WithEpochs(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for epoch := uint64(1); epoch <= 200; epoch++ {
+		if err := tr.InstallEpoch(ctx, reconfig.Record{Epoch: epoch, Kind: "threshold", Universe: 5, B: 1}); err != nil {
+			t.Fatalf("InstallEpoch(%d): %v", epoch, err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := tr.Invoke(ctx, 0, sim.Request{Op: sim.OpRead, ReaderID: g})
+				if err != nil || !resp.OK {
+					t.Errorf("epoch %d sender %d: resp=%+v err=%v, want served at the new epoch", epoch, g, resp, err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if v, _ := regS.Value("bqs_wire_wrong_epoch_total", "side", "server"); v != 0 {
+		t.Fatalf("server rejected %v requests as wrong-epoch; a request overtook its announce", v)
 	}
 }

@@ -38,7 +38,7 @@ type Server struct {
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
+	conns     map[net.Conn]*frameWriter
 	closed    bool
 
 	inflight sync.WaitGroup // outstanding request handlers, for Shutdown
@@ -75,7 +75,7 @@ func NewServer(replicas map[int]*sim.Server, opts ...ServerOption) *Server {
 		replicas:  m,
 		met:       &wireMetrics{},
 		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		conns:     make(map[net.Conn]*frameWriter),
 	}
 	for _, opt := range opts {
 		opt(srv)
@@ -140,9 +140,10 @@ func (s *Server) Serve(lis net.Listener) error {
 			nc.Close()
 			return ErrServerClosed
 		}
-		s.conns[nc] = struct{}{}
+		w := newFrameWriter(nc, s.met) // shared by the connection's handlers
+		s.conns[nc] = w
 		s.mu.Unlock()
-		go s.serveConn(nc)
+		go s.serveConn(w)
 	}
 }
 
@@ -151,30 +152,15 @@ func (s *Server) Serve(lis net.Listener) error {
 // is dropped (a well-behaved peer never sends one, and there is no way to
 // re-synchronize a corrupt stream) — which is also the whole of version
 // compatibility, since the peer reads the drop as a crashed shard.
-func (s *Server) serveConn(nc net.Conn) {
+func (s *Server) serveConn(w *frameWriter) {
+	nc := w.nc
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, nc)
 		s.mu.Unlock()
 		nc.Close()
 	}()
-	var wmu sync.Mutex // serializes response frames from concurrent handlers
-	bw := bufio.NewWriter(nc)
 	br := bufio.NewReader(nc)
-	send := func(out []byte) {
-		wmu.Lock()
-		_, werr := bw.Write(out)
-		if werr == nil {
-			werr = bw.Flush()
-		}
-		wmu.Unlock()
-		if werr != nil {
-			nc.Close() // unblocks the read loop
-			return
-		}
-		s.met.framesOut.Inc()
-		s.met.bytesOut.Add(int64(len(out)))
-	}
 	// The connection's announced epoch: set by an announce frame, unset
 	// until then. Announce frames are processed in stream order on this
 	// loop, so every request frame is gated at the epoch announced
@@ -191,7 +177,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		buf = frame
 		s.met.framesIn.Inc()
 		s.met.bytesIn.Add(int64(len(frame)) + 4) // +4: the length prefix is wire bytes too
-		var encode func() []byte                 // deferred so it runs on the handler goroutine
+		var work func()                          // the frame's one closure: serves it on its own goroutine, replies on w
 		switch frame[0] {
 		case tagReconfig:
 			recID, rf, err := DecodeReconfig(frame)
@@ -202,13 +188,14 @@ func (s *Server) serveConn(nc net.Conn) {
 			case ReconfigAnnounce:
 				announced, annSet = rf.Epoch, true
 				continue // no reply; the next frames are gated at this epoch
-			case ReconfigInstall:
-				rec := rf.Rec
-				encode = func() []byte { return recordFrame(recID, ReconfigState, s.install(rec)) }
-			case ReconfigQuery:
-				encode = func() []byte {
+			case ReconfigInstall, ReconfigQuery:
+				work = func() {
+					defer s.inflight.Done()
 					cur, _ := s.CurrentRecord()
-					return recordFrame(recID, ReconfigState, cur)
+					if rf.Kind == ReconfigInstall {
+						cur = s.install(rf.Rec)
+					}
+					s.reply(w, recID, nil, ReconfigState, cur)
 				}
 			default:
 				return // state/wrongepoch are server→client only: protocol error
@@ -219,22 +206,19 @@ func (s *Server) serveConn(nc net.Conn) {
 				return
 			}
 			ann, set := announced, annSet
-			encode = func() []byte {
-				return s.gated(set, ann, batchID, func() []byte {
-					// handleBatch guarantees the responses fit one frame, so
-					// this encode cannot fail.
-					out, _ := AppendBatchResponse(nil, batchID, s.handleBatch(items))
-					return out
-				})
+			work = func() {
+				defer s.inflight.Done()
+				s.serveBatch(w, batchID, items, set, ann)
 			}
 		case tagControl:
 			ctlID, server, behavior, err := DecodeControl(frame)
 			if err != nil {
 				return
 			}
-			encode = func() []byte {
-				out, _ := AppendBatchResponse(nil, ctlID, []sim.Response{s.control(server, behavior)})
-				return out
+			work = func() {
+				defer s.inflight.Done()
+				ack := [1]sim.Response{s.control(server, behavior)}
+				s.reply(w, ctlID, ack[:], 0, reconfig.Record{})
 			}
 		default:
 			return // unknown frame kind: protocol error
@@ -242,31 +226,84 @@ func (s *Server) serveConn(nc net.Conn) {
 		if !s.beginRequest() {
 			return // shutting down: stop consuming new frames
 		}
-		go func() {
-			defer s.inflight.Done()
-			send(encode())
-		}()
+		go work()
 	}
 }
 
-// handleBatch fans a batch frame across the shard's replicas: each item
-// is dispatched to the replica hosting its server — concurrently, because
-// a durable replica may park an item on its store's group commit, and
-// serializing the frame would turn one fsync per frame into one per item
-// — and the responses align index-by-index with the items. The first item
-// (the decoder admits no empty batch) runs on the calling handler
-// goroutine, which would otherwise only wait, so a frame of one — a lone
-// probe — costs no goroutine beyond its handler. An item for a server
-// this shard does not host — or one whose value cannot travel back (an
-// oversized answer from a Byzantine replica) — answers
-// Response{OK: false}; degradation is always per item, never per frame,
-// so one huge stored value cannot make the shard's other replicas read as
-// crashed. The returned responses are guaranteed to fit one frame: values
-// are dropped item by item once the running total would exceed MaxFrame
-// (the flags+header floor of every item fits MaxBatchOps many times
-// over).
-func (s *Server) handleBatch(items []sim.BatchItem) []sim.Response {
+// reply puts one reply frame on the connection — a batch response when
+// resps is non-nil, else rec as a reconfig frame of the given kind — and
+// sees it flushed, by this handler or carried by another's flush (see
+// frameWriter), before it returns: a handler that is done has its answer
+// on the socket, which is what lets Shutdown wait on the handlers alone.
+// A failed write closes the connection, which unblocks the read loop.
+func (s *Server) reply(w *frameWriter, id uint64, resps []sim.Response, kind ReconfigKind, rec reconfig.Record) {
+	err := w.send(func(dst []byte) ([]byte, int) {
+		if resps == nil {
+			return append(dst, recordFrame(id, kind, rec)...), 1 // rare: off the probe path
+		}
+		dst, _ = AppendBatchResponse(dst, id, resps) // serveBatch's fit or a bare ack: always encodes
+		return dst, 1
+	})
+	if err != nil {
+		w.nc.Close()
+	}
+}
+
+// serveBatch answers one batch frame under the epoch gate. Connections
+// that announced an epoch are served only while it is the shard's
+// current one — the replica work runs under the epoch read-lock, so it
+// cannot straddle an install — and a mismatch answers a wrongepoch frame
+// carrying the shard's record (the retriable OK: false signal on the
+// client side, never an abort). Connections that never announced are
+// served ungated: the epoch plane is opt-in.
+//
+// Degradation is per item, never per frame: an item for a server this
+// shard does not host — or one whose value cannot travel back (an
+// oversized answer from a Byzantine replica) — answers Response{OK: false},
+// and values are dropped item by item once the running total would exceed
+// MaxFrame (the flags+header floor of every item fits MaxBatchOps many
+// times over), so the reply always encodes and one huge stored value
+// cannot make the shard's other replicas read as crashed.
+func (s *Server) serveBatch(w *frameWriter, id uint64, items []sim.BatchItem, annSet bool, announced uint64) {
+	if annSet {
+		s.epochMu.RLock()
+		if cur := s.rec; announced != cur.Epoch {
+			s.epochMu.RUnlock()
+			s.met.wrongEpoch.Inc()
+			s.reply(w, id, nil, ReconfigWrongEpoch, cur)
+			return
+		}
+	}
 	s.met.batchOps.Observe(float64(len(items)))
+	var one [1]sim.Response // a lone probe is answered from the handler's stack
+	resps := one[:]
+	if len(items) == 1 {
+		one[0] = s.handle(items[0].Server, items[0].Req)
+	} else {
+		resps = s.handleBatch(items)
+	}
+	if annSet {
+		s.epochMu.RUnlock()
+	}
+	total := batchHeaderLen
+	for i, resp := range resps {
+		if len(resp.Value.Value) > MaxValueLen || total+respItemMinLen+len(resp.Value.Value) > MaxFrame {
+			resp = sim.Response{OK: false}
+			resps[i] = resp
+		}
+		total += respItemMinLen + len(resp.Value.Value)
+	}
+	s.reply(w, id, resps, 0, reconfig.Record{})
+}
+
+// handleBatch fans a frame of several items across the shard's replicas:
+// each item is dispatched to the replica hosting its server —
+// concurrently, because a durable replica may park an item on its store's
+// group commit, and serializing the frame would turn one fsync per frame
+// into one per item — and the responses align index-by-index with the
+// items. The first item runs on the calling handler goroutine, which
+// would otherwise only wait.
+func (s *Server) handleBatch(items []sim.BatchItem) []sim.Response {
 	out := make([]sim.Response, len(items))
 	var wg sync.WaitGroup
 	for i, it := range items[1:] {
@@ -278,14 +315,6 @@ func (s *Server) handleBatch(items []sim.BatchItem) []sim.Response {
 	}
 	out[0] = s.handle(items[0].Server, items[0].Req)
 	wg.Wait()
-	total := batchHeaderLen
-	for i, resp := range out {
-		if len(resp.Value.Value) > MaxValueLen || total+respItemMinLen+len(resp.Value.Value) > MaxFrame {
-			resp = sim.Response{OK: false}
-			out[i] = resp
-		}
-		total += respItemMinLen + len(resp.Value.Value)
-	}
 	return out
 }
 
@@ -372,26 +401,6 @@ func (s *Server) mergeReplicasLocked(universe int) {
 			}
 		}
 	}
-}
-
-// gated runs one request handler under the epoch gate. Connections
-// that announced an epoch are served only while it is the shard's
-// current one — the work runs under the epoch read-lock, so it cannot
-// straddle an install — and a mismatch answers a wrongepoch frame
-// carrying the shard's record (the retriable OK: false signal on the
-// client side, never an abort). Connections that never announced are
-// served ungated: the epoch plane is opt-in.
-func (s *Server) gated(annSet bool, announced, id uint64, work func() []byte) []byte {
-	if !annSet {
-		return work()
-	}
-	s.epochMu.RLock()
-	defer s.epochMu.RUnlock()
-	if announced != s.rec.Epoch {
-		s.met.wrongEpoch.Inc()
-		return recordFrame(id, ReconfigWrongEpoch, s.rec)
-	}
-	return work()
 }
 
 // recordFrame encodes the shard's record as a state or wrongepoch reply.
