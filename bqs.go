@@ -116,7 +116,7 @@ type (
 	// Session is the asynchronous, batching face of a client: futures
 	// plus per-destination frame coalescing; see Client.NewSession.
 	Session = sim.Session
-	// SessionOption configures NewSession (batch size, linger).
+	// SessionOption configures NewSession (batch size).
 	SessionOption = sim.SessionOption
 	// ReadFuture is the pending result of Session.ReadAsync.
 	ReadFuture = sim.ReadFuture

@@ -44,7 +44,8 @@
 //     DefaultKey register), and the Session API (Client.NewSession)
 //     pipelines keyed operations asynchronously —
 //     ReadAsync/WriteAsync futures whose quorum probes coalesce into
-//     batched transport frames, flushed on size or a short linger.
+//     batched frames over a transport that can carry them, flushed when
+//     full or once nobody else is about to enqueue.
 //   - A real network stack behind the same Transport seam: NewWireServer
 //     hosts shards of sim replicas over TCP with a length-prefixed binary
 //     protocol (one format: keyed, batched frames; an unknown frame kind

@@ -1,9 +1,10 @@
 // Session: the keyed, asynchronous face of the quorum data plane. A
 // cluster no longer holds one register but a keyed object space, and a
 // Session pipelines many keyed operations at once — ReadAsync/WriteAsync
-// return futures, and the probes of every operation in flight coalesce
-// into batched transport frames (per destination, flushed on size or a
-// short linger). The demo writes a small product catalog with masked
+// return futures, and over a transport with a per-frame cost the probes
+// of every operation in flight coalesce into batched frames (per
+// destination, flushed when full or once nobody else is about to
+// enqueue). The demo writes a small product catalog with masked
 // Byzantine faults present, reads it back concurrently, shows per-key
 // isolation, and compares the live load against the LP-optimal L(Q).
 package main

@@ -3,8 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
-	"time"
 )
 
 // ErrSessionClosed is returned by session operations issued after Close.
@@ -12,10 +12,18 @@ var ErrSessionClosed = errors.New("sim: session closed")
 
 // batcher coalesces concurrently-issued probes destined for the same
 // place into one transport frame. It implements Transport, so the client
-// protocol code is oblivious to it: a probe enqueues and waits; the queue
-// flushes when it reaches the batch size or when the linger expires,
-// whichever is first, and the whole frame travels through
-// Cluster.invokeBatch (one round trip, per-item load accounting).
+// protocol code is oblivious to it: a probe enqueues and waits, and the
+// whole frame travels through Cluster.invokeBatch (one round trip,
+// per-item load accounting).
+//
+// It flushes by the rule a wire connection flushes by (wire/flush.go): a
+// probe that lands in an empty queue hands the queue to a flusher that
+// yields the processor once — so every other probe goroutine ready to
+// enqueue gets in behind — and then sends whatever is queued; a queue
+// that reaches maxBatch goes at once. A timer would tax the lone probe,
+// and a count of operations in flight mis-sizes waves (one operation can
+// put several probes into one group per phase, or none), whereas the
+// runnable goroutines are exactly the probes about to arrive.
 //
 // Grouping is per destination server by default; a transport that knows
 // several servers share a frame — wire.Client, whose shards each host
@@ -24,19 +32,8 @@ var ErrSessionClosed = errors.New("sim: session closed")
 type batcher struct {
 	c        *Cluster
 	maxBatch int
-	linger   time.Duration
 	group    func(server int) int
-	// inflight reports how many session operations are currently live,
-	// and lowers the flush threshold to it: with k operations in flight
-	// a queue holding k probes already has company from every operation
-	// that could be in this wave, so flushing then trades some frame
-	// fullness (an operation can contribute SEVERAL probes to one group
-	// per phase — one per quorum member the group hosts — so the true
-	// wave can be larger) for never stalling a wave on the linger. The
-	// linger remains the fallback for waves where some operations skip
-	// this group. nil means no such signal (flush on maxBatch or linger
-	// only).
-	inflight func() int
+	yield    func() // runtime.Gosched, the rule's one yield; tests substitute a barrier
 
 	mu     sync.Mutex
 	queues map[int]*batchQueue
@@ -47,7 +44,6 @@ type batcher struct {
 type batchQueue struct {
 	items   []BatchItem
 	waiters []chan batchResult // index-aligned with items; each buffered(1)
-	timer   *time.Timer        // armed while the queue lingers non-empty
 }
 
 // batchResult is what a flushed frame hands each waiter.
@@ -56,22 +52,19 @@ type batchResult struct {
 	err  error
 }
 
-// newBatcher wires a batcher to the cluster's transport. maxBatch ≤ 1
-// still batches correctly — every probe just flushes as a frame of one.
-func newBatcher(c *Cluster, maxBatch int, linger time.Duration) *batcher {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
+// newBatcher wires a batcher to the cluster's transport, which must be a
+// BatchTransport. maxBatch ≤ 1 still batches correctly — every probe just
+// flushes as a frame of one.
+func newBatcher(c *Cluster, maxBatch int) *batcher {
 	b := &batcher{
 		c:        c,
-		maxBatch: maxBatch,
-		linger:   linger,
+		maxBatch: max(maxBatch, 1),
+		group:    func(server int) int { return server },
+		yield:    runtime.Gosched,
 		queues:   make(map[int]*batchQueue),
 	}
 	if g, ok := c.transport.(BatchGrouper); ok {
 		b.group = g.GroupOf
-	} else {
-		b.group = func(server int) int { return server }
 	}
 	return b
 }
@@ -100,34 +93,19 @@ func (b *batcher) Invoke(ctx context.Context, server int, req Request) (Response
 	}
 	q.items = append(q.items, BatchItem{Server: server, Req: req})
 	q.waiters = append(q.waiters, ch)
-	full := b.maxBatch
-	if b.inflight != nil {
-		if live := b.inflight(); live < full {
-			full = live
-		}
-		if full < 1 {
-			full = 1
-		}
-	}
-	switch {
-	case len(q.items) >= full:
-		items, waiters := q.take()
-		b.mu.Unlock()
-		// Flush on a fresh goroutine, never synchronously in the issuing
-		// probe's: the frame travels under a background context, and a
-		// probe stuck inside a stalled flush would never reach the ctx
-		// select below — its operation's deadline would silently stop
-		// working the moment it triggered a flush.
-		go b.flush(items, waiters)
-	case len(q.items) == 1 && b.linger > 0:
-		q.timer = time.AfterFunc(b.linger, func() { b.flushGroup(g) })
-		b.mu.Unlock()
-	case b.linger <= 0:
-		// No linger: nothing later will flush this queue, so it must go
-		// now (a frame of one — the degenerate unbatched configuration).
+	// Flush on a fresh goroutine, never synchronously in the issuing
+	// probe's: the frame travels under a background context, and a probe
+	// stuck inside a stalled flush (or its yield) would never reach the ctx
+	// select below — its operation's deadline would silently stop working
+	// the moment it triggered a flush.
+	switch len(q.items) {
+	case b.maxBatch:
 		items, waiters := q.take()
 		b.mu.Unlock()
 		go b.flush(items, waiters)
+	case 1:
+		b.mu.Unlock()
+		go b.flushAfterYield(g)
 	default:
 		b.mu.Unlock()
 	}
@@ -143,29 +121,24 @@ func (b *batcher) Invoke(ctx context.Context, server int, req Request) (Response
 }
 
 // take empties the queue, handing ownership of the pending frame to the
-// caller, and disarms the linger timer.
+// caller.
 func (q *batchQueue) take() ([]BatchItem, []chan batchResult) {
 	items, waiters := q.items, q.waiters
 	q.items, q.waiters = nil, nil
-	if q.timer != nil {
-		q.timer.Stop()
-		q.timer = nil
-	}
 	return items, waiters
 }
 
-// flushGroup is the linger-expiry path: flush whatever the group has
-// accumulated.
-func (b *batcher) flushGroup(g int) {
+// flushAfterYield is the empty-queue path: yield once, then flush
+// whatever the group holds — possibly nothing, if it filled and went
+// meanwhile or Close took it.
+func (b *batcher) flushAfterYield(g int) {
+	b.yield()
 	b.mu.Lock()
-	q := b.queues[g]
-	if q == nil || len(q.items) == 0 {
-		b.mu.Unlock()
-		return
-	}
-	items, waiters := q.take()
+	items, waiters := b.queues[g].take()
 	b.mu.Unlock()
-	b.flush(items, waiters)
+	if len(items) > 0 {
+		b.flush(items, waiters)
+	}
 }
 
 // flush sends one frame and distributes its responses to the waiters.

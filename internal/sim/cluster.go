@@ -466,8 +466,8 @@ func (c *Cluster) invoke(ctx context.Context, server int, req Request) (Response
 // invokeBatch routes a whole frame of probes through the transport,
 // counting each item toward the load profile — batching changes how many
 // frames travel, never how many quorum accesses are charged, so the
-// measured load stays the Definition 3.8 quantity. Transports without a
-// batch fast path are driven item by item.
+// measured load stays the Definition 3.8 quantity. Only a Session's
+// batcher calls it, and NewSession builds one only over a BatchTransport.
 func (c *Cluster) invokeBatch(ctx context.Context, items []BatchItem) ([]Response, error) {
 	st := c.cur.Load()
 	for _, it := range items {
@@ -475,28 +475,18 @@ func (c *Cluster) invokeBatch(ctx context.Context, items []BatchItem) ([]Respons
 			st.accesses[it.Server].Add(1)
 		}
 	}
-	if bt, ok := c.transport.(BatchTransport); ok {
-		if !c.met.on {
-			return bt.InvokeBatch(ctx, items)
-		}
-		// One sample per wire round trip: the frame's RTT is every
-		// item's RTT, so charging it once keeps the histogram a
-		// distribution over network waits, not over items.
-		c.met.batchOps.Observe(float64(len(items)))
-		start := time.Now()
-		out, err := bt.InvokeBatch(ctx, items)
-		c.met.probeSeconds.ObserveDuration(time.Since(start))
-		return out, err
+	bt := c.transport.(BatchTransport)
+	if !c.met.on {
+		return bt.InvokeBatch(ctx, items)
 	}
-	out := make([]Response, len(items))
-	for i, it := range items {
-		resp, err := c.transport.Invoke(ctx, it.Server, it.Req)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = resp
-	}
-	return out, nil
+	// One sample per wire round trip: the frame's RTT is every item's RTT,
+	// so charging it once keeps the histogram a distribution over network
+	// waits, not over items.
+	c.met.batchOps.Observe(float64(len(items)))
+	start := time.Now()
+	out, err := bt.InvokeBatch(ctx, items)
+	c.met.probeSeconds.ObserveDuration(time.Since(start))
+	return out, err
 }
 
 // probeQuorum sends req to every member of q — in parallel goroutines, or

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -11,8 +12,8 @@ import (
 // TestSessionBypassesBatcherInMemory pins the mechanism behind the
 // in-memory batching regression fix: on a transport with no per-frame
 // cost to amortize (the default memTransport), a session issues probes
-// directly; once latency is modelled, or the transport does not declare
-// its economics, the batcher is back in the path.
+// directly; once latency is modelled the batcher is back in the path, and
+// a transport that cannot carry a frame never gets one.
 func TestSessionBypassesBatcherInMemory(t *testing.T) {
 	c := newThresholdCluster(t, 1, 5)
 	s := c.NewClient(1).NewSession()
@@ -39,29 +40,74 @@ func TestSessionBypassesBatcherInMemory(t *testing.T) {
 		t.Fatal("session bypasses the batcher despite modelled latency")
 	}
 
-	// A custom transport that stays silent about frame economics keeps
-	// the batcher — bypassing is strictly opt-in via FrameCoster.
+	// A custom transport that exposes only Invoke has no frame to put
+	// probes in, so its sessions probe directly too.
 	plain, err := NewCluster(sys, 1, WithSeed(5), WithTransport(func(servers []*Server) Transport {
-		return opaqueTransport{NewInMemoryTransport(servers, 5)}
+		return opaqueTransport{t: NewInMemoryTransport(servers, 5)}
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps := plain.NewClient(1).NewSession()
 	defer ps.Close()
-	if !ps.Batching() {
-		t.Fatal("session bypasses the batcher on a transport without FrameCoster")
+	if ps.Batching() {
+		t.Fatal("session batches over a transport without InvokeBatch")
+	}
+	if err := ps.Write(ctx, "k", "plain"); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // opaqueTransport hides every optional interface of the transport it
-// wraps, leaving only Invoke — a transport that says nothing about its
-// frame economics.
-type opaqueTransport struct{ t Transport }
+// wraps, leaving only Invoke — a transport that can carry no frame and
+// says nothing about its economics — and sleeps delay per call.
+type opaqueTransport struct {
+	t     Transport
+	delay time.Duration
+}
 
-// Invoke forwards to the wrapped transport.
+// Invoke forwards to the wrapped transport after the delay.
 func (o opaqueTransport) Invoke(ctx context.Context, server int, req Request) (Response, error) {
+	time.Sleep(o.delay)
 	return o.t.Invoke(ctx, server, req)
+}
+
+// TestSessionOverPlainTransportRunsInParallel pins the defect the
+// item-by-item frame fallback caused: over a transport exposing only
+// Invoke, a session frame of k probes cost k sequential round trips (8
+// reads at 2 ms a probe took 15–18 ms, against 2.4–2.6 ms for 8 blocking
+// reads). A session there now probes directly, as fast as blocking calls;
+// the best of three interleaved trials per side cancels machine-load skew.
+func TestSessionOverPlainTransportRunsInParallel(t *testing.T) {
+	c := newMGridCluster(t, WithSeed(5), WithTransport(func(servers []*Server) Transport {
+		return opaqueTransport{t: NewInMemoryTransport(servers, 5), delay: 2 * time.Millisecond}
+	}))
+	cl := c.NewClient(1)
+	sess := cl.NewSession(WithSessionBatch(8))
+	defer sess.Close()
+	timed := func(read func(key string) error) time.Duration {
+		start := time.Now()
+		var wg sync.WaitGroup
+		for i := range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := read(fmt.Sprintf("k%d", i)); err != nil && !errors.Is(err, ErrNoCandidate) {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		return time.Since(start)
+	}
+	blocking, session := time.Duration(1<<62), time.Duration(1<<62)
+	for range 3 {
+		blocking = min(blocking, timed(func(k string) error { _, err := cl.ReadKey(ctx, k); return err }))
+		session = min(session, timed(func(k string) error { _, err := sess.ReadAsync(ctx, k).Wait(); return err }))
+	}
+	if session > 2*blocking {
+		t.Fatalf("8 session reads took %v, 8 blocking reads %v: the session serializes probes over a plain transport", session, blocking)
+	}
 }
 
 // TestInMemoryBatchedThroughputNoRegression is the benchmark-backed pin

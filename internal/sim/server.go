@@ -24,7 +24,7 @@
 // load measure (Definition 3.8). On top of the blocking single-key
 // Client.Read/Client.Write sits the Session API: ReadAsync/WriteAsync
 // futures whose quorum probes are coalesced per destination by a batcher
-// (flush on size or linger), so heavy multi-key traffic amortizes
+// (flush when full, or after one yield), so heavy multi-key traffic amortizes
 // transport round trips without changing the per-key protocol.
 package sim
 

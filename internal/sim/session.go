@@ -3,25 +3,16 @@ package sim
 import (
 	"context"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // sessionConfig collects the Session functional options.
 type sessionConfig struct {
 	maxBatch int
-	linger   time.Duration
 }
 
-// Session batching defaults: frames flush at DefaultSessionBatch probes
-// or after DefaultSessionLinger, whichever comes first. The linger is
-// deliberately tiny — it only needs to be long enough for concurrently
-// issued operations to land in the same frame, and it bounds the latency
-// a lone probe pays for the chance to share one.
-const (
-	DefaultSessionBatch  = 32
-	DefaultSessionLinger = 50 * time.Microsecond
-)
+// DefaultSessionBatch is the most probes a session frame carries: a full
+// queue flushes at once, a partial one after its flusher's single yield.
+const DefaultSessionBatch = 32
 
 // SessionOption configures a Session at construction.
 type SessionOption func(*sessionConfig)
@@ -37,21 +28,11 @@ func WithSessionBatch(n int) SessionOption {
 	}
 }
 
-// WithSessionLinger sets how long a non-full frame waits for company
-// before flushing (default DefaultSessionLinger). Zero flushes every
-// probe immediately.
-func WithSessionLinger(d time.Duration) SessionOption {
-	return func(c *sessionConfig) {
-		if d >= 0 {
-			c.linger = d
-		}
-	}
-}
-
 // Session is the asynchronous, batching face of a client: ReadAsync and
 // WriteAsync return immediately with futures, and the quorum probes of
 // every operation in flight are coalesced per destination into batched
-// transport frames (flush on size or linger). The protocol underneath is
+// transport frames (flushed as a wire connection flushes: when full, or
+// once nobody else is about to enqueue). The protocol underneath is
 // exactly the client's — same per-key timestamps, same masking rule,
 // same suspicion handling — so batching changes throughput, never
 // semantics. The wrapped client's blocking calls remain usable while a
@@ -62,10 +43,8 @@ func WithSessionLinger(d time.Duration) SessionOption {
 // with ErrSessionClosed.
 type Session struct {
 	cl  *Client
-	b   *batcher  // nil when the transport is not worth batching
+	b   *batcher  // nil when the transport carries no frames worth batching
 	via Transport // probe route for operations: b, or nil for direct
-
-	inflight atomic.Int64 // live operations; the batcher's wave size
 
 	mu     sync.Mutex
 	wg     sync.WaitGroup
@@ -75,28 +54,29 @@ type Session struct {
 // NewSession opens a batching session over the client, whichever
 // protocol it runs.
 func (cl *Client) NewSession(opts ...SessionOption) *Session {
-	cfg := sessionConfig{maxBatch: DefaultSessionBatch, linger: DefaultSessionLinger}
+	cfg := sessionConfig{maxBatch: DefaultSessionBatch}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	s := &Session{cl: cl}
 	// Only put the batcher between operations and the transport when the
-	// transport has a per-frame cost to amortize (see FrameCoster): the
-	// default in-memory transport does not, and there queueing behind the
-	// linger was measured at 0.70× the unbatched throughput. The async
-	// future API is unchanged either way — operations still overlap, their
-	// probes just travel directly.
-	if fc, ok := cl.cluster.transport.(FrameCoster); !ok || fc.WorthBatching() {
-		s.b = newBatcher(cl.cluster, cfg.maxBatch, cfg.linger)
-		s.b.inflight = func() int { return int(s.inflight.Load()) }
+	// transport can carry a frame (BatchTransport) and has a per-frame cost
+	// to amortize (see FrameCoster): the default in-memory transport does
+	// not, and there queueing for company was measured at 0.70× the
+	// unbatched throughput. The async future API is unchanged either way —
+	// operations still overlap, their probes just travel directly.
+	_, frames := cl.cluster.transport.(BatchTransport)
+	fc, costed := cl.cluster.transport.(FrameCoster)
+	if frames && (!costed || fc.WorthBatching()) {
+		s.b = newBatcher(cl.cluster, cfg.maxBatch)
 		s.via = s.b
 	}
 	return s
 }
 
 // Batching reports whether the session's probes ride coalesced frames —
-// false when the transport declared batching not worth its cost and the
-// session issues probes directly.
+// false when the transport cannot carry a frame or declared batching not
+// worth its cost, and the session issues probes directly.
 func (s *Session) Batching() bool { return s.b != nil }
 
 // ReadFuture is the pending result of Session.ReadAsync.
@@ -140,14 +120,7 @@ func (s *Session) begin() bool {
 		return false
 	}
 	s.wg.Add(1)
-	s.inflight.Add(1)
 	return true
-}
-
-// done retires one in-flight operation.
-func (s *Session) done() {
-	s.inflight.Add(-1)
-	s.wg.Done()
 }
 
 // ReadAsync starts a masking read of key and returns its future. The
@@ -161,7 +134,7 @@ func (s *Session) ReadAsync(ctx context.Context, key string) *ReadFuture {
 		return f
 	}
 	go func() {
-		defer s.done()
+		defer s.wg.Done()
 		f.tv, f.err = s.cl.readKey(ctx, key, s.via)
 		close(f.done)
 	}()
@@ -179,7 +152,7 @@ func (s *Session) WriteAsync(ctx context.Context, key, value string) *WriteFutur
 		return f
 	}
 	go func() {
-		defer s.done()
+		defer s.wg.Done()
 		f.err = s.cl.writeKey(ctx, key, value, s.via)
 		close(f.done)
 	}()

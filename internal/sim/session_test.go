@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,22 +148,32 @@ func TestSessionZipfLoadConvergence(t *testing.T) {
 	}
 }
 
-// TestSessionBatcherCoalesces pins the batching mechanics: concurrently
-// issued operations put multiple probes into single transport frames,
-// and every probe is accounted — no frame carries more or fewer items
-// than were enqueued.
+// TestSessionBatcherCoalesces pins the batching mechanics: with every
+// flusher held in its yield until 8 concurrent reads have enqueued their
+// whole quorum phase, each destination group leaves as exactly one frame
+// and the frames together carry every probe.
 func TestSessionBatcherCoalesces(t *testing.T) {
-	var frames, items, maxBatch atomic.Int64
-	c := newMGridCluster(t, WithSeed(5), WithTransport(func(servers []*Server) Transport {
-		return &countingBatchTransport{inner: NewInMemoryTransport(servers, 1).(*memTransport),
-			frames: &frames, items: &items, maxBatch: &maxBatch}
-	}))
+	const reads = 8
+	var (
+		sess *Session
+		tr   *frameLog
+		want int // probes in the 8 reads' one phase
+		open atomic.Bool
+	)
+	sess, tr = gatedSession(t, reads, func() {
+		for !open.Load() {
+			if queued(sess.b)+tr.items() == want {
+				open.Store(true)
+			}
+			runtime.Gosched()
+		}
+	})
+	defer sess.Close()
+	want = reads * sess.cl.cluster.System().(*systems.MGrid).MinQuorumSize()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	sess := c.NewClient(1).NewSession(WithSessionBatch(8), WithSessionLinger(50*time.Millisecond))
-	defer sess.Close()
-	futures := make([]*ReadFuture, 8)
+	futures := make([]*ReadFuture, reads)
 	for i := range futures {
 		futures[i] = sess.ReadAsync(ctx, fmt.Sprintf("k%d", i))
 	}
@@ -170,37 +182,202 @@ func TestSessionBatcherCoalesces(t *testing.T) {
 			t.Fatalf("read %d: %v", i, err)
 		}
 	}
-	if maxBatch.Load() < 2 {
-		t.Errorf("8 concurrent session reads never shared a frame (max batch %d)", maxBatch.Load())
+	perServer := make(map[int]int)
+	for _, f := range tr.log() {
+		perServer[f.server]++
 	}
-	if frames.Load() >= items.Load() {
-		t.Errorf("batching sent %d frames for %d probes — no coalescing at all", frames.Load(), items.Load())
+	for server, n := range perServer {
+		if n != 1 {
+			t.Errorf("server %d got %d frames, want the whole wave in one", server, n)
+		}
+	}
+	if got := tr.items(); got != want {
+		t.Errorf("frames carried %d probes, want %d", got, want)
 	}
 }
 
-// countingBatchTransport wraps the in-memory transport, tallying frames
-// and items.
-type countingBatchTransport struct {
-	inner                   *memTransport
-	frames, items, maxBatch *atomic.Int64
+// TestSessionBatcherLoneProbe pins the cost of the rule to a probe that
+// has no company: exactly one yield, then a frame of one.
+func TestSessionBatcherLoneProbe(t *testing.T) {
+	var yields atomic.Int32
+	sess, tr := gatedSession(t, 8, func() { yields.Add(1) })
+	defer sess.Close()
+	if _, err := sess.b.Invoke(ctx, 3, Request{Op: OpRead, Key: "k"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := yields.Load(); n != 1 {
+		t.Errorf("lone probe waited on %d yields, want 1", n)
+	}
+	if got := tr.sizes(); !slices.Equal(got, []int{1}) {
+		t.Errorf("frames %v, want [1]", got)
+	}
 }
 
-func (t *countingBatchTransport) Invoke(ctx context.Context, server int, req Request) (Response, error) {
-	t.frames.Add(1)
-	t.items.Add(1)
+// TestSessionBatcherFullQueue pins the size trigger: a queue that reaches
+// maxBatch leaves at once, while its flusher is still parked in the yield.
+func TestSessionBatcherFullQueue(t *testing.T) {
+	gate := make(chan struct{})
+	sess, tr := gatedSession(t, 2, func() { <-gate })
+	defer sess.Close()
+	defer close(gate)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sess.b.Invoke(ctx, 3, Request{Op: OpRead, Key: "k"}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := tr.sizes(); !slices.Equal(got, []int{2}) {
+		t.Errorf("frames %v, want [2]", got)
+	}
+}
+
+// TestSessionBatcherCancelledWaiter pins the per-waiter deadline: a probe
+// whose ctx is cancelled while queued returns ctx.Err() without waiting
+// for the frame, and the frame still carries it and answers its mates.
+func TestSessionBatcherCancelledWaiter(t *testing.T) {
+	gate, parked := make(chan struct{}), make(chan struct{}, 1)
+	sess, tr := gatedSession(t, 8, func() { parked <- struct{}{}; <-gate })
+	defer sess.Close()
+	cctx, cancel := context.WithCancel(ctx)
+	gone := make(chan error, 1)
+	go func() {
+		_, err := sess.b.Invoke(cctx, 3, Request{Op: OpRead, Key: "k"})
+		gone <- err
+	}()
+	<-parked
+	type answer struct {
+		resp Response
+		err  error
+	}
+	mate := make(chan answer, 1)
+	go func() {
+		resp, err := sess.b.Invoke(ctx, 3, Request{Op: OpRead, Key: "k"})
+		mate <- answer{resp, err}
+	}()
+	for queued(sess.b) < 2 {
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-gone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+	}
+	close(gate)
+	if a := <-mate; a.err != nil || !a.resp.OK {
+		t.Fatalf("frame-mate got %+v, %v", a.resp, a.err)
+	}
+	if got := tr.sizes(); !slices.Equal(got, []int{2}) {
+		t.Errorf("frames %v, want [2]", got)
+	}
+}
+
+// TestSessionBatcherCloseFlushes pins Close's drain: a probe whose waiter
+// gave up while its flusher was parked still reaches its server.
+func TestSessionBatcherCloseFlushes(t *testing.T) {
+	gate, parked := make(chan struct{}), make(chan struct{}, 1)
+	sess, tr := gatedSession(t, 8, func() { parked <- struct{}{}; <-gate })
+	defer close(gate)
+	cctx, cancel := context.WithCancel(ctx)
+	gone := make(chan error, 1)
+	go func() {
+		_, err := sess.b.Invoke(cctx, 3, Request{Op: OpRead, Key: "k"})
+		gone <- err
+	}()
+	<-parked
+	cancel()
+	if err := <-gone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+	}
+	if got := tr.sizes(); len(got) != 0 {
+		t.Fatalf("frames %v before Close, want none", got)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.sizes(); !slices.Equal(got, []int{1}) {
+		t.Errorf("frames %v after Close, want [1]", got)
+	}
+}
+
+// gatedSession opens a session of the given batch size over a frameLog
+// on M-Grid(4,1), with yield standing in for the batcher's one yield.
+func gatedSession(t *testing.T, batch int, yield func()) (*Session, *frameLog) {
+	t.Helper()
+	tr := &frameLog{}
+	c := newMGridCluster(t, WithSeed(5), WithTransport(func(servers []*Server) Transport {
+		tr.inner = NewInMemoryTransport(servers, 1).(*memTransport)
+		return tr
+	}))
+	sess := c.NewClient(1).NewSession(WithSessionBatch(batch))
+	if !sess.Batching() {
+		t.Fatal("session does not batch over a BatchTransport")
+	}
+	sess.b.yield = yield
+	return sess, tr
+}
+
+// queued counts the probes waiting in the batcher's queues.
+func queued(b *batcher) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, q := range b.queues {
+		n += len(q.items)
+	}
+	return n
+}
+
+// frameLog wraps the in-memory transport as a BatchTransport with neither
+// its grouping nor its economics hint — so a session batches per server —
+// and records every frame it carries.
+type frameLog struct {
+	inner *memTransport
+
+	mu     sync.Mutex
+	frames []sentFrame
+}
+
+// sentFrame is one frame's destination server and size.
+type sentFrame struct{ server, size int }
+
+func (t *frameLog) Invoke(ctx context.Context, server int, req Request) (Response, error) {
 	return t.inner.Invoke(ctx, server, req)
 }
 
-func (t *countingBatchTransport) InvokeBatch(ctx context.Context, batch []BatchItem) ([]Response, error) {
-	t.frames.Add(1)
-	t.items.Add(int64(len(batch)))
-	for {
-		cur := t.maxBatch.Load()
-		if int64(len(batch)) <= cur || t.maxBatch.CompareAndSwap(cur, int64(len(batch))) {
-			break
-		}
-	}
+func (t *frameLog) InvokeBatch(ctx context.Context, batch []BatchItem) ([]Response, error) {
+	t.mu.Lock()
+	t.frames = append(t.frames, sentFrame{batch[0].Server, len(batch)})
+	t.mu.Unlock()
 	return t.inner.InvokeBatch(ctx, batch)
+}
+
+// log returns the frames sent so far, in order.
+func (t *frameLog) log() []sentFrame {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return slices.Clone(t.frames)
+}
+
+// sizes returns the sizes of the frames sent so far, in order.
+func (t *frameLog) sizes() []int {
+	var out []int
+	for _, f := range t.log() {
+		out = append(out, f.size)
+	}
+	return out
+}
+
+// items returns how many probes the frames sent so far carried.
+func (t *frameLog) items() int {
+	n := 0
+	for _, f := range t.log() {
+		n += f.size
+	}
+	return n
 }
 
 // TestSessionLoadAccounting verifies batched probes feed the load

@@ -86,8 +86,8 @@ type BatchItem struct {
 // responses aligned index-by-index with items. The contract mirrors
 // Invoke — unresponsiveness is Response{OK: false} per item (a dead
 // destination fails the whole frame that way, fast, as a unit), and the
-// error return is reserved for aborts. Transports without it still batch
-// correctly: the cluster falls back to per-item Invoke.
+// error return is reserved for aborts. A Session puts its batcher only in
+// front of a transport that has it.
 type BatchTransport interface {
 	Transport
 	InvokeBatch(ctx context.Context, items []BatchItem) ([]Response, error)
