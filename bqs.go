@@ -137,7 +137,7 @@ type (
 	// time while a workload runs.
 	FaultController = sim.FaultController
 	// Flipper applies behavior flips to servers: Cluster implements it
-	// in-memory, WireClient over TCP (control frames).
+	// in-memory, WireClient over TCP (flip items).
 	Flipper = sim.Flipper
 	// ChurnGroup is one heterogeneous slice of the churn model: rate
 	// overrides for its servers, or — when Correlated — a failure domain
@@ -629,9 +629,9 @@ func ParseIDRange(spec string) ([]int, error) { return wire.ParseIDRange(spec) }
 // an n-element universe.
 func CheckRouteCoverage(routes map[int]string, n int) error { return wire.CheckCoverage(routes, n) }
 
-// WithWireEpochs makes the dialed client epoch-aware: every pipelined
-// request is prefaced (once per connection per epoch) with an announce
-// frame pinning the epoch its quorum was drawn from, shards reject
+// WithWireEpochs makes the dialed client epoch-aware: every request
+// frame carries, as its gate, the epoch its quorum was drawn from
+// (flips travel ungated), shards reject
 // mismatches with a retriable wrongepoch answer, and the client gains
 // InstallEpoch/FetchConfig plus the installer seam
 // Cluster.Reconfigure drives. onStale, if non-nil, fires with the

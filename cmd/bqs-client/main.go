@@ -29,7 +29,7 @@
 // bqs-client is also the remote schedule driver of the churn engine:
 // -fault-schedule replays a deterministic fault timeline and -churn a
 // seeded stochastic one against the live deployment — each flip travels
-// as a wire control frame to the shard hosting the addressed server, so
+// as a wire flip item to the shard hosting the addressed server, so
 // replicas crash, turn Byzantine and recover mid-run exactly as they do
 // in-memory, and -suspicion-ttl controls how fast clients re-admit
 // recovered servers. A flip to an unreachable shard is counted as a miss
@@ -40,7 +40,7 @@
 // "targeted,b=N" concentrates them on the most-loaded servers of the
 // client's own access strategy (aimed with the load profile the cluster
 // accumulates locally), and "timing" keys Byzantine modes to the protocol
-// phase — every flip a wire control frame, every victim restored at the
+// phase — every flip a wire flip item, every victim restored at the
 // run boundary.
 //
 // Live reconfiguration: -reconfig replays a resize schedule
@@ -51,8 +51,8 @@
 // safety violations under sustained load. The route table must cover
 // the largest target universe, so provision shard daemons for the
 // post-resize fleet up front (idle replicas cost nothing). The client
-// is epoch-aware by default: every pipelined request is
-// covered by an announce frame pinning its epoch, stale requests bounce
+// is epoch-aware by default: every request frame carries the epoch
+// its quorum was drawn from in its gate, stale requests bounce
 // with a retriable wrongepoch answer, and a follower self-heals the
 // epoch plane when another coordinator resizes the fleet first.
 package main
@@ -113,7 +113,7 @@ func run() error {
 		return err
 	}
 	defer stopMetrics()
-	// The client is always epoch-aware: requests announce the epoch
+	// The client is always epoch-aware: requests carry the epoch
 	// their quorum was drawn from, and the follower self-heals on
 	// wrongepoch bounces (adopting a newer record another coordinator
 	// installed, or re-pushing ours to a shard that lost its epoch).
@@ -142,7 +142,7 @@ func run() error {
 	}
 	// The drivers flip through the transport, so the same schedule,
 	// adversary and resize that drive an in-memory run drive the live TCP
-	// fleet — every flip a control frame to the shard hosting the server.
+	// fleet — every flip a batch item to the shard hosting the server.
 	counters, _, err := plan.Execute(cluster, tr, reg,
 		fmt.Sprintf("against %d shards (strategy=%s)", len(shards), shared.Strategy))
 	if err != nil {

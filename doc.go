@@ -59,7 +59,7 @@
 //     workload runs: FaultSchedule (deterministic timelines, or the
 //     seeded stochastic ChurnConfig model) replayed by a FaultController
 //     against any Flipper — a Cluster in-memory, or a WireClient sending
-//     control frames to remote shards. Clients rehabilitate suspicion
+//     flip items to remote shards. Clients rehabilitate suspicion
 //     per-server (aging plus probe-on-forgive), so recovered servers
 //     regain traffic, and the harness availability mode
 //     (bqs-sim -availability) measures the empirical system-crash rate

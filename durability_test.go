@@ -106,7 +106,7 @@ func TestWireKillAndRecover(t *testing.T) {
 		seen[key] = tv
 	}
 
-	// Restart one replica in place over TCP: the control frame runs the
+	// Restart one replica in place over TCP: the flip item runs the
 	// store's crash-recovery path on a live daemon.
 	if err := tr.Flip(ctx, 0, bqs.Restart); err != nil {
 		t.Fatalf("remote restart: %v", err)

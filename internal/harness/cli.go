@@ -133,7 +133,7 @@ func (f *Flags) Plan(sys bqs.Construction) (*Plan, error) {
 // stops all three before looking at any of their errors — a failed resize
 // must not leave a controller flipping servers of a live remote fleet
 // while the process unwinds. Flips go through f: the Cluster itself in
-// memory, the wire transport (a control frame per flip) over TCP; the
+// memory, the wire transport (a flip item per flip) over TCP; the
 // targeted adversary always aims with the cluster's own load profile, the
 // access strategy it is attacking. The report describes the system the
 // run ended on: after a resize its universe sizes the Theorem 4.1 bounds

@@ -21,7 +21,7 @@ package sim
 //
 // Like FaultController, an Adversary drives any Flipper — the in-memory
 // Cluster or the wire package's TCP client — so remote fleets face the
-// same adversaries over control frames. It never corrupts more than B
+// same adversaries over wire flip items. It never corrupts more than B
 // servers at once: victims leaving the set are restored to Correct
 // before new ones are corrupted.
 

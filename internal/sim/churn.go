@@ -12,8 +12,8 @@ package sim
 // either authored directly, parsed from a CLI spec, or generated by the
 // seeded stochastic churn model of ChurnConfig — and a FaultController
 // replays it against any Flipper. Cluster is a Flipper (in-memory flips),
-// and so is the wire package's TCP client (remote flips via a control
-// frame), so the same schedule drives both transports identically.
+// and so is the wire package's TCP client (remote flips via a wire flip
+// item), so the same schedule drives both transports identically.
 
 import (
 	"context"
@@ -583,7 +583,7 @@ func parseMembers(spec string) ([]int, error) {
 
 // Flipper applies a behavior flip to one server. Cluster implements it for
 // in-memory fleets; the wire package's Client implements it for remote
-// ones (each flip travels as a control frame to the shard hosting the
+// ones (each flip travels as a wire flip item to the shard hosting the
 // server), so a FaultController drives either transport with the same
 // schedule.
 type Flipper interface {

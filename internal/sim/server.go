@@ -80,7 +80,7 @@ const (
 	// and WAL; the in-memory engine comes back empty), the registers are
 	// reloaded from whatever survived, and the server lands on Correct —
 	// or Crashed, if recovery itself fails. Flowing through SetBehavior
-	// lets the existing churn schedules and the wire control frame drive
+	// lets the existing churn schedules and the wire flip item drive
 	// process-level kill-and-recover cycles on remote servers.
 	Restart
 )
@@ -114,7 +114,7 @@ func (b Behavior) IsByzantine() bool {
 }
 
 // KnownBehavior reports whether b is one of the defined fault modes —
-// the validity check fault schedules and the wire control frame apply
+// the validity check fault schedules and the wire flip item apply
 // before flipping a server.
 func KnownBehavior(b Behavior) bool {
 	return b >= Correct && b <= Restart

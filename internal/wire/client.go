@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -25,7 +26,7 @@ type dialConfig struct {
 	met           *wireMetrics
 
 	// Epoch awareness (WithEpochs): epoch is the configuration epoch the
-	// client announces ahead of its requests, rec the record it last
+	// client gates its requests at, rec the record it last
 	// adopted, onStale the callback for wrongepoch rejections. All nil
 	// for epoch-unaware clients, whose connections are served ungated.
 	epoch   *atomic.Uint64
@@ -77,17 +78,17 @@ func WithMetrics(reg *obs.Registry) DialOption {
 	}
 }
 
-// WithEpochs makes the client epoch-aware: every request frame is
-// preceded (when needed) by an announce frame naming the configuration
-// epoch the client routed it with, so servers can reject requests built
-// against a retired quorum system. A rejection reads as
+// WithEpochs makes the client epoch-aware: every request frame carries,
+// as its gate, the configuration epoch the client routed it with, so
+// servers can reject requests built against a retired quorum system (a
+// Flip is never gated). A rejection reads as
 // Response{OK: false} — the retriable suspicion signal — and onStale is
 // called with the shard's current record (zero if the shard has nothing
 // installed) so the embedding layer can refresh: re-derive its quorum
 // system via the record, then adopt the epoch through InstallEpoch. The
-// client deliberately does NOT bump its announced epoch on its own —
-// announcing a new epoch while still routing with the old system's
-// quorums would let old-shape quorums through the new epoch's gate,
+// client deliberately does NOT bump its gate epoch on its own — gating
+// at a new epoch while still routing with the old system's quorums
+// would let old-shape quorums through the new epoch's gate,
 // which is exactly the unsafety the gate exists to stop. onStale may be
 // nil; it must not block (it runs on connection read loops).
 func WithEpochs(onStale func(reconfig.Record)) DialOption {
@@ -176,15 +177,6 @@ func (c *Client) GroupOf(server int) int {
 		return -1 // unrouted servers group together and fail together
 	}
 	return c.addrGroup[addr]
-}
-
-// Routes returns a copy of the route table.
-func (c *Client) Routes() map[int]string {
-	out := make(map[int]string, len(c.routes))
-	for id, addr := range c.routes {
-		out[id] = addr
-	}
-	return out
 }
 
 // Invoke implements sim.Transport: it routes req to the address hosting
@@ -301,7 +293,7 @@ func (c *Client) InvokeBatch(ctx context.Context, items []sim.BatchItem) ([]sim.
 // MaxFrame payload bound. Every item fits a frame alone (fitsFrame), so a
 // chunk is never empty.
 func chunkEnd(items []sim.BatchItem, start int) int {
-	bytes := batchHeaderLen
+	bytes := reqHeaderLen
 	end := start
 	for end < len(items) && end-start < MaxBatchOps {
 		sz := reqItemLen(items[end])
@@ -314,10 +306,10 @@ func chunkEnd(items []sim.BatchItem, start int) int {
 	return end
 }
 
-// Flip implements sim.Flipper over the network: it sends a control frame
-// to the shard hosting the given server, asking it to switch that replica
-// to behavior. This is the remote half of the churn engine — a
-// sim.FaultController driving a wire.Client replays its fault schedule
+// Flip implements sim.Flipper over the network: it sends an ungated frame
+// of one flip item to the shard hosting the given server, asking it to
+// switch that replica to behavior. This is the remote half of the churn
+// engine — a sim.FaultController driving a wire.Client replays its fault schedule
 // against a live TCP deployment exactly as it would against an in-memory
 // Cluster. The error reports an unreachable shard or a server the
 // addressed shard does not host; a schedule driver counts such flips as
@@ -327,9 +319,14 @@ func (c *Client) Flip(ctx context.Context, server int, behavior sim.Behavior) er
 	if err != nil {
 		return err
 	}
-	ack, err := cn.roundTrip(ctx, 1, func(dst []byte, id uint64) ([]byte, error) {
-		return AppendControl(dst, id, uint32(server), behavior)
+	one := [1]sim.BatchItem{{Server: server, Req: sim.Request{Op: opFlip, ReaderID: int(behavior)}}}
+	pc, err := cn.send(ctx, 1, func(dst []byte, id uint64) ([]byte, error) {
+		return AppendBatchRequest(dst, id, one[:]) // ungated: the gate covers data, not faults
 	})
+	if err != nil {
+		return err
+	}
+	ack, err := pc.await(ctx)
 	if err != nil {
 		return err
 	}
@@ -342,9 +339,9 @@ func (c *Client) Flip(ctx context.Context, server int, behavior sim.Behavior) er
 var _ sim.Flipper = (*Client)(nil)
 var _ reconfig.Installer = (*Client)(nil)
 
-// Epoch returns the configuration epoch the client announces ahead of
-// its requests: 0 until it adopts a record through InstallEpoch, and
-// always 0 for epoch-unaware clients.
+// Epoch returns the configuration epoch the client gates its requests
+// at: 0 until it adopts a record through InstallEpoch, and always 0 for
+// epoch-unaware clients.
 func (c *Client) Epoch() uint64 {
 	if c.cfg.epoch == nil {
 		return 0
@@ -367,10 +364,12 @@ func (c *Client) CurrentRecord() (reconfig.Record, bool) {
 // InstallEpoch implements reconfig.Installer: the record travels as an
 // install frame to every distinct address in the route table, and once
 // all shards acknowledge an epoch ≥ rec.Epoch the client adopts it —
-// subsequent requests announce the new epoch. This is the cutover step
-// of Cluster.Reconfigure over a wire transport; its position AFTER the
-// drain and BEFORE the epoch publish is what keeps the adoption safe
-// (no request routed with the old system ever announces the new epoch).
+// subsequent request frames carry the new epoch in their gate. This is
+// the cutover step of Cluster.Reconfigure over a wire transport; its
+// position AFTER the drain and BEFORE the epoch publish is what keeps the
+// adoption safe (no request routed with the old system is ever gated at
+// the new epoch). The last epoch, 2^64−1, has no gate value and is
+// refused.
 // Installs are idempotent at the shards, so retries and concurrent
 // coordinators converge. Requires an epoch-aware client (WithEpochs).
 func (c *Client) InstallEpoch(ctx context.Context, rec reconfig.Record) error {
@@ -379,6 +378,9 @@ func (c *Client) InstallEpoch(ctx context.Context, rec reconfig.Record) error {
 	}
 	if err := rec.Validate(); err != nil {
 		return fmt.Errorf("wire: install: %w", err)
+	}
+	if rec.Epoch == math.MaxUint64 {
+		return fmt.Errorf("wire: install: epoch %d leaves no gate value", rec.Epoch)
 	}
 	for _, addr := range c.addrs() {
 		cn, err := c.conn(addr)
@@ -547,30 +549,30 @@ func (pc *pendingCall) fail() { pc.done <- reply{resps: make([]sim.Response, pc.
 // translates it into the crashed-peer reply.
 var errDown = fmt.Errorf("wire: server down")
 
-// roundTrip sends the frame built by encode and waits for its reply.
-func (cn *conn) roundTrip(ctx context.Context, n int, encode func(dst []byte, id uint64) ([]byte, error)) (reply, error) {
-	pc, err := cn.send(ctx, n, encode)
+// roundTripReconfig sends a reconfig install or query frame and waits
+// for the shard's state reply; an unreachable shard reads as
+// reply{stateOK: false}.
+func (cn *conn) roundTripReconfig(ctx context.Context, f ReconfigFrame) (reply, error) {
+	pc, err := cn.send(ctx, 0, func(dst []byte, id uint64) ([]byte, error) {
+		return AppendReconfig(dst, id, f)
+	})
 	if err != nil {
 		return reply{}, err
 	}
 	return pc.await(ctx)
 }
 
-// roundTripReconfig sends a reconfig install or query frame and waits
-// for the shard's state reply; an unreachable shard reads as
-// reply{stateOK: false}.
-func (cn *conn) roundTripReconfig(ctx context.Context, f ReconfigFrame) (reply, error) {
-	return cn.roundTrip(ctx, 0, func(dst []byte, id uint64) ([]byte, error) {
-		return AppendReconfig(dst, id, f)
-	})
-}
-
 // sendBatch sends one batch frame of items that all fit it (fitsFrame,
-// chunkEnd); await returns the aligned responses.
+// chunkEnd), gated at the client's epoch; await returns the aligned
+// responses.
 func (cn *conn) sendBatch(ctx context.Context, items []sim.BatchItem) (*pendingCall, error) {
 	cn.cfg.met.batchOps.Observe(float64(len(items)))
+	var gate uint64 // 0: ungated, for epoch-unaware clients
+	if cn.cfg.epoch != nil {
+		gate = cn.cfg.epoch.Load() + 1
+	}
 	return cn.send(ctx, len(items), func(dst []byte, id uint64) ([]byte, error) {
-		return AppendBatchRequest(dst, id, items)
+		return appendBatchRequest(dst, id, gate, items)
 	})
 }
 
@@ -578,7 +580,7 @@ func (cn *conn) sendBatch(ctx context.Context, items []sim.BatchItem) (*pendingC
 // fits can always be sent, alone in its frame if need be (MaxValueLen
 // leaves room for the longest key).
 func fitsFrame(it sim.BatchItem) bool {
-	return it.Server >= 0 && len(it.Req.Key) <= MaxKeyLen && len(it.Req.Value.Value) <= MaxValueLen
+	return it.Server >= 0 && len(it.Req.Key) <= MaxKeyLen && len(it.Req.Value.Value) <= MaxValueLen && !badFlip(it)
 }
 
 // await waits for the reply to a call send returned.
@@ -630,23 +632,9 @@ func (cn *conn) send(ctx context.Context, n int, encode func(dst []byte, id uint
 		callPool.Put(pc)
 		return nil, err
 	}
-	werr := w.send(func(dst []byte) ([]byte, int) {
-		frames := 0
-		if cn.cfg.epoch != nil {
-			// Epoch-aware clients preface the frame with an announce whenever
-			// this connection (a reconnect is a fresh frameWriter) has not yet
-			// named the current epoch. Deciding and writing under the one lock
-			// keeps racing senders from ordering a request ahead of the
-			// announce that covers it.
-			if cur := cn.cfg.epoch.Load(); !w.annSet || w.announced != cur {
-				dst, _ = AppendReconfig(dst, 0, ReconfigFrame{Kind: ReconfigAnnounce, Epoch: cur}) // always encodes
-				w.annSet, w.announced, frames = true, cur, 1
-			}
-		}
-		if dst, err = encode(dst, pc.id); err == nil {
-			frames++
-		}
-		return dst, frames
+	werr := w.send(func(dst []byte) []byte {
+		dst, err = encode(dst, pc.id)
+		return dst
 	})
 	if err != nil {
 		// Unencodable frame (invalid record or behavior): caller bug, abort.
@@ -754,9 +742,6 @@ func (cn *conn) readLoop(w *frameWriter) {
 			break
 		}
 		buf = frame
-		if len(frame) == 0 {
-			break
-		}
 		cn.cfg.met.framesIn.Inc()
 		cn.cfg.met.bytesIn.Add(int64(len(frame)) + 4) // +4: the length prefix is wire bytes too
 		switch frame[0] {
@@ -767,22 +752,13 @@ func (cn *conn) readLoop(w *frameWriter) {
 			}
 			switch rf.Kind {
 			case ReconfigState:
-				cn.mu.Lock()
-				pc, ok := cn.pending[rid]
-				if ok && pc.n == 0 {
-					delete(cn.pending, rid)
-					cn.mu.Unlock()
-					pc.done <- reply{rec: rf.Rec, stateOK: true} // buffered; never blocks
-					continue
-				}
-				cn.mu.Unlock()
-				if ok {
-					goto done // a batch or control call answered with a state frame
+				if !cn.resolve(rid, 0, reply{rec: rf.Rec, stateOK: true}) {
+					goto done
 				}
 			case ReconfigWrongEpoch:
-				// The shard refused the request because this connection's
-				// announced epoch is not its own. The rejection answers the
-				// call the retriable way — Response{OK: false}, never an
+				// The shard refused the request because its frame's gate
+				// names an epoch that is not the shard's. The rejection
+				// answers the call the retriable way — Response{OK: false}, never an
 				// abort — and the embedding layer hears about the shard's
 				// record so it can refresh.
 				cn.cfg.met.wrongEpoch.Inc()
@@ -797,26 +773,13 @@ func (cn *conn) readLoop(w *frameWriter) {
 					h(rf.Rec)
 				}
 			default:
-				goto done // announce/install/query from a server: protocol error
+				goto done // install/query from a server: protocol error
 			}
 		case tagBatchResponse:
 			id, resps, err := DecodeBatchResponse(frame)
-			if err != nil {
+			if err != nil || !cn.resolve(id, len(resps), reply{resps: resps}) {
 				goto done
 			}
-			cn.mu.Lock()
-			pc, ok := cn.pending[id]
-			if ok && len(resps) == pc.n {
-				delete(cn.pending, id)
-				cn.mu.Unlock()
-				pc.done <- reply{resps: resps} // buffered; never blocks
-				continue
-			}
-			cn.mu.Unlock()
-			if ok {
-				goto done // kind or count mismatch: protocol error
-			}
-			// Unknown id: a late response for a forgotten call; drop it.
 		default:
 			goto done // unknown frame kind: protocol error
 		}
@@ -825,6 +788,25 @@ done:
 	cn.mu.Lock()
 	cn.teardownLocked(w)
 	cn.mu.Unlock()
+}
+
+// resolve hands got to the call awaiting id, which must expect n
+// responses (0: a state frame). It reports false when that call expects
+// another kind or count of reply — a protocol error; a reply for an id
+// nobody awaits, a late one for a forgotten call, is dropped.
+func (cn *conn) resolve(id uint64, n int, got reply) bool {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	pc, ok := cn.pending[id]
+	if !ok {
+		return true
+	}
+	if pc.n != n {
+		return false
+	}
+	delete(cn.pending, id)
+	pc.done <- got // buffered; never blocks
+	return true
 }
 
 // teardownLocked closes w's connection and, if it is still the live one,

@@ -34,11 +34,10 @@ import (
 // Frame layout. Every message is a 4-byte big-endian payload length
 // followed by the payload; the first payload byte tags the message kind.
 //
-//	batchReq  := tagBatchRequest id:u64 count:u16 reqItem*
+//	batchReq  := tagBatchRequest id:u64 gate:u64 count:u16 reqItem*
 //	reqItem   := server:u32 op:u8 reader:i64 keylen:u16 key value
 //	batchResp := tagBatchResponse id:u64 count:u16 respItem*
 //	respItem  := flags:u8 value
-//	control   := tagControl id:u64 server:u32 behavior:u8
 //	value     := seq:i64 writer:i64 len:u32 bytes
 //
 // There is one data format: every operation, alone or in company, travels
@@ -49,29 +48,36 @@ import (
 // whose items align index-by-index with the request.
 //
 // id is the pipelining correlation token: the client picks it, the server
-// echoes it, and responses may arrive in any order. flags bit 0 is
-// Response.OK. All integers are big-endian; Timestamp.Writer and
-// Request.ReaderID travel as 64-bit two's complement so negative sentinel
-// writers (the collusion timestamps use Writer = −1) survive the trip.
+// echoes it, and responses may arrive in any order. gate is the epoch
+// gate, carried by every frame so no connection holds epoch state: 0 is
+// ungated, E+1 means "routed with epoch E's quorum system" — served only
+// while E is the shard's epoch, else answered wrongepoch (codecreconfig.go).
+// It cannot be the bare epoch: a client still at epoch 0 must be refused
+// once the shard installs epoch 1. flags bit 0 is Response.OK. All integers
+// are big-endian; Timestamp.Writer and Request.ReaderID travel as 64-bit
+// two's complement so negative sentinel writers (the collusion timestamps
+// use Writer = −1) survive the trip.
 //
-// The control frame is the fault-injection channel of the churn engine:
-// it asks the shard hosting the addressed server to flip that replica to
-// the given sim.Behavior, and is answered with a batchResp of one item
-// (OK reports whether the replica is hosted here). It is what lets a
-// remote schedule driver (sim.FaultController over a wire.Client) crash
-// and recover servers mid-run, so live availability can be measured
-// against F_p(Q) (Definition 3.10) over real TCP.
+// An item whose op is opFlip is the fault-injection channel of the churn
+// engine: it asks the shard to flip the addressed replica to the
+// sim.Behavior in its reader field, and is answered like any item (OK
+// reports whether the replica is hosted here). It is what lets a remote
+// schedule driver (sim.FaultController over a wire.Client) crash and
+// recover servers mid-run, so live availability can be measured against
+// F_p(Q) (Definition 3.10) over real TCP.
 //
 // Compatibility is fail-closed, with no negotiation: a peer that receives
 // a tag it does not know drops the connection, which the other end reads
 // as a crashed shard — Response{OK: false} — and routes around. Tags 0x51,
-// 0x52 and 0x54 belonged to retired frame kinds (a keyless single
-// request, its response, a version hello) and are never reused, so a
-// build that still sends them is refused rather than misread.
+// 0x52, 0x53 and 0x54 belonged to retired frame kinds (a keyless single
+// request, its response, a control frame carrying one flip, a version
+// hello) and are never reused, so a build that still sends them is refused
+// rather than misread.
 const (
-	tagControl       = 0x53
 	tagBatchRequest  = 0x55
 	tagBatchResponse = 0x56
+
+	opFlip = 0xFF // a flip item's op byte: wire-private, above every sim.Op
 
 	// MaxFrame bounds a payload so a corrupt or hostile length prefix
 	// cannot make a peer allocate unboundedly. It also caps the value a
@@ -80,9 +86,9 @@ const (
 
 	valueHeaderLen  = 8 + 8 + 4          // seq + writer + len
 	batchHeaderLen  = 1 + 8 + 2          // tag + id + count
+	reqHeaderLen    = batchHeaderLen + 8 // a request's header adds the gate
 	reqItemOverhead = 4 + 1 + 8 + 2      // server + op + reader + keylen
 	respItemMinLen  = 1 + valueHeaderLen // flags + value header
-	controlLen      = 1 + 8 + 4 + 1      // tag + id + server + behavior
 
 	// MaxKeyLen bounds a register key on the wire, so a hostile keylen
 	// cannot push the item header past the frame.
@@ -94,7 +100,7 @@ const (
 	// MaxValueLen is the longest register value the wire carries. It is
 	// what a frame holding a single item has left after the longest key,
 	// so any operation within MaxKeyLen and MaxValueLen can be sent.
-	MaxValueLen = MaxFrame - batchHeaderLen - reqItemOverhead - MaxKeyLen - valueHeaderLen
+	MaxValueLen = MaxFrame - reqHeaderLen - reqItemOverhead - MaxKeyLen - valueHeaderLen
 )
 
 const flagOK = 1 << 0
@@ -130,16 +136,29 @@ func reqItemLen(it sim.BatchItem) int {
 	return reqItemOverhead + len(it.Req.Key) + valueHeaderLen + len(it.Req.Value.Value)
 }
 
-// AppendBatchRequest appends a complete batch-request frame (length
-// prefix included) carrying items, correlated by id. Items may address
-// different servers — the shard hosting them fans the batch across its
-// replicas. Oversized keys, values, batches, or a total payload past
-// MaxFrame are rejected at encode time, mirroring the decoder.
+// badFlip reports a flip item to an undefined behavior, which both
+// directions refuse, so a hostile or corrupt peer cannot flip a replica
+// into an undefined mode and a bad flip fails at its caller.
+func badFlip(it sim.BatchItem) bool {
+	return byte(it.Req.Op) == opFlip && !sim.KnownBehavior(sim.Behavior(it.Req.ReaderID))
+}
+
+// AppendBatchRequest appends a complete, ungated batch-request frame
+// (length prefix included) carrying items, correlated by id. Items may
+// address different servers — the shard hosting them fans the batch across
+// its replicas. Oversized keys, values, batches, a total payload past
+// MaxFrame, or a flip to an unknown behavior are rejected at encode time,
+// mirroring the decoder.
 func AppendBatchRequest(dst []byte, id uint64, items []sim.BatchItem) ([]byte, error) {
+	return appendBatchRequest(dst, id, 0, items)
+}
+
+// appendBatchRequest is AppendBatchRequest behind the given epoch gate.
+func appendBatchRequest(dst []byte, id, gate uint64, items []sim.BatchItem) ([]byte, error) {
 	if len(items) == 0 || len(items) > MaxBatchOps {
 		return dst, fmt.Errorf("wire: batch of %d operations outside [1,%d]", len(items), MaxBatchOps)
 	}
-	total := batchHeaderLen
+	total := reqHeaderLen
 	for _, it := range items {
 		if it.Server < 0 || int64(it.Server) > int64(^uint32(0)) {
 			return dst, fmt.Errorf("wire: server index %d does not fit a frame", it.Server)
@@ -150,6 +169,9 @@ func AppendBatchRequest(dst []byte, id uint64, items []sim.BatchItem) ([]byte, e
 		if len(it.Req.Value.Value) > MaxValueLen {
 			return dst, fmt.Errorf("wire: value of %d bytes exceeds %d", len(it.Req.Value.Value), MaxValueLen)
 		}
+		if badFlip(it) {
+			return dst, fmt.Errorf("wire: flip to unknown behavior %d", it.Req.ReaderID)
+		}
 		total += reqItemLen(it)
 	}
 	if total > MaxFrame {
@@ -159,6 +181,7 @@ func AppendBatchRequest(dst []byte, id uint64, items []sim.BatchItem) ([]byte, e
 	dst = binary.BigEndian.AppendUint32(dst, uint32(total))
 	dst = append(dst, tagBatchRequest)
 	dst = binary.BigEndian.AppendUint64(dst, id)
+	dst = binary.BigEndian.AppendUint64(dst, gate)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(items)))
 	for _, it := range items {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(it.Server))
@@ -172,55 +195,65 @@ func AppendBatchRequest(dst []byte, id uint64, items []sim.BatchItem) ([]byte, e
 }
 
 // DecodeBatchRequest parses a batch-request payload (the frame minus its
-// length prefix, as returned by ReadFrame).
+// length prefix, as returned by ReadFrame), dropping its gate.
 func DecodeBatchRequest(p []byte) (id uint64, items []sim.BatchItem, err error) {
-	if len(p) < batchHeaderLen {
-		return 0, nil, fmt.Errorf("wire: batch payload of %d bytes shorter than header %d", len(p), batchHeaderLen)
+	id, _, items, err = decodeBatchRequest(p)
+	return id, items, err
+}
+
+// decodeBatchRequest is DecodeBatchRequest keeping the gate.
+func decodeBatchRequest(p []byte) (id, gate uint64, items []sim.BatchItem, err error) {
+	if len(p) < reqHeaderLen {
+		return 0, 0, nil, fmt.Errorf("wire: batch payload of %d bytes shorter than header %d", len(p), reqHeaderLen)
 	}
 	if p[0] != tagBatchRequest {
-		return 0, nil, fmt.Errorf("wire: payload tag %#x is not a batch request", p[0])
+		return 0, 0, nil, fmt.Errorf("wire: payload tag %#x is not a batch request", p[0])
 	}
 	id = binary.BigEndian.Uint64(p[1:])
-	count := int(binary.BigEndian.Uint16(p[9:]))
+	gate = binary.BigEndian.Uint64(p[9:])
+	count := int(binary.BigEndian.Uint16(p[17:]))
 	if count == 0 || count > MaxBatchOps {
-		return 0, nil, fmt.Errorf("wire: batch count %d outside [1,%d]", count, MaxBatchOps)
+		return 0, 0, nil, fmt.Errorf("wire: batch count %d outside [1,%d]", count, MaxBatchOps)
 	}
-	p = p[batchHeaderLen:]
+	p = p[reqHeaderLen:]
 	items = make([]sim.BatchItem, 0, count)
 	for i := 0; i < count; i++ {
 		if len(p) < reqItemOverhead {
-			return 0, nil, fmt.Errorf("wire: truncated batch item %d (%d bytes)", i, len(p))
+			return 0, 0, nil, fmt.Errorf("wire: truncated batch item %d (%d bytes)", i, len(p))
 		}
 		var it sim.BatchItem
 		it.Server = int(binary.BigEndian.Uint32(p))
 		it.Req.Op = sim.Op(p[4])
 		it.Req.ReaderID = int(int64(binary.BigEndian.Uint64(p[5:])))
+		if badFlip(it) {
+			return 0, 0, nil, fmt.Errorf("wire: flip item %d to unknown behavior %d", i, it.Req.ReaderID)
+		}
 		klen := int(binary.BigEndian.Uint16(p[13:]))
 		if klen > MaxKeyLen {
-			return 0, nil, fmt.Errorf("wire: key length %d exceeds %d", klen, MaxKeyLen)
+			return 0, 0, nil, fmt.Errorf("wire: key length %d exceeds %d", klen, MaxKeyLen)
 		}
 		p = p[reqItemOverhead:]
 		if len(p) < klen {
-			return 0, nil, fmt.Errorf("wire: truncated key (%d of %d bytes)", len(p), klen)
+			return 0, 0, nil, fmt.Errorf("wire: truncated key (%d of %d bytes)", len(p), klen)
 		}
 		it.Req.Key = string(p[:klen])
 		tv, rest, err := decodeValue(p[klen:])
 		if err != nil {
-			return 0, nil, err
+			return 0, 0, nil, err
 		}
 		it.Req.Value = tv
 		p = rest
 		items = append(items, it)
 	}
 	if len(p) != 0 {
-		return 0, nil, fmt.Errorf("wire: %d trailing bytes after batch request", len(p))
+		return 0, 0, nil, fmt.Errorf("wire: %d trailing bytes after batch request", len(p))
 	}
-	return id, items, nil
+	return id, gate, items, nil
 }
 
 // AppendBatchResponse appends a complete batch-response frame answering
 // frame id; resps must align index-by-index with the request's items (a
-// control frame is answered with one). A response value too large for a
+// flip item is answered like any other). A response value too large for a
 // frame is the caller's bug at this layer (the server degrades oversized
 // replica answers to unresponsiveness before encoding).
 func AppendBatchResponse(dst []byte, id uint64, resps []sim.Response) ([]byte, error) {
@@ -291,41 +324,6 @@ func DecodeBatchResponse(p []byte) (id uint64, resps []sim.Response, err error) 
 		return 0, nil, fmt.Errorf("wire: %d trailing bytes after batch response", len(p))
 	}
 	return id, resps, nil
-}
-
-// AppendControl appends a complete control frame (length prefix included)
-// asking the shard hosting the given global server index to flip that
-// replica to behavior, correlated by id. Unknown behaviors are rejected at
-// encode time, mirroring the decoder, so a bad flip fails at the caller
-// instead of poisoning the stream.
-func AppendControl(dst []byte, id uint64, server uint32, behavior sim.Behavior) ([]byte, error) {
-	if !sim.KnownBehavior(behavior) {
-		return dst, fmt.Errorf("wire: unknown behavior %d", int(behavior))
-	}
-	dst = binary.BigEndian.AppendUint32(dst, controlLen)
-	dst = append(dst, tagControl)
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	dst = binary.BigEndian.AppendUint32(dst, server)
-	return append(dst, byte(behavior)), nil
-}
-
-// DecodeControl parses a control payload. Like the response decoder's
-// flag check, it rejects behavior bytes outside the defined range, so a
-// hostile or corrupt peer cannot flip a replica into an undefined mode.
-func DecodeControl(p []byte) (id uint64, server uint32, behavior sim.Behavior, err error) {
-	if len(p) != controlLen {
-		return 0, 0, 0, fmt.Errorf("wire: control payload of %d bytes, want %d", len(p), controlLen)
-	}
-	if p[0] != tagControl {
-		return 0, 0, 0, fmt.Errorf("wire: payload tag %#x is not a control frame", p[0])
-	}
-	id = binary.BigEndian.Uint64(p[1:])
-	server = binary.BigEndian.Uint32(p[9:])
-	behavior = sim.Behavior(p[13])
-	if !sim.KnownBehavior(behavior) {
-		return 0, 0, 0, fmt.Errorf("wire: unknown behavior %d in control frame", int(behavior))
-	}
-	return id, server, behavior, nil
 }
 
 // ReadFrame reads one length-prefixed payload from r, reusing buf when it

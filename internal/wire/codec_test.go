@@ -47,39 +47,50 @@ var requestCases = []struct {
 	}},
 }
 
+// batchRequestCases cover both gate states — 0 (ungated) and E+1 (gated
+// at epoch E) — and flip items for every defined behavior.
 var batchRequestCases = []struct {
 	name  string
 	id    uint64
+	gate  uint64
 	items []sim.BatchItem
 }{
-	{"single-keyless", 1, []sim.BatchItem{
+	{"single-keyless", 1, 0, []sim.BatchItem{
 		{Server: 0, Req: sim.Request{Op: sim.OpRead, ReaderID: 7}},
 	}},
-	{"single-keyed", 2, []sim.BatchItem{
+	{"single-keyed", 2, 1, []sim.BatchItem{
 		{Server: 3, Req: sim.Request{Op: sim.OpWrite, Key: "user/42", Value: sim.TaggedValue{Value: "v", TS: sim.Timestamp{Seq: 9, Writer: 2}}}},
 	}},
-	{"mixed-servers", math.MaxUint64, []sim.BatchItem{
+	{"mixed-servers", math.MaxUint64, math.MaxUint64, []sim.BatchItem{
 		{Server: 0, Req: sim.Request{Op: sim.OpReadTimestamps, Key: "a", ReaderID: -1}},
 		{Server: 5, Req: sim.Request{Op: sim.OpWrite, Key: "b", Value: sim.TaggedValue{Value: "x", TS: sim.Timestamp{Seq: 1 << 40, Writer: -1}}}},
 		{Server: math.MaxUint32, Req: sim.Request{Op: sim.OpRead, Key: strings.Repeat("k", MaxKeyLen), ReaderID: math.MinInt32}},
 	}},
-	{"full-batch", 3, func() []sim.BatchItem {
+	{"full-batch", 3, 8, func() []sim.BatchItem {
 		items := make([]sim.BatchItem, MaxBatchOps)
 		for i := range items {
 			items[i] = sim.BatchItem{Server: i, Req: sim.Request{Op: sim.OpRead, Key: "k", ReaderID: i}}
 		}
 		return items
 	}()},
-	{"utf8-key-and-value", 4, []sim.BatchItem{
+	{"utf8-key-and-value", 4, 0, []sim.BatchItem{
 		{Server: 1, Req: sim.Request{Op: sim.OpWrite, Key: "clé/ключ ✓", Value: sim.TaggedValue{Value: "\x00\xff", TS: sim.Timestamp{Seq: math.MinInt64, Writer: math.MaxInt32}}}},
 	}},
+	{"flip", 42, 0, func() []sim.BatchItem {
+		var items []sim.BatchItem
+		for b := sim.Correct; sim.KnownBehavior(b); b++ {
+			items = append(items, sim.BatchItem{Server: 7, Req: sim.Request{Op: opFlip, ReaderID: int(b)}})
+		}
+		return items
+	}()},
 }
 
-// checkRequestRoundTrip encodes items as one frame, reads it back off a
-// stream and requires the decoder to return them bit-for-bit.
-func checkRequestRoundTrip(t *testing.T, wantID uint64, want []sim.BatchItem) {
+// checkRequestRoundTrip encodes items as one frame behind wantGate, reads
+// it back off a stream and requires the decoder to return them
+// bit-for-bit.
+func checkRequestRoundTrip(t *testing.T, wantID, wantGate uint64, want []sim.BatchItem) {
 	t.Helper()
-	frame, err := AppendBatchRequest(nil, wantID, want)
+	frame, err := appendBatchRequest(nil, wantID, wantGate, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +98,12 @@ func checkRequestRoundTrip(t *testing.T, wantID uint64, want []sim.BatchItem) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, items, err := DecodeBatchRequest(payload)
+	id, gate, items, err := decodeBatchRequest(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != wantID || len(items) != len(want) {
-		t.Fatalf("round trip mangled frame: id=%d n=%d, want id=%d n=%d", id, len(items), wantID, len(want))
+	if id != wantID || gate != wantGate || len(items) != len(want) {
+		t.Fatalf("round trip mangled frame: id=%d gate=%d n=%d, want id=%d gate=%d n=%d", id, gate, len(items), wantID, wantGate, len(want))
 	}
 	for i := range items {
 		if items[i] != want[i] {
@@ -104,19 +115,19 @@ func checkRequestRoundTrip(t *testing.T, wantID uint64, want []sim.BatchItem) {
 func TestRequestRoundTrip(t *testing.T) {
 	for _, tc := range requestCases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkRequestRoundTrip(t, tc.id, []sim.BatchItem{{Server: int(tc.server), Req: tc.req}})
+			checkRequestRoundTrip(t, tc.id, 0, []sim.BatchItem{{Server: int(tc.server), Req: tc.req}})
 		})
 	}
 }
 
 func TestBatchRequestRoundTrip(t *testing.T) {
 	for _, tc := range batchRequestCases {
-		t.Run(tc.name, func(t *testing.T) { checkRequestRoundTrip(t, tc.id, tc.items) })
+		t.Run(tc.name, func(t *testing.T) { checkRequestRoundTrip(t, tc.id, tc.gate, tc.items) })
 	}
 }
 
-// responseCases are single answers: what a lone probe, or a control
-// frame, is answered with — a batch response of one item.
+// responseCases are single answers: what a lone probe, or a flip, is
+// answered with — a batch response of one item.
 var responseCases = []struct {
 	name string
 	id   uint64
@@ -184,9 +195,10 @@ func TestBatchResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGoldenFrames pins the three frame layouts byte for byte. The bytes
-// are the format daemons already deployed speak, so they never change: a
-// build that fails this test cannot talk to one that passes it.
+// TestGoldenFrames pins the frame layouts byte for byte: an ungated and a
+// gated request, a flip item, and a response. The bytes are the format
+// daemons already deployed speak, so they never change: a build that
+// fails this test cannot talk to one that passes it.
 func TestGoldenFrames(t *testing.T) {
 	batchReq, err := AppendBatchRequest(nil, 0x0102030405060708, []sim.BatchItem{
 		{Server: 3, Req: sim.Request{Op: sim.OpWrite, Key: "k1", ReaderID: -2,
@@ -203,7 +215,15 @@ func TestGoldenFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	control, err := AppendControl(nil, 0x0102030405060708, 0x0a0b0c0d, sim.Crashed)
+	gated, err := appendBatchRequest(nil, 0x0102030405060708, 8, []sim.BatchItem{ // gated at epoch 7
+		{Server: 1, Req: sim.Request{Op: sim.OpRead, ReaderID: 7}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip, err := AppendBatchRequest(nil, 0x0102030405060708, []sim.BatchItem{
+		{Server: 0x0a0b0c0d, Req: sim.Request{Op: opFlip, ReaderID: int(sim.Crashed)}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +232,16 @@ func TestGoldenFrames(t *testing.T) {
 		got  []byte
 		want string // hex; spaces separate the grammar's fields
 	}{
-		{"batchReq", batchReq, "00000055 55 0102030405060708 0002" +
+		{"batchReq", batchReq, "0000005d 55 0102030405060708 0000000000000000 0002" +
 			" 00000003 03 fffffffffffffffe 0002 6b31 0000000000000009 ffffffffffffffff 00000002 6869" +
 			" 01020304 02 0000000000000007 0000 0000000000000000 0000000000000000 00000000"},
 		{"batchResp", batchResp, "00000037 56 0102030405060708 0002" +
 			" 01 0000000000000009 ffffffffffffffff 00000002 6869" +
 			" 00 0000000000000000 0000000000000000 00000000"},
-		{"control", control, "0000000e 53 0102030405060708 0a0b0c0d 02"},
+		{"gatedReq", gated, "00000036 55 0102030405060708 0000000000000008 0001" +
+			" 00000001 02 0000000000000007 0000 0000000000000000 0000000000000000 00000000"},
+		{"flip", flip, "00000036 55 0102030405060708 0000000000000000 0001" +
+			" 0a0b0c0d ff 0000000000000002 0000 0000000000000000 0000000000000000 00000000"},
 	} {
 		want, err := hex.DecodeString(strings.ReplaceAll(tc.want, " ", ""))
 		if err != nil {
@@ -297,29 +320,31 @@ func patched(p []byte, fn func(p []byte)) []byte {
 }
 
 func TestDecodeBatchRejectsMalformed(t *testing.T) {
-	good, err := AppendBatchRequest(nil, 9, []sim.BatchItem{
+	good, err := appendBatchRequest(nil, 9, 3, []sim.BatchItem{
 		{Server: 2, Req: sim.Request{Op: sim.OpWrite, Key: "k", Value: sim.TaggedValue{Value: "ok"}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := good[4:]
-	const valueLenAt = batchHeaderLen + reqItemOverhead + len("k") + 16 // the value's len:u32
+	const valueLenAt = reqHeaderLen + reqItemOverhead + len("k") + 16 // the value's len:u32
 	cases := map[string][]byte{
-		"empty":         {},
-		"short-header":  payload[:5],
-		"retired-tag":   append([]byte{0x51}, payload[1:]...),
-		"response-tag":  append([]byte{tagBatchResponse}, payload[1:]...),
-		"trailing":      append(append([]byte{}, payload...), 0xAA),
-		"zero-count":    patched(payload, func(p []byte) { binary.BigEndian.PutUint16(p[9:], 0) }),
-		"count-overrun": patched(payload, func(p []byte) { binary.BigEndian.PutUint16(p[9:], 7) }), // promises 7 items, carries 1
+		"empty":               {},
+		"short-header":        payload[:5],
+		"truncated-gate":      payload[:reqHeaderLen-3],
+		"retired-tag":         append([]byte{0x51}, payload[1:]...),
+		"retired-control-tag": append([]byte{0x53}, payload[1:]...),
+		"response-tag":        append([]byte{tagBatchResponse}, payload[1:]...),
+		"trailing":            append(append([]byte{}, payload...), 0xAA),
+		"zero-count":          patched(payload, func(p []byte) { binary.BigEndian.PutUint16(p[17:], 0) }),
+		"count-overrun":       patched(payload, func(p []byte) { binary.BigEndian.PutUint16(p[17:], 7) }), // promises 7 items, carries 1
 		// Declared lengths inflated past the bytes actually carried.
-		"key-overrun":       patched(payload, func(p []byte) { binary.BigEndian.PutUint16(p[batchHeaderLen+13:], 5000) }),
+		"key-overrun":       patched(payload, func(p []byte) { binary.BigEndian.PutUint16(p[reqHeaderLen+13:], 5000) }),
 		"value-overrun":     patched(payload, func(p []byte) { binary.BigEndian.PutUint32(p[valueLenAt:], 1000) }),
 		"value-oversize":    patched(payload, func(p []byte) { binary.BigEndian.PutUint32(p[valueLenAt:], MaxValueLen+1) }),
 		"truncated-value":   payload[:len(payload)-1],
 		"truncated-valhdr":  payload[:valueLenAt+2],
-		"truncated-itemhdr": payload[:batchHeaderLen+reqItemOverhead-1],
+		"truncated-itemhdr": payload[:reqHeaderLen+reqItemOverhead-1],
 	}
 	for name, p := range cases {
 		if _, _, err := DecodeBatchRequest(p); err == nil {
@@ -329,7 +354,7 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 }
 
 // TestDecodeRejectsMalformed is the response-side table: the decoder
-// every reply — a probe's answer or a control ack — goes through.
+// every reply — a probe's answer or a flip's ack — goes through.
 func TestDecodeRejectsMalformed(t *testing.T) {
 	good, err := AppendBatchResponse(nil, 9, []sim.Response{{OK: true, Value: sim.TaggedValue{Value: "ok"}}})
 	if err != nil {
@@ -413,11 +438,11 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 // arbitrary payload, and that anything it does accept re-encodes to an
 // identical frame.
 func fuzzDecodeRequest(t *testing.T, payload []byte) {
-	id, items, err := DecodeBatchRequest(payload)
+	id, gate, items, err := decodeBatchRequest(payload)
 	if err != nil {
 		return
 	}
-	frame, err := AppendBatchRequest(nil, id, items)
+	frame, err := appendBatchRequest(nil, id, gate, items)
 	if err != nil {
 		t.Fatalf("decoded batch fails to re-encode: %v", err)
 	}
@@ -457,7 +482,7 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 // FuzzDecodeResponse starts the response decoder's fuzzer from lone
-// answers — the shape of a probe's reply and of a control ack.
+// answers — the shape of a probe's reply and of a flip's ack.
 func FuzzDecodeResponse(f *testing.F) {
 	for _, tc := range responseCases {
 		frame, err := AppendBatchResponse(nil, tc.id, []sim.Response{tc.resp})
@@ -471,15 +496,15 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Fuzz(fuzzDecodeResponse)
 }
 
-// FuzzDecodeBatchRequest starts the same fuzzer from keyed and multi-item
-// frames, plus payloads of other kinds — a control frame, a retired
-// hello — that the decoder must reject.
+// FuzzDecodeBatchRequest starts the same fuzzer from keyed, multi-item,
+// gated and flip frames, plus payloads of other kinds — a retired control
+// frame, a retired hello — that the decoder must reject.
 func FuzzDecodeBatchRequest(f *testing.F) {
 	for _, tc := range batchRequestCases {
 		if len(tc.items) > 8 {
 			continue // keep the seed corpus small
 		}
-		frame, err := AppendBatchRequest(nil, tc.id, tc.items)
+		frame, err := appendBatchRequest(nil, tc.id, tc.gate, tc.items)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -487,10 +512,8 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{tagBatchRequest})
-	f.Add([]byte{0x54, 2}) // retired hello
-	if ctl, err := AppendControl(nil, 3, 1, sim.Crashed); err == nil {
-		f.Add(ctl[4:])
-	}
+	f.Add([]byte{0x54, 2})                                     // retired hello
+	f.Add([]byte{0x53, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 2}) // retired control frame: flip server 1 to crashed
 	if keyless, err := AppendBatchRequest(nil, 5, []sim.BatchItem{
 		{Server: 1, Req: sim.Request{Op: sim.OpWrite, Value: sim.TaggedValue{Value: "v", TS: sim.Timestamp{Seq: 1}}}},
 		{Server: 2, Req: sim.Request{Op: sim.OpWrite, Key: "k", Value: sim.TaggedValue{Value: "v", TS: sim.Timestamp{Seq: 1}}}},
@@ -514,7 +537,7 @@ func FuzzDecodeBatchResponse(f *testing.F) {
 	f.Add([]byte{tagBatchResponse})
 	f.Add([]byte{0x54, 2}) // retired hello
 	if ack, err := AppendBatchResponse(nil, 3, []sim.Response{{OK: true}}); err == nil {
-		f.Add(ack[4:]) // a control ack
+		f.Add(ack[4:]) // a flip's ack
 	}
 	f.Fuzz(fuzzDecodeResponse)
 }
@@ -539,6 +562,6 @@ func FuzzRequestRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		checkRequestRoundTrip(t, id, []sim.BatchItem{item})
+		checkRequestRoundTrip(t, id, 0, []sim.BatchItem{item})
 	})
 }

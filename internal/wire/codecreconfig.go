@@ -9,24 +9,19 @@ import (
 )
 
 // Reconfiguration control frames. Clients and servers agree on the
-// current configuration epoch with one extra frame kind:
+// current configuration epoch with one extra frame kind (the gate that
+// enforces it rides in every batch request, codec.go):
 //
 //	reconfig   := tagReconfig id:u64 kind:u8 body
-//	body       := epoch:u64            (kind announce)
-//	            | record               (kind install)
+//	body       := record               (kind install)
 //	            | record | ε           (kinds state, wrongepoch: an empty
 //	            |                       body means "nothing installed")
 //	            | ε                    (kind query)
 //	record     := epoch:u64 universe:u32 b:u16 outer:u32 kindlen:u8 kindname
 //
-// The kinds, and who sends them:
+// The kinds, and who sends them (kind 1, a retired per-connection epoch
+// announce, is never reused):
 //
-//   - announce (client → server, no reply): "every request I pipeline
-//     after this frame was routed with epoch E's quorum system." The
-//     server gates announced connections: a request arriving at a
-//     different epoch is answered with wrongepoch instead of reaching a
-//     replica. Connections that never announce are served ungated — the
-//     epoch plane is opt-in.
 //   - install (coordinator → server, answered with state): adopt the
 //     record if its epoch is newer, merging the shard's replica state
 //     into the replicas that remain in the new universe. Idempotent: a
@@ -36,7 +31,7 @@ import (
 //   - state (server → client): the shard's current record, answering an
 //     install or query by id.
 //   - wrongepoch (server → client): the request with this id was
-//     rejected because the connection's announced epoch is not the
+//     rejected because its frame's gate names an epoch that is not the
 //     shard's; the body carries the shard's current record so the
 //     client can refresh. To the quorum protocol the rejection reads as
 //     Response{OK: false} — the retriable suspicion signal — never an
@@ -58,9 +53,6 @@ const (
 type ReconfigKind byte
 
 const (
-	// ReconfigAnnounce (client → server) pins the connection's epoch:
-	// subsequent requests are served only while it is the shard's.
-	ReconfigAnnounce ReconfigKind = 1
 	// ReconfigInstall (coordinator → server) delivers a record to adopt;
 	// answered with a state frame carrying the shard's record after.
 	ReconfigInstall ReconfigKind = 2
@@ -71,7 +63,7 @@ const (
 	// the shard's current record (empty body: nothing installed).
 	ReconfigState ReconfigKind = 4
 	// ReconfigWrongEpoch (server → client) rejects the request with this
-	// id: the connection's announced epoch is not the shard's. Carries
+	// id: its frame's gate names an epoch that is not the shard's. Carries
 	// the shard's record so the client can refresh.
 	ReconfigWrongEpoch ReconfigKind = 5
 )
@@ -79,8 +71,6 @@ const (
 // String names the kind for logs.
 func (k ReconfigKind) String() string {
 	switch k {
-	case ReconfigAnnounce:
-		return "announce"
 	case ReconfigInstall:
 		return "install"
 	case ReconfigQuery:
@@ -93,12 +83,11 @@ func (k ReconfigKind) String() string {
 	return fmt.Sprintf("reconfig(%d)", byte(k))
 }
 
-// ReconfigFrame is the decoded payload of a tagReconfig frame. Epoch is
-// meaningful for announce only; Rec for install, state and wrongepoch.
+// ReconfigFrame is the decoded payload of a tagReconfig frame. Rec is
+// meaningful for install, state and wrongepoch.
 type ReconfigFrame struct {
-	Kind  ReconfigKind
-	Epoch uint64
-	Rec   reconfig.Record
+	Kind ReconfigKind
+	Rec  reconfig.Record
 }
 
 func appendRecord(dst []byte, rec reconfig.Record) ([]byte, error) {
@@ -144,13 +133,11 @@ func decodeRecord(p []byte) (reconfig.Record, []byte, error) {
 func AppendReconfig(dst []byte, id uint64, f ReconfigFrame) ([]byte, error) {
 	body := make([]byte, 0, recordWireLen+reconfig.MaxKindLen)
 	switch f.Kind {
-	case ReconfigAnnounce:
-		body = binary.BigEndian.AppendUint64(body, f.Epoch)
 	case ReconfigQuery:
 	case ReconfigState, ReconfigWrongEpoch:
 		// The zero record travels as an empty body: a shard that has not
-		// installed anything yet still answers queries and gates stale
-		// announcements.
+		// installed anything yet still answers queries and refuses stale
+		// gates.
 		if f.Rec == (reconfig.Record{}) {
 			break
 		}
@@ -184,12 +171,6 @@ func DecodeReconfig(p []byte) (id uint64, f ReconfigFrame, err error) {
 	f.Kind = ReconfigKind(p[9])
 	body := p[reconfigHeaderLen:]
 	switch f.Kind {
-	case ReconfigAnnounce:
-		if len(body) != 8 {
-			return 0, ReconfigFrame{}, fmt.Errorf("wire: announce body of %d bytes, want 8", len(body))
-		}
-		f.Epoch = binary.BigEndian.Uint64(body)
-		return id, f, nil
 	case ReconfigQuery:
 		if len(body) != 0 {
 			return 0, ReconfigFrame{}, fmt.Errorf("wire: %d trailing bytes after query", len(body))

@@ -14,8 +14,6 @@ var reconfigFrameCases = []struct {
 	id   uint64
 	f    ReconfigFrame
 }{
-	{"announce-zero", 1, ReconfigFrame{Kind: ReconfigAnnounce, Epoch: 0}},
-	{"announce-max", 2, ReconfigFrame{Kind: ReconfigAnnounce, Epoch: math.MaxUint64}},
 	{"query", 3, ReconfigFrame{Kind: ReconfigQuery}},
 	{"install-mgrid", 4, ReconfigFrame{Kind: ReconfigInstall,
 		Rec: reconfig.Record{Epoch: 1, Kind: "mgrid", Universe: 36, B: 1}}},
@@ -90,10 +88,6 @@ func TestDecodeReconfigRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := install[4:]
-	announce, err := AppendReconfig(nil, 9, ReconfigFrame{Kind: ReconfigAnnounce, Epoch: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := map[string][]byte{
 		"empty":        {},
 		"short-header": payload[:5],
@@ -122,9 +116,10 @@ func TestDecodeReconfigRejectsMalformed(t *testing.T) {
 			p[len(p)-5] = 'M'
 			return p
 		}(),
-		"announce-short":    announce[4 : len(announce)-1],
-		"announce-trailing": append(append([]byte{}, announce[4:]...), 0),
-		"query-trailing":    {tagReconfig, 0, 0, 0, 0, 0, 0, 0, 1, byte(ReconfigQuery), 0xAA},
+		// Kind 1, the retired per-connection epoch announce, byte for byte
+		// as its last build sent it (epoch 5).
+		"retired-announce": {tagReconfig, 0, 0, 0, 0, 0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0, 0, 5},
+		"query-trailing":   {tagReconfig, 0, 0, 0, 0, 0, 0, 0, 1, byte(ReconfigQuery), 0xAA},
 	}
 	for name, p := range cases {
 		if _, _, err := DecodeReconfig(p); err == nil {
@@ -136,10 +131,11 @@ func TestDecodeReconfigRejectsMalformed(t *testing.T) {
 // FuzzReconfigFrame asserts the reconfig decoder never panics on
 // arbitrary payloads and that anything it accepts re-encodes to an
 // identical frame — the epoch plane keeps the decode/re-encode identity
-// every other frame kind pins. Seeds cover all five kinds, the
-// empty-body state/wrongepoch encoding of the zero record, and
-// cross-kind payloads (a retired hello, a control frame, a batch) that
-// must be rejected here.
+// every other frame kind pins. Seeds cover all four kinds, the
+// empty-body state/wrongepoch encoding of the zero record, and payloads
+// that must be rejected here: the retired announce kind and cross-kind
+// frames (a retired hello, a retired control frame, ungated and gated
+// batches).
 func FuzzReconfigFrame(f *testing.F) {
 	for _, tc := range reconfigFrameCases {
 		frame, err := AppendReconfig(nil, tc.id, tc.f)
@@ -151,12 +147,13 @@ func FuzzReconfigFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{tagReconfig})
 	f.Add([]byte{tagReconfig, 0, 0, 0, 0, 0, 0, 0, 1, 99})
-	f.Add([]byte{0x54, 2}) // retired hello
-	if ctl, err := AppendControl(nil, 3, 1, sim.Crashed); err == nil {
-		f.Add(ctl[4:])
-	}
-	if batch, err := AppendBatchRequest(nil, 4, []sim.BatchItem{{Server: 0, Req: sim.Request{Op: sim.OpRead, Key: "k"}}}); err == nil {
-		f.Add(batch[4:])
+	f.Add([]byte{tagReconfig, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 5}) // retired announce
+	f.Add([]byte{0x54, 2})                                                        // retired hello
+	f.Add([]byte{0x53, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 2})                    // retired control frame
+	for gate := uint64(0); gate < 2; gate++ {
+		if batch, err := appendBatchRequest(nil, 4, gate, []sim.BatchItem{{Server: 0, Req: sim.Request{Op: sim.OpRead, Key: "k"}}}); err == nil {
+			f.Add(batch[4:])
+		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		id, fr, err := DecodeReconfig(payload)

@@ -31,32 +31,35 @@ type frameWriter struct {
 	met   *wireMetrics
 	yield func() // runtime.Gosched, the rule's one yield; tests substitute a barrier
 
-	mu        sync.Mutex
-	bw        *bufio.Writer
-	frames    int    // buffered since the last flush
-	announced uint64 // epoch-aware clients only: the epoch last announced here,
-	annSet    bool   // if any
+	mu     sync.Mutex
+	bw     *bufio.Writer
+	frames int // buffered since the last flush
 }
 
 func newFrameWriter(nc net.Conn, met *wireMetrics) *frameWriter {
 	return &frameWriter{nc: nc, met: met, yield: runtime.Gosched, bw: bufio.NewWriterSize(nc, writeBufSize)}
 }
 
-// send puts on the connection what encode — called under w.mu — appends
-// to the free tail of the write buffer, reporting how many frames that
-// is. A write error is sticky in the bufio.Writer, so whoever flushes next
-// sees it too; the caller that gets one tears the connection down, which
-// fails each frame the flush carried exactly once.
-func (w *frameWriter) send(encode func(dst []byte) (out []byte, frames int)) error {
+// send puts on the connection the one frame encode — called under w.mu —
+// appends to the free tail of the write buffer; an encode that appends
+// nothing (the caller's frame failed to encode) sends nothing. A write
+// error is sticky in the bufio.Writer, so whoever flushes next sees it
+// too; the caller that gets one tears the connection down, which fails
+// each frame the flush carried exactly once.
+func (w *frameWriter) send(encode func(dst []byte) []byte) error {
 	w.mu.Lock()
-	out, frames := encode(w.bw.AvailableBuffer())
+	out := encode(w.bw.AvailableBuffer())
+	if len(out) == 0 {
+		w.mu.Unlock()
+		return nil
+	}
 	_, err := w.bw.Write(out)
-	w.frames += frames
+	w.frames++
 	w.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	w.met.framesOut.Add(int64(frames))
+	w.met.framesOut.Inc()
 	w.met.bytesOut.Add(int64(len(out)))
 	w.yield()
 	w.mu.Lock()

@@ -231,10 +231,11 @@ func TestClientCoalescesBehindHeldFlush(t *testing.T) {
 // and the one already on the wire — resolves to OK: false exactly once,
 // nobody hangs, and the next call redials.
 func TestClientFailedCoalescedFlush(t *testing.T) {
-	hold := make(chan struct{})
+	hold, holding := make(chan struct{}), make(chan struct{}, 1)
 	var held atomic.Bool
 	addr := fakeShard(t, func([]sim.BatchItem) {
 		if held.CompareAndSwap(false, true) {
+			holding <- struct{}{}
 			<-hold // the first connection's replies never come
 		}
 	})
@@ -291,7 +292,9 @@ func TestClientFailedCoalescedFlush(t *testing.T) {
 	}
 	// The connection is gone: the next call dials a fresh one (the gated
 	// one was attached by hand, so this is the client's first dial) and is
-	// served.
+	// served. The shard must be holding frame 0 first, or the redial's
+	// probe could be the batch it holds.
+	waitN(t, holding, 1, "the shard to hold frame 0")
 	resp, err := cl.Invoke(ctx, 0, sim.Request{Op: sim.OpRead})
 	if err != nil || !resp.OK {
 		t.Fatalf("call after the failed flush: resp=%+v err=%v, want a served redial", resp, err)

@@ -26,10 +26,10 @@ type Server struct {
 	replicas map[int]*sim.Server
 	met      *wireMetrics
 
-	// epochMu guards the installed configuration record. Request
-	// handlers on epoch-announced connections hold the read side for the
-	// whole replica operation, so an install (exclusive) doubles as the
-	// shard's drain: it waits out in-flight gated work, merges replica
+	// epochMu guards the installed configuration record. Handlers of
+	// gated frames hold the read side for the whole replica operation,
+	// so an install (exclusive) doubles as the shard's drain: it waits
+	// out in-flight gated work, merges replica
 	// state on a quiesced shard, and every request admitted afterwards
 	// sees the new epoch. rec is zero until the first install — the
 	// shard then runs whatever configuration it booted with, at epoch 0.
@@ -83,19 +83,6 @@ func NewServer(replicas map[int]*sim.Server, opts ...ServerOption) *Server {
 	return srv
 }
 
-// Replica returns the hosted replica with the given global index, or nil.
-func (s *Server) Replica(id int) *sim.Server { return s.replicas[id] }
-
-// IDs returns the global indices this server hosts, in no particular
-// order.
-func (s *Server) IDs() []int {
-	out := make([]int, 0, len(s.replicas))
-	for id := range s.replicas {
-		out = append(out, id)
-	}
-	return out
-}
-
 // ListenAndServe listens on addr ("host:port") and calls Serve.
 func (s *Server) ListenAndServe(addr string) error {
 	lis, err := net.Listen("tcp", addr)
@@ -147,7 +134,7 @@ func (s *Server) Serve(lis net.Listener) error {
 	}
 }
 
-// serveConn reads batch, control and reconfig frames and answers them. A
+// serveConn reads batch and reconfig frames and answers them. A
 // malformed frame or an unknown tag is a protocol error: the connection
 // is dropped (a well-behaved peer never sends one, and there is no way to
 // re-synchronize a corrupt stream) — which is also the whole of version
@@ -161,13 +148,6 @@ func (s *Server) serveConn(w *frameWriter) {
 		nc.Close()
 	}()
 	br := bufio.NewReader(nc)
-	// The connection's announced epoch: set by an announce frame, unset
-	// until then. Announce frames are processed in stream order on this
-	// loop, so every request frame is gated at the epoch announced
-	// before it; handlers capture the values by copy since they run on
-	// their own goroutines.
-	var announced uint64
-	var annSet bool
 	var buf []byte
 	for {
 		frame, err := ReadFrame(br, buf)
@@ -181,44 +161,25 @@ func (s *Server) serveConn(w *frameWriter) {
 		switch frame[0] {
 		case tagReconfig:
 			recID, rf, err := DecodeReconfig(frame)
-			if err != nil {
-				return
-			}
-			switch rf.Kind {
-			case ReconfigAnnounce:
-				announced, annSet = rf.Epoch, true
-				continue // no reply; the next frames are gated at this epoch
-			case ReconfigInstall, ReconfigQuery:
-				work = func() {
-					defer s.inflight.Done()
-					cur, _ := s.CurrentRecord()
-					if rf.Kind == ReconfigInstall {
-						cur = s.install(rf.Rec)
-					}
-					s.reply(w, recID, nil, ReconfigState, cur)
-				}
-			default:
+			if err != nil || (rf.Kind != ReconfigInstall && rf.Kind != ReconfigQuery) {
 				return // state/wrongepoch are server→client only: protocol error
 			}
+			work = func() {
+				defer s.inflight.Done()
+				cur, _ := s.CurrentRecord()
+				if rf.Kind == ReconfigInstall {
+					cur = s.install(rf.Rec)
+				}
+				s.reply(w, recID, nil, ReconfigState, cur)
+			}
 		case tagBatchRequest:
-			batchID, items, err := DecodeBatchRequest(frame)
-			if err != nil {
-				return
-			}
-			ann, set := announced, annSet
-			work = func() {
-				defer s.inflight.Done()
-				s.serveBatch(w, batchID, items, set, ann)
-			}
-		case tagControl:
-			ctlID, server, behavior, err := DecodeControl(frame)
+			batchID, gate, items, err := decodeBatchRequest(frame)
 			if err != nil {
 				return
 			}
 			work = func() {
 				defer s.inflight.Done()
-				ack := [1]sim.Response{s.control(server, behavior)}
-				s.reply(w, ctlID, ack[:], 0, reconfig.Record{})
+				s.serveBatch(w, batchID, gate, items)
 			}
 		default:
 			return // unknown frame kind: protocol error
@@ -237,25 +198,25 @@ func (s *Server) serveConn(w *frameWriter) {
 // on the socket, which is what lets Shutdown wait on the handlers alone.
 // A failed write closes the connection, which unblocks the read loop.
 func (s *Server) reply(w *frameWriter, id uint64, resps []sim.Response, kind ReconfigKind, rec reconfig.Record) {
-	err := w.send(func(dst []byte) ([]byte, int) {
+	err := w.send(func(dst []byte) []byte {
 		if resps == nil {
-			return append(dst, recordFrame(id, kind, rec)...), 1 // rare: off the probe path
+			return append(dst, recordFrame(id, kind, rec)...) // rare: off the probe path
 		}
-		dst, _ = AppendBatchResponse(dst, id, resps) // serveBatch's fit or a bare ack: always encodes
-		return dst, 1
+		dst, _ = AppendBatchResponse(dst, id, resps) // serveBatch's fit: always encodes
+		return dst
 	})
 	if err != nil {
 		w.nc.Close()
 	}
 }
 
-// serveBatch answers one batch frame under the epoch gate. Connections
-// that announced an epoch are served only while it is the shard's
-// current one — the replica work runs under the epoch read-lock, so it
+// serveBatch answers one batch frame under its own epoch gate. A frame
+// gated at epoch E (gate = E+1) is served only while E is the shard's
+// current epoch — the replica work runs under the epoch read-lock, so it
 // cannot straddle an install — and a mismatch answers a wrongepoch frame
 // carrying the shard's record (the retriable OK: false signal on the
-// client side, never an abort). Connections that never announced are
-// served ungated: the epoch plane is opt-in.
+// client side, never an abort). A frame with gate 0 is served ungated:
+// the epoch plane is opt-in, and a flip is never gated.
 //
 // Degradation is per item, never per frame: an item for a server this
 // shard does not host — or one whose value cannot travel back (an
@@ -264,10 +225,10 @@ func (s *Server) reply(w *frameWriter, id uint64, resps []sim.Response, kind Rec
 // MaxFrame (the flags+header floor of every item fits MaxBatchOps many
 // times over), so the reply always encodes and one huge stored value
 // cannot make the shard's other replicas read as crashed.
-func (s *Server) serveBatch(w *frameWriter, id uint64, items []sim.BatchItem, annSet bool, announced uint64) {
-	if annSet {
+func (s *Server) serveBatch(w *frameWriter, id, gate uint64, items []sim.BatchItem) {
+	if gate != 0 {
 		s.epochMu.RLock()
-		if cur := s.rec; announced != cur.Epoch {
+		if cur := s.rec; gate-1 != cur.Epoch {
 			s.epochMu.RUnlock()
 			s.met.wrongEpoch.Inc()
 			s.reply(w, id, nil, ReconfigWrongEpoch, cur)
@@ -282,7 +243,7 @@ func (s *Server) serveBatch(w *frameWriter, id uint64, items []sim.BatchItem, an
 	} else {
 		resps = s.handleBatch(items)
 	}
-	if annSet {
+	if gate != 0 {
 		s.epochMu.RUnlock()
 	}
 	total := batchHeaderLen
@@ -332,11 +293,15 @@ func (s *Server) beginRequest() bool {
 	return true
 }
 
-// handle applies one request to the addressed replica. A request for a
-// server this shard does not host answers Response{OK: false}: to the
-// client that is indistinguishable from a crash, which is the correct
-// suspicion signal for a misconfigured route.
+// handle applies one request to the addressed replica, or a flip item
+// to its behavior (control). A request for a server this shard does not
+// host answers Response{OK: false}: to the client that is
+// indistinguishable from a crash, which is the correct suspicion signal
+// for a misconfigured route.
 func (s *Server) handle(server int, req sim.Request) sim.Response {
+	if req.Op == opFlip {
+		return s.control(server, sim.Behavior(req.ReaderID))
+	}
 	rep, ok := s.replicas[server]
 	if !ok {
 		return sim.Response{OK: false}
@@ -423,8 +388,8 @@ func recordFrame(id uint64, kind ReconfigKind, rec reconfig.Record) []byte {
 // servers mid-run. A flip for a server this shard does not host answers
 // Response{OK: false}, so the driver learns the route was wrong without
 // the connection dying.
-func (s *Server) control(server uint32, behavior sim.Behavior) sim.Response {
-	rep, ok := s.replicas[int(server)]
+func (s *Server) control(server int, behavior sim.Behavior) sim.Response {
+	rep, ok := s.replicas[server]
 	if !ok {
 		return sim.Response{OK: false}
 	}
