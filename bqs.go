@@ -7,6 +7,7 @@ import (
 	"bqs/internal/bitset"
 	"bqs/internal/compose"
 	"bqs/internal/core"
+	"bqs/internal/faults"
 	"bqs/internal/measures"
 	"bqs/internal/obs"
 	"bqs/internal/projective"
@@ -123,38 +124,41 @@ type (
 	// WriteFuture is the pending result of Session.WriteAsync.
 	WriteFuture = sim.WriteFuture
 
+	// Fault injection lives in internal/faults, which reaches a fleet only
+	// through Flipper and LoadSource.
+
 	// FaultEvent is one entry of a fault timeline: at offset At, server
 	// Server switches to Behavior.
-	FaultEvent = sim.FaultEvent
+	FaultEvent = faults.FaultEvent
 	// FaultSchedule is a validated, time-sorted fault timeline — the
 	// deterministic core of the churn engine.
-	FaultSchedule = sim.FaultSchedule
+	FaultSchedule = faults.FaultSchedule
 	// ChurnConfig is the seeded stochastic churn model (exponential
 	// up/down alternation per server); its Schedule method pre-generates a
 	// reproducible FaultSchedule.
-	ChurnConfig = sim.ChurnConfig
+	ChurnConfig = faults.ChurnConfig
 	// FaultController replays a FaultSchedule against a Flipper in real
 	// time while a workload runs.
-	FaultController = sim.FaultController
+	FaultController = faults.FaultController
 	// Flipper applies behavior flips to servers: Cluster implements it
 	// in-memory, WireClient over TCP (flip items).
-	Flipper = sim.Flipper
+	Flipper = faults.Flipper
 	// ChurnGroup is one heterogeneous slice of the churn model: rate
 	// overrides for its servers, or — when Correlated — a failure domain
 	// that flips all its members together.
-	ChurnGroup = sim.ChurnGroup
+	ChurnGroup = faults.ChurnGroup
 	// Adversary corrupts up to B servers through a Flipper, re-choosing
 	// victims live per its scheduling strategy.
-	Adversary = sim.Adversary
+	Adversary = faults.Adversary
 	// AdversaryConfig shapes an Adversary (kind, budget, behavior,
 	// re-targeting interval).
-	AdversaryConfig = sim.AdversaryConfig
+	AdversaryConfig = faults.AdversaryConfig
 	// AdversaryKind names a victim-selection strategy: random, targeted
 	// (heaviest-loaded servers), or timing (phase-keyed behavior flips).
-	AdversaryKind = sim.AdversaryKind
+	AdversaryKind = faults.AdversaryKind
 	// LoadSource exposes live per-server access frequencies; Cluster
 	// satisfies it, and the targeted adversary re-aims off it.
-	LoadSource = sim.LoadSource
+	LoadSource = faults.LoadSource
 
 	// Store is the pluggable storage engine behind a Server: a keyed map
 	// of timestamped records with last-writer-wins merge. NewMemStore
@@ -235,14 +239,14 @@ const (
 const (
 	// AdversaryRandom corrupts a fresh uniform b-subset each tick — the
 	// oblivious baseline.
-	AdversaryRandom = sim.AdversaryRandom
+	AdversaryRandom = faults.AdversaryRandom
 	// AdversaryTargeted corrupts the servers carrying the most live
 	// access weight (Cluster.LoadProfile) — the worst-case adversary the
 	// availability analysis must survive.
-	AdversaryTargeted = sim.AdversaryTargeted
+	AdversaryTargeted = faults.AdversaryTargeted
 	// AdversaryTiming holds its victims but flips their behavior between
 	// ByzantineStale and ByzantineEquivocate keyed to the protocol phase.
-	AdversaryTiming = sim.AdversaryTiming
+	AdversaryTiming = faults.AdversaryTiming
 )
 
 // Protocol message types, for custom Transport implementations.
@@ -509,26 +513,26 @@ func WithDeterministic() ClusterOption { return sim.WithDeterministic() }
 // server indices, known behaviors) and returns them as a timeline sorted
 // stably by offset.
 func NewFaultSchedule(events []FaultEvent) (*FaultSchedule, error) {
-	return sim.NewFaultSchedule(events)
+	return faults.NewFaultSchedule(events)
 }
 
 // ParseFaultSchedule parses the CLI timeline form
 // "100ms:3:crashed,250ms:0-2:byz-fabricate,600ms:3:correct" —
 // comma-separated at:servers:behavior entries with inclusive server
 // ranges.
-func ParseFaultSchedule(spec string) (*FaultSchedule, error) { return sim.ParseFaultSchedule(spec) }
+func ParseFaultSchedule(spec string) (*FaultSchedule, error) { return faults.ParseFaultSchedule(spec) }
 
 // ParseChurn parses the stochastic churn spec — one or more
 // ';'-separated clauses: a base "mtbf=300ms,mttr=100ms[,down=<behavior>]
 // [,servers=lo-hi]" followed by optional heterogeneous groups
 // ("servers=4-7,mtbf=1s" rate overrides, "domain=0-3" correlated failure
 // domains) — into a ChurnConfig.
-func ParseChurn(spec string) (ChurnConfig, error) { return sim.ParseChurn(spec) }
+func ParseChurn(spec string) (ChurnConfig, error) { return faults.ParseChurn(spec) }
 
 // ParseAdversary parses the adversary spec: a strategy name (random,
 // targeted, timing) optionally followed by b=<budget>,
 // behavior=<mode>, interval=<duration>, seed=<int>.
-func ParseAdversary(spec string) (AdversaryConfig, error) { return sim.ParseAdversary(spec) }
+func ParseAdversary(spec string) (AdversaryConfig, error) { return faults.ParseAdversary(spec) }
 
 // NewAdversary builds an adversarial Byzantine scheduler over an
 // n-server fleet: it corrupts up to cfg.B servers through f, re-choosing
@@ -536,14 +540,14 @@ func ParseAdversary(spec string) (AdversaryConfig, error) { return sim.ParseAdve
 // kind (pass the Cluster, which is its own LoadSource); run it with
 // Adversary.Run alongside the workload.
 func NewAdversary(cfg AdversaryConfig, f Flipper, loads LoadSource, n int) (*Adversary, error) {
-	return sim.NewAdversary(cfg, f, loads, n)
+	return faults.NewAdversary(cfg, f, loads, n)
 }
 
 // NewFaultController binds a fault schedule to the Flipper (a Cluster, or
 // a WireClient for remote deployments) that will apply it; run it with
 // FaultController.Run alongside the workload.
 func NewFaultController(f Flipper, s *FaultSchedule) *FaultController {
-	return sim.NewFaultController(f, s)
+	return faults.NewFaultController(f, s)
 }
 
 // NewInMemoryTransport returns the stock lossless zero-latency transport

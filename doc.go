@@ -57,9 +57,11 @@
 //     cmd/bqs-client run a deployment from the command line.
 //   - A dynamic fault/churn engine that flips server behaviors WHILE a
 //     workload runs: FaultSchedule (deterministic timelines, or the
-//     seeded stochastic ChurnConfig model) replayed by a FaultController
-//     against any Flipper — a Cluster in-memory, or a WireClient sending
-//     flip items to remote shards. Clients rehabilitate suspicion
+//     seeded stochastic ChurnConfig model) replayed by a FaultController,
+//     or a live Adversary placing b faults, against any Flipper — a
+//     Cluster in-memory, or a WireClient sending flip items to remote
+//     shards. Both sit outside the engine and see a fleet only through
+//     Flipper and LoadSource. Clients rehabilitate suspicion
 //     per-server (aging plus probe-on-forgive), so recovered servers
 //     regain traffic, and the harness availability mode
 //     (bqs-sim -availability) measures the empirical system-crash rate
@@ -91,7 +93,7 @@
 //	tv, err := client.Read(ctx)
 //
 // See README.md for a fuller tour and docs/ARCHITECTURE.md for the layer
-// map (core → systems/measures → sim → wire → harness → cmd, with the
+// map (core → systems/measures → sim → faults/wire → harness → cmd, with the
 // Transport and Picker seams). The experiment harness that regenerates
 // every table and figure of the paper lives in cmd/bqs-tables and
 // cmd/bqs-figures; see EXPERIMENTS.md for how to run it and compare

@@ -1,7 +1,7 @@
 // Package doccheck enforces the repo's godoc discipline mechanically: a
 // revive-style comment check that every exported top-level symbol of a
-// package carries a doc comment. The sim and wire packages run it from
-// their test suites, so an exported API without its paper anchor or
+// package carries a doc comment. The sim, faults and wire packages run it
+// from their test suites, so an exported API without its paper anchor or
 // contract documented fails CI rather than rotting silently.
 package doccheck
 

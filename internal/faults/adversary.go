@@ -1,4 +1,4 @@
-package sim
+package faults
 
 // The adversary is the scheduling counterpart of the churn engine: where
 // FaultController replays a fixed timeline of WHO fails WHEN, an
@@ -35,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bqs/internal/sim"
 )
 
 // AdversaryKind names a victim-selection strategy.
@@ -90,7 +92,7 @@ type AdversaryConfig struct {
 	// Crashed for random and targeted (availability pressure),
 	// ByzantineStale for timing (which then alternates with
 	// ByzantineEquivocate on its own).
-	Behavior Behavior
+	Behavior sim.Behavior
 	// Interval is the re-targeting period (default 25ms).
 	Interval time.Duration
 	// Seed drives the random scheduler's victim draws.
@@ -114,7 +116,7 @@ func ParseAdversary(spec string) (AdversaryConfig, error) {
 	case "timing":
 		cfg.Kind = AdversaryTiming
 	default:
-		return AdversaryConfig{}, fmt.Errorf("sim: unknown adversary %q (want random, targeted, timing)", strings.TrimSpace(fields[0]))
+		return AdversaryConfig{}, fmt.Errorf("faults: unknown adversary %q (want random, targeted, timing)", strings.TrimSpace(fields[0]))
 	}
 	for _, field := range fields[1:] {
 		field = strings.TrimSpace(field)
@@ -123,7 +125,7 @@ func ParseAdversary(spec string) (AdversaryConfig, error) {
 		}
 		key, value, ok := strings.Cut(field, "=")
 		if !ok {
-			return AdversaryConfig{}, fmt.Errorf("sim: adversary field %q is not key=value", field)
+			return AdversaryConfig{}, fmt.Errorf("faults: adversary field %q is not key=value", field)
 		}
 		value = strings.TrimSpace(value)
 		var err error
@@ -131,23 +133,23 @@ func ParseAdversary(spec string) (AdversaryConfig, error) {
 		case "b":
 			cfg.B, err = strconv.Atoi(value)
 		case "behavior":
-			cfg.Behavior, err = ParseBehavior(value)
+			cfg.Behavior, err = sim.ParseBehavior(value)
 		case "interval":
 			cfg.Interval, err = time.ParseDuration(value)
 		case "seed":
 			cfg.Seed, err = strconv.ParseInt(value, 10, 64)
 		default:
-			return AdversaryConfig{}, fmt.Errorf("sim: unknown adversary key %q (want b, behavior, interval, seed)", key)
+			return AdversaryConfig{}, fmt.Errorf("faults: unknown adversary key %q (want b, behavior, interval, seed)", key)
 		}
 		if err != nil {
-			return AdversaryConfig{}, fmt.Errorf("sim: adversary field %q: %w", field, err)
+			return AdversaryConfig{}, fmt.Errorf("faults: adversary field %q: %w", field, err)
 		}
 	}
 	if cfg.B < 0 {
-		return AdversaryConfig{}, fmt.Errorf("sim: adversary budget b=%d must be non-negative", cfg.B)
+		return AdversaryConfig{}, fmt.Errorf("faults: adversary budget b=%d must be non-negative", cfg.B)
 	}
 	if cfg.Interval < 0 {
-		return AdversaryConfig{}, fmt.Errorf("sim: adversary interval %v must be non-negative", cfg.Interval)
+		return AdversaryConfig{}, fmt.Errorf("faults: adversary interval %v must be non-negative", cfg.Interval)
 	}
 	return cfg, nil
 }
@@ -156,29 +158,19 @@ func ParseAdversary(spec string) (AdversaryConfig, error) {
 // Flipper, re-choosing victims every Interval per its Kind. Construct
 // with NewAdversary, start with Run.
 type Adversary struct {
-	cfg     AdversaryConfig
-	flipper Flipper
-	loads   LoadSource
-	n       int
+	injector
+	cfg   AdversaryConfig
+	loads LoadSource
+	n     int
 
 	rng     *rand.Rand
 	current map[int]bool
-	mode    Behavior // what the current victims are corrupted as
+	mode    sim.Behavior // what the current victims are corrupted as
 
-	flips  atomic.Int64
-	misses atomic.Int64
-	ticks  atomic.Int64
+	ticks atomic.Int64
 
-	mu       sync.Mutex
-	firstErr error
-	victims  []int
-
-	// OnFlip, when set before Run, observes every attempted flip — the
-	// hook the safety-checker tests use to know exactly who was corrupt
-	// when.
-	OnFlip func(server int, behavior Behavior, err error)
-	// FlipTimeout bounds each flip, as in FaultController (default 2s).
-	FlipTimeout time.Duration
+	mu      sync.Mutex
+	victims []int
 }
 
 // NewAdversary builds an adversary over an n-server fleet. loads may be
@@ -188,44 +180,43 @@ type Adversary struct {
 // per-tick alternation otherwise.
 func NewAdversary(cfg AdversaryConfig, f Flipper, loads LoadSource, n int) (*Adversary, error) {
 	if f == nil {
-		return nil, fmt.Errorf("sim: adversary needs a flipper")
+		return nil, fmt.Errorf("faults: adversary needs a flipper")
 	}
 	if n <= 0 {
-		return nil, fmt.Errorf("sim: adversary universe %d must be positive", n)
+		return nil, fmt.Errorf("faults: adversary universe %d must be positive", n)
 	}
 	switch cfg.Kind {
 	case AdversaryRandom, AdversaryTargeted, AdversaryTiming:
 	default:
-		return nil, fmt.Errorf("sim: unknown adversary kind %v", cfg.Kind)
+		return nil, fmt.Errorf("faults: unknown adversary kind %v", cfg.Kind)
 	}
 	if cfg.Kind == AdversaryTargeted && loads == nil {
-		return nil, fmt.Errorf("sim: targeted adversary needs a load source")
+		return nil, fmt.Errorf("faults: targeted adversary needs a load source")
 	}
 	if cfg.B < 0 || cfg.B > n {
-		return nil, fmt.Errorf("sim: adversary budget b=%d outside [0,%d]", cfg.B, n)
+		return nil, fmt.Errorf("faults: adversary budget b=%d outside [0,%d]", cfg.B, n)
 	}
-	if cfg.Behavior != 0 && (!KnownBehavior(cfg.Behavior) || cfg.Behavior == Correct || cfg.Behavior == Restart) {
-		return nil, fmt.Errorf("sim: adversary behavior %v must be a fault mode", cfg.Behavior)
+	if cfg.Behavior != 0 && (!sim.KnownBehavior(cfg.Behavior) || cfg.Behavior == sim.Correct || cfg.Behavior == sim.Restart) {
+		return nil, fmt.Errorf("faults: adversary behavior %v must be a fault mode", cfg.Behavior)
 	}
 	if cfg.Behavior == 0 {
 		if cfg.Kind == AdversaryTiming {
-			cfg.Behavior = ByzantineStale
+			cfg.Behavior = sim.ByzantineStale
 		} else {
-			cfg.Behavior = Crashed
+			cfg.Behavior = sim.Crashed
 		}
 	}
 	if cfg.Interval == 0 {
 		cfg.Interval = 25 * time.Millisecond
 	}
 	return &Adversary{
-		cfg:         cfg,
-		flipper:     f,
-		loads:       loads,
-		n:           n,
-		rng:         rand.New(rand.NewSource(cfg.Seed + adversaryStreamSalt)),
-		current:     make(map[int]bool),
-		mode:        cfg.Behavior,
-		FlipTimeout: 2 * time.Second,
+		injector: injector{f: f},
+		cfg:      cfg,
+		loads:    loads,
+		n:        n,
+		rng:      rand.New(rand.NewSource(cfg.Seed + adversaryStreamSalt)),
+		current:  make(map[int]bool),
+		mode:     cfg.Behavior,
 	}, nil
 }
 
@@ -273,7 +264,7 @@ func (a *Adversary) PickVictims() []int {
 // nextMode returns the corruption behavior for this tick: fixed for
 // random/targeted, phase-keyed (or per-tick) stale/equivocate
 // alternation for timing.
-func (a *Adversary) nextMode() Behavior {
+func (a *Adversary) nextMode() sim.Behavior {
 	if a.cfg.Kind != AdversaryTiming {
 		return a.cfg.Behavior
 	}
@@ -283,14 +274,14 @@ func (a *Adversary) nextMode() Behavior {
 		// fleet is around. Stale replays bite hardest when reads land on
 		// the timestamp phase.
 		if ps.Phases()%2 == 0 {
-			return ByzantineStale
+			return sim.ByzantineStale
 		}
-		return ByzantineEquivocate
+		return sim.ByzantineEquivocate
 	}
 	if a.ticks.Load()%2 == 0 {
-		return ByzantineStale
+		return sim.ByzantineStale
 	}
-	return ByzantineEquivocate
+	return sim.ByzantineEquivocate
 }
 
 // step applies one re-targeting round: restore victims leaving the set
@@ -305,7 +296,7 @@ func (a *Adversary) step(ctx context.Context) {
 	}
 	for s := range a.current {
 		if !nextSet[s] {
-			a.flip(ctx, s, Correct)
+			a.flip(ctx, s, sim.Correct)
 			delete(a.current, s)
 		}
 	}
@@ -324,28 +315,6 @@ func (a *Adversary) step(ctx context.Context) {
 	a.mu.Unlock()
 }
 
-func (a *Adversary) flip(ctx context.Context, server int, b Behavior) {
-	flipCtx, cancel := ctx, context.CancelFunc(func() {})
-	if a.FlipTimeout > 0 {
-		flipCtx, cancel = context.WithTimeout(ctx, a.FlipTimeout)
-	}
-	err := a.flipper.Flip(flipCtx, server, b)
-	cancel()
-	if err != nil && ctx.Err() == nil {
-		a.misses.Add(1)
-		a.mu.Lock()
-		if a.firstErr == nil {
-			a.firstErr = fmt.Errorf("sim: adversary flip server %d to %v: %w", server, b, err)
-		}
-		a.mu.Unlock()
-	} else if err == nil {
-		a.flips.Add(1)
-	}
-	if a.OnFlip != nil {
-		a.OnFlip(server, b, err)
-	}
-}
-
 // Run corrupts immediately, then re-targets every Interval until ctx is
 // done. On exit it restores its victims to Correct with a short grace
 // context, so a cancelled adversary leaves the fleet clean — the
@@ -359,7 +328,7 @@ func (a *Adversary) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			grace, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			for s := range a.current {
-				a.flip(grace, s, Correct)
+				a.flip(grace, s, sim.Correct)
 				delete(a.current, s)
 			}
 			cancel()
@@ -380,26 +349,13 @@ func (a *Adversary) Victims() []int {
 	return append([]int(nil), a.victims...)
 }
 
-// Flips returns how many flips have been applied successfully.
-func (a *Adversary) Flips() int64 { return a.flips.Load() }
-
-// Misses returns how many flips failed (and were skipped).
-func (a *Adversary) Misses() int64 { return a.misses.Load() }
-
 // Ticks returns how many re-targeting rounds have run.
 func (a *Adversary) Ticks() int64 { return a.ticks.Load() }
 
 // Mode returns the corruption behavior the next step would apply —
 // fixed for random/targeted, the live stale/equivocate alternation for
 // timing. Epoch-style drivers use it to apply PickVictims themselves.
-func (a *Adversary) Mode() Behavior { return a.nextMode() }
+func (a *Adversary) Mode() sim.Behavior { return a.nextMode() }
 
 // Interval returns the re-targeting period (after defaulting).
 func (a *Adversary) Interval() time.Duration { return a.cfg.Interval }
-
-// FirstErr returns the error of the first failed flip, or nil.
-func (a *Adversary) FirstErr() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.firstErr
-}

@@ -1,4 +1,11 @@
-package sim
+// Package faults drives the paper's hybrid fault model against a live
+// fleet: benign crashes that come and go (the churn engine) and b
+// Byzantine servers an adversary places. It reaches a cluster only
+// through the seams declared here — Flipper, LoadSource, PhaseSource —
+// so the same injector drives the in-memory sim.Cluster and a remote
+// fleet behind the wire package's client, and the sim package, which
+// imports nothing from this one, stays the protocol engine alone.
+package faults
 
 // This file is the dynamic-fault engine: where InjectFault configures a
 // failure pattern once at startup, the types here flip server behaviors
@@ -19,15 +26,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bqs/internal/measures"
+	"bqs/internal/sim"
 )
 
 // FaultEvent is one entry of a fault timeline: at offset At from the start
@@ -37,7 +45,7 @@ import (
 type FaultEvent struct {
 	At       time.Duration
 	Server   int
-	Behavior Behavior
+	Behavior sim.Behavior
 }
 
 // String renders the event in the same at:server:behavior form
@@ -62,13 +70,13 @@ func NewFaultSchedule(events []FaultEvent) (*FaultSchedule, error) {
 	copy(sorted, events)
 	for _, e := range sorted {
 		if e.At < 0 {
-			return nil, fmt.Errorf("sim: fault event %v has negative offset", e)
+			return nil, fmt.Errorf("faults: fault event %v has negative offset", e)
 		}
 		if e.Server < 0 {
-			return nil, fmt.Errorf("sim: fault event %v has negative server index", e)
+			return nil, fmt.Errorf("faults: fault event %v has negative server index", e)
 		}
-		if !KnownBehavior(e.Behavior) {
-			return nil, fmt.Errorf("sim: fault event at %v for server %d has unknown behavior %d",
+		if !sim.KnownBehavior(e.Behavior) {
+			return nil, fmt.Errorf("faults: fault event at %v for server %d has unknown behavior %d",
 				e.At, e.Server, int(e.Behavior))
 		}
 	}
@@ -111,7 +119,7 @@ func (s *FaultSchedule) Horizon() time.Duration {
 // schedule is vacuously fault-free.
 func (s *FaultSchedule) FaultFree() bool {
 	for _, e := range s.Events() {
-		if e.Behavior != Correct {
+		if e.Behavior != sim.Correct {
 			return false
 		}
 	}
@@ -149,48 +157,25 @@ func ParseFaultSchedule(spec string) (*FaultSchedule, error) {
 		}
 		parts := strings.Split(entry, ":")
 		if len(parts) != 3 {
-			return nil, fmt.Errorf("sim: fault entry %q is not at:servers:behavior", entry)
+			return nil, fmt.Errorf("faults: fault entry %q is not at:servers:behavior", entry)
 		}
 		at, err := time.ParseDuration(strings.TrimSpace(parts[0]))
 		if err != nil {
-			return nil, fmt.Errorf("sim: fault entry %q: %w", entry, err)
+			return nil, fmt.Errorf("faults: fault entry %q: %w", entry, err)
 		}
-		lo, hi, err := ParseServerRange(strings.TrimSpace(parts[1]))
+		lo, hi, err := measures.ParseRange(strings.TrimSpace(parts[1]))
 		if err != nil {
-			return nil, fmt.Errorf("sim: fault entry %q: %w", entry, err)
+			return nil, fmt.Errorf("faults: fault entry %q: %w", entry, err)
 		}
-		behavior, err := ParseBehavior(parts[2])
+		behavior, err := sim.ParseBehavior(parts[2])
 		if err != nil {
-			return nil, fmt.Errorf("sim: fault entry %q: %w", entry, err)
+			return nil, fmt.Errorf("faults: fault entry %q: %w", entry, err)
 		}
 		for s := lo; s <= hi; s++ {
 			events = append(events, FaultEvent{At: at, Server: s, Behavior: behavior})
 		}
 	}
 	return NewFaultSchedule(events)
-}
-
-// ParseServerRange parses "7" or "3-5" into an inclusive server index
-// range — the one spec syntax fault schedules, churn configs and the
-// wire package's shard and route tables all share.
-func ParseServerRange(spec string) (lo, hi int, err error) {
-	if i := strings.IndexByte(spec, '-'); i >= 0 {
-		if lo, err = strconv.Atoi(spec[:i]); err != nil {
-			return 0, 0, fmt.Errorf("bad server range %q", spec)
-		}
-		if hi, err = strconv.Atoi(spec[i+1:]); err != nil {
-			return 0, 0, fmt.Errorf("bad server range %q", spec)
-		}
-		if lo < 0 || hi < lo {
-			return 0, 0, fmt.Errorf("bad server range %q", spec)
-		}
-		return lo, hi, nil
-	}
-	lo, err = strconv.Atoi(spec)
-	if err != nil || lo < 0 {
-		return 0, 0, fmt.Errorf("bad server index %q", spec)
-	}
-	return lo, lo, nil
 }
 
 // ChurnConfig is the stochastic churn model: each selected server
@@ -207,13 +192,13 @@ type ChurnConfig struct {
 	// Down is the behavior a server adopts while down (default Crashed;
 	// any Byzantine behavior turns the model into Byzantine-then-recover
 	// churn).
-	Down Behavior
+	Down sim.Behavior
 	// Recover is how a down server comes back (default Correct, the
 	// original flip-back-up semantics). Restart turns every recovery into
 	// a process-level kill-and-recover: the server's store runs its
 	// crash-recovery path before serving again, so a durable engine keeps
 	// its state and a memory engine comes back amnesiac.
-	Recover Behavior
+	Recover sim.Behavior
 	// Servers restricts churn to the given indices; nil means the whole
 	// universe passed to Schedule.
 	Servers []int
@@ -262,24 +247,24 @@ func (cc ChurnConfig) DownFraction() float64 {
 // perturb the others' timelines.
 func (cc ChurnConfig) Schedule(n int, horizon time.Duration, seed int64) (*FaultSchedule, error) {
 	if cc.MTBF <= 0 || cc.MTTR <= 0 {
-		return nil, fmt.Errorf("sim: churn needs positive MTBF and MTTR (got %v, %v)", cc.MTBF, cc.MTTR)
+		return nil, fmt.Errorf("faults: churn needs positive MTBF and MTTR (got %v, %v)", cc.MTBF, cc.MTTR)
 	}
 	if horizon <= 0 {
-		return nil, fmt.Errorf("sim: churn horizon %v must be positive", horizon)
+		return nil, fmt.Errorf("faults: churn horizon %v must be positive", horizon)
 	}
 	down := cc.Down
 	if down == 0 {
-		down = Crashed
+		down = sim.Crashed
 	}
-	if !KnownBehavior(down) || down == Correct || down == Restart {
-		return nil, fmt.Errorf("sim: churn down-behavior %v must be a fault mode", down)
+	if !sim.KnownBehavior(down) || down == sim.Correct || down == sim.Restart {
+		return nil, fmt.Errorf("faults: churn down-behavior %v must be a fault mode", down)
 	}
 	back := cc.Recover
 	if back == 0 {
-		back = Correct
+		back = sim.Correct
 	}
-	if back != Correct && back != Restart {
-		return nil, fmt.Errorf("sim: churn recover-behavior %v must be correct or restart", back)
+	if back != sim.Correct && back != sim.Restart {
+		return nil, fmt.Errorf("faults: churn recover-behavior %v must be correct or restart", back)
 	}
 	grouped, err := cc.groupedServers(n)
 	if err != nil {
@@ -309,7 +294,7 @@ func (cc ChurnConfig) Schedule(n int, horizon time.Duration, seed int64) (*Fault
 	}
 	for _, s := range cc.baseServers(n) {
 		if s < 0 || s >= n {
-			return nil, fmt.Errorf("sim: churn server %d outside universe [0,%d)", s, n)
+			return nil, fmt.Errorf("faults: churn server %d outside universe [0,%d)", s, n)
 		}
 		if grouped[s] {
 			continue
@@ -354,18 +339,18 @@ func (cc ChurnConfig) groupedServers(n int) (map[int]bool, error) {
 	grouped := make(map[int]bool)
 	for g, grp := range cc.Groups {
 		if len(grp.Servers) == 0 {
-			return nil, fmt.Errorf("sim: churn group %d has no servers", g)
+			return nil, fmt.Errorf("faults: churn group %d has no servers", g)
 		}
 		mtbf, mttr := grp.rates(cc)
 		if mtbf <= 0 || mttr <= 0 {
-			return nil, fmt.Errorf("sim: churn group %d needs positive rates (got %v, %v)", g, mtbf, mttr)
+			return nil, fmt.Errorf("faults: churn group %d needs positive rates (got %v, %v)", g, mtbf, mttr)
 		}
 		for _, s := range grp.Servers {
 			if s < 0 || s >= n {
-				return nil, fmt.Errorf("sim: churn group %d server %d outside universe [0,%d)", g, s, n)
+				return nil, fmt.Errorf("faults: churn group %d server %d outside universe [0,%d)", g, s, n)
 			}
 			if grouped[s] {
-				return nil, fmt.Errorf("sim: churn server %d claimed by two groups", s)
+				return nil, fmt.Errorf("faults: churn server %d claimed by two groups", s)
 			}
 			grouped[s] = true
 		}
@@ -373,40 +358,12 @@ func (cc ChurnConfig) groupedServers(n int) (map[int]bool, error) {
 	return grouped, nil
 }
 
-// StationaryDown returns the per-server stationary down probability the
-// model induces over an n-server universe: MTTR/(MTBF+MTTR) with each
-// group's rates where a group overrides them, and 0 for servers no
-// process touches. For correlated groups this is each member's marginal;
-// the joint law is what FailureModel carries.
-func (cc ChurnConfig) StationaryDown(n int) ([]float64, error) {
-	grouped, err := cc.groupedServers(n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for _, s := range cc.baseServers(n) {
-		if s < 0 || s >= n {
-			return nil, fmt.Errorf("sim: churn server %d outside universe [0,%d)", s, n)
-		}
-		if !grouped[s] {
-			out[s] = cc.DownFraction()
-		}
-	}
-	for _, grp := range cc.Groups {
-		mtbf, mttr := grp.rates(cc)
-		frac := float64(mttr) / float64(mtbf+mttr)
-		for _, s := range grp.Servers {
-			out[s] = frac
-		}
-	}
-	return out, nil
-}
-
 // FailureModel converts the churn model's stationary law into the
 // measures package's heterogeneous crash model: independent per-server
 // probabilities for base and rate-override servers, one failure domain
 // per correlated group. This is the F_p to compare a heterogeneous churn
-// run against, the way DownFraction is for the uniform model.
+// run against, the way DownFraction is for the uniform model; its
+// DownProbabilities are each server's stationary down marginal.
 func (cc ChurnConfig) FailureModel(n int) (measures.FailureModel, error) {
 	grouped, err := cc.groupedServers(n)
 	if err != nil {
@@ -415,7 +372,7 @@ func (cc ChurnConfig) FailureModel(n int) (measures.FailureModel, error) {
 	m := measures.FailureModel{P: make([]float64, n)}
 	for _, s := range cc.baseServers(n) {
 		if s < 0 || s >= n {
-			return measures.FailureModel{}, fmt.Errorf("sim: churn server %d outside universe [0,%d)", s, n)
+			return measures.FailureModel{}, fmt.Errorf("faults: churn server %d outside universe [0,%d)", s, n)
 		}
 		if !grouped[s] {
 			m.P[s] = cc.DownFraction()
@@ -491,7 +448,7 @@ func parseChurnBase(clause string) (ChurnConfig, error) {
 		}
 		key, value, ok := strings.Cut(field, "=")
 		if !ok {
-			return ChurnConfig{}, fmt.Errorf("sim: churn field %q is not key=value", field)
+			return ChurnConfig{}, fmt.Errorf("faults: churn field %q is not key=value", field)
 		}
 		value = strings.TrimSpace(value)
 		var err error
@@ -501,22 +458,23 @@ func parseChurnBase(clause string) (ChurnConfig, error) {
 		case "mttr":
 			cc.MTTR, err = time.ParseDuration(value)
 		case "down":
-			cc.Down, err = ParseBehavior(value)
+			cc.Down, err = sim.ParseBehavior(value)
 		case "recover":
 			// ParseBehavior maps "recover" and "correct" to Correct and
 			// "restart" to Restart; Schedule rejects anything else.
-			cc.Recover, err = ParseBehavior(value)
+			cc.Recover, err = sim.ParseBehavior(value)
 		case "servers":
-			cc.Servers, err = parseMembers(value)
+			// No universe yet: Schedule and FailureModel bound members.
+			cc.Servers, err = measures.ParseMembers(value, math.MaxInt)
 		default:
-			return ChurnConfig{}, fmt.Errorf("sim: unknown churn key %q (want mtbf, mttr, down, recover, servers)", key)
+			return ChurnConfig{}, fmt.Errorf("faults: unknown churn key %q (want mtbf, mttr, down, recover, servers)", key)
 		}
 		if err != nil {
-			return ChurnConfig{}, fmt.Errorf("sim: churn field %q: %w", field, err)
+			return ChurnConfig{}, fmt.Errorf("faults: churn field %q: %w", field, err)
 		}
 	}
 	if cc.MTBF <= 0 || cc.MTTR <= 0 {
-		return ChurnConfig{}, errors.New("sim: churn spec needs mtbf=<dur> and mttr=<dur>")
+		return ChurnConfig{}, errors.New("faults: churn spec needs mtbf=<dur> and mttr=<dur>")
 	}
 	return cc, nil
 }
@@ -531,102 +489,120 @@ func parseChurnGroup(clause string) (ChurnGroup, error) {
 		}
 		key, value, ok := strings.Cut(field, "=")
 		if !ok {
-			return ChurnGroup{}, fmt.Errorf("sim: churn group field %q is not key=value", field)
+			return ChurnGroup{}, fmt.Errorf("faults: churn group field %q is not key=value", field)
 		}
 		value = strings.TrimSpace(value)
 		var err error
 		switch strings.TrimSpace(key) {
 		case "servers", "domain":
 			if sawMembers {
-				return ChurnGroup{}, fmt.Errorf("sim: churn group clause %q names members twice", clause)
+				return ChurnGroup{}, fmt.Errorf("faults: churn group clause %q names members twice", clause)
 			}
 			sawMembers = true
 			grp.Correlated = strings.TrimSpace(key) == "domain"
-			grp.Servers, err = parseMembers(value)
+			grp.Servers, err = measures.ParseMembers(value, math.MaxInt)
 		case "mtbf":
 			grp.MTBF, err = time.ParseDuration(value)
 		case "mttr":
 			grp.MTTR, err = time.ParseDuration(value)
 		default:
-			return ChurnGroup{}, fmt.Errorf("sim: unknown churn group key %q (want servers, domain, mtbf, mttr)", key)
+			return ChurnGroup{}, fmt.Errorf("faults: unknown churn group key %q (want servers, domain, mtbf, mttr)", key)
 		}
 		if err != nil {
-			return ChurnGroup{}, fmt.Errorf("sim: churn group field %q: %w", field, err)
+			return ChurnGroup{}, fmt.Errorf("faults: churn group field %q: %w", field, err)
 		}
 	}
 	if !sawMembers {
-		return ChurnGroup{}, fmt.Errorf("sim: churn group clause %q needs servers= or domain=", clause)
+		return ChurnGroup{}, fmt.Errorf("faults: churn group clause %q needs servers= or domain=", clause)
 	}
 	return grp, nil
-}
-
-// parseMembers parses a '+'-joined list of server ranges ("0-3+8+12-13")
-// into an index list, rejecting duplicates.
-func parseMembers(spec string) ([]int, error) {
-	var out []int
-	seen := make(map[int]bool)
-	for _, piece := range strings.Split(spec, "+") {
-		lo, hi, err := ParseServerRange(strings.TrimSpace(piece))
-		if err != nil {
-			return nil, err
-		}
-		for s := lo; s <= hi; s++ {
-			if seen[s] {
-				return nil, fmt.Errorf("sim: server %d repeated in %q", s, spec)
-			}
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out, nil
 }
 
 // Flipper applies a behavior flip to one server. Cluster implements it for
 // in-memory fleets; the wire package's Client implements it for remote
 // ones (each flip travels as a wire flip item to the shard hosting the
-// server), so a FaultController drives either transport with the same
-// schedule.
+// server), so a FaultController or an Adversary drives either transport
+// the same way.
 type Flipper interface {
-	Flip(ctx context.Context, server int, behavior Behavior) error
+	Flip(ctx context.Context, server int, behavior sim.Behavior) error
 }
 
-// Flip implements Flipper: it switches the behavior of one in-memory
-// server, synchronized by the server's own mutex, so flips land safely
-// under any number of concurrent clients.
-func (c *Cluster) Flip(_ context.Context, server int, behavior Behavior) error {
-	return c.InjectFault(behavior, server)
-}
+// flipTimeout bounds each individual flip: a remote shard that holds its
+// connection open without answering must cost one missed flip, not stall
+// every flip behind it — recoveries addressed to healthy shards included.
+const flipTimeout = 2 * time.Second
 
-// FaultController replays a FaultSchedule against a Flipper in real time:
-// Run fires each event when its offset elapses, from a single goroutine,
-// so flips are applied in timeline order. A flip that fails (for example a
-// remote flip to a shard whose TCP endpoint is down) is counted and
-// skipped — churn must keep going when the system it churns is partially
-// dead, that being the point of the exercise.
-type FaultController struct {
-	flipper  Flipper
-	schedule *FaultSchedule
+// injector is the flip path FaultController and Adversary share: it
+// applies flips through a Flipper, counts them as applied or missed,
+// keeps the first miss and reports every attempt to OnFlip.
+type injector struct {
+	f Flipper
 
 	flips  atomic.Int64
 	misses atomic.Int64
 
-	mu       sync.Mutex
+	errMu    sync.Mutex
 	firstErr error
 
-	// OnFlip, when set before Run, observes every attempted event and the
-	// error (nil on success) its flip returned — the hook tests and
-	// harnesses use to log or assert on churn as it happens.
-	OnFlip func(FaultEvent, error)
-	// FlipTimeout bounds each individual flip (default 2s, set before
-	// Run): a remote shard that holds its connection open without
-	// answering must cost one missed event, not stall every flip behind
-	// it — recoveries addressed to healthy shards included.
-	FlipTimeout time.Duration
+	// OnFlip, when set before Run, observes every attempted flip and the
+	// error (nil on success) it returned — the hook tests and harnesses
+	// use to log or assert on faults as they happen.
+	OnFlip func(server int, b sim.Behavior, err error)
+}
+
+// flip applies one flip under flipTimeout. A flip that fails is counted
+// and skipped — fault injection must keep going when the system it
+// perturbs is partially dead, that being the point of the exercise. It
+// returns ctx.Err() only when the flip failed because ctx itself ended.
+func (in *injector) flip(ctx context.Context, server int, b sim.Behavior) error {
+	flipCtx, cancel := context.WithTimeout(ctx, flipTimeout)
+	err := in.f.Flip(flipCtx, server, b)
+	cancel()
+	if err != nil {
+		// A flip cut short by the RUN context ending is the boundary,
+		// not a miss; a flip that burned its own flipTimeout is.
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		in.misses.Add(1)
+		in.errMu.Lock()
+		if in.firstErr == nil {
+			in.firstErr = fmt.Errorf("faults: flip server %d to %v: %w", server, b, err)
+		}
+		in.errMu.Unlock()
+	} else {
+		in.flips.Add(1)
+	}
+	if in.OnFlip != nil {
+		in.OnFlip(server, b, err)
+	}
+	return nil
+}
+
+// Flips returns how many flips have been applied successfully so far.
+func (in *injector) Flips() int64 { return in.flips.Load() }
+
+// Misses returns how many flips failed (and were skipped).
+func (in *injector) Misses() int64 { return in.misses.Load() }
+
+// FirstErr returns the error of the first failed flip, or nil.
+func (in *injector) FirstErr() error {
+	in.errMu.Lock()
+	defer in.errMu.Unlock()
+	return in.firstErr
+}
+
+// FaultController replays a FaultSchedule against a Flipper in real time:
+// Run fires each event when its offset elapses, from a single goroutine,
+// so flips are applied in timeline order.
+type FaultController struct {
+	injector
+	schedule *FaultSchedule
 }
 
 // NewFaultController binds a schedule to the Flipper that will apply it.
 func NewFaultController(f Flipper, s *FaultSchedule) *FaultController {
-	return &FaultController{flipper: f, schedule: s, FlipTimeout: 2 * time.Second}
+	return &FaultController{injector: injector{f: f}, schedule: s}
 }
 
 // Run replays the schedule, blocking until the last event has fired or
@@ -647,43 +623,9 @@ func (fc *FaultController) Run(ctx context.Context) error {
 		} else if err := ctx.Err(); err != nil {
 			return err
 		}
-		flipCtx, cancel := ctx, context.CancelFunc(func() {})
-		if fc.FlipTimeout > 0 {
-			flipCtx, cancel = context.WithTimeout(ctx, fc.FlipTimeout)
-		}
-		err := fc.flipper.Flip(flipCtx, ev.Server, ev.Behavior)
-		cancel()
-		if err != nil {
-			// A flip cut short by the RUN context ending is the boundary,
-			// not a miss; a flip that burned its own FlipTimeout is.
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			fc.misses.Add(1)
-			fc.mu.Lock()
-			if fc.firstErr == nil {
-				fc.firstErr = fmt.Errorf("sim: churn flip %v: %w", ev, err)
-			}
-			fc.mu.Unlock()
-		} else {
-			fc.flips.Add(1)
-		}
-		if fc.OnFlip != nil {
-			fc.OnFlip(ev, err)
+		if err := fc.flip(ctx, ev.Server, ev.Behavior); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// Flips returns how many events have been applied successfully so far.
-func (fc *FaultController) Flips() int64 { return fc.flips.Load() }
-
-// Misses returns how many flips failed (and were skipped).
-func (fc *FaultController) Misses() int64 { return fc.misses.Load() }
-
-// FirstErr returns the error of the first failed flip, or nil.
-func (fc *FaultController) FirstErr() error {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.firstErr
 }

@@ -114,12 +114,13 @@ func ParseAvailabilitySpec(spec string, defaultSeed int64) (AvailabilityConfig, 
 	return cfg, nil
 }
 
-// failureModel assembles the heterogeneous failure model the config
-// describes, or hetero=false when the config is the classic scalar
-// regime (or adversarial, which draws no crashes at all).
+// failureModel assembles the failure model the config describes. The
+// classic scalar regime is the uniform model at P, reported with
+// hetero=false (an adversarial config draws no crashes at all, so its
+// model goes unused).
 func (cfg AvailabilityConfig) failureModel(n int) (model bqs.FailureModel, hetero bool, err error) {
 	if len(cfg.PVec) == 0 && len(cfg.Domains) == 0 {
-		return bqs.FailureModel{}, false, nil
+		return bqs.UniformFailureModel(n, cfg.P), false, nil
 	}
 	model = bqs.FailureModel{P: cfg.PVec, Domains: cfg.Domains}
 	if len(model.P) == 0 {
@@ -186,9 +187,10 @@ const availabilityEnumLimit = 1 << 17
 
 // RunAvailability drives the availability experiment against the real
 // engine: one deterministic in-memory cluster, cfg.Epochs seeded epochs,
-// each resetting every server to Correct, crashing each independently
-// with probability cfg.P, and running one full write (both protocol
-// phases) with a fresh client. Epochs whose write fails with
+// each resetting every server to Correct, crashing the pattern drawn from
+// the failure model (each server independently with probability cfg.P in
+// the scalar regime) or placed by the adversary, and running one full
+// write (both protocol phases) with a fresh client. Epochs whose write fails with
 // ErrNoLiveQuorum are the system-crash count; any other failure is a bug
 // and aborts the experiment.
 func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (AvailabilityResult, error) {
@@ -230,8 +232,7 @@ func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (Avail
 	}
 	ctx := context.Background()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		switch {
-		case adv != nil:
+		if adv != nil {
 			mode := adv.Mode()
 			victims := adv.PickVictims()
 			isVictim := make(map[int]bool, len(victims))
@@ -245,19 +246,11 @@ func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (Avail
 				}
 				cluster.Server(i).SetBehavior(behavior)
 			}
-		case hetero:
+		} else {
 			dead := model.SampleDead(n, rng)
 			for i := 0; i < n; i++ {
 				behavior := bqs.Correct
 				if dead.Contains(i) {
-					behavior = bqs.Crashed
-				}
-				cluster.Server(i).SetBehavior(behavior)
-			}
-		default:
-			for i := 0; i < n; i++ {
-				behavior := bqs.Correct
-				if rng.Float64() < cfg.P {
 					behavior = bqs.Crashed
 				}
 				cluster.Server(i).SetBehavior(behavior)
@@ -290,8 +283,7 @@ func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (Avail
 			cfg.Registry.Gauge("bqs_system_exact_crash_rate").Set(exact)
 		}
 	}
-	switch {
-	case adv != nil:
+	if adv != nil {
 		// Only the random adversary has an enumerable crash rate: victims
 		// are a uniform B-subset, so the rate is the fraction of B-subsets
 		// that kill every quorum. Targeted and timing placements depend on
@@ -301,24 +293,17 @@ func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (Avail
 				setExact(exact)
 			}
 		}
-	case hetero:
-		if en, err := bqs.AsEnumerable(sys, availabilityEnumLimit); err == nil {
-			if exact, err := bqs.CrashProbabilityExactModel(en, model); err == nil {
-				setExact(exact)
-			}
+		return res, nil
+	}
+	if en, err := bqs.AsEnumerable(sys, availabilityEnumLimit); err == nil {
+		if exact, err := bqs.CrashProbabilityExactModel(en, model); err == nil {
+			setExact(exact)
 		}
-		if mc, err := bqs.CrashProbabilityMCModel(sys, model, mcTrials, rand.New(rand.NewSource(cfg.Seed+1))); err == nil {
-			res.MC, res.MCOK = mc, true
-		}
-	default:
-		if en, err := bqs.AsEnumerable(sys, availabilityEnumLimit); err == nil {
-			if exact, err := bqs.CrashProbabilityExact(en, cfg.P); err == nil {
-				setExact(exact)
-			}
-		}
-		if mc, err := bqs.CrashProbabilityMC(sys, cfg.P, mcTrials, rand.New(rand.NewSource(cfg.Seed+1))); err == nil {
-			res.MC, res.MCOK = mc, true
-		}
+	}
+	if mc, err := bqs.CrashProbabilityMCModel(sys, model, mcTrials, rand.New(rand.NewSource(cfg.Seed+1))); err == nil {
+		res.MC, res.MCOK = mc, true
+	}
+	if !hetero {
 		// The Prop. 4.3–4.5 ladder is stated for the i.i.d. model only.
 		res.LowerMT = bqs.CrashLowerBoundMT(sys.MinTransversal(), cfg.P)
 		res.LowerMasking = bqs.CrashLowerBoundMasking(sys.MinQuorumSize(), b, cfg.P)

@@ -189,30 +189,35 @@ func TestHeterogeneousAvailabilityMatchesExactF(t *testing.T) {
 	}
 }
 
-// TestHeterogeneousUniformMatchesScalarRun pins the legacy-path contract:
-// a uniform p-vector draws the same per-server Bernoullis in the same rng
-// order as the scalar path, so the two experiments produce the identical
-// epoch trace, not merely compatible rates.
-func TestHeterogeneousUniformMatchesScalarRun(t *testing.T) {
+// TestAvailabilityScalarIsUniformModel pins that the scalar regime is the
+// uniform failure model and nothing else: p = 0.1 and a uniform 0.1
+// vector at one seed draw the same per-server Bernoullis in the same rng
+// order and feed the same model to the companions, so the two
+// experiments produce the identical epoch trace, exact value and Monte
+// Carlo estimate, not merely compatible ones.
+func TestAvailabilityScalarIsUniformModel(t *testing.T) {
 	sys, err := BuildSystem("mgrid", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := sys.UniverseSize()
-	scalar, err := RunAvailability(sys, 1, AvailabilityConfig{P: 0.3, Epochs: 300, Seed: 5, MCTrials: 1000})
+	scalar, err := RunAvailability(sys, 1, AvailabilityConfig{P: 0.1, Epochs: 300, Seed: 5, MCTrials: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	vec, err := RunAvailability(sys, 1, AvailabilityConfig{
-		P: -1, PVec: bqs.UniformFailureModel(n, 0.3).P, Epochs: 300, Seed: 5, MCTrials: 1000})
+		P: -1, PVec: bqs.UniformFailureModel(n, 0.1).P, Epochs: 300, Seed: 5, MCTrials: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if scalar.Crashes != vec.Crashes {
 		t.Fatalf("uniform vector diverged from scalar path: %d vs %d crashes", vec.Crashes, scalar.Crashes)
 	}
-	if math.Abs(scalar.Exact-vec.Exact) > 1e-12 {
-		t.Fatalf("exact companions diverged: %g vs %g", scalar.Exact, vec.Exact)
+	if !scalar.ExactOK || scalar.Exact != vec.Exact {
+		t.Fatalf("exact companions diverged: %g vs %g (ok=%v)", scalar.Exact, vec.Exact, scalar.ExactOK)
+	}
+	if !scalar.MCOK || scalar.MC != vec.MC {
+		t.Fatalf("Monte Carlo companions diverged: %+v vs %+v", scalar.MC, vec.MC)
 	}
 }
 

@@ -141,7 +141,7 @@ func (f *Flags) Plan(sys bqs.Construction) (*Plan, error) {
 func (p *Plan) Execute(cluster *bqs.Cluster, f bqs.Flipper, reg *bqs.MetricsRegistry, detail string) (Counters, Summary, error) {
 	fmt.Printf("workload: %s %s\n", p.Workload.Describe(), detail)
 	churn := StartChurn(f, p.Schedule, p.Workload.SuspicionTTL, reg)
-	var adv *AdversaryDriver
+	var adv *Driver
 	if p.Adversary != nil {
 		var err error
 		if adv, err = StartAdversary(*p.Adversary, f, cluster, p.Sys.UniverseSize(), reg); err != nil {

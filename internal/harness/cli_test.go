@@ -257,7 +257,7 @@ func TestExecuteStopsEveryDriverOnError(t *testing.T) {
 			f, plan := planFromArgv(t, tc.argv...)
 			if len(plan.Reconfig) > 0 {
 				// A record for another masking bound is refused at propose
-				// time: the step aborts and ReconfigDriver.Stop reports it.
+				// time: the step aborts and the resize driver's Stop reports it.
 				plan.Reconfig[0].Rec.B = f.B + 1
 			}
 			reg := bqs.NewMetricsRegistry()

@@ -99,123 +99,113 @@ func BuildSchedule(scheduleSpec, churnSpec string, n int, horizon time.Duration,
 // optimistic re-probes.
 const DefaultChurnSuspicionTTL = 50 * time.Millisecond
 
-// ChurnDriver runs a FaultController beside a workload, identically in
-// both binaries: StartChurn launches the controller goroutine, Stop
-// cancels whatever timeline remains at the run boundary, waits it out,
-// and prints the applied/missed summary.
-type ChurnDriver struct {
-	fc     *bqs.FaultController
+// Driver runs one timeline beside a workload — the churn engine, a live
+// adversary or a resize schedule — identically in both binaries: its
+// goroutine runs under a cancel, and Stop cancels it at the run boundary,
+// waits it out and prints its summary. A nil *Driver (nothing configured)
+// stops as a no-op, so call sites need no branching.
+type Driver struct {
 	cancel context.CancelFunc
 	done   chan error
+	report func(runErr error) error // prints the summary once the goroutine is done
 }
 
-// StartChurn prints the schedule banner and starts replaying it against
-// the Flipper (a Cluster in bqs-sim, the wire transport in bqs-client).
-// With no churn configured (a nil or empty schedule) it returns a nil
-// driver, whose Stop is a no-op — call sites need no churn-or-not
-// branching. A non-nil registry gets the live fault-injection series:
-// bqs_churn_flips_total{to=<behavior>} per applied flip (so the version
-// mix of crash/restart/byzantine transitions is scrapable mid-run),
-// bqs_churn_misses_total per flip the controller could not deliver, and
-// an annotated event per miss.
-func StartChurn(f bqs.Flipper, s *bqs.FaultSchedule, ttl time.Duration, reg *bqs.MetricsRegistry) *ChurnDriver {
-	if s.Len() == 0 {
-		return nil
-	}
-	fmt.Printf("churn: driving %d flips over %v (suspicion-ttl %v)\n", s.Len(), s.Horizon(), ttl)
+// startDriver runs run on its own goroutine; Stop hands its result to
+// report. report reads what run wrote without a lock: it runs only after
+// the receive from done, which orders it after run's return.
+func startDriver(run func(context.Context) error, report func(error) error) *Driver {
 	ctx, cancel := context.WithCancel(context.Background())
-	d := &ChurnDriver{fc: bqs.NewFaultController(f, s), cancel: cancel, done: make(chan error, 1)}
-	if reg != nil {
-		misses := reg.Counter("bqs_churn_misses_total")
-		d.fc.OnFlip = func(ev bqs.FaultEvent, err error) {
-			if err != nil {
-				misses.Inc()
-				reg.Eventf("churn: flip %v missed: %v", ev, err)
-				return
-			}
-			reg.Counter("bqs_churn_flips_total", "to", ev.Behavior.String()).Inc()
-		}
-	}
-	go func() { d.done <- d.fc.Run(ctx) }()
+	d := &Driver{cancel: cancel, done: make(chan error, 1), report: report}
+	go func() { d.done <- run(ctx) }()
 	return d
 }
 
-// Stop ends the driver at the run boundary and reports what it applied;
-// on a nil driver (no churn) it is a no-op. The error is the controller's
-// own failure, if any — cancellation at the boundary is the normal way a
-// schedule outliving the workload ends and is not an error.
-func (d *ChurnDriver) Stop() error {
+// Stop ends the driver at the run boundary, waits its goroutine out and
+// reports what it applied; on a nil driver it is a no-op. The error is
+// the driver's own failure, if any.
+func (d *Driver) Stop() error {
 	if d == nil {
 		return nil
 	}
 	d.cancel()
-	err := <-d.done
-	fmt.Printf("churn: %d flips applied, %d missed\n", d.fc.Flips(), d.fc.Misses())
-	if ferr := d.fc.FirstErr(); ferr != nil {
-		fmt.Printf("churn: first miss: %v\n", ferr)
-	}
-	if err != nil && !errors.Is(err, context.Canceled) {
-		return fmt.Errorf("fault controller: %w", err)
-	}
-	return nil
+	return d.report(<-d.done)
 }
 
-// AdversaryDriver owns a live adversary for a workload run, mirroring
-// ChurnDriver: StartAdversary launches the scheduler goroutine, Stop
-// cancels it at the run boundary (restoring every victim) and prints the
-// flip summary.
-type AdversaryDriver struct {
-	adv    *bqs.Adversary
-	cancel context.CancelFunc
-	done   chan error
+// injector is what a flip driver runs: a FaultController or an Adversary.
+type injector interface {
+	Run(ctx context.Context) error
+	FirstErr() error
+}
+
+// startFlips drives a fault injector under layer's name ("churn" or
+// "adversary"). Stop prints the summary and the first miss; cancellation at
+// the boundary is the normal way an injector outliving the workload ends
+// and is not an error.
+func startFlips(layer string, inj injector, summary func() string) *Driver {
+	return startDriver(inj.Run, func(err error) error {
+		fmt.Printf("%s: %s\n", layer, summary())
+		if ferr := inj.FirstErr(); ferr != nil {
+			fmt.Printf("%s: first miss: %v\n", layer, ferr)
+		}
+		if err != nil && !errors.Is(err, context.Canceled) {
+			return fmt.Errorf("%s: %w", layer, err)
+		}
+		return nil
+	})
+}
+
+// flipSeries is the OnFlip hook behind a flip driver's live series:
+// bqs_<layer>_flips_total{to=<behavior>} per applied flip (so the mix of
+// crash/restart/byzantine transitions is scrapable mid-run),
+// bqs_<layer>_misses_total per flip the injector could not deliver, and
+// an annotated event per miss. It is nil without a registry.
+func flipSeries(layer string, reg *bqs.MetricsRegistry) func(int, bqs.Behavior, error) {
+	if reg == nil {
+		return nil
+	}
+	misses := reg.Counter("bqs_" + layer + "_misses_total")
+	return func(server int, b bqs.Behavior, err error) {
+		if err != nil {
+			misses.Inc()
+			reg.Eventf("%s: flip of server %d to %v missed: %v", layer, server, b, err)
+			return
+		}
+		reg.Counter("bqs_"+layer+"_flips_total", "to", b.String()).Inc()
+	}
+}
+
+// StartChurn prints the schedule banner and starts replaying it against
+// the Flipper (a Cluster in bqs-sim, the wire transport in bqs-client),
+// with the bqs_churn_* series on a non-nil registry. With no churn
+// configured (a nil or empty schedule) it returns a nil driver.
+func StartChurn(f bqs.Flipper, s *bqs.FaultSchedule, ttl time.Duration, reg *bqs.MetricsRegistry) *Driver {
+	if s.Len() == 0 {
+		return nil
+	}
+	fmt.Printf("churn: driving %d flips over %v (suspicion-ttl %v)\n", s.Len(), s.Horizon(), ttl)
+	fc := bqs.NewFaultController(f, s)
+	fc.OnFlip = flipSeries("churn", reg)
+	return startFlips("churn", fc, func() string {
+		return fmt.Sprintf("%d flips applied, %d missed", fc.Flips(), fc.Misses())
+	})
 }
 
 // StartAdversary builds the adversary over the given Flipper (a Cluster
 // in bqs-sim, the wire transport in bqs-client) and starts its
-// re-targeting loop. loads feeds the targeted and timing schedulers and
-// may be nil for the random one. A non-nil registry gets the live series
-// bqs_adversary_flips_total{to=<behavior>} and
-// bqs_adversary_misses_total, plus an annotated event per miss.
-func StartAdversary(cfg bqs.AdversaryConfig, f bqs.Flipper, loads bqs.LoadSource, n int, reg *bqs.MetricsRegistry) (*AdversaryDriver, error) {
+// re-targeting loop, with the bqs_adversary_* series on a non-nil
+// registry. loads feeds the targeted and timing schedulers and may be nil
+// for the random one. Stop restores every victim to Correct on the way
+// out.
+func StartAdversary(cfg bqs.AdversaryConfig, f bqs.Flipper, loads bqs.LoadSource, n int, reg *bqs.MetricsRegistry) (*Driver, error) {
 	adv, err := bqs.NewAdversary(cfg, f, loads, n)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Printf("adversary: %s scheduler, budget %d, re-targeting every %v\n", cfg.Kind, cfg.B, adv.Interval())
-	if reg != nil {
-		misses := reg.Counter("bqs_adversary_misses_total")
-		adv.OnFlip = func(server int, b bqs.Behavior, err error) {
-			if err != nil {
-				misses.Inc()
-				reg.Eventf("adversary: flip of server %d to %v missed: %v", server, b, err)
-				return
-			}
-			reg.Counter("bqs_adversary_flips_total", "to", b.String()).Inc()
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	d := &AdversaryDriver{adv: adv, cancel: cancel, done: make(chan error, 1)}
-	go func() { d.done <- adv.Run(ctx) }()
-	return d, nil
-}
-
-// Stop ends the adversary at the run boundary — Run restores every
-// victim to Correct on its way out — and reports what it did. Nil
-// drivers (no adversary) are a no-op.
-func (d *AdversaryDriver) Stop() error {
-	if d == nil {
-		return nil
-	}
-	d.cancel()
-	err := <-d.done
-	fmt.Printf("adversary: %d flips over %d rounds, %d missed\n", d.adv.Flips(), d.adv.Ticks(), d.adv.Misses())
-	if ferr := d.adv.FirstErr(); ferr != nil {
-		fmt.Printf("adversary: first miss: %v\n", ferr)
-	}
-	if err != nil && !errors.Is(err, context.Canceled) {
-		return fmt.Errorf("adversary: %w", err)
-	}
-	return nil
+	adv.OnFlip = flipSeries("adversary", reg)
+	return startFlips("adversary", adv, func() string {
+		return fmt.Sprintf("%d flips over %d rounds, %d missed", adv.Flips(), adv.Ticks(), adv.Misses())
+	}), nil
 }
 
 // Workload shapes a mixed ~50/50 read/write run over a keyed object

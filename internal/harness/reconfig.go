@@ -83,71 +83,56 @@ func MaxReconfigUniverse(n int, steps []ReconfigStep) int {
 	return n
 }
 
-// ReconfigDriver replays a resize schedule against a live cluster
-// beside a workload, mirroring ChurnDriver: StartReconfig launches the
-// goroutine, Stop cancels whatever remains at the run boundary and
-// reports what was applied. Unlike churn — where a missed flip is
-// telemetry — an aborted resize is a failed acceptance criterion, so
-// Stop returns the first abort.
-type ReconfigDriver struct {
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	mu       sync.Mutex
-	applied  int
-	aborted  int
-	missed   int // steps still pending (or cancelled mid-flight) at Stop
-	firstErr error
-}
-
-// StartReconfig prints the schedule banner and starts replaying it. On
-// an empty schedule it returns a nil driver whose Stop is a no-op, so
-// call sites need no reconfig-or-not branching. Each applied step
-// prints the canonical cutover line
+// StartReconfig prints the schedule banner and starts replaying it
+// against a live cluster beside a workload. On an empty schedule it
+// returns a nil driver. Each applied step prints the canonical cutover
+// line
 //
 //	reconfig: epoch E cutover to TARGET (n=N) — drain D, total T, K keys handed off
 //
-// which the CI rolling-resize smoke greps for.
-func StartReconfig(cluster *bqs.Cluster, steps []ReconfigStep) *ReconfigDriver {
+// which the CI rolling-resize smoke greps for. Unlike churn — where a
+// missed flip is telemetry — an aborted resize is a failed acceptance
+// criterion: the cluster is still on the old epoch and the run's claims
+// about the new system do not hold, so Stop returns the first abort
+// after printing the applied/aborted/missed summary.
+func StartReconfig(cluster *bqs.Cluster, steps []ReconfigStep) *Driver {
 	if len(steps) == 0 {
 		return nil
 	}
 	fmt.Printf("reconfig: %d resizes scheduled, first at +%v, last at +%v\n",
 		len(steps), steps[0].At, steps[len(steps)-1].At)
-	ctx, cancel := context.WithCancel(context.Background())
-	d := &ReconfigDriver{cancel: cancel, done: make(chan struct{})}
+	var (
+		applied, aborted int
+		missed           int // steps still pending (or cancelled mid-flight) at Stop
+		firstErr         error
+	)
 	start := time.Now()
-	go func() {
-		defer close(d.done)
+	run := func(ctx context.Context) error {
 		for _, step := range steps {
 			timer := time.NewTimer(time.Until(start.Add(step.At)))
 			select {
 			case <-timer.C:
 			case <-ctx.Done():
 				timer.Stop()
-				d.mu.Lock()
-				d.missed++
-				d.mu.Unlock()
-				return
+				missed++
+				return nil
 			}
 			stepCtx, stepCancel := context.WithTimeout(ctx, DefaultReconfigTimeout)
 			rep, err := cluster.Reconfigure(stepCtx, step.Rec)
 			stepCancel()
-			d.mu.Lock()
 			switch {
 			case err == nil:
-				d.applied++
+				applied++
 			case errors.Is(err, context.Canceled):
 				// The run boundary interrupted the step; counted as missed,
 				// not aborted — the workload simply ended first.
-				d.missed++
+				missed++
 			default:
-				d.aborted++
-				if d.firstErr == nil {
-					d.firstErr = fmt.Errorf("reconfig to %s at +%v: %w", step.Target, step.At, err)
+				aborted++
+				if firstErr == nil {
+					firstErr = fmt.Errorf("reconfig to %s at +%v: %w", step.Target, step.At, err)
 				}
 			}
-			d.mu.Unlock()
 			if err != nil {
 				fmt.Printf("reconfig: step to %s at +%v failed: %v\n", step.Target, step.At, err)
 				continue
@@ -156,25 +141,12 @@ func StartReconfig(cluster *bqs.Cluster, steps []ReconfigStep) *ReconfigDriver {
 				rep.Record.Epoch, step.Target, rep.Record.Universe,
 				rep.Drain.Round(time.Millisecond), rep.Total.Round(time.Millisecond), rep.HandoffKeys)
 		}
-	}()
-	return d
-}
-
-// Stop ends the driver at the run boundary, waits the goroutine out and
-// prints the applied/aborted/missed summary. The returned error is the
-// first aborted resize, if any — an abort means the cluster is still on
-// the old epoch and the run's acceptance claims about the new system do
-// not hold. Nil drivers (no schedule) are a no-op.
-func (d *ReconfigDriver) Stop() error {
-	if d == nil {
 		return nil
 	}
-	d.cancel()
-	<-d.done
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	fmt.Printf("reconfig: %d applied, %d aborted, %d missed\n", d.applied, d.aborted, d.missed)
-	return d.firstErr
+	return startDriver(run, func(error) error {
+		fmt.Printf("reconfig: %d applied, %d aborted, %d missed\n", applied, aborted, missed)
+		return firstErr
+	})
 }
 
 // EpochFollower self-heals the epoch plane of a wire-backed client: its

@@ -112,7 +112,7 @@ func TestReconfigDriverEndToEnd(t *testing.T) {
 // TestReconfigDriverNil pins the no-schedule contract: a nil driver
 // whose Stop is a no-op, so call sites need no branching.
 func TestReconfigDriverNil(t *testing.T) {
-	var d *ReconfigDriver
+	var d *Driver
 	if err := d.Stop(); err != nil {
 		t.Fatalf("nil Stop: %v", err)
 	}

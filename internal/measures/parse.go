@@ -3,9 +3,10 @@ package measures
 // CLI parsers for the heterogeneous failure model: ParsePVector turns a
 // -p-vector spec into a per-server probability vector and ParseDomains a
 // -domains spec into correlated failure domains. They live next to
-// FailureModel so the spec syntax and the model validate as one unit;
-// the sim package's churn specs have their own parser with the same
-// range syntax.
+// FailureModel so the spec syntax and the model validate as one unit.
+// ParseRange and ParseMembers are the server-range syntax every spec of
+// the repo shares; measures is the lowest package that parses one, so the
+// fault schedules, churn specs and wire route tables above it call these.
 
 import (
 	"errors"
@@ -14,27 +15,51 @@ import (
 	"strings"
 )
 
-// parseIndexRange parses "7" or "3-5" into an inclusive server index
-// range — the same syntax sim.ParseServerRange accepts, duplicated here
-// because measures sits below sim in the layer order.
-func parseIndexRange(spec string) (lo, hi int, err error) {
+// ParseRange parses "7" or "3-5" into an inclusive server index range.
+func ParseRange(spec string) (lo, hi int, err error) {
 	if i := strings.IndexByte(spec, '-'); i >= 0 {
 		if lo, err = strconv.Atoi(spec[:i]); err != nil {
-			return 0, 0, fmt.Errorf("measures: bad server range %q", spec)
+			return 0, 0, fmt.Errorf("bad server range %q", spec)
 		}
 		if hi, err = strconv.Atoi(spec[i+1:]); err != nil {
-			return 0, 0, fmt.Errorf("measures: bad server range %q", spec)
+			return 0, 0, fmt.Errorf("bad server range %q", spec)
 		}
 		if lo < 0 || hi < lo {
-			return 0, 0, fmt.Errorf("measures: bad server range %q", spec)
+			return 0, 0, fmt.Errorf("bad server range %q", spec)
 		}
 		return lo, hi, nil
 	}
 	lo, err = strconv.Atoi(spec)
 	if err != nil || lo < 0 {
-		return 0, 0, fmt.Errorf("measures: bad server index %q", spec)
+		return 0, 0, fmt.Errorf("bad server index %q", spec)
 	}
 	return lo, lo, nil
+}
+
+// ParseMembers parses a '+'-joined list of server ranges ("0-3+8+12-13")
+// into an index list, rejecting duplicates and any index ≥ n. The bound
+// is checked before a range is expanded, so a typo'd range costs a
+// diagnostic, not an allocation.
+func ParseMembers(spec string, n int) ([]int, error) {
+	var out []int
+	seen := make(map[int]bool)
+	for _, piece := range strings.Split(spec, "+") {
+		lo, hi, err := ParseRange(strings.TrimSpace(piece))
+		if err != nil {
+			return nil, err
+		}
+		if hi >= n {
+			return nil, fmt.Errorf("server %d outside universe [0,%d)", hi, n)
+		}
+		for s := lo; s <= hi; s++ {
+			if seen[s] {
+				return nil, fmt.Errorf("server %d repeated in %q", s, spec)
+			}
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out, nil
 }
 
 // parseProb parses a probability literal, rejecting NaN and anything
@@ -111,7 +136,7 @@ func ParsePVector(spec string, n int) ([]float64, error) {
 			}
 			continue
 		}
-		lo, hi, err := parseIndexRange(rangePart)
+		lo, hi, err := ParseRange(rangePart)
 		if err != nil {
 			return nil, fmt.Errorf("measures: p-vector entry %q: %w", field, err)
 		}
@@ -155,27 +180,14 @@ func ParseDomains(spec string, n int) ([]Domain, error) {
 		if err != nil {
 			return nil, fmt.Errorf("measures: domain entry %q: %w", field, err)
 		}
-		var members []int
-		for _, piece := range strings.Split(memberPart, "+") {
-			lo, hi, err := parseIndexRange(strings.TrimSpace(piece))
-			if err != nil {
-				return nil, fmt.Errorf("measures: domain entry %q: %w", field, err)
-			}
-			if hi >= n {
-				return nil, fmt.Errorf("measures: domain entry %q touches server %d outside universe [0,%d)", field, hi, n)
-			}
-			for s := lo; s <= hi; s++ {
-				members = append(members, s)
-			}
+		members, err := ParseMembers(memberPart, n)
+		if err != nil {
+			return nil, fmt.Errorf("measures: domain entry %q: %w", field, err)
 		}
 		domains = append(domains, Domain{Members: members, P: p})
 	}
 	if len(domains) == 0 {
 		return nil, errors.New("measures: domains spec has no entries")
-	}
-	// Validate catches duplicate members within a domain.
-	if err := (FailureModel{Domains: domains}).Validate(n); err != nil {
-		return nil, err
 	}
 	return domains, nil
 }

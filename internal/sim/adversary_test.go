@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"context"
@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	. "bqs/internal/faults"
+	. "bqs/internal/sim"
 )
 
 // fakeLoads is a settable LoadSource (and PhaseSource) for steering the
@@ -97,15 +100,15 @@ func TestAdversaryDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.cfg.Behavior != Crashed || a.cfg.Interval != 25*time.Millisecond {
-		t.Errorf("random defaults = %v/%v", a.cfg.Behavior, a.cfg.Interval)
+	if a.Mode() != Crashed || a.Interval() != 25*time.Millisecond {
+		t.Errorf("random defaults = %v/%v", a.Mode(), a.Interval())
 	}
 	a, err = NewAdversary(AdversaryConfig{Kind: AdversaryTiming, B: 1}, tf, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.cfg.Behavior != ByzantineStale {
-		t.Errorf("timing default behavior = %v", a.cfg.Behavior)
+	if a.Mode() != ByzantineStale {
+		t.Errorf("timing default behavior = %v", a.Mode())
 	}
 	// Validation.
 	if _, err := NewAdversary(AdversaryConfig{Kind: AdversaryTargeted, B: 1}, tf, nil, 4); err == nil {
@@ -196,67 +199,5 @@ func TestAdversaryBudgetInvariant(t *testing.T) {
 	}
 	if a.Misses() != 0 || a.FirstErr() != nil {
 		t.Errorf("misses=%d firstErr=%v", a.Misses(), a.FirstErr())
-	}
-}
-
-func TestAdversaryTimingAlternates(t *testing.T) {
-	loads := &fakeLoads{}
-	loads.set([]float64{0.9, 0.1, 0.1, 0.1}, 0)
-	tf := newTrackingFlipper()
-	a, err := NewAdversary(AdversaryConfig{Kind: AdversaryTiming, B: 1}, tf, loads, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bg := context.Background()
-	a.step(bg)
-	corrupt, _ := tf.snapshot()
-	if corrupt[0] != ByzantineStale {
-		t.Fatalf("even phases: corrupt = %v, want server 0 byz-stale", corrupt)
-	}
-	// Advance the phase counter to odd: the holdover victim is re-flipped
-	// to the equivocating mode.
-	loads.set([]float64{0.9, 0.1, 0.1, 0.1}, 1)
-	a.step(bg)
-	corrupt, _ = tf.snapshot()
-	if corrupt[0] != ByzantineEquivocate {
-		t.Fatalf("odd phases: corrupt = %v, want server 0 byz-equivocate", corrupt)
-	}
-}
-
-func TestAdversaryAgainstCluster(t *testing.T) {
-	// End to end against a real in-memory fleet: the targeted adversary
-	// reads the cluster's own LoadProfile and must settle on the servers
-	// the strategy actually loads.
-	c := newThresholdCluster(t, 1, 13)
-	defer c.Close()
-	cl := c.NewClient(1)
-	for i := 0; i < 20; i++ {
-		if err := cl.Write(ctx, "warm"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, err := NewAdversary(AdversaryConfig{Kind: AdversaryTargeted, B: 1}, c, c, c.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.step(ctx)
-	victims := a.Victims()
-	if len(victims) != 1 {
-		t.Fatalf("victims = %v", victims)
-	}
-	prof := c.LoadProfile()
-	for i, w := range prof {
-		if w > prof[victims[0]]+1e-12 {
-			t.Errorf("victim %d (weight %g) is not the heaviest; server %d has %g",
-				victims[0], prof[victims[0]], i, w)
-		}
-	}
-	// The flip really landed on the fleet.
-	if _, byz := c.FaultCounts(); byz != 0 {
-		t.Fatalf("targeted default should crash, not byzantine (got %d byzantine)", byz)
-	}
-	crashed, _ := c.FaultCounts()
-	if crashed != 1 {
-		t.Fatalf("crashed = %d, want 1", crashed)
 	}
 }

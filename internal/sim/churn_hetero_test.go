@@ -1,10 +1,12 @@
-package sim
+package sim_test
 
 import (
 	"math"
 	"reflect"
 	"testing"
 	"time"
+
+	. "bqs/internal/faults"
 )
 
 func TestChurnCorrelatedGroupFlipsTogether(t *testing.T) {
@@ -107,16 +109,13 @@ func TestChurnGroupValidation(t *testing.T) {
 		if _, err := cc.Schedule(8, time.Second, 1); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
-		if _, err := cc.StationaryDown(8); err == nil {
-			t.Errorf("config %d StationaryDown accepted", i)
-		}
 		if _, err := cc.FailureModel(8); err == nil {
 			t.Errorf("config %d FailureModel accepted", i)
 		}
 	}
 }
 
-func TestStationaryDownAndFailureModel(t *testing.T) {
+func TestChurnFailureModel(t *testing.T) {
 	cc := ChurnConfig{
 		MTBF: 300 * time.Millisecond,
 		MTTR: 100 * time.Millisecond, // base: down 0.25
@@ -125,16 +124,7 @@ func TestStationaryDownAndFailureModel(t *testing.T) {
 			{Servers: []int{4, 5}, Correlated: true, MTBF: 900 * time.Millisecond},             // domain, down 0.1
 		},
 	}
-	down, err := cc.StationaryDown(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.25, 0.25, 0.5, 0.5, 0.1, 0.1}
-	for i := range want {
-		if math.Abs(down[i]-want[i]) > 1e-12 {
-			t.Errorf("StationaryDown[%d] = %g, want %g", i, down[i], want[i])
-		}
-	}
+	want := []float64{0.25, 0.25, 0.5, 0.5, 0.1, 0.1} // each server's MTTR/(MTBF+MTTR)
 	m, err := cc.FailureModel(6)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +133,8 @@ func TestStationaryDownAndFailureModel(t *testing.T) {
 		t.Fatalf("domains = %+v", m.Domains)
 	}
 	// Correlated members carry no independent term; the domain is their
-	// whole marginal, so the model's marginals equal StationaryDown.
+	// whole marginal, so the model's marginals are the stationary down
+	// probabilities.
 	marginals := m.DownProbabilities(6)
 	for i := range want {
 		if math.Abs(marginals[i]-want[i]) > 1e-12 {
@@ -225,8 +216,6 @@ func FuzzParseChurn(f *testing.F) {
 			if err := m.Validate(n); err != nil {
 				t.Fatalf("ParseChurn(%q) produced invalid FailureModel: %v", spec, err)
 			}
-		}
-		if _, err := cc.StationaryDown(n); err == nil {
 			if _, err := cc.Schedule(n, 50*time.Millisecond, 1); err != nil {
 				// Schedule may still reject behaviors (e.g. down=correct);
 				// that's an error path, not a crash.

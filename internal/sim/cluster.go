@@ -374,6 +374,13 @@ func (c *Cluster) InjectFault(behavior Behavior, ids ...int) error {
 	return nil
 }
 
+// Flip switches the behavior of one in-memory server — the faults
+// package's Flipper seam — synchronized by the server's own mutex, so
+// flips land safely under any number of concurrent clients.
+func (c *Cluster) Flip(_ context.Context, server int, behavior Behavior) error {
+	return c.InjectFault(behavior, server)
+}
+
 // FaultCounts returns (crashed, byzantine) tallies.
 func (c *Cluster) FaultCounts() (crashed, byzantine int) {
 	for _, s := range c.cur.Load().servers {

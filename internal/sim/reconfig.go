@@ -127,7 +127,7 @@ func (c *Cluster) Reconfigure(ctx context.Context, rec reconfig.Record) (Reconfi
 			return ReconfigReport{}, fmt.Errorf("sim: reconfigure: install: %w", err)
 		}
 	} else {
-		handoff = mergeState(old.servers, servers)
+		handoff = MergeState(old.servers, servers)
 	}
 	c.met.reconfigPhase.Set(float64(reconfig.CutOver))
 	if c.mem != nil {
@@ -193,15 +193,16 @@ func (c *Cluster) accumulateRetired(old *epochState) {
 	c.retired.Store(nt)
 }
 
-// mergeState hands the quiesced keyed state to the new universe: the
-// newest tagged value of every key across the old servers is written to
-// every new-universe server that does not already hold something at
-// least as new. Completing a partially-written value this way is legal
-// for the [MR98a] safe register — the write happened; handoff merely
-// finishes its propagation — and reading stored state (not asking the
-// servers) sidesteps Byzantine reply behaviors, which corrupt answers,
-// not registers. Returns how many keys moved.
-func mergeState(from, to []*Server) int {
+// MergeState hands quiesced keyed state to a new universe: the newest
+// tagged value of every key across from is written to every server of to
+// that does not already hold something at least as new. Completing a
+// partially-written value this way is legal for the [MR98a] safe register
+// — the write happened; handoff merely finishes its propagation — and
+// reading stored state (not asking the servers) sidesteps Byzantine reply
+// behaviors, which corrupt answers, not registers. Returns how many keys
+// moved. Cluster.Reconfigure runs it over the whole fleet; a wire shard
+// runs it over the replicas it hosts.
+func MergeState(from, to []*Server) int {
 	best := make(map[string]TaggedValue)
 	for _, s := range from {
 		for _, key := range s.Keys() {

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 // The safety-invariant checker: record concurrent read/write histories
 // while an adversary corrupts servers within the masking budget, then
@@ -49,6 +49,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	. "bqs/internal/faults"
+	"bqs/internal/reconfig"
+	. "bqs/internal/sim"
+	"bqs/internal/systems"
 )
 
 // histEntry is one operation of a recorded history. Failed write
@@ -218,6 +223,20 @@ func checkHistory(t *testing.T, hist []histEntry, log *corruptionLog, b int) int
 // constructor of the clients that access it.
 type historyFleet func(t *testing.T) (*Cluster, func(id int) *Client)
 
+// newThresholdCluster builds a cluster over Threshold(n=4b+1, ℓ=3b+1).
+func newThresholdCluster(t *testing.T, b int, seed int64) *Cluster {
+	t.Helper()
+	sys, err := systems.NewMaskingThreshold(4*b+1, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(sys, b, WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // maskingFleet runs the masking protocol over Threshold(5,1).
 func maskingFleet(t *testing.T) (*Cluster, func(id int) *Client) {
 	c := newThresholdCluster(t, 1, 31)
@@ -227,7 +246,14 @@ func maskingFleet(t *testing.T) (*Cluster, func(id int) *Client) {
 // disseminationFleet runs the signed protocol over the dissemination
 // threshold at n=3b+1, whose intersections are only b+1.
 func disseminationFleet(t *testing.T) (*Cluster, func(id int) *Client) {
-	c, _ := newDisseminationCluster(t, 1, 31)
+	sys, err := systems.NewDisseminationThreshold(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(sys, 0, WithSeed(31))
+	if err != nil {
+		t.Fatal(err)
+	}
 	auth := NewAuthenticator()
 	return c, func(id int) *Client { return c.NewDisseminationClient(id, auth) }
 }
@@ -384,6 +410,124 @@ func TestDisseminationSafetyUnderAdversaries(t *testing.T) {
 			assertSafeHistory(t, hist, log, 1)
 		})
 	}
+}
+
+// TestRollingResizeHistoryStaysSafe is the -race rolling-resize safety
+// test: a writer and three readers run while the cluster resizes twice
+// (threshold:5 → mgrid:36 → compose:5x5), with each resize triggered at
+// a writer checkpoint so the drains demonstrably overlap live traffic.
+// The recorded history must pass the full safe-register check — no
+// fabricated values, no read travelling backwards past a completed
+// write — with a nil corruption log (no adversary: every read is within
+// budget, so assertSafeHistory's coverage floor bites).
+func TestRollingResizeHistoryStaysSafe(t *testing.T) {
+	c := newThresholdCluster(t, 1, 53)
+	defer c.Close()
+	runCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	var mu sync.Mutex
+	var hist []histEntry
+	record := func(e histEntry) {
+		mu.Lock()
+		hist = append(hist, e)
+		mu.Unlock()
+	}
+
+	// The writer releases one checkpoint per resize target mid-stream.
+	const writes = 120
+	checkpoints := []int{writes / 3, 2 * writes / 3}
+	checkpoint := make(chan struct{}, len(checkpoints))
+	resizeDone := make(chan error, 1)
+	go func() {
+		for _, spec := range []string{"mgrid:36", "compose:5x5"} {
+			select {
+			case <-checkpoint:
+			case <-runCtx.Done():
+				resizeDone <- runCtx.Err()
+				return
+			}
+			rec, err := reconfig.ParseTarget(spec, 1)
+			if err != nil {
+				resizeDone <- err
+				return
+			}
+			rctx, rcancel := context.WithTimeout(runCtx, 10*time.Second)
+			_, err = c.Reconfigure(rctx, rec)
+			rcancel()
+			if err != nil {
+				resizeDone <- fmt.Errorf("resize to %s: %w", spec, err)
+				return
+			}
+		}
+		resizeDone <- nil
+	}()
+
+	var ops sync.WaitGroup
+	ops.Add(1)
+	go func() {
+		defer ops.Done()
+		w := c.NewClient(100)
+		w.MaxRetries = 64
+		w.SuspicionTTL = 5 * time.Millisecond
+		next := 0
+		for i := 0; i < writes; i++ {
+			start := time.Now()
+			err := w.Write(runCtx, fmt.Sprintf("w-%d", i))
+			record(histEntry{start: start, end: time.Now(), ok: err == nil, value: fmt.Sprintf("w-%d", i)})
+			if next < len(checkpoints) && i == checkpoints[next] {
+				checkpoint <- struct{}{}
+				next++
+			}
+		}
+	}()
+	readLoop := func(id, count int) {
+		cl := c.NewClient(200 + id)
+		cl.MaxRetries = 64
+		cl.SuspicionTTL = 5 * time.Millisecond
+		for i := 0; i < count; i++ {
+			start := time.Now()
+			got, err := cl.Read(runCtx)
+			if err != nil {
+				if errors.Is(err, context.Canceled) {
+					return
+				}
+				continue
+			}
+			record(histEntry{start: start, end: time.Now(), read: true, ok: true, value: got.Value})
+		}
+	}
+	const readers = 3
+	for r := 0; r < readers; r++ {
+		ops.Add(1)
+		go func(id int) {
+			defer ops.Done()
+			readLoop(id, writes)
+		}(r)
+	}
+	ops.Wait()
+	if err := <-resizeDone; err != nil {
+		t.Fatal(err)
+	}
+	// Read-only tail in the final epoch: these reads are write-free, so
+	// they all receive the full freshness check.
+	var tail sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		tail.Add(1)
+		go func(id int) {
+			defer tail.Done()
+			readLoop(100+id, writes/2)
+		}(r)
+	}
+	tail.Wait()
+
+	if c.Epoch() != 2 {
+		t.Fatalf("after two resizes: epoch %d, want 2", c.Epoch())
+	}
+	if c.N() != 25 || !strings.Contains(c.System().Name(), "∘") {
+		t.Fatalf("final system %s (n=%d), want the 25-server composition", c.System().Name(), c.N())
+	}
+	assertSafeHistory(t, hist, nil, 1)
 }
 
 // checkHistory itself is under test here: it must actually catch both

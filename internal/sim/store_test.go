@@ -144,48 +144,6 @@ func TestClusterRestartChurnDurable(t *testing.T) {
 	}
 }
 
-func TestChurnRecoverRestartSchedule(t *testing.T) {
-	cc := ChurnConfig{MTBF: 50, MTTR: 50, Recover: Restart}
-	s, err := cc.Schedule(4, 1000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var downs, restarts, corrects int
-	for _, e := range s.Events() {
-		switch e.Behavior {
-		case Crashed:
-			downs++
-		case Restart:
-			restarts++
-		case Correct:
-			corrects++
-		}
-	}
-	if downs == 0 || restarts == 0 || corrects != 0 {
-		t.Fatalf("recover=restart schedule has %d downs, %d restarts, %d plain recoveries", downs, restarts, corrects)
-	}
-
-	if _, err := (ChurnConfig{MTBF: 50, MTTR: 50, Recover: ByzantineStale}).Schedule(4, 1000, 1); err == nil {
-		t.Fatal("recover behavior other than correct/restart accepted")
-	}
-	if _, err := (ChurnConfig{MTBF: 50, MTTR: 50, Down: Restart}).Schedule(4, 1000, 1); err == nil {
-		t.Fatal("down=restart accepted; restart is a recovery transition")
-	}
-}
-
-func TestParseChurnRecover(t *testing.T) {
-	cc, err := ParseChurn("mtbf=300ms,mttr=100ms,recover=restart")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc.Recover != Restart {
-		t.Fatalf("Recover = %v, want Restart", cc.Recover)
-	}
-	if _, err := ParseChurn("mtbf=300ms,mttr=100ms,recover=bogus"); err == nil {
-		t.Fatal("bad recover value accepted")
-	}
-}
-
 func TestParseBehaviorRestart(t *testing.T) {
 	b, err := ParseBehavior("restart")
 	if err != nil || b != Restart {

@@ -306,10 +306,10 @@ func chunkEnd(items []sim.BatchItem, start int) int {
 	return end
 }
 
-// Flip implements sim.Flipper over the network: it sends an ungated frame
+// Flip implements faults.Flipper over the network: it sends an ungated frame
 // of one flip item to the shard hosting the given server, asking it to
 // switch that replica to behavior. This is the remote half of the churn
-// engine — a sim.FaultController driving a wire.Client replays its fault schedule
+// engine — a faults.FaultController driving a wire.Client replays its fault schedule
 // against a live TCP deployment exactly as it would against an in-memory
 // Cluster. The error reports an unreachable shard or a server the
 // addressed shard does not host; a schedule driver counts such flips as
@@ -336,7 +336,6 @@ func (c *Client) Flip(ctx context.Context, server int, behavior sim.Behavior) er
 	return nil
 }
 
-var _ sim.Flipper = (*Client)(nil)
 var _ reconfig.Installer = (*Client)(nil)
 
 // Epoch returns the configuration epoch the client gates its requests

@@ -62,7 +62,7 @@ import (
 // engine: it asks the shard to flip the addressed replica to the
 // sim.Behavior in its reader field, and is answered like any item (OK
 // reports whether the replica is hosted here). It is what lets a remote
-// schedule driver (sim.FaultController over a wire.Client) crash and
+// schedule driver (faults.FaultController over a wire.Client) crash and
 // recover servers mid-run, so live availability can be measured against
 // F_p(Q) (Definition 3.10) over real TCP.
 //

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"bqs/internal/sim"
+	"bqs/internal/measures"
 )
 
 // MaxIDRange bounds how many server indices one range spec may name. It
@@ -27,11 +27,11 @@ func ParseIDRange(spec string) ([]int, error) {
 	return out, nil
 }
 
-// parseRange delegates the shared "lo-hi"/"id" syntax to sim's parser
+// parseRange delegates the shared "lo-hi"/"id" syntax to measures' parser
 // (fault schedules and churn specs use the identical form) and adds the
 // wire-level size cap.
 func parseRange(spec string) (lo, hi int, err error) {
-	lo, hi, err = sim.ParseServerRange(spec)
+	lo, hi, err = measures.ParseRange(spec)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wire: bad id range %q (want \"lo-hi\" or \"id\")", spec)
 	}

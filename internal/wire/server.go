@@ -336,36 +336,18 @@ func (s *Server) install(rec reconfig.Record) reconfig.Record {
 		return s.rec
 	}
 	s.rec = rec
-	s.mergeReplicasLocked(rec.Universe)
+	// The shard-local half of the cluster handoff: every hosted replica's
+	// state flows to the hosted replicas that remain in the new universe.
+	from := make([]*sim.Server, 0, len(s.replicas))
+	var to []*sim.Server
+	for id, rep := range s.replicas {
+		from = append(from, rep)
+		if id < rec.Universe {
+			to = append(to, rep)
+		}
+	}
+	sim.MergeState(from, to)
 	return s.rec
-}
-
-// mergeReplicasLocked hands the shard's keyed state to the replicas
-// that remain in the new universe: the newest stored value of every key
-// across all hosted replicas is written to each hosted replica with
-// id < universe that holds something older — the shard-local half of
-// the cluster handoff. Reading stored state (not asking the replicas)
-// sidesteps Byzantine reply behaviors, which corrupt answers, not
-// registers; completing a partially-written value is legal for the
-// safe register — the write happened, the merge finishes its
-// propagation. Called with epochMu held exclusively.
-func (s *Server) mergeReplicasLocked(universe int) {
-	best := make(map[string]sim.TaggedValue)
-	for _, rep := range s.replicas {
-		for _, key := range rep.Keys() {
-			tv := rep.SnapshotKey(key)
-			if cur, ok := best[key]; !ok || cur.TS.Less(tv.TS) {
-				best[key] = tv
-			}
-		}
-	}
-	for key, tv := range best {
-		for id, rep := range s.replicas {
-			if id < universe && rep.SnapshotKey(key).TS.Less(tv.TS) {
-				rep.HandleWrite(key, tv)
-			}
-		}
-	}
 }
 
 // recordFrame encodes the shard's record as a state or wrongepoch reply.
@@ -384,7 +366,7 @@ func recordFrame(id uint64, kind ReconfigKind, rec reconfig.Record) []byte {
 
 // control applies a remote behavior flip to the addressed replica — the
 // server half of the churn engine's fault-injection channel, which is how
-// a sim.FaultController behind a wire.Client crashes and recovers remote
+// a faults.FaultController behind a wire.Client crashes and recovers remote
 // servers mid-run. A flip for a server this shard does not host answers
 // Response{OK: false}, so the driver learns the route was wrong without
 // the connection dying.
