@@ -506,7 +506,9 @@ func WithStrategy(st *Strategy) ClusterOption { return sim.WithStrategy(st) }
 func WithOptimalStrategy() ClusterOption { return sim.WithOptimalStrategy() }
 
 // WithDeterministic probes quorum members sequentially from the calling
-// goroutine, restoring the exactly reproducible single-threaded mode.
+// goroutine even where a probe can block (by default only phases that
+// cannot block run inline, the rest in parallel), restoring the exactly
+// reproducible single-threaded mode.
 func WithDeterministic() ClusterOption { return sim.WithDeterministic() }
 
 // NewFaultSchedule validates fault events (non-negative offsets and

@@ -28,8 +28,9 @@
 //     independently per key, for exercising the constructions end to end
 //     under injected crash and Byzantine faults: a concurrent,
 //     context-aware quorum-access engine (Cluster/Client over a pluggable
-//     Transport) that fans probes out to quorum members in parallel,
-//     supports any number of concurrent clients, and measures empirical
+//     Transport) that probes quorum members inline when no probe can
+//     block and in parallel otherwise, supports any number of concurrent
+//     clients, and measures empirical
 //     load from live traffic (Cluster.LoadProfile) for comparison against
 //     the Theorem 4.1 bounds. There is one Client and one quorum-access
 //     loop; what separates the masking protocol (Cluster.NewClient) from

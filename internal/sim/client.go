@@ -76,15 +76,17 @@ func (c *Cluster) newClient(id int, rule acceptance) *Client {
 // two protocols implement separately. Every method is handed the replies
 // of a COMPLETE quorum (each member answered; quorumOp guarantees it) and
 // is defined for every such set, so no phase of either protocol retries
-// for any reason but a silent member.
+// for any reason but a silent member. The replies come as a slice in
+// whatever order the phase gathered them — ascending server order on the
+// inline path — and no rule may depend on that order.
 type acceptance interface {
 	// timestamp returns, from a quorum's OpReadTimestamps replies, a
 	// timestamp that dominates every completed write of key and that at
 	// most b lying servers cannot inflate.
-	timestamp(key string, replies map[int]Response) Timestamp
+	timestamp(key string, replies []Response) Timestamp
 	// value returns the newest believable value among a quorum's OpRead
 	// replies, and false when the rule believes none of them.
-	value(key string, replies map[int]Response) (TaggedValue, bool)
+	value(key string, replies []Response) (TaggedValue, bool)
 	// sign makes tv believable under this rule before it is stored.
 	sign(key string, tv TaggedValue)
 }
@@ -101,7 +103,7 @@ type masking struct{ b int }
 // timestamps it exists for every reply set — a quorum that catches many
 // writes in flight agrees on nothing — which is what makes the timestamp
 // phase wait-free. Fewer than b+1 replies yield the zero timestamp.
-func (m masking) timestamp(_ string, replies map[int]Response) Timestamp {
+func (m masking) timestamp(_ string, replies []Response) Timestamp {
 	// top holds the (up to) b+1 largest timestamps seen, descending; it
 	// lives on the stack for every b a test or benchmark here uses.
 	var buf [8]Timestamp
@@ -133,7 +135,7 @@ func (m masking) timestamp(_ string, replies map[int]Response) Timestamp {
 // value returns the highest-timestamped pair with ≥ b+1 identical votes:
 // b+1 voters include a correct server, and correct servers only serve
 // what a writer wrote.
-func (m masking) value(_ string, replies map[int]Response) (TaggedValue, bool) {
+func (m masking) value(_ string, replies []Response) (TaggedValue, bool) {
 	votes := make(map[TaggedValue]int)
 	for _, resp := range replies {
 		votes[resp.Value]++
@@ -181,15 +183,16 @@ func (cl *Client) pickQuorum(ctx context.Context) (bitset.Set, error) {
 	return q, err
 }
 
-// noteReplies records unresponsive quorum members in the client's
-// suspicion state and reports whether the whole quorum answered.
-func (cl *Client) noteReplies(replies map[int]Response) bool {
+// noteReplies records unresponsive quorum members (replies[k] is
+// members[k]'s) in the client's suspicion state and reports whether the
+// whole quorum answered.
+func (cl *Client) noteReplies(members []int, replies []Response) bool {
 	ok := true
 	var fresh int64
 	cl.mu.Lock()
-	for id, resp := range replies {
+	for k, resp := range replies {
 		if !resp.OK {
-			if cl.suspected.suspect(id) {
+			if cl.suspected.suspect(members[k]) {
 				fresh++
 			}
 			ok = false
@@ -207,7 +210,7 @@ func (cl *Client) noteReplies(replies map[int]Response) bool {
 // non-nil — a Session's batcher — else the cluster's counting transport),
 // suspect the silent ones, and return the replies once a whole quorum
 // answered. It retries only while some member is silent.
-func (cl *Client) quorumOp(ctx context.Context, req Request, via Transport) (map[int]Response, error) {
+func (cl *Client) quorumOp(ctx context.Context, req Request, via Transport) ([]Response, error) {
 	for attempt := 0; attempt < cl.MaxRetries; attempt++ {
 		if attempt > 0 {
 			cl.cluster.met.retries.Inc()
@@ -216,11 +219,12 @@ func (cl *Client) quorumOp(ctx context.Context, req Request, via Transport) (map
 		if err != nil {
 			return nil, err
 		}
-		replies, err := cl.cluster.probeQuorum(ctx, q, req, via)
+		members := q.Elements()
+		replies, err := cl.cluster.probeQuorum(ctx, members, req, via)
 		if err != nil {
 			return nil, err
 		}
-		if cl.noteReplies(replies) {
+		if cl.noteReplies(members, replies) {
 			return replies, nil
 		}
 	}
@@ -311,7 +315,7 @@ func (cl *Client) Read(ctx context.Context) (TaggedValue, error) {
 }
 
 // ReadKey performs the [MR98a] read on key's register: gather answers
-// from a quorum in parallel and return the newest one the client's rule
+// from a quorum and return the newest one the client's rule
 // believes. Masking keeps pairs vouched for by ≥ b+1 members; with
 // IS ≥ 2b+1 every read quorum shares b+1 correct servers with the last
 // write quorum. The signed rule keeps verified pairs; with IS ≥ b+1

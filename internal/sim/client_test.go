@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -66,7 +67,10 @@ func TestTimestampPhaseIsWaitFree(t *testing.T) {
 
 // TestAcceptanceRules checks the two reply-acceptance rules as the pure
 // functions they are: what a complete quorum's replies make a client
-// believe, with no cluster behind them.
+// believe, with no cluster behind them. Every case runs on its reply
+// slice and on the reverse of it: the inline path gathers replies in
+// ascending server order, the parallel one in arrival order, and a rule
+// must believe the same thing either way.
 func TestAcceptanceRules(t *testing.T) {
 	const b = 2
 	ts := func(seq int64) Timestamp { return Timestamp{Seq: seq, Writer: 1} }
@@ -76,11 +80,11 @@ func TestAcceptanceRules(t *testing.T) {
 		n  int
 		tv TaggedValue
 	}
-	replies := func(groups ...group) map[int]Response {
-		out := make(map[int]Response)
+	replies := func(groups ...group) []Response {
+		var out []Response
 		for _, g := range groups {
 			for i := 0; i < g.n; i++ {
-				out[len(out)] = Response{OK: true, Value: g.tv}
+				out = append(out, Response{OK: true, Value: g.tv})
 			}
 		}
 		return out
@@ -97,7 +101,7 @@ func TestAcceptanceRules(t *testing.T) {
 	cases := []struct {
 		name    string
 		rule    acceptance
-		replies map[int]Response
+		replies []Response
 		wantTS  Timestamp
 		wantVal TaggedValue
 		wantOK  bool // false: the rule believes no reply
@@ -125,12 +129,19 @@ func TestAcceptanceRules(t *testing.T) {
 		{"signed: empty reply set", signed{auth}, replies(), Timestamp{}, TaggedValue{}, false},
 	}
 	for _, tc := range cases {
-		if got := tc.rule.timestamp("k", tc.replies); got != tc.wantTS {
-			t.Errorf("%s: timestamp = %+v, want %+v", tc.name, got, tc.wantTS)
-		}
-		got, ok := tc.rule.value("k", tc.replies)
-		if ok != tc.wantOK || got != tc.wantVal {
-			t.Errorf("%s: value = %+v (believed %v), want %+v (believed %v)", tc.name, got, ok, tc.wantVal, tc.wantOK)
+		reversed := slices.Clone(tc.replies)
+		slices.Reverse(reversed)
+		for _, order := range []struct {
+			name    string
+			replies []Response
+		}{{"as built", tc.replies}, {"reversed", reversed}} {
+			if got := tc.rule.timestamp("k", order.replies); got != tc.wantTS {
+				t.Errorf("%s (%s): timestamp = %+v, want %+v", tc.name, order.name, got, tc.wantTS)
+			}
+			got, ok := tc.rule.value("k", order.replies)
+			if ok != tc.wantOK || got != tc.wantVal {
+				t.Errorf("%s (%s): value = %+v (believed %v), want %+v (believed %v)", tc.name, order.name, got, ok, tc.wantVal, tc.wantOK)
+			}
 		}
 	}
 	// sign is what makes a value believable under the signed rule, and only

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bqs/internal/bitset"
 	"bqs/internal/core"
 	"bqs/internal/measures"
 	"bqs/internal/obs"
@@ -151,11 +150,13 @@ func WithStores(factory func(id int) (store.Store, error)) Option {
 	}
 }
 
-// WithDeterministic switches the cluster to single-threaded probing:
-// quorum members are contacted sequentially in ascending server order from
-// the calling goroutine instead of in parallel goroutines. With a fixed
-// WithSeed and one client per goroutine, runs are exactly reproducible —
-// the mode the original synchronous simulator provided.
+// WithDeterministic makes every quorum phase run inline: members are
+// contacted sequentially in ascending server order from the calling
+// goroutine, even where a probe can block and the cluster would otherwise
+// fan out in parallel goroutines (a latency model, a custom transport, a
+// durable store). With a fixed WithSeed and one client per goroutine,
+// runs are exactly reproducible — the mode the original synchronous
+// simulator provided.
 func WithDeterministic() Option {
 	return func(c *config) error {
 		c.sequential = true
@@ -496,69 +497,107 @@ func (c *Cluster) invokeBatch(ctx context.Context, items []BatchItem) ([]Respons
 	return out, err
 }
 
-// probeQuorum sends req to every member of q — in parallel goroutines, or
-// sequentially in ascending order under WithDeterministic — and returns
-// the responses by server id. Probes travel through via when it is
-// non-nil (the session batcher) and through the cluster's own counting
-// path otherwise. The only error it returns is a transport failure
-// (typically ctx cancellation or expiry); unresponsive servers appear as
+// probeQuorum sends req to every quorum member and returns the replies
+// index-aligned with members. A phase runs inline — members called one
+// after another, in ascending server order, on the caller's goroutine —
+// when no probe can block (see inline), and fans out in parallel
+// goroutines otherwise. Probes travel through via when it is non-nil (the
+// session batcher) and through the cluster's own counting path otherwise.
+// The only error it returns is a transport failure (typically ctx
+// cancellation or expiry); unresponsive servers appear as
 // Response{OK: false}.
-func (c *Cluster) probeQuorum(ctx context.Context, q bitset.Set, req Request, via Transport) (map[int]Response, error) {
+func (c *Cluster) probeQuorum(ctx context.Context, members []int, req Request, via Transport) ([]Response, error) {
 	if !c.met.on {
-		return c.probeQuorumUntimed(ctx, q, req, via)
+		return c.probeQuorumUntimed(ctx, members, req, via)
 	}
 	start := time.Now()
-	out, err := c.probeQuorumUntimed(ctx, q, req, via)
+	out, err := c.probeQuorumUntimed(ctx, members, req, via)
 	c.met.phaseSeconds.ObserveDuration(time.Since(start))
 	return out, err
 }
 
 // probeQuorumUntimed is probeQuorum without the fan-out span.
-func (c *Cluster) probeQuorumUntimed(ctx context.Context, q bitset.Set, req Request, via Transport) (map[int]Response, error) {
+func (c *Cluster) probeQuorumUntimed(ctx context.Context, members []int, req Request, via Transport) ([]Response, error) {
 	c.cur.Load().phases.Add(1)
-	invoke := c.invoke
-	if via != nil {
-		invoke = via.Invoke
-	}
-	members := q.Elements()
-	out := make(map[int]Response, len(members))
-	if c.sequential {
-		for _, i := range members {
-			resp, err := invoke(ctx, i, req)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = resp
+	out := make([]Response, len(members))
+	if !c.inline(members, req.Op, via) {
+		if err := c.fanOut(ctx, members, out, req, via); err != nil {
+			return nil, err
 		}
 		return out, nil
 	}
-	type result struct {
-		id   int
-		resp Response
-		err  error
-	}
-	results := make(chan result, len(members))
-	for _, i := range members {
-		go func(i int) {
-			resp, err := invoke(ctx, i, req)
-			results <- result{i, resp, err}
-		}(i)
-	}
-	var firstErr error
-	for range members {
-		r := <-results
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
+	for k, i := range members {
+		resp, err := c.probe(ctx, i, req, via)
+		if err != nil {
+			return nil, err
 		}
-		out[r.id] = r.resp
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		out[k] = resp
 	}
 	return out, nil
+}
+
+// inline reports whether a phase can call its members on the caller's
+// goroutine: WithDeterministic asks for it, and otherwise no probe may be
+// able to block — the built-in in-memory transport with no latency
+// model, reached directly rather than through a session batcher, and,
+// for a write, no member whose store can wait on disk (a store.Disk
+// group-commits; nil and *store.Mem never wait). Anything else — TCP,
+// middleware, modelled latency, durable stores, the batcher — may block,
+// and a serial loop would sum the waits or deadlock on a barrier.
+func (c *Cluster) inline(members []int, op Op, via Transport) bool {
+	if c.sequential {
+		return true
+	}
+	if c.mem == nil || via != nil {
+		return false
+	}
+	st := c.mem.state.Load()
+	if st.latency != nil {
+		return false
+	}
+	if op != OpWrite {
+		return true
+	}
+	for _, i := range members {
+		switch st.servers[i].store.(type) {
+		case nil, *store.Mem:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// fanOut probes every member in its own goroutine, writing member k's
+// reply to out[k], and returns the first transport error. It is a
+// function of its own so that what the goroutines capture (req above
+// all) moves to the heap only on this path.
+func (c *Cluster) fanOut(ctx context.Context, members []int, out []Response, req Request, via Transport) error {
+	errs := make(chan error, len(members))
+	for k, i := range members {
+		go func() {
+			resp, err := c.probe(ctx, i, req, via)
+			out[k] = resp
+			errs <- err
+		}()
+	}
+	var first error
+	for range members {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// probe sends one probe through via when it is non-nil, else through the
+// cluster's counting path — a plain call, never a method value, which
+// would escape and allocate on every phase.
+func (c *Cluster) probe(ctx context.Context, server int, req Request, via Transport) (Response, error) {
+	if via != nil {
+		return via.Invoke(ctx, server, req)
+	}
+	return c.invoke(ctx, server, req)
 }
 
 // clientRNG derives an independent deterministic random stream for client

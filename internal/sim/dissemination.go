@@ -68,13 +68,13 @@ type signed struct{ auth *Authenticator }
 // timestamp returns the largest verified timestamp — the zero one for a
 // key no writer has signed anything for. Byzantine servers cannot inflate
 // the clock because they cannot sign.
-func (s signed) timestamp(key string, replies map[int]Response) Timestamp {
+func (s signed) timestamp(key string, replies []Response) Timestamp {
 	tv, _ := s.value(key, replies)
 	return tv.TS
 }
 
 // value returns the highest-timestamped reply that verifies for key.
-func (s signed) value(key string, replies map[int]Response) (TaggedValue, bool) {
+func (s signed) value(key string, replies []Response) (TaggedValue, bool) {
 	best, found := TaggedValue{}, false
 	for _, resp := range replies {
 		if s.auth.Verify(key, resp.Value) && (!found || best.TS.Less(resp.Value.TS)) {

@@ -15,10 +15,11 @@
 // the same quorum-access loop with a different reply-acceptance rule —
 // see acceptance in client.go.
 //
-// The access layer is a concurrent engine: clients take a context.Context,
-// fan probes out to quorum members in parallel goroutines through a
-// pluggable Transport (the built-in one models message loss and
-// per-server latency), and any number of clients may run concurrently —
+// The access layer is a concurrent engine: clients take a context.Context
+// and probe quorum members through a pluggable Transport (the built-in
+// one models message loss and per-server latency) — inline, on the
+// client's own goroutine, when no probe can block, and in parallel
+// goroutines otherwise — and any number of clients may run concurrently —
 // each owns its rng and suspicion state, and per-server access counters
 // feed Cluster.LoadProfile, the live-traffic counterpart of the paper's
 // load measure (Definition 3.8). On top of the blocking single-key
