@@ -22,6 +22,8 @@ import (
 	"bqs/internal/lattice"
 	"bqs/internal/measures"
 	"bqs/internal/paper"
+	"bqs/internal/sim"
+	"bqs/internal/systems"
 )
 
 // --- Table 2 -------------------------------------------------------------
@@ -114,17 +116,17 @@ func BenchmarkCrashVsLowerBound(b *testing.B) {
 	ps := []float64{0.05, 0.1, 0.2, 0.3, 0.4}
 	for i := 0; i < b.N; i++ {
 		for _, p := range ps {
-			fp, err := bqs.CrashProbabilityExact(ex, p)
+			fp, err := measures.CrashProbabilityExact(ex, p)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if fp < bqs.CrashLowerBoundMT(ex.MinTransversal(), p) {
 				b.Fatal("Prop 4.3 violated")
 			}
-			if fp < bqs.CrashLowerBoundMasking(ex.MinQuorumSize(), 3, p) {
+			if fp < measures.CrashLowerBoundMasking(ex.MinQuorumSize(), 3, p) {
 				b.Fatal("Prop 4.4 violated")
 			}
-			if bqs.Prop45Applies(ex) && fp < bqs.CrashLowerBoundB(3, p) {
+			if measures.Prop45Applies(ex) && fp < measures.CrashLowerBoundB(3, p) {
 				b.Fatal("Prop 4.5 violated")
 			}
 		}
@@ -140,7 +142,7 @@ func BenchmarkMGridLoad(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var emp float64
 	for i := 0; i < b.N; i++ {
-		if emp, err = bqs.EmpiricalLoad(mg, 2000, rng); err != nil {
+		if emp, err = measures.EmpiricalLoad(mg, 2000, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -237,7 +239,7 @@ func BenchmarkMPathLoad(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	var emp float64
 	for i := 0; i < b.N; i++ {
-		if emp, err = bqs.EmpiricalLoad(mp, 2000, rng); err != nil {
+		if emp, err = measures.EmpiricalLoad(mp, 2000, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -373,7 +375,7 @@ func BenchmarkSelectQuorumBoostFPP(b *testing.B) {
 }
 
 func BenchmarkLoadLPFano(b *testing.B) {
-	fpp, err := bqs.NewFPP(2)
+	fpp, err := newFPP(2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -386,13 +388,13 @@ func BenchmarkLoadLPFano(b *testing.B) {
 }
 
 func BenchmarkExactCrashFano(b *testing.B) {
-	fpp, err := bqs.NewFPP(2)
+	fpp, err := newFPP(2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bqs.CrashProbabilityExact(fpp, 0.2); err != nil {
+		if _, err := measures.CrashProbabilityExact(fpp, 0.2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -499,7 +501,7 @@ func BenchmarkClusterThroughput(b *testing.B) {
 						b.Error(err)
 						return
 					}
-					if _, err := cl.Read(ctx); err != nil && !errors.Is(err, bqs.ErrNoCandidate) {
+					if _, err := cl.Read(ctx); err != nil && !errors.Is(err, sim.ErrNoCandidate) {
 						b.Error(err)
 						return
 					}
@@ -539,7 +541,7 @@ func BenchmarkWireThroughput(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				if _, err := cl.Read(ctx); err != nil && !errors.Is(err, bqs.ErrNoCandidate) {
+				if _, err := cl.Read(ctx); err != nil && !errors.Is(err, sim.ErrNoCandidate) {
 					b.Error(err)
 					return
 				}
@@ -637,7 +639,7 @@ func BenchmarkSessionBatched(b *testing.B) {
 				}
 			}
 			for _, f := range rfs {
-				if _, err := f.Wait(); err != nil && !errors.Is(err, bqs.ErrNoCandidate) {
+				if _, err := f.Wait(); err != nil && !errors.Is(err, sim.ErrNoCandidate) {
 					b.Fatal(err)
 				}
 			}
@@ -727,7 +729,7 @@ func BenchmarkMPathEdgeAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	edge, err := bqs.NewMPathEdge(13, 4)
+	edge, err := systems.NewMPathEdge(13, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -742,16 +744,16 @@ func BenchmarkMPathEdgeAblation(b *testing.B) {
 }
 
 func BenchmarkCrashPolynomial(b *testing.B) {
-	wall, err := bqs.NewCrumblingWall([]int{1, 2, 3, 4}, 0)
+	wall, err := systems.NewCrumblingWall([]int{1, 2, 3, 4}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		counts, err := bqs.CrashPolynomial(wall)
+		counts, err := measures.CrashPolynomial(wall)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if bqs.EvalCrashPolynomial(counts, 0.2) <= 0 {
+		if measures.EvalCrashPolynomial(counts, 0.2) <= 0 {
 			b.Fatal("polynomial should be positive")
 		}
 	}

@@ -8,6 +8,11 @@ import (
 	"testing"
 
 	"bqs"
+	"bqs/internal/compose"
+	"bqs/internal/core"
+	"bqs/internal/measures"
+	"bqs/internal/projective"
+	"bqs/internal/systems"
 )
 
 // TestPublicAPIEndToEnd exercises the facade the way the README shows:
@@ -32,7 +37,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bqs.IsBMasking(rt, bqs.MaskingBound(rt)) {
+	if !core.IsBMasking(rt, bqs.MaskingBound(rt)) {
 		t.Error("RT masking bound inconsistent")
 	}
 
@@ -68,11 +73,11 @@ func TestPublicAPIMeasures(t *testing.T) {
 	if strat.Len() != 3 {
 		t.Errorf("strategy over %d quorums", strat.Len())
 	}
-	fair, err := bqs.LoadFair(maj)
+	fair, err := measures.LoadFair(maj)
 	if err != nil || math.Abs(fair-load) > 1e-9 {
 		t.Errorf("fair load %g vs LP %g", fair, load)
 	}
-	fp, err := bqs.CrashProbabilityExact(maj, 0.25)
+	fp, err := measures.CrashProbabilityExact(maj, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +94,9 @@ func TestPublicAPIMeasures(t *testing.T) {
 	if bqs.LoadLowerBound(3, 0, 2) > load+1e-9 {
 		t.Error("Thm 4.1 bound violated")
 	}
-	_ = bqs.CrashLowerBoundMasking(2, 0, 0.25)
-	_ = bqs.CrashLowerBoundB(0, 0.25)
-	_ = bqs.Prop45Applies(maj)
+	_ = measures.CrashLowerBoundMasking(2, 0, 0.25)
+	_ = measures.CrashLowerBoundB(0, 0.25)
+	_ = measures.Prop45Applies(maj)
 }
 
 func TestPublicAPIComposition(t *testing.T) {
@@ -110,7 +115,7 @@ func TestPublicAPIComposition(t *testing.T) {
 	if bqs.MaskingBound(boosted) != 1 {
 		t.Errorf("boosted b = %d", bqs.MaskingBound(boosted))
 	}
-	fpp, err := bqs.NewFPP(2)
+	fpp, err := newFPP(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +123,7 @@ func TestPublicAPIComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := bqs.ComposeExplicit(majEx, fpp, 0)
+	ex, err := compose.Explicit(majEx, fpp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +162,17 @@ func TestPublicAPIErrNoLiveQuorum(t *testing.T) {
 	maj, _ := bqs.NewMajority(3)
 	rng := rand.New(rand.NewSource(2))
 	_, err := maj.SelectQuorum(rng, bqs.SetOf(0, 1))
-	if !errors.Is(err, bqs.ErrNoLiveQuorum) {
+	if !errors.Is(err, core.ErrNoLiveQuorum) {
 		t.Errorf("err = %v, want ErrNoLiveQuorum", err)
 	}
+}
+
+// newFPP builds the projective plane PG(2,q) as an explicit regular
+// quorum system.
+func newFPP(q int) (*bqs.ExplicitSystem, error) {
+	plane, err := projective.New(q)
+	if err != nil {
+		return nil, err
+	}
+	return systems.NewFPP(plane)
 }

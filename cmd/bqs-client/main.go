@@ -63,8 +63,9 @@ import (
 	"os"
 	"time"
 
-	"bqs"
 	"bqs/internal/harness"
+	"bqs/internal/sim"
+	"bqs/internal/wire"
 )
 
 func main() {
@@ -94,7 +95,7 @@ func run() error {
 	if *routes == "" {
 		return fmt.Errorf("-routes is required; the universe needs addresses for servers 0-%d", n-1)
 	}
-	table, err := bqs.ParseRoutes(*routes)
+	table, err := wire.ParseRoutes(*routes)
 	if err != nil {
 		return err
 	}
@@ -105,7 +106,7 @@ func run() error {
 	// Coverage is checked against the largest universe the run will ever
 	// address, so a scheduled resize cannot discover a missing shard
 	// address mid-drain.
-	if err := bqs.CheckRouteCoverage(table, harness.MaxReconfigUniverse(n, plan.Reconfig)); err != nil {
+	if err := wire.CheckCoverage(table, harness.MaxReconfigUniverse(n, plan.Reconfig)); err != nil {
 		return err
 	}
 	reg, stopMetrics, err := shared.Metrics()
@@ -118,18 +119,18 @@ func run() error {
 	// wrongepoch bounces (adopting a newer record another coordinator
 	// installed, or re-pushing ours to a shard that lost its epoch).
 	follower := &harness.EpochFollower{}
-	tr, err := bqs.DialWire(table, bqs.WithWirePoolSize(*poolSize),
-		bqs.WithWireMetrics(reg), bqs.WithWireEpochs(follower.OnStale))
+	tr, err := wire.Dial(table, wire.WithPoolSize(*poolSize),
+		wire.WithMetrics(reg), wire.WithEpochs(follower.OnStale))
 	if err != nil {
 		return err
 	}
 	defer tr.Close()
-	opts := []bqs.ClusterOption{bqs.WithSeed(shared.Seed), bqs.WithMetrics(reg),
-		bqs.WithTransport(func([]*bqs.Server) bqs.Transport { return tr })}
+	opts := []sim.Option{sim.WithSeed(shared.Seed), sim.WithMetrics(reg),
+		sim.WithTransport(func([]*sim.Server) sim.Transport { return tr })}
 	if plan.Strategy != nil {
 		opts = append(opts, plan.Strategy)
 	}
-	cluster, err := bqs.NewCluster(sys, b, opts...)
+	cluster, err := sim.NewCluster(sys, b, opts...)
 	if err != nil {
 		return err
 	}

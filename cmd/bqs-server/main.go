@@ -35,7 +35,10 @@ import (
 	"syscall"
 	"time"
 
-	"bqs"
+	"bqs/internal/obs"
+	"bqs/internal/sim"
+	"bqs/internal/store"
+	"bqs/internal/wire"
 )
 
 func main() {
@@ -56,42 +59,42 @@ func run() error {
 	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry on this address: /metrics (Prometheus), /vars, /events, /debug/pprof")
 	flag.Parse()
 
-	ids, err := bqs.ParseIDRange(*servers)
+	ids, err := wire.ParseIDRange(*servers)
 	if err != nil {
 		return err
 	}
-	reg := bqs.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	if *metricsAddr != "" {
-		ms, err := bqs.ServeMetrics(*metricsAddr, reg)
+		ms, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
 			return err
 		}
 		defer ms.Close()
 		fmt.Printf("bqs-server: metrics on http://%s/metrics (also /vars, /events, /debug/pprof)\n", ms.Addr())
 	}
-	replicas := make(map[int]*bqs.Server, len(ids))
+	replicas := make(map[int]*sim.Server, len(ids))
 	for _, id := range ids {
-		var opts []bqs.ServerOption
+		var opts []sim.ServerOption
 		if *dataDir != "" {
-			st, err := bqs.OpenDiskStore(filepath.Join(*dataDir, fmt.Sprintf("server-%04d", id)),
-				bqs.WithFsync(*fsync), bqs.WithStoreMetrics(reg))
+			st, err := store.Open(filepath.Join(*dataDir, fmt.Sprintf("server-%04d", id)),
+				store.WithFsync(*fsync), store.WithMetrics(reg))
 			if err != nil {
 				return fmt.Errorf("server %d: %w", id, err)
 			}
 			defer st.Close()
 			fmt.Printf("bqs-server: server %d recovered: %s\n", id, st.Recovered())
-			opts = append(opts, bqs.WithStore(st))
+			opts = append(opts, sim.WithStore(st))
 		}
-		replicas[id] = bqs.NewServer(id, opts...)
+		replicas[id] = sim.NewServer(id, opts...)
 	}
-	if err := inject(replicas, *byzantine, bqs.ByzantineFabricate); err != nil {
+	if err := inject(replicas, *byzantine, sim.ByzantineFabricate); err != nil {
 		return err
 	}
-	if err := inject(replicas, *crashed, bqs.Crashed); err != nil {
+	if err := inject(replicas, *crashed, sim.Crashed); err != nil {
 		return err
 	}
 
-	srv := bqs.NewWireServer(replicas, bqs.WithWireServerMetrics(reg))
+	srv := wire.NewServer(replicas, wire.WithServerMetrics(reg))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe(*listen) }()
 	fmt.Printf("bqs-server: hosting servers %s on %s (byzantine=[%s] crashed=[%s])\n",
@@ -116,12 +119,12 @@ func run() error {
 
 // inject applies behavior to the named replicas, rejecting indices this
 // shard does not host.
-func inject(replicas map[int]*bqs.Server, spec string, behavior bqs.Behavior) error {
+func inject(replicas map[int]*sim.Server, spec string, behavior sim.Behavior) error {
 	if spec == "" {
 		return nil
 	}
 	for _, field := range strings.Split(spec, ",") {
-		ids, err := bqs.ParseIDRange(strings.TrimSpace(field))
+		ids, err := wire.ParseIDRange(strings.TrimSpace(field))
 		if err != nil {
 			return err
 		}

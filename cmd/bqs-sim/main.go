@@ -93,8 +93,13 @@ import (
 	"path/filepath"
 	"strings"
 
-	"bqs"
+	"bqs/internal/core"
+	"bqs/internal/faults"
 	"bqs/internal/harness"
+	"bqs/internal/measures"
+	"bqs/internal/obs"
+	"bqs/internal/sim"
+	"bqs/internal/store"
 )
 
 func main() {
@@ -129,7 +134,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("system: %s (n=%d, b=%d, f=%d)\n",
-		sys.Name(), sys.UniverseSize(), b, bqs.Resilience(sys))
+		sys.Name(), sys.UniverseSize(), b, core.Resilience(sys))
 	reg, stopMetrics, err := shared.Metrics()
 	if err != nil {
 		return err
@@ -149,10 +154,10 @@ func run() error {
 		return fmt.Errorf("-p-vector and -domains shape the -availability crash model; for live-workload faults use -churn (per-group mtbf/mttr and correlated domains)")
 	}
 
-	opts := []bqs.ClusterOption{bqs.WithSeed(shared.Seed), bqs.WithDropRate(*drop),
-		bqs.WithLatency(*latency, *jitter), bqs.WithMetrics(reg)}
+	opts := []sim.Option{sim.WithSeed(shared.Seed), sim.WithDropRate(*drop),
+		sim.WithLatency(*latency, *jitter), sim.WithMetrics(reg)}
 	if *deterministic {
-		opts = append(opts, bqs.WithDeterministic())
+		opts = append(opts, sim.WithDeterministic())
 		// Reproducibility needs a single-threaded workload: concurrent
 		// clients interleave nondeterministically over the shared servers
 		// and transport rng no matter how probes are issued.
@@ -175,12 +180,12 @@ func run() error {
 	}
 	if *dataDir != "" {
 		dir, syncOn := *dataDir, *fsync
-		opts = append(opts, bqs.WithStores(func(id int) (bqs.Store, error) {
-			return bqs.OpenDiskStore(filepath.Join(dir, fmt.Sprintf("server-%04d", id)),
-				bqs.WithFsync(syncOn), bqs.WithStoreMetrics(reg))
+		opts = append(opts, sim.WithStores(func(id int) (store.Store, error) {
+			return store.Open(filepath.Join(dir, fmt.Sprintf("server-%04d", id)),
+				store.WithFsync(syncOn), store.WithMetrics(reg))
 		}))
 	}
-	cluster, err := bqs.NewCluster(sys, b, opts...)
+	cluster, err := sim.NewCluster(sys, b, opts...)
 	if err != nil {
 		return err
 	}
@@ -193,10 +198,10 @@ func run() error {
 	if *byzantine+*crashed > len(perm) {
 		return fmt.Errorf("too many faults for %d servers", len(perm))
 	}
-	if err := cluster.InjectFault(bqs.ByzantineFabricate, perm[:*byzantine]...); err != nil {
+	if err := cluster.InjectFault(sim.ByzantineFabricate, perm[:*byzantine]...); err != nil {
 		return err
 	}
-	if err := cluster.InjectFault(bqs.Crashed, perm[*byzantine:*byzantine+*crashed]...); err != nil {
+	if err := cluster.InjectFault(sim.Crashed, perm[*byzantine:*byzantine+*crashed]...); err != nil {
 		return err
 	}
 	fmt.Printf("faults: %d byzantine (fabricating), %d crashed\n", *byzantine, *crashed)
@@ -257,24 +262,24 @@ func availabilityFlagConflicts() []string {
 // -p-vector/-domains swap the i.i.d. draws for the heterogeneous model
 // (exact companion: the generalized F); -adversary swaps them for
 // adversarial placement (exact companion only for random placement).
-func runAvailability(sys bqs.Construction, b int, spec, pVector, domains, adversary string, seed int64, reg *bqs.MetricsRegistry) error {
+func runAvailability(sys core.Construction, b int, spec, pVector, domains, adversary string, seed int64, reg *obs.Registry) error {
 	cfg, err := harness.ParseAvailabilitySpec(spec, seed)
 	if err != nil {
 		return err
 	}
 	n := sys.UniverseSize()
 	if pVector != "" {
-		if cfg.PVec, err = bqs.ParsePVector(pVector, n); err != nil {
+		if cfg.PVec, err = measures.ParsePVector(pVector, n); err != nil {
 			return err
 		}
 	}
 	if domains != "" {
-		if cfg.Domains, err = bqs.ParseDomains(domains, n); err != nil {
+		if cfg.Domains, err = measures.ParseDomains(domains, n); err != nil {
 			return err
 		}
 	}
 	if adversary != "" {
-		parsed, err := bqs.ParseAdversary(adversary)
+		parsed, err := faults.ParseAdversary(adversary)
 		if err != nil {
 			return err
 		}

@@ -25,7 +25,7 @@ import (
 	"os"
 	"strings"
 
-	"bqs"
+	"bqs/internal/bitset"
 	"bqs/internal/core"
 	"bqs/internal/measures"
 	"bqs/internal/systems"
@@ -56,12 +56,12 @@ func run() error {
 
 // verify prints one PASS/FAIL line per claim and returns an error naming
 // the claims that failed.
-func verify(sys bqs.Construction, p float64, trials int) error {
+func verify(sys core.Construction, p float64, trials int) error {
 	fmt.Printf("== %s ==\n", sys.Name())
 	nn := sys.UniverseSize()
-	bb := bqs.MaskingBound(sys)
+	bb := core.MaskingBoundFromParams(sys)
 	fmt.Printf("n=%d  c=%d  IS=%d  MT=%d\n", nn, sys.MinQuorumSize(), sys.MinIntersection(), sys.MinTransversal())
-	fmt.Printf("masking bound b=%d, resilience f=%d\n", bb, bqs.Resilience(sys))
+	fmt.Printf("masking bound b=%d, resilience f=%d\n", bb, core.Resilience(sys))
 
 	var failed []string
 	check := func(name string, ok bool) {
@@ -74,45 +74,45 @@ func verify(sys bqs.Construction, p float64, trials int) error {
 	}
 
 	check("Lemma 3.6: MT ≥ b+1 and IS ≥ 2b+1 at the declared bound",
-		bqs.IsBMasking(sys, bb))
+		core.IsBMasking(sys, bb))
 
 	// Load bounds.
 	if ld, ok := sys.(core.AdvertisedLoad); ok {
 		load := ld.Load()
 		check(fmt.Sprintf("Thm 4.1: L=%.4f ≥ max{(2b+1)/c, c/n}=%.4f", load,
-			bqs.LoadLowerBound(nn, bb, sys.MinQuorumSize())),
-			load >= bqs.LoadLowerBound(nn, bb, sys.MinQuorumSize())-1e-9)
-		check(fmt.Sprintf("Cor 4.2: L ≥ √((2b+1)/n)=%.4f", bqs.GlobalLoadLowerBound(nn, bb)),
-			load >= bqs.GlobalLoadLowerBound(nn, bb)-1e-9)
+			measures.LoadLowerBound(nn, bb, sys.MinQuorumSize())),
+			load >= measures.LoadLowerBound(nn, bb, sys.MinQuorumSize())-1e-9)
+		check(fmt.Sprintf("Cor 4.2: L ≥ √((2b+1)/n)=%.4f", measures.GlobalLoadLowerBound(nn, bb)),
+			load >= measures.GlobalLoadLowerBound(nn, bb)-1e-9)
 	}
 
 	// Crash bounds via Monte Carlo.
 	rng := rand.New(rand.NewSource(1))
-	mc, err := bqs.CrashProbabilityMC(sys, p, trials, rng)
+	mc, err := measures.CrashProbabilityMC(sys, p, trials, rng)
 	if err != nil {
 		return err
 	}
 	slack := 5*mc.StdErr + 1e-9
 	fmt.Printf("F_%.3f ≈ %.4g ± %.2g (%d trials)\n", p, mc.Estimate, mc.StdErr, mc.Trials)
 	check("Prop 4.3: F_p ≥ p^MT",
-		mc.Estimate >= bqs.CrashLowerBoundMT(sys.MinTransversal(), p)-slack)
+		mc.Estimate >= measures.CrashLowerBoundMT(sys.MinTransversal(), p)-slack)
 	check("Prop 4.4: F_p ≥ p^(c−2b)",
-		mc.Estimate >= bqs.CrashLowerBoundMasking(sys.MinQuorumSize(), bb, p)-slack)
-	if bqs.Prop45Applies(sys) {
+		mc.Estimate >= measures.CrashLowerBoundMasking(sys.MinQuorumSize(), bb, p)-slack)
+	if measures.Prop45Applies(sys) {
 		check("Prop 4.5: F_p ≥ p^(b+1)",
-			mc.Estimate >= bqs.CrashLowerBoundB(bb, p)-slack)
+			mc.Estimate >= measures.CrashLowerBoundB(bb, p)-slack)
 	}
 
 	// Exhaustive cross-check when the construction supports enumeration
 	// and the instance is small.
-	if en, ok := sys.(bqs.Enumerator); ok {
+	if en, ok := sys.(core.Enumerator); ok {
 		ex, err := en.Enumerate(50000)
 		if err == nil {
 			check("enumeration: c matches", ex.MinQuorumSize() == sys.MinQuorumSize())
 			check("enumeration: IS matches", ex.MinIntersection() == sys.MinIntersection())
 			check("enumeration: MT matches", ex.MinTransversal() == sys.MinTransversal())
 			if ex.UniverseSize() <= measures.MaxExactUniverse {
-				exact, err := bqs.CrashProbabilityExact(ex, p)
+				exact, err := measures.CrashProbabilityExact(ex, p)
 				if err == nil {
 					fmt.Printf("exact F_%.3f = %.6g\n", p, exact)
 				}
@@ -125,8 +125,8 @@ func verify(sys bqs.Construction, p float64, trials int) error {
 	// Quorum-pair intersection audit (Definition 3.5, sampled).
 	audit := 0
 	for i := 0; i < 50; i++ {
-		q1, err1 := sys.SelectQuorum(rng, bqs.NewSet(nn))
-		q2, err2 := sys.SelectQuorum(rng, bqs.NewSet(nn))
+		q1, err1 := sys.SelectQuorum(rng, bitset.New(nn))
+		q2, err2 := sys.SelectQuorum(rng, bitset.New(nn))
 		if err1 != nil || err2 != nil {
 			continue
 		}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"bqs"
 	"bqs/internal/systems"
 )
 
@@ -80,14 +79,14 @@ func TestVerifiesEveryKind(t *testing.T) {
 
 // overclaimed is a construction whose declared IS is one more than its
 // quorums deliver.
-type overclaimed struct{ *bqs.MGrid }
+type overclaimed struct{ *systems.MGrid }
 
 func (o overclaimed) MinIntersection() int { return o.MGrid.MinIntersection() + 1 }
 
 // TestFailedCheckIsAnError pins the non-zero path: a mis-declared
 // parameter prints [FAIL] and comes back as an error naming the check.
 func TestFailedCheckIsAnError(t *testing.T) {
-	mg, err := bqs.NewMGrid(4, 1)
+	mg, err := systems.NewMGrid(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@
 //     any completed write's, so it dominates them all — with no vote to
 //     lose, the phase never retries under contention. Client.ReadKey
 //     and WriteKey address individual registers (Read/Write are the
-//     DefaultKey register), and the Session API (Client.NewSession)
+//     default register), and the Session API (Client.NewSession)
 //     pipelines keyed operations asynchronously —
 //     ReadAsync/WriteAsync futures whose quorum probes coalesce into
 //     batched frames over a transport that can carry them, flushed when
@@ -56,26 +56,26 @@
 //     frame to a dead shard fails fast as a unit — so quorum re-selection
 //     masks network failures exactly like crashes. cmd/bqs-server and
 //     cmd/bqs-client run a deployment from the command line.
-//   - A dynamic fault/churn engine that flips server behaviors WHILE a
-//     workload runs: FaultSchedule (deterministic timelines, or the
-//     seeded stochastic ChurnConfig model) replayed by a FaultController,
-//     or a live Adversary placing b faults, against any Flipper — a
-//     Cluster in-memory, or a WireClient sending flip items to remote
-//     shards. Both sit outside the engine and see a fleet only through
-//     Flipper and LoadSource. Clients rehabilitate suspicion
+//   - A dynamic fault/churn engine (internal/faults) that flips server
+//     behaviors WHILE a workload runs: deterministic timelines
+//     (-fault-schedule) or a seeded stochastic churn model (-churn)
+//     replayed by a fault controller, or a live adversary placing b
+//     faults (-adversary), against a Cluster in-memory or a WireClient
+//     sending flip items to remote shards. The engine sits outside the
+//     cluster and sees a fleet only through its flip and load-profile
+//     seams. Clients rehabilitate suspicion
 //     per-server (aging plus probe-on-forgive), so recovered servers
 //     regain traffic, and the harness availability mode
 //     (bqs-sim -availability) measures the empirical system-crash rate
 //     against the exact F_p(Q) of Definition 3.10 and the
 //     Propositions 4.3-4.5 lower bounds.
 //   - Live reconfiguration: a running Cluster changes its quorum system
-//     without stopping via epoch-numbered records (ReconfigRecord,
-//     built by ParseReconfigTarget) applied with a two-phase
-//     propose/drain/cut-over protocol (Cluster.Reconfigure). In-flight
-//     operations complete entirely inside one epoch, so no quorum ever
-//     mixes universes; over TCP, servers gate data frames on the epoch
-//     and bounce stale clients with a retriable wrong-epoch signal
-//     carrying the new record (DialWire with WithWireEpochs). Both
+//     without stopping via epoch-numbered records (internal/reconfig)
+//     applied with a two-phase propose/drain/cut-over protocol
+//     (Cluster.Reconfigure). In-flight operations complete entirely
+//     inside one epoch, so no quorum ever mixes universes; over TCP,
+//     servers gate data frames on the epoch and bounce stale clients
+//     with a retriable wrong-epoch signal carrying the new record. Both
 //     harness binaries schedule resizes mid-run with -reconfig.
 //
 // # Quick start

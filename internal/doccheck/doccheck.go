@@ -1,8 +1,9 @@
 // Package doccheck enforces the repo's godoc discipline mechanically: a
 // revive-style comment check that every exported top-level symbol of a
-// package carries a doc comment. The sim, faults and wire packages run it
-// from their test suites, so an exported API without its paper anchor or
-// contract documented fails CI rather than rotting silently.
+// package carries a doc comment. The sim, faults, wire and store packages
+// and the root facade run it from their test suites, so an exported API
+// without its paper anchor or contract documented fails CI rather than
+// rotting silently.
 package doccheck
 
 import (

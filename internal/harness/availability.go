@@ -28,7 +28,12 @@ import (
 	"strconv"
 	"strings"
 
-	"bqs"
+	"bqs/internal/bitset"
+	"bqs/internal/core"
+	"bqs/internal/faults"
+	"bqs/internal/measures"
+	"bqs/internal/obs"
+	"bqs/internal/sim"
 )
 
 // AvailabilityConfig shapes an availability experiment.
@@ -43,12 +48,12 @@ type AvailabilityConfig struct {
 	// Domains adds correlated failure domains on top of the independent
 	// per-server probabilities: each domain fires as one Bernoulli and
 	// takes all its members down together.
-	Domains []bqs.Domain
+	Domains []measures.Domain
 	// Adversary, when set, replaces the stochastic crash draws entirely:
 	// each epoch the adversary places its budget of faults itself (random
 	// placement, targeted at the loaded servers, or timing-keyed), and the
 	// measured rate is the availability under that placement strategy.
-	Adversary *bqs.AdversaryConfig
+	Adversary *faults.AdversaryConfig
 	// Epochs is how many crash patterns are drawn and driven.
 	Epochs int
 	// Seed makes the whole experiment reproducible (pattern draws, quorum
@@ -63,7 +68,7 @@ type AvailabilityConfig struct {
 	// observed in real time. When the exact F_p(Q) is computable the
 	// bqs_system_exact_crash_rate gauge is set next to it, so a /metrics
 	// scrape shows the empirical rate converging on the analytic value.
-	Registry *bqs.MetricsRegistry
+	Registry *obs.Registry
 }
 
 // ParseAvailabilitySpec parses the CLI form "p=0.1,epochs=2000" with
@@ -118,23 +123,23 @@ func ParseAvailabilitySpec(spec string, defaultSeed int64) (AvailabilityConfig, 
 // classic scalar regime is the uniform model at P, reported with
 // hetero=false (an adversarial config draws no crashes at all, so its
 // model goes unused).
-func (cfg AvailabilityConfig) failureModel(n int) (model bqs.FailureModel, hetero bool, err error) {
+func (cfg AvailabilityConfig) failureModel(n int) (model measures.FailureModel, hetero bool, err error) {
 	if len(cfg.PVec) == 0 && len(cfg.Domains) == 0 {
-		return bqs.UniformFailureModel(n, cfg.P), false, nil
+		return measures.UniformModel(n, cfg.P), false, nil
 	}
-	model = bqs.FailureModel{P: cfg.PVec, Domains: cfg.Domains}
+	model = measures.FailureModel{P: cfg.PVec, Domains: cfg.Domains}
 	if len(model.P) == 0 {
 		// Domains alone ride on an independent base of p (or 0) everywhere.
 		base := 0.0
 		if cfg.P >= 0 {
 			base = cfg.P
 		}
-		model.P = bqs.UniformFailureModel(n, base).P
+		model.P = measures.UniformModel(n, base).P
 	} else if cfg.P >= 0 {
-		return bqs.FailureModel{}, false, errors.New("availability: give either p= or a p-vector, not both")
+		return measures.FailureModel{}, false, errors.New("availability: give either p= or a p-vector, not both")
 	}
 	if err := model.Validate(n); err != nil {
-		return bqs.FailureModel{}, false, err
+		return measures.FailureModel{}, false, err
 	}
 	return model, true, nil
 }
@@ -150,7 +155,7 @@ type AvailabilityResult struct {
 	Exact   float64 // CrashProbabilityExact, when the universe allows it
 	ExactOK bool    // whether Exact is populated (n ≤ 24 and enumerable)
 
-	MC   bqs.MCResult // Monte Carlo companion estimate
+	MC   measures.MCResult // Monte Carlo companion estimate
 	MCOK bool
 
 	LowerMT      float64 // Proposition 4.3: F_p ≥ p^MT
@@ -193,7 +198,7 @@ const availabilityEnumLimit = 1 << 17
 // write (both protocol phases) with a fresh client. Epochs whose write fails with
 // ErrNoLiveQuorum are the system-crash count; any other failure is a bug
 // and aborts the experiment.
-func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (AvailabilityResult, error) {
+func RunAvailability(sys core.Construction, b int, cfg AvailabilityConfig) (AvailabilityResult, error) {
 	n := sys.UniverseSize()
 	model, hetero, err := cfg.failureModel(n)
 	if err != nil {
@@ -207,20 +212,20 @@ func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (Avail
 	case !hetero && !(cfg.P >= 0 && cfg.P <= 1):
 		return AvailabilityResult{}, errors.New("availability spec needs p=<probability in [0,1]> (or a p-vector, domains, or an adversary)")
 	}
-	opts := []bqs.ClusterOption{bqs.WithSeed(cfg.Seed), bqs.WithDeterministic()}
+	opts := []sim.Option{sim.WithSeed(cfg.Seed), sim.WithDeterministic()}
 	if cfg.Registry != nil {
-		opts = append(opts, bqs.WithMetrics(cfg.Registry))
+		opts = append(opts, sim.WithMetrics(cfg.Registry))
 	}
-	cluster, err := bqs.NewCluster(sys, b, opts...)
+	cluster, err := sim.NewCluster(sys, b, opts...)
 	if err != nil {
 		return AvailabilityResult{}, err
 	}
-	var adv *bqs.Adversary
+	var adv *faults.Adversary
 	if cfg.Adversary != nil {
 		// Built once over the live cluster: the targeted scheduler reads the
 		// LoadProfile the epochs themselves accumulate, so it homes in on
 		// the servers the strategy actually uses as the experiment runs.
-		adv, err = bqs.NewAdversary(*cfg.Adversary, cluster, cluster, n)
+		adv, err = faults.NewAdversary(*cfg.Adversary, cluster, cluster, n)
 		if err != nil {
 			return AvailabilityResult{}, err
 		}
@@ -240,7 +245,7 @@ func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (Avail
 				isVictim[v] = true
 			}
 			for i := 0; i < n; i++ {
-				behavior := bqs.Correct
+				behavior := sim.Correct
 				if isVictim[i] {
 					behavior = mode
 				}
@@ -249,9 +254,9 @@ func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (Avail
 		} else {
 			dead := model.SampleDead(n, rng)
 			for i := 0; i < n; i++ {
-				behavior := bqs.Correct
+				behavior := sim.Correct
 				if dead.Contains(i) {
-					behavior = bqs.Crashed
+					behavior = sim.Crashed
 				}
 				cluster.Server(i).SetBehavior(behavior)
 			}
@@ -264,7 +269,7 @@ func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (Avail
 		err := cl.Write(ctx, fmt.Sprintf("epoch-%d", epoch))
 		switch {
 		case err == nil:
-		case errors.Is(err, bqs.ErrNoLiveQuorum):
+		case errors.Is(err, core.ErrNoLiveQuorum):
 			res.Crashes++
 		default:
 			return res, fmt.Errorf("availability epoch %d: unexpected failure: %w", epoch, err)
@@ -288,28 +293,28 @@ func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (Avail
 		// are a uniform B-subset, so the rate is the fraction of B-subsets
 		// that kill every quorum. Targeted and timing placements depend on
 		// the live load profile, so they get no analytic companion.
-		if cfg.Adversary.Kind == bqs.AdversaryRandom && adv.Mode() == bqs.Crashed {
+		if cfg.Adversary.Kind == faults.AdversaryRandom && adv.Mode() == sim.Crashed {
 			if exact, ok := adversaryExactRandom(sys, cfg.Adversary.B); ok {
 				setExact(exact)
 			}
 		}
 		return res, nil
 	}
-	if en, err := bqs.AsEnumerable(sys, availabilityEnumLimit); err == nil {
-		if exact, err := bqs.CrashProbabilityExactModel(en, model); err == nil {
+	if en, err := core.AsEnumerable(sys, availabilityEnumLimit); err == nil {
+		if exact, err := measures.CrashProbabilityExactModel(en, model); err == nil {
 			setExact(exact)
 		}
 	}
-	if mc, err := bqs.CrashProbabilityMCModel(sys, model, mcTrials, rand.New(rand.NewSource(cfg.Seed+1))); err == nil {
+	if mc, err := measures.CrashProbabilityMCModel(sys, model, mcTrials, rand.New(rand.NewSource(cfg.Seed+1))); err == nil {
 		res.MC, res.MCOK = mc, true
 	}
 	if !hetero {
 		// The Prop. 4.3–4.5 ladder is stated for the i.i.d. model only.
-		res.LowerMT = bqs.CrashLowerBoundMT(sys.MinTransversal(), cfg.P)
-		res.LowerMasking = bqs.CrashLowerBoundMasking(sys.MinQuorumSize(), b, cfg.P)
-		res.Prop45 = bqs.Prop45Applies(sys)
+		res.LowerMT = measures.CrashLowerBoundMT(sys.MinTransversal(), cfg.P)
+		res.LowerMasking = measures.CrashLowerBoundMasking(sys.MinQuorumSize(), b, cfg.P)
+		res.Prop45 = measures.Prop45Applies(sys)
 		if res.Prop45 {
-			res.LowerB = bqs.CrashLowerBoundB(b, cfg.P)
+			res.LowerB = measures.CrashLowerBoundB(b, cfg.P)
 		}
 	}
 	return res, nil
@@ -319,12 +324,12 @@ func RunAvailability(sys bqs.Construction, b int, cfg AvailabilityConfig) (Avail
 // rate: the fraction of budget-sized victim subsets whose crash kills
 // every quorum. ok is false when the system cannot be enumerated or the
 // subset count is unreasonable.
-func adversaryExactRandom(sys bqs.Construction, budget int) (float64, bool) {
+func adversaryExactRandom(sys core.Construction, budget int) (float64, bool) {
 	n := sys.UniverseSize()
 	if budget < 0 || budget > n {
 		return 0, false
 	}
-	en, err := bqs.AsEnumerable(sys, availabilityEnumLimit)
+	en, err := core.AsEnumerable(sys, availabilityEnumLimit)
 	if err != nil {
 		return 0, false
 	}
@@ -337,7 +342,7 @@ func adversaryExactRandom(sys bqs.Construction, budget int) (float64, bool) {
 	}
 	quorums := en.Quorums()
 	total, killed := 0, 0
-	victims := bqs.NewSet(n)
+	victims := bitset.New(n)
 	var walk func(start, left int)
 	walk = func(start, left int) {
 		if left == 0 {

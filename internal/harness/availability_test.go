@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"bqs"
+	"bqs/internal/faults"
+	"bqs/internal/measures"
+	"bqs/internal/sim"
 )
 
 func TestParseAvailabilitySpec(t *testing.T) {
@@ -130,7 +132,7 @@ func TestAvailabilityRegimeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := sys.UniverseSize()
-	adv := &bqs.AdversaryConfig{Kind: bqs.AdversaryRandom, B: 2}
+	adv := &faults.AdversaryConfig{Kind: faults.AdversaryRandom, B: 2}
 	bad := []AvailabilityConfig{
 		{P: -1, Epochs: 10},                                           // no regime at all
 		{P: 0.1, PVec: make([]float64, n), Epochs: 10},                // scalar and vector
@@ -158,11 +160,11 @@ func TestHeterogeneousAvailabilityMatchesExactF(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := sys.UniverseSize()
-	pvec, err := bqs.ParsePVector("*:0.08,0-3:0.3", n)
+	pvec, err := measures.ParsePVector("*:0.08,0-3:0.3", n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doms, err := bqs.ParseDomains("4-7:0.1", n)
+	doms, err := measures.ParseDomains("4-7:0.1", n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,7 @@ func TestAvailabilityScalarIsUniformModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	vec, err := RunAvailability(sys, 1, AvailabilityConfig{
-		P: -1, PVec: bqs.UniformFailureModel(n, 0.1).P, Epochs: 300, Seed: 5, MCTrials: 1000})
+		P: -1, PVec: measures.UniformModel(n, 0.1).P, Epochs: 300, Seed: 5, MCTrials: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,19 +238,19 @@ func TestAvailabilityTargetedBeatsRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	const epochs = 400
-	run := func(kind bqs.AdversaryKind) AvailabilityResult {
+	run := func(kind faults.AdversaryKind) AvailabilityResult {
 		t.Helper()
 		res, err := RunAvailability(sys, 0, AvailabilityConfig{
 			P: -1, Epochs: epochs, Seed: 9, MCTrials: 1,
-			Adversary: &bqs.AdversaryConfig{Kind: kind, B: 2, Seed: 9},
+			Adversary: &faults.AdversaryConfig{Kind: kind, B: 2, Seed: 9},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	random := run(bqs.AdversaryRandom)
-	targeted := run(bqs.AdversaryTargeted)
+	random := run(faults.AdversaryRandom)
+	targeted := run(faults.AdversaryTargeted)
 	t.Logf("random rate %.4f (exact %.4f, ok=%v) vs targeted rate %.4f",
 		random.Rate, random.Exact, random.ExactOK, targeted.Rate)
 
@@ -294,13 +296,13 @@ func TestWorkloadUnderTargetedByzantineAdversaryIsSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := bqs.NewCluster(sys, 3, bqs.WithSeed(11))
+	cluster, err := sim.NewCluster(sys, 3, sim.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	driver, err := StartAdversary(bqs.AdversaryConfig{
-		Kind: bqs.AdversaryTargeted, B: 1, Behavior: bqs.ByzantineFabricate,
+	driver, err := StartAdversary(faults.AdversaryConfig{
+		Kind: faults.AdversaryTargeted, B: 1, Behavior: sim.ByzantineFabricate,
 		Interval: 5 * time.Millisecond,
 	}, cluster, cluster, sys.UniverseSize(), nil)
 	if err != nil {

@@ -7,7 +7,10 @@ import (
 	"strings"
 	"time"
 
-	"bqs"
+	"bqs/internal/core"
+	"bqs/internal/faults"
+	"bqs/internal/obs"
+	"bqs/internal/sim"
 	"bqs/internal/systems"
 )
 
@@ -68,12 +71,12 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 // Metrics returns the run's registry and a stop function. The registry
 // always exists — instruments are cheap and Report reads its latency
 // histograms — but the HTTP endpoint only binds under -metrics-addr.
-func (f *Flags) Metrics() (*bqs.MetricsRegistry, func(), error) {
-	reg := bqs.NewMetricsRegistry()
+func (f *Flags) Metrics() (*obs.Registry, func(), error) {
+	reg := obs.NewRegistry()
 	if f.MetricsAddr == "" {
 		return reg, func() {}, nil
 	}
-	ms, err := bqs.ServeMetrics(f.MetricsAddr, reg)
+	ms, err := obs.Serve(f.MetricsAddr, reg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -84,24 +87,24 @@ func (f *Flags) Metrics() (*bqs.MetricsRegistry, func(), error) {
 // Plan is a parsed run: what Execute drives against a cluster, and what
 // the binaries' own verdicts read back (schedule, adversary budget).
 type Plan struct {
-	Sys       bqs.Construction
-	Schedule  *bqs.FaultSchedule   // nil: no churn
-	Adversary *bqs.AdversaryConfig // nil: no live adversary
+	Sys       core.Construction
+	Schedule  *faults.FaultSchedule   // nil: no churn
+	Adversary *faults.AdversaryConfig // nil: no live adversary
 	Reconfig  []ReconfigStep
-	Strategy  bqs.ClusterOption // nil under uniform selection
+	Strategy  sim.Option // nil under uniform selection
 	Workload  Workload
 }
 
 // Plan parses every spec flag against the booted system, so a typo fails
 // before a cluster is built or a connection dialed.
-func (f *Flags) Plan(sys bqs.Construction) (*Plan, error) {
+func (f *Flags) Plan(sys core.Construction) (*Plan, error) {
 	p := &Plan{Sys: sys}
 	var err error
 	if p.Schedule, err = BuildSchedule(f.FaultSchedule, f.Churn, sys.UniverseSize(), f.Duration, f.Seed); err != nil {
 		return nil, err
 	}
 	if f.Adversary != "" {
-		cfg, err := bqs.ParseAdversary(f.Adversary)
+		cfg, err := faults.ParseAdversary(f.Adversary)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +141,7 @@ func (f *Flags) Plan(sys bqs.Construction) (*Plan, error) {
 // access strategy it is attacking. The report describes the system the
 // run ended on: after a resize its universe sizes the Theorem 4.1 bounds
 // and its LP is what the current-epoch measurement must converge to.
-func (p *Plan) Execute(cluster *bqs.Cluster, f bqs.Flipper, reg *bqs.MetricsRegistry, detail string) (Counters, Summary, error) {
+func (p *Plan) Execute(cluster *sim.Cluster, f faults.Flipper, reg *obs.Registry, detail string) (Counters, Summary, error) {
 	fmt.Printf("workload: %s %s\n", p.Workload.Describe(), detail)
 	churn := StartChurn(f, p.Schedule, p.Workload.SuspicionTTL, reg)
 	var adv *Driver
@@ -154,7 +157,7 @@ func (p *Plan) Execute(cluster *bqs.Cluster, f bqs.Flipper, reg *bqs.MetricsRegi
 		return counters, Summary{}, err
 	}
 	sys := p.Sys
-	if hs, ok := cluster.System().(bqs.Construction); ok {
+	if hs, ok := cluster.System().(core.Construction); ok {
 		sys = hs
 	}
 	return counters, Report(cluster, sys, cluster.B(), counters), nil

@@ -13,8 +13,11 @@ import (
 	"testing"
 	"time"
 
-	"bqs"
+	"bqs/internal/faults"
+	"bqs/internal/obs"
+	"bqs/internal/sim"
 	"bqs/internal/systems"
+	"bqs/internal/wire"
 )
 
 // captureStdout runs fn with os.Stdout redirected and returns what it
@@ -67,13 +70,13 @@ func planFromArgv(t *testing.T, argv ...string) (*Flags, *Plan) {
 
 // newCluster builds the plan's cluster with the options both binaries
 // pass, plus the fleet's own.
-func newCluster(t *testing.T, f *Flags, plan *Plan, reg *bqs.MetricsRegistry, opts ...bqs.ClusterOption) *bqs.Cluster {
+func newCluster(t *testing.T, f *Flags, plan *Plan, reg *obs.Registry, opts ...sim.Option) *sim.Cluster {
 	t.Helper()
-	opts = append(opts, bqs.WithSeed(f.Seed), bqs.WithMetrics(reg))
+	opts = append(opts, sim.WithSeed(f.Seed), sim.WithMetrics(reg))
 	if plan.Strategy != nil {
 		opts = append(opts, plan.Strategy)
 	}
-	cluster, err := bqs.NewCluster(plan.Sys, f.B, opts...)
+	cluster, err := sim.NewCluster(plan.Sys, f.B, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func newCluster(t *testing.T, f *Flags, plan *Plan, reg *bqs.MetricsRegistry, op
 
 // memoryFleet builds the plan's system the way bqs-sim does: in-memory
 // servers, the Cluster its own Flipper.
-func memoryFleet(t *testing.T, f *Flags, plan *Plan, reg *bqs.MetricsRegistry) (*bqs.Cluster, bqs.Flipper) {
+func memoryFleet(t *testing.T, f *Flags, plan *Plan, reg *obs.Registry) (*sim.Cluster, faults.Flipper) {
 	cluster := newCluster(t, f, plan, reg)
 	return cluster, cluster
 }
@@ -91,29 +94,29 @@ func memoryFleet(t *testing.T, f *Flags, plan *Plan, reg *bqs.MetricsRegistry) (
 // wireFleet builds the same system the way bqs-client does: every replica
 // (up to the largest resize target) behind a loopback wire.Server, an
 // epoch-aware wire client as both Transport and Flipper.
-func wireFleet(t *testing.T, f *Flags, plan *Plan, reg *bqs.MetricsRegistry) (*bqs.Cluster, bqs.Flipper) {
+func wireFleet(t *testing.T, f *Flags, plan *Plan, reg *obs.Registry) (*sim.Cluster, faults.Flipper) {
 	t.Helper()
 	n := MaxReconfigUniverse(plan.Sys.UniverseSize(), plan.Reconfig)
-	replicas := make(map[int]*bqs.Server, n)
+	replicas := make(map[int]*sim.Server, n)
 	routes := make(map[int]string, n)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		replicas[i] = bqs.NewServer(i)
+		replicas[i] = sim.NewServer(i)
 		routes[i] = lis.Addr().String()
 	}
-	srv := bqs.NewWireServer(replicas)
+	srv := wire.NewServer(replicas)
 	go srv.Serve(lis)
 	t.Cleanup(func() { srv.Close() })
 	follower := &EpochFollower{}
-	tr, err := bqs.DialWire(routes, bqs.WithWireMetrics(reg), bqs.WithWireEpochs(follower.OnStale))
+	tr, err := wire.Dial(routes, wire.WithMetrics(reg), wire.WithEpochs(follower.OnStale))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.Close() })
-	cluster := newCluster(t, f, plan, reg, bqs.WithTransport(func([]*bqs.Server) bqs.Transport { return tr }))
+	cluster := newCluster(t, f, plan, reg, sim.WithTransport(func([]*sim.Server) sim.Transport { return tr }))
 	follower.Bind(tr, cluster)
 	return cluster, tr
 }
@@ -170,13 +173,13 @@ func TestExecuteRunPath(t *testing.T) {
 	}
 	fleets := []struct {
 		name  string
-		build func(*testing.T, *Flags, *Plan, *bqs.MetricsRegistry) (*bqs.Cluster, bqs.Flipper)
+		build func(*testing.T, *Flags, *Plan, *obs.Registry) (*sim.Cluster, faults.Flipper)
 	}{{"memory", memoryFleet}, {"wire", wireFleet}}
 	for _, tc := range cases {
 		for _, fl := range fleets {
 			t.Run(tc.name+"/"+fl.name, func(t *testing.T) {
 				f, plan := planFromArgv(t, tc.argv...)
-				reg := bqs.NewMetricsRegistry()
+				reg := obs.NewRegistry()
 				cluster, flipper := fl.build(t, f, plan, reg)
 				var (
 					c   Counters
@@ -207,11 +210,11 @@ func TestExecuteRunPath(t *testing.T) {
 // countingFlipper counts the flips that reach the fleet, so a test can
 // tell whether a controller is still alive.
 type countingFlipper struct {
-	bqs.Flipper
+	faults.Flipper
 	flips atomic.Int64
 }
 
-func (c *countingFlipper) Flip(ctx context.Context, server int, b bqs.Behavior) error {
+func (c *countingFlipper) Flip(ctx context.Context, server int, b sim.Behavior) error {
 	c.flips.Add(1)
 	return c.Flipper.Flip(ctx, server, b)
 }
@@ -260,7 +263,7 @@ func TestExecuteStopsEveryDriverOnError(t *testing.T) {
 				// time: the step aborts and the resize driver's Stop reports it.
 				plan.Reconfig[0].Rec.B = f.B + 1
 			}
-			reg := bqs.NewMetricsRegistry()
+			reg := obs.NewRegistry()
 			cluster, _ := memoryFleet(t, f, plan, reg)
 			flipper := &countingFlipper{Flipper: cluster}
 

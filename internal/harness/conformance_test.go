@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"bqs"
+	"bqs/internal/bitset"
 	"bqs/internal/core"
+	"bqs/internal/obs"
+	"bqs/internal/sim"
 	"bqs/internal/systems"
 )
 
@@ -24,7 +26,7 @@ const wheelUniformLoad = 11.0 / 12
 // strategy; nothing else may drift there again.
 func TestLiveLoadConformsToAdvertisedLoad(t *testing.T) {
 	type row struct {
-		sys  bqs.System
+		sys  core.System
 		load float64
 	}
 	var rows []row
@@ -57,7 +59,7 @@ func TestLiveLoadConformsToAdvertisedLoad(t *testing.T) {
 		n := r.sys.UniverseSize()
 		picker := core.NewUniformPicker(r.sys)
 		rng := rand.New(rand.NewSource(16))
-		none := bqs.NewSet(n)
+		none := bitset.New(n)
 		hits := make([]int, n)
 		for i := 0; i < picks; i++ {
 			q, err := picker.PickQuorum(rng, none)
@@ -84,9 +86,9 @@ func TestLiveLoadConformsToAdvertisedLoad(t *testing.T) {
 
 // stuckPicker is a construction whose picker ignores its rng — the defect
 // M-Path's max-flow-only SelectQuorum had: every pick is the same quorum.
-type stuckPicker struct{ *bqs.MPath }
+type stuckPicker struct{ *systems.MPath }
 
-func (s stuckPicker) SelectQuorum(_ *rand.Rand, dead bqs.Set) (bqs.Set, error) {
+func (s stuckPicker) SelectQuorum(_ *rand.Rand, dead bitset.Set) (bitset.Set, error) {
 	return s.MPath.SelectQuorum(rand.New(rand.NewSource(1)), dead)
 }
 
@@ -95,17 +97,17 @@ func (s stuckPicker) SelectQuorum(_ *rand.Rand, dead bqs.Set) (bqs.Set, error) {
 // a picker that always returns one quorum is flagged OFF BOUND — unless a
 // fault explains the skew.
 func TestReportFlagsOffBound(t *testing.T) {
-	mp, err := bqs.NewMPath(10, 3)
+	mp, err := systems.NewMPath(10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(sys bqs.Construction, crash ...int) Summary {
-		cluster, err := bqs.NewCluster(sys, 3, bqs.WithSeed(16), bqs.WithMetrics(bqs.NewMetricsRegistry()))
+	run := func(sys core.Construction, crash ...int) Summary {
+		cluster, err := sim.NewCluster(sys, 3, sim.WithSeed(16), sim.WithMetrics(obs.NewRegistry()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cluster.Close()
-		if err := cluster.InjectFault(bqs.Crashed, crash...); err != nil {
+		if err := cluster.InjectFault(sim.Crashed, crash...); err != nil {
 			t.Fatal(err)
 		}
 		c := Run(cluster, Workload{Clients: 4, Ops: 1000})

@@ -19,16 +19,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bqs"
 	"bqs/internal/core"
+	"bqs/internal/faults"
+	"bqs/internal/measures"
 	"bqs/internal/obs"
+	"bqs/internal/sim"
 	"bqs/internal/systems"
 )
 
 // BuildSystem maps the CLI -system/-b pair to a construction, identically
 // in both binaries: a systems.Parse spec — a bare kind sized for masking
 // bound b, kind:universe, or compose:OUTERxINNER.
-func BuildSystem(spec string, b int) (bqs.Construction, error) {
+func BuildSystem(spec string, b int) (core.Construction, error) {
 	_, sys, err := systems.Parse(spec, b)
 	return sys, err
 }
@@ -37,12 +39,12 @@ func BuildSystem(spec string, b int) (bqs.Construction, error) {
 // identically in both binaries. "uniform" returns a nil option — the
 // default uniform survivor selection; "optimal" installs the LP-optimal
 // access strategy (the system must be able to enumerate its quorums).
-func StrategyOption(name string) (bqs.ClusterOption, error) {
+func StrategyOption(name string) (sim.Option, error) {
 	switch name {
 	case "uniform":
 		return nil, nil
 	case "optimal":
-		return bqs.WithOptimalStrategy(), nil
+		return sim.WithOptimalStrategy(), nil
 	}
 	return nil, fmt.Errorf("unknown strategy %q (want uniform or optimal)", name)
 }
@@ -54,10 +56,10 @@ func StrategyOption(name string) (bqs.ClusterOption, error) {
 // when neither spec is given. For a churn spec it prints the model's
 // steady-state down fraction — the p to hold the run against when
 // comparing with the analytic F_p(Q).
-func BuildSchedule(scheduleSpec, churnSpec string, n int, horizon time.Duration, seed int64) (*bqs.FaultSchedule, error) {
-	var events []bqs.FaultEvent
+func BuildSchedule(scheduleSpec, churnSpec string, n int, horizon time.Duration, seed int64) (*faults.FaultSchedule, error) {
+	var events []faults.FaultEvent
 	if scheduleSpec != "" {
-		s, err := bqs.ParseFaultSchedule(scheduleSpec)
+		s, err := faults.ParseFaultSchedule(scheduleSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +69,7 @@ func BuildSchedule(scheduleSpec, churnSpec string, n int, horizon time.Duration,
 		if horizon <= 0 {
 			return nil, errors.New("-churn needs -duration for its horizon")
 		}
-		cc, err := bqs.ParseChurn(churnSpec)
+		cc, err := faults.ParseChurn(churnSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +84,7 @@ func BuildSchedule(scheduleSpec, churnSpec string, n int, horizon time.Duration,
 	if events == nil {
 		return nil, nil
 	}
-	s, err := bqs.NewFaultSchedule(events)
+	s, err := faults.NewFaultSchedule(events)
 	if err != nil {
 		return nil, err
 	}
@@ -159,12 +161,12 @@ func startFlips(layer string, inj injector, summary func() string) *Driver {
 // crash/restart/byzantine transitions is scrapable mid-run),
 // bqs_<layer>_misses_total per flip the injector could not deliver, and
 // an annotated event per miss. It is nil without a registry.
-func flipSeries(layer string, reg *bqs.MetricsRegistry) func(int, bqs.Behavior, error) {
+func flipSeries(layer string, reg *obs.Registry) func(int, sim.Behavior, error) {
 	if reg == nil {
 		return nil
 	}
 	misses := reg.Counter("bqs_" + layer + "_misses_total")
-	return func(server int, b bqs.Behavior, err error) {
+	return func(server int, b sim.Behavior, err error) {
 		if err != nil {
 			misses.Inc()
 			reg.Eventf("%s: flip of server %d to %v missed: %v", layer, server, b, err)
@@ -178,12 +180,12 @@ func flipSeries(layer string, reg *bqs.MetricsRegistry) func(int, bqs.Behavior, 
 // the Flipper (a Cluster in bqs-sim, the wire transport in bqs-client),
 // with the bqs_churn_* series on a non-nil registry. With no churn
 // configured (a nil or empty schedule) it returns a nil driver.
-func StartChurn(f bqs.Flipper, s *bqs.FaultSchedule, ttl time.Duration, reg *bqs.MetricsRegistry) *Driver {
+func StartChurn(f faults.Flipper, s *faults.FaultSchedule, ttl time.Duration, reg *obs.Registry) *Driver {
 	if s.Len() == 0 {
 		return nil
 	}
 	fmt.Printf("churn: driving %d flips over %v (suspicion-ttl %v)\n", s.Len(), s.Horizon(), ttl)
-	fc := bqs.NewFaultController(f, s)
+	fc := faults.NewFaultController(f, s)
 	fc.OnFlip = flipSeries("churn", reg)
 	return startFlips("churn", fc, func() string {
 		return fmt.Sprintf("%d flips applied, %d missed", fc.Flips(), fc.Misses())
@@ -196,8 +198,8 @@ func StartChurn(f bqs.Flipper, s *bqs.FaultSchedule, ttl time.Duration, reg *bqs
 // registry. loads feeds the targeted and timing schedulers and may be nil
 // for the random one. Stop restores every victim to Correct on the way
 // out.
-func StartAdversary(cfg bqs.AdversaryConfig, f bqs.Flipper, loads bqs.LoadSource, n int, reg *bqs.MetricsRegistry) (*Driver, error) {
-	adv, err := bqs.NewAdversary(cfg, f, loads, n)
+func StartAdversary(cfg faults.AdversaryConfig, f faults.Flipper, loads faults.LoadSource, n int, reg *obs.Registry) (*Driver, error) {
+	adv, err := faults.NewAdversary(cfg, f, loads, n)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +263,7 @@ type Counters struct {
 	// bqs_client_write_seconds), captured by Run so the report reads
 	// quantiles from the same instruments the /metrics endpoint exposes
 	// — one data source, no private reservoir. Nil when
-	// the cluster was built without bqs.WithMetrics; quantiles then
+	// the cluster was built without sim.WithMetrics; quantiles then
 	// report 0. Note the histograms span the cluster's lifetime: a second
 	// Run over the same cluster folds the first run's samples in.
 	ReadLatency, WriteLatency *obs.Histogram
@@ -300,7 +302,7 @@ func (c Counters) Succeeded() int64 { return c.Reads + c.Writes }
 // letting each client's last operation drift past it; an operation cut
 // off by that run deadline is counted neither as a success nor as a
 // failure — it simply did not fit in the window.
-func Run(cluster *bqs.Cluster, w Workload) Counters {
+func Run(cluster *sim.Cluster, w Workload) Counters {
 	var (
 		wg                       sync.WaitGroup
 		reads, writes            atomic.Int64
@@ -328,15 +330,15 @@ func Run(cluster *bqs.Cluster, w Workload) Counters {
 			// histograms); it reports true when the operation was cut off at
 			// the run boundary, which ends the client without counting the
 			// op as an outcome.
-			record := func(read bool, got bqs.TaggedValue, err error) bool {
+			record := func(read bool, got sim.TaggedValue, err error) bool {
 				switch {
-				case read && errors.Is(err, bqs.ErrNoCandidate):
+				case read && errors.Is(err, sim.ErrNoCandidate):
 					noCandidates.Add(1)
 				case err != nil && runCtx.Err() != nil:
 					return true // cut off at the run boundary; not an outcome
 				case err != nil:
 					failures.Add(1)
-				case read && strings.HasPrefix(got.Value, bqs.FabricatedValue):
+				case read && strings.HasPrefix(got.Value, sim.FabricatedValue):
 					violations.Add(1)
 				case read:
 					reads.Add(1)
@@ -365,7 +367,7 @@ func Run(cluster *bqs.Cluster, w Workload) Counters {
 				if (id+op)%2 == 0 {
 					err := cl.WriteKey(opCtx, key, fmt.Sprintf("c%d-op%04d", id, op))
 					cancel()
-					if record(false, bqs.TaggedValue{}, err) {
+					if record(false, sim.TaggedValue{}, err) {
 						return
 					}
 					continue
@@ -400,14 +402,14 @@ func Run(cluster *bqs.Cluster, w Workload) Counters {
 // operations in flight through a Session, wait the window out, tally,
 // repeat. Window boundaries are also flush boundaries, so every frame
 // the batcher sends is as full as the workload allows.
-func runSession(runCtx context.Context, cl *bqs.Client, w Workload, id int,
-	keyOf func() int, record func(bool, bqs.TaggedValue, error) bool) {
-	sess := cl.NewSession(bqs.WithSessionBatch(w.Batch))
+func runSession(runCtx context.Context, cl *sim.Client, w Workload, id int,
+	keyOf func() int, record func(bool, sim.TaggedValue, error) bool) {
+	sess := cl.NewSession(sim.WithSessionBatch(w.Batch))
 	defer sess.Close()
 	type pendingOp struct {
 		read   bool
-		rf     *bqs.ReadFuture
-		wf     *bqs.WriteFuture
+		rf     *sim.ReadFuture
+		wf     *sim.WriteFuture
 		cancel context.CancelFunc
 	}
 	// Latency is stamped inside the client protocol at op completion (not
@@ -452,7 +454,7 @@ func runSession(runCtx context.Context, cl *bqs.Client, w Workload, id int,
 			}
 			err := p.wf.Wait()
 			p.cancel()
-			stop = record(false, bqs.TaggedValue{}, err) || stop
+			stop = record(false, sim.TaggedValue{}, err) || stop
 		}
 		if stop {
 			return
@@ -464,7 +466,7 @@ func runSession(runCtx context.Context, cl *bqs.Client, w Workload, id int,
 // server, so the measured load is the picker's own: no operation failed,
 // no server is crashed, and (on an instrumented cluster) no client ever
 // suspected one — which also covers drops, churn and adversaries.
-func faultFree(cluster *bqs.Cluster, c Counters) bool {
+func faultFree(cluster *sim.Cluster, c Counters) bool {
 	crashed, _ := cluster.FaultCounts()
 	if c.Failures > 0 || crashed > 0 {
 		return false
@@ -493,7 +495,7 @@ type Summary struct {
 // fault-free run whose busiest server sits more than 10% above the load
 // the construction itself advertises is flagged OFF BOUND on the measured
 // line: the picker is not running the strategy the theorem is about.
-func Report(cluster *bqs.Cluster, sys bqs.Construction, b int, c Counters) Summary {
+func Report(cluster *sim.Cluster, sys core.Construction, b int, c Counters) Summary {
 	fmt.Printf("result: %d reads ok, %d writes ok, %d no-candidate, %d failed, %d VIOLATIONS\n",
 		c.Reads, c.Writes, c.NoCandidates, c.Failures, c.Violations)
 	secs := c.Elapsed.Seconds()
@@ -509,7 +511,7 @@ func Report(cluster *bqs.Cluster, sys bqs.Construction, b int, c Counters) Summa
 	n := sys.UniverseSize()
 	s := Summary{
 		Peak:         cluster.PeakLoad(),
-		Lower:        bqs.LoadLowerBound(n, b, sys.MinQuorumSize()),
+		Lower:        measures.LoadLowerBound(n, b, sys.MinQuorumSize()),
 		StrategyLoad: cluster.StrategyLoad(),
 		Epoch:        cluster.Epoch(),
 	}
@@ -524,7 +526,7 @@ func Report(cluster *bqs.Cluster, sys bqs.Construction, b int, c Counters) Summa
 	}
 	fmt.Println(measured)
 	fmt.Printf("paper bounds:  L(Q) ≥ %.4f (Thm 4.1), ≥ %.4f (Cor 4.2)\n",
-		s.Lower, bqs.GlobalLoadLowerBound(n, b))
+		s.Lower, measures.GlobalLoadLowerBound(n, b))
 	if !math.IsNaN(s.StrategyLoad) {
 		fmt.Printf("strategy:      L_w(Q) = %.4f, measured %+.1f%% from it\n",
 			s.StrategyLoad, 100*(s.Peak/s.StrategyLoad-1))

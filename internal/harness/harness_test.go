@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"bqs"
+	"bqs/internal/sim"
 )
 
 func TestBuildSystem(t *testing.T) {
@@ -69,7 +69,7 @@ func TestOptimalStrategyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := bqs.NewCluster(sys, 1, bqs.WithSeed(9), opt)
+	cluster, err := sim.NewCluster(sys, 1, sim.WithSeed(9), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRunOpBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := bqs.NewCluster(sys, 2, bqs.WithSeed(5))
+	cluster, err := sim.NewCluster(sys, 2, sim.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRunTimeBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := bqs.NewCluster(sys, 1, bqs.WithSeed(6))
+	cluster, err := sim.NewCluster(sys, 1, sim.WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRunDurationEndsAtBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	const latency = 100 * time.Millisecond
-	cluster, err := bqs.NewCluster(sys, 1, bqs.WithSeed(7), bqs.WithLatency(latency, 0))
+	cluster, err := sim.NewCluster(sys, 1, sim.WithSeed(7), sim.WithLatency(latency, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

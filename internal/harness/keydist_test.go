@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"bqs"
+	"bqs/internal/sim"
 )
 
 func TestParseKeyDist(t *testing.T) {
@@ -65,7 +65,7 @@ func TestRunKeyedBatchedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := bqs.NewCluster(sys, 1, bqs.WithSeed(21))
+	cluster, err := sim.NewCluster(sys, 1, sim.WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,9 @@ import (
 	"sync"
 	"time"
 
-	"bqs"
+	"bqs/internal/reconfig"
+	"bqs/internal/sim"
+	"bqs/internal/wire"
 )
 
 // ReconfigStep is one scheduled resize: at offset At from workload
@@ -17,7 +19,7 @@ import (
 type ReconfigStep struct {
 	At     time.Duration
 	Target string
-	Rec    bqs.ReconfigRecord
+	Rec    reconfig.Record
 }
 
 // DefaultReconfigTimeout bounds each scheduled step end to end —
@@ -29,7 +31,7 @@ const DefaultReconfigTimeout = 30 * time.Second
 
 // ParseReconfigSchedule parses the -reconfig flag, identically in both
 // binaries: comma-separated "at=DURATION:TARGET" steps, where TARGET is
-// a ParseReconfigTarget spec — "at=5s:mgrid:36,at=20s:compose:6x6".
+// a reconfig.ParseTarget spec — "at=5s:mgrid:36,at=20s:compose:6x6".
 // Steps must be in strictly increasing time order. Every target is
 // built once here, so a typo fails at flag parsing, not mid-run. The
 // empty spec parses to a nil schedule (no reconfiguration).
@@ -58,7 +60,7 @@ func ParseReconfigSchedule(spec string, b int) ([]ReconfigStep, error) {
 		if at < 0 {
 			return nil, fmt.Errorf("reconfig step %q: negative offset", entry)
 		}
-		rec, err := bqs.ParseReconfigTarget(target, b)
+		rec, err := reconfig.ParseTarget(target, b)
 		if err != nil {
 			return nil, fmt.Errorf("reconfig step %q: %w", entry, err)
 		}
@@ -95,7 +97,7 @@ func MaxReconfigUniverse(n int, steps []ReconfigStep) int {
 // criterion: the cluster is still on the old epoch and the run's claims
 // about the new system do not hold, so Stop returns the first abort
 // after printing the applied/aborted/missed summary.
-func StartReconfig(cluster *bqs.Cluster, steps []ReconfigStep) *Driver {
+func StartReconfig(cluster *sim.Cluster, steps []ReconfigStep) *Driver {
 	if len(steps) == 0 {
 		return nil
 	}
@@ -150,7 +152,7 @@ func StartReconfig(cluster *bqs.Cluster, steps []ReconfigStep) *Driver {
 }
 
 // EpochFollower self-heals the epoch plane of a wire-backed client: its
-// OnStale method is the WithWireEpochs callback, and once Bind has
+// OnStale method is the wire.WithEpochs callback, and once Bind has
 // handed it the transport and cluster it reacts to wrongepoch bounces
 // in the background. A shard ahead of us (another coordinator resized
 // the fleet) is caught up to by adopting its record locally; a shard
@@ -159,24 +161,24 @@ func StartReconfig(cluster *bqs.Cluster, steps []ReconfigStep) *Driver {
 // the cluster exists, and nothing can be stale that early.
 type EpochFollower struct {
 	mu      sync.Mutex
-	tr      *bqs.WireClient
-	cluster *bqs.Cluster
+	tr      *wire.Client
+	cluster *sim.Cluster
 	busy    bool
 }
 
 // Bind hands the follower the live transport and cluster; OnStale is
 // inert until then.
-func (f *EpochFollower) Bind(tr *bqs.WireClient, cluster *bqs.Cluster) {
+func (f *EpochFollower) Bind(tr *wire.Client, cluster *sim.Cluster) {
 	f.mu.Lock()
 	f.tr, f.cluster = tr, cluster
 	f.mu.Unlock()
 }
 
-// OnStale is the WithWireEpochs callback. It runs on a connection read
+// OnStale is the wire.WithEpochs callback. It runs on a connection read
 // loop, so it only inspects state and hands real work to a goroutine;
 // at most one repair runs at a time, and repeated bounces while one is
 // in flight are dropped (the repair will re-announce everything anyway).
-func (f *EpochFollower) OnStale(rec bqs.ReconfigRecord) {
+func (f *EpochFollower) OnStale(rec reconfig.Record) {
 	f.mu.Lock()
 	tr, cluster := f.tr, f.cluster
 	if cluster == nil || f.busy {

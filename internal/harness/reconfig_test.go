@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"bqs"
+	"bqs/internal/sim"
 )
 
 func TestParseReconfigSchedule(t *testing.T) {
@@ -77,7 +77,7 @@ func TestReconfigDriverEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := bqs.NewCluster(sys, 1, bqs.WithSeed(7))
+	cluster, err := sim.NewCluster(sys, 1, sim.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}

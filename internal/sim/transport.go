@@ -108,7 +108,7 @@ type BatchGrouper interface {
 // frames actually amortizes a per-frame cost (a TCP round trip, a
 // modelled latency sleep). When a transport says no, a Session issues
 // probes directly instead of queueing them behind the batcher — with no
-// frame cost to amortize, the queue's linger and wakeups are pure
+// frame cost to amortize, the queue's hand-off and flush wakeups are pure
 // overhead (the measured in-memory regression: batch=32 at 0.70× of
 // batch=1). Transports that do not implement the interface are assumed
 // worth batching.

@@ -12,7 +12,10 @@ import (
 	"time"
 
 	"bqs"
+	"bqs/internal/faults"
 	"bqs/internal/harness"
+	"bqs/internal/obs"
+	"bqs/internal/sim"
 )
 
 // scrapeMetrics GETs /metrics from a live telemetry endpoint and parses
@@ -61,11 +64,11 @@ func TestLiveLoadGaugeTracksLPUnderChurn(t *testing.T) {
 	}
 	reg := bqs.NewMetricsRegistry()
 	cluster, err := bqs.NewCluster(sys, 1, bqs.WithSeed(7),
-		bqs.WithOptimalStrategy(), bqs.WithMetrics(reg))
+		bqs.WithOptimalStrategy(), sim.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := bqs.ServeMetrics("127.0.0.1:0", reg)
+	ms, err := obs.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +78,7 @@ func TestLiveLoadGaugeTracksLPUnderChurn(t *testing.T) {
 	// a duration-bounded workload (which therefore outlives the schedule)
 	// runs — exercising suspicion, retries and rehabilitation with the
 	// telemetry live.
-	schedule, err := bqs.ParseFaultSchedule("0ms:0:crashed,30ms:0:correct")
+	schedule, err := faults.ParseFaultSchedule("0ms:0:crashed,30ms:0:correct")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func TestCrashRateGaugeMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := bqs.NewMetricsRegistry()
-	ms, err := bqs.ServeMetrics("127.0.0.1:0", reg)
+	ms, err := obs.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +249,11 @@ func TestReportQuantilesAgreeWithScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := bqs.NewMetricsRegistry()
-	cluster, err := bqs.NewCluster(sys, 1, bqs.WithSeed(3), bqs.WithMetrics(reg))
+	cluster, err := bqs.NewCluster(sys, 1, bqs.WithSeed(3), sim.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := bqs.ServeMetrics("127.0.0.1:0", reg)
+	ms, err := obs.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
