@@ -25,7 +25,7 @@ type (
 	// Enumerable is a System whose quorum list is materialized.
 	Enumerable = core.Enumerable
 	// Enumerator is an implicit System that can materialize its quorum
-	// list on demand (Threshold, Grid, MGrid, RT).
+	// list on demand (Threshold, Grid, M-Grid, RT).
 	Enumerator = core.Enumerator
 	// Parameterized exposes c(Q), IS(Q) and MT(Q).
 	Parameterized = core.Parameterized
@@ -47,8 +47,8 @@ type (
 
 	// Threshold is the ℓ-of-n system (Table 2 baseline / RT block).
 	Threshold = systems.Threshold
-	// MGrid is the multi-grid construction of §5.1.
-	MGrid = systems.MGrid
+	// Grid is the rows-and-columns type of NewMGrid's multi-grid (§5.1).
+	Grid = systems.Grid
 	// RT is the recursive threshold construction of §5.2.
 	RT = systems.RT
 	// BoostFPP is the boosted finite projective plane of §6.
@@ -194,7 +194,7 @@ func NewMajority(n int) (*Threshold, error) { return systems.NewMajority(n) }
 
 // NewMGrid returns the M-Grid construction of §5.1 on a d×d universe:
 // quorums of √(b+1) rows plus √(b+1) columns, optimal load.
-func NewMGrid(d, b int) (*MGrid, error) { return systems.NewMGrid(d, b) }
+func NewMGrid(d, b int) (*Grid, error) { return systems.NewMGrid(d, b) }
 
 // NewRT returns the recursive threshold RT(k,ℓ) of depth h (§5.2).
 func NewRT(k, l, h int) (*RT, error) { return systems.NewRT(k, l, h) }

@@ -79,9 +79,9 @@ func TestVerifiesEveryKind(t *testing.T) {
 
 // overclaimed is a construction whose declared IS is one more than its
 // quorums deliver.
-type overclaimed struct{ *systems.MGrid }
+type overclaimed struct{ *systems.Grid }
 
-func (o overclaimed) MinIntersection() int { return o.MGrid.MinIntersection() + 1 }
+func (o overclaimed) MinIntersection() int { return o.Grid.MinIntersection() + 1 }
 
 // TestFailedCheckIsAnError pins the non-zero path: a mis-declared
 // parameter prints [FAIL] and comes back as an error naming the check.

@@ -1,15 +1,14 @@
 // Package combin provides the small combinatorial toolkit the quorum
 // constructions and measures rely on: binomial coefficients (exact and
-// floating point), k-subset enumeration and uniform sampling, and the
-// binomial tail bounds used in the paper's availability analysis
-// (Lemma A.2 and the Chernoff bound of Proposition 6.3).
+// floating point), k-subset enumeration, and the binomial tail bounds used
+// in the paper's availability analysis (Lemma A.2 and the Chernoff bound
+// of Proposition 6.3).
 package combin
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // ErrOverflow is returned by Binomial when the exact result does not fit
@@ -188,35 +187,6 @@ func Combinations(n, k int, fn func(comb []int) bool) {
 // (convenience wrapper for strategy-weight computations).
 func CountCombinations(n, k int) float64 {
 	return BinomialFloat(n, k)
-}
-
-// RandomKSubset returns a uniformly random k-subset of {0,…,n−1} in
-// increasing order, using Floyd's algorithm (O(k) expected time, no
-// allocation proportional to n).
-func RandomKSubset(rng *rand.Rand, n, k int) []int {
-	if k < 0 || k > n {
-		return nil
-	}
-	chosen := make(map[int]struct{}, k)
-	for j := n - k; j < n; j++ {
-		t := rng.Intn(j + 1)
-		if _, ok := chosen[t]; ok {
-			chosen[j] = struct{}{}
-		} else {
-			chosen[t] = struct{}{}
-		}
-	}
-	out := make([]int, 0, k)
-	for v := range chosen {
-		out = append(out, v)
-	}
-	// Insertion sort: k is small in all callers.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // ISqrt returns ⌊√n⌋ for n ≥ 0.

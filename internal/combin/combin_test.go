@@ -3,7 +3,6 @@ package combin
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -201,40 +200,6 @@ func TestCombinationsEdge(t *testing.T) {
 		t.Error("k>n should yield nothing")
 		return true
 	})
-}
-
-func TestRandomKSubsetUniformMargins(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	n, k, trials := 10, 3, 30000
-	counts := make([]int, n)
-	for i := 0; i < trials; i++ {
-		s := RandomKSubset(rng, n, k)
-		if len(s) != k {
-			t.Fatalf("subset size %d, want %d", len(s), k)
-		}
-		seen := map[int]bool{}
-		for j, v := range s {
-			if v < 0 || v >= n {
-				t.Fatalf("element %d out of range", v)
-			}
-			if seen[v] {
-				t.Fatalf("duplicate element in %v", s)
-			}
-			seen[v] = true
-			if j > 0 && s[j] <= s[j-1] {
-				t.Fatalf("subset %v not sorted", s)
-			}
-			counts[v]++
-		}
-	}
-	// Each element appears with probability k/n = 0.3; allow 5σ.
-	expect := float64(trials) * float64(k) / float64(n)
-	sigma := math.Sqrt(float64(trials) * 0.3 * 0.7)
-	for i, c := range counts {
-		if math.Abs(float64(c)-expect) > 5*sigma {
-			t.Errorf("element %d count %d deviates from %g by more than 5σ", i, c, expect)
-		}
-	}
 }
 
 func TestISqrt(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"bqs/internal/bitset"
-	"bqs/internal/combin"
 	"bqs/internal/core"
 	"bqs/internal/measures"
 	"bqs/internal/projective"
@@ -112,23 +111,20 @@ type AblationRow struct {
 // left half of the columns — a plausible-looking but load-hostile
 // strategy. It is only ever measured fault-free, so it ignores dead.
 type biasedMGrid struct {
-	*systems.MGrid
+	*systems.Grid
 }
 
 func (b biasedMGrid) SelectQuorum(rng *rand.Rand, _ bitset.Set) (bitset.Set, error) {
 	d := b.Side()
-	r := b.LinesPerAxis()
-	half := d / 2
-	if half < r {
-		half = r
-	}
+	r, _ := b.Lines()
+	half := max(d/2, r)
 	q := bitset.New(d * d)
-	for _, row := range combin.RandomKSubset(rng, half, r) {
+	for _, row := range rng.Perm(half)[:r] {
 		for c := 0; c < d; c++ {
 			q.Add(row*d + c)
 		}
 	}
-	for _, col := range combin.RandomKSubset(rng, half, r) {
+	for _, col := range rng.Perm(half)[:r] {
 		for rr := 0; rr < d; rr++ {
 			q.Add(rr*d + col)
 		}

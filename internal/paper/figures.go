@@ -2,6 +2,7 @@ package paper
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -92,22 +93,8 @@ func Figure3MPath(seed int64) (string, error) {
 	sb.WriteString("(3 disjoint LR + 3 disjoint TB paths; x = crashed site)\n")
 	sb.WriteString(renderGrid(9, q, dead))
 	fmt.Fprintf(&sb, "quorum size %d (≤ paper bound 2√(n(2b+1)) = %.0f)\n",
-		q.Count(), 2*sqrtF(81*9))
+		q.Count(), 2*math.Sqrt(81*9))
 	return sb.String(), nil
-}
-
-func sqrtF(x int) float64 {
-	f := float64(x)
-	lo, hi := 0.0, f
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if mid*mid < f {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }
 
 // renderGrid draws a d×d universe: █ quorum member, x dead, · other.

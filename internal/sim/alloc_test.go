@@ -32,7 +32,7 @@ func TestQuorumOpAllocs(t *testing.T) {
 		sys             core.System
 		maxWrite, maxRd float64
 	}{
-		{threshold, 16, 8},
+		{threshold, 6, 3},
 		{mpath, 8, 4},
 	} {
 		c, err := NewCluster(tc.sys, 3, WithSeed(7),

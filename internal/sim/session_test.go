@@ -169,7 +169,7 @@ func TestSessionBatcherCoalesces(t *testing.T) {
 		}
 	})
 	defer sess.Close()
-	want = reads * sess.cl.cluster.System().(*systems.MGrid).MinQuorumSize()
+	want = reads * sess.cl.cluster.System().(*systems.Grid).MinQuorumSize()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

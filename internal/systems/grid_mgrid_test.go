@@ -11,9 +11,10 @@ import (
 	"bqs/internal/measures"
 )
 
-// enumerateGrid materializes all Grid quorums for exact cross-checks via
-// the production Enumerate method, so every parameter cross-check below
-// also validates the enumeration the strategy-backed picker consumes.
+// enumerateGrid materializes all Grid or M-Grid quorums for exact
+// cross-checks via the production Enumerate method, so every parameter
+// cross-check below also validates the enumeration the strategy-backed
+// picker consumes.
 func enumerateGrid(t *testing.T, g *Grid) *core.ExplicitSystem {
 	t.Helper()
 	ex, err := g.Enumerate(0)
@@ -136,8 +137,8 @@ func TestMGridFigure1Instance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.LinesPerAxis() != 2 {
-		t.Errorf("lines per axis = %d, want 2", m.LinesPerAxis())
+	if rows, cols := m.Lines(); rows != 2 || cols != 2 {
+		t.Errorf("lines = %d rows, %d columns, want 2 and 2", rows, cols)
 	}
 	if m.MinQuorumSize() != 2*2*7-4 { // 24
 		t.Errorf("c = %d, want 24", m.MinQuorumSize())
@@ -151,17 +152,6 @@ func TestMGridFigure1Instance(t *testing.T) {
 	if !core.IsBMasking(m, 3) {
 		t.Error("Figure 1 M-Grid should be 3-masking")
 	}
-}
-
-// enumerateMGrid materializes the M-Grid for exact cross-checks via the
-// production Enumerate method.
-func enumerateMGrid(t *testing.T, m *MGrid) *core.ExplicitSystem {
-	t.Helper()
-	ex, err := m.Enumerate(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ex
 }
 
 // TestEnumerateCountsAndLimit pins the quorum counts of the Enumerate
@@ -181,7 +171,7 @@ func TestEnumerateCountsAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex := enumerateMGrid(t, m); ex.NumQuorums() != 36 { // C(4,2)²
+	if ex := enumerateGrid(t, m); ex.NumQuorums() != 36 { // C(4,2)²
 		t.Errorf("M-Grid(4,1) enumerates %d quorums, want 36", ex.NumQuorums())
 	}
 	if _, err := m.Enumerate(10); err == nil {
@@ -194,7 +184,7 @@ func TestMGridParamsMatchEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := enumerateMGrid(t, m)
+	ex := enumerateGrid(t, m)
 	if ex.MinQuorumSize() != m.MinQuorumSize() {
 		t.Errorf("c: explicit %d vs formula %d", ex.MinQuorumSize(), m.MinQuorumSize())
 	}
@@ -282,5 +272,42 @@ func TestMGridEmpiricalLoadMatches(t *testing.T) {
 	}
 	if math.Abs(got-m.Load()) > 0.03 {
 		t.Errorf("empirical %g vs analytic %g", got, m.Load())
+	}
+}
+
+// TestGridFormulasMatchEnumeration holds the closed-form c, IS and MT of
+// both rows-and-columns constructions to their enumerated quorums at every
+// b each accepts, from the one-quorum grid at d = 1 (whose IS is c, not a
+// pair's) up to Figure 1's side.
+func TestGridFormulasMatchEnumeration(t *testing.T) {
+	for _, c := range []struct {
+		kind  string
+		build func(d, b int) (*Grid, error)
+	}{{"grid", NewGrid}, {"mgrid", NewMGrid}} {
+		for _, d := range []int{1, 2, 4, 7} {
+			for b := 0; ; b++ {
+				g, err := c.build(d, b)
+				if err != nil {
+					break
+				}
+				ex := enumerateGrid(t, g)
+				type check struct {
+					name          string
+					formula, want int
+				}
+				checks := []check{
+					{"c", g.MinQuorumSize(), ex.MinQuorumSize()},
+					{"IS", g.MinIntersection(), ex.MinIntersection()},
+				}
+				if d <= 4 { // the exact transversal search takes minutes at n = 49
+					checks = append(checks, check{"MT", g.MinTransversal(), ex.MinTransversal()})
+				}
+				for _, p := range checks {
+					if p.formula != p.want {
+						t.Errorf("%s d=%d b=%d: %s formula %d, enumeration %d", c.kind, d, b, p.name, p.formula, p.want)
+					}
+				}
+			}
+		}
 	}
 }

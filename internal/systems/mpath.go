@@ -61,11 +61,8 @@ func NewMPath(d, b int) (*MPath, error) {
 	return &MPath{
 		name: fmt.Sprintf("M-Path(d=%d,b=%d)", d, b),
 		d:    d, b: b, r: r,
-		grid: g,
-		lines: [2]lineFamily{
-			{lines: d, length: d, step: d, stride: 1},
-			{lines: d, length: d, step: 1, stride: d},
-		},
+		grid:  g,
+		lines: squareLines(d),
 	}, nil
 }
 
@@ -101,7 +98,25 @@ type pathLattice interface {
 
 // lineFamily describes the straight lines of one axis as arithmetic
 // progressions of element ids: line l is {l·step + k·stride : 0 ≤ k < length}.
+// Every construction whose strategy draws whole lines uniformly picks its
+// quorum through one: the rows and columns of Grid, M-Grid and the path
+// systems, and Threshold's n lines of length one.
 type lineFamily struct{ lines, length, step, stride int }
+
+// squareLines returns the rows and the columns of a d×d grid numbered row
+// by row.
+func squareLines(d int) [2]lineFamily {
+	return [2]lineFamily{
+		{lines: d, length: d, step: d, stride: 1},
+		{lines: d, length: d, step: 1, stride: d},
+	}
+}
+
+func (f lineFamily) add(q *bitset.Set, l int) {
+	for k := 0; k < f.length; k++ {
+		q.Add(l*f.step + k*f.stride)
+	}
+}
 
 // addFree adds r of the family's lines that avoid dead, drawn uniformly
 // with rng, to q. With fewer than r free lines it adds nothing and
@@ -109,6 +124,9 @@ type lineFamily struct{ lines, length, step, stride int }
 func (f lineFamily) addFree(q *bitset.Set, dead bitset.Set, r int, rng *rand.Rand) bool {
 	var buf [32]int
 	free := buf[:0]
+	if f.lines > len(buf) {
+		free = make([]int, 0, f.lines)
+	}
 	for l := 0; l < f.lines; l++ {
 		k := 0
 		for k < f.length && !dead.Contains(l*f.step+k*f.stride) {
@@ -124,9 +142,7 @@ func (f lineFamily) addFree(q *bitset.Set, dead bitset.Set, r int, rng *rand.Ran
 	for i := 0; i < r; i++ { // partial Fisher–Yates: a uniform r-subset
 		j := i + rng.Intn(len(free)-i)
 		free[i], free[j] = free[j], free[i]
-		for k := 0; k < f.length; k++ {
-			q.Add(free[i]*f.step + k*f.stride)
-		}
+		f.add(q, free[i])
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package systems
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -144,6 +145,59 @@ func TestMPathFallbackIsRandomized(t *testing.T) {
 	for i := range seq {
 		if seq[i] != again[i] {
 			t.Fatalf("pick %d differs between two runs of seed 163", i)
+		}
+	}
+}
+
+// TestLineDrawUniformMargins checks the one line draw every line-picking
+// construction shares: each free line lands in the quorum with probability
+// r/free, a line with a dead element never does, and the quorum is exactly
+// r whole lines. It runs on Threshold's family of lines of length one and
+// on the rows of a grid.
+func TestLineDrawUniformMargins(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	const trials, r = 30000, 3
+	for _, c := range []struct {
+		name     string
+		f        lineFamily
+		deadLine int // a line with one dead element, or −1
+	}{
+		{"threshold, 10 lines of length one", lineFamily{lines: 10, length: 1, step: 1}, -1},
+		{"rows of a 10×10 grid, one element of row 4 dead", squareLines(10)[0], 4},
+	} {
+		n := c.f.lines * c.f.length
+		dead, free := bitset.New(n), c.f.lines
+		if c.deadLine >= 0 {
+			dead.Add(c.deadLine*c.f.step + (c.f.length-1)*c.f.stride)
+			free--
+		}
+		counts := make([]int, c.f.lines)
+		for i := 0; i < trials; i++ {
+			q := bitset.New(n)
+			if !c.f.addFree(&q, dead, r, rng) {
+				t.Fatalf("%s: no draw", c.name)
+			}
+			if q.Count() != r*c.f.length {
+				t.Fatalf("%s: quorum of %d elements, want %d whole lines", c.name, q.Count(), r)
+			}
+			for l := range counts {
+				if q.Contains(l * c.f.step) {
+					counts[l]++
+				}
+			}
+		}
+		p := float64(r) / float64(free)
+		expect := trials * p
+		sigma := math.Sqrt(trials * p * (1 - p))
+		for l, got := range counts {
+			switch {
+			case l == c.deadLine:
+				if got != 0 {
+					t.Errorf("%s: dead line %d drawn %d times", c.name, l, got)
+				}
+			case math.Abs(float64(got)-expect) > 5*sigma:
+				t.Errorf("%s: line %d drawn %d times, more than 5σ from %g", c.name, l, got, expect)
+			}
 		}
 	}
 }

@@ -93,23 +93,14 @@ func (t *Threshold) UniverseSize() int { return t.n }
 // QuorumSize returns ℓ.
 func (t *Threshold) QuorumSize() int { return t.l }
 
-// SelectQuorum picks ℓ live elements uniformly at random, or fails when
-// fewer than ℓ survive. With nothing dead that is the optimal strategy of
-// this fair system (Proposition 3.9), with load ℓ/n.
+// SelectQuorum picks ℓ live elements uniformly at random — ℓ lines of
+// length one — or fails when fewer than ℓ survive. With nothing dead that
+// is the optimal strategy of this fair system (Proposition 3.9), with load
+// ℓ/n.
 func (t *Threshold) SelectQuorum(rng *rand.Rand, dead bitset.Set) (bitset.Set, error) {
-	alive := make([]int, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		if !dead.Contains(i) {
-			alive = append(alive, i)
-		}
-	}
-	if len(alive) < t.l {
-		return bitset.Set{}, core.ErrNoLiveQuorum
-	}
-	idx := combin.RandomKSubset(rng, len(alive), t.l)
 	q := bitset.New(t.n)
-	for _, i := range idx {
-		q.Add(alive[i])
+	if !(lineFamily{lines: t.n, length: 1, step: 1}).addFree(&q, dead, t.l, rng) {
+		return bitset.Set{}, core.ErrNoLiveQuorum
 	}
 	return q, nil
 }
