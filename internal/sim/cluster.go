@@ -176,7 +176,8 @@ func WithDeterministic() Option {
 type Cluster struct {
 	b          int
 	transport  Transport
-	mem        *memTransport // non-nil when the built-in transport is in use
+	mem        *memTransport  // non-nil when the built-in transport is in use
+	phase      PhaseTransport // non-nil when the transport issues whole phases
 	seed       int64
 	sequential bool
 	optimal    bool // re-solve the load LP for each epoch's system
@@ -259,6 +260,7 @@ func NewCluster(system core.System, b int, opts ...Option) (*Cluster, error) {
 		c.mem = newMemTransport(servers, cfg.seed, cfg.dropRate, cfg.latBase, cfg.latJitter)
 		c.transport = c.mem
 	}
+	c.phase, _ = c.transport.(PhaseTransport)
 	if cfg.metrics != nil {
 		c.initMetrics(cfg.metrics)
 	}
@@ -498,13 +500,21 @@ func (c *Cluster) invokeBatch(ctx context.Context, items []BatchItem) ([]Respons
 }
 
 // probeQuorum sends req to every quorum member and returns the replies
-// index-aligned with members. A phase runs inline — members called one
-// after another, in ascending server order, on the caller's goroutine —
-// when no probe can block (see inline), and fans out in parallel
-// goroutines otherwise. Probes travel through via when it is non-nil (the
-// session batcher) and through the cluster's own counting path otherwise.
-// The only error it returns is a transport failure (typically ctx
-// cancellation or expiry); unresponsive servers appear as
+// index-aligned with members. A phase takes one of three paths:
+//   - inline — members called one after another, in ascending server
+//     order, on the caller's goroutine — when no probe can block (see
+//     inline);
+//   - one InvokePhase call when the transport is a PhaseTransport and the
+//     probes do not go through via: the transport sends every probe from
+//     the caller's goroutine and fills the reply slots itself (a
+//     wire.Client's read loops do);
+//   - otherwise fanOut, a goroutine per member: the latency model,
+//     middleware, and via.
+//
+// Probes travel through via when it is non-nil (the session batcher) and
+// through the cluster's own counting path otherwise; every path charges
+// one access per member. The only error it returns is a transport failure
+// (typically ctx cancellation or expiry); unresponsive servers appear as
 // Response{OK: false}.
 func (c *Cluster) probeQuorum(ctx context.Context, members []int, req Request, via Transport) ([]Response, error) {
 	if !c.met.on {
@@ -520,18 +530,22 @@ func (c *Cluster) probeQuorum(ctx context.Context, members []int, req Request, v
 func (c *Cluster) probeQuorumUntimed(ctx context.Context, members []int, req Request, via Transport) ([]Response, error) {
 	c.cur.Load().phases.Add(1)
 	out := make([]Response, len(members))
-	if !c.inline(members, req.Op, via) {
-		if err := c.fanOut(ctx, members, out, req, via); err != nil {
-			return nil, err
+	var err error
+	switch {
+	case c.inline(members, req.Op, via):
+		for k, i := range members {
+			if out[k], err = c.probe(ctx, i, req, via); err != nil {
+				return nil, err
+			}
 		}
 		return out, nil
+	case via == nil && c.phase != nil:
+		err = c.invokePhase(ctx, members, req, out)
+	default:
+		err = c.fanOut(ctx, members, out, req, via)
 	}
-	for k, i := range members {
-		resp, err := c.probe(ctx, i, req, via)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = resp
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -540,10 +554,11 @@ func (c *Cluster) probeQuorumUntimed(ctx context.Context, members []int, req Req
 // goroutine: WithDeterministic asks for it, and otherwise no probe may be
 // able to block — the built-in in-memory transport with no latency
 // model, reached directly rather than through a session batcher, and,
-// for a write, no member whose store can wait on disk (a store.Disk
-// group-commits; nil and *store.Mem never wait). Anything else — TCP,
-// middleware, modelled latency, durable stores, the batcher — may block,
-// and a serial loop would sum the waits or deadlock on a barrier.
+// for a write, no member whose store may block (store.MayBlock: a
+// store.Disk group-commits; nil and *store.Mem never wait). Anything
+// else — TCP, middleware, modelled latency, durable stores, the batcher —
+// may block, and a serial loop would sum the waits or deadlock on a
+// barrier.
 func (c *Cluster) inline(members []int, op Op, via Transport) bool {
 	if c.sequential {
 		return true
@@ -559,19 +574,43 @@ func (c *Cluster) inline(members []int, op Op, via Transport) bool {
 		return true
 	}
 	for _, i := range members {
-		switch st.servers[i].store.(type) {
-		case nil, *store.Mem:
-		default:
+		if store.MayBlock(st.servers[i].store) {
 			return false
 		}
 	}
 	return true
 }
 
+// invokePhase hands a whole phase to the PhaseTransport, charging one
+// access per member exactly as the per-probe paths do. The transport's
+// probes share one wait, so with telemetry on each member's
+// bqs_quorum_probe_seconds sample is that wait; with it off no clock is
+// read.
+func (c *Cluster) invokePhase(ctx context.Context, members []int, req Request, out []Response) error {
+	st := c.cur.Load()
+	for _, i := range members {
+		if i >= 0 && i < len(st.accesses) {
+			st.accesses[i].Add(1)
+		}
+	}
+	if !c.met.on {
+		return c.phase.InvokePhase(ctx, members, req, out)
+	}
+	start := time.Now()
+	err := c.phase.InvokePhase(ctx, members, req, out)
+	d := time.Since(start)
+	for range members {
+		c.met.probeSeconds.ObserveDuration(d)
+	}
+	return err
+}
+
 // fanOut probes every member in its own goroutine, writing member k's
-// reply to out[k], and returns the first transport error. It is a
-// function of its own so that what the goroutines capture (req above
-// all) moves to the heap only on this path.
+// reply to out[k], and returns the first transport error. It serves the
+// transports that can only take one probe at a time — the latency model,
+// middleware, the session batcher. It is a function of its own so that
+// what the goroutines capture (req above all) moves to the heap only on
+// this path.
 func (c *Cluster) fanOut(ctx context.Context, members []int, out []Response, req Request, via Transport) error {
 	errs := make(chan error, len(members))
 	for k, i := range members {

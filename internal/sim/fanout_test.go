@@ -3,10 +3,13 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"bqs/internal/obs"
 	"bqs/internal/store"
 	"bqs/internal/systems"
 )
@@ -182,5 +185,72 @@ func BenchmarkQuorumPhase(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// phaseTransport is the stock in-memory transport behind a PhaseTransport
+// face, counting what travels each way: whole phases and their probes
+// through InvokePhase, lone probes through Invoke.
+type phaseTransport struct {
+	inner                  Transport
+	phases, probes, direct atomic.Int64
+}
+
+func (t *phaseTransport) Invoke(ctx context.Context, server int, req Request) (Response, error) {
+	t.direct.Add(1)
+	return t.inner.Invoke(ctx, server, req)
+}
+
+func (t *phaseTransport) InvokePhase(ctx context.Context, members []int, req Request, out []Response) error {
+	t.phases.Add(1)
+	for k, i := range members {
+		t.probes.Add(1)
+		resp, err := t.inner.Invoke(ctx, i, req)
+		if err != nil {
+			return err
+		}
+		out[k] = resp
+	}
+	return nil
+}
+
+// TestPhaseTransportCarriesWholePhases: over a PhaseTransport every phase
+// is one InvokePhase call and no probe travels alone, while the cluster
+// still charges one access per member and, with telemetry on, records one
+// bqs_quorum_probe_seconds sample per probe.
+func TestPhaseTransportCarriesWholePhases(t *testing.T) {
+	const b = 3
+	reg := obs.NewRegistry()
+	pt := &phaseTransport{}
+	c, err := NewCluster(mustThreshold(t, b), b, WithMetrics(reg), WithTransport(func(servers []*Server) Transport {
+		pt.inner = NewInMemoryTransport(servers, 1)
+		return pt
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := c.NewClient(1)
+	ctx := context.Background()
+	for i := 0; i < 5; i++ {
+		if err := cl.WriteKey(ctx, "k", fmt.Sprint(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.ReadKey(ctx, "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pt.direct.Load() != 0 || pt.phases.Load() != c.Phases() {
+		t.Fatalf("%d lone probes and %d InvokePhase calls for %d phases, want 0 and one per phase",
+			pt.direct.Load(), pt.phases.Load(), c.Phases())
+	}
+	charged := 0.0
+	for _, f := range c.LoadProfile() {
+		charged += f * float64(c.Phases())
+	}
+	if probes := pt.probes.Load(); math.Round(charged) != float64(probes) {
+		t.Fatalf("load profile charges %v accesses for %d probes", charged, probes)
+	}
+	if got := reg.Histogram("bqs_quorum_probe_seconds", obs.DurationBuckets).Count(); got != pt.probes.Load() {
+		t.Fatalf("bqs_quorum_probe_seconds has %d samples for %d probes", got, pt.probes.Load())
 	}
 }

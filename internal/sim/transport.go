@@ -72,6 +72,20 @@ type Transport interface {
 	Invoke(ctx context.Context, server int, req Request) (Response, error)
 }
 
+// PhaseTransport is the optional fast path a Transport can offer a quorum
+// phase: send req to every member in one call and write member k's reply
+// to out[k] (len(out) == len(members)), returning once every slot is
+// answered. The contract mirrors Invoke — an unresponsive member is
+// Response{OK: false} in its slot, and the error return is reserved for
+// aborts, after which out must be left alone. A Cluster uses it for every
+// phase that neither runs inline nor goes through a Session's batcher, so
+// a transport that can issue a whole phase from the caller's goroutine
+// spares the cluster a goroutine per member.
+type PhaseTransport interface {
+	Transport
+	InvokePhase(ctx context.Context, members []int, req Request, out []Response) error
+}
+
 // BatchItem is one operation of a batched transport frame, addressed to
 // one server. A frame may carry items for different servers — over the
 // wire that means different replicas of the same shard share one frame,

@@ -78,6 +78,20 @@ type Store interface {
 	Close() error
 }
 
+// MayBlock reports whether an Apply on st can wait — on a disk's group
+// commit, or on anything an engine this package does not know might do.
+// Only no engine at all (nil) and a *Mem answer at once; a wrapper around
+// a *Mem is another type and so counts as blocking. Callers use it to
+// decide whether a replica's work may run on a goroutine that must not
+// stall.
+func MayBlock(st Store) bool {
+	switch st.(type) {
+	case nil, *Mem:
+		return false
+	}
+	return true
+}
+
 // Mem is the in-memory engine: the seed's bare map behind the Store
 // interface. Nothing is durable — Reopen, the crash-recovery boundary,
 // wipes it — which makes Mem the explicit form of the amnesiac recovery

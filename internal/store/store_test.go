@@ -78,6 +78,27 @@ func TestMemReopenWipes(t *testing.T) {
 	}
 }
 
+// TestMayBlock pins the one answer to "can an Apply wait?": no engine and
+// a bare Mem cannot; a Disk, and any wrapper — even one around a Mem —
+// can.
+func TestMayBlock(t *testing.T) {
+	disk, err := Open(t.TempDir(), WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	wrapped := struct{ Store }{NewMem()}
+	for _, tc := range []struct {
+		name string
+		st   Store
+		want bool
+	}{{"nil", nil, false}, {"mem", NewMem(), false}, {"disk", disk, true}, {"wrapped mem", wrapped, true}} {
+		if got := MayBlock(tc.st); got != tc.want {
+			t.Errorf("MayBlock(%s) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestDiskReopenRecovers(t *testing.T) {
 	d, err := Open(t.TempDir(), WithFsync(false))
 	if err != nil {

@@ -13,11 +13,11 @@ import (
 )
 
 // TestInvokeRoundTripAllocs pins the diet of a lone probe: a loopback
-// Client.Invoke — client encode, server decode, handler goroutine, reply,
-// client decode, both processes' worth in this one — allocates at most 8
-// times, read or write (it was 22 when every frame built its own buffers,
-// call, channel and closures). AllocsPerRun counts process-wide, so the
-// server's share is included.
+// Client.Invoke — client encode, server decode and answer on its read
+// loop, client decode into the phase slot, both processes' worth in this
+// one — allocates at most 3 times, read or write: what remains is the key
+// and value strings the decoders must copy out of their frame buffers.
+// AllocsPerRun counts process-wide, so the server's share is included.
 func TestInvokeRoundTripAllocs(t *testing.T) {
 	addr, _ := startShard(t, newReplicas([]int{0}))
 	cl, err := Dial(map[int]string{0: addr})

@@ -14,11 +14,12 @@ import (
 
 // BenchmarkWireFanout is the transport layer's share of the tcp_kv
 // workload, alone: 13 replicas on two loopback shards, two callers, each
-// running quorum phases of ten concurrent Invokes (a goroutine per probe,
-// as sim's fan-out does) and waiting for all ten. One op is one phase.
-// Besides ns/op (inverse throughput over both callers) and allocs/op it
-// reports the mean phase latency and, per direction, how many frames a
-// socket flush carried.
+// running quorum phases of ten members through InvokePhase — the call a
+// sim.Cluster makes for every phase over a wire.Client, which sends each
+// member's frame from the caller's goroutine and wakes it once the last
+// reply is in. One op is one phase. Besides ns/op (inverse throughput
+// over both callers) and allocs/op it reports the mean phase latency and,
+// per direction, how many frames a socket flush carried.
 func BenchmarkWireFanout(b *testing.B) {
 	const servers, callers, fanout = 13, 2, 10
 	regS, regC := obs.NewRegistry(), obs.NewRegistry()
@@ -42,17 +43,19 @@ func BenchmarkWireFanout(b *testing.B) {
 			req.Op = sim.OpWrite
 			req.Value = sim.TaggedValue{Value: "sixty-four bytes of value, more or less, as the benchmark writes", TS: sim.Timestamp{Seq: int64(i + 1), Writer: caller}}
 		}
-		var wg sync.WaitGroup
-		for k := 0; k < fanout; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if resp, err := cl.Invoke(ctx, (i+k)%servers, req); err != nil || !resp.OK {
-					failed.Add(1)
-				}
-			}()
+		var members [fanout]int
+		for k := range members {
+			members[k] = (i + k) % servers
 		}
-		wg.Wait()
+		var out [fanout]sim.Response
+		if err := cl.InvokePhase(ctx, members[:], req, out[:]); err != nil {
+			b.Error(err)
+		}
+		for _, resp := range out {
+			if !resp.OK {
+				failed.Add(1)
+			}
+		}
 	}
 	phase(0, 0) // dial both shards before the clock starts
 	flushes := func(reg *obs.Registry, side string) *obs.Histogram {

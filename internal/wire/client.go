@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -121,6 +122,7 @@ type Client struct {
 
 var (
 	_ sim.Transport      = (*Client)(nil)
+	_ sim.PhaseTransport = (*Client)(nil)
 	_ sim.BatchTransport = (*Client)(nil)
 	_ sim.BatchGrouper   = (*Client)(nil)
 )
@@ -180,27 +182,177 @@ func (c *Client) GroupOf(server int) int {
 }
 
 // Invoke implements sim.Transport: it routes req to the address hosting
-// the given server and waits for the matching response. Unreachable or
-// dropped connections answer Response{OK: false}; the error return is
-// reserved for aborts (ctx done, closed client, unrouted server).
+// the given server and waits for the matching response — a quorum phase
+// of one member (InvokePhase). Unreachable or dropped connections answer
+// Response{OK: false}; the error return is reserved for aborts (ctx done,
+// closed client, unrouted server).
 func (c *Client) Invoke(ctx context.Context, server int, req sim.Request) (sim.Response, error) {
-	cn, err := c.connFor(ctx, server)
-	if err != nil {
-		return sim.Response{}, err
+	ph := getPhase(len(c.addrGroup))
+	members := [1]int{server}
+	err := c.runPhase(ctx, ph, members[:], req, ph.one[:])
+	resp := ph.one[0]
+	putPhase(ph)
+	return resp, err
+}
+
+// InvokePhase implements sim.PhaseTransport: a whole quorum phase from the
+// caller's goroutine. Each member's probe travels as a frame of its own,
+// encoded straight into its connection's write buffer, and each
+// connection the phase touched is flushed once, after the phase's last
+// frame and the flush rule's one yield. Each probe's pending entry points
+// at its slot out[k]: the connection's read loop decodes the reply into
+// it, and the caller wakes once, when the phase's last slot is answered —
+// no goroutine, channel or call object per probe. A member no frame can
+// carry, or one whose address is unreachable, answers Response{OK: false}
+// as Invoke would; the error return is reserved for aborts (ctx done,
+// closed client, unrouted server), after which out is never written
+// again.
+func (c *Client) InvokePhase(ctx context.Context, members []int, req sim.Request, out []sim.Response) error {
+	ph := getPhase(len(c.addrGroup))
+	err := c.runPhase(ctx, ph, members, req, out)
+	putPhase(ph)
+	return err
+}
+
+// runPhase is InvokePhase over a phase record the caller got from
+// getPhase and puts back once runPhase returns.
+func (c *Client) runPhase(ctx context.Context, ph *phase, members []int, req sim.Request, out []sim.Response) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	one := [1]sim.BatchItem{{Server: server, Req: req}}
-	if !fitsFrame(one[0]) {
-		return sim.Response{}, nil // no frame can carry it: unresponsive, not an abort
+	for _, server := range members {
+		if _, ok := c.routes[server]; !ok {
+			return fmt.Errorf("wire: no route for server %d", server)
+		}
 	}
-	pc, err := cn.sendBatch(ctx, one[:])
-	if err != nil {
-		return sim.Response{}, err
+	var gate uint64 // 0: ungated, for epoch-unaware clients
+	if c.cfg.epoch != nil {
+		gate = c.cfg.epoch.Load() + 1
 	}
-	got, err := pc.await(ctx)
-	if err != nil {
-		return sim.Response{}, err
+	for k, server := range members {
+		out[k] = sim.Response{} // from admit on, only the read loop writes the slot
+		one := [1]sim.BatchItem{{Server: server, Req: req}}
+		if !fitsFrame(one[0]) {
+			continue // no frame can carry it: unresponsive, not an abort
+		}
+		addr := c.routes[server]
+		g := c.addrGroup[addr]
+		cn := ph.conns[g]
+		if cn == nil {
+			var err error
+			if cn, err = c.conn(addr); err != nil {
+				ph.forget()
+				return err
+			}
+			ph.conns[g] = cn
+		}
+		ph.left.Add(1)
+		w, id, err := cn.admit(ctx, waiter{slot: &out[k], ph: ph})
+		if err != nil {
+			ph.left.Add(-1)
+			if err == errDown {
+				continue
+			}
+			ph.forget()
+			return err
+		}
+		cn.cfg.met.batchOps.Observe(1)
+		if err := w.put(func(dst []byte) []byte {
+			dst, _ = appendBatchRequest(dst, id, gate, one[:]) // fitsFrame: always encodes
+			return dst
+		}); err != nil {
+			cn.fail(w) // answers this slot, and every other in flight on cn, OK: false
+			continue
+		}
+		if !slices.Contains(ph.writers, w) {
+			ph.writers = append(ph.writers, w)
+		}
 	}
-	return got.resps[0], nil
+	if len(ph.writers) > 0 {
+		// The flush rule's one yield (see frameWriter), once for the whole
+		// phase: concurrent callers get their frames in behind ours.
+		ph.writers[0].yield()
+	}
+	for _, w := range ph.writers {
+		if w.flush() != nil {
+			w.nc.Close() // the read loop's teardown answers every slot on it OK: false
+		}
+	}
+	if ph.left.Add(-1) == 0 {
+		return nil // every slot answered already, or none was sent
+	}
+	select {
+	case <-ph.done:
+		return nil
+	case <-ctx.Done():
+		ph.forget()
+		return ctx.Err()
+	}
+}
+
+// phase is one quorum phase in flight: the countdown of its unanswered
+// slots — plus one while the caller is still sending, so that replies
+// racing the sends cannot finish the phase early — and the connections it
+// uses. Phases are pooled; the reply slots are the caller's, except one,
+// Invoke's own.
+type phase struct {
+	left atomic.Int32
+	done chan struct{} // receives once, from whoever answers the last slot
+
+	conns   []*conn        // by address group: the connection this phase uses there
+	writers []*frameWriter // each holding some of the phase's frames, to flush once
+	one     [1]sim.Response
+}
+
+var phasePool = sync.Pool{New: func() any { return &phase{done: make(chan struct{}, 1)} }}
+
+func getPhase(groups int) *phase {
+	ph := phasePool.Get().(*phase)
+	if cap(ph.conns) < groups {
+		ph.conns = make([]*conn, groups)
+	}
+	ph.conns = ph.conns[:groups]
+	ph.left.Store(1)
+	return ph
+}
+
+// putPhase recycles ph once its phase is over: answered in full, or
+// withdrawn by forget, so no read loop can reach it any more.
+func putPhase(ph *phase) {
+	select {
+	case <-ph.done: // the last slot of a forgotten phase was answered before forget
+	default:
+	}
+	clear(ph.conns)
+	clear(ph.writers)
+	ph.writers = ph.writers[:0]
+	phasePool.Put(ph)
+}
+
+// answer counts one slot answered, waking the caller at the last.
+func (ph *phase) answer() {
+	if ph.left.Add(-1) == 0 {
+		ph.done <- struct{}{}
+	}
+}
+
+// forget withdraws every probe of an abandoned phase from its
+// connections' pending tables. Slots are only ever written under their
+// connection's mutex, so once forget has held each of them in turn, no
+// reply — late or racing — can touch the caller's slots or the phase.
+func (ph *phase) forget() {
+	for _, cn := range ph.conns {
+		if cn == nil {
+			continue
+		}
+		cn.mu.Lock()
+		for id, wt := range cn.pending {
+			if wt.ph == ph {
+				delete(cn.pending, id)
+			}
+		}
+		cn.mu.Unlock()
+	}
 }
 
 // connFor picks a connection to the address hosting the given server.
@@ -509,10 +661,31 @@ type conn struct {
 	mu         sync.Mutex
 	w          *frameWriter // the live connection, nil while down; its own mutex guards writes
 	nextID     uint64
-	pending    map[uint64]*pendingCall
+	pending    map[uint64]waiter
 	nextDialAt time.Time     // backoff gate after a failed dial
 	dialDone   chan struct{} // non-nil while a goroutine is dialing; closed when done
 	closed     bool
+}
+
+// waiter is what a request ID in flight resolves: a call awaiting a whole
+// reply frame, or one slot of a quorum phase, which a single response
+// fills. Either is answered exactly once, by whoever deletes it from
+// conn.pending — under conn.mu, which is what lets a phase withdraw its
+// slots (phase.forget).
+type waiter struct {
+	call *pendingCall  // a frame sent through send; nil for a phase slot
+	slot *sim.Response // the phase slot the response lands in
+	ph   *phase
+}
+
+// fail answers the waiter the way a crashed peer would: OK: false.
+func (wt waiter) fail() {
+	if wt.call != nil {
+		wt.call.fail()
+		return
+	}
+	*wt.slot = sim.Response{}
+	wt.ph.answer()
 }
 
 // pendingCall is one in-flight frame awaiting its reply. The channel is
@@ -579,7 +752,7 @@ func (cn *conn) sendBatch(ctx context.Context, items []sim.BatchItem) (*pendingC
 // fits can always be sent, alone in its frame if need be (MaxValueLen
 // leaves room for the longest key).
 func fitsFrame(it sim.BatchItem) bool {
-	return it.Server >= 0 && len(it.Req.Key) <= MaxKeyLen && len(it.Req.Value.Value) <= MaxValueLen && !badFlip(it)
+	return it.Server >= 0 && int64(it.Server) <= int64(^uint32(0)) && len(it.Req.Key) <= MaxKeyLen && len(it.Req.Value.Value) <= MaxValueLen && !badFlip(it)
 }
 
 // await waits for the reply to a call send returned.
@@ -608,21 +781,7 @@ func (pc *pendingCall) await(ctx context.Context) (reply, error) {
 func (cn *conn) send(ctx context.Context, n int, encode func(dst []byte, id uint64) ([]byte, error)) (*pendingCall, error) {
 	pc := callPool.Get().(*pendingCall)
 	pc.cn, pc.n = cn, n
-	var w *frameWriter
-	err := cn.ensureConn(ctx)
-	if err == nil {
-		cn.mu.Lock()
-		if w = cn.w; w == nil {
-			// The connection died (or the client closed) between ensureConn
-			// and here; read the servers behind it as down, don't re-dial.
-			err = errDown
-		} else {
-			cn.nextID++
-			pc.id = cn.nextID
-			cn.pending[pc.id] = pc
-		}
-		cn.mu.Unlock()
-	}
+	w, id, err := cn.admit(ctx, waiter{call: pc})
 	if err == errDown {
 		pc.fail()
 		return pc, nil
@@ -631,26 +790,51 @@ func (cn *conn) send(ctx context.Context, n int, encode func(dst []byte, id uint
 		callPool.Put(pc)
 		return nil, err
 	}
+	pc.id = id
 	werr := w.send(func(dst []byte) []byte {
-		dst, err = encode(dst, pc.id)
+		dst, err = encode(dst, id)
 		return dst
 	})
 	if err != nil {
 		// Unencodable frame (invalid record or behavior): caller bug, abort.
 		// The call stays out of the pool — a concurrent teardown may fail it.
 		cn.mu.Lock()
-		delete(cn.pending, pc.id)
+		delete(cn.pending, id)
 		cn.mu.Unlock()
 		return nil, err
 	}
 	if werr != nil {
-		// Teardown (ours, or a concurrent one that beat us to it) answers the
-		// pending entry, and every other call in flight, with OK: false.
-		cn.mu.Lock()
-		cn.teardownLocked(w)
-		cn.mu.Unlock()
+		cn.fail(w)
 	}
 	return pc, nil
+}
+
+// admit ensures the connection is up and registers wt under a fresh
+// request ID, returning the writer its frame goes on. errDown means the
+// address is unreachable, and nothing was registered.
+func (cn *conn) admit(ctx context.Context, wt waiter) (*frameWriter, uint64, error) {
+	if err := cn.ensureConn(ctx); err != nil {
+		return nil, 0, err
+	}
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	if cn.w == nil {
+		// The connection died (or the client closed) between ensureConn
+		// and here; read the servers behind it as down, don't re-dial.
+		return nil, 0, errDown
+	}
+	cn.nextID++
+	cn.pending[cn.nextID] = wt
+	return cn.w, cn.nextID, nil
+}
+
+// fail tears down w's connection after a failed write. Teardown (this
+// one, or a concurrent one that beat it there) answers every waiter in
+// flight on the connection with OK: false.
+func (cn *conn) fail(w *frameWriter) {
+	cn.mu.Lock()
+	cn.teardownLocked(w)
+	cn.mu.Unlock()
 }
 
 // ensureConn returns once a connection is established (by this goroutine
@@ -726,15 +910,18 @@ func (cn *conn) ensureConn(ctx context.Context) error {
 // Called with cn.mu held.
 func (cn *conn) attachLocked(nc net.Conn) {
 	cn.w = newFrameWriter(nc, cn.cfg.met)
-	cn.pending = make(map[uint64]*pendingCall)
+	cn.pending = make(map[uint64]waiter)
 	go cn.readLoop(cn.w)
 }
 
-// readLoop dispatches response frames to their pending calls until the
-// connection dies, then fails whatever is still in flight.
+// readLoop dispatches response frames to their waiters until the
+// connection dies, then fails whatever is still in flight. Batch
+// responses are decoded into one scratch slice the loop reuses, so a
+// phase slot's reply costs no allocation beyond its value.
 func (cn *conn) readLoop(w *frameWriter) {
 	br := bufio.NewReader(w.nc)
 	var buf []byte
+	var scratch []sim.Response
 	for {
 		frame, err := ReadFrame(br, buf)
 		if err != nil {
@@ -751,21 +938,21 @@ func (cn *conn) readLoop(w *frameWriter) {
 			}
 			switch rf.Kind {
 			case ReconfigState:
-				if !cn.resolve(rid, 0, reply{rec: rf.Rec, stateOK: true}) {
+				if !cn.resolve(rid, nil, rf.Rec) {
 					goto done
 				}
 			case ReconfigWrongEpoch:
 				// The shard refused the request because its frame's gate
 				// names an epoch that is not the shard's. The rejection
-				// answers the call the retriable way — Response{OK: false}, never an
-				// abort — and the embedding layer hears about the shard's
-				// record so it can refresh.
+				// answers the request the retriable way — Response{OK: false},
+				// never an abort — and the embedding layer hears about the
+				// shard's record so it can refresh.
 				cn.cfg.met.wrongEpoch.Inc()
 				cn.mu.Lock()
-				pc, ok := cn.pending[rid]
+				wt, ok := cn.pending[rid]
 				if ok {
 					delete(cn.pending, rid)
-					pc.fail()
+					wt.fail()
 				}
 				cn.mu.Unlock()
 				if h := cn.cfg.onStale; h != nil {
@@ -775,36 +962,49 @@ func (cn *conn) readLoop(w *frameWriter) {
 				goto done // install/query from a server: protocol error
 			}
 		case tagBatchResponse:
-			id, resps, err := DecodeBatchResponse(frame)
-			if err != nil || !cn.resolve(id, len(resps), reply{resps: resps}) {
+			id, resps, err := decodeBatchResponse(frame, scratch)
+			if err != nil || !cn.resolve(id, resps, reconfig.Record{}) {
 				goto done
 			}
+			scratch = resps
 		default:
 			goto done // unknown frame kind: protocol error
 		}
 	}
 done:
-	cn.mu.Lock()
-	cn.teardownLocked(w)
-	cn.mu.Unlock()
+	cn.fail(w)
 }
 
-// resolve hands got to the call awaiting id, which must expect n
-// responses (0: a state frame). It reports false when that call expects
-// another kind or count of reply — a protocol error; a reply for an id
-// nobody awaits, a late one for a forgotten call, is dropped.
-func (cn *conn) resolve(id uint64, n int, got reply) bool {
+// resolve answers the waiter for id with a reply frame: resps for a batch
+// response (the read loop's scratch — a phase slot takes its one
+// response, a call a copy), or, when resps is empty, the record of a
+// state frame. It reports false when the waiter expects another kind or
+// count of reply — a protocol error; a reply for an id nobody awaits, a
+// late one for a forgotten request, is dropped.
+func (cn *conn) resolve(id uint64, resps []sim.Response, rec reconfig.Record) bool {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	pc, ok := cn.pending[id]
+	wt, ok := cn.pending[id]
 	if !ok {
 		return true
 	}
-	if pc.n != n {
+	n := 1 // a phase slot takes exactly one response
+	if wt.call != nil {
+		n = wt.call.n
+	}
+	if n != len(resps) {
 		return false
 	}
 	delete(cn.pending, id)
-	pc.done <- got // buffered; never blocks
+	switch {
+	case wt.call == nil:
+		*wt.slot = resps[0]
+		wt.ph.answer()
+	case n == 0:
+		wt.call.done <- reply{rec: rec, stateOK: true} // buffered; never blocks
+	default:
+		wt.call.done <- reply{resps: slices.Clone(resps)}
+	}
 	return true
 }
 
@@ -817,9 +1017,9 @@ func (cn *conn) teardownLocked(w *frameWriter) {
 		return
 	}
 	cn.w = nil
-	for id, pc := range cn.pending {
+	for id, wt := range cn.pending {
 		delete(cn.pending, id)
-		pc.fail()
+		wt.fail()
 	}
 }
 

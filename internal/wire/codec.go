@@ -197,12 +197,14 @@ func appendBatchRequest(dst []byte, id, gate uint64, items []sim.BatchItem) ([]b
 // DecodeBatchRequest parses a batch-request payload (the frame minus its
 // length prefix, as returned by ReadFrame), dropping its gate.
 func DecodeBatchRequest(p []byte) (id uint64, items []sim.BatchItem, err error) {
-	id, _, items, err = decodeBatchRequest(p)
+	id, _, items, err = decodeBatchRequest(p, nil)
 	return id, items, err
 }
 
-// decodeBatchRequest is DecodeBatchRequest keeping the gate.
-func decodeBatchRequest(p []byte) (id, gate uint64, items []sim.BatchItem, err error) {
+// decodeBatchRequest is DecodeBatchRequest keeping the gate. The items are
+// decoded into dst's array when it is large enough, so a caller that is
+// done with one frame's items can decode the next frame's into them.
+func decodeBatchRequest(p []byte, dst []sim.BatchItem) (id, gate uint64, items []sim.BatchItem, err error) {
 	if len(p) < reqHeaderLen {
 		return 0, 0, nil, fmt.Errorf("wire: batch payload of %d bytes shorter than header %d", len(p), reqHeaderLen)
 	}
@@ -216,7 +218,7 @@ func decodeBatchRequest(p []byte) (id, gate uint64, items []sim.BatchItem, err e
 		return 0, 0, nil, fmt.Errorf("wire: batch count %d outside [1,%d]", count, MaxBatchOps)
 	}
 	p = p[reqHeaderLen:]
-	items = make([]sim.BatchItem, 0, count)
+	items = slices.Grow(dst[:0], count)
 	for i := 0; i < count; i++ {
 		if len(p) < reqItemOverhead {
 			return 0, 0, nil, fmt.Errorf("wire: truncated batch item %d (%d bytes)", i, len(p))
@@ -290,6 +292,12 @@ func AppendBatchResponse(dst []byte, id uint64, resps []sim.Response) ([]byte, e
 // are rejected so a future protocol revision cannot be half-understood
 // silently.
 func DecodeBatchResponse(p []byte) (id uint64, resps []sim.Response, err error) {
+	return decodeBatchResponse(p, nil)
+}
+
+// decodeBatchResponse is DecodeBatchResponse decoding into dst's array
+// when it is large enough, as decodeBatchRequest does.
+func decodeBatchResponse(p []byte, dst []sim.Response) (id uint64, resps []sim.Response, err error) {
 	if len(p) < batchHeaderLen {
 		return 0, nil, fmt.Errorf("wire: batch payload of %d bytes shorter than header %d", len(p), batchHeaderLen)
 	}
@@ -302,7 +310,7 @@ func DecodeBatchResponse(p []byte) (id uint64, resps []sim.Response, err error) 
 		return 0, nil, fmt.Errorf("wire: batch count %d outside [1,%d]", count, MaxBatchOps)
 	}
 	p = p[batchHeaderLen:]
-	resps = make([]sim.Response, 0, count)
+	resps = slices.Grow(dst[:0], count)
 	for i := 0; i < count; i++ {
 		if len(p) < respItemMinLen {
 			return 0, nil, fmt.Errorf("wire: truncated batch response item %d (%d bytes)", i, len(p))

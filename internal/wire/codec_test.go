@@ -98,7 +98,9 @@ func checkRequestRoundTrip(t *testing.T, wantID, wantGate uint64, want []sim.Bat
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, gate, items, err := decodeBatchRequest(payload)
+	// Decode over a stale slice, as the server's read loop does.
+	stale := []sim.BatchItem{{Server: 7, Req: sim.Request{Op: sim.OpWrite, Key: "stale"}}}
+	id, gate, items, err := decodeBatchRequest(payload, stale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +440,9 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 // arbitrary payload, and that anything it does accept re-encodes to an
 // identical frame.
 func fuzzDecodeRequest(t *testing.T, payload []byte) {
-	id, gate, items, err := decodeBatchRequest(payload)
+	// Decode over a stale slice, as the server's read loop does.
+	stale := []sim.BatchItem{{Server: 7, Req: sim.Request{Op: sim.OpWrite, Key: "stale"}}}
+	id, gate, items, err := decodeBatchRequest(payload, stale)
 	if err != nil {
 		return
 	}

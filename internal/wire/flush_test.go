@@ -14,6 +14,7 @@ import (
 
 	"bqs/internal/obs"
 	"bqs/internal/sim"
+	"bqs/internal/store"
 )
 
 // gateConn is a net.Conn whose Write the test controls: every Write
@@ -84,6 +85,26 @@ func barrierYield(w *frameWriter) (arrived <-chan struct{}, release func()) {
 // — a reply comes.
 func fakeShard(t *testing.T, before func(items []sim.BatchItem)) string {
 	t.Helper()
+	return scriptedShard(t, func(nc net.Conn, id uint64, items []sim.BatchItem) error {
+		if before != nil {
+			before(items)
+		}
+		resps := make([]sim.Response, len(items))
+		for i := range resps {
+			resps[i].OK = true
+		}
+		out, _ := AppendBatchResponse(nil, id, resps)
+		_, err := nc.Write(out)
+		return err
+	})
+}
+
+// scriptedShard is a stand-in for wire.Server that hands every batch frame
+// to serve on the connection's read goroutine; serve writes whatever answer
+// the test wants, and an error from it drops the connection. Every
+// connection is closed when the test ends.
+func scriptedShard(t *testing.T, serve func(nc net.Conn, id uint64, items []sim.BatchItem) error) string {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +129,7 @@ func fakeShard(t *testing.T, before func(items []sim.BatchItem)) string {
 			conns = append(conns, nc)
 			mu.Unlock()
 			go func() {
+				defer nc.Close()
 				br := bufio.NewReader(nc)
 				var buf []byte
 				for {
@@ -120,18 +142,7 @@ func fakeShard(t *testing.T, before func(items []sim.BatchItem)) string {
 						continue
 					}
 					id, items, err := DecodeBatchRequest(frame)
-					if err != nil {
-						return
-					}
-					if before != nil {
-						before(items)
-					}
-					resps := make([]sim.Response, len(items))
-					for i := range resps {
-						resps[i].OK = true
-					}
-					out, _ := AppendBatchResponse(nil, id, resps)
-					if _, err := nc.Write(out); err != nil {
+					if err != nil || serve(nc, id, items) != nil {
 						return
 					}
 				}
@@ -349,10 +360,17 @@ func (l *gateListener) Accept() (net.Conn, error) {
 	return g, nil
 }
 
+// opaqueStore is a Mem the shard cannot see through: store.MayBlock
+// counts it as blocking, so the shard serves its frames on handler
+// goroutines, as it would over a store.Disk.
+type opaqueStore struct{ store.Store }
+
 // gatedServer serves replica 0 behind a gateListener and returns a raw
 // client socket to it plus the server's side of that connection: the
-// gated socket and the frameWriter its handlers share.
-func gatedServer(t *testing.T) (*Server, *sim.Server, net.Conn, *gateConn, *frameWriter) {
+// gated socket and the frameWriter its read loop and handlers share. With
+// handlers, the replica's store is opaque, so batch frames are served on
+// goroutines; without, on the read loop.
+func gatedServer(t *testing.T, handlers bool) (*Server, *sim.Server, net.Conn, *gateConn, *frameWriter) {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -360,7 +378,13 @@ func gatedServer(t *testing.T) (*Server, *sim.Server, net.Conn, *gateConn, *fram
 	}
 	gl := &gateListener{Listener: lis, conns: make(chan *gateConn, 1)}
 	reps := newReplicas([]int{0})
+	if handlers {
+		reps[0] = sim.NewServer(0, sim.WithStore(opaqueStore{store.NewMem()}))
+	}
 	srv := NewServer(reps)
+	if srv.onLoop == handlers {
+		t.Fatalf("shard answers on its read loop = %v, want %v", srv.onLoop, !handlers)
+	}
 	go srv.Serve(gl)
 	t.Cleanup(func() { srv.Close() })
 	raw, err := net.Dial("tcp", lis.Addr().String())
@@ -386,15 +410,20 @@ func gatedServer(t *testing.T) (*Server, *sim.Server, net.Conn, *gateConn, *fram
 // one write, each a write of key "k<id>".
 func writeProbes(t *testing.T, raw net.Conn, ids ...uint64) {
 	t.Helper()
+	if _, err := raw.Write(probeFrames(ids...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// probeFrames encodes the request frames writeProbes sends.
+func probeFrames(ids ...uint64) []byte {
 	var out []byte
 	for _, id := range ids {
 		out, _ = AppendBatchRequest(out, id, []sim.BatchItem{{Server: 0, Req: sim.Request{
 			Op: sim.OpWrite, Key: fmt.Sprintf("k%d", id), Value: sim.TaggedValue{Value: "v", TS: sim.Timestamp{Seq: 1, Writer: 1}},
 		}}})
 	}
-	if _, err := raw.Write(out); err != nil {
-		t.Fatal(err)
-	}
+	return out
 }
 
 // readReplies reads n reply frames off the raw socket and returns the set
@@ -419,10 +448,11 @@ func readReplies(t *testing.T, raw net.Conn, n int) map[uint64]bool {
 }
 
 // TestServerCoalescesBehindHeldFlush is the mirror of the client test for
-// reply frames: while the first handler's flush is held, nine more
+// reply frames on a shard that serves frames on handler goroutines (its
+// store may block): while the first handler's flush is held, nine more
 // handlers queue behind it, and the next write(2) carries all nine replies.
 func TestServerCoalescesBehindHeldFlush(t *testing.T) {
-	_, _, raw, g, w := gatedServer(t)
+	_, _, raw, g, w := gatedServer(t, true)
 	arrived, release := barrierYield(w)
 	writeProbes(t, raw, 1)
 	waitN(t, g.entered, 1, "the first reply's flush to reach write(2)")
@@ -439,38 +469,86 @@ func TestServerCoalescesBehindHeldFlush(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsCoalescedReplies: Shutdown returns only after the
-// reply to every accepted frame has been flushed — including replies that
-// were riding in the buffer behind somebody else's held flush.
-func TestShutdownDrainsCoalescedReplies(t *testing.T) {
-	srv, rep, raw, g, _ := gatedServer(t)
-	writeProbes(t, raw, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-	waitN(t, g.entered, 1, "a reply flush to reach write(2)")
-	// Every frame is accepted once its handler has applied its write (the
-	// handlers then sit in, or queue behind, the held flush).
-	for deadline := time.Now().Add(10 * time.Second); len(rep.Keys()) < 10; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of 10 frames were handled", len(rep.Keys()))
-		}
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Shutdown(context.Background()) }()
-	select {
-	case err := <-done:
-		t.Fatalf("Shutdown returned (%v) while replies were still unflushed", err)
-	case <-time.After(50 * time.Millisecond):
-	}
+// TestServerAnswersBurstInOneWrite: on a shard whose stores never block,
+// ten request frames that arrive in one write(2) are answered on the read
+// loop and their replies leave in one write(2) — the loop flushes only
+// once no whole frame is left to read.
+func TestServerAnswersBurstInOneWrite(t *testing.T) {
+	_, _, raw, g, _ := gatedServer(t, false)
 	close(g.gate)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Shutdown: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Shutdown never returned after the flush was released")
-	}
+	writeProbes(t, raw, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 	if got := readReplies(t, raw, 10); len(got) != 10 {
-		t.Fatalf("replies flushed before Shutdown returned = %v, want all of 1..10", got)
+		t.Fatalf("answered ids = %v, want all of 1..10", got)
+	}
+	if got := g.frameCounts(); len(got) != 1 || got[0] != 10 {
+		t.Fatalf("reply frames per write(2) = %v, want [10]", got)
+	}
+}
+
+// TestServerFlushesBeforeBlockingRead: when a whole frame arrives with
+// only the first half of the next, the read loop must put the first reply
+// on the socket before it blocks in read(2) for the rest — the sender of
+// the second half is waiting for that reply first. A loop that flushed
+// only after its next read would never answer.
+func TestServerFlushesBeforeBlockingRead(t *testing.T) {
+	_, _, raw, g, _ := gatedServer(t, false)
+	close(g.gate)
+	first, second := probeFrames(1), probeFrames(2)
+	half := len(second) / 2
+	if _, err := raw.Write(append(first, second[:half]...)); err != nil {
+		t.Fatal(err)
+	}
+	if got := readReplies(t, raw, 1); !got[1] {
+		t.Fatalf("answered ids = %v, want 1 before the rest of frame 2 is sent", got)
+	}
+	if _, err := raw.Write(second[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if got := readReplies(t, raw, 1); !got[2] {
+		t.Fatalf("answered ids = %v, want 2", got)
+	}
+	if got := g.frameCounts(); len(got) != 2 || got[0] != 1 || got[1] != 1 {
+		t.Fatalf("reply frames per write(2) = %v, want [1 1]", got)
+	}
+}
+
+// TestShutdownDrainsCoalescedReplies: Shutdown returns only after the
+// reply to every accepted frame has been flushed — replies a read loop has
+// buffered, and replies riding in the buffer behind somebody else's held
+// flush.
+func TestShutdownDrainsCoalescedReplies(t *testing.T) {
+	for name, handlers := range map[string]bool{"read loop": false, "handlers": true} {
+		t.Run(name, func(t *testing.T) {
+			srv, rep, raw, g, _ := gatedServer(t, handlers)
+			writeProbes(t, raw, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+			waitN(t, g.entered, 1, "a reply flush to reach write(2)")
+			// Every frame is accepted once its write is applied (its reply then
+			// sits in, or queues behind, the held flush).
+			for deadline := time.Now().Add(10 * time.Second); len(rep.Keys()) < 10; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d of 10 frames were handled", len(rep.Keys()))
+				}
+			}
+			done := make(chan error, 1)
+			go func() { done <- srv.Shutdown(context.Background()) }()
+			select {
+			case err := <-done:
+				t.Fatalf("Shutdown returned (%v) while replies were still unflushed", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(g.gate)
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("Shutdown: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Shutdown never returned after the flush was released")
+			}
+			if got := readReplies(t, raw, 10); len(got) != 10 {
+				t.Fatalf("replies flushed before Shutdown returned = %v, want all of 1..10", got)
+			}
+		})
 	}
 }
 

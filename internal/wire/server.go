@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"bqs/internal/obs"
 	"bqs/internal/reconfig"
 	"bqs/internal/sim"
+	"bqs/internal/store"
 )
 
 // ErrServerClosed is returned by Serve and ListenAndServe after Shutdown
@@ -18,12 +20,19 @@ var ErrServerClosed = errors.New("wire: server closed")
 
 // Server hosts a shard of the universe: a set of sim.Server replicas,
 // keyed by their global server index, reachable over TCP. Connections are
-// handled concurrently, and each request on a connection is served in its
-// own goroutine, so a pipelining client sees true parallelism even over a
-// single socket. Replica behavior (crash and Byzantine fault injection)
-// stays the business of the underlying sim.Server objects.
+// handled concurrently, each by its own read loop. Where a request can
+// wait, it gets a goroutine of its own: a reconfig frame, and any batch
+// frame on a shard with a replica whose store may block (store.MayBlock —
+// a store.Disk parks writes on its group commit). A shard whose stores
+// never block answers batch frames on the read loop itself, buffering the
+// replies and flushing them before the loop could block in read(2) — so a
+// burst of frames that arrived together is answered in one write(2), and
+// no reply waits on the next request. Replica behavior (crash and
+// Byzantine fault injection) stays the business of the underlying
+// sim.Server objects.
 type Server struct {
 	replicas map[int]*sim.Server
+	onLoop   bool // no replica's store may block: batch frames are answered on the read loop
 	met      *wireMetrics
 
 	// epochMu guards the installed configuration record. Handlers of
@@ -65,14 +74,21 @@ func WithServerMetrics(reg *obs.Registry) ServerOption {
 }
 
 // NewServer returns a Server hosting the given replicas. The map is
-// copied; mutate replica behavior through the *sim.Server values.
+// copied; mutate replica behavior through the *sim.Server values. The
+// stores the replicas were built with decide where batch frames are
+// served (see Server).
 func NewServer(replicas map[int]*sim.Server, opts ...ServerOption) *Server {
 	m := make(map[int]*sim.Server, len(replicas))
+	onLoop := true
 	for id, s := range replicas {
 		m[id] = s
+		if store.MayBlock(s.Store()) {
+			onLoop = false
+		}
 	}
 	srv := &Server{
 		replicas:  m,
+		onLoop:    onLoop,
 		met:       &wireMetrics{},
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]*frameWriter),
@@ -139,6 +155,12 @@ func (s *Server) Serve(lis net.Listener) error {
 // is dropped (a well-behaved peer never sends one, and there is no way to
 // re-synchronize a corrupt stream) — which is also the whole of version
 // compatibility, since the peer reads the drop as a crashed shard.
+//
+// Frames served on the loop (see Server) leave their replies in the write
+// buffer while another whole frame is already read in; before a read that
+// could block, the loop flushes. It holds one in-flight registration from
+// its first unflushed reply to that flush, so Shutdown's drain waits for
+// replies buffered on the loop exactly as for a handler goroutine's.
 func (s *Server) serveConn(w *frameWriter) {
 	nc := w.nc
 	defer func() {
@@ -147,9 +169,26 @@ func (s *Server) serveConn(w *frameWriter) {
 		s.mu.Unlock()
 		nc.Close()
 	}()
+	held := false // the loop has replies buffered, under one in-flight registration
+	release := func() {
+		if err := w.flush(); err != nil {
+			nc.Close()
+		}
+		held = false
+		s.inflight.Done()
+	}
+	defer func() {
+		if held {
+			release()
+		}
+	}()
 	br := bufio.NewReader(nc)
 	var buf []byte
+	var items []sim.BatchItem // the loop's decode target, reused frame after frame
 	for {
+		if held && !frameBuffered(br) {
+			release()
+		}
 		frame, err := ReadFrame(br, buf)
 		if err != nil {
 			return
@@ -170,17 +209,33 @@ func (s *Server) serveConn(w *frameWriter) {
 				if rf.Kind == ReconfigInstall {
 					cur = s.install(rf.Rec)
 				}
-				s.reply(w, recID, nil, ReconfigState, cur)
+				s.reply(w, true, recID, nil, ReconfigState, cur)
 			}
 		case tagBatchRequest:
-			batchID, gate, items, err := decodeBatchRequest(frame)
+			var dst []sim.BatchItem // a frame handed to a goroutine gets items of its own
+			if s.onLoop {
+				dst = items
+			}
+			batchID, gate, decoded, err := decodeBatchRequest(frame, dst)
 			if err != nil {
 				return
 			}
-			work = func() {
-				defer s.inflight.Done()
-				s.serveBatch(w, batchID, gate, items)
+			if !s.onLoop {
+				work = func() {
+					defer s.inflight.Done()
+					s.serveBatch(w, true, batchID, gate, decoded)
+				}
+				break
 			}
+			items = decoded
+			if !held {
+				if !s.beginRequest() {
+					return // shutting down: stop consuming new frames
+				}
+				held = true
+			}
+			s.serveBatch(w, false, batchID, gate, items)
+			continue
 		default:
 			return // unknown frame kind: protocol error
 		}
@@ -191,20 +246,37 @@ func (s *Server) serveConn(w *frameWriter) {
 	}
 }
 
+// frameBuffered reports whether br already holds the whole of the next
+// frame, so reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	prefix, _ := br.Peek(4) // buffered: Peek cannot block or fail
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(prefix))
+}
+
 // reply puts one reply frame on the connection — a batch response when
-// resps is non-nil, else rec as a reconfig frame of the given kind — and
-// sees it flushed, by this handler or carried by another's flush (see
-// frameWriter), before it returns: a handler that is done has its answer
-// on the socket, which is what lets Shutdown wait on the handlers alone.
+// resps is non-nil, else rec as a reconfig frame of the given kind. With
+// flush, it also sees the frame flushed, by this handler or carried by
+// another's flush (see frameWriter), before it returns: a handler that is
+// done has its answer on the socket, which is what lets Shutdown wait on
+// the handlers alone. Without, the frame waits for the read loop's flush.
 // A failed write closes the connection, which unblocks the read loop.
-func (s *Server) reply(w *frameWriter, id uint64, resps []sim.Response, kind ReconfigKind, rec reconfig.Record) {
-	err := w.send(func(dst []byte) []byte {
+func (s *Server) reply(w *frameWriter, flush bool, id uint64, resps []sim.Response, kind ReconfigKind, rec reconfig.Record) {
+	encode := func(dst []byte) []byte {
 		if resps == nil {
 			return append(dst, recordFrame(id, kind, rec)...) // rare: off the probe path
 		}
 		dst, _ = AppendBatchResponse(dst, id, resps) // serveBatch's fit: always encodes
 		return dst
-	})
+	}
+	var err error
+	if flush {
+		err = w.send(encode)
+	} else {
+		err = w.put(encode)
+	}
 	if err != nil {
 		w.nc.Close()
 	}
@@ -225,13 +297,13 @@ func (s *Server) reply(w *frameWriter, id uint64, resps []sim.Response, kind Rec
 // MaxFrame (the flags+header floor of every item fits MaxBatchOps many
 // times over), so the reply always encodes and one huge stored value
 // cannot make the shard's other replicas read as crashed.
-func (s *Server) serveBatch(w *frameWriter, id, gate uint64, items []sim.BatchItem) {
+func (s *Server) serveBatch(w *frameWriter, flush bool, id, gate uint64, items []sim.BatchItem) {
 	if gate != 0 {
 		s.epochMu.RLock()
 		if cur := s.rec; gate-1 != cur.Epoch {
 			s.epochMu.RUnlock()
 			s.met.wrongEpoch.Inc()
-			s.reply(w, id, nil, ReconfigWrongEpoch, cur)
+			s.reply(w, flush, id, nil, ReconfigWrongEpoch, cur)
 			return
 		}
 	}
@@ -254,18 +326,25 @@ func (s *Server) serveBatch(w *frameWriter, id, gate uint64, items []sim.BatchIt
 		}
 		total += respItemMinLen + len(resp.Value.Value)
 	}
-	s.reply(w, id, resps, 0, reconfig.Record{})
+	s.reply(w, flush, id, resps, 0, reconfig.Record{})
 }
 
 // handleBatch fans a frame of several items across the shard's replicas:
-// each item is dispatched to the replica hosting its server —
-// concurrently, because a durable replica may park an item on its store's
-// group commit, and serializing the frame would turn one fsync per frame
-// into one per item — and the responses align index-by-index with the
-// items. The first item runs on the calling handler goroutine, which
-// would otherwise only wait.
+// each item is dispatched to the replica hosting its server, and the
+// responses align index-by-index with the items. Where a store may block,
+// the items run concurrently, because a durable replica may park an item
+// on its store's group commit, and serializing the frame would turn one
+// fsync per frame into one per item; the first item runs on the calling
+// handler goroutine, which would otherwise only wait. On a shard whose
+// stores never block, the items run one after another on the read loop.
 func (s *Server) handleBatch(items []sim.BatchItem) []sim.Response {
 	out := make([]sim.Response, len(items))
+	if s.onLoop {
+		for i, it := range items {
+			out[i] = s.handle(it.Server, it.Req)
+		}
+		return out
+	}
 	var wg sync.WaitGroup
 	for i, it := range items[1:] {
 		wg.Add(1)
