@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bqs-tables [-p 0.125] [-trials 4000] [-seed 1] [-only table2|section8|load|rt|tradeoff]
+//	bqs-tables [-p 0.125] [-trials 4000] [-seed 1] [-only table2|section8|load|rt|tradeoff|crash|boosting|ablation]
 package main
 
 import (
@@ -13,10 +13,15 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 
 	"bqs/internal/paper"
 	"bqs/internal/systems"
 )
+
+// tables names the tables -only selects, in the order they print.
+var tables = []string{"table2", "section8", "load", "rt", "tradeoff", "crash", "boosting", "ablation"}
 
 func main() {
 	if err := run(); err != nil {
@@ -29,8 +34,14 @@ func run() error {
 	p := flag.Float64("p", 0.125, "element crash probability for F_p columns")
 	trials := flag.Int("trials", 4000, "Monte Carlo trials where no closed form exists")
 	seed := flag.Int64("seed", 1, "random seed")
-	only := flag.String("only", "", "print a single table: table2|section8|load|rt|tradeoff|boosting|ablation")
-	flag.Parse()
+	only := flag.String("only", "", "print a single table: "+strings.Join(tables, "|"))
+	// Not flag.Parse: a test's non-exiting FlagSet gets the error back.
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		return err
+	}
+	if *only != "" && !slices.Contains(tables, *only) {
+		return fmt.Errorf("-only %s: no such table (want one of %s)", *only, strings.Join(tables, ", "))
+	}
 
 	want := func(name string) bool { return *only == "" || *only == name }
 

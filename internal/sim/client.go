@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -205,12 +206,25 @@ func (cl *Client) noteReplies(members []int, replies []Response) bool {
 	return ok
 }
 
+// opScratch is one operation's phase buffers: its quorum's members and
+// their replies. Every phase and retry of the operation reuses them, and
+// the operation returns them to scratchPool when it ends. A Client runs
+// operations concurrently, so the buffers belong to the operation, not
+// to the client.
+type opScratch struct {
+	members []int
+	replies []Response
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(opScratch) }}
+
 // quorumOp is the one retry loop every phase of both protocols runs: pick
 // a quorum avoiding suspects, probe every member (through via when it is
 // non-nil — a Session's batcher — else the cluster's counting transport),
 // suspect the silent ones, and return the replies once a whole quorum
-// answered. It retries only while some member is silent.
-func (cl *Client) quorumOp(ctx context.Context, req Request, via Transport) ([]Response, error) {
+// answered. It retries only while some member is silent. The replies live
+// in sc, so they are valid until the operation's next phase.
+func (cl *Client) quorumOp(ctx context.Context, req Request, via Transport, sc *opScratch) ([]Response, error) {
 	for attempt := 0; attempt < cl.MaxRetries; attempt++ {
 		if attempt > 0 {
 			cl.cluster.met.retries.Inc()
@@ -219,9 +233,14 @@ func (cl *Client) quorumOp(ctx context.Context, req Request, via Transport) ([]R
 		if err != nil {
 			return nil, err
 		}
-		members := q.Elements()
-		replies, err := cl.cluster.probeQuorum(ctx, members, req, via)
-		if err != nil {
+		members := sc.members[:0]
+		q.Range(func(i int) bool {
+			members = append(members, i)
+			return true
+		})
+		replies := slices.Grow(sc.replies[:0], len(members))[:len(members)]
+		sc.members, sc.replies = members, replies
+		if err := cl.cluster.probeQuorum(ctx, members, req, via, replies); err != nil {
 			return nil, err
 		}
 		if cl.noteReplies(members, replies) {
@@ -296,13 +315,15 @@ func (cl *Client) writeKey(ctx context.Context, key, value string, via Transport
 		return fmt.Errorf("sim: write: %w", err)
 	}
 	defer func() { cl.end(st, false, start, err) }()
-	replies, err := cl.quorumOp(ctx, Request{Op: OpReadTimestamps, Key: key, ReaderID: cl.id}, via)
+	sc := scratchPool.Get().(*opScratch)
+	defer scratchPool.Put(sc)
+	replies, err := cl.quorumOp(ctx, Request{Op: OpReadTimestamps, Key: key, ReaderID: cl.id}, via, sc)
 	if err != nil {
 		return fmt.Errorf("sim: write: %w", err)
 	}
 	tv := TaggedValue{Value: value, TS: cl.nextTS(key, cl.rule.timestamp(key, replies))}
 	cl.rule.sign(key, tv)
-	if _, err = cl.quorumOp(ctx, Request{Op: OpWrite, Key: key, Value: tv}, via); err != nil {
+	if _, err = cl.quorumOp(ctx, Request{Op: OpWrite, Key: key, Value: tv}, via, sc); err != nil {
 		return fmt.Errorf("sim: write: %w", err)
 	}
 	return nil
@@ -335,7 +356,9 @@ func (cl *Client) readKey(ctx context.Context, key string, via Transport) (tv Ta
 		return TaggedValue{}, fmt.Errorf("sim: read: %w", err)
 	}
 	defer func() { cl.end(st, true, start, err) }()
-	replies, err := cl.quorumOp(ctx, Request{Op: OpRead, Key: key, ReaderID: cl.id}, via)
+	sc := scratchPool.Get().(*opScratch)
+	defer scratchPool.Put(sc)
+	replies, err := cl.quorumOp(ctx, Request{Op: OpRead, Key: key, ReaderID: cl.id}, via, sc)
 	if err != nil {
 		return TaggedValue{}, fmt.Errorf("sim: read: %w", err)
 	}

@@ -139,7 +139,8 @@ func WithOptimalStrategy() Option {
 // called once per server id and its engine is installed via WithStore,
 // so writes persist before acking and the Restart behavior runs real
 // crash recovery. The Cluster owns the engines it built — Close releases
-// them. A factory returning (nil, nil) leaves that server memory-only.
+// them. A factory returning (nil, nil) leaves that server on NewServer's
+// default store.Mem.
 func WithStores(factory func(id int) (store.Store, error)) Option {
 	return func(c *config) error {
 		if factory == nil {
@@ -499,8 +500,8 @@ func (c *Cluster) invokeBatch(ctx context.Context, items []BatchItem) ([]Respons
 	return out, err
 }
 
-// probeQuorum sends req to every quorum member and returns the replies
-// index-aligned with members. A phase takes one of three paths:
+// probeQuorum sends req to every quorum member and writes member k's reply
+// to out[k] (len(out) == len(members)). A phase takes one of three paths:
 //   - inline — members called one after another, in ascending server
 //     order, on the caller's goroutine — when no probe can block (see
 //     inline);
@@ -513,41 +514,37 @@ func (c *Cluster) invokeBatch(ctx context.Context, items []BatchItem) ([]Respons
 //
 // Probes travel through via when it is non-nil (the session batcher) and
 // through the cluster's own counting path otherwise; every path charges
-// one access per member. The only error it returns is a transport failure
-// (typically ctx cancellation or expiry); unresponsive servers appear as
-// Response{OK: false}.
-func (c *Cluster) probeQuorum(ctx context.Context, members []int, req Request, via Transport) ([]Response, error) {
+// one access per member. Every path is done with out when probeQuorum
+// returns, so the caller may reuse it. The only error it returns is a
+// transport failure (typically ctx cancellation or expiry); unresponsive
+// servers appear as Response{OK: false}.
+func (c *Cluster) probeQuorum(ctx context.Context, members []int, req Request, via Transport, out []Response) error {
 	if !c.met.on {
-		return c.probeQuorumUntimed(ctx, members, req, via)
+		return c.probeQuorumUntimed(ctx, members, req, via, out)
 	}
 	start := time.Now()
-	out, err := c.probeQuorumUntimed(ctx, members, req, via)
+	err := c.probeQuorumUntimed(ctx, members, req, via, out)
 	c.met.phaseSeconds.ObserveDuration(time.Since(start))
-	return out, err
+	return err
 }
 
 // probeQuorumUntimed is probeQuorum without the fan-out span.
-func (c *Cluster) probeQuorumUntimed(ctx context.Context, members []int, req Request, via Transport) ([]Response, error) {
+func (c *Cluster) probeQuorumUntimed(ctx context.Context, members []int, req Request, via Transport, out []Response) error {
 	c.cur.Load().phases.Add(1)
-	out := make([]Response, len(members))
-	var err error
 	switch {
 	case c.inline(members, req.Op, via):
 		for k, i := range members {
+			var err error
 			if out[k], err = c.probe(ctx, i, req, via); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return out, nil
+		return nil
 	case via == nil && c.phase != nil:
-		err = c.invokePhase(ctx, members, req, out)
+		return c.invokePhase(ctx, members, req, out)
 	default:
-		err = c.fanOut(ctx, members, out, req, via)
+		return c.fanOut(ctx, members, out, req, via)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // inline reports whether a phase can call its members on the caller's
@@ -555,7 +552,8 @@ func (c *Cluster) probeQuorumUntimed(ctx context.Context, members []int, req Req
 // able to block — the built-in in-memory transport with no latency
 // model, reached directly rather than through a session batcher, and,
 // for a write, no member whose store may block (store.MayBlock: a
-// store.Disk group-commits; nil and *store.Mem never wait). Anything
+// store.Disk group-commits; a *store.Mem, every server's default, never
+// waits). Anything
 // else — TCP, middleware, modelled latency, durable stores, the batcher —
 // may block, and a serial loop would sum the waits or deadlock on a
 // barrier.

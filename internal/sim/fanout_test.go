@@ -177,10 +177,11 @@ func BenchmarkQuorumPhase(b *testing.B) {
 				b.Fatal(err)
 			}
 			members := q.Elements()
+			out := make([]Response, len(members))
 			req := Request{Op: OpRead, Key: "k", ReaderID: 1}
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := c.probeQuorum(ctx, members, req, nil); err != nil {
+				if err := c.probeQuorum(ctx, members, req, nil, out); err != nil {
 					b.Fatal(err)
 				}
 			}

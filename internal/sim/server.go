@@ -70,20 +70,21 @@ const (
 	// timestamp far in the future (the classic attack masking quorums
 	// defend against).
 	ByzantineFabricate
-	// ByzantineStale answers reads with the oldest value it ever stored,
-	// hiding newer writes.
+	// ByzantineStale answers reads with what it held when it turned stale,
+	// hiding every newer write: an authentic older value, not a forgery.
 	ByzantineStale
 	// ByzantineEquivocate answers alternate reads with alternating
 	// fabricated values, so different readers see different states.
 	ByzantineEquivocate
 	// Restart is not a steady state but a transition: applying it kills
-	// and recovers the server in place. The attached store's Reopen runs
-	// the crash-recovery boundary (a durable engine replays its snapshot
-	// and WAL; the in-memory engine comes back empty), the registers are
-	// reloaded from whatever survived, and the server lands on Correct —
-	// or Crashed, if recovery itself fails. Flowing through SetBehavior
-	// lets the existing churn schedules and the wire flip item drive
-	// process-level kill-and-recover cycles on remote servers.
+	// and recovers the server in place. The store's Reopen runs the
+	// crash-recovery boundary (a durable engine replays its snapshot and
+	// WAL; the in-memory engine comes back empty), and since the store is
+	// the server's register map, the server then serves whatever survived.
+	// It lands on Correct — or Crashed, if recovery itself fails. Flowing
+	// through SetBehavior lets the existing churn schedules and the wire
+	// flip item drive process-level kill-and-recover cycles on remote
+	// servers.
 	Restart
 )
 
@@ -152,26 +153,20 @@ const FabricatedValue = "FABRICATED"
 // exactly the keyed API at this key.
 const DefaultKey = ""
 
-// register is one key's replicated state on one server: the [MR98a]
-// timestamped value plus the earliest write, which ByzantineStale replays.
-// Every key has an independent register, so the per-key timestamp protocol
-// keeps the masking invariant key by key.
-type register struct {
-	current  TaggedValue
-	first    TaggedValue
-	hasFirst bool
-}
-
-// Server is one replica of the keyed object space.
+// Server is one replica of the keyed object space. Its registers are its
+// storage engine's records, one per key: every key is an independent
+// [MR98a] register, so the per-key timestamp protocol keeps the masking
+// invariant key by key, and the server holds no second copy of them.
 type Server struct {
 	id    int
-	store store.Store // nil: registers live only in memory
+	store store.Store
 
 	mu       sync.Mutex
 	behavior Behavior
-	regs     map[string]*register
-	reads    int // served read count, drives equivocation alternation
-	writes   int
+	// stale is what a ByzantineStale server replays: its registers as they
+	// stood when it turned stale. Nil in every other mode.
+	stale map[string]TaggedValue
+	reads int // equivocating reads served, drives the alternation
 	// colludeTS lets a test coordinate fabricators on one fake timestamp.
 	colludeTS Timestamp
 }
@@ -179,70 +174,43 @@ type Server struct {
 // ServerOption configures NewServer.
 type ServerOption func(*Server)
 
-// WithStore attaches a storage engine: every applied write is persisted
-// to st before it is acknowledged, the Restart behavior recovers through
-// st.Reopen, and state st already holds (a durable engine opened on an
-// existing data dir) seeds the registers at construction. Without it the
-// server keeps the original memory-only semantics.
+// WithStore sets the server's storage engine, which holds its registers:
+// every applied write is persisted to st before it is acknowledged, reads
+// are served from st, the Restart behavior recovers through st.Reopen, and
+// state st already holds (a durable engine opened on an existing data dir)
+// is served from construction on. Without it the server runs on a fresh
+// store.Mem, whose registers die with the process.
 func WithStore(st store.Store) ServerOption {
 	return func(s *Server) { s.store = st }
 }
 
 // NewServer returns a correct server whose object space is whatever its
-// store recovered — empty when no store (or a fresh one) is attached.
+// store holds — empty on the default store.Mem or a fresh engine.
 func NewServer(id int, opts ...ServerOption) *Server {
 	s := &Server{
 		id:        id,
 		behavior:  Correct,
-		regs:      make(map[string]*register),
 		colludeTS: Timestamp{Seq: 1 << 40, Writer: -1},
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.loadFromStore()
+	if s.store == nil {
+		s.store = store.NewMem()
+	}
 	return s
 }
 
-// Store returns the attached storage engine, or nil.
+// Store returns the server's storage engine.
 func (s *Server) Store() store.Store { return s.store }
-
-// loadFromStore rebuilds the registers from the store's current state —
-// the recovery half of a restart, and the startup path for a server
-// reopening an existing data dir. With no store attached the registers
-// come back empty (restart means amnesia without a durable engine). The
-// earliest-write history is gone after a restart, so first is reset to
-// current.
-func (s *Server) loadFromStore() {
-	regs := make(map[string]*register)
-	if s.store != nil {
-		s.store.Range(func(rec store.Record) bool {
-			tv := TaggedValue{Value: rec.Value, TS: Timestamp{Seq: rec.Seq, Writer: int(rec.Writer)}}
-			regs[rec.Key] = &register{current: tv, first: tv, hasFirst: true}
-			return true
-		})
-	}
-	s.mu.Lock()
-	s.regs = regs
-	s.mu.Unlock()
-}
-
-// reg returns key's register, creating it when create is set; a read of a
-// never-written key sees the zero register without allocating state.
-func (s *Server) reg(key string, create bool) *register {
-	r := s.regs[key]
-	if r == nil && create {
-		r = &register{}
-		s.regs[key] = r
-	}
-	return r
-}
 
 // ID returns the server id.
 func (s *Server) ID() int { return s.id }
 
-// SetBehavior switches the server's fault mode. Restart is special: it
-// is the kill-and-recover transition, not a state — see restart.
+// SetBehavior switches the server's fault mode. Turning ByzantineStale
+// copies the registers the server then holds, which it replays from then
+// on. Restart is special: it is the kill-and-recover transition, not a
+// state — see restart.
 func (s *Server) SetBehavior(b Behavior) {
 	if b == Restart {
 		s.restart()
@@ -250,28 +218,30 @@ func (s *Server) SetBehavior(b Behavior) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	switch {
+	case b != ByzantineStale:
+		s.stale = nil
+	case s.behavior != ByzantineStale:
+		s.stale = make(map[string]TaggedValue)
+		s.store.Range(func(rec store.Record) bool {
+			s.stale[rec.Key] = tagged(rec)
+			return true
+		})
+	}
 	s.behavior = b
 }
 
 // restart simulates a process kill and recovery in place: the store's
-// Reopen runs the crash-recovery boundary, the registers reload from
-// whatever survived it, and the server comes back Correct. A server with
-// no store restarts into amnesia, exactly as the pre-store churn engine
-// behaved. If recovery itself fails the server stays Crashed — a replica
-// that cannot read its own log must not serve.
+// Reopen runs the crash-recovery boundary and the server comes back
+// Correct, serving whatever survived — nothing, on a store.Mem. If
+// recovery itself fails the server stays Crashed — a replica that cannot
+// read its own log must not serve.
 func (s *Server) restart() {
-	s.mu.Lock()
-	s.behavior = Crashed
-	s.mu.Unlock()
-	if s.store != nil {
-		if err := s.store.Reopen(); err != nil {
-			return
-		}
+	s.SetBehavior(Crashed)
+	if s.store.Reopen() != nil {
+		return
 	}
-	s.loadFromStore()
-	s.mu.Lock()
-	s.behavior = Correct
-	s.mu.Unlock()
+	s.SetBehavior(Correct)
 }
 
 // Behavior returns the current fault mode.
@@ -282,71 +252,49 @@ func (s *Server) Behavior() Behavior {
 }
 
 // HandleWrite applies a timestamped write to key's register. It returns
-// false when the server is unresponsive (crashed), or when an attached
-// store could not make the write durable — to the client both read as
+// false when the server is unresponsive (crashed), or when the store
+// could not make the write durable — to the client both read as
 // unresponsiveness, the protocol's correct signal for a write whose
 // durability is unknown. Byzantine servers acknowledge but may discard.
 //
-// Persistence happens before the register update and outside the server
-// lock: holding mu across a disk fsync would serialize concurrent
-// writers and defeat the store's group commit, and applying the register
-// only after Apply returns keeps memory from getting ahead of the log.
+// The store's Apply runs outside the server lock: holding mu across a
+// disk fsync would serialize concurrent writers and defeat the store's
+// group commit. A read of a store.Disk-backed server may see a record
+// still waiting for its group commit. That is the same as seeing a write
+// in flight, so the safe-register argument holds: an acknowledged write
+// was made durable at every server that acknowledged it.
 func (s *Server) HandleWrite(key string, tv TaggedValue) bool {
-	s.mu.Lock()
-	if s.behavior == Crashed {
-		s.mu.Unlock()
-		return false
-	}
 	// ByzantineFabricate/ByzantineEquivocate acknowledge without storing
 	// faithfully (they store anyway; responses are fabricated regardless).
-	s.writes++
-	s.mu.Unlock()
-
-	if s.store != nil {
-		rec := store.Record{Key: key, Value: tv.Value, Seq: tv.TS.Seq, Writer: int64(tv.TS.Writer)}
-		if err := s.store.Apply(rec); err != nil {
-			return false
-		}
+	if s.Behavior() == Crashed {
+		return false
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.reg(key, true)
-	if !r.hasFirst {
-		r.first = tv
-		r.hasFirst = true
-	}
-	if r.current.TS.Less(tv.TS) {
-		r.current = tv
-	}
-	return true
+	rec := store.Record{Key: key, Value: tv.Value, Seq: tv.TS.Seq, Writer: int64(tv.TS.Writer)}
+	return s.store.Apply(rec) == nil
 }
 
 // HandleRead returns the server's answer to a read probe of key's
 // register, and false when unresponsive. A never-written key reads as the
 // zero TaggedValue, like the empty register it is.
 func (s *Server) HandleRead(readerID int, key string) (TaggedValue, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reads++
-	switch s.behavior {
+	switch s.Behavior() {
 	case Crashed:
 		return TaggedValue{}, false
 	case ByzantineFabricate:
 		return TaggedValue{Value: FabricatedValue, TS: s.colludeTS}, true
 	case ByzantineStale:
-		if r := s.reg(key, false); r != nil && r.hasFirst {
-			return r.first, true
-		}
-		return TaggedValue{}, true
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.stale[key], true
 	case ByzantineEquivocate:
-		v := fmt.Sprintf("%s-%d", FabricatedValue, s.reads%2)
-		return TaggedValue{Value: v, TS: Timestamp{Seq: s.colludeTS.Seq + int64(s.reads%2), Writer: -1}}, true
+		s.mu.Lock()
+		s.reads++
+		odd := s.reads % 2
+		s.mu.Unlock()
+		v := fmt.Sprintf("%s-%d", FabricatedValue, odd)
+		return TaggedValue{Value: v, TS: Timestamp{Seq: s.colludeTS.Seq + int64(odd), Writer: -1}}, true
 	default:
-		if r := s.reg(key, false); r != nil {
-			return r.current, true
-		}
-		return TaggedValue{}, true
+		return s.SnapshotKey(key), true
 	}
 }
 
@@ -372,25 +320,25 @@ func (s *Server) HandleRequest(req Request) (Response, error) {
 // (for test assertions, not part of the protocol).
 func (s *Server) Snapshot() TaggedValue { return s.SnapshotKey(DefaultKey) }
 
-// SnapshotKey returns the faithfully stored value of key's register (for
-// test assertions, not part of the protocol).
+// SnapshotKey returns the faithfully stored value of key's register,
+// whatever the server's behavior.
 func (s *Server) SnapshotKey(key string) TaggedValue {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r := s.reg(key, false); r != nil {
-		return r.current
-	}
-	return TaggedValue{}
+	rec, _ := s.store.Get(key)
+	return tagged(rec)
 }
 
 // Keys returns the keys this replica has faithfully stored at least one
-// write for, in no particular order (for test assertions).
+// write for, in the store's order.
 func (s *Server) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.regs))
-	for k := range s.regs {
-		out = append(out, k)
-	}
+	var out []string
+	s.store.Range(func(rec store.Record) bool {
+		out = append(out, rec.Key)
+		return true
+	})
 	return out
+}
+
+// tagged is the register value a store record holds.
+func tagged(rec store.Record) TaggedValue {
+	return TaggedValue{Value: rec.Value, TS: Timestamp{Seq: rec.Seq, Writer: int(rec.Writer)}}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bqs/internal/core"
@@ -154,6 +155,44 @@ func TestMasksStaleReplay(t *testing.T) {
 	got, err := c.NewClient(2).Read(ctx)
 	if err != nil || got.Value != "v2" {
 		t.Fatalf("read %q (%v), want v2", got.Value, err)
+	}
+}
+
+// TestStaleReplaysWhatItHeldAtTheFlip: a ByzantineStale server replays
+// its registers as they stood when it turned stale — v2 here, not v1, the
+// oldest value it ever stored — and the masking read still returns v3,
+// written after the flip. The stale server is one that stored both v1
+// and v2.
+func TestStaleReplaysWhatItHeldAtTheFlip(t *testing.T) {
+	const b = 2
+	c := newThresholdCluster(t, b, 29)
+	w := c.NewClient(1)
+	held := make([][]string, c.N())
+	for _, v := range []string{"v1", "v2"} {
+		if err := w.WriteKey(ctx, "k", v); err != nil {
+			t.Fatal(err)
+		}
+		for i := range held {
+			held[i] = append(held[i], c.Server(i).SnapshotKey("k").Value)
+		}
+	}
+	stale := slices.IndexFunc(held, func(h []string) bool { return h[0] == "v1" && h[1] == "v2" })
+	if stale < 0 {
+		t.Fatal("no server stored both v1 and v2")
+	}
+	if err := c.InjectFault(ByzantineStale, stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteKey(ctx, "k", "v3"); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Server(stale).HandleRead(2, "k"); !ok || got.Value != "v2" {
+		t.Fatalf("stale server %d replays %q (ok=%v), want v2, what it held at the flip", stale, got.Value, ok)
+	}
+	for i := range 20 {
+		if got, err := c.NewClient(100+i).ReadKey(ctx, "k"); err != nil || got.Value != "v3" {
+			t.Fatalf("read %q (%v), want v3", got.Value, err)
+		}
 	}
 }
 
