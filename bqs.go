@@ -306,20 +306,20 @@ func NewInMemoryTransport(servers []*Server, seed int64) Transport {
 
 // NewServer returns a correct replica, for hosting in a WireServer (the
 // Cluster constructor builds its own servers; this is for standalone
-// daemons). Without options the replica starts with empty registers;
-// with WithStore it loads its registers from the engine's recovered
-// state and persists every accepted write before acknowledging it.
+// daemons). Without options the replica's registers live in a fresh
+// volatile Mem engine; with WithStore they are the engine's recovered
+// state, and every accepted write is persisted before it is acknowledged.
 func NewServer(id int, opts ...ServerOption) *Server { return sim.NewServer(id, opts...) }
 
-// WithStore backs the server's registers with the given storage engine:
-// recovered state is loaded at construction, every accepted write is
+// WithStore makes the given storage engine the server's registers:
+// recovered state is served from construction, every accepted write is
 // persisted before it is acknowledged, and a Restart fault replays the
 // engine's crash-recovery path.
 func WithStore(st Store) ServerOption { return sim.WithStore(st) }
 
 // WithStores backs every server of a cluster with a storage engine from
 // the factory, called once per server id; return (nil, nil) to leave a
-// server memory-only. The cluster owns the engines it builds and closes
+// server on the default volatile engine. The cluster owns the engines it builds and closes
 // them in Cluster.Close.
 func WithStores(factory func(id int) (Store, error)) ClusterOption {
 	return sim.WithStores(factory)
