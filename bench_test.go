@@ -29,12 +29,10 @@ import (
 // --- Table 2 -------------------------------------------------------------
 
 func BenchmarkTable2(b *testing.B) {
-	cfg := paper.DefaultTable2Config()
-	cfg.Trials = 1000
-	var rows []paper.Table2Row
+	var rows []measures.Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = paper.Table2(cfg)
+		rows, err = paper.Table2(0.125, 1000, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +60,7 @@ func BenchmarkSection8(b *testing.B) {
 	}
 	for _, r := range rows {
 		if r.System == "boostFPP(q=3,b=19)" {
-			b.ReportMetric(r.MeasuredFp, "boostFPP_Fp")
+			b.ReportMetric(r.Fp, "boostFPP_Fp")
 		}
 	}
 }
@@ -305,8 +303,8 @@ func BenchmarkResilienceLoadTradeoff(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if !r.Holds {
-				b.Fatalf("%s violates f ≤ nL", r.System)
+			if failed := r.Failed(); len(failed) > 0 {
+				b.Fatalf("%s violates %v", r.System, failed)
 			}
 		}
 	}

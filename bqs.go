@@ -44,6 +44,10 @@ type (
 	Composite = compose.Composite
 	// MCResult is a Monte Carlo crash-probability estimate.
 	MCResult = measures.MCResult
+	// Row is a construction's paper quantities — n, c, IS, MT, b, f, L
+	// against Thm 4.1 and Cor 4.2, and (after Row.Crash) F_p against
+	// Props 4.3–4.5 — with Failed listing the claims it violates.
+	Row = measures.Row
 
 	// Threshold is the ℓ-of-n system (Table 2 baseline / RT block).
 	Threshold = systems.Threshold
@@ -250,6 +254,10 @@ func GlobalLoadLowerBound(n, b int) float64 { return measures.GlobalLoadLowerBou
 func CrashProbabilityMC(sys System, p float64, trials int, rng *rand.Rand) (MCResult, error) {
 	return measures.CrashProbabilityMC(sys, p, trials, rng)
 }
+
+// NewRow fills the p-independent columns of s's Row; Row.Crash adds F_p,
+// exact where a closed form or enumeration reaches, else Monte Carlo.
+func NewRow(s Construction) Row { return measures.NewRow(s) }
 
 // CrashLowerBoundMT is Proposition 4.3: F_p ≥ p^MT.
 func CrashLowerBoundMT(mt int, p float64) float64 { return measures.CrashLowerBoundMT(mt, p) }

@@ -1,7 +1,9 @@
 // bqs-tables regenerates the paper's evaluation tables: Table 2 (the
 // properties of all six constructions at n ≈ 1024), the Section 8 worked
 // example (n ≈ 1024, p = 1/8), the load-vs-lower-bound sweep, the RT
-// critical probabilities, and the resilience–load tradeoff.
+// critical probabilities, the resilience–load tradeoff, the
+// crash-probability sweeps against Propositions 4.3–4.5, the Section 6
+// boosting of regular systems, and the access-strategy ablation.
 //
 // Usage:
 //
@@ -16,6 +18,7 @@ import (
 	"slices"
 	"strings"
 
+	"bqs/internal/core"
 	"bqs/internal/paper"
 	"bqs/internal/systems"
 )
@@ -46,11 +49,7 @@ func run() error {
 	want := func(name string) bool { return *only == "" || *only == name }
 
 	if want("table2") {
-		cfg := paper.DefaultTable2Config()
-		cfg.P = *p
-		cfg.Trials = *trials
-		cfg.Seed = *seed
-		rows, err := paper.Table2(cfg)
+		rows, err := paper.Table2(*p, *trials, *seed)
 		if err != nil {
 			return err
 		}
@@ -101,23 +100,18 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rtRows, err := paper.CrashSweep(rt, func(p float64) (float64, float64, error) {
-			return rt.CrashProbability(p), 0, nil
-		}, ps)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Crash-probability sweeps vs lower bounds ==")
-		fmt.Println(paper.FormatCrashRows(rtRows))
 		mg, err := systems.NewMGrid(32, 15)
 		if err != nil {
 			return err
 		}
-		mgRows, err := paper.CrashSweep(mg, paper.MCEvaluator(mg, *trials, rng), ps)
-		if err != nil {
-			return err
+		fmt.Println("== Crash-probability sweeps vs lower bounds ==")
+		for _, s := range []core.Construction{rt, mg} {
+			rows, err := paper.CrashSweep(s, ps, *trials, rng)
+			if err != nil {
+				return err
+			}
+			fmt.Println(paper.FormatCrashRows(rows))
 		}
-		fmt.Println(paper.FormatCrashRows(mgRows))
 	}
 
 	if want("boosting") {

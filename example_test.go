@@ -139,7 +139,12 @@ func ExampleThreshold_CrashProbability() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("F_p = %.6f\n", th.CrashProbability(0.125))
+	fp, err := th.CrashProbability(0.125)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("F_p = %.6f\n", fp)
 	// Output:
 	// F_p = 0.068959
 }

@@ -53,8 +53,15 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%6.2f %12.2e %12.3f %12.2e %12.3f\n",
-			p, th.CrashProbability(p), mgMC.Estimate, rt.CrashProbability(p), mpMC.Estimate)
+		thFp, err := th.CrashProbability(p)
+		if err != nil {
+			return err
+		}
+		rtFp, err := rt.CrashProbability(p)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%6.2f %12.2e %12.3f %12.2e %12.3f\n", p, thFp, mgMC.Estimate, rtFp, mpMC.Estimate)
 	}
 
 	fmt.Println("\ninterpretation (paper, Table 2):")

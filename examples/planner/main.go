@@ -16,14 +16,6 @@ import (
 	"bqs"
 )
 
-type candidate struct {
-	name string
-	sys  bqs.Construction
-	load float64
-	fp   float64
-	how  string
-}
-
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -39,62 +31,72 @@ func run() error {
 
 	d := int(math.Sqrt(float64(*n)))
 	rng := rand.New(rand.NewSource(8))
-	var cands []candidate
+	var cands []bqs.Row
+
+	// consider ranks s when it was built and its load fits the budget,
+	// with F_p from trials Monte Carlo draws where no exact value exists.
+	consider := func(s bqs.Construction, err error, trials int) (bool, error) {
+		if err != nil {
+			return false, nil
+		}
+		r := bqs.NewRow(s)
+		if r.Load > *loadBudget {
+			return false, nil
+		}
+		if err := r.Crash(*p, trials, rng); err != nil {
+			return false, err
+		}
+		cands = append(cands, r)
+		return true, nil
+	}
 
 	// M-Grid at the largest b whose load fits the budget.
 	for b := d / 2; b >= 1; b-- {
 		mg, err := bqs.NewMGrid(d, b)
-		if err != nil || mg.Load() > *loadBudget {
-			continue
-		}
-		mc, err := bqs.CrashProbabilityMC(mg, *p, *trials, rng)
+		ok, err := consider(mg, err, *trials)
 		if err != nil {
 			return err
 		}
-		cands = append(cands, candidate{mg.Name(), mg, mg.Load(), mc.Estimate, "mc"})
-		break
+		if ok {
+			break
+		}
 	}
 
 	// boostFPP(q=3, b) sized to ≈ n.
 	if b := (*n/13 - 1) / 4; b >= 1 {
 		bf, err := bqs.NewBoostFPP(3, b)
-		if err == nil && bf.Load() <= *loadBudget {
-			fp, err := bf.CrashProbability(*p)
-			if err != nil {
-				fp = bf.CrashUpperBound(*p)
-			}
-			cands = append(cands, candidate{bf.Name(), bf, bf.Load(), fp, "exact"})
+		if _, err := consider(bf, err, *trials); err != nil {
+			return err
 		}
 	}
 
-	// M-Path at the largest feasible b within the budget.
+	// M-Path at the largest feasible b within the budget; under crashes
+	// its picks fall back to max-flow, so it gets a quarter of the trials.
 	for b := d; b >= 1; b-- {
 		mp, err := bqs.NewMPath(d, b)
-		if err != nil || mp.Load() > *loadBudget {
-			continue
-		}
-		mc, err := bqs.CrashProbabilityMC(mp, *p, *trials/4+1, rng)
+		ok, err := consider(mp, err, *trials/4+1)
 		if err != nil {
 			return err
 		}
-		cands = append(cands, candidate{mp.Name(), mp, mp.Load(), mc.Estimate, "mc"})
-		break
+		if ok {
+			break
+		}
 	}
 
 	// RT(4,3) at the depth closest to n.
 	h := int(math.Round(math.Log(float64(*n)) / math.Log(4)))
 	if h >= 1 {
 		rt, err := bqs.NewRT(4, 3, h)
-		if err == nil && rt.Load() <= *loadBudget {
-			cands = append(cands, candidate{rt.Name(), rt, rt.Load(), rt.CrashProbability(*p), "exact"})
+		if _, err := consider(rt, err, *trials); err != nil {
+			return err
 		}
 	}
 
 	// Threshold (always feasible, rarely within load budgets < 1/2).
 	if b := (*n - 1) / 4; b >= 1 {
 		th, err := bqs.NewMaskingThreshold(4*b+1, b)
-		if err == nil && th.Load() <= *loadBudget {
-			cands = append(cands, candidate{th.Name(), th, th.Load(), th.CrashProbability(*p), "exact"})
+		if _, err := consider(th, err, *trials); err != nil {
+			return err
 		}
 	}
 
@@ -105,29 +107,26 @@ func run() error {
 
 	// Rank by masking power, then availability.
 	sort.Slice(cands, func(i, j int) bool {
-		bi, bj := bqs.MaskingBound(cands[i].sys), bqs.MaskingBound(cands[j].sys)
-		if bi != bj {
-			return bi > bj
+		if cands[i].B != cands[j].B {
+			return cands[i].B > cands[j].B
 		}
-		return cands[i].fp < cands[j].fp
+		return cands[i].Fp < cands[j].Fp
 	})
 
 	fmt.Printf("deployment plan for n ≈ %d, p = %.3f, load budget %.3f\n\n", *n, *p, *loadBudget)
 	fmt.Printf("%-22s %6s %5s %5s %8s %12s %-7s\n", "system", "n", "b", "f", "L", "F_p", "method")
 	for _, c := range cands {
-		fmt.Printf("%-22s %6d %5d %5d %8.4f %12.3e %-7s\n",
-			c.name, c.sys.UniverseSize(), bqs.MaskingBound(c.sys), bqs.Resilience(c.sys),
-			c.load, c.fp, c.how)
+		fmt.Printf("%-22s %6d %5d %5d %8.4f %12.3e %-7s\n", c.System, c.N, c.B, c.F, c.Load, c.Fp, c.Method)
 	}
 	best := cands[0]
-	fmt.Printf("\nhighest masking within budget: %s (b=%d)\n", best.name, bqs.MaskingBound(best.sys))
-	var avail candidate
+	fmt.Printf("\nhighest masking within budget: %s (b=%d)\n", best.System, best.B)
+	avail := cands[0]
 	for _, c := range cands {
-		if avail.name == "" || c.fp < avail.fp {
+		if c.Fp < avail.Fp {
 			avail = c
 		}
 	}
-	fmt.Printf("best availability within budget: %s (F_p ≈ %.2e)\n", avail.name, avail.fp)
+	fmt.Printf("best availability within budget: %s (F_p ≈ %.2e)\n", avail.System, avail.Fp)
 	fmt.Println("\n(the paper's §8 conclusion for these defaults: RT(4,3) h=5 is the best balance)")
 	return nil
 }

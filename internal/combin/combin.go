@@ -98,8 +98,10 @@ func BinomialPMF(n, k int, p float64) float64 {
 	return math.Exp(logp)
 }
 
-// BinomialTail returns P(X >= k) for X ~ Binomial(n, p), summing the PMF
-// from the smaller side for accuracy.
+// BinomialTail returns P(X >= k) for X ~ Binomial(n, p). Above the mean
+// (k > n·p) it sums the upper tail directly: its terms fall away from k,
+// so a tail far below 1 keeps its relative accuracy instead of becoming
+// 1 − (≈1). At or below the mean it returns 1 minus the lower tail.
 func BinomialTail(n, k int, p float64) float64 {
 	if k <= 0 {
 		return 1
@@ -107,15 +109,13 @@ func BinomialTail(n, k int, p float64) float64 {
 	if k > n {
 		return 0
 	}
-	// Sum whichever side has fewer terms.
-	if n-k < k {
-		s := 0.0
+	s := 0.0
+	if float64(k) > float64(n)*p {
 		for j := k; j <= n; j++ {
 			s += BinomialPMF(n, j, p)
 		}
 		return clamp01(s)
 	}
-	s := 0.0
 	for j := 0; j < k; j++ {
 		s += BinomialPMF(n, j, p)
 	}

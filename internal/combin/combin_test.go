@@ -3,6 +3,7 @@ package combin
 import (
 	"errors"
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -103,6 +104,46 @@ func TestBinomialTail(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bigTail is P(X ≥ k) for X ~ Binomial(n, p) summed in 512-bit floats.
+func bigTail(n, k int, p *big.Float) *big.Float {
+	q := new(big.Float).SetPrec(512).Sub(big.NewFloat(1), p)
+	sum := new(big.Float).SetPrec(512)
+	for j := k; j <= n; j++ {
+		term := new(big.Float).SetPrec(512).SetInt(new(big.Int).Binomial(int64(n), int64(j)))
+		for i := 0; i < j; i++ {
+			term.Mul(term, p)
+		}
+		for i := j; i < n; i++ {
+			term.Mul(term, q)
+		}
+		sum.Add(sum, term)
+	}
+	return sum
+}
+
+// TestBinomialTailRelativeError holds the tail to a multiple-precision
+// reference where it is tiny, at the two cells the paper's tables print
+// from it: Threshold(1021,255)'s F_0.125 = P(X ≥ 256) ≈ 7.057e-28, and
+// RT(4,3,h=5)'s F_0.05, five levels of g(x) = P(Bin(4,x) ≥ 2) ≈ 8.948e-19.
+// There 1 minus the lower tail gives ≈ 4e-13 and 0.
+func TestBinomialTailRelativeError(t *testing.T) {
+	check := func(name string, got float64, want *big.Float) {
+		t.Helper()
+		w, _ := want.Float64()
+		if math.Abs(got-w) > 1e-9*w {
+			t.Errorf("%s = %.6g, want %.6g", name, got, w)
+		}
+	}
+	check("Tail(1021, 256, 0.125)", BinomialTail(1021, 256, 0.125),
+		bigTail(1021, 256, new(big.Float).SetPrec(512).SetFloat64(0.125)))
+
+	got, want := 0.05, new(big.Float).SetPrec(512).SetFloat64(0.05)
+	for h := 0; h < 5; h++ {
+		got, want = BinomialTail(4, 2, got), bigTail(4, 2, want)
+	}
+	check("RT(4,3,h=5) F_0.05", got, want)
 }
 
 func TestTailUpperBoundLemmaA2(t *testing.T) {

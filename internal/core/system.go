@@ -102,6 +102,13 @@ type AdvertisedLoad interface {
 	Load() float64
 }
 
+// AnalyticCrash is implemented by constructions with a closed form for
+// their crash probability F_p (Definition 3.10). An error means the form
+// does not reach this instance.
+type AnalyticCrash interface {
+	CrashProbability(p float64) (float64, error)
+}
+
 // Resilience returns f = MT(Q) − 1 (remark after Definition 3.4).
 func Resilience(p Parameterized) int { return p.MinTransversal() - 1 }
 

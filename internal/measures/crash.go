@@ -114,9 +114,9 @@ func CrashLowerBoundMasking(c, b int, p float64) float64 {
 	return math.Pow(p, float64(e))
 }
 
-// CrashLowerBoundB is Proposition 4.5: when MT(Q) ≤ (IS(Q)+1)/2 (true for
-// all the paper's constructions), F_p(Q) ≥ p^(b+1). The condition is the
-// caller's to check via Prop45Applies.
+// CrashLowerBoundB is Proposition 4.5: when MT(Q) ≤ (IS(Q)+1)/2,
+// F_p(Q) ≥ p^(b+1). Of Table 2's six instances only Threshold and Grid
+// meet the condition. It is the caller's to check via Prop45Applies.
 func CrashLowerBoundB(b int, p float64) float64 {
 	return math.Pow(p, float64(b+1))
 }

@@ -6,27 +6,22 @@ import (
 	"strings"
 	"testing"
 
+	"bqs/internal/measures"
 	"bqs/internal/systems"
 )
 
 func TestTable2ShapeMatchesPaper(t *testing.T) {
-	cfg := DefaultTable2Config()
-	cfg.Trials = 800 // keep the unit test quick; benches use more
-	rows, err := Table2(cfg)
+	rows, err := Table2(0.125, 800, 1) // keep the unit test quick; benches use more
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 6 {
 		t.Fatalf("got %d rows, want 6", len(rows))
 	}
-	byName := map[string]Table2Row{}
+	byName := map[string]measures.Row{}
 	for _, r := range rows {
 		key := r.System[:strings.IndexAny(r.System, "(")]
 		byName[key] = r
-		// Universal sanity: load ≥ Corollary 4.2 bound for every system.
-		if r.Load < r.LoadLower-1e-9 {
-			t.Errorf("%s: load %g below lower bound %g", r.System, r.Load, r.LoadLower)
-		}
 		if r.Fp < 0 || r.Fp > 1 {
 			t.Errorf("%s: F_p = %g outside [0,1]", r.System, r.Fp)
 		}
@@ -44,9 +39,9 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 		t.Errorf("boostFPP load %g should be well below threshold load %g", bf.Load, th.Load)
 	}
 	// M-Grid and M-Path have optimal-order load: within 2.2× of the bound.
-	if mg.Load > 2.2*mg.LoadLower || mp.Load > 2.2*mp.LoadLower {
+	if mg.Load > 2.2*mg.Cor42 || mp.Load > 2.2*mp.Cor42 {
 		t.Errorf("M-Grid/M-Path load not near bound: %g/%g, %g/%g",
-			mg.Load, mg.LoadLower, mp.Load, mp.LoadLower)
+			mg.Load, mg.Cor42, mp.Load, mp.Cor42)
 	}
 	// Availability ordering at p = 1/8: grids fail badly, RT and M-Path
 	// are excellent, boostFPP in between.
@@ -85,15 +80,15 @@ func TestSection8MatchesPaperNumbers(t *testing.T) {
 			if r.F != r.PaperF {
 				t.Errorf("M-Grid f = %d, paper %d", r.F, r.PaperF)
 			}
-			if r.MeasuredFp < 0.638-5*r.StdErr-0.02 {
-				t.Errorf("M-Grid F_p = %g, paper says ≥ 0.638", r.MeasuredFp)
+			if r.Fp < 0.638-5*r.StdErr-0.02 {
+				t.Errorf("M-Grid F_p = %g, paper says ≥ 0.638", r.Fp)
 			}
 		case strings.HasPrefix(r.System, "boostFPP"):
 			if r.B != 19 || r.F != 79 {
 				t.Errorf("boostFPP b=%d f=%d, paper 19/79", r.B, r.F)
 			}
-			if r.MeasuredFp > 0.372 {
-				t.Errorf("boostFPP F_p = %g exceeds paper bound 0.372", r.MeasuredFp)
+			if r.Fp > 0.372 {
+				t.Errorf("boostFPP F_p = %g exceeds paper bound 0.372", r.Fp)
 			}
 		case strings.HasPrefix(r.System, "M-Path"):
 			if r.B != 7 {
@@ -104,15 +99,15 @@ func TestSection8MatchesPaperNumbers(t *testing.T) {
 			if r.F != 28 && r.F != 29 {
 				t.Errorf("M-Path f = %d, paper ≈ 29", r.F)
 			}
-			if r.MeasuredFp > 0.001+5*r.StdErr {
-				t.Errorf("M-Path F_p = %g, paper says ≤ 0.001", r.MeasuredFp)
+			if r.Fp > 0.001+5*r.StdErr {
+				t.Errorf("M-Path F_p = %g, paper says ≤ 0.001", r.Fp)
 			}
 		case strings.HasPrefix(r.System, "RT"):
 			if r.B != 15 || r.F != 31 {
 				t.Errorf("RT b=%d f=%d, paper 15/31", r.B, r.F)
 			}
-			if r.MeasuredFp > 1e-4 {
-				t.Errorf("RT F_p = %g, paper says ≤ 1e-4", r.MeasuredFp)
+			if r.Fp > 1e-4 {
+				t.Errorf("RT F_p = %g, paper says ≤ 1e-4", r.Fp)
 			}
 		}
 		// The scenario pins L ≈ 1/4 for all four systems.
@@ -168,14 +163,8 @@ func TestLoadVsLowerBound(t *testing.T) {
 		t.Fatalf("only %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.Load < r.BoundCor42-1e-9 {
-			t.Errorf("%s: load %g below Cor 4.2 bound %g — impossible", r.System, r.Load, r.BoundCor42)
-		}
-		if r.Load < r.BoundThm41-1e-9 {
-			t.Errorf("%s: load %g below Thm 4.1 bound %g — impossible", r.System, r.Load, r.BoundThm41)
-		}
-		if r.Ratio > 10 {
-			t.Errorf("%s: load %gx above bound — suspicious for these constructions", r.System, r.Ratio)
+		if ratio := r.Load / r.Cor42; ratio > 10 {
+			t.Errorf("%s: load %gx above bound — suspicious for these constructions", r.System, ratio)
 		}
 	}
 	if s := FormatLoadRows(rows); !strings.Contains(s, "Cor4.2") {
@@ -217,13 +206,8 @@ func TestResilienceLoadTradeoff(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("got %d rows, want 6", len(rows))
 	}
-	for _, r := range rows {
-		if !r.Holds {
-			t.Errorf("%s: f = %d > nL = %g — violates Theorem 4.1's corollary", r.System, r.F, r.NL)
-		}
-	}
-	if s := FormatTradeoff(rows); !strings.Contains(s, "f ≤ n·L") {
-		t.Error("FormatTradeoff broken")
+	if s := FormatTradeoff(rows); !strings.Contains(s, "f ≤ n·L") || strings.Contains(s, "false") {
+		t.Errorf("FormatTradeoff broken or f > n·L:\n%s", s)
 	}
 }
 
@@ -269,45 +253,73 @@ func TestStrategyAblation(t *testing.T) {
 	}
 }
 
+// TestRowsHoldTheirClaims: every row of Table 2, Section 8 and the load
+// sweep satisfies each claim it is held to — Lemma 3.6, Thm 4.1, Cor 4.2,
+// f ≤ n·L and, where F_p was computed, Props 4.3–4.5.
+func TestRowsHoldTheirClaims(t *testing.T) {
+	table2, err := Table2(0.125, 400, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	section8, err := Section8(400, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, err := LoadVsLowerBound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := append(table2, load...)
+	for _, r := range section8 {
+		rows = append(rows, r.Row)
+	}
+	for _, r := range rows {
+		if failed := r.Failed(); len(failed) > 0 {
+			t.Errorf("%s (p=%g): violates %v", r.System, r.P, failed)
+		}
+	}
+}
+
 func TestCrashSweepRTAgainstBounds(t *testing.T) {
 	rt, err := systems.NewRT(4, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := CrashSweep(rt, func(p float64) (float64, float64, error) {
-		return rt.CrashProbability(p), 0, nil
-	}, []float64{0.05, 0.15, 0.2324, 0.35})
+	// RT's F_p is its exact recurrence: no trials, no rng.
+	rows, err := CrashSweep(rt, []float64{0.05, 0.15, 0.2324, 0.35}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.Fp < r.BoundMT-1e-15 {
-			t.Errorf("p=%g: F_p %g below p^MT %g", r.P, r.Fp, r.BoundMT)
+		if r.Method != "exact" {
+			t.Errorf("p=%g: method %q, want exact", r.P, r.Method)
 		}
-		if r.Applies && r.Fp < r.BoundB-1e-15 {
-			t.Errorf("p=%g: F_p %g below p^(b+1) %g", r.P, r.Fp, r.BoundB)
+		if failed := r.Failed(); len(failed) > 0 {
+			t.Errorf("p=%g: F_p %g violates %v", r.P, r.Fp, failed)
 		}
 	}
 	// Below p_c the system amplifies availability (Condorcet-style).
-	if !rows[0].Condorce {
+	if rows[0].Fp >= rows[0].P {
 		t.Error("RT at p=0.05 should have F_p < p")
 	}
-	if s := FormatCrashRows(rows); !strings.Contains(s, "RT(4,3,h=4)") {
-		t.Error("FormatCrashRows missing header")
+	// MT = 16 > (IS+1)/2 = 8.5: Proposition 4.5 says nothing about RT.
+	s := FormatCrashRows(rows)
+	if !strings.Contains(s, "RT(4,3,h=4)") || strings.Count(s, "n/a") != len(rows) {
+		t.Errorf("FormatCrashRows: want the header and n/a in every p^(b+1) cell:\n%s", s)
 	}
 }
 
-func TestCrashSweepMCEvaluator(t *testing.T) {
+func TestCrashSweepMonteCarlo(t *testing.T) {
 	mg, err := systems.NewMGrid(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(13))
-	rows, err := CrashSweep(mg, MCEvaluator(mg, 300, rng), []float64{0.1, 0.3})
+	rows, err := CrashSweep(mg, []float64{0.1, 0.3}, 300, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].StdErr <= 0 {
+	if len(rows) != 2 || rows[0].Method != "mc" || rows[0].StdErr <= 0 {
 		t.Fatalf("MC sweep malformed: %+v", rows)
 	}
 	if rows[1].Fp < rows[0].Fp {

@@ -23,7 +23,6 @@ type BoostFPP struct {
 	q, b   int
 	plane  *projective.Plane
 	fppSys *core.ExplicitSystem
-	thresh *Threshold
 	comp   *compose.Composite
 }
 
@@ -31,6 +30,7 @@ var (
 	_ core.System        = (*BoostFPP)(nil)
 	_ core.Parameterized = (*BoostFPP)(nil)
 	_ core.Masking       = (*BoostFPP)(nil)
+	_ core.AnalyticCrash = (*BoostFPP)(nil)
 )
 
 // NewBoostFPP builds boostFPP(q, b) for a prime-power q and b ≥ 0.
@@ -56,7 +56,6 @@ func NewBoostFPP(q, b int) (*BoostFPP, error) {
 		b:      b,
 		plane:  plane,
 		fppSys: fppSys,
-		thresh: thresh,
 		comp:   compose.New(fppSys, thresh),
 	}, nil
 }
@@ -100,7 +99,7 @@ func (s *BoostFPP) Load() float64 {
 // InnerCrash is the exact crash probability of one threshold module:
 // P(≥ b+1 of 4b+1 crash).
 func (s *BoostFPP) InnerCrash(p float64) float64 {
-	return s.thresh.CrashProbability(p)
+	return combin.BinomialTail(4*s.b+1, s.b+1, p)
 }
 
 // CrashProbability returns the exact F_p = F_FPP(F_Thresh(p)) by

@@ -28,6 +28,7 @@ var (
 	_ core.Parameterized = (*RT)(nil)
 	_ core.Masking       = (*RT)(nil)
 	_ core.Enumerator    = (*RT)(nil)
+	_ core.AnalyticCrash = (*RT)(nil)
 )
 
 // NewRT builds RT(k, ℓ) of depth h. Requires k > ℓ > k/2 (the paper's
@@ -128,12 +129,13 @@ func (r *RT) BlockCrash(p float64) float64 {
 
 // CrashProbability iterates the Proposition 5.6 recurrence
 // F(h) = g(F(h−1)), F(0) = p — exact by Theorem 4.7's composition rule.
-func (r *RT) CrashProbability(p float64) float64 {
+// It never fails.
+func (r *RT) CrashProbability(p float64) (float64, error) {
 	f := p
 	for i := 0; i < r.h; i++ {
 		f = r.BlockCrash(f)
 	}
-	return f
+	return f, nil
 }
 
 // CriticalProbability returns p_c, the unique fixed point of g in (0,1)

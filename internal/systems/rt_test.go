@@ -122,7 +122,7 @@ func TestRTCrashExactMatchesEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := r.CrashProbability(p); math.Abs(got-want) > 1e-12 {
+		if got, _ := r.CrashProbability(p); math.Abs(got-want) > 1e-12 {
 			t.Errorf("F_%g = %g, enumeration gives %g", p, got, want)
 		}
 	}
@@ -152,7 +152,8 @@ func TestRT43CriticalProbability(t *testing.T) {
 	var prevB, prevA float64 = -1, -1
 	for h := 1; h <= 6; h++ {
 		rh, _ := NewRT(4, 3, h)
-		fb, fa := rh.CrashProbability(below), rh.CrashProbability(above)
+		fb, _ := rh.CrashProbability(below)
+		fa, _ := rh.CrashProbability(above)
 		if prevB >= 0 && fb >= prevB {
 			t.Errorf("h=%d: F_%g = %g not decreasing (prev %g)", h, below, fb, prevB)
 		}
@@ -168,7 +169,7 @@ func TestRTCrashUpperBoundProp57(t *testing.T) {
 	for _, h := range []int{2, 3, 4} {
 		r, _ := NewRT(4, 3, h)
 		for _, p := range []float64{0.05, 0.1, 0.15} {
-			fp := r.CrashProbability(p)
+			fp, _ := r.CrashProbability(p)
 			bound := r.CrashUpperBound(p)
 			if fp > bound+1e-12 {
 				t.Errorf("h=%d p=%g: F_p %g exceeds Prop 5.7 bound %g", h, p, fp, bound)
@@ -187,7 +188,7 @@ func TestRTCrashLowerBoundProp43(t *testing.T) {
 	for _, h := range []int{1, 2, 3} {
 		r, _ := NewRT(4, 3, h)
 		for _, p := range []float64{0.1, 0.3} {
-			if r.CrashProbability(p) < measures.CrashLowerBoundMT(r.MinTransversal(), p)-1e-15 {
+			if fp, _ := r.CrashProbability(p); fp < measures.CrashLowerBoundMT(r.MinTransversal(), p)-1e-15 {
 				t.Errorf("h=%d p=%g: F_p below p^MT", h, p)
 			}
 		}

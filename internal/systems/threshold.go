@@ -30,6 +30,7 @@ var (
 	_ core.System        = (*Threshold)(nil)
 	_ core.Parameterized = (*Threshold)(nil)
 	_ core.Enumerator    = (*Threshold)(nil)
+	_ core.AnalyticCrash = (*Threshold)(nil)
 )
 
 // NewThreshold builds the ℓ-of-n system. It requires 0 < ℓ ≤ n and
@@ -121,9 +122,9 @@ func (t *Threshold) MaskingBound() int { return core.MaskingBoundFromParams(t) }
 func (t *Threshold) Load() float64 { return float64(t.l) / float64(t.n) }
 
 // CrashProbability returns the exact F_p: the system fails iff at least
-// MT = n−ℓ+1 servers crash, a binomial tail.
-func (t *Threshold) CrashProbability(p float64) float64 {
-	return combin.BinomialTail(t.n, t.MinTransversal(), p)
+// MT = n−ℓ+1 servers crash, a binomial tail. It never fails.
+func (t *Threshold) CrashProbability(p float64) (float64, error) {
+	return combin.BinomialTail(t.n, t.MinTransversal(), p), nil
 }
 
 // Enumerate materializes the system for exact cross-checks. The quorum

@@ -112,7 +112,7 @@ func TestThresholdCrashExactMatchesEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := th.CrashProbability(p); math.Abs(got-want) > 1e-12 {
+		if got, _ := th.CrashProbability(p); math.Abs(got-want) > 1e-12 {
 			t.Errorf("F_%g = %g, enumeration gives %g", p, got, want)
 		}
 	}
@@ -172,14 +172,14 @@ func TestThresholdCrashCondorcet(t *testing.T) {
 	var prev float64 = 1
 	for _, n := range []int{5, 25, 125} {
 		m, _ := NewMajority(n)
-		fp := m.CrashProbability(0.3)
+		fp, _ := m.CrashProbability(0.3)
 		if fp >= prev {
 			t.Errorf("F_0.3(majority-%d) = %g not decreasing", n, fp)
 		}
 		prev = fp
 	}
 	m, _ := NewMajority(125)
-	if got := m.CrashProbability(0.7); got < 0.99 {
+	if got, _ := m.CrashProbability(0.7); got < 0.99 {
 		t.Errorf("F_0.7(majority-125) = %g, want ≈1", got)
 	}
 }
