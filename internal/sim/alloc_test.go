@@ -18,7 +18,7 @@ import (
 // TestQuorumOpAllocs pins the diet of a keyed operation on the in-memory
 // path, Mem stores behind every server: a phase probes its quorum inline,
 // its member and reply slices come from the operation's pooled scratch,
-// and the acceptance rule's vote map stays on the stack, so what is left
+// and the acceptance rule's vote tally stays on the stack, so what is left
 // is each phase's pick — the quorum bitset SelectQuorum returns, plus one
 // allocation inside M-Path's picker. Every key is written to every server
 // before measuring, so register creation is not counted.
@@ -80,7 +80,9 @@ func TestQuorumOpAllocs(t *testing.T) {
 // measured after a collection. Each key sits at a write quorum of ten
 // servers, so this is ten registers, the key and value strings they
 // share, and the writer's per-key sequence floor. A server that kept its
-// own register map beside its store's measured 2,527 B per key.
+// own register map beside its store's measured 2,527 B per key, and Mem
+// stores holding a Go map of Records 1,381 B; the slab-backed table
+// measures 1,185 B, and the pin is that plus 10 %.
 func TestHeapPerKey(t *testing.T) {
 	const keys = 1 << 14
 	sys, err := systems.NewMaskingThreshold(13, 3)
@@ -107,7 +109,7 @@ func TestHeapPerKey(t *testing.T) {
 	runtime.KeepAlive(cl)
 	perKey := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / keys
 	t.Logf("%.0f B of live heap per key", perKey)
-	if perKey > 1500 {
-		t.Errorf("holding a key takes %.0f B of live heap, want ≤ 1500", perKey)
+	if perKey > 1300 {
+		t.Errorf("holding a key takes %.0f B of live heap, want ≤ 1300", perKey)
 	}
 }

@@ -13,8 +13,8 @@ var ErrSessionClosed = errors.New("sim: session closed")
 // batcher coalesces concurrently-issued probes destined for the same
 // place into one transport frame. It implements Transport, so the client
 // protocol code is oblivious to it: a probe enqueues and waits, and the
-// whole frame travels through Cluster.invokeBatch (one round trip,
-// per-item load accounting).
+// whole frame travels through Cluster.invokeBatch (one round trip; the
+// load was charged per phase before its probes reached the batcher).
 //
 // It flushes by the rule a wire connection flushes by (wire/flush.go): a
 // probe that lands in an empty queue hands the queue to a flusher that

@@ -137,14 +137,30 @@ func (m masking) timestamp(_ string, replies []Response) Timestamp {
 // b+1 voters include a correct server, and correct servers only serve
 // what a writer wrote.
 func (m masking) value(_ string, replies []Response) (TaggedValue, bool) {
-	votes := make(map[TaggedValue]int)
+	// A quorum's replies hold few distinct pairs — one when no write is
+	// in flight — so a linear scan over a stack array tallies them without
+	// hashing any value; past eight distinct pairs the array spills to the
+	// heap.
+	type tally struct {
+		tv    TaggedValue
+		votes int
+	}
+	var buf [8]tally
+	seen := buf[:0]
 	for _, resp := range replies {
-		votes[resp.Value]++
+		k := 0
+		for k < len(seen) && (seen[k].tv.TS != resp.Value.TS || seen[k].tv.Value != resp.Value.Value) {
+			k++
+		}
+		if k == len(seen) {
+			seen = append(seen, tally{tv: resp.Value})
+		}
+		seen[k].votes++
 	}
 	best, found := TaggedValue{}, false
-	for tv, n := range votes {
-		if n > m.b && (!found || best.TS.Less(tv.TS)) {
-			best, found = tv, true
+	for _, t := range seen {
+		if t.votes > m.b && (!found || best.TS.Less(t.tv.TS)) {
+			best, found = t.tv, true
 		}
 	}
 	return best, found
@@ -220,10 +236,11 @@ var scratchPool = sync.Pool{New: func() any { return new(opScratch) }}
 
 // quorumOp is the one retry loop every phase of both protocols runs: pick
 // a quorum avoiding suspects, probe every member (through via when it is
-// non-nil — a Session's batcher — else the cluster's counting transport),
-// suspect the silent ones, and return the replies once a whole quorum
-// answered. It retries only while some member is silent. The replies live
-// in sc, so they are valid until the operation's next phase.
+// non-nil — a Session's batcher — else the cluster's transport), charging
+// each phase to the client's load stripe, suspect the silent ones, and
+// return the replies once a whole quorum answered. It retries only while
+// some member is silent. The replies live in sc, so they are valid until
+// the operation's next phase.
 func (cl *Client) quorumOp(ctx context.Context, req Request, via Transport, sc *opScratch) ([]Response, error) {
 	for attempt := 0; attempt < cl.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -240,7 +257,7 @@ func (cl *Client) quorumOp(ctx context.Context, req Request, via Transport, sc *
 		})
 		replies := slices.Grow(sc.replies[:0], len(members))[:len(members)]
 		sc.members, sc.replies = members, replies
-		if err := cl.cluster.probeQuorum(ctx, members, req, via, replies); err != nil {
+		if err := cl.cluster.probeQuorum(ctx, cl.id, members, req, via, replies); err != nil {
 			return nil, err
 		}
 		if cl.noteReplies(members, replies) {
@@ -308,7 +325,7 @@ func (cl *Client) WriteKey(ctx context.Context, key, value string) error {
 }
 
 // writeKey is WriteKey with an explicit probe route (nil = the cluster's
-// counting transport; a Session passes its batcher).
+// transport; a Session passes its batcher).
 func (cl *Client) writeKey(ctx context.Context, key, value string, via Transport) (err error) {
 	st, start, err := cl.begin(ctx)
 	if err != nil {
@@ -349,7 +366,7 @@ func (cl *Client) ReadKey(ctx context.Context, key string) (TaggedValue, error) 
 }
 
 // readKey is ReadKey with an explicit probe route (nil = the cluster's
-// counting transport; a Session passes its batcher).
+// transport; a Session passes its batcher).
 func (cl *Client) readKey(ctx context.Context, key string, via Transport) (tv TaggedValue, err error) {
 	st, start, err := cl.begin(ctx)
 	if err != nil {

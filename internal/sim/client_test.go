@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -150,5 +151,47 @@ func TestAcceptanceRules(t *testing.T) {
 	signed{auth}.sign("k", fresh)
 	if !auth.Verify("k", fresh) || auth.Verify("other", fresh) {
 		t.Error("signed.sign did not bind the value to exactly its key")
+	}
+}
+
+// TestMaskingValue pins the b-masking vote: the newest pair with b+1
+// identical replies wins, and a pair's votes are counted only for that
+// exact value and timestamp.
+func TestMaskingValue(t *testing.T) {
+	tv := func(v string, seq int64) TaggedValue {
+		return TaggedValue{Value: v, TS: Timestamp{Seq: seq, Writer: 1}}
+	}
+	replies := func(tvs ...TaggedValue) []Response {
+		out := make([]Response, len(tvs))
+		for i, v := range tvs {
+			out[i] = Response{OK: true, Value: v}
+		}
+		return out
+	}
+	// Eleven distinct pairs, more than the tally's stack array holds, with
+	// the vouched pair first seen after the spill.
+	var spill []TaggedValue
+	for i := range 9 {
+		spill = append(spill, tv(fmt.Sprint("lone", i), int64(10+i)))
+	}
+	spill = append(spill, tv("old", 3), tv("vouched", 5), tv("vouched", 5), tv("old", 3))
+	for _, tc := range []struct {
+		name    string
+		b       int
+		replies []Response
+		want    TaggedValue
+		found   bool
+	}{
+		{"more than 8 distinct pairs", 1, replies(spill...), tv("vouched", 5), true},
+		{"exactly b+1 votes", 2, replies(tv("a", 7), tv("a", 7), tv("a", 7), tv("b", 9), tv("b", 9)), tv("a", 7), true},
+		{"equal timestamps, different values", 2, replies(tv("a", 4), tv("a", 4), tv("b", 4), tv("b", 4), tv("c", 4)), TaggedValue{}, false},
+		{"equal timestamps, one vouched", 1, replies(tv("a", 4), tv("b", 4), tv("b", 4)), tv("b", 4), true},
+		{"newest vouched pair wins", 1, replies(tv("a", 4), tv("a", 4), tv("b", 6), tv("b", 6), tv("c", 8)), tv("b", 6), true},
+		{"no pair with b+1 votes", 2, replies(tv("a", 1), tv("a", 1), tv("b", 2), tv("b", 2), tv("c", 3)), TaggedValue{}, false},
+	} {
+		got, found := masking{tc.b}.value("k", tc.replies)
+		if got != tc.want || found != tc.found {
+			t.Errorf("%s: value = %+v, %v; want %+v, %v", tc.name, got, found, tc.want, tc.found)
+		}
 	}
 }

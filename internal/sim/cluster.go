@@ -166,8 +166,9 @@ func WithDeterministic() Option {
 }
 
 // Cluster is a set of servers fronted by a b-masking quorum system. It is
-// safe for any number of concurrent clients: per-server bookkeeping is
-// atomic, and all shared randomness lives behind the transport.
+// safe for any number of concurrent clients: load bookkeeping is atomic
+// and striped by client id, server behavior is an atomic read, and all
+// shared randomness lives behind the transport.
 //
 // Everything an epoch owns — system, servers, picker, strategy, load
 // accounting, the drain gate — lives in the epochState behind cur;
@@ -249,7 +250,7 @@ func NewCluster(system core.System, b int, opts ...Option) (*Cluster, error) {
 	}
 	st := newEpochState()
 	st.system, st.b, st.servers = system, b, servers
-	st.accesses = make([]atomic.Int64, n)
+	st.load = newLoadCounters(n)
 	if err := c.installSelection(st, cfg.strategy); err != nil {
 		c.Close()
 		return nil, err
@@ -419,14 +420,14 @@ func (c *Cluster) SetDropRate(p float64) error {
 // max{(2b+1)/c, c/n} — this is the live-traffic counterpart of
 // measures.EmpiricalLoad's offline sampling.
 func (c *Cluster) LoadProfile() []float64 {
-	st := c.cur.Load()
-	out := make([]float64, len(st.servers))
-	phases := st.phases.Load()
+	load := &c.cur.Load().load
+	out := make([]float64, load.n)
+	phases := load.phases()
 	if phases == 0 {
 		return out
 	}
 	for i := range out {
-		out[i] = float64(st.accesses[i].Load()) / float64(phases)
+		out[i] = float64(load.accesses(i)) / float64(phases)
 	}
 	return out
 }
@@ -447,24 +448,15 @@ func (c *Cluster) PeakLoad() float64 {
 // current epoch since its cutover (or the last ResetLoadProfile) — the
 // denominator of LoadProfile, exposed so the timing adversary can key
 // its behavior flips to the protocol phase the fleet is around.
-func (c *Cluster) Phases() int64 { return c.cur.Load().phases.Load() }
+func (c *Cluster) Phases() int64 { return c.cur.Load().load.phases() }
 
 // ResetLoadProfile zeroes the current epoch's access counters (e.g.
 // after a warm-up).
-func (c *Cluster) ResetLoadProfile() {
-	st := c.cur.Load()
-	st.phases.Store(0)
-	for i := range st.accesses {
-		st.accesses[i].Store(0)
-	}
-}
+func (c *Cluster) ResetLoadProfile() { c.cur.Load().load.reset() }
 
-// invoke routes one probe through the transport, counting it toward the
-// load profile and, when instrumented, the per-server RTT histogram.
+// invoke routes one probe through the transport, timing it into the
+// per-server RTT histogram when instrumented.
 func (c *Cluster) invoke(ctx context.Context, server int, req Request) (Response, error) {
-	if st := c.cur.Load(); server >= 0 && server < len(st.accesses) {
-		st.accesses[server].Add(1)
-	}
 	if !c.met.on {
 		return c.transport.Invoke(ctx, server, req)
 	}
@@ -474,18 +466,13 @@ func (c *Cluster) invoke(ctx context.Context, server int, req Request) (Response
 	return resp, err
 }
 
-// invokeBatch routes a whole frame of probes through the transport,
-// counting each item toward the load profile — batching changes how many
-// frames travel, never how many quorum accesses are charged, so the
-// measured load stays the Definition 3.8 quantity. Only a Session's
-// batcher calls it, and NewSession builds one only over a BatchTransport.
+// invokeBatch routes a whole frame of probes through the transport. The
+// phases its items belong to were charged in probeQuorum — batching
+// changes how many frames travel, never how many quorum accesses are
+// charged, so the measured load stays the Definition 3.8 quantity. Only a
+// Session's batcher calls it, and NewSession builds one only over a
+// BatchTransport.
 func (c *Cluster) invokeBatch(ctx context.Context, items []BatchItem) ([]Response, error) {
-	st := c.cur.Load()
-	for _, it := range items {
-		if it.Server >= 0 && it.Server < len(st.accesses) {
-			st.accesses[it.Server].Add(1)
-		}
-	}
 	bt := c.transport.(BatchTransport)
 	if !c.met.on {
 		return bt.InvokeBatch(ctx, items)
@@ -513,12 +500,14 @@ func (c *Cluster) invokeBatch(ctx context.Context, items []BatchItem) ([]Respons
 //     middleware, and via.
 //
 // Probes travel through via when it is non-nil (the session batcher) and
-// through the cluster's own counting path otherwise; every path charges
-// one access per member. Every path is done with out when probeQuorum
+// through the cluster's own path otherwise. probeQuorum is the one place
+// load is charged: one phase and one access per member, into client's
+// stripe, whatever the path. Every path is done with out when probeQuorum
 // returns, so the caller may reuse it. The only error it returns is a
 // transport failure (typically ctx cancellation or expiry); unresponsive
 // servers appear as Response{OK: false}.
-func (c *Cluster) probeQuorum(ctx context.Context, members []int, req Request, via Transport, out []Response) error {
+func (c *Cluster) probeQuorum(ctx context.Context, client int, members []int, req Request, via Transport, out []Response) error {
+	c.cur.Load().load.charge(client, members)
 	if !c.met.on {
 		return c.probeQuorumUntimed(ctx, members, req, via, out)
 	}
@@ -530,7 +519,6 @@ func (c *Cluster) probeQuorum(ctx context.Context, members []int, req Request, v
 
 // probeQuorumUntimed is probeQuorum without the fan-out span.
 func (c *Cluster) probeQuorumUntimed(ctx context.Context, members []int, req Request, via Transport, out []Response) error {
-	c.cur.Load().phases.Add(1)
 	switch {
 	case c.inline(members, req.Op, via):
 		for k, i := range members {
@@ -579,18 +567,11 @@ func (c *Cluster) inline(members []int, op Op, via Transport) bool {
 	return true
 }
 
-// invokePhase hands a whole phase to the PhaseTransport, charging one
-// access per member exactly as the per-probe paths do. The transport's
-// probes share one wait, so with telemetry on each member's
+// invokePhase hands a whole phase to the PhaseTransport. The
+// transport's probes share one wait, so with telemetry on each member's
 // bqs_quorum_probe_seconds sample is that wait; with it off no clock is
 // read.
 func (c *Cluster) invokePhase(ctx context.Context, members []int, req Request, out []Response) error {
-	st := c.cur.Load()
-	for _, i := range members {
-		if i >= 0 && i < len(st.accesses) {
-			st.accesses[i].Add(1)
-		}
-	}
 	if !c.met.on {
 		return c.phase.InvokePhase(ctx, members, req, out)
 	}
@@ -628,7 +609,7 @@ func (c *Cluster) fanOut(ctx context.Context, members []int, out []Response, req
 }
 
 // probe sends one probe through via when it is non-nil, else through the
-// cluster's counting path — a plain call, never a method value, which
+// cluster's own path — a plain call, never a method value, which
 // would escape and allocate on every phase.
 func (c *Cluster) probe(ctx context.Context, server int, req Request, via Transport) (Response, error) {
 	if via != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bqs/internal/obs"
 	"bqs/internal/systems"
 )
 
@@ -341,6 +342,100 @@ func TestOpString(t *testing.T) {
 		if op.String() == "" {
 			t.Errorf("empty name for op %d", int(op))
 		}
+	}
+}
+
+// TestLoadCountersSumAcrossClients runs concurrent operations from ten
+// clients, ids 0–9, so two pairs of them share a load stripe, on
+// Threshold(13,3), whose quorums all have ten members. Summed over the
+// stripes, the per-server accesses come to exactly ten per phase and the
+// scraped series agree with them; ResetLoadProfile zeroes every stripe;
+// and bqs_server_accesses_total never goes down across a Reconfigure.
+func TestLoadCountersSumAcrossClients(t *testing.T) {
+	const b, clients, ops = 3, 10, 40
+	reg := obs.NewRegistry()
+	c, err := NewCluster(mustThreshold(t, b), b, WithSeed(3), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		t.Helper()
+		var wg sync.WaitGroup
+		for id := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cl := c.NewClient(id)
+				for i := range ops {
+					// Each client writes keys of its own, so no read
+					// meets a concurrent write and every read is vouched.
+					key := fmt.Sprintf("c%d-k%d", id, i%4)
+					if err := cl.WriteKey(ctx, key, fmt.Sprint(id, i)); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := cl.ReadKey(ctx, key); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	scraped := func() []int64 {
+		out := make([]int64, c.N())
+		for i := range out {
+			v, _ := reg.Value("bqs_server_accesses_total", "server", fmt.Sprint(i))
+			out[i] = int64(v)
+		}
+		return out
+	}
+	run()
+	load := &c.cur.Load().load
+	var sum int64
+	for i := range c.N() {
+		sum += load.accesses(i)
+	}
+	if phases := c.Phases(); phases != 3*clients*ops || sum != 10*phases {
+		t.Fatalf("%d phases charging %d accesses, want %d phases of 10", phases, sum, 3*clients*ops)
+	}
+	for s := range loadStripes {
+		if load.c[s*load.stride].Load() == 0 {
+			t.Errorf("stripe %d charged no phase", s)
+		}
+	}
+	if v, _ := reg.Value("bqs_cluster_phases_total"); int64(v) != c.Phases() {
+		t.Errorf("bqs_cluster_phases_total = %v, want %d", v, c.Phases())
+	}
+	before := scraped()
+	var total int64
+	for _, v := range before {
+		total += v
+	}
+	if total != sum {
+		t.Errorf("bqs_server_accesses_total sums to %d, want %d", total, sum)
+	}
+
+	if _, err := c.Reconfigure(ctx, mustTarget(t, "threshold:17", b)); err != nil {
+		t.Fatal(err)
+	}
+	run()
+	for i, v := range scraped() {
+		if i < len(before) && v < before[i] {
+			t.Errorf("server %d: bqs_server_accesses_total fell from %d to %d across a reconfiguration", i, before[i], v)
+		}
+	}
+
+	c.ResetLoadProfile()
+	load = &c.cur.Load().load
+	for k := range load.c {
+		if v := load.c[k].Load(); v != 0 {
+			t.Fatalf("counter %d of the striped load is %d after ResetLoadProfile", k, v)
+		}
+	}
+	if c.Phases() != 0 || c.PeakLoad() != 0 {
+		t.Fatalf("after ResetLoadProfile: %d phases, peak load %v", c.Phases(), c.PeakLoad())
 	}
 }
 

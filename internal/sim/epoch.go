@@ -31,10 +31,8 @@ type epochState struct {
 
 	// Empirical load accounting, per epoch so the measured load after a
 	// resize converges to the NEW system's L(Q) instead of averaging two
-	// epochs' traffic: phases counts quorum accesses, accesses[i] probes
-	// that reached server i.
-	phases   atomic.Int64
-	accesses []atomic.Int64
+	// epochs' traffic.
+	load loadCounters
 
 	// Drain gate. ops counts client operations currently inside this
 	// epoch. A reconfiguration sets draining and waits for ops to reach
@@ -122,6 +120,67 @@ func (st *epochState) drain(ctx context.Context) (time.Duration, error) {
 func (st *epochState) abortDrain() {
 	st.draining.Store(false)
 	st.release(true)
+}
+
+// loadStripes is how many copies of its load counters an epoch keeps.
+// A phase charges the copy its client's id picks, so clients with
+// distinct ids modulo loadStripes write disjoint cache lines, and the
+// readers sum the copies.
+const loadStripes = 8
+
+// loadCounters is an epoch's Definition 3.8 accounting: how many quorum
+// accesses (phases) ran and how many of them reached each server, kept
+// in loadStripes padded copies. Stripe s is c[s*stride:][:n+1]: phases
+// first, then one counter per server. stride leaves at least a cache
+// line (eight counters) unused after each stripe, so no two stripes share
+// a line whatever the slice's alignment.
+type loadCounters struct {
+	n, stride int
+	c         []atomic.Int64
+}
+
+func newLoadCounters(n int) loadCounters {
+	stride := (n+1+7)/8*8 + 8
+	return loadCounters{n: n, stride: stride, c: make([]atomic.Int64, loadStripes*stride)}
+}
+
+// charge counts one phase of client's that probed members.
+func (l *loadCounters) charge(client int, members []int) {
+	s := l.c[int(uint(client)%loadStripes)*l.stride:][:l.n+1]
+	s[0].Add(1)
+	for _, i := range members {
+		if i >= 0 && i < l.n {
+			s[1+i].Add(1)
+		}
+	}
+}
+
+// sum adds counter k (0 for phases, 1+i for server i) across the stripes.
+func (l *loadCounters) sum(k int) int64 {
+	var total int64
+	for s := 0; s < loadStripes; s++ {
+		total += l.c[s*l.stride+k].Load()
+	}
+	return total
+}
+
+// phases returns how many phases have been charged.
+func (l *loadCounters) phases() int64 { return l.sum(0) }
+
+// accesses returns how many charged phases probed server i (0 when i is
+// outside the epoch).
+func (l *loadCounters) accesses(i int) int64 {
+	if i < 0 || i >= l.n {
+		return 0
+	}
+	return l.sum(1 + i)
+}
+
+// reset zeroes every stripe.
+func (l *loadCounters) reset() {
+	for k := range l.c {
+		l.c[k].Store(0)
+	}
 }
 
 // retiredTotals carries the load counters of all retired epochs, so the

@@ -181,7 +181,7 @@ func BenchmarkQuorumPhase(b *testing.B) {
 			req := Request{Op: OpRead, Key: "k", ReaderID: 1}
 			b.ReportAllocs()
 			for b.Loop() {
-				if err := c.probeQuorum(ctx, members, req, nil, out); err != nil {
+				if err := c.probeQuorum(ctx, 1, members, req, nil, out); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -106,7 +106,7 @@ func (c *Cluster) initMetrics(reg *obs.Registry) {
 		c.registerServerSeries(i)
 	}
 	reg.CounterFunc("bqs_cluster_phases_total", func() int64 {
-		return c.retired.Load().phases + c.cur.Load().phases.Load()
+		return c.retired.Load().phases + c.cur.Load().load.phases()
 	})
 	reg.GaugeFunc("bqs_cluster_peak_load", c.PeakLoad)
 
@@ -146,25 +146,19 @@ func (c *Cluster) initMetrics(reg *obs.Registry) {
 func (c *Cluster) registerServerSeries(i int) {
 	reg, label := c.met.reg, strconv.Itoa(i)
 	reg.GaugeFunc("bqs_server_load", func() float64 {
-		st := c.cur.Load()
-		if i >= len(st.accesses) {
-			return 0
-		}
-		phases := st.phases.Load()
+		load := &c.cur.Load().load
+		phases := load.phases()
 		if phases == 0 {
 			return 0
 		}
-		return float64(st.accesses[i].Load()) / float64(phases)
+		return float64(load.accesses(i)) / float64(phases)
 	}, "server", label)
 	reg.CounterFunc("bqs_server_accesses_total", func() int64 {
 		var total int64
 		if rt := c.retired.Load(); i < len(rt.accesses) {
 			total = rt.accesses[i]
 		}
-		if st := c.cur.Load(); i < len(st.accesses) {
-			total += st.accesses[i].Load()
-		}
-		return total
+		return total + c.cur.Load().load.accesses(i)
 	}, "server", label)
 }
 

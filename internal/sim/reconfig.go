@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"bqs/internal/reconfig"
@@ -78,7 +77,7 @@ func (c *Cluster) Reconfigure(ctx context.Context, rec reconfig.Record) (Reconfi
 	st := newEpochState()
 	st.epoch, st.rec, st.system, st.b = rec.Epoch, rec, system, c.b
 	n := system.UniverseSize()
-	st.accesses = make([]atomic.Int64, n)
+	st.load = newLoadCounters(n)
 	if err := c.installSelection(st, nil); err != nil {
 		return ReconfigReport{}, fmt.Errorf("sim: reconfigure: %w", err)
 	}
@@ -180,15 +179,11 @@ func (c *Cluster) releaseStores(ids []int) {
 // running totals the monotonic telemetry counters read.
 func (c *Cluster) accumulateRetired(old *epochState) {
 	rt := c.retired.Load()
-	nt := &retiredTotals{phases: rt.phases + old.phases.Load()}
-	size := len(rt.accesses)
-	if len(old.accesses) > size {
-		size = len(old.accesses)
-	}
-	nt.accesses = make([]int64, size)
+	nt := &retiredTotals{phases: rt.phases + old.load.phases()}
+	nt.accesses = make([]int64, max(len(rt.accesses), old.load.n))
 	copy(nt.accesses, rt.accesses)
-	for i := range old.accesses {
-		nt.accesses[i] += old.accesses[i].Load()
+	for i := range old.load.n {
+		nt.accesses[i] += old.load.accesses(i)
 	}
 	c.retired.Store(nt)
 }

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"bqs/internal/store"
 )
@@ -161,8 +162,11 @@ type Server struct {
 	id    int
 	store store.Store
 
-	mu       sync.Mutex
-	behavior Behavior
+	// behavior is the fault mode. Every probe reads it without a lock;
+	// it changes only under mu, together with stale.
+	behavior atomic.Int32
+
+	mu sync.Mutex
 	// stale is what a ByzantineStale server replays: its registers as they
 	// stood when it turned stale. Nil in every other mode.
 	stale map[string]TaggedValue
@@ -189,9 +193,9 @@ func WithStore(st store.Store) ServerOption {
 func NewServer(id int, opts ...ServerOption) *Server {
 	s := &Server{
 		id:        id,
-		behavior:  Correct,
 		colludeTS: Timestamp{Seq: 1 << 40, Writer: -1},
 	}
+	s.behavior.Store(int32(Correct))
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -221,14 +225,14 @@ func (s *Server) SetBehavior(b Behavior) {
 	switch {
 	case b != ByzantineStale:
 		s.stale = nil
-	case s.behavior != ByzantineStale:
+	case s.Behavior() != ByzantineStale:
 		s.stale = make(map[string]TaggedValue)
 		s.store.Range(func(rec store.Record) bool {
 			s.stale[rec.Key] = tagged(rec)
 			return true
 		})
 	}
-	s.behavior = b
+	s.behavior.Store(int32(b))
 }
 
 // restart simulates a process kill and recovery in place: the store's
@@ -244,12 +248,9 @@ func (s *Server) restart() {
 	s.SetBehavior(Correct)
 }
 
-// Behavior returns the current fault mode.
-func (s *Server) Behavior() Behavior {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.behavior
-}
+// Behavior returns the current fault mode. It takes no lock, so the
+// probe path writes nothing another core reads.
+func (s *Server) Behavior() Behavior { return Behavior(s.behavior.Load()) }
 
 // HandleWrite applies a timestamped write to key's register. It returns
 // false when the server is unresponsive (crashed), or when the store
@@ -282,20 +283,36 @@ func (s *Server) HandleRead(readerID int, key string) (TaggedValue, bool) {
 		return TaggedValue{}, false
 	case ByzantineFabricate:
 		return TaggedValue{Value: FabricatedValue, TS: s.colludeTS}, true
+	case ByzantineStale, ByzantineEquivocate:
+		if tv, ok := s.byzantineRead(key); ok {
+			return tv, true
+		}
+	}
+	return s.SnapshotKey(key), true
+}
+
+// byzantineRead answers a read for a stale or equivocating server from
+// the state mu guards: the frozen registers, or the alternation count.
+// HandleRead reads the behavior without the lock, so a flip can land
+// before this takes it; the behavior is therefore decided again here,
+// under mu. It reports false when the server is no longer stale or
+// equivocating, and the caller then serves the store.
+func (s *Server) byzantineRead(key string) (TaggedValue, bool) {
+	s.mu.Lock()
+	switch s.Behavior() {
 	case ByzantineStale:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.stale[key], true
+		tv := s.stale[key]
+		s.mu.Unlock()
+		return tv, true
 	case ByzantineEquivocate:
-		s.mu.Lock()
 		s.reads++
 		odd := s.reads % 2
 		s.mu.Unlock()
 		v := fmt.Sprintf("%s-%d", FabricatedValue, odd)
 		return TaggedValue{Value: v, TS: Timestamp{Seq: s.colludeTS.Seq + int64(odd), Writer: -1}}, true
-	default:
-		return s.SnapshotKey(key), true
 	}
+	s.mu.Unlock()
+	return TaggedValue{}, false
 }
 
 // HandleRequest dispatches a protocol message to the server and returns

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"bqs/internal/core"
@@ -192,6 +193,44 @@ func TestStaleReplaysWhatItHeldAtTheFlip(t *testing.T) {
 	for i := range 20 {
 		if got, err := c.NewClient(100+i).ReadKey(ctx, "k"); err != nil || got.Value != "v3" {
 			t.Fatalf("read %q (%v), want v3", got.Value, err)
+		}
+	}
+}
+
+// TestStaleFlipNeverServesZero flips one server between ByzantineStale
+// and Correct while a reader probes a key written before the first flip.
+// Whichever mode a read meets, the answer is that write — from the stale
+// copy or from the store — and never the zero register, which is what a
+// read served when it saw the server stale, lost a flip to Correct, and
+// then looked the key up in the stale copy the flip had dropped.
+func TestStaleFlipNeverServesZero(t *testing.T) {
+	s := NewServer(0)
+	want := TaggedValue{Value: "v", TS: Timestamp{Seq: 1, Writer: 1}}
+	if !s.HandleWrite("k", want) {
+		t.Fatal("write refused")
+	}
+	stop := make(chan struct{})
+	var flips sync.WaitGroup
+	defer func() {
+		close(stop)
+		flips.Wait()
+	}()
+	flips.Add(1)
+	go func() {
+		defer flips.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.SetBehavior(ByzantineStale)
+			s.SetBehavior(Correct)
+		}
+	}()
+	for range 20000 {
+		if got, ok := s.HandleRead(1, "k"); !ok || got != want {
+			t.Fatalf("read served %+v (ok=%v) across a stale/correct flip, want %+v", got, ok, want)
 		}
 	}
 }

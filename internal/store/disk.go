@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -114,7 +114,7 @@ type Disk struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signalled when the flusher goes idle
-	mem      map[string]Record
+	mem      table      // the register map; see table
 	wal      *os.File
 	walSize  int64
 	pending  []byte       // encoded records awaiting write+fsync
@@ -161,12 +161,7 @@ func Open(dir string, opts ...DiskOption) (*Disk, error) {
 func (d *Disk) recover() error {
 	start := time.Now()
 	stats := RecoveryStats{}
-	mem := make(map[string]Record)
-	merge := func(rec Record) {
-		if cur, ok := mem[rec.Key]; !ok || rec.After(cur) {
-			mem[rec.Key] = rec
-		}
-	}
+	var mem table
 
 	snap, err := os.ReadFile(filepath.Join(d.dir, snapName))
 	switch {
@@ -179,7 +174,7 @@ func (d *Disk) recover() error {
 		// legitimate torn tail: any flaw is real corruption, and silently
 		// dropping a prefix of the state would be worse than failing loud.
 		n := 0
-		if _, serr := scanRecords(snap, func(rec Record) { merge(rec); n++ }); serr != nil {
+		if _, serr := scanRecords(snap, func(rec Record) { mem.merge(rec); n++ }); serr != nil {
 			return fmt.Errorf("store: corrupt snapshot: %w", serr)
 		}
 		stats.SnapshotRecords = n
@@ -195,7 +190,7 @@ func (d *Disk) recover() error {
 		wal.Close()
 		return fmt.Errorf("store: %w", err)
 	}
-	good, scanErr := scanRecords(buf, func(rec Record) { merge(rec); stats.WALRecords++ })
+	good, scanErr := scanRecords(buf, func(rec Record) { mem.merge(rec); stats.WALRecords++ })
 	if scanErr != nil {
 		// Torn or corrupt tail: recover the consistent prefix and drop the
 		// rest, so the next append starts at a clean record boundary.
@@ -210,7 +205,7 @@ func (d *Disk) recover() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	stats.WALBytes = good
-	stats.Keys = len(mem)
+	stats.Keys = len(mem.recs)
 	stats.Elapsed = time.Since(start)
 
 	d.mem = mem
@@ -256,8 +251,7 @@ func (d *Disk) WALSize() int64 {
 func (d *Disk) Get(key string) (Record, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	rec, ok := d.mem[key]
-	return rec, ok
+	return d.mem.get(key)
 }
 
 // Range calls fn for every stored record, in key order, until fn
@@ -265,12 +259,9 @@ func (d *Disk) Get(key string) (Record, bool) {
 // outside it, so fn may call back into the store.
 func (d *Disk) Range(fn func(Record) bool) {
 	d.mu.Lock()
-	recs := make([]Record, 0, len(d.mem))
-	for _, rec := range d.mem {
-		recs = append(recs, rec)
-	}
+	recs := slices.Clone(d.mem.recs)
 	d.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
+	sortByKey(recs)
 	for _, rec := range recs {
 		if !fn(rec) {
 			return
@@ -291,9 +282,7 @@ func (d *Disk) Apply(rec Record) error {
 		d.mu.Unlock()
 		return ErrClosed
 	}
-	if cur, ok := d.mem[rec.Key]; !ok || rec.After(cur) {
-		d.mem[rec.Key] = rec
-	}
+	d.mem.merge(rec)
 	var err error
 	if d.pending, err = AppendRecord(d.pending, rec); err != nil {
 		d.mu.Unlock()
@@ -372,8 +361,8 @@ func (d *Disk) flushLoop() {
 // file IO and retaken before returning. A failed compaction leaves the
 // WAL alone — the store keeps working, just with a longer log.
 func (d *Disk) compactLocked() {
-	buf := make([]byte, 0, 64+32*len(d.mem))
-	for _, rec := range d.mem {
+	buf := make([]byte, 0, 64+32*len(d.mem.recs))
+	for _, rec := range d.mem.recs {
 		// Records in mem round-tripped AppendRecord once already (or came
 		// from a decoded file), so re-encoding cannot fail.
 		buf, _ = AppendRecord(buf, rec)

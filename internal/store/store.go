@@ -22,7 +22,7 @@ package store
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -94,33 +94,35 @@ func MayBlock(st Store) bool {
 }
 
 // Mem is the in-memory engine, and every sim.Server's default: the
-// seed's bare map behind the Store interface. Nothing is durable —
-// Reopen, the crash-recovery boundary, wipes it — which makes Mem the
-// explicit form of the amnesiac recovery the churn engine had before
-// this package existed.
+// seed's bare register map behind the Store interface. Nothing is
+// durable — Reopen, the crash-recovery boundary, wipes it — which makes
+// Mem the explicit form of the amnesiac recovery the churn engine had
+// before this package existed.
 //
-// Its lock is a Mutex, not an RWMutex, although reads outnumber writes:
-// every critical section is one map operation, and under an RWMutex a
-// reader that arrives behind a pending Lock parks instead of spinning.
-// Measured on the in-memory benchmark, the RWMutex left throughput flat
-// and quadrupled p99 latency.
+// Its registers live in a table (see table.go): a dense slab of Records
+// behind an insert-only index of 8-byte slots, the layout Disk keeps in
+// memory too. A Get is every in-memory read probe, and with thousands of
+// keys on each of a dozen replicas the registers outgrow the cache, so
+// what a lookup costs is the cache lines it misses: one slot line, eight
+// slots to a line, and one record line. One Mutex guards the table:
+// every critical section is one lookup, and under an RWMutex a reader
+// that arrives behind a pending Lock parks instead of spinning. Measured
+// on the in-memory benchmark, an RWMutex left throughput flat and
+// quadrupled p99 latency.
 type Mem struct {
 	mu     sync.Mutex
-	m      map[string]Record
+	t      table
 	closed bool
 }
 
 // NewMem returns an empty in-memory store.
-func NewMem() *Mem {
-	return &Mem{m: make(map[string]Record)}
-}
+func NewMem() *Mem { return &Mem{} }
 
 // Get returns the current record for key.
 func (s *Mem) Get(key string) (Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec, ok := s.m[key]
-	return rec, ok
+	return s.t.get(key)
 }
 
 // Apply merges rec by timestamp: the stored record only changes when rec
@@ -131,27 +133,19 @@ func (s *Mem) Apply(rec Record) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if cur, ok := s.m[rec.Key]; !ok || rec.After(cur) {
-		s.m[rec.Key] = rec
-	}
+	s.t.merge(rec)
 	return nil
 }
 
 // Range calls fn for every stored record, in key order, stopping early
 // when fn returns false. Key order makes iteration deterministic, which
-// recovery-comparison tests rely on.
+// recovery-comparison tests rely on. The records are copied under the
+// lock and delivered outside it, so fn may call back into the store.
 func (s *Mem) Range(fn func(Record) bool) {
 	s.mu.Lock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	recs := make([]Record, len(keys))
-	for i, k := range keys {
-		recs[i] = s.m[k]
-	}
+	recs := slices.Clone(s.t.recs)
 	s.mu.Unlock()
+	sortByKey(recs)
 	for _, rec := range recs {
 		if !fn(rec) {
 			return
@@ -167,7 +161,7 @@ func (s *Mem) Reopen() error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.m = make(map[string]Record)
+	s.t = table{}
 	return nil
 }
 
