@@ -118,8 +118,7 @@ type (
 	// StoreRecord is one durable register version: key, value and the
 	// (Seq, Writer) timestamp that orders it.
 	StoreRecord = store.Record
-	// DiskOption configures OpenDiskStore (fsync policy, snapshot
-	// threshold).
+	// DiskOption configures OpenDiskStore (fsync policy, metrics).
 	DiskOption = store.DiskOption
 	// DiskStore is the durable engine: an append-only CRC-checksummed WAL
 	// with group commit, periodic snapshots, and recovery that tolerates a

@@ -138,49 +138,6 @@ func (s *Set) UnionWith(t Set) {
 	}
 }
 
-// Union returns a new set s ∪ t.
-func (s Set) Union(t Set) Set {
-	u := s.Clone()
-	u.UnionWith(t)
-	return u
-}
-
-// IntersectWith removes from s every element not in t.
-func (s *Set) IntersectWith(t Set) {
-	for i := range s.words {
-		if i < len(t.words) {
-			s.words[i] &= t.words[i]
-		} else {
-			s.words[i] = 0
-		}
-	}
-}
-
-// Intersect returns a new set s ∩ t.
-func (s Set) Intersect(t Set) Set {
-	u := s.Clone()
-	u.IntersectWith(t)
-	return u
-}
-
-// DifferenceWith removes every element of t from s.
-func (s *Set) DifferenceWith(t Set) {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	for i := 0; i < n; i++ {
-		s.words[i] &^= t.words[i]
-	}
-}
-
-// Difference returns a new set s \ t.
-func (s Set) Difference(t Set) Set {
-	u := s.Clone()
-	u.DifferenceWith(t)
-	return u
-}
-
 // IntersectionCount returns |s ∩ t| without allocating.
 func (s Set) IntersectionCount(t Set) int {
 	n := len(s.words)
@@ -247,16 +204,6 @@ func (s Set) Range(fn func(i int) bool) {
 			w &= w - 1
 		}
 	}
-}
-
-// Min returns the smallest element, or -1 if the set is empty.
-func (s Set) Min() int {
-	for wi, w := range s.words {
-		if w != 0 {
-			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
 }
 
 // String renders the set as "{a, b, c}".

@@ -73,18 +73,19 @@ func TestFromRange(t *testing.T) {
 	}
 }
 
+// union returns s ∪ t, leaving both operands untouched.
+func union(s, t Set) Set {
+	u := s.Clone()
+	u.UnionWith(t)
+	return u
+}
+
 func TestSetAlgebra(t *testing.T) {
 	a := FromSlice([]int{1, 2, 3, 64, 100})
 	b := FromSlice([]int{3, 4, 64, 200})
 
-	if got := a.Union(b).Elements(); !reflect.DeepEqual(got, []int{1, 2, 3, 4, 64, 100, 200}) {
-		t.Errorf("Union = %v", got)
-	}
-	if got := a.Intersect(b).Elements(); !reflect.DeepEqual(got, []int{3, 64}) {
-		t.Errorf("Intersect = %v", got)
-	}
-	if got := a.Difference(b).Elements(); !reflect.DeepEqual(got, []int{1, 2, 100}) {
-		t.Errorf("Difference = %v", got)
+	if got := union(a, b).Elements(); !reflect.DeepEqual(got, []int{1, 2, 3, 4, 64, 100, 200}) {
+		t.Errorf("UnionWith = %v", got)
 	}
 	if got := a.IntersectionCount(b); got != 2 {
 		t.Errorf("IntersectionCount = %d, want 2", got)
@@ -129,15 +130,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestMin(t *testing.T) {
-	if got := (Set{}).Min(); got != -1 {
-		t.Errorf("Min of empty = %d, want -1", got)
-	}
-	if got := FromSlice([]int{100, 7, 64}).Min(); got != 7 {
-		t.Errorf("Min = %d, want 7", got)
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := FromSlice([]int{2, 0}).String(); got != "{0, 2}" {
 		t.Errorf("String = %q, want {0, 2}", got)
@@ -177,36 +169,35 @@ func TestQuickSetLaws(t *testing.T) {
 	inclExcl := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randomSet(r), randomSet(r)
-		return a.IntersectionCount(b)+a.Union(b).Count() == a.Count()+b.Count()
+		return a.IntersectionCount(b)+union(a, b).Count() == a.Count()+b.Count()
 	}
 	if err := quick.Check(inclExcl, cfg); err != nil {
 		t.Errorf("inclusion–exclusion: %v", err)
 	}
 
-	// A \ B, A ∩ B partition A.
+	// A's elements split into those in B and those not: the first part
+	// is A ∩ B, whose size IntersectionCount reports and whose emptiness
+	// Intersects reports, and the two parts rebuild A.
 	partition := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randomSet(r), randomSet(r)
-		diff, inter := a.Difference(b), a.Intersect(b)
-		return diff.Count()+inter.Count() == a.Count() &&
-			!diff.Intersects(inter) &&
-			diff.Union(inter).Equal(a)
+		var in, out []int
+		for _, e := range a.Elements() {
+			if b.Contains(e) {
+				in = append(in, e)
+			} else {
+				out = append(out, e)
+			}
+		}
+		inter, diff := FromSlice(in), FromSlice(out)
+		return a.IntersectionCount(b) == len(in) &&
+			a.Intersects(b) == (len(in) > 0) &&
+			inter.SubsetOf(b) && !diff.Intersects(b) &&
+			union(diff, inter).Equal(a) &&
+			(len(out) == 0) == a.SubsetOf(b)
 	}
 	if err := quick.Check(partition, cfg); err != nil {
 		t.Errorf("partition law: %v", err)
-	}
-
-	// De Morgan within a fixed universe: U \ (A ∪ B) = (U \ A) ∩ (U \ B).
-	deMorgan := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randomSet(r), randomSet(r)
-		u := FromRange(0, 192)
-		lhs := u.Difference(a.Union(b))
-		rhs := u.Difference(a).Intersect(u.Difference(b))
-		return lhs.Equal(rhs)
-	}
-	if err := quick.Check(deMorgan, cfg); err != nil {
-		t.Errorf("De Morgan: %v", err)
 	}
 
 	// Elements round-trips through FromSlice and stays sorted.

@@ -183,12 +183,6 @@ func Combinations(n, k int, fn func(comb []int) bool) {
 	}
 }
 
-// CountCombinations returns the number of k-subsets of an n-set as float64
-// (convenience wrapper for strategy-weight computations).
-func CountCombinations(n, k int) float64 {
-	return BinomialFloat(n, k)
-}
-
 // ISqrt returns ⌊√n⌋ for n ≥ 0.
 func ISqrt(n int) int {
 	if n < 0 {
@@ -202,12 +196,6 @@ func ISqrt(n int) int {
 		r++
 	}
 	return r
-}
-
-// IsPerfectSquare reports whether n is a perfect square.
-func IsPerfectSquare(n int) bool {
-	r := ISqrt(n)
-	return r*r == n
 }
 
 // CeilSqrt returns ⌈√n⌉ for n ≥ 0.

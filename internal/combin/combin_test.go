@@ -250,9 +250,6 @@ func TestISqrt(t *testing.T) {
 			t.Fatalf("ISqrt(%d) = %d", n, r)
 		}
 	}
-	if !IsPerfectSquare(49) || IsPerfectSquare(50) {
-		t.Error("IsPerfectSquare wrong")
-	}
 	if CeilSqrt(50) != 8 || CeilSqrt(49) != 7 || CeilSqrt(0) != 0 {
 		t.Error("CeilSqrt wrong")
 	}

@@ -161,11 +161,14 @@ func (c *Composite) product(param func(core.Parameterized) int) int {
 	return param(o) * param(i)
 }
 
-// MinQuorumSize returns c(S)·c(R), MinIntersection IS(S)·IS(R) and
-// MinTransversal MT(S)·MT(R).
-func (c *Composite) MinQuorumSize() int   { return c.product(core.Parameterized.MinQuorumSize) }
+// MinQuorumSize returns c(S)·c(R).
+func (c *Composite) MinQuorumSize() int { return c.product(core.Parameterized.MinQuorumSize) }
+
+// MinIntersection returns IS(S)·IS(R).
 func (c *Composite) MinIntersection() int { return c.product(core.Parameterized.MinIntersection) }
-func (c *Composite) MinTransversal() int  { return c.product(core.Parameterized.MinTransversal) }
+
+// MinTransversal returns MT(S)·MT(R).
+func (c *Composite) MinTransversal() int { return c.product(core.Parameterized.MinTransversal) }
 
 // MaskingBound applies Corollary 3.7 to the composed parameters.
 func (c *Composite) MaskingBound() int { return core.MaskingBoundFromParams(c) }

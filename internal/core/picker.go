@@ -65,9 +65,6 @@ func NewStrategyPicker(sys Enumerable, st *Strategy) (*StrategyPicker, error) {
 	return p, nil
 }
 
-// Strategy returns the access strategy the picker samples from.
-func (p *StrategyPicker) Strategy() *Strategy { return p.st }
-
 // InducedLoad returns L_w(Q) = max_u l_w(u) of the installed strategy —
 // the load live traffic converges to under failure-free conditions.
 func (p *StrategyPicker) InducedLoad() float64 { return p.load }

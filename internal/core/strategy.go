@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"bqs/internal/bitset"
 )
 
 // ErrBadStrategy is returned when strategy weights are negative or do not
@@ -116,9 +114,4 @@ func (st *Strategy) InducedSystemLoad(sys Enumerable) float64 {
 		}
 	}
 	return max
-}
-
-// SampleSet draws a quorum from sys according to the strategy.
-func (st *Strategy) SampleSet(sys Enumerable, rng *rand.Rand) bitset.Set {
-	return sys.Quorums()[st.Sample(rng)].Clone()
 }

@@ -19,15 +19,11 @@ import (
 // ErrNotPrimePower is returned by New when q cannot be written as p^r.
 var ErrNotPrimePower = errors.New("gf: order is not a prime power")
 
-// ErrDivideByZero is returned by Inv and Div for a zero divisor.
-var ErrDivideByZero = errors.New("gf: division by zero")
-
 // Field is GF(p^r) with table-driven arithmetic. Create with New.
 type Field struct {
 	p, r, q int
 	add     [][]int
 	mul     [][]int
-	inv     []int // inv[0] unused
 }
 
 // New constructs GF(q) for a prime power q = p^r, or returns
@@ -50,60 +46,11 @@ func New(q int) (*Field, error) {
 	return f, nil
 }
 
-// Order returns q, Char returns p, Degree returns r.
-func (f *Field) Order() int  { return f.q }
-func (f *Field) Char() int   { return f.p }
-func (f *Field) Degree() int { return f.r }
-
 // Add returns a+b in the field.
 func (f *Field) Add(a, b int) int { return f.add[a][b] }
 
 // Mul returns a·b in the field.
 func (f *Field) Mul(a, b int) int { return f.mul[a][b] }
-
-// Neg returns −a in the field.
-func (f *Field) Neg(a int) int {
-	// Find b with a+b=0; digits negate independently.
-	digits := f.toPoly(a)
-	for i, d := range digits {
-		digits[i] = (f.p - d) % f.p
-	}
-	return f.fromPoly(digits)
-}
-
-// Sub returns a−b in the field.
-func (f *Field) Sub(a, b int) int { return f.add[a][f.Neg(b)] }
-
-// Inv returns the multiplicative inverse of a, or ErrDivideByZero if a=0.
-func (f *Field) Inv(a int) (int, error) {
-	if a == 0 {
-		return 0, ErrDivideByZero
-	}
-	return f.inv[a], nil
-}
-
-// Div returns a/b, or ErrDivideByZero if b=0.
-func (f *Field) Div(a, b int) (int, error) {
-	bi, err := f.Inv(b)
-	if err != nil {
-		return 0, err
-	}
-	return f.mul[a][bi], nil
-}
-
-// Pow returns a^e for e ≥ 0 (a^0 = 1, including 0^0 = 1 by convention).
-func (f *Field) Pow(a, e int) int {
-	result := 1
-	base := a
-	for e > 0 {
-		if e&1 == 1 {
-			result = f.mul[result][base]
-		}
-		base = f.mul[base][base]
-		e >>= 1
-	}
-	return result
-}
 
 // toPoly expands an element into base-p digit coefficients (length r).
 func (f *Field) toPoly(a int) []int {
@@ -150,15 +97,6 @@ func (f *Field) buildTables(irr []int) {
 			m := f.fromPoly(prod)
 			f.mul[a][b] = m
 			f.mul[b][a] = m
-		}
-	}
-	f.inv = make([]int, q)
-	for a := 1; a < q; a++ {
-		for b := 1; b < q; b++ {
-			if f.mul[a][b] == 1 {
-				f.inv[a] = b
-				break
-			}
 		}
 	}
 }

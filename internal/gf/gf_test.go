@@ -25,9 +25,9 @@ func TestOrderCharDegree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%d): %v", c.q, err)
 		}
-		if f.Order() != c.q || f.Char() != c.p || f.Degree() != c.r {
+		if f.q != c.q || f.p != c.p || f.r != c.r {
 			t.Errorf("GF(%d): got (q,p,r)=(%d,%d,%d), want (%d,%d,%d)",
-				c.q, f.Order(), f.Char(), f.Degree(), c.q, c.p, c.r)
+				c.q, f.q, f.p, f.r, c.q, c.p, c.r)
 		}
 	}
 }
@@ -46,7 +46,7 @@ func TestFieldAxioms(t *testing.T) {
 
 func checkAxioms(t *testing.T, f *Field) {
 	t.Helper()
-	q := f.Order()
+	q := f.q
 	for a := 0; a < q; a++ {
 		// Identities.
 		if f.Add(a, 0) != a {
@@ -58,19 +58,14 @@ func checkAxioms(t *testing.T, f *Field) {
 		if f.Mul(a, 0) != 0 {
 			t.Fatalf("GF(%d): %d·0 = %d", q, a, f.Mul(a, 0))
 		}
-		// Additive inverse.
-		if f.Add(a, f.Neg(a)) != 0 {
-			t.Fatalf("GF(%d): %d + (−%d) ≠ 0", q, a, a)
+		// Additive and multiplicative inverses exist.
+		neg, inv := false, a == 0
+		for b := 0; b < q; b++ {
+			neg = neg || f.Add(a, b) == 0
+			inv = inv || f.Mul(a, b) == 1
 		}
-		// Multiplicative inverse.
-		if a != 0 {
-			inv, err := f.Inv(a)
-			if err != nil {
-				t.Fatalf("GF(%d): Inv(%d): %v", q, a, err)
-			}
-			if f.Mul(a, inv) != 1 {
-				t.Fatalf("GF(%d): %d·%d = %d, want 1", q, a, inv, f.Mul(a, inv))
-			}
+		if !neg || !inv {
+			t.Fatalf("GF(%d): %d has additive inverse %v, multiplicative inverse %v", q, a, neg, inv)
 		}
 	}
 	for a := 0; a < q; a++ {
@@ -80,9 +75,6 @@ func checkAxioms(t *testing.T, f *Field) {
 			}
 			if f.Mul(a, b) != f.Mul(b, a) {
 				t.Fatalf("GF(%d): mul not commutative at %d,%d", q, a, b)
-			}
-			if f.Sub(f.Add(a, b), b) != a {
-				t.Fatalf("GF(%d): (a+b)−b ≠ a at %d,%d", q, a, b)
 			}
 			for c := 0; c < q; c++ {
 				if f.Add(f.Add(a, b), c) != f.Add(a, f.Add(b, c)) {
@@ -112,36 +104,31 @@ func TestNoZeroDivisors(t *testing.T) {
 	}
 }
 
-func TestDivErrors(t *testing.T) {
-	f, _ := New(9)
-	if _, err := f.Inv(0); !errors.Is(err, ErrDivideByZero) {
-		t.Error("Inv(0) should fail")
-	}
-	if _, err := f.Div(3, 0); !errors.Is(err, ErrDivideByZero) {
-		t.Error("Div(x,0) should fail")
-	}
-	got, err := f.Div(f.Mul(4, 5), 5)
-	if err != nil || got != 4 {
-		t.Errorf("Div((4·5),5) = %d, %v; want 4", got, err)
-	}
-}
-
+// TestPow checks exponentiation by repeated Mul: a^0 = 1, a^1 = a,
+// Lagrange's a^(q−1) = 1 for a ≠ 0, and the Frobenius identity a^q = a,
+// which hold only when the multiplication table is a field's.
 func TestPow(t *testing.T) {
 	for _, q := range []int{4, 5, 8, 9} {
 		f, _ := New(q)
+		pow := func(a, e int) int {
+			r := 1
+			for ; e > 0; e-- {
+				r = f.Mul(r, a)
+			}
+			return r
+		}
 		for a := 0; a < q; a++ {
-			if f.Pow(a, 0) != 1 {
+			if pow(a, 0) != 1 {
 				t.Errorf("GF(%d): %d^0 != 1", q, a)
 			}
-			if f.Pow(a, 1) != a {
+			if pow(a, 1) != a {
 				t.Errorf("GF(%d): %d^1 != %d", q, a, a)
 			}
-			// Lagrange: a^(q-1) = 1 for a != 0; a^q = a for all a.
-			if a != 0 && f.Pow(a, q-1) != 1 {
-				t.Errorf("GF(%d): %d^(q−1) = %d, want 1", q, a, f.Pow(a, q-1))
+			if a != 0 && pow(a, q-1) != 1 {
+				t.Errorf("GF(%d): %d^(q−1) = %d, want 1", q, a, pow(a, q-1))
 			}
-			if f.Pow(a, q) != a {
-				t.Errorf("GF(%d): %d^q = %d, want %d (Frobenius)", q, a, f.Pow(a, q), a)
+			if pow(a, q) != a {
+				t.Errorf("GF(%d): %d^q = %d, want %d (Frobenius)", q, a, pow(a, q), a)
 			}
 		}
 	}

@@ -98,6 +98,9 @@ type Plan struct {
 // Plan parses every spec flag against the booted system, so a typo fails
 // before a cluster is built or a connection dialed.
 func (f *Flags) Plan(sys core.Construction) (*Plan, error) {
+	if err := f.checkRanges(); err != nil {
+		return nil, err
+	}
 	p := &Plan{Sys: sys}
 	var err error
 	if p.Schedule, err = BuildSchedule(f.FaultSchedule, f.Churn, sys.UniverseSize(), f.Duration, f.Seed); err != nil {
@@ -128,6 +131,31 @@ func (f *Flags) Plan(sys core.Construction) (*Plan, error) {
 	p.Workload = Workload{Clients: f.Clients, Ops: f.Ops, Duration: f.Duration, Timeout: f.Timeout,
 		SuspicionTTL: ttl, Keys: f.Keys, Dist: dist, Batch: f.Batch, Seed: f.Seed}
 	return p, nil
+}
+
+// checkRanges rejects a workload flag outside its range, so a typo cannot
+// run a vacuous experiment that reports "0 ok ops" and exits 0, nor have
+// its sign silently reinterpreted.
+func (f *Flags) checkRanges() error {
+	for _, c := range []struct {
+		bad   bool
+		flag  string
+		value any
+		want  string
+	}{
+		{f.Clients < 1, "clients", f.Clients, "at least 1"},
+		{f.Ops < 0 || f.Ops == 0 && f.Duration == 0, "ops", f.Ops, "at least 1 unless -duration is set"},
+		{f.Duration < 0, "duration", f.Duration, "non-negative"},
+		{f.Timeout < 0, "timeout", f.Timeout, "non-negative (0 = none)"},
+		{f.Keys < 0, "keys", f.Keys, "non-negative (0 = the single default register)"},
+		{f.Batch < 1, "batch", f.Batch, "at least 1"},
+		{f.SuspicionTTL < 0, "suspicion-ttl", f.SuspicionTTL, "non-negative (0 = auto)"},
+	} {
+		if c.bad {
+			return fmt.Errorf("-%s %v: must be %s", c.flag, c.value, c.want)
+		}
+	}
+	return nil
 }
 
 // Execute runs the plan against a built cluster: it prints the workload

@@ -50,6 +50,16 @@ func captureStdout(t *testing.T, fn func()) string {
 // bqs-client's defaults and plans it, exactly as the binaries do.
 func planFromArgv(t *testing.T, argv ...string) (*Flags, *Plan) {
 	t.Helper()
+	f, plan, err := tryPlan(t, argv...)
+	if err != nil {
+		t.Fatalf("plan %v: %v", argv, err)
+	}
+	return f, plan
+}
+
+// tryPlan is planFromArgv returning Plan's error instead of failing.
+func tryPlan(t *testing.T, argv ...string) (*Flags, *Plan, error) {
+	t.Helper()
 	f := NewFlags("mgrid", 1, 2*time.Second)
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
@@ -62,10 +72,39 @@ func planFromArgv(t *testing.T, argv ...string) (*Flags, *Plan) {
 		t.Fatal(err)
 	}
 	plan, err := f.Plan(sys)
-	if err != nil {
-		t.Fatalf("plan %v: %v", argv, err)
+	return f, plan, err
+}
+
+// TestPlanRejectsOutOfRangeWorkload pins the range check: each workload
+// flag outside its range fails Plan with an error that names the flag,
+// instead of running zero operations or reinterpreting the value; the
+// boundary values stay accepted.
+func TestPlanRejectsOutOfRangeWorkload(t *testing.T) {
+	for _, tc := range []struct {
+		argv []string
+		flag string // "" = accepted
+	}{
+		{[]string{"-clients", "0"}, "-clients"},
+		{[]string{"-clients", "-3"}, "-clients"},
+		{[]string{"-ops", "-1"}, "-ops"},
+		{[]string{"-ops", "0"}, "-ops"},
+		{[]string{"-keys", "-5"}, "-keys"},
+		{[]string{"-batch", "0"}, "-batch"},
+		{[]string{"-batch", "-2"}, "-batch"},
+		{[]string{"-timeout", "-1s"}, "-timeout"},
+		{[]string{"-duration", "-1s"}, "-duration"},
+		{[]string{"-suspicion-ttl", "-1ms"}, "-suspicion-ttl"},
+		{[]string{"-clients", "1", "-ops", "1", "-keys", "0", "-batch", "1", "-timeout", "0s", "-suspicion-ttl", "0s"}, ""},
+		{[]string{"-ops", "0", "-duration", "10ms"}, ""},
+	} {
+		_, _, err := tryPlan(t, tc.argv...)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("%v: %v, want accepted", tc.argv, err)
+		case tc.flag != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ")):
+			t.Errorf("%v: err = %v, want one naming %s", tc.argv, err, tc.flag)
+		}
 	}
-	return f, plan
 }
 
 // newCluster builds the plan's cluster with the options both binaries

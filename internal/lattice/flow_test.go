@@ -44,10 +44,10 @@ func TestKernelMatchesDinic(t *testing.T) {
 		universe int
 		sample   func(p float64, rng *rand.Rand) bitset.Set
 	}{
-		{"triangular LR", tri.lr, tri.NumVertices(), tri.SampleDead},
-		{"triangular TB", tri.tb, tri.NumVertices(), tri.SampleDead},
-		{"square primal LR", sq.lr, sq.NumEdges(), sq.SampleDeadEdges},
-		{"square dual TB", sq.dualTB, sq.NumEdges(), sq.SampleDeadEdges},
+		{"triangular LR", tri.lr, 49, tri.SampleDead},
+		{"triangular TB", tri.tb, 49, tri.SampleDead},
+		{"square primal LR", sq.lr, sq.NumEdges(), sq.sampleDeadEdges},
+		{"square dual TB", sq.dualTB, sq.NumEdges(), sq.sampleDeadEdges},
 	}
 	rng := rand.New(rand.NewSource(160))
 	for _, c := range nets {

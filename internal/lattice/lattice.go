@@ -71,15 +71,8 @@ func (g *Grid) net(axis Axis) *flowNet {
 	return g.tb
 }
 
-// Side returns d; NumVertices returns d².
-func (g *Grid) Side() int        { return g.d }
-func (g *Grid) NumVertices() int { return g.d * g.d }
-
 // Index maps (row, col) to the vertex id row·d + col.
 func (g *Grid) Index(row, col int) int { return row*g.d + col }
-
-// Coords inverts Index.
-func (g *Grid) Coords(v int) (row, col int) { return v / g.d, v % g.d }
 
 // Neighbors appends the neighbors of (row, col) to buf and returns it.
 // The triangulation gives interior vertices degree 6.
@@ -96,23 +89,6 @@ func (g *Grid) Neighbors(row, col int, buf [][2]int) [][2]int {
 		}
 	}
 	return buf
-}
-
-// HasOpenPath reports whether an open path crosses the grid along the axis
-// (every vertex on the path avoids the dead set).
-func (g *Grid) HasOpenPath(axis Axis, dead bitset.Set) bool {
-	return g.net(axis).disjoint(dead, 1, nil, nil) == 1
-}
-
-// DisjointPaths returns up to maxPaths vertex-disjoint open crossing paths
-// along the axis, each as its vertex ids in path order. It returns fewer
-// than maxPaths exactly when the dead set admits no more, so asking for d
-// counts them all; a non-positive maxPaths is an error.
-func (g *Grid) DisjointPaths(axis Axis, dead bitset.Set, maxPaths int) ([][]int, error) {
-	if maxPaths < 1 {
-		return nil, fmt.Errorf("lattice: maxPaths %d must be positive", maxPaths)
-	}
-	return g.net(axis).pathLists(dead, maxPaths), nil
 }
 
 // AddDisjointPaths adds the vertices of k vertex-disjoint open crossing

@@ -12,7 +12,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("d=0 should fail")
 	}
 	g, err := New(3)
-	if err != nil || g.Side() != 3 || g.NumVertices() != 9 {
+	if err != nil || g.d != 3 {
 		t.Fatalf("New(3) = %v, %v", g, err)
 	}
 }
@@ -20,8 +20,7 @@ func TestNewValidation(t *testing.T) {
 func TestIndexCoordsRoundTrip(t *testing.T) {
 	g, _ := New(5)
 	for v := 0; v < 25; v++ {
-		r, c := g.Coords(v)
-		if g.Index(r, c) != v {
+		if g.Index(v/5, v%5) != v {
 			t.Fatalf("round trip fails at %d", v)
 		}
 	}
@@ -66,7 +65,7 @@ func TestNeighborSymmetry(t *testing.T) {
 func TestHasOpenPathNoFailures(t *testing.T) {
 	g, _ := New(6)
 	empty := bitset.New(36)
-	if !g.HasOpenPath(LeftRight, empty) || !g.HasOpenPath(TopBottom, empty) {
+	if g.CountDisjointPaths(LeftRight, empty) == 0 || g.CountDisjointPaths(TopBottom, empty) == 0 {
 		t.Fatal("fully open grid must have crossings both ways")
 	}
 }
@@ -78,12 +77,12 @@ func TestHasOpenPathBlockedByColumn(t *testing.T) {
 	for r := 0; r < 5; r++ {
 		dead.Add(g.Index(r, 2))
 	}
-	if g.HasOpenPath(LeftRight, dead) {
+	if g.CountDisjointPaths(LeftRight, dead) != 0 {
 		t.Error("dead column should block LR paths")
 	}
 	// ...but on the triangular lattice a dead column also blocks TB? No:
 	// TB paths can run inside another column untouched.
-	if !g.HasOpenPath(TopBottom, dead) {
+	if g.CountDisjointPaths(TopBottom, dead) == 0 {
 		t.Error("dead column should not block TB paths")
 	}
 }
@@ -91,24 +90,21 @@ func TestHasOpenPathBlockedByColumn(t *testing.T) {
 func TestDisjointPathsFullGrid(t *testing.T) {
 	g, _ := New(6)
 	empty := bitset.New(36)
-	paths, err := g.DisjointPaths(LeftRight, empty, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths := g.lr.pathLists(empty, 6)
 	if len(paths) != 6 {
 		t.Fatalf("open 6×6 grid supports %d disjoint LR paths, want 6", len(paths))
 	}
 	seen := bitset.New(36)
 	for _, p := range paths {
 		// Valid crossing: starts col 0, ends col d−1, consecutive neighbors.
-		if _, c := g.Coords(p[0]); c != 0 {
+		if p[0]%6 != 0 {
 			t.Fatalf("path %v does not start at left edge", p)
 		}
-		if _, c := g.Coords(p[len(p)-1]); c != 5 {
+		if p[len(p)-1]%6 != 5 {
 			t.Fatalf("path %v does not end at right edge", p)
 		}
 		for i := 1; i < len(p); i++ {
-			r0, c0 := g.Coords(p[i-1])
+			r0, c0 := p[i-1]/6, p[i-1]%6
 			ok := false
 			for _, nb := range g.Neighbors(r0, c0, nil) {
 				if g.Index(nb[0], nb[1]) == p[i] {
@@ -137,10 +133,7 @@ func TestDisjointPathsRespectDeadAndCap(t *testing.T) {
 		dead.Add(g.Index(0, c))
 		dead.Add(g.Index(1, c))
 	}
-	paths, err := g.DisjointPaths(LeftRight, dead, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths := g.lr.pathLists(dead, 5)
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths, want 3", len(paths))
 	}
@@ -152,15 +145,8 @@ func TestDisjointPathsRespectDeadAndCap(t *testing.T) {
 		}
 	}
 	// maxPaths cap respected.
-	capped, err := g.DisjointPaths(LeftRight, dead, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(capped) != 2 {
+	if capped := g.lr.pathLists(dead, 2); len(capped) != 2 {
 		t.Fatalf("cap 2 returned %d paths", len(capped))
-	}
-	if _, err := g.DisjointPaths(LeftRight, dead, 0); err == nil {
-		t.Error("maxPaths=0 should fail")
 	}
 }
 

@@ -74,12 +74,13 @@ func NewSquareEdge(d int) (*SquareEdgeGrid, error) {
 	return g, nil
 }
 
-// Side returns d; NumEdges returns the universe size 2d(d−1).
-func (g *SquareEdgeGrid) Side() int     { return g.d }
+// NumEdges returns the universe size 2d(d−1).
 func (g *SquareEdgeGrid) NumEdges() int { return 2 * g.d * (g.d - 1) }
 
-// HEdge returns the id of H(i,j); VEdge the id of V(i,j).
+// HEdge returns the id of H(i,j), the edge (i,j)–(i,j+1).
 func (g *SquareEdgeGrid) HEdge(i, j int) int { return i*(g.d-1) + j }
+
+// VEdge returns the id of V(i,j), the edge (i,j)–(i+1,j).
 func (g *SquareEdgeGrid) VEdge(i, j int) int { return g.d*(g.d-1) + i*g.d + j }
 
 func (g *SquareEdgeGrid) net(axis Axis) *flowNet {
@@ -115,15 +116,4 @@ func (g *SquareEdgeGrid) DisjointDualTBPaths(dead bitset.Set, maxPaths int) ([][
 // is randomized by rng; they always avoid dead.
 func (g *SquareEdgeGrid) AddDisjointPaths(q *bitset.Set, axis Axis, dead bitset.Set, k int, rng *rand.Rand) bool {
 	return g.net(axis).addPaths(q, dead, k, rng)
-}
-
-// SampleDeadEdges closes each edge independently with probability p.
-func (g *SquareEdgeGrid) SampleDeadEdges(p float64, rng *rand.Rand) bitset.Set {
-	dead := bitset.New(g.NumEdges())
-	for e := 0; e < g.NumEdges(); e++ {
-		if rng.Float64() < p {
-			dead.Add(e)
-		}
-	}
-	return dead
 }

@@ -7,12 +7,24 @@ import (
 	"bqs/internal/bitset"
 )
 
+// sampleDeadEdges closes each edge independently with probability p
+// (bond percolation).
+func (g *SquareEdgeGrid) sampleDeadEdges(p float64, rng *rand.Rand) bitset.Set {
+	dead := bitset.New(g.NumEdges())
+	for e := 0; e < g.NumEdges(); e++ {
+		if rng.Float64() < p {
+			dead.Add(e)
+		}
+	}
+	return dead
+}
+
 func TestSquareEdgeValidation(t *testing.T) {
 	if _, err := NewSquareEdge(1); err == nil {
 		t.Error("d=1 should fail")
 	}
 	g, err := NewSquareEdge(4)
-	if err != nil || g.Side() != 4 || g.NumEdges() != 24 {
+	if err != nil || g.d != 4 || g.NumEdges() != 24 {
 		t.Fatalf("NewSquareEdge(4) = %v, %v", g, err)
 	}
 }
@@ -126,7 +138,7 @@ func TestSquareEdgeDualityCutArgument(t *testing.T) {
 	g, _ := NewSquareEdge(6)
 	rng := rand.New(rand.NewSource(90))
 	for trial := 0; trial < 40; trial++ {
-		dead := g.SampleDeadEdges(0.2, rng)
+		dead := g.sampleDeadEdges(0.2, rng)
 		lr, err := g.DisjointLRPaths(dead, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +175,7 @@ func TestSquareEdgeBondPercolationThreshold(t *testing.T) {
 	count := func(p float64) int {
 		hits := 0
 		for i := 0; i < 60; i++ {
-			dead := g.SampleDeadEdges(p, rng)
+			dead := g.sampleDeadEdges(p, rng)
 			paths, err := g.DisjointLRPaths(dead, 1)
 			if err != nil {
 				t.Fatal(err)

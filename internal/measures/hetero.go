@@ -267,13 +267,6 @@ func (m FailureModel) SampleDead(n int, rng *rand.Rand) bitset.Set {
 	return dead
 }
 
-// CrashProbabilityMCVec estimates the heterogeneous F_p(Q) by Monte
-// Carlo for a per-server probability vector; it works for systems of any
-// size, like the scalar CrashProbabilityMC.
-func CrashProbabilityMCVec(sys core.System, p []float64, trials int, rng *rand.Rand) (MCResult, error) {
-	return CrashProbabilityMCModel(sys, FailureModel{P: p}, trials, rng)
-}
-
 // CrashProbabilityMCModel estimates F(Q) under a full FailureModel by
 // sampling dead-server sets and asking the system for a surviving
 // quorum — the estimator of choice when the model has too many failure

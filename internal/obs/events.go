@@ -19,10 +19,9 @@ type Event struct {
 // concern the way it is for counters. All methods are no-ops on a nil
 // receiver.
 type EventLog struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int   // index of the slot the next Add writes
-	total int64 // lifetime count, for the dropped-events arithmetic
+	mu   sync.Mutex
+	buf  []Event
+	next int // index of the slot the next Add writes
 }
 
 // NewEventLog returns a ring buffer retaining the last capacity events.
@@ -46,7 +45,6 @@ func (l *EventLog) Add(msg string) {
 		l.buf[l.next] = ev
 	}
 	l.next = (l.next + 1) % cap(l.buf)
-	l.total++
 	l.mu.Unlock()
 }
 
@@ -56,17 +54,6 @@ func (l *EventLog) Addf(format string, args ...any) {
 		return
 	}
 	l.Add(fmt.Sprintf(format, args...))
-}
-
-// Total returns the lifetime number of events added, including evicted
-// ones.
-func (l *EventLog) Total() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
 }
 
 // Snapshot returns the retained events, oldest first.

@@ -85,9 +85,6 @@ func (p *Plane) Order() int { return p.order }
 // NumPoints returns q²+q+1.
 func (p *Plane) NumPoints() int { return len(p.points) }
 
-// NumLines returns q²+q+1.
-func (p *Plane) NumLines() int { return len(p.lines) }
-
 // Line returns the sorted point indices of line i. The returned slice is a
 // copy.
 func (p *Plane) Line(i int) []int {

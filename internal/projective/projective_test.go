@@ -14,9 +14,9 @@ func TestPlaneOrders(t *testing.T) {
 			t.Fatalf("New(%d): %v", q, err)
 		}
 		want := q*q + q + 1
-		if p.NumPoints() != want || p.NumLines() != want {
+		if p.NumPoints() != want || len(p.lines) != want {
 			t.Errorf("PG(2,%d): %d points, %d lines, want %d",
-				q, p.NumPoints(), p.NumLines(), want)
+				q, p.NumPoints(), len(p.lines), want)
 		}
 		if p.Order() != q {
 			t.Errorf("Order = %d, want %d", p.Order(), q)
@@ -56,7 +56,7 @@ func TestTwoPointsDetermineALine(t *testing.T) {
 		p, _ := New(q)
 		n := p.NumPoints()
 		onLine := make([][]int, n) // point → line indices
-		for li := 0; li < p.NumLines(); li++ {
+		for li := 0; li < len(p.lines); li++ {
 			for _, pt := range p.Line(li) {
 				onLine[pt] = append(onLine[pt], li)
 			}

@@ -60,7 +60,7 @@ func TestTimestampPhaseIsWaitFree(t *testing.T) {
 	sort.Sort(sort.Reverse(sort.IntSlice(asked)))
 	want := Timestamp{Seq: int64(100+asked[b]) + 1, Writer: id}
 	for _, s := range stored {
-		if got := c.Server(s).Snapshot(); got.TS != want || got.Value != "contended" {
+		if got := c.Server(s).SnapshotKey(DefaultKey); got.TS != want || got.Value != "contended" {
 			t.Fatalf("server %d stored %+v, want timestamp %+v = (b+1)-th largest report + 1", s, got, want)
 		}
 	}

@@ -24,14 +24,13 @@ type config struct {
 	latJitter  time.Duration
 	sequential bool
 	transport  func(servers []*Server) Transport
-	strategy   *core.Strategy
 	optimal    bool
 	stores     func(id int) (store.Store, error)
 	metrics    *obs.Registry
 }
 
-// strategyEnumLimit caps how many quorums WithStrategy/WithOptimalStrategy
-// will materialize at construction; past it the LP would dominate startup
+// strategyEnumLimit caps how many quorums WithOptimalStrategy will
+// materialize at construction; past it the LP would dominate startup
 // anyway.
 const strategyEnumLimit = 1 << 17
 
@@ -41,10 +40,9 @@ type Option func(*config) error
 // WithSeed seeds every source of randomness the cluster derives: the
 // transport's drop/latency rng and each client's quorum-selection rng
 // (client i draws from a stream determined by seed and i; the same
-// per-client stream drives strategy sampling when WithStrategy or
-// WithOptimalStrategy installs a strategy-backed picker, so strategy runs
-// are reproducible under the same discipline as uniform ones). The
-// default seed is 1.
+// per-client stream drives strategy sampling when WithOptimalStrategy
+// installs a strategy-backed picker, so strategy runs are reproducible
+// under the same discipline as uniform ones). The default seed is 1.
 func WithSeed(seed int64) Option {
 	return func(c *config) error {
 		c.seed = seed
@@ -85,9 +83,8 @@ func WithLatency(base, jitter time.Duration) Option {
 
 // WithTransport installs a custom Transport built by the given factory,
 // which receives the cluster's freshly constructed servers (wrap them, or
-// ignore them and route elsewhere). Overrides WithDropRate and WithLatency
-// — loss and latency become the custom transport's business — and disables
-// Cluster.SetDropRate.
+// ignore them and route elsewhere). Overrides WithDropRate and WithLatency:
+// loss and latency become the custom transport's business.
 func WithTransport(f func(servers []*Server) Transport) Option {
 	return func(c *config) error {
 		if f == nil {
@@ -98,38 +95,17 @@ func WithTransport(f func(servers []*Server) Transport) Option {
 	}
 }
 
-// WithStrategy drives quorum selection from the given access strategy
-// (Definition 3.8) instead of uniform survivor selection. The strategy's
-// weights must align index-by-index with the system's quorum list, so the
-// system has to list its quorums (core.Enumerable) or materialize them
-// (core.Enumerator); the list is enumerated once at construction and
-// cached in the picker. Under suspicion the strategy is conditioned on
-// the live set: weights renormalize over quorums disjoint from the
-// suspected servers, falling back to uniform among survivors when all
-// surviving weight is zero.
-func WithStrategy(st *core.Strategy) Option {
-	return func(c *config) error {
-		if st == nil {
-			return errors.New("sim: nil strategy")
-		}
-		if c.optimal {
-			return errors.New("sim: WithStrategy conflicts with WithOptimalStrategy")
-		}
-		c.strategy = st
-		return nil
-	}
-}
-
 // WithOptimalStrategy solves the Definition 3.8 load LP (measures.Load)
 // at construction and installs the optimal access strategy, so measured
 // load can converge to L(Q) itself rather than the uniform strategy's
 // load. The system must list (core.Enumerable) or materialize
-// (core.Enumerator) its quorums.
+// (core.Enumerator) its quorums; the list is enumerated once per epoch and
+// cached in the picker. Under suspicion the strategy is conditioned on
+// the live set: weights renormalize over quorums disjoint from the
+// suspected servers, falling back to uniform among survivors when all
+// surviving weight is zero.
 func WithOptimalStrategy() Option {
 	return func(c *config) error {
-		if c.strategy != nil {
-			return errors.New("sim: WithOptimalStrategy conflicts with WithStrategy")
-		}
 		c.optimal = true
 		return nil
 	}
@@ -183,7 +159,6 @@ type Cluster struct {
 	seed       int64
 	sequential bool
 	optimal    bool // re-solve the load LP for each epoch's system
-	fixedStrat bool // WithStrategy: weights are tied to the boot system
 
 	// cur is the current epoch; every operation and every scrape reads
 	// it with one atomic load.
@@ -234,7 +209,6 @@ func NewCluster(system core.System, b int, opts ...Option) (*Cluster, error) {
 		seed:         cfg.seed,
 		sequential:   cfg.sequential,
 		optimal:      cfg.optimal,
-		fixedStrat:   cfg.strategy != nil,
 		storeFactory: cfg.stores,
 		stores:       make(map[int]store.Store),
 	}
@@ -251,7 +225,7 @@ func NewCluster(system core.System, b int, opts ...Option) (*Cluster, error) {
 	st := newEpochState()
 	st.system, st.b, st.servers = system, b, servers
 	st.load = newLoadCounters(n)
-	if err := c.installSelection(st, cfg.strategy); err != nil {
+	if err := c.installSelection(st); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -291,30 +265,29 @@ func (c *Cluster) buildServer(id int) (*Server, error) {
 }
 
 // installSelection resolves the epoch's quorum-selection state: the
-// uniform picker by default, a strategy-backed picker when an explicit
-// strategy is given or the cluster runs -strategy optimal (the load LP
-// is then re-solved against st.system — this is how a reconfiguration
-// re-derives L(Q) for the new epoch's system).
-func (c *Cluster) installSelection(st *epochState, strategy *core.Strategy) error {
+// uniform picker by default, a strategy-backed picker when the cluster
+// runs -strategy optimal (the load LP is then re-solved against
+// st.system — this is how a reconfiguration re-derives L(Q) for the new
+// epoch's system).
+func (c *Cluster) installSelection(st *epochState) error {
 	st.picker = core.NewUniformPicker(st.system)
 	st.stratLoad = math.NaN()
-	if strategy == nil && !c.optimal {
+	if !c.optimal {
 		return nil
 	}
 	en, err := core.AsEnumerable(st.system, strategyEnumLimit)
 	if err != nil {
 		return fmt.Errorf("sim: strategy-backed selection: %w", err)
 	}
-	if c.optimal {
-		if _, strategy, err = measures.Load(en); err != nil {
-			return fmt.Errorf("sim: optimal strategy: %w", err)
-		}
+	_, strategy, err := measures.Load(en)
+	if err != nil {
+		return fmt.Errorf("sim: optimal strategy: %w", err)
 	}
 	p, err := core.NewStrategyPicker(en, strategy)
 	if err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	st.picker, st.strategy, st.stratLoad = p, strategy, p.InducedLoad()
+	st.picker, st.stratLoad = p, p.InducedLoad()
 	return nil
 }
 
@@ -334,10 +307,6 @@ func (c *Cluster) Close() error {
 	}
 	return first
 }
-
-// Strategy returns the current epoch's access strategy, or nil under
-// uniform selection.
-func (c *Cluster) Strategy() *core.Strategy { return c.cur.Load().strategy }
 
 // StrategyLoad returns L_w(Q), the load induced by the current epoch's
 // strategy — the LP optimum L(Q) under WithOptimalStrategy — or NaN under
@@ -359,9 +328,6 @@ func (c *Cluster) N() int { return len(c.cur.Load().servers) }
 // Epoch returns the current configuration epoch (0 until the first
 // reconfiguration).
 func (c *Cluster) Epoch() uint64 { return c.cur.Load().epoch }
-
-// Transport returns the installed message layer.
-func (c *Cluster) Transport() Transport { return c.transport }
 
 // Server returns server i of the current epoch (for fault injection and
 // assertions).
@@ -397,19 +363,6 @@ func (c *Cluster) FaultCounts() (crashed, byzantine int) {
 		}
 	}
 	return crashed, byzantine
-}
-
-// SetDropRate adjusts the built-in transport's message-loss probability at
-// runtime. It fails when a custom transport was installed.
-func (c *Cluster) SetDropRate(p float64) error {
-	if p < 0 || p > 1 {
-		return fmt.Errorf("sim: drop rate %g outside [0,1]", p)
-	}
-	if c.mem == nil {
-		return errors.New("sim: SetDropRate: cluster uses a custom transport")
-	}
-	c.mem.setDropRate(p)
-	return nil
 }
 
 // LoadProfile returns the empirical per-server access frequencies observed

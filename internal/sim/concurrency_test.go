@@ -314,11 +314,6 @@ func TestWithTransportMiddleware(t *testing.T) {
 	if calls := counter.calls.Load(); calls < 21 {
 		t.Fatalf("middleware saw %d calls, want ≥ 21", calls)
 	}
-	// The custom transport owns loss behavior; runtime adjustment of the
-	// built-in knob must refuse.
-	if err := c.SetDropRate(0.5); err == nil {
-		t.Fatal("SetDropRate should fail with a custom transport")
-	}
 }
 
 func TestOptionValidation(t *testing.T) {

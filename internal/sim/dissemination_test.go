@@ -161,7 +161,7 @@ func TestMaskingProtocolNeedsBiggerIntersections(t *testing.T) {
 	// quorum's complement).
 	holders := 0
 	for i := 0; i < c2.N(); i++ {
-		if c2.Server(i).Snapshot().Value == "v2" && c2.Server(i).Behavior() == Correct {
+		if c2.Server(i).SnapshotKey(DefaultKey).Value == "v2" && c2.Server(i).Behavior() == Correct {
 			holders++
 		}
 	}

@@ -26,8 +26,7 @@ type epochState struct {
 
 	servers   []*Server
 	picker    core.Picker
-	strategy  *core.Strategy // nil under uniform selection
-	stratLoad float64        // L_w(Q) of strategy; NaN under uniform selection
+	stratLoad float64 // L_w(Q) of the optimal strategy; NaN under uniform selection
 
 	// Empirical load accounting, per epoch so the measured load after a
 	// resize converges to the NEW system's L(Q) instead of averaging two

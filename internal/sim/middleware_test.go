@@ -66,7 +66,7 @@ func TestWithTransportFaultInjection(t *testing.T) {
 	if proxy == nil {
 		t.Fatal("WithTransport factory was never called")
 	}
-	if cluster.Transport() != Transport(proxy) {
+	if cluster.transport != Transport(proxy) {
 		t.Fatal("cluster did not install the middleware transport")
 	}
 	ctx := context.Background()

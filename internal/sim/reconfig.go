@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -64,9 +63,6 @@ func (c *Cluster) Reconfigure(ctx context.Context, rec reconfig.Record) (Reconfi
 	if rec.B != c.b {
 		return ReconfigReport{}, fmt.Errorf("sim: reconfigure: cannot change masking bound b=%d to %d — clients vouch values with b+1 replies and a cross-epoch change would mix vouch thresholds", c.b, rec.B)
 	}
-	if c.fixedStrat {
-		return ReconfigReport{}, errors.New("sim: reconfigure: cluster runs a fixed WithStrategy strategy whose weights index the boot system's quorum list; use uniform selection or WithOptimalStrategy")
-	}
 
 	// Phase 1 — propose: build and validate the new epoch's state before
 	// touching the data plane.
@@ -78,7 +74,7 @@ func (c *Cluster) Reconfigure(ctx context.Context, rec reconfig.Record) (Reconfi
 	st.epoch, st.rec, st.system, st.b = rec.Epoch, rec, system, c.b
 	n := system.UniverseSize()
 	st.load = newLoadCounters(n)
-	if err := c.installSelection(st, nil); err != nil {
+	if err := c.installSelection(st); err != nil {
 		return ReconfigReport{}, fmt.Errorf("sim: reconfigure: %w", err)
 	}
 	c.met.reconfigPhase.Set(float64(reconfig.Proposed))

@@ -208,9 +208,6 @@ func NewServer(id int, opts ...ServerOption) *Server {
 // Store returns the server's storage engine.
 func (s *Server) Store() store.Store { return s.store }
 
-// ID returns the server id.
-func (s *Server) ID() int { return s.id }
-
 // SetBehavior switches the server's fault mode. Turning ByzantineStale
 // copies the registers the server then holds, which it replays from then
 // on. Restart is special: it is the kill-and-recover transition, not a
@@ -332,10 +329,6 @@ func (s *Server) HandleRequest(req Request) (Response, error) {
 		return Response{}, fmt.Errorf("sim: server %d: unknown %v", s.id, req.Op)
 	}
 }
-
-// Snapshot returns the faithfully stored value of the DefaultKey register
-// (for test assertions, not part of the protocol).
-func (s *Server) Snapshot() TaggedValue { return s.SnapshotKey(DefaultKey) }
 
 // SnapshotKey returns the faithfully stored value of key's register,
 // whatever the server's behavior.

@@ -92,10 +92,6 @@ func (f *ReadFuture) Wait() (TaggedValue, error) {
 	return f.tv, f.err
 }
 
-// Done returns a channel closed when the read has completed, for select
-// loops; after it closes, Wait returns immediately.
-func (f *ReadFuture) Done() <-chan struct{} { return f.done }
-
 // WriteFuture is the pending result of Session.WriteAsync.
 type WriteFuture struct {
 	done chan struct{}
@@ -107,10 +103,6 @@ func (f *WriteFuture) Wait() error {
 	<-f.done
 	return f.err
 }
-
-// Done returns a channel closed when the write has completed, for select
-// loops; after it closes, Wait returns immediately.
-func (f *WriteFuture) Done() <-chan struct{} { return f.done }
 
 // begin registers one in-flight operation, refusing after Close.
 func (s *Session) begin() bool {

@@ -17,13 +17,13 @@ import (
 var ctx = context.Background()
 
 // newThresholdCluster builds a cluster over Threshold(n=4b+1, ℓ=3b+1).
-func newThresholdCluster(t *testing.T, b int, seed int64) *Cluster {
+func newThresholdCluster(t *testing.T, b int, seed int64, opts ...Option) *Cluster {
 	t.Helper()
 	sys, err := systems.NewMaskingThreshold(4*b+1, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(sys, b, WithSeed(seed))
+	c, err := NewCluster(sys, b, append([]Option{WithSeed(seed)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,10 +439,7 @@ func TestBehaviorString(t *testing.T) {
 func TestLossyNetworkStillSafe(t *testing.T) {
 	// With a mildly lossy network, clients suspect droppers and retry;
 	// operations must stay correct (dropped responses look like crashes).
-	c := newThresholdCluster(t, 2, 59)
-	if err := c.SetDropRate(0.03); err != nil {
-		t.Fatal(err)
-	}
+	c := newThresholdCluster(t, 2, 59, WithDropRate(0.03))
 	if err := c.InjectFault(ByzantineFabricate, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -466,22 +463,9 @@ func TestLossyNetworkStillSafe(t *testing.T) {
 }
 
 func TestFullyLossyNetworkFails(t *testing.T) {
-	c := newThresholdCluster(t, 1, 61)
-	if err := c.SetDropRate(1.0); err != nil {
-		t.Fatal(err)
-	}
+	c := newThresholdCluster(t, 1, 61, WithDropRate(1.0))
 	w := c.NewClient(1)
 	if err := w.Write(ctx, "void"); err == nil {
 		t.Fatal("write should fail on a dead network")
-	}
-}
-
-func TestSetDropRateValidation(t *testing.T) {
-	c := newThresholdCluster(t, 1, 62)
-	if err := c.SetDropRate(-0.1); err == nil {
-		t.Error("negative rate should fail")
-	}
-	if err := c.SetDropRate(1.1); err == nil {
-		t.Error("rate > 1 should fail")
 	}
 }

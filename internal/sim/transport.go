@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -142,12 +141,12 @@ type memTransport struct {
 
 	latBase, latJitter time.Duration // resize() draws new servers' latency from these
 
-	// dropRate holds math.Float64bits of the loss probability. The common
+	// dropRate is the loss probability, fixed at construction. The common
 	// case is a lossless network, and dropped() sits on every probe of
-	// every concurrent client, so the zero-rate path must not serialize on
-	// a mutex: it is a single atomic load. Only when the rate is positive
-	// is the rng (which is not concurrency-safe) taken under mu.
-	dropRate atomic.Uint64
+	// every concurrent client, so the zero-rate path takes no lock. Only
+	// when the rate is positive is the rng (which is not
+	// concurrency-safe) taken under mu.
+	dropRate float64
 
 	mu  sync.Mutex // guards rng; taken when dropRate > 0 and by resize
 	rng *rand.Rand
@@ -167,9 +166,9 @@ func newMemTransport(servers []*Server, seed int64, dropRate float64, base, jitt
 	t := &memTransport{
 		latBase:   base,
 		latJitter: jitter,
+		dropRate:  dropRate,
 		rng:       rand.New(rand.NewSource(seed)),
 	}
-	t.dropRate.Store(math.Float64bits(dropRate))
 	st := &memState{servers: servers}
 	if base > 0 || jitter > 0 {
 		st.latency = make([]time.Duration, len(servers))
@@ -222,20 +221,15 @@ func NewInMemoryTransport(servers []*Server, seed int64) Transport {
 	return newMemTransport(servers, seed, 0, 0, 0)
 }
 
-func (t *memTransport) setDropRate(p float64) {
-	t.dropRate.Store(math.Float64bits(p))
-}
-
 // dropped rolls the message-loss dice. Lock-free when the network is
 // lossless.
 func (t *memTransport) dropped() bool {
-	p := math.Float64frombits(t.dropRate.Load())
-	if p <= 0 {
+	if t.dropRate <= 0 {
 		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.rng.Float64() < p
+	return t.rng.Float64() < t.dropRate
 }
 
 // Invoke delivers req to the given server, sleeping out the server's

@@ -48,17 +48,6 @@ func WithFsync(on bool) DiskOption {
 	return func(d *Disk) { d.fsync = on }
 }
 
-// WithSnapshotThreshold sets the WAL size in bytes that triggers a
-// compaction (default DefaultSnapshotThreshold). Smaller thresholds mean
-// shorter recovery replay at the cost of more frequent snapshot writes.
-func WithSnapshotThreshold(bytes int64) DiskOption {
-	return func(d *Disk) {
-		if bytes > 0 {
-			d.snapThreshold = bytes
-		}
-	}
-}
-
 // WithMetrics wires the engine into an obs.Registry: WAL appends,
 // group-commit flushes and their batch sizes (records per fsync), bytes
 // written, snapshot compactions, and recovery replay time. Instruments
@@ -124,7 +113,6 @@ type Disk struct {
 
 	recovered RecoveryStats
 	flushes   int64
-	snapshots int64
 
 	// Telemetry instruments from WithMetrics; nil (no-op) by default.
 	mAppends   *obs.Counter
@@ -230,20 +218,6 @@ func (d *Disk) Flushes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.flushes
-}
-
-// Snapshots returns how many compactions have run.
-func (d *Disk) Snapshots() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.snapshots
-}
-
-// WALSize returns the current byte length of the log.
-func (d *Disk) WALSize() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.walSize
 }
 
 // Get returns the current record for key. Reads are served from memory
@@ -401,22 +375,8 @@ func (d *Disk) compactLocked() {
 	d.mu.Lock()
 	if err == nil {
 		d.walSize = 0
-		d.snapshots++
 		d.mSnapshots.Inc()
 	}
-}
-
-// Snapshot forces a compaction, waiting for any in-flight group commit
-// first.
-func (d *Disk) Snapshot() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.claimFilesLocked(); err != nil {
-		return err
-	}
-	d.compactLocked()
-	d.releaseFilesLocked()
-	return nil
 }
 
 // claimFilesLocked waits until no flusher owns the files and takes

@@ -48,7 +48,7 @@ func TestDiskMetrics(t *testing.T) {
 		t.Fatalf("batch-size sum = %v, want %d records total", batch.Sum(), records)
 	}
 
-	if err := d.Snapshot(); err != nil {
+	if err := d.snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := reg.Value("bqs_store_snapshots_total"); v != 1 {

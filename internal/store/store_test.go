@@ -228,7 +228,7 @@ func TestDiskRecoveryEdges(t *testing.T) {
 		// that moment by hand and check last-writer-wins resolves it.
 		dir, d := seed(t, 3)
 		mustApply(t, d, Record{Key: "k1", Value: "newest", Seq: 100})
-		if err := d.Snapshot(); err != nil {
+		if err := d.snapshot(); err != nil {
 			t.Fatal(err)
 		}
 		d.Close()
@@ -254,7 +254,7 @@ func TestDiskRecoveryEdges(t *testing.T) {
 
 	t.Run("corrupt snapshot fails loud", func(t *testing.T) {
 		dir, d := seed(t, 3)
-		if err := d.Snapshot(); err != nil {
+		if err := d.snapshot(); err != nil {
 			t.Fatal(err)
 		}
 		d.Close()
@@ -278,7 +278,7 @@ func TestDiskRecoveryEdges(t *testing.T) {
 // sees everything.
 func TestDiskCompaction(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, WithFsync(false), WithSnapshotThreshold(512))
+	d, err := Open(dir, WithFsync(false), snapshotAt(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +286,10 @@ func TestDiskCompaction(t *testing.T) {
 	for i := range 200 {
 		mustApply(t, d, Record{Key: fmt.Sprintf("k%02d", i%20), Value: "vvvvvvvvvvvvvvvv", Seq: int64(i)})
 	}
-	if d.Snapshots() == 0 {
-		t.Fatal("200 writes past a 512B threshold never compacted")
+	if _, err := os.Stat(filepath.Join(dir, snapName)); err != nil {
+		t.Fatalf("200 writes past a 512B threshold never compacted: %v", err)
 	}
-	if sz := d.WALSize(); sz > 4096 {
+	if sz := fileSize(t, filepath.Join(dir, walName)); sz > 4096 {
 		t.Fatalf("WAL is %dB after compaction; truncation not happening", sz)
 	}
 	want := dump(d)
@@ -365,7 +365,7 @@ func TestDiskConcurrentSnapshot(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for range 20 {
-			if err := d.Snapshot(); err != nil {
+			if err := d.snapshot(); err != nil {
 				t.Error(err)
 				return
 			}
@@ -386,7 +386,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 	for _, records := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
 			dir := b.TempDir()
-			d, err := Open(dir, WithFsync(false), WithSnapshotThreshold(1<<40))
+			d, err := Open(dir, WithFsync(false), snapshotAt(1<<40))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -395,11 +395,11 @@ func BenchmarkWALRecovery(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			walBytes := d.WALSize()
+			walBytes := fileSize(b, filepath.Join(dir, walName))
 			d.Close()
 			b.ResetTimer()
 			for range b.N {
-				d, err := Open(dir, WithFsync(false), WithSnapshotThreshold(1<<40))
+				d, err := Open(dir, WithFsync(false), snapshotAt(1<<40))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -408,6 +408,33 @@ func BenchmarkWALRecovery(b *testing.B) {
 			b.ReportMetric(float64(walBytes), "walBytes")
 		})
 	}
+}
+
+// snapshotAt sets the WAL size in bytes that triggers a compaction.
+func snapshotAt(bytes int64) DiskOption {
+	return func(d *Disk) { d.snapThreshold = bytes }
+}
+
+// snapshot forces a compaction, waiting for any in-flight group commit
+// first.
+func (d *Disk) snapshot() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.claimFilesLocked(); err != nil {
+		return err
+	}
+	d.compactLocked()
+	d.releaseFilesLocked()
+	return nil
+}
+
+func fileSize(tb testing.TB, path string) int64 {
+	tb.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fi.Size()
 }
 
 func mustApply(t *testing.T, s Store, rec Record) {

@@ -23,7 +23,7 @@ func TestTableMatchesMapModel(t *testing.T) {
 				hashKey = func(key string) uint64 { return 0xabcd<<32 | real(key)&0xffffffff }
 				t.Cleanup(func() { hashKey = real })
 			}
-			disk, err := Open(t.TempDir(), WithFsync(false), WithSnapshotThreshold(1<<16))
+			disk, err := Open(t.TempDir(), WithFsync(false), snapshotAt(1<<16))
 			if err != nil {
 				t.Fatal(err)
 			}

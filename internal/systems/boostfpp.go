@@ -66,10 +66,6 @@ func (s *BoostFPP) Name() string { return s.name }
 // UniverseSize returns n = (4b+1)(q²+q+1).
 func (s *BoostFPP) UniverseSize() int { return s.comp.UniverseSize() }
 
-// Order returns q; DeclaredB returns b.
-func (s *BoostFPP) Order() int     { return s.q }
-func (s *BoostFPP) DeclaredB() int { return s.b }
-
 // SelectQuorum delegates to the composition: a surviving line of the plane
 // whose every point's threshold copy still musters 3b+1 live servers. With
 // nothing dead that is the product strategy of Theorem 4.7 (uniform line ×

@@ -190,8 +190,8 @@ func TestMPathFigure3Instance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.PathsPerAxis() != 3 {
-		t.Errorf("paths per axis = %d, want 3", m.PathsPerAxis())
+	if m.r != 3 {
+		t.Errorf("paths per axis = %d, want 3", m.r)
 	}
 	if m.MinTransversal() != 9-3+1 {
 		t.Errorf("MT = %d, want 7", m.MinTransversal())

@@ -27,7 +27,7 @@ import (
 // Either way F_p → 1 as n → ∞ (the [KC91, Woo96] row bound).
 type Grid struct {
 	name       string
-	d, b       int
+	d          int
 	rows, cols int // full lines per quorum along each axis
 }
 
@@ -51,7 +51,7 @@ func NewGrid(d, b int) (*Grid, error) {
 	if 3*b+1 > d {
 		return nil, fmt.Errorf("systems: grid: b=%d exceeds masking limit (d−1)/3=%d", b, (d-1)/3)
 	}
-	return &Grid{name: fmt.Sprintf("Grid(d=%d,b=%d)", d, b), d: d, b: b, rows: 1, cols: 2*b + 1}, nil
+	return &Grid{name: fmt.Sprintf("Grid(d=%d,b=%d)", d, b), d: d, rows: 1, cols: 2*b + 1}, nil
 }
 
 // NewMGrid builds M-Grid(b) on a d×d universe. Requires √(b+1) ≤ d and
@@ -67,7 +67,7 @@ func NewMGrid(d, b int) (*Grid, error) {
 	if d-r < b {
 		return nil, fmt.Errorf("systems: m-grid: resilience d−√(b+1)=%d below b=%d (Prop 5.1 needs b ≤ (√n−1)/2)", d-r, b)
 	}
-	return &Grid{name: fmt.Sprintf("M-Grid(d=%d,b=%d)", d, b), d: d, b: b, rows: r, cols: r}, nil
+	return &Grid{name: fmt.Sprintf("M-Grid(d=%d,b=%d)", d, b), d: d, rows: r, cols: r}, nil
 }
 
 // Name returns the system's label.
@@ -76,8 +76,10 @@ func (g *Grid) Name() string { return g.name }
 // UniverseSize returns n = d².
 func (g *Grid) UniverseSize() int { return g.d * g.d }
 
-// Side returns d; Lines returns the rows and columns of one quorum.
-func (g *Grid) Side() int               { return g.d }
+// Side returns d.
+func (g *Grid) Side() int { return g.d }
+
+// Lines returns the rows and columns of one quorum.
 func (g *Grid) Lines() (rows, cols int) { return g.rows, g.cols }
 
 // SelectQuorum draws its rows and columns uniformly from the fully-live
@@ -125,9 +127,6 @@ func (g *Grid) MinTransversal() int { return g.d - max(g.rows, g.cols) + 1 }
 // MaskingBound applies Corollary 3.7; it is ≥ the declared b by
 // construction (Lemma 3.6, Proposition 5.1).
 func (g *Grid) MaskingBound() int { return core.MaskingBoundFromParams(g) }
-
-// DeclaredB returns the b the system was built for.
-func (g *Grid) DeclaredB() int { return g.b }
 
 // Load returns the exact load c/n (the system is fair: every element lies
 // in the same number of quorums by row/column symmetry, Proposition 3.9).

@@ -57,7 +57,7 @@ func TestGridParamsMatchEnumeration(t *testing.T) {
 	if ex.MinTransversal() != g.MinTransversal() {
 		t.Errorf("MT: explicit %d vs formula %d", ex.MinTransversal(), g.MinTransversal())
 	}
-	if !core.IsBMasking(ex, g.DeclaredB()) {
+	if !core.IsBMasking(ex, 1) {
 		t.Error("Grid(4,1) should be 1-masking")
 	}
 }

@@ -28,7 +28,7 @@ import (
 // straighter.
 type MPath struct {
 	name  string
-	d, b  int
+	d     int
 	r     int // disjoint paths per direction: ⌈√(2b+1)⌉
 	grid  *lattice.Grid
 	lines [2]lineFamily // straight rows (LR paths), straight columns (TB paths)
@@ -60,7 +60,7 @@ func NewMPath(d, b int) (*MPath, error) {
 	}
 	return &MPath{
 		name: fmt.Sprintf("M-Path(d=%d,b=%d)", d, b),
-		d:    d, b: b, r: r,
+		d:    d, r: r,
 		grid:  g,
 		lines: squareLines(d),
 	}, nil
@@ -71,10 +71,6 @@ func (m *MPath) Name() string { return m.name }
 
 // UniverseSize returns n = d².
 func (m *MPath) UniverseSize() int { return m.d * m.d }
-
-// Side returns d; PathsPerAxis returns √(2b+1).
-func (m *MPath) Side() int         { return m.d }
-func (m *MPath) PathsPerAxis() int { return m.r }
 
 // Grid exposes the underlying lattice (for rendering and analysis).
 func (m *MPath) Grid() *lattice.Grid { return m.grid }
@@ -177,9 +173,6 @@ func (m *MPath) MinTransversal() int { return m.d - m.r + 1 }
 
 // MaskingBound applies Corollary 3.7.
 func (m *MPath) MaskingBound() int { return core.MaskingBoundFromParams(m) }
-
-// DeclaredB returns the b the system was built for.
-func (m *MPath) DeclaredB() int { return m.b }
 
 // Load returns the straight-line strategy's load 2r/d − (r/d)², within the
 // Proposition 7.2 bound 2√(2b+1)/√n and optimal up to the constant 2.

@@ -71,8 +71,8 @@ func TestMPathNoLiveQuorumIsExact(t *testing.T) {
 		crashed := 0
 		for trial := 0; trial < 2000; trial++ {
 			dead := m.Grid().SampleDead(p, rng)
-			want := m.Grid().CountDisjointPaths(lattice.LeftRight, dead) < m.PathsPerAxis() ||
-				m.Grid().CountDisjointPaths(lattice.TopBottom, dead) < m.PathsPerAxis()
+			want := m.Grid().CountDisjointPaths(lattice.LeftRight, dead) < m.r ||
+				m.Grid().CountDisjointPaths(lattice.TopBottom, dead) < m.r
 			_, err := m.SelectQuorum(rng, dead)
 			if err != nil && !errors.Is(err, core.ErrNoLiveQuorum) {
 				t.Fatal(err)
@@ -92,7 +92,7 @@ func TestMPathNoLiveQuorumIsExact(t *testing.T) {
 // loses a vertex, so no straight line is free and every pick is max-flow.
 func diagonalDead(m *MPath) bitset.Set {
 	dead := bitset.New(m.UniverseSize())
-	for i := 0; i < m.Side(); i++ {
+	for i := 0; i < m.d; i++ {
 		dead.Add(m.Grid().Index(i, i))
 	}
 	return dead

@@ -28,7 +28,7 @@ import (
 // intersect too.
 type MPathEdge struct {
 	name  string
-	d, b  int
+	d     int
 	r     int
 	grid  *lattice.SquareEdgeGrid
 	lines [2]lineFamily // rows of H edges (LR paths), columns of H edges (crossed by straight dual TB paths)
@@ -60,7 +60,7 @@ func NewMPathEdge(d, b int) (*MPathEdge, error) {
 	}
 	return &MPathEdge{
 		name: fmt.Sprintf("M-PathEdge(d=%d,b=%d)", d, b),
-		d:    d, b: b, r: r,
+		d:    d, r: r,
 		grid: g,
 		lines: [2]lineFamily{
 			{lines: d, length: d - 1, step: d - 1, stride: 1},
@@ -74,10 +74,6 @@ func (m *MPathEdge) Name() string { return m.name }
 
 // UniverseSize returns n = 2d(d−1) (one server per edge).
 func (m *MPathEdge) UniverseSize() int { return m.grid.NumEdges() }
-
-// Side returns d; PathsPerAxis returns √(2b+1).
-func (m *MPathEdge) Side() int         { return m.d }
-func (m *MPathEdge) PathsPerAxis() int { return m.r }
 
 // SelectQuorum returns r edge-disjoint open LR primal paths plus r dual TB
 // paths with open, disjoint crossed edges, as the union of all involved
@@ -103,9 +99,6 @@ func (m *MPathEdge) MinTransversal() int { return m.d - m.r }
 
 // MaskingBound applies Corollary 3.7.
 func (m *MPathEdge) MaskingBound() int { return core.MaskingBoundFromParams(m) }
-
-// DeclaredB returns the b the system was built for.
-func (m *MPathEdge) DeclaredB() int { return m.b }
 
 // Load returns the straight-line strategy's exact busiest-edge frequency.
 // Horizontal edge H(i,j) is hit when row i (probability r/d) or column j

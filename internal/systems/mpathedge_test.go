@@ -35,8 +35,8 @@ func TestMPathEdgeUniverseAndParams(t *testing.T) {
 	if m.UniverseSize() != 2*9*8 {
 		t.Errorf("n = %d, want 144", m.UniverseSize())
 	}
-	if m.PathsPerAxis() != 3 {
-		t.Errorf("r = %d, want 3", m.PathsPerAxis())
+	if m.r != 3 {
+		t.Errorf("r = %d, want 3", m.r)
 	}
 	if m.MinIntersection() != 9 {
 		t.Errorf("IS = %d, want 9 ≥ 2b+1", m.MinIntersection())

@@ -57,11 +57,6 @@ func (r *RT) Name() string { return r.name }
 // UniverseSize returns n = k^h.
 func (r *RT) UniverseSize() int { return r.n }
 
-// Arity returns k, Quota returns ℓ, Depth returns h.
-func (r *RT) Arity() int { return r.k }
-func (r *RT) Quota() int { return r.l }
-func (r *RT) Depth() int { return r.h }
-
 // SelectQuorum recursively assembles a live quorum: at each internal node,
 // ℓ of the k child subtrees must themselves produce live quorums. Children
 // are tried in random order, so with nothing dead each node takes a

@@ -91,9 +91,6 @@ func (t *Threshold) Name() string { return t.name }
 // UniverseSize returns n.
 func (t *Threshold) UniverseSize() int { return t.n }
 
-// QuorumSize returns ℓ.
-func (t *Threshold) QuorumSize() int { return t.l }
-
 // SelectQuorum picks ℓ live elements uniformly at random — ℓ lines of
 // length one — or fails when fewer than ℓ survive. With nothing dead that
 // is the optimal strategy of this fair system (Proposition 3.9), with load

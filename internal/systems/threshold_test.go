@@ -34,8 +34,8 @@ func TestMaskingThresholdMR98a(t *testing.T) {
 		if err != nil {
 			t.Fatalf("b=%d: %v", b, err)
 		}
-		if th.QuorumSize() != 3*b+1 {
-			t.Errorf("b=%d: ℓ = %d, want %d", b, th.QuorumSize(), 3*b+1)
+		if th.l != 3*b+1 {
+			t.Errorf("b=%d: ℓ = %d, want %d", b, th.l, 3*b+1)
 		}
 		if th.MinIntersection() != 2*b+1 {
 			t.Errorf("b=%d: IS = %d, want %d", b, th.MinIntersection(), 2*b+1)
@@ -159,8 +159,8 @@ func TestMajority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.QuorumSize() != 4 {
-		t.Errorf("majority-7 quorum size = %d, want 4", m.QuorumSize())
+	if m.l != 4 {
+		t.Errorf("majority-7 quorum size = %d, want 4", m.l)
 	}
 	if m.MinIntersection() != 1 || m.MinTransversal() != 4 {
 		t.Errorf("majority-7 IS=%d MT=%d, want 1, 4", m.MinIntersection(), m.MinTransversal())

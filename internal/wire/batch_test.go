@@ -189,7 +189,7 @@ func TestWireBatchFailFast(t *testing.T) {
 		routes[i] = addr
 		items[i] = sim.BatchItem{Server: i, Req: sim.Request{Op: sim.OpRead, Key: "k", ReaderID: 1}}
 	}
-	tr, err := Dial(routes, WithRedialBackoff(time.Hour))
+	tr, err := Dial(routes, func(c *dialConfig) { c.redialBackoff = time.Hour })
 	if err != nil {
 		t.Fatal(err)
 	}

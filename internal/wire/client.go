@@ -47,27 +47,6 @@ func WithPoolSize(n int) DialOption {
 	}
 }
 
-// WithDialTimeout bounds each connection attempt (default 2s).
-func WithDialTimeout(d time.Duration) DialOption {
-	return func(c *dialConfig) {
-		if d > 0 {
-			c.dialTimeout = d
-		}
-	}
-}
-
-// WithRedialBackoff sets how long an address stays marked down after a
-// failed connection attempt (default 100ms). While it is down, probes to
-// its servers answer Response{OK: false} immediately instead of paying
-// the dial timeout again, so quorum re-selection stays fast.
-func WithRedialBackoff(d time.Duration) DialOption {
-	return func(c *dialConfig) {
-		if d > 0 {
-			c.redialBackoff = d
-		}
-	}
-}
-
 // WithMetrics wires the client into an obs.Registry: frames and bytes in
 // each direction, batch-frame op counts, and dial outcomes (the redial
 // stream of a flapping shard). A nil registry is a no-op.
@@ -489,16 +468,6 @@ func (c *Client) Flip(ctx context.Context, server int, behavior sim.Behavior) er
 }
 
 var _ reconfig.Installer = (*Client)(nil)
-
-// Epoch returns the configuration epoch the client gates its requests
-// at: 0 until it adopts a record through InstallEpoch, and always 0 for
-// epoch-unaware clients.
-func (c *Client) Epoch() uint64 {
-	if c.cfg.epoch == nil {
-		return 0
-	}
-	return c.cfg.epoch.Load()
-}
 
 // CurrentRecord returns the record the client last adopted; ok is false
 // before the first InstallEpoch and on epoch-unaware clients.

@@ -288,15 +288,10 @@ func AppendBatchResponse(dst []byte, id uint64, resps []sim.Response) ([]byte, e
 	return dst, nil
 }
 
-// DecodeBatchResponse parses a batch-response payload. Unknown flag bits
-// are rejected so a future protocol revision cannot be half-understood
-// silently.
-func DecodeBatchResponse(p []byte) (id uint64, resps []sim.Response, err error) {
-	return decodeBatchResponse(p, nil)
-}
-
-// decodeBatchResponse is DecodeBatchResponse decoding into dst's array
-// when it is large enough, as decodeBatchRequest does.
+// decodeBatchResponse parses a batch-response payload, decoding into
+// dst's array when it is large enough, as decodeBatchRequest does. Unknown
+// flag bits are rejected so a future protocol revision cannot be
+// half-understood silently.
 func decodeBatchResponse(p []byte, dst []sim.Response) (id uint64, resps []sim.Response, err error) {
 	if len(p) < batchHeaderLen {
 		return 0, nil, fmt.Errorf("wire: batch payload of %d bytes shorter than header %d", len(p), batchHeaderLen)

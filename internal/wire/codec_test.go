@@ -171,7 +171,7 @@ func checkResponseRoundTrip(t *testing.T, wantID uint64, want []sim.Response) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, resps, err := DecodeBatchResponse(payload)
+	id, resps, err := decodeBatchResponse(payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +378,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"truncated-value": payload[:len(payload)-1],
 	}
 	for name, p := range cases {
-		if _, _, err := DecodeBatchResponse(p); err == nil {
-			t.Errorf("%s: DecodeBatchResponse accepted malformed payload", name)
+		if _, _, err := decodeBatchResponse(p, nil); err == nil {
+			t.Errorf("%s: decodeBatchResponse accepted malformed payload", name)
 		}
 	}
 }
@@ -422,7 +422,7 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, resps, err := DecodeBatchResponse(payload)
+		id, resps, err := decodeBatchResponse(payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +457,7 @@ func fuzzDecodeRequest(t *testing.T, payload []byte) {
 
 // fuzzDecodeResponse is the response-side twin of fuzzDecodeRequest.
 func fuzzDecodeResponse(t *testing.T, payload []byte) {
-	id, resps, err := DecodeBatchResponse(payload)
+	id, resps, err := decodeBatchResponse(payload, nil)
 	if err != nil {
 		return
 	}

@@ -142,7 +142,7 @@ func TestFlipUnreachableShard(t *testing.T) {
 	addr := lis.Addr().String()
 	lis.Close() // nothing is listening now
 
-	cl, err := Dial(map[int]string{0: addr}, WithDialTimeout(200*time.Millisecond))
+	cl, err := Dial(map[int]string{0: addr}, func(c *dialConfig) { c.dialTimeout = 200 * time.Millisecond })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestWireLastEpochHasNoGate(t *testing.T) {
 	if err := tr.InstallEpoch(context.Background(), rec); err == nil {
 		t.Fatal("InstallEpoch adopted the last epoch, whose gate would read as ungated")
 	}
-	if _, ok := srv.CurrentRecord(); ok || tr.Epoch() != 0 {
-		t.Fatalf("a refused install left state behind: shard installed=%v, client epoch %d", ok, tr.Epoch())
+	if _, ok := srv.CurrentRecord(); ok || tr.epoch() != 0 {
+		t.Fatalf("a refused install left state behind: shard installed=%v, client epoch %d", ok, tr.epoch())
 	}
 }

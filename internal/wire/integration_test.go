@@ -171,7 +171,7 @@ func TestWireReconnect(t *testing.T) {
 	go srvB.Serve(lisB)
 
 	routes := map[int]string{0: addrA, 1: addrA, 2: addrA, 3: addrA, 4: addrB}
-	tr, err := Dial(routes, WithRedialBackoff(10*time.Millisecond))
+	tr, err := Dial(routes, func(c *dialConfig) { c.redialBackoff = 10 * time.Millisecond })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestWirePipelining(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if tv := reps[0].Snapshot(); tv.TS.Seq != goroutines*perG-1 {
+	if tv := reps[0].SnapshotKey(sim.DefaultKey); tv.TS.Seq != goroutines*perG-1 {
 		t.Fatalf("server saw highest seq %d, want %d", tv.TS.Seq, goroutines*perG-1)
 	}
 }

@@ -13,6 +13,16 @@ import (
 	"bqs/internal/systems"
 )
 
+// epoch returns the configuration epoch the client gates its requests at:
+// 0 until it adopts a record through InstallEpoch, and always 0 for
+// epoch-unaware clients.
+func (c *Client) epoch() uint64 {
+	if c.cfg.epoch == nil {
+		return 0
+	}
+	return c.cfg.epoch.Load()
+}
+
 // TestWireStaleEpochRefresh pins the epoch gate end to end at the
 // transport level: a client pinned to a stale epoch has its requests
 // answered with wrongepoch — which reads as the retriable
@@ -62,7 +72,7 @@ func TestWireStaleEpochRefresh(t *testing.T) {
 	if err := trA.InstallEpoch(ctx, rec); err != nil {
 		t.Fatalf("InstallEpoch: %v", err)
 	}
-	if got := trA.Epoch(); got != 1 {
+	if got := trA.epoch(); got != 1 {
 		t.Fatalf("installer epoch = %d, want 1", got)
 	}
 	if got, ok := srv.CurrentRecord(); !ok || got != rec {
@@ -100,7 +110,7 @@ func TestWireStaleEpochRefresh(t *testing.T) {
 	if err := trB.InstallEpoch(ctx, cur); err != nil {
 		t.Fatalf("refresh InstallEpoch: %v", err)
 	}
-	if got := trB.Epoch(); got != 1 {
+	if got := trB.epoch(); got != 1 {
 		t.Fatalf("refreshed epoch = %d, want 1", got)
 	}
 	resp, err = trB.Invoke(ctx, 0, sim.Request{Op: sim.OpRead, ReaderID: 2})
@@ -134,8 +144,8 @@ func TestWireUnannouncedConnsUngated(t *testing.T) {
 	if resp, err := tr.Invoke(ctx, 0, sim.Request{Op: sim.OpRead}); err != nil || !resp.OK {
 		t.Fatalf("un-announced read after install: resp=%+v err=%v, want served ungated", resp, err)
 	}
-	if tr.Epoch() != 0 {
-		t.Fatalf("epoch-unaware client reports epoch %d, want 0", tr.Epoch())
+	if tr.epoch() != 0 {
+		t.Fatalf("epoch-unaware client reports epoch %d, want 0", tr.epoch())
 	}
 	if err := tr.InstallEpoch(ctx, reconfig.Record{Epoch: 6, Kind: "threshold", Universe: 5, B: 1}); err == nil {
 		t.Fatal("InstallEpoch on an epoch-unaware client must error")
@@ -243,8 +253,8 @@ func TestWireRollingResize(t *testing.T) {
 	if report.HandoffKeys != 0 {
 		t.Fatalf("coordinator handed off %d keys; shard daemons own the merge over a wire transport", report.HandoffKeys)
 	}
-	if cluster.Epoch() != 1 || tr.Epoch() != 1 {
-		t.Fatalf("epochs after resize: cluster=%d transport=%d, want 1", cluster.Epoch(), tr.Epoch())
+	if cluster.Epoch() != 1 || tr.epoch() != 1 {
+		t.Fatalf("epochs after resize: cluster=%d transport=%d, want 1", cluster.Epoch(), tr.epoch())
 	}
 	for i, srv := range srvs {
 		got, ok := srv.CurrentRecord()
