@@ -167,6 +167,8 @@ const (
 
 // Protocol message types, for custom Transport implementations.
 const (
+	// OpReadTimestamps asks a server for its register's timestamp only;
+	// the reply's Value.Value is empty.
 	OpReadTimestamps = sim.OpReadTimestamps
 	OpRead           = sim.OpRead
 	OpWrite          = sim.OpWrite

@@ -81,7 +81,10 @@ func (c *Cluster) newClient(id int, rule acceptance) *Client {
 // whatever order the phase gathered them — ascending server order on the
 // inline path — and no rule may depend on that order.
 type acceptance interface {
-	// timestamp returns, from a quorum's OpReadTimestamps replies, a
+	// timestampOp is the op a write's timestamp phase sends: the rule's
+	// timestamp method must be able to judge the replies it draws.
+	timestampOp() Op
+	// timestamp returns, from a quorum's timestampOp replies, a
 	// timestamp that dominates every completed write of key and that at
 	// most b lying servers cannot inflate.
 	timestamp(key string, replies []Response) Timestamp
@@ -95,6 +98,10 @@ type acceptance interface {
 // masking is the b-masking rule: believe what b+1 servers agree on, since
 // at most b of them lie.
 type masking struct{ b int }
+
+// timestampOp is OpReadTimestamps: the rule counts timestamps alone, so
+// the members need not send their values.
+func (masking) timestampOp() Op { return OpReadTimestamps }
 
 // timestamp returns the (b+1)-th largest reported timestamp. At least one
 // correct server reported something ≥ it, so b fabricators cannot run the
@@ -334,7 +341,7 @@ func (cl *Client) writeKey(ctx context.Context, key, value string, via Transport
 	defer func() { cl.end(st, false, start, err) }()
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	replies, err := cl.quorumOp(ctx, Request{Op: OpReadTimestamps, Key: key, ReaderID: cl.id}, via, sc)
+	replies, err := cl.quorumOp(ctx, Request{Op: cl.rule.timestampOp(), Key: key, ReaderID: cl.id}, via, sc)
 	if err != nil {
 		return fmt.Errorf("sim: write: %w", err)
 	}

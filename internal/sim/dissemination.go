@@ -65,6 +65,10 @@ func (c *Cluster) NewDisseminationClient(id int, auth *Authenticator) *Client {
 // is enough and nothing needs votes.
 type signed struct{ auth *Authenticator }
 
+// timestampOp is OpRead: a timestamp is believable only with the value
+// it was signed with, so the timestamp phase needs whole replies.
+func (signed) timestampOp() Op { return OpRead }
+
 // timestamp returns the largest verified timestamp — the zero one for a
 // key no writer has signed anything for. Byzantine servers cannot inflate
 // the clock because they cannot sign.

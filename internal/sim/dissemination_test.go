@@ -69,6 +69,32 @@ func TestDisseminationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDisseminationWritersTakeTurns alternates two signed writers. Each
+// write's timestamp phase must see the other writer's last write, so the
+// sequence numbers run 1, 2, 3, … and every read returns the latest
+// write. The signed rule believes a timestamp only with the value it was
+// signed with, so its timestamp phase has to draw whole replies: over
+// timestamp-only replies nothing verifies, every writer restarts from its
+// own floor, and a turn is lost behind the other writer's higher one.
+func TestDisseminationWritersTakeTurns(t *testing.T) {
+	c, _ := newDisseminationCluster(t, 2, 83)
+	auth := NewAuthenticator()
+	writers := []*Client{c.NewDisseminationClient(1, auth), c.NewDisseminationClient(2, auth)}
+	r := c.NewDisseminationClient(3, auth)
+	for i := range 6 {
+		w := i % 2
+		value := fmt.Sprintf("turn-%d", i)
+		if err := writers[w].Write(ctx, value); err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Read(ctx)
+		want := TaggedValue{Value: value, TS: Timestamp{Seq: int64(i + 1), Writer: w + 1}}
+		if err != nil || got != want {
+			t.Fatalf("after turn %d read %+v (%v), want %+v", i, got, err, want)
+		}
+	}
+}
+
 func TestDisseminationMasksFabricationWithSmallIntersection(t *testing.T) {
 	// IS = b+1 suffices for self-verifying data: fabricators return
 	// unsigned junk that fails verification, so even b of them in every

@@ -322,6 +322,9 @@ func (s *Server) HandleRequest(req Request) (Response, error) {
 	switch req.Op {
 	case OpRead, OpReadTimestamps:
 		tv, ok := s.HandleRead(req.ReaderID, req.Key)
+		if req.Op == OpReadTimestamps {
+			tv.Value = "" // the timestamp alone, whatever the behavior
+		}
 		return Response{OK: ok, Value: tv}, nil
 	case OpWrite:
 		return Response{OK: s.HandleWrite(req.Key, req.Value)}, nil

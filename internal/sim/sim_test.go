@@ -235,6 +235,38 @@ func TestStaleFlipNeverServesZero(t *testing.T) {
 	}
 }
 
+// TestReadTimestampsReturnsTimestampOnly checks that OpReadTimestamps
+// answers with the timestamp alone, for every behavior that answers: no
+// value, and the TS an OpRead would report. Each behavior gets two
+// servers built alike, one per op, so an equivocator's alternation is at
+// the same step for both. The stale servers turn stale between two
+// writes, so they report the first.
+func TestReadTimestampsReturnsTimestampOnly(t *testing.T) {
+	build := func(b Behavior) *Server {
+		s := NewServer(0)
+		s.HandleWrite("k", TaggedValue{Value: "v1", TS: Timestamp{Seq: 1, Writer: 1}})
+		s.SetBehavior(b)
+		s.HandleWrite("k", TaggedValue{Value: "v2", TS: Timestamp{Seq: 2, Writer: 2}})
+		return s
+	}
+	for _, b := range []Behavior{Correct, ByzantineStale, ByzantineFabricate, ByzantineEquivocate} {
+		tsServer, readServer := build(b), build(b)
+		for i := range 3 {
+			got, err := tsServer.HandleRequest(Request{Op: OpReadTimestamps, Key: "k", ReaderID: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := readServer.HandleRequest(Request{Op: OpRead, Key: "k", ReaderID: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.OK || got.Value.Value != "" || got.Value.TS != want.Value.TS {
+				t.Errorf("%v probe %d: OpReadTimestamps answered %+v, want OK, no value, TS %+v (OpRead answered %+v)", b, i, got, want.Value.TS, want)
+			}
+		}
+	}
+}
+
 func TestMasksEquivocation(t *testing.T) {
 	b := 2
 	c := newThresholdCluster(t, b, 23)

@@ -16,8 +16,9 @@ type Op int
 
 // Protocol operations.
 const (
-	// OpReadTimestamps asks a server for its current tagged value so the
-	// writer can pick a timestamp greater than any it sees.
+	// OpReadTimestamps asks a server for the timestamp of its current
+	// tagged value, and only that, so the writer can pick a timestamp
+	// greater than any it sees. The reply's Value.Value is empty.
 	OpReadTimestamps Op = iota + 1
 	// OpRead asks a server for its current tagged value on behalf of a
 	// reader.
@@ -53,7 +54,7 @@ type Request struct {
 // Response is a server's answer. OK = false means the server was
 // unresponsive (crashed, or its reply was lost in transit); clients treat
 // that exactly like a crash and re-select quorums around it. Value carries
-// the answer to OpRead and OpReadTimestamps.
+// the answer to OpRead, and to OpReadTimestamps its timestamp alone.
 type Response struct {
 	OK    bool
 	Value TaggedValue

@@ -1,12 +1,14 @@
 //go:build !race
 
-// The allocation pin lives behind !race: the race detector charges
+// The allocation pins live behind !race: the race detector charges
 // bookkeeping allocations to the measured function.
 
 package wire
 
 import (
 	"context"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"bqs/internal/sim"
@@ -15,9 +17,14 @@ import (
 // TestInvokeRoundTripAllocs pins the diet of a lone probe: a loopback
 // Client.Invoke — client encode, server decode and answer on its read
 // loop, client decode into the phase slot, both processes' worth in this
-// one — allocates at most 3 times, read or write: what remains is the key
-// and value strings the decoders must copy out of their frame buffers.
-// AllocsPerRun counts process-wide, so the server's share is included.
+// one. AllocsPerRun counts process-wide, so the server's share is
+// included. Each row cycles through its requests, one per run.
+//
+// Repeating one key and one value, a write and a read each allocate
+// nothing: both read loops hand the repeated bytes their last decoded
+// string (see reuse). Alternating two keys and two values misses every
+// time, and a round trip allocates 2 on average — the server's key and
+// value for a write, the server's key and the client's value for a read.
 func TestInvokeRoundTripAllocs(t *testing.T) {
 	addr, _ := startShard(t, newReplicas([]int{0}))
 	cl, err := Dial(map[int]string{0: addr})
@@ -26,18 +33,72 @@ func TestInvokeRoundTripAllocs(t *testing.T) {
 	}
 	defer cl.Close()
 	ctx := context.Background()
-	write := sim.Request{Op: sim.OpWrite, Key: "key-000001", Value: sim.TaggedValue{Value: "sixty-four bytes of value, more or less, as the benchmark writes", TS: sim.Timestamp{Seq: 1, Writer: 1}}}
-	read := sim.Request{Op: sim.OpRead, Key: "key-000001"}
-	for name, req := range map[string]sim.Request{"write": write, "read": read} {
-		got := testing.AllocsPerRun(500, func() {
-			req.Value.TS.Seq++
+	write := func(key, value string) sim.Request {
+		return sim.Request{Op: sim.OpWrite, Key: key, Value: sim.TaggedValue{Value: value, TS: sim.Timestamp{Seq: 1, Writer: 1}}}
+	}
+	read := func(key string) sim.Request { return sim.Request{Op: sim.OpRead, Key: key} }
+	const value1 = "sixty-four bytes of value, more or less, as the benchmark writes"
+	const value2 = "sixty-four bytes of value, more or less, as the benchmark writes!"
+	for _, row := range []struct {
+		name string
+		reqs []sim.Request
+		max  float64
+	}{
+		{"repeated key", []sim.Request{write("key-000001", value1), read("key-000001")}, 0},
+		{"alternating keys", []sim.Request{write("key-000001", value1), write("key-000002", value2), read("key-000001"), read("key-000002")}, 2},
+	} {
+		i := 0
+		invoke := func() {
+			req := row.reqs[i%len(row.reqs)]
+			i++
+			req.Value.TS.Seq = int64(i)
 			if resp, err := cl.Invoke(ctx, 0, req); err != nil || !resp.OK {
-				t.Fatalf("%s: resp=%+v err=%v", name, resp, err)
+				t.Fatalf("%s: resp=%+v err=%v", row.name, resp, err)
 			}
-		})
-		t.Logf("%s round trip: %v allocs", name, got)
-		if got > 8 {
-			t.Errorf("%s round trip allocates %v times, want ≤ 8", name, got)
+		}
+		for range row.reqs {
+			invoke() // store every key before the count starts
+		}
+		got := testing.AllocsPerRun(400, invoke)
+		t.Logf("%s round trip: %v allocs", row.name, got)
+		if got > row.max {
+			t.Errorf("%s round trip allocates %v times, want ≤ %v", row.name, got, row.max)
+		}
+	}
+}
+
+// TestHostileCountAllocatesLittle sends each decoder a bare header that
+// claims MaxBatchOps items and carries none. The decoders must refuse it
+// before they size their output for the claim: growing a []sim.BatchItem
+// for 1,024 items would cost 72 KiB for 19 bytes of input.
+func TestHostileCountAllocatesLittle(t *testing.T) {
+	req := make([]byte, reqHeaderLen)
+	req[0] = tagBatchRequest
+	binary.BigEndian.PutUint16(req[17:], MaxBatchOps)
+	resp := make([]byte, batchHeaderLen)
+	resp[0] = tagBatchResponse
+	binary.BigEndian.PutUint16(resp[9:], MaxBatchOps)
+	for name, decode := range map[string]func() error{
+		"request": func() error {
+			_, _, _, err := decodeBatchRequest(req, nil, nil)
+			return err
+		},
+		"response": func() error {
+			_, _, err := decodeBatchResponse(resp, nil, nil)
+			return err
+		},
+	} {
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if decode() == nil {
+				t.Fatalf("%s: accepted a header promising %d items with no payload", name, MaxBatchOps)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+			t.Errorf("%s: rejecting a hostile header allocated %d B, want < 1 KiB", name, per)
 		}
 	}
 }

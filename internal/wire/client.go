@@ -885,12 +885,14 @@ func (cn *conn) attachLocked(nc net.Conn) {
 
 // readLoop dispatches response frames to their waiters until the
 // connection dies, then fails whatever is still in flight. Batch
-// responses are decoded into one scratch slice the loop reuses, so a
-// phase slot's reply costs no allocation beyond its value.
+// responses are decoded into one scratch slice the loop reuses, and a
+// value equal to the last one decoded shares its string (see reuse), so a
+// phase slot's reply costs no allocation unless its value is new.
 func (cn *conn) readLoop(w *frameWriter) {
 	br := bufio.NewReader(w.nc)
 	var buf []byte
 	var scratch []sim.Response
+	var strs reuse
 	for {
 		frame, err := ReadFrame(br, buf)
 		if err != nil {
@@ -931,7 +933,7 @@ func (cn *conn) readLoop(w *frameWriter) {
 				goto done // install/query from a server: protocol error
 			}
 		case tagBatchResponse:
-			id, resps, err := decodeBatchResponse(frame, scratch)
+			id, resps, err := decodeBatchResponse(frame, scratch, &strs)
 			if err != nil || !cn.resolve(id, resps, reconfig.Record{}) {
 				goto done
 			}

@@ -16,6 +16,14 @@
 //     signal the quorum re-selection logic expects — so a Cluster built
 //     over a wire.Client behaves like one over the in-memory transport.
 //
+// Each connection's read loop decodes wire strings through a reuse state
+// that remembers the last key and the last value it made: an item whose
+// bytes equal them shares that string instead of allocating another. A
+// quorum phase sends one key (and, for a write, one value) to every
+// member, and the correct members of a read reply with identical bytes,
+// so a phase's frames on one connection decode to one string each. A
+// connection retains at most one key and one value this way.
+//
 // The combination turns the reproduction into an actual distributed
 // system: cmd/bqs-server hosts shards of the universe, cmd/bqs-client
 // drives the mixed workload against them, and the measured peak load is
@@ -112,7 +120,37 @@ func appendValue(dst []byte, tv sim.TaggedValue) []byte {
 	return append(dst, tv.Value...)
 }
 
-func decodeValue(p []byte) (sim.TaggedValue, []byte, error) {
+// reuse is a read loop's decode state: the last key and the last value
+// string it decoded. Strings are immutable, so one decoded string can be
+// handed to any number of items, on the loop or on other goroutines. A
+// nil *reuse decodes every string afresh.
+type reuse struct{ key, value string }
+
+// str returns string(b), reusing *last when its bytes are equal (the
+// comparison does not allocate) and remembering the new string otherwise.
+// An empty string costs nothing and is not remembered, so a timestamp
+// reply or a write's ack between two reads keeps the read's value. last
+// is nil when the caller keeps no state.
+func str(last *string, b []byte) string {
+	if last == nil || len(b) == 0 {
+		return string(b)
+	}
+	if string(b) != *last {
+		*last = string(b)
+	}
+	return *last
+}
+
+// slots returns r's key and value slots for str, both nil for a nil r.
+func (r *reuse) slots() (key, value *string) {
+	if r == nil {
+		return nil, nil
+	}
+	return &r.key, &r.value
+}
+
+// decodeValue decodes one value, its bytes through str and last.
+func decodeValue(p []byte, last *string) (sim.TaggedValue, []byte, error) {
 	if len(p) < valueHeaderLen {
 		return sim.TaggedValue{}, nil, fmt.Errorf("wire: truncated value header (%d bytes)", len(p))
 	}
@@ -127,7 +165,7 @@ func decodeValue(p []byte) (sim.TaggedValue, []byte, error) {
 	if uint32(len(p)) < n {
 		return sim.TaggedValue{}, nil, fmt.Errorf("wire: truncated value (%d of %d bytes)", len(p), n)
 	}
-	tv.Value = string(p[:n])
+	tv.Value = str(last, p[:n])
 	return tv, p[n:], nil
 }
 
@@ -197,14 +235,15 @@ func appendBatchRequest(dst []byte, id, gate uint64, items []sim.BatchItem) ([]b
 // DecodeBatchRequest parses a batch-request payload (the frame minus its
 // length prefix, as returned by ReadFrame), dropping its gate.
 func DecodeBatchRequest(p []byte) (id uint64, items []sim.BatchItem, err error) {
-	id, _, items, err = decodeBatchRequest(p, nil)
+	id, _, items, err = decodeBatchRequest(p, nil, nil)
 	return id, items, err
 }
 
 // decodeBatchRequest is DecodeBatchRequest keeping the gate. The items are
 // decoded into dst's array when it is large enough, so a caller that is
-// done with one frame's items can decode the next frame's into them.
-func decodeBatchRequest(p []byte, dst []sim.BatchItem) (id, gate uint64, items []sim.BatchItem, err error) {
+// done with one frame's items can decode the next frame's into them, and
+// their strings through r (see reuse; nil keeps no state).
+func decodeBatchRequest(p []byte, dst []sim.BatchItem, r *reuse) (id, gate uint64, items []sim.BatchItem, err error) {
 	if len(p) < reqHeaderLen {
 		return 0, 0, nil, fmt.Errorf("wire: batch payload of %d bytes shorter than header %d", len(p), reqHeaderLen)
 	}
@@ -218,7 +257,13 @@ func decodeBatchRequest(p []byte, dst []sim.BatchItem) (id, gate uint64, items [
 		return 0, 0, nil, fmt.Errorf("wire: batch count %d outside [1,%d]", count, MaxBatchOps)
 	}
 	p = p[reqHeaderLen:]
+	if count > len(p)/(reqItemOverhead+valueHeaderLen) {
+		// Checked before growing dst, so a header cannot buy an
+		// allocation its payload does not pay for.
+		return 0, 0, nil, fmt.Errorf("wire: batch count %d overruns a %d-byte payload", count, len(p))
+	}
 	items = slices.Grow(dst[:0], count)
+	lastKey, lastValue := r.slots()
 	for i := 0; i < count; i++ {
 		if len(p) < reqItemOverhead {
 			return 0, 0, nil, fmt.Errorf("wire: truncated batch item %d (%d bytes)", i, len(p))
@@ -238,8 +283,8 @@ func decodeBatchRequest(p []byte, dst []sim.BatchItem) (id, gate uint64, items [
 		if len(p) < klen {
 			return 0, 0, nil, fmt.Errorf("wire: truncated key (%d of %d bytes)", len(p), klen)
 		}
-		it.Req.Key = string(p[:klen])
-		tv, rest, err := decodeValue(p[klen:])
+		it.Req.Key = str(lastKey, p[:klen])
+		tv, rest, err := decodeValue(p[klen:], lastValue)
 		if err != nil {
 			return 0, 0, nil, err
 		}
@@ -289,10 +334,10 @@ func AppendBatchResponse(dst []byte, id uint64, resps []sim.Response) ([]byte, e
 }
 
 // decodeBatchResponse parses a batch-response payload, decoding into
-// dst's array when it is large enough, as decodeBatchRequest does. Unknown
-// flag bits are rejected so a future protocol revision cannot be
-// half-understood silently.
-func decodeBatchResponse(p []byte, dst []sim.Response) (id uint64, resps []sim.Response, err error) {
+// dst's array when it is large enough and its values through r, as
+// decodeBatchRequest does. Unknown flag bits are rejected so a future
+// protocol revision cannot be half-understood silently.
+func decodeBatchResponse(p []byte, dst []sim.Response, r *reuse) (id uint64, resps []sim.Response, err error) {
 	if len(p) < batchHeaderLen {
 		return 0, nil, fmt.Errorf("wire: batch payload of %d bytes shorter than header %d", len(p), batchHeaderLen)
 	}
@@ -305,7 +350,11 @@ func decodeBatchResponse(p []byte, dst []sim.Response) (id uint64, resps []sim.R
 		return 0, nil, fmt.Errorf("wire: batch count %d outside [1,%d]", count, MaxBatchOps)
 	}
 	p = p[batchHeaderLen:]
+	if count > len(p)/respItemMinLen {
+		return 0, nil, fmt.Errorf("wire: batch count %d overruns a %d-byte payload", count, len(p))
+	}
 	resps = slices.Grow(dst[:0], count)
+	_, lastValue := r.slots()
 	for i := 0; i < count; i++ {
 		if len(p) < respItemMinLen {
 			return 0, nil, fmt.Errorf("wire: truncated batch response item %d (%d bytes)", i, len(p))
@@ -315,7 +364,7 @@ func decodeBatchResponse(p []byte, dst []sim.Response) (id uint64, resps []sim.R
 		}
 		var r sim.Response
 		r.OK = p[0]&flagOK != 0
-		tv, rest, err := decodeValue(p[1:])
+		tv, rest, err := decodeValue(p[1:], lastValue)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,7 +101,7 @@ func checkRequestRoundTrip(t *testing.T, wantID, wantGate uint64, want []sim.Bat
 	}
 	// Decode over a stale slice, as the server's read loop does.
 	stale := []sim.BatchItem{{Server: 7, Req: sim.Request{Op: sim.OpWrite, Key: "stale"}}}
-	id, gate, items, err := decodeBatchRequest(payload, stale)
+	id, gate, items, err := decodeBatchRequest(payload, stale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func checkResponseRoundTrip(t *testing.T, wantID uint64, want []sim.Response) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, resps, err := decodeBatchResponse(payload, nil)
+	id, resps, err := decodeBatchResponse(payload, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"truncated-value": payload[:len(payload)-1],
 	}
 	for name, p := range cases {
-		if _, _, err := decodeBatchResponse(p, nil); err == nil {
+		if _, _, err := decodeBatchResponse(p, nil, nil); err == nil {
 			t.Errorf("%s: decodeBatchResponse accepted malformed payload", name)
 		}
 	}
@@ -422,7 +423,7 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, resps, err := decodeBatchResponse(payload, nil)
+		id, resps, err := decodeBatchResponse(payload, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,14 +438,22 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 }
 
 // fuzzDecodeRequest asserts the request decoder never panics on an
-// arbitrary payload, and that anything it does accept re-encodes to an
-// identical frame.
+// arbitrary payload, and that anything it does accept decodes the same
+// with no reuse state and twice through one shared state (the second time
+// every string is a hit), and re-encodes to an identical frame.
 func fuzzDecodeRequest(t *testing.T, payload []byte) {
 	// Decode over a stale slice, as the server's read loop does.
 	stale := []sim.BatchItem{{Server: 7, Req: sim.Request{Op: sim.OpWrite, Key: "stale"}}}
-	id, gate, items, err := decodeBatchRequest(payload, stale)
+	id, gate, items, err := decodeBatchRequest(payload, stale, nil)
 	if err != nil {
 		return
+	}
+	strs := reuse{key: "stale", value: "stale"}
+	for pass := 1; pass <= 2; pass++ {
+		gid, ggate, got, err := decodeBatchRequest(payload, nil, &strs)
+		if err != nil || gid != id || ggate != gate || !slices.Equal(got, items) {
+			t.Fatalf("pass %d through reuse state: id=%d gate=%d items=%+v err=%v, want id=%d gate=%d items=%+v", pass, gid, ggate, got, err, id, gate, items)
+		}
 	}
 	frame, err := appendBatchRequest(nil, id, gate, items)
 	if err != nil {
@@ -457,9 +466,16 @@ func fuzzDecodeRequest(t *testing.T, payload []byte) {
 
 // fuzzDecodeResponse is the response-side twin of fuzzDecodeRequest.
 func fuzzDecodeResponse(t *testing.T, payload []byte) {
-	id, resps, err := decodeBatchResponse(payload, nil)
+	id, resps, err := decodeBatchResponse(payload, nil, nil)
 	if err != nil {
 		return
+	}
+	strs := reuse{value: "stale"}
+	for pass := 1; pass <= 2; pass++ {
+		gid, got, err := decodeBatchResponse(payload, nil, &strs)
+		if err != nil || gid != id || !slices.Equal(got, resps) {
+			t.Fatalf("pass %d through reuse state: id=%d resps=%+v err=%v, want id=%d resps=%+v", pass, gid, got, err, id, resps)
+		}
 	}
 	frame, err := AppendBatchResponse(nil, id, resps)
 	if err != nil {
@@ -467,6 +483,53 @@ func fuzzDecodeResponse(t *testing.T, payload []byte) {
 	}
 	if !bytes.Equal(frame[4:], payload) {
 		t.Fatalf("re-encode mismatch:\n got %x\nwant %x", frame[4:], payload)
+	}
+}
+
+// TestDecodeReuseMisses decodes sequences of frames through one reuse
+// state, as a read loop does, where each string differs from the last one
+// in a way an equality shortcut could get wrong. Every item must decode
+// to exactly what was sent.
+func TestDecodeReuseMisses(t *testing.T) {
+	cases := map[string][]string{
+		"same-length-other-bytes": {"key-000001", "key-000002", "key-000001"},
+		"empty-after-non-empty":   {"k", "", "k", ""},
+		"prefix-of-last":          {"key-0001", "key-000", "key-0001"},
+		"last-is-prefix":          {"key-000", "key-0001"},
+		"repeat":                  {"key", "key", "key"},
+	}
+	for name, strs := range cases {
+		var reqState, respState reuse
+		for i, v := range strs {
+			item := sim.BatchItem{Server: i, Req: sim.Request{Op: sim.OpWrite, Key: v, Value: sim.TaggedValue{Value: v, TS: sim.Timestamp{Seq: int64(i)}}}}
+			// One item per frame, as probes travel, then both items of a
+			// pair in one frame, so misses inside a frame are covered too.
+			frames := [][]sim.BatchItem{{item}}
+			if i > 0 {
+				prev := sim.BatchItem{Server: i - 1, Req: sim.Request{Op: sim.OpWrite, Key: strs[i-1], Value: sim.TaggedValue{Value: strs[i-1]}}}
+				frames = append(frames, []sim.BatchItem{prev, item})
+			}
+			for _, want := range frames {
+				frame, err := AppendBatchRequest(nil, 1, want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, got, err := decodeBatchRequest(frame[4:], nil, &reqState); err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%s: request %d decoded %+v (%v), want %+v", name, i, got, err, want)
+				}
+				resps := make([]sim.Response, len(want))
+				for k, it := range want {
+					resps[k] = sim.Response{OK: true, Value: it.Req.Value}
+				}
+				frame, err = AppendBatchResponse(nil, 1, resps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, got, err := decodeBatchResponse(frame[4:], nil, &respState); err != nil || !slices.Equal(got, resps) {
+					t.Fatalf("%s: response %d decoded %+v (%v), want %+v", name, i, got, err, resps)
+				}
+			}
+		}
 	}
 }
 

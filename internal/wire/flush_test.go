@@ -438,7 +438,7 @@ func readReplies(t *testing.T, raw net.Conn, n int) map[uint64]bool {
 		if err != nil {
 			t.Fatalf("reply %d of %d: %v", i, n, err)
 		}
-		id, resps, err := decodeBatchResponse(frame, nil)
+		id, resps, err := decodeBatchResponse(frame, nil, nil)
 		if err != nil || len(resps) != 1 || !resps[0].OK {
 			t.Fatalf("reply %d: id=%d resps=%+v err=%v", i, id, resps, err)
 		}

@@ -13,6 +13,7 @@ import (
 
 	"bqs/internal/obs"
 	"bqs/internal/sim"
+	"bqs/internal/store"
 	"bqs/internal/systems"
 )
 
@@ -148,6 +149,117 @@ func TestLoopbackMGridCluster(t *testing.T) {
 	if peak := cluster.PeakLoad(); peak <= 0 || peak > 1 {
 		t.Fatalf("peak load %v outside (0,1]", peak)
 	}
+}
+
+// TestLoopbackWriteTimestamps runs masking writes over two loopback
+// shards, whose timestamp phase now draws timestamp-only replies, with b
+// Byzantine replicas reporting inflated timestamps. Writers take turns,
+// so each write must pick exactly the next sequence number: one more than
+// the last completed write, under the writer's own id.
+func TestLoopbackWriteTimestamps(t *testing.T) {
+	const b = 2
+	sys, err := systems.NewMaskingThreshold(4*b+1, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := make(map[int]string)
+	replicas := make(map[int]*sim.Server)
+	for _, ids := range [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8}} {
+		reps := newReplicas(ids)
+		addr, _ := startShard(t, reps)
+		for id, rep := range reps {
+			routes[id] = addr
+			replicas[id] = rep
+		}
+	}
+	replicas[1].SetBehavior(sim.ByzantineFabricate)
+	replicas[6].SetBehavior(sim.ByzantineEquivocate)
+	tr, err := Dial(routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	cluster, err := sim.NewCluster(sys, b, sim.WithTransport(func([]*sim.Server) sim.Transport { return tr }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	writers := []*sim.Client{cluster.NewClient(1), cluster.NewClient(2), cluster.NewClient(3)}
+	reader := cluster.NewClient(9)
+	for i := range 9 {
+		w := i % len(writers)
+		value := fmt.Sprintf("v%d", i)
+		if err := writers[w].WriteKey(ctx, "k", value); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		got, err := reader.ReadKey(ctx, "k")
+		if err != nil {
+			t.Fatalf("read after write %d: %v", i, err)
+		}
+		want := sim.TaggedValue{Value: value, TS: sim.Timestamp{Seq: int64(i + 1), Writer: w + 1}}
+		if got != want {
+			t.Fatalf("after write %d read %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+// TestSharedStringsAcrossHandlers drives a shard that serves frames on
+// handler goroutines (its stores may block), so the strings its read loop
+// shares between frames reach several goroutines at once. Each caller
+// writes its own key with a fresh value to every replica in one phase,
+// then reads it back in another: a phase's frames repeat one key and one
+// value, and the callers' phases interleave on one connection, so the
+// decoders alternate between reuse hits and misses. Every reply must
+// carry exactly what its caller last wrote.
+func TestSharedStringsAcrossHandlers(t *testing.T) {
+	reps := make(map[int]*sim.Server)
+	members := []int{0, 1, 2, 3, 4}
+	for _, id := range members {
+		reps[id] = sim.NewServer(id, sim.WithStore(opaqueStore{store.NewMem()}))
+	}
+	addr, srv := startShard(t, reps)
+	if srv.onLoop {
+		t.Fatal("shard answers on its read loop, want handler goroutines")
+	}
+	routes := make(map[int]string)
+	for _, id := range members {
+		routes[id] = addr
+	}
+	cl, err := Dial(routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for c := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key := fmt.Sprintf("key-%d", c)
+			out := make([]sim.Response, len(members))
+			for i := range 50 {
+				tv := sim.TaggedValue{Value: fmt.Sprintf("%s-value-%d", key, i), TS: sim.Timestamp{Seq: int64(i + 1), Writer: c}}
+				if err := cl.InvokePhase(ctx, members, sim.Request{Op: sim.OpWrite, Key: key, Value: tv}, out); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := cl.InvokePhase(ctx, members, sim.Request{Op: sim.OpRead, Key: key, ReaderID: c}, out); err != nil {
+					t.Error(err)
+					return
+				}
+				for m, resp := range out {
+					if !resp.OK || resp.Value != tv {
+						t.Errorf("caller %d round %d member %d read %+v, want %+v", c, i, m, resp, tv)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestWireReconnect kills one shard mid-run (its single server starts

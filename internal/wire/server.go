@@ -185,6 +185,7 @@ func (s *Server) serveConn(w *frameWriter) {
 	br := bufio.NewReader(nc)
 	var buf []byte
 	var items []sim.BatchItem // the loop's decode target, reused frame after frame
+	var strs reuse            // the last key and value decoded, shared by the items that repeat them
 	for {
 		if held && !frameBuffered(br) {
 			release()
@@ -216,7 +217,7 @@ func (s *Server) serveConn(w *frameWriter) {
 			if s.onLoop {
 				dst = items
 			}
-			batchID, gate, decoded, err := decodeBatchRequest(frame, dst)
+			batchID, gate, decoded, err := decodeBatchRequest(frame, dst, &strs)
 			if err != nil {
 				return
 			}
