@@ -161,6 +161,10 @@ const DefaultKey = ""
 type Server struct {
 	id    int
 	store store.Store
+	// mem is store when it is a *store.Mem, resolved once at
+	// construction: a write to it applies in place, with no Commit and
+	// no per-probe type switch on the in-memory hot path.
+	mem *store.Mem
 
 	// behavior is the fault mode. Every probe reads it without a lock;
 	// it changes only under mu, together with stale.
@@ -202,6 +206,7 @@ func NewServer(id int, opts ...ServerOption) *Server {
 	if s.store == nil {
 		s.store = store.NewMem()
 	}
+	s.mem, _ = s.store.(*store.Mem)
 	return s
 }
 
@@ -254,21 +259,32 @@ func (s *Server) Behavior() Behavior { return Behavior(s.behavior.Load()) }
 // could not make the write durable — to the client both read as
 // unresponsiveness, the protocol's correct signal for a write whose
 // durability is unknown. Byzantine servers acknowledge but may discard.
-//
-// The store's Apply runs outside the server lock: holding mu across a
-// disk fsync would serialize concurrent writers and defeat the store's
-// group commit. A read of a store.Disk-backed server may see a record
-// still waiting for its group commit. That is the same as seeing a write
-// in flight, so the safe-register argument holds: an acknowledged write
-// was made durable at every server that acknowledged it.
 func (s *Server) HandleWrite(key string, tv TaggedValue) bool {
+	ok, c := s.stageWrite(key, tv)
+	return ok && c.Wait() == nil
+}
+
+// stageWrite stages a write in the server's store and returns the
+// commit to wait on before acking it; false means no ack at all.
+//
+// The store runs outside the server lock: holding mu across a disk
+// fsync would serialize concurrent writers and defeat the store's group
+// commit. A read of a store.Disk-backed server may see a record still
+// waiting for its group commit. That is the same as seeing a write in
+// flight, so the safe-register argument holds: an acknowledged write was
+// made durable at every server that acknowledged it.
+func (s *Server) stageWrite(key string, tv TaggedValue) (bool, *store.Commit) {
 	// ByzantineFabricate/ByzantineEquivocate acknowledge without storing
 	// faithfully (they store anyway; responses are fabricated regardless).
 	if s.Behavior() == Crashed {
-		return false
+		return false, nil
 	}
 	rec := store.Record{Key: key, Value: tv.Value, Seq: tv.TS.Seq, Writer: int64(tv.TS.Writer)}
-	return s.store.Apply(rec) == nil
+	if s.mem != nil {
+		return s.mem.Apply(rec) == nil, nil
+	}
+	c, err := store.Stage(s.store, rec)
+	return err == nil, c
 }
 
 // HandleRead returns the server's answer to a read probe of key's
@@ -315,8 +331,9 @@ func (s *Server) byzantineRead(key string) (TaggedValue, bool) {
 // HandleRequest dispatches a protocol message to the server and returns
 // its answer. This is the hook a message layer needs to host a replica:
 // the in-memory transport calls it directly, and the wire package's TCP
-// listener calls it for each decoded frame. A server that is unresponsive
-// (crashed) answers Response{OK: false}; the error return is reserved for
+// listener calls it, or StageRequest, for each decoded frame. A server
+// that is unresponsive (crashed), or whose store failed to make a write
+// durable, answers Response{OK: false}; the error return is reserved for
 // malformed requests (an Op the protocol doesn't define).
 func (s *Server) HandleRequest(req Request) (Response, error) {
 	switch req.Op {
@@ -331,6 +348,22 @@ func (s *Server) HandleRequest(req Request) (Response, error) {
 	default:
 		return Response{}, fmt.Errorf("sim: server %d: unknown %v", s.id, req.Op)
 	}
+}
+
+// StageRequest is HandleRequest without the wait: a write is staged in
+// the server's store, and its OK stands only once the returned commit's
+// Wait succeeds — a failed commit is a NACK. Every other request is
+// answered in full, with a nil commit, as is a write that is already
+// durable (a store.Mem) or not acked at all. A caller with several
+// requests for stores that group commit stages them all and then waits,
+// so they share one commit instead of one goroutine each.
+func (s *Server) StageRequest(req Request) (Response, *store.Commit, error) {
+	if req.Op != OpWrite {
+		resp, err := s.HandleRequest(req)
+		return resp, nil, err
+	}
+	ok, c := s.stageWrite(req.Key, req.Value)
+	return Response{OK: ok}, c, nil
 }
 
 // SnapshotKey returns the faithfully stored value of key's register,

@@ -27,13 +27,17 @@ const (
 // both disk use and recovery replay time.
 const DefaultSnapshotThreshold = 4 << 20
 
-// commitLinger is how long the flusher waits before each fsynced group
-// commit, collecting the records of every Apply that lands in the
+// commitLinger is how long the flusher asks to wait before each fsynced
+// group commit, collecting the records of every Stage that lands in the
 // window. A device sustains only a few thousand fsyncs per second no
 // matter how small they are, so at high concurrency the linger is what
 // turns one-fsync-per-write into one fsync per wave; at low concurrency
-// it is a bounded latency tax on an operation that already pays an
-// fsync. It only applies while fsync is enabled: without the fsync there
+// it is a latency tax on an operation that already pays an fsync. The
+// tax is larger than the constant: an idle Go scheduler parks in the
+// netpoller with millisecond resolution, so on a 2-core Linux VM the
+// sleep measured p50 1.08 ms and p99 1.15 ms, against 77 µs for the fsync
+// of a lone append — a single durable write pays ≈ 14× its fsync in
+// linger. It only applies while fsync is enabled: without the fsync there
 // is no per-flush floor worth amortizing.
 const commitLinger = 500 * time.Microsecond
 
@@ -91,8 +95,8 @@ func (rs RecoveryStats) String() string {
 
 // Disk is the durable engine: current state in memory, every applied
 // write appended to a CRC-checksummed WAL before it is acknowledged,
-// fsyncs batched by group commit (concurrent Applies that arrive while a
-// flush is in progress share the next one — one fsync amortized across
+// fsyncs batched by group commit (records staged while a flush is in
+// progress share the next one — one fsync and one Commit amortized across
 // the whole flush window), and a periodic snapshot + log truncation
 // keeping recovery replay bounded. All file writes happen on a single
 // flusher goroutine, so the WAL is strictly append-ordered.
@@ -106,9 +110,11 @@ type Disk struct {
 	mem      table      // the register map; see table
 	wal      *os.File
 	walSize  int64
-	pending  []byte       // encoded records awaiting write+fsync
-	waiters  []chan error // one per Apply in the pending batch
-	flushing bool         // a flusher goroutine owns the files
+	pending  []byte  // encoded records awaiting write+fsync
+	spare    []byte  // the last batch written, emptied: pending's next buffer
+	commit   *Commit // the group commit that will carry pending; nil while none is
+	staged   int     // records in pending
+	flushing bool    // a flusher goroutine owns the files
 	closed   bool
 
 	recovered RecoveryStats
@@ -213,7 +219,7 @@ func (d *Disk) Recovered() RecoveryStats {
 
 // Flushes returns how many group-commit batches have been written (one
 // fsync each when fsync is enabled) — compare against the number of
-// Applies to see group commit amortizing.
+// records staged to see group commit amortizing.
 func (d *Disk) Flushes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -243,39 +249,71 @@ func (d *Disk) Range(fn func(Record) bool) {
 	}
 }
 
-// Apply persists rec: merge into memory, append to the pending WAL
-// batch, and wait for the group commit that carries it. The first Apply
-// into an idle store becomes the flusher; everything arriving while a
-// write+fsync is in flight shares the next one — that is the group
-// commit window, and with a batching Session upstream it is what keeps
-// durable throughput within a small factor of the in-memory engine.
-func (d *Disk) Apply(rec Record) error {
-	ch := make(chan error, 1)
+// Stage merges rec into memory and queues it on the pending WAL batch
+// without waiting: it returns the group commit that will carry the
+// record, so a caller with several records stages them all and then
+// waits once per commit instead of once per record. The first record
+// staged into an idle store starts the flusher; everything staged while a
+// write+fsync is in flight shares the next one — that is the group commit
+// window, and with a batching Session upstream it is what keeps durable
+// throughput within a small factor of the in-memory engine. The record is
+// visible to Get at once, before its commit, like any write in flight.
+func (d *Disk) Stage(rec Record) (*Commit, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	d.mem.merge(rec)
 	var err error
 	if d.pending, err = AppendRecord(d.pending, rec); err != nil {
-		d.mu.Unlock()
-		return err
+		return nil, err
 	}
-	d.waiters = append(d.waiters, ch)
+	d.mem.merge(rec)
+	if d.commit == nil {
+		d.commit = newCommit()
+	}
+	d.staged++
 	d.mAppends.Inc()
 	if !d.flushing {
 		d.flushing = true
 		go d.flushLoop()
 	}
-	d.mu.Unlock()
-	return <-ch
+	return d.commit, nil
+}
+
+// Apply persists rec: Stage it, then wait for the group commit that
+// carries it.
+func (d *Disk) Apply(rec Record) error {
+	c, err := d.Stage(rec)
+	if err != nil {
+		return err
+	}
+	return c.Wait()
+}
+
+// takePendingLocked hands the pending batch to the caller and leaves an
+// empty one behind, in the spare buffer: the flusher hands each buffer
+// back once written, so batches alternate between two buffers instead of
+// growing a new one per commit.
+func (d *Disk) takePendingLocked() (buf []byte, c *Commit, staged int) {
+	buf, c, staged = d.pending, d.commit, d.staged
+	d.pending, d.commit, d.staged = d.spare[:0], nil, 0
+	d.spare = nil
+	return buf, c, staged
+}
+
+// cutOffLocked ends the pending commit with ErrClosed: its records were
+// acked to no one, so losing them is the torn-tail case recovery is
+// built for.
+func (d *Disk) cutOffLocked() {
+	_, c, _ := d.takePendingLocked()
+	c.finish(ErrClosed)
 }
 
 // flushLoop is the single goroutine with file access while it runs: it
 // drains pending batches (write + one fsync each), compacts when the
 // WAL passes the threshold, and exits when nothing is pending. Every
-// waiter of a taken batch is always answered, success or not.
+// commit it takes is always finished, success or not.
 func (d *Disk) flushLoop() {
 	d.mu.Lock()
 	for {
@@ -283,49 +321,47 @@ func (d *Disk) flushLoop() {
 			d.compactLocked()
 			continue
 		}
-		if d.fsync && !d.closed && len(d.waiters) > 0 {
+		if d.fsync && !d.closed && d.commit != nil {
 			// Group-commit window: hold the flush open so concurrent
-			// Applies land in this batch instead of each paying their own
+			// Stages land in this batch instead of each paying their own
 			// fsync. Skipped on close so shutdown drains promptly.
 			d.mu.Unlock()
 			time.Sleep(commitLinger)
 			d.mu.Lock()
 		}
-		buf, waiters := d.pending, d.waiters
-		d.pending, d.waiters = nil, nil
-		if len(waiters) == 0 {
+		if d.commit == nil {
 			d.flushing = false
 			d.cond.Broadcast()
 			d.mu.Unlock()
 			return
 		}
 		if d.closed {
-			for _, ch := range waiters {
-				ch <- ErrClosed
-			}
+			d.cutOffLocked()
 			continue
 		}
+		buf, c, staged := d.takePendingLocked()
 		wal := d.wal
 		d.mu.Unlock()
 		_, err := wal.Write(buf)
 		if err == nil && d.fsync {
 			err = wal.Sync()
 		}
-		for _, ch := range waiters {
-			ch <- err
-		}
 		if err == nil {
 			if d.fsync {
 				d.mFsyncs.Inc()
 			}
-			d.mBatch.Observe(float64(len(waiters)))
+			d.mBatch.Observe(float64(staged))
 			d.mWALBytes.Add(int64(len(buf)))
 		}
 		d.mu.Lock()
+		d.spare = buf
 		d.flushes++
 		if err == nil {
 			d.walSize += int64(len(buf))
 		}
+		// Finished last, so a writer whose Wait returns finds its flush
+		// already counted in Flushes and the metrics.
+		c.finish(err)
 	}
 }
 
@@ -393,68 +429,61 @@ func (d *Disk) claimFilesLocked() error {
 	return nil
 }
 
-// releaseFilesLocked hands file ownership back: if Applies queued up
+// releaseFilesLocked hands file ownership back: if records were staged
 // while the caller held the files, a fresh flusher drains them,
 // otherwise the store goes idle.
 func (d *Disk) releaseFilesLocked() {
-	if len(d.waiters) > 0 && !d.closed {
+	if d.commit != nil && !d.closed {
 		go d.flushLoop()
 		return
 	}
 	d.flushing = false
 	d.cond.Broadcast()
 	if d.closed {
-		for _, ch := range d.waiters {
-			ch <- ErrClosed
-		}
-		d.pending, d.waiters = nil, nil
+		d.cutOffLocked()
 	}
 }
 
 // Reopen is the crash-recovery boundary: close the files and run the
 // same recovery a fresh process would, keeping exactly what was durable.
-// In-flight group commits are cut off with ErrClosed — their writes were
-// acked to no one, so losing them is the torn-tail case recovery is
-// built for. The engine's configuration (fsync, threshold) carries over.
+// The pending group commit is cut off with ErrClosed — its records were
+// acked to no one, so losing them is the torn-tail case recovery is built
+// for — and a write+fsync already under way finishes first. The engine's
+// configuration (fsync, threshold) carries over.
 func (d *Disk) Reopen() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	// A restart loses what was not yet committed.
+	d.cutOffLocked()
 	if err := d.claimFilesLocked(); err != nil {
 		return err
 	}
-	// Cut off queued Applies: a restart loses what was not yet committed.
-	for _, ch := range d.waiters {
-		ch <- ErrClosed
-	}
-	d.pending, d.waiters = nil, nil
 	d.wal.Close()
 	err := d.recover()
 	if err != nil {
 		// The store is unusable without its files; mark it closed so
-		// Applies fail fast rather than queueing forever.
+		// Stages fail fast rather than queueing forever.
 		d.closed = true
 	}
 	d.releaseFilesLocked()
 	return err
 }
 
-// Close flushes nothing extra (every acked Apply is already on disk to
-// the configured standard), cuts off queued Applies with ErrClosed, and
-// closes the WAL.
+// Close refuses further Stages, cuts off the pending group commit with
+// ErrClosed (every acked record is already on disk to the configured
+// standard), waits out a write+fsync already under way, and closes the
+// WAL.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil
 	}
+	d.closed = true
+	d.cutOffLocked()
+	d.cond.Broadcast()
 	for d.flushing {
 		d.cond.Wait()
 	}
-	d.closed = true
-	for _, ch := range d.waiters {
-		ch <- ErrClosed
-	}
-	d.pending, d.waiters = nil, nil
-	d.cond.Broadcast()
 	return d.wal.Close()
 }

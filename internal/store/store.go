@@ -66,7 +66,11 @@ var ErrClosed = errors.New("store: closed")
 // persists a record with last-writer-wins timestamp merge and returns
 // only once the record is durable to the engine's standard (a map update
 // for Mem, a group-committed log append for Disk) — the server acks the
-// write after, never before. Reopen is the crash-recovery boundary: it
+// write after, never before. The server writes through Stage (below),
+// which splits an Apply in two: an engine with a Stage method of its own
+// (Disk) merges the record and queues it at once, and hands back the
+// Commit to wait on, so one caller can stage every write of a frame and
+// wait once per group commit. Reopen is the crash-recovery boundary: it
 // drops every process-local structure and rebuilds state exactly as a
 // fresh process would, so a restarted server keeps what the engine made
 // durable and loses what it did not. Close releases resources; a closed
@@ -79,8 +83,60 @@ type Store interface {
 	Close() error
 }
 
+// Commit is one group commit: every record staged into it becomes
+// durable, or fails, together. The flusher finishes it once, closing
+// done; err is set before and read only after.
+type Commit struct {
+	done chan struct{}
+	err  error
+}
+
+func newCommit() *Commit { return &Commit{done: make(chan struct{})} }
+
+// finish records the commit's outcome and releases its waiters. A nil
+// commit has nothing to release.
+func (c *Commit) finish(err error) {
+	if c == nil {
+		return
+	}
+	c.err = err
+	close(c.done)
+}
+
+// Wait blocks until the commit is finished and returns its error: nil
+// once every record in it is durable, ErrClosed if Close or Reopen cut it
+// off, or the write or fsync error. A nil *Commit stands for a record
+// that was durable when staged, and returns nil at once.
+func (c *Commit) Wait() error {
+	if c == nil {
+		return nil
+	}
+	<-c.done
+	return c.err
+}
+
+// Stage starts rec's Apply on st without waiting for it to become
+// durable, and returns the Commit to wait on before the write may be
+// acked. An engine with a Stage method of its own (Disk) merges and
+// queues the record there; a *Mem applies it at once and returns a nil
+// Commit; any other engine — a wrapper, a foreign engine — runs its
+// Apply on a goroutine behind a Commit of its own. A non-nil error means
+// the record was not staged at all.
+func Stage(st Store, rec Record) (*Commit, error) {
+	switch s := st.(type) {
+	case *Mem:
+		return nil, s.Apply(rec)
+	case interface{ Stage(Record) (*Commit, error) }:
+		return s.Stage(rec)
+	}
+	c := newCommit()
+	go func() { c.finish(st.Apply(rec)) }()
+	return c, nil
+}
+
 // MayBlock reports whether an Apply on st can wait — on a disk's group
-// commit, or on anything an engine this package does not know might do.
+// commit, or on anything an engine this package does not know might do —
+// and so whether Stage can hand back a Commit that is not yet finished.
 // Only no engine at all (nil) and a *Mem answer at once; a wrapper around
 // a *Mem is another type and so counts as blocking. Callers use it to
 // decide whether a replica's work may run on a goroutine that must not

@@ -1,11 +1,15 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
+
+	"bqs/internal/obs"
 )
 
 // engines lists the Store implementations under their interface, so the
@@ -340,6 +344,168 @@ func TestDiskGroupCommit(t *testing.T) {
 		if rec, _ := d.Get(fmt.Sprintf("k%d", w)); rec.Seq != each {
 			t.Fatalf("writer %d: recovered seq %d, want %d", w, rec.Seq, each)
 		}
+	}
+}
+
+// TestDiskCommitCutOff pins the group commit's cut-off and
+// persist-before-ack: records staged in one window share one Commit and
+// are visible to Get before it finishes; the flush observes one batch of
+// exactly those records; and Reopen and Close end a pending commit with
+// ErrClosed, after which a Reopen keeps what was committed and loses what
+// was only staged. Holding the files, as a compaction does, keeps the
+// flusher away, so "pending" is a state of the test, not a race.
+func TestDiskCommitCutOff(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, err := Open(t.TempDir(), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	hold := func() {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if err := d.claimFilesLocked(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release := func() {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		d.releaseFilesLocked()
+	}
+	stage := func(rec Record) *Commit {
+		t.Helper()
+		c, err := d.Stage(rec)
+		if err != nil || c == nil {
+			t.Fatalf("Stage(%+v) = %v, %v; want a pending commit", rec, c, err)
+		}
+		return c
+	}
+	pending := func(c *Commit) bool {
+		select {
+		case <-c.done:
+			return false
+		default:
+			return true
+		}
+	}
+	// cutOff waits for c to be cut off by Close or Reopen (the files are
+	// held, so nothing else can finish it), failing rather than hanging
+	// if it never is.
+	cutOff := func(c *Commit, by string) {
+		t.Helper()
+		select {
+		case <-c.done:
+		case <-time.After(10 * time.Second):
+			release() // let the blocked call finish
+			t.Fatalf("%s left the pending commit pending", by)
+		}
+		if err := c.Wait(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Wait on a commit %s cut off = %v, want ErrClosed", by, err)
+		}
+	}
+
+	mustApply(t, d, Record{Key: "kept", Value: "v", Seq: 1})
+
+	hold()
+	c := stage(Record{Key: "batch", Value: "v1", Seq: 1})
+	for i := 2; i <= 3; i++ {
+		if ci := stage(Record{Key: "batch", Value: fmt.Sprintf("v%d", i), Seq: int64(i)}); ci != c {
+			t.Fatal("records staged in one window got different commits")
+		}
+	}
+	if rec, ok := d.Get("batch"); !ok || rec.Value != "v3" {
+		t.Fatalf("Get before the commit = %+v, %v; want the staged v3", rec, ok)
+	}
+	if !pending(c) {
+		t.Fatal("the commit finished while its flush was held off")
+	}
+	release()
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	batch := reg.Histogram("bqs_store_fsync_batch_size", obs.SizeBuckets)
+	if batch.Count() != 2 || batch.Count() != d.Flushes() || batch.Sum() != 1+3 {
+		t.Fatalf("batch sizes: %d observations summing to %v over %d flushes; want one per flush, 1 then 3",
+			batch.Count(), batch.Sum(), d.Flushes())
+	}
+
+	// Reopen cuts the pending commit off: its record was acked to no one
+	// and is gone after recovery; the committed ones survive.
+	hold()
+	lost := stage(Record{Key: "lost", Value: "v", Seq: 1})
+	reopened := make(chan error, 1)
+	go func() { reopened <- d.Reopen() }()
+	cutOff(lost, "Reopen")
+	release()
+	if err := <-reopened; err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := d.Get("lost"); ok {
+		t.Fatalf("a staged, uncommitted record survived Reopen: %+v", rec)
+	}
+	for key, want := range map[string]string{"kept": "v", "batch": "v3"} {
+		if rec, _ := d.Get(key); rec.Value != want {
+			t.Fatalf("after Reopen %s = %q, want the committed %q", key, rec.Value, want)
+		}
+	}
+	if batch.Count() != d.Flushes() {
+		t.Fatalf("%d batch-size observations over %d flushes: a cut-off commit was counted", batch.Count(), d.Flushes())
+	}
+
+	// Close cuts the pending commit off the same way, and refuses more.
+	hold()
+	cut := stage(Record{Key: "cut", Value: "v", Seq: 1})
+	closed := make(chan error, 1)
+	go func() { closed <- d.Close() }()
+	cutOff(cut, "Close")
+	release()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Stage(Record{Key: "late", Seq: 1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Stage on a closed store = %v, want ErrClosed", err)
+	}
+}
+
+// TestStageEngines pins store.Stage's three routes: a Disk stages and
+// hands back its pending commit, a Mem applies at once behind a nil
+// commit, and any other engine applies on a goroutine behind a commit
+// of its own.
+func TestStageEngines(t *testing.T) {
+	disk, err := Open(t.TempDir(), WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	wrapped := struct{ Store }{NewMem()}
+	for _, tc := range []struct {
+		name      string
+		st        Store
+		nilCommit bool
+	}{{"disk", disk, false}, {"mem", NewMem(), true}, {"wrapped mem", wrapped, false}} {
+		rec := Record{Key: "k", Value: tc.name, Seq: 1}
+		c, err := Stage(tc.st, rec)
+		if err != nil {
+			t.Fatalf("%s: Stage: %v", tc.name, err)
+		}
+		if (c == nil) != tc.nilCommit {
+			t.Errorf("%s: commit = %v, want nil: %v", tc.name, c, tc.nilCommit)
+		}
+		if err := c.Wait(); err != nil {
+			t.Fatalf("%s: Wait: %v", tc.name, err)
+		}
+		if got, _ := tc.st.Get("k"); got.Value != tc.name {
+			t.Errorf("%s: after Wait Get = %+v, want the staged record", tc.name, got)
+		}
+	}
+	wrapped.Close()
+	c, err := Stage(wrapped, Record{Key: "k", Seq: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Wait on a closed wrapped engine = %v, want its Apply's ErrClosed", err)
 	}
 }
 

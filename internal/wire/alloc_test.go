@@ -8,10 +8,12 @@ package wire
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"testing"
 
 	"bqs/internal/sim"
+	"bqs/internal/store"
 )
 
 // TestInvokeRoundTripAllocs pins the diet of a lone probe: a loopback
@@ -64,6 +66,45 @@ func TestInvokeRoundTripAllocs(t *testing.T) {
 		if got > row.max {
 			t.Errorf("%s round trip allocates %v times, want ≤ %v", row.name, got, row.max)
 		}
+	}
+}
+
+// TestDurableFrameAllocs pins what serving a 16-item write frame costs
+// on a shard over a store.Disk (fsync off, so no linger: the count is
+// the code's, not the device's). The frame's handler stages all sixteen
+// writes and waits once for the group commit that carries them — no
+// goroutine and no channel per item. What is left: the reply and commit
+// slices, one Commit and its channel, the WAL batch growing to hold the
+// frame, and the flusher started for it.
+func TestDurableFrameAllocs(t *testing.T) {
+	d, err := store.Open(t.TempDir(), store.WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := NewServer(map[int]*sim.Server{0: sim.NewServer(0, sim.WithStore(d))})
+	const value = "sixty-four bytes of value, more or less, as the benchmark writes"
+	items := make([]sim.BatchItem, 16)
+	for i := range items {
+		items[i] = sim.BatchItem{Server: 0, Req: sim.Request{Op: sim.OpWrite, Key: fmt.Sprintf("key-%06d", i),
+			Value: sim.TaggedValue{Value: value, TS: sim.Timestamp{Writer: 1}}}}
+	}
+	serve := func() {
+		for i := range items {
+			items[i].Req.Value.TS.Seq++
+		}
+		for i, resp := range srv.handleBatch(items) {
+			if !resp.OK {
+				t.Fatalf("item %d: NACK", i)
+			}
+		}
+	}
+	serve() // store every key before the count starts
+	const want = 5
+	got := testing.AllocsPerRun(200, serve)
+	t.Logf("16-item durable write frame: %v allocs", got)
+	if got > want {
+		t.Errorf("a 16-item durable write frame allocates %v times, want ≤ %v", got, want)
 	}
 }
 

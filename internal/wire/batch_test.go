@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bqs/internal/sim"
+	"bqs/internal/store"
 	"bqs/internal/systems"
 )
 
@@ -151,6 +152,78 @@ func TestWireBatchMixedServers(t *testing.T) {
 	// An unrouted server is an abort, exactly as in Invoke.
 	if _, err := tr.InvokeBatch(ctx, []sim.BatchItem{{Server: 77, Req: sim.Request{Op: sim.OpRead}}}); err == nil {
 		t.Error("InvokeBatch accepted an unrouted server")
+	}
+}
+
+// TestWireBatchNacksFailedCommits sends one frame to a shard of two
+// store.Disk replicas, one of them closed, and a third replica whose
+// store the shard cannot see through and whose every Apply fails. The
+// shard stages every item, then waits on each item's commit and NACKs
+// only the items whose write failed: the closed Disk's writes (refused
+// when staged) and the third replica's (its commit fails after staging)
+// answer OK: false; the open Disk's answer OK: true and are on disk when
+// the reply arrives; and a read in the same frame answers.
+func TestWireBatchNacksFailedCommits(t *testing.T) {
+	reps := make(map[int]*sim.Server)
+	disks := make([]*store.Disk, 2)
+	for id := range disks {
+		d, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		disks[id] = d
+		reps[id] = sim.NewServer(id, sim.WithStore(d))
+	}
+	failing := store.NewMem()
+	failing.Close()
+	reps[2] = sim.NewServer(2, sim.WithStore(opaqueStore{failing}))
+	addr, srv := startShard(t, reps)
+	if srv.onLoop {
+		t.Fatal("a shard over store.Disk serves its frames on the read loop")
+	}
+	disks[1].Close()
+	tr, err := Dial(map[int]string{0: addr, 1: addr, 2: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	tv := sim.TaggedValue{Value: "durable", TS: sim.Timestamp{Seq: 1, Writer: 1}}
+	write := func(server int, key string) sim.BatchItem {
+		return sim.BatchItem{Server: server, Req: sim.Request{Op: sim.OpWrite, Key: key, Value: tv}}
+	}
+	items := []sim.BatchItem{
+		write(0, "a"),
+		write(1, "a"),
+		write(2, "a"),
+		{Server: 0, Req: sim.Request{Op: sim.OpRead, Key: "a", ReaderID: 1}},
+		write(1, "b"),
+		write(0, "b"),
+	}
+	resps, err := tr.InvokeBatch(ctx, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{true, false, false, true, false, true} {
+		if resps[i].OK != want {
+			t.Errorf("item %d (server %d, %v): OK=%v, want %v", i, items[i].Server, items[i].Req.Op, resps[i].OK, want)
+		}
+	}
+	if resps[3].Value != tv {
+		t.Errorf("read after the frame's own write = %+v, want %+v", resps[3].Value, tv)
+	}
+	// Persist-before-ack: Reopen cuts off whatever was still pending, so
+	// an ack sent before its commit would show here as a lost write.
+	if err := disks[0].Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"a", "b"} {
+		if rec, ok := disks[0].Get(key); !ok || rec.Value != tv.Value {
+			t.Errorf("acked write of %q after Reopen: %+v, %v", key, rec, ok)
+		}
 	}
 }
 

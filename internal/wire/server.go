@@ -21,15 +21,17 @@ var ErrServerClosed = errors.New("wire: server closed")
 // Server hosts a shard of the universe: a set of sim.Server replicas,
 // keyed by their global server index, reachable over TCP. Connections are
 // handled concurrently, each by its own read loop. Where a request can
-// wait, it gets a goroutine of its own: a reconfig frame, and any batch
+// wait, it gets one goroutine of its own: a reconfig frame, and any batch
 // frame on a shard with a replica whose store may block (store.MayBlock —
-// a store.Disk parks writes on its group commit). A shard whose stores
-// never block answers batch frames on the read loop itself, buffering the
-// replies and flushing them before the loop could block in read(2) — so a
-// burst of frames that arrived together is answered in one write(2), and
-// no reply waits on the next request. Replica behavior (crash and
-// Byzantine fault injection) stays the business of the underlying
-// sim.Server objects.
+// a store.Disk makes writes wait for its group commit). That goroutine
+// stages every item of the frame and then waits once per group commit
+// (see handleBatch), so a durable frame costs one goroutine, not one per
+// item. A shard whose stores never block answers batch frames on the read
+// loop itself, buffering the replies and flushing them before the loop
+// could block in read(2) — so a burst of frames that arrived together is
+// answered in one write(2), and no reply waits on the next request.
+// Replica behavior (crash and Byzantine fault injection) stays the
+// business of the underlying sim.Server objects.
 type Server struct {
 	replicas map[int]*sim.Server
 	onLoop   bool // no replica's store may block: batch frames are answered on the read loop
@@ -330,32 +332,34 @@ func (s *Server) serveBatch(w *frameWriter, flush bool, id, gate uint64, items [
 	s.reply(w, flush, id, resps, 0, reconfig.Record{})
 }
 
-// handleBatch fans a frame of several items across the shard's replicas:
-// each item is dispatched to the replica hosting its server, and the
-// responses align index-by-index with the items. Where a store may block,
-// the items run concurrently, because a durable replica may park an item
-// on its store's group commit, and serializing the frame would turn one
-// fsync per frame into one per item; the first item runs on the calling
-// handler goroutine, which would otherwise only wait. On a shard whose
-// stores never block, the items run one after another on the read loop.
+// handleBatch serves a frame of several items across the shard's
+// replicas: each item is dispatched to the replica hosting its server,
+// and the responses align index-by-index with the items. Every item is
+// staged in order first, and only then does the frame wait — once per
+// group commit its writes landed in, since a store.Disk puts every write
+// staged in one window into the same Commit — so a frame costs one
+// fsync wait, not one goroutine per item, and an item whose commit fails
+// answers Response{OK: false} alone. No reply leaves before every write
+// in it is durable. On a shard whose stores never block nothing waits,
+// and the items run one after another on the read loop.
 func (s *Server) handleBatch(items []sim.BatchItem) []sim.Response {
 	out := make([]sim.Response, len(items))
-	if s.onLoop {
-		for i, it := range items {
-			out[i] = s.handle(it.Server, it.Req)
+	var commits []*store.Commit // made by the first item that must wait
+	for i, it := range items {
+		var c *store.Commit
+		out[i], c = s.stage(it.Server, it.Req)
+		if c != nil {
+			if commits == nil {
+				commits = make([]*store.Commit, len(items))
+			}
+			commits[i] = c
 		}
-		return out
 	}
-	var wg sync.WaitGroup
-	for i, it := range items[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i+1] = s.handle(it.Server, it.Req)
-		}()
+	for i, c := range commits {
+		if c.Wait() != nil {
+			out[i] = sim.Response{OK: false}
+		}
 	}
-	out[0] = s.handle(items[0].Server, items[0].Req)
-	wg.Wait()
 	return out
 }
 
@@ -374,10 +378,10 @@ func (s *Server) beginRequest() bool {
 }
 
 // handle applies one request to the addressed replica, or a flip item
-// to its behavior (control). A request for a server this shard does not
-// host answers Response{OK: false}: to the client that is
-// indistinguishable from a crash, which is the correct suspicion signal
-// for a misconfigured route.
+// to its behavior (control), and answers once a write is durable. A
+// request for a server this shard does not host answers
+// Response{OK: false}: to the client that is indistinguishable from a
+// crash, which is the correct suspicion signal for a misconfigured route.
 func (s *Server) handle(server int, req sim.Request) sim.Response {
 	if req.Op == opFlip {
 		return s.control(server, sim.Behavior(req.ReaderID))
@@ -391,6 +395,21 @@ func (s *Server) handle(server int, req sim.Request) sim.Response {
 		return sim.Response{OK: false}
 	}
 	return resp
+}
+
+// stage is handle, except that a write to a hosted replica is only
+// staged: its answer stands once the returned commit's Wait succeeds
+// (see sim.Server.StageRequest). Everything else is answered in full.
+func (s *Server) stage(server int, req sim.Request) (sim.Response, *store.Commit) {
+	rep, ok := s.replicas[server]
+	if !ok || req.Op != sim.OpWrite {
+		return s.handle(server, req), nil
+	}
+	resp, c, err := rep.StageRequest(req)
+	if err != nil {
+		return sim.Response{OK: false}, nil
+	}
+	return resp, c
 }
 
 // CurrentRecord returns the shard's installed configuration record; ok
