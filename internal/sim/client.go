@@ -78,8 +78,8 @@ func (c *Cluster) newClient(id int, rule acceptance) *Client {
 // of a COMPLETE quorum (each member answered; quorumOp guarantees it) and
 // is defined for every such set, so no phase of either protocol retries
 // for any reason but a silent member. The replies come as a slice in
-// whatever order the phase gathered them — ascending server order on the
-// inline path — and no rule may depend on that order.
+// whatever order the phase gathered them — ascending server order when
+// one call serves the whole phase — and no rule may depend on that order.
 type acceptance interface {
 	// timestampOp is the op a write's timestamp phase sends: the rule's
 	// timestamp method must be able to judge the replies it draws.

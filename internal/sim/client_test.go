@@ -69,7 +69,7 @@ func TestTimestampPhaseIsWaitFree(t *testing.T) {
 // TestAcceptanceRules checks the two reply-acceptance rules as the pure
 // functions they are: what a complete quorum's replies make a client
 // believe, with no cluster behind them. Every case runs on its reply
-// slice and on the reverse of it: the inline path gathers replies in
+// slice and on the reverse of it: an in-memory phase gathers replies in
 // ascending server order, the parallel one in arrival order, and a rule
 // must believe the same thing either way.
 func TestAcceptanceRules(t *testing.T) {

@@ -127,13 +127,13 @@ func WithStores(factory func(id int) (store.Store, error)) Option {
 	}
 }
 
-// WithDeterministic makes every quorum phase run inline: members are
-// contacted sequentially in ascending server order from the calling
-// goroutine, even where a probe can block and the cluster would otherwise
-// fan out in parallel goroutines (a latency model, a custom transport, a
-// durable store). With a fixed WithSeed and one client per goroutine,
-// runs are exactly reproducible — the mode the original synchronous
-// simulator provided.
+// WithDeterministic makes every quorum phase run from the calling
+// goroutine, members contacted in ascending server order: one after
+// another where the cluster would otherwise fan a phase out in parallel
+// goroutines (a latency model, whose sleeps then add up, or middleware),
+// and in one call where the transport serves whole phases. With a fixed
+// WithSeed and one client per goroutine, runs are exactly reproducible —
+// the mode the original synchronous simulator provided.
 func WithDeterministic() Option {
 	return func(c *config) error {
 		c.sequential = true
@@ -154,11 +154,14 @@ func WithDeterministic() Option {
 type Cluster struct {
 	b          int
 	transport  Transport
-	mem        *memTransport  // non-nil when the built-in transport is in use
-	phase      PhaseTransport // non-nil when the transport issues whole phases
+	mem        *memTransport // non-nil when the built-in transport is in use
 	seed       int64
 	sequential bool
 	optimal    bool // re-solve the load LP for each epoch's system
+
+	// phase serves a whole phase in one call, when the transport can: a
+	// PhaseTransport's InvokePhase, or mem.invokePhase (see NewCluster).
+	phase func(ctx context.Context, members []int, req Request, out []Response) error
 
 	// cur is the current epoch; every operation and every scrape reads
 	// it with one atomic load.
@@ -236,7 +239,14 @@ func NewCluster(system core.System, b int, opts ...Option) (*Cluster, error) {
 		c.mem = newMemTransport(servers, cfg.seed, cfg.dropRate, cfg.latBase, cfg.latJitter)
 		c.transport = c.mem
 	}
-	c.phase, _ = c.transport.(PhaseTransport)
+	// The built-in transport serves whole phases unless a latency model
+	// is on: then its members' sleeps overlap (fanOut) or, sequential,
+	// each probe is timed on its own (the serial loop).
+	if pt, ok := c.transport.(PhaseTransport); ok {
+		c.phase = pt.InvokePhase
+	} else if c.mem != nil && cfg.latBase+cfg.latJitter == 0 {
+		c.phase = c.mem.invokePhase
+	}
 	if cfg.metrics != nil {
 		c.initMetrics(cfg.metrics)
 	}
@@ -441,24 +451,24 @@ func (c *Cluster) invokeBatch(ctx context.Context, items []BatchItem) ([]Respons
 }
 
 // probeQuorum sends req to every quorum member and writes member k's reply
-// to out[k] (len(out) == len(members)). A phase takes one of three paths:
-//   - inline — members called one after another, in ascending server
-//     order, on the caller's goroutine — when no probe can block (see
-//     inline);
-//   - one InvokePhase call when the transport is a PhaseTransport and the
-//     probes do not go through via: the transport sends every probe from
-//     the caller's goroutine and fills the reply slots itself (a
-//     wire.Client's read loops do);
-//   - otherwise fanOut, a goroutine per member: the latency model,
-//     middleware, and via.
+// to out[k] (len(out) == len(members)). A phase takes the first path that
+// fits:
+//   - a goroutine per member (fanOut) when its probes go through via, the
+//     session batcher;
+//   - one call to c.phase: InvokePhase on a PhaseTransport (a wire.Client
+//     sends every probe from the caller's goroutine and its read loops
+//     fill the slots), or the built-in transport's invokePhase, which
+//     calls the members in ascending order on the caller's goroutine,
+//     when it has no latency model;
+//   - a serial loop of single probes WithDeterministic: a latency model,
+//     whose sleeps then add up, or middleware;
+//   - otherwise fanOut: a latency model, or middleware.
 //
-// Probes travel through via when it is non-nil (the session batcher) and
-// through the cluster's own path otherwise. probeQuorum is the one place
-// load is charged: one phase and one access per member, into client's
-// stripe, whatever the path. Every path is done with out when probeQuorum
-// returns, so the caller may reuse it. The only error it returns is a
-// transport failure (typically ctx cancellation or expiry); unresponsive
-// servers appear as Response{OK: false}.
+// probeQuorum is the one place load is charged: one phase and one access
+// per member, into client's stripe, whatever the path. Every path is done
+// with out when probeQuorum returns, so the caller may reuse it. The only
+// error it returns is a transport failure (typically ctx cancellation or
+// expiry); unresponsive servers appear as Response{OK: false}.
 func (c *Cluster) probeQuorum(ctx context.Context, client int, members []int, req Request, via Transport, out []Response) error {
 	c.cur.Load().load.charge(client, members)
 	if !c.met.on {
@@ -473,63 +483,33 @@ func (c *Cluster) probeQuorum(ctx context.Context, client int, members []int, re
 // probeQuorumUntimed is probeQuorum without the fan-out span.
 func (c *Cluster) probeQuorumUntimed(ctx context.Context, members []int, req Request, via Transport, out []Response) error {
 	switch {
-	case c.inline(members, req.Op, via):
+	case via != nil:
+		return c.fanOut(ctx, members, out, req, via)
+	case c.phase != nil:
+		return c.invokePhase(ctx, members, req, out)
+	case c.sequential:
 		for k, i := range members {
 			var err error
-			if out[k], err = c.probe(ctx, i, req, via); err != nil {
+			if out[k], err = c.invoke(ctx, i, req); err != nil {
 				return err
 			}
 		}
 		return nil
-	case via == nil && c.phase != nil:
-		return c.invokePhase(ctx, members, req, out)
 	default:
-		return c.fanOut(ctx, members, out, req, via)
+		return c.fanOut(ctx, members, out, req, nil)
 	}
 }
 
-// inline reports whether a phase can call its members on the caller's
-// goroutine: WithDeterministic asks for it, and otherwise no probe may be
-// able to block — the built-in in-memory transport with no latency
-// model, reached directly rather than through a session batcher, and,
-// for a write, no member whose store may block (store.MayBlock: a
-// store.Disk group-commits; a *store.Mem, every server's default, never
-// waits). Anything
-// else — TCP, middleware, modelled latency, durable stores, the batcher —
-// may block, and a serial loop would sum the waits or deadlock on a
-// barrier.
-func (c *Cluster) inline(members []int, op Op, via Transport) bool {
-	if c.sequential {
-		return true
-	}
-	if c.mem == nil || via != nil {
-		return false
-	}
-	st := c.mem.state.Load()
-	if st.latency != nil {
-		return false
-	}
-	if op != OpWrite {
-		return true
-	}
-	for _, i := range members {
-		if store.MayBlock(st.servers[i].store) {
-			return false
-		}
-	}
-	return true
-}
-
-// invokePhase hands a whole phase to the PhaseTransport. The
-// transport's probes share one wait, so with telemetry on each member's
+// invokePhase hands a whole phase to c.phase. The phase's probes share
+// one wait, so with telemetry on each member's
 // bqs_quorum_probe_seconds sample is that wait; with it off no clock is
 // read.
 func (c *Cluster) invokePhase(ctx context.Context, members []int, req Request, out []Response) error {
 	if !c.met.on {
-		return c.phase.InvokePhase(ctx, members, req, out)
+		return c.phase(ctx, members, req, out)
 	}
 	start := time.Now()
-	err := c.phase.InvokePhase(ctx, members, req, out)
+	err := c.phase(ctx, members, req, out)
 	d := time.Since(start)
 	for range members {
 		c.met.probeSeconds.ObserveDuration(d)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bqs/internal/obs"
+	"bqs/internal/store"
 	"bqs/internal/systems"
 )
 
@@ -148,6 +149,69 @@ func TestCanceledContextAborts(t *testing.T) {
 	}
 	if err := dc.Write(canceled, "never"); !errors.Is(err, context.Canceled) {
 		t.Errorf("dissemination write err = %v, want context.Canceled", err)
+	}
+}
+
+// countingStore is a Mem that tallies the Gets and Applys that reach it.
+type countingStore struct {
+	*store.Mem
+	gets, applies *atomic.Int64
+}
+
+func (s countingStore) Get(key string) (store.Record, bool) {
+	s.gets.Add(1)
+	return s.Mem.Get(key)
+}
+
+func (s countingStore) Apply(rec store.Record) error {
+	s.applies.Add(1)
+	return s.Mem.Apply(rec)
+}
+
+// TestDoneContextReachesNoReplica: the in-memory phase checks its context
+// before it calls a single member, so a phase, or a whole operation,
+// started under a canceled context or an expired deadline fails with the
+// context's error and no replica's store sees a Get or an Apply.
+func TestDoneContextReachesNoReplica(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	for _, deterministic := range []bool{false, true} {
+		var gets, applies atomic.Int64
+		opts := []Option{WithStores(func(int) (store.Store, error) {
+			return countingStore{Mem: store.NewMem(), gets: &gets, applies: &applies}, nil
+		})}
+		if deterministic {
+			opts = append(opts, WithDeterministic())
+		}
+		c, err := NewCluster(mustThreshold(t, 2), 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := c.NewClient(1)
+		members := []int{0, 1, 2, 3, 4, 5, 6}
+		out := make([]Response, len(members))
+		for _, done := range []context.Context{canceled, expired} {
+			want := done.Err()
+			for _, op := range []Op{OpReadTimestamps, OpRead, OpWrite} {
+				req := Request{Op: op, Key: "k", Value: TaggedValue{Value: "v", TS: Timestamp{Seq: 1, Writer: 1}}}
+				if err := c.probeQuorum(done, 1, members, req, nil, out); !errors.Is(err, want) {
+					t.Errorf("deterministic=%v: %v phase under %v: err = %v", deterministic, op, want, err)
+				}
+			}
+			if _, err := cl.ReadKey(done, "k"); !errors.Is(err, want) {
+				t.Errorf("deterministic=%v: read under %v: err = %v", deterministic, want, err)
+			}
+			if err := cl.WriteKey(done, "k", "v"); !errors.Is(err, want) {
+				t.Errorf("deterministic=%v: write under %v: err = %v", deterministic, want, err)
+			}
+		}
+		c.Close()
+		if gets.Load() != 0 || applies.Load() != 0 {
+			t.Errorf("deterministic=%v: done contexts reached the stores: %d Gets, %d Applys",
+				deterministic, gets.Load(), applies.Load())
+		}
 	}
 }
 

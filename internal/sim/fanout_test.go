@@ -78,11 +78,13 @@ func (s barrierStore) Apply(rec store.Record) error {
 	return s.Mem.Apply(rec)
 }
 
-// TestBlockingProbesFanOut pins the other half of inline probing: where
-// a probe can block, a phase still fans out in parallel. The first two
-// arms use barriers that release only once every member of the phase's
-// quorum has arrived, so a serial loop deadlocks on the first probe and
-// fails at the 5 s deadline; the third times a latency-modelled read.
+// TestBlockingProbesFanOut pins the other half of in-memory phases:
+// where a probe can block, the phase's members still wait in parallel.
+// The first two arms use barriers that release only once every member of
+// the phase's quorum has arrived, so a serial loop deadlocks on the first
+// probe and fails at the 5 s deadline — middleware fans out, and a write
+// to a store that can block is staged at every member before the phase
+// waits on any; the third times a latency-modelled read.
 func TestBlockingProbesFanOut(t *testing.T) {
 	const b = 3
 	quorum := mustThreshold(t, b).MinQuorumSize()
@@ -149,21 +151,26 @@ func TestBlockingProbesFanOut(t *testing.T) {
 
 // BenchmarkQuorumPhase is the fan-out layer alone: one read phase of a
 // fixed Threshold(13,3) quorum over Mem stores, no picker and no
-// acceptance rule. inline is the default transport, which the phase calls
-// on the benchmark's goroutine; fanout is the same in-memory delivery
-// behind WithTransport, which the cluster cannot see through, so every
-// probe gets its own goroutine.
+// acceptance rule. inline is the default transport, which serves the
+// phase on the benchmark's goroutine; fanout is the same in-memory
+// delivery behind WithTransport, which the cluster cannot see through, so
+// every probe gets its own goroutine. shared-deadline is inline in the
+// shape of a benchmark run: b.RunParallel goroutines, each its own
+// client, probe under one context.WithTimeout context (run it with
+// -cpu 2 or more for the goroutines to contend).
 func BenchmarkQuorumPhase(b *testing.B) {
 	sys, err := systems.NewMaskingThreshold(13, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
-		name string
-		opts []Option
+		name     string
+		opts     []Option
+		parallel bool
 	}{
-		{"inline", nil},
-		{"fanout", []Option{WithTransport(func(servers []*Server) Transport { return NewInMemoryTransport(servers, 1) })}},
+		{"inline", nil, false},
+		{"fanout", []Option{WithTransport(func(servers []*Server) Transport { return NewInMemoryTransport(servers, 1) })}, false},
+		{"shared-deadline", nil, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			opts := append([]Option{WithStores(func(int) (store.Store, error) { return store.NewMem(), nil })}, bc.opts...)
@@ -177,14 +184,30 @@ func BenchmarkQuorumPhase(b *testing.B) {
 				b.Fatal(err)
 			}
 			members := q.Elements()
-			out := make([]Response, len(members))
 			req := Request{Op: OpRead, Key: "k", ReaderID: 1}
 			b.ReportAllocs()
-			for b.Loop() {
-				if err := c.probeQuorum(ctx, 1, members, req, nil, out); err != nil {
-					b.Fatal(err)
+			if !bc.parallel {
+				out := make([]Response, len(members))
+				for b.Loop() {
+					if err := c.probeQuorum(ctx, 1, members, req, nil, out); err != nil {
+						b.Fatal(err)
+					}
 				}
+				return
 			}
+			deadline, cancel := context.WithTimeout(ctx, time.Hour)
+			defer cancel()
+			var clients atomic.Int64
+			b.RunParallel(func(pb *testing.PB) {
+				client := int(clients.Add(1))
+				out := make([]Response, len(members))
+				for pb.Next() {
+					if err := c.probeQuorum(deadline, client, members, req, nil, out); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
 		})
 	}
 }
@@ -253,5 +276,29 @@ func TestPhaseTransportCarriesWholePhases(t *testing.T) {
 	}
 	if got := reg.Histogram("bqs_quorum_probe_seconds", obs.DurationBuckets).Count(); got != pt.probes.Load() {
 		t.Fatalf("bqs_quorum_probe_seconds has %d samples for %d probes", got, pt.probes.Load())
+	}
+}
+
+// TestDeterministicLatencyTimesEachProbe: WithDeterministic over a
+// latency model calls a phase's members one after another, and each
+// bqs_quorum_probe_seconds sample is still one probe's round trip, not
+// the serial phase's sum of them: seven round trips on Threshold(9,2),
+// against the 4-RTT ceiling that leaves room for timer slack.
+func TestDeterministicLatencyTimesEachProbe(t *testing.T) {
+	const rtt = 5 * time.Millisecond
+	reg := obs.NewRegistry()
+	c, err := NewCluster(mustThreshold(t, 2), 2, WithMetrics(reg), WithLatency(rtt, 0), WithDeterministic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.NewClient(1).ReadKey(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	h := reg.Histogram("bqs_quorum_probe_seconds", obs.DurationBuckets)
+	if h.Count() == 0 {
+		t.Fatal("no probe samples")
+	}
+	if mean := time.Duration(h.Sum() / float64(h.Count()) * float64(time.Second)); mean >= 4*rtt {
+		t.Fatalf("mean probe sample %v at a %v round trip: the samples time the serial phase, not its probes", mean, rtt)
 	}
 }

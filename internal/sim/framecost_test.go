@@ -114,10 +114,10 @@ func TestSessionOverPlainTransportRunsInParallel(t *testing.T) {
 // on the regression itself: before the bypass, an in-memory session at
 // batch=32 ran at ~0.70× the throughput of batch=1 (probes queued behind
 // a linger with nothing to amortize). With the bypass a session's
-// operations probe exactly as blocking calls do — inline, since nothing
-// in memory can block — so 32 operations in flight through a batch=32
-// session must stay within noise of the same 32 issued as blocking
-// calls. Both sides run the same waves at the same concurrency, so
+// operations probe exactly as blocking calls do — one in-memory phase
+// call on the operation's goroutine — so 32 operations in flight through
+// a batch=32 session must stay within noise of the same 32 issued as
+// blocking calls. Both sides run the same waves at the same concurrency, so
 // machine load skews them alike. The session's own bookkeeping (a future,
 // a goroutine and the session's wait group per operation) puts it at
 // 0.8–1.0× of the blocking calls on the 2-core reference host; a session

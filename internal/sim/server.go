@@ -17,10 +17,11 @@
 //
 // The access layer is a concurrent engine: clients take a context.Context
 // and probe quorum members through a pluggable Transport (the built-in
-// one models message loss and per-server latency) — inline, on the
-// client's own goroutine, when no probe can block, in one call to a
-// PhaseTransport that issues the whole phase itself, and in parallel
-// goroutines otherwise — and any number of clients may run concurrently —
+// one models message loss and per-server latency) — in one call that
+// serves the whole phase, on the client's own goroutine, for the built-in
+// transport without a latency model and for a PhaseTransport, and in
+// parallel goroutines otherwise — and any number of clients may run
+// concurrently —
 // each owns its rng and suspicion state, and per-server access counters
 // feed Cluster.LoadProfile, the live-traffic counterpart of the paper's
 // load measure (Definition 3.8). On top of the blocking single-key

@@ -144,6 +144,82 @@ func TestClusterRestartChurnDurable(t *testing.T) {
 	}
 }
 
+// TestInMemoryWritesPersistBeforeAck runs write phases over fsynced Disk
+// stores, one of them closed: the phase stages every member's write and
+// then waits on the commits, so a write is acked only once it is durable,
+// and the closed replica, whose Stage fails, answers OK: false and is
+// suspected. After every live Disk goes through its crash-recovery
+// boundary, every acked write is still held by a whole quorum and reads
+// back. It runs once on the default path and once WithDeterministic.
+func TestInMemoryWritesPersistBeforeAck(t *testing.T) {
+	const dead = 4
+	sys, err := systems.NewMaskingThreshold(13, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, deterministic := range []bool{false, true} {
+		t.Run(fmt.Sprintf("deterministic=%v", deterministic), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := []Option{WithSeed(17), WithStores(func(id int) (store.Store, error) {
+				return store.Open(filepath.Join(dir, fmt.Sprintf("server-%04d", id)))
+			})}
+			if deterministic {
+				opts = append(opts, WithDeterministic())
+			}
+			c, err := NewCluster(sys, 3, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Server(dead).Store().Close(); err != nil {
+				t.Fatal(err)
+			}
+			cl := c.NewClient(1)
+			suspected := func() bool {
+				cl.mu.Lock()
+				defer cl.mu.Unlock()
+				return cl.suspected.contains(dead)
+			}
+			var acked []string
+			for i := 0; len(acked) < 4 || !suspected(); i++ {
+				if i == 24 {
+					t.Fatalf("replica %d with a closed store not suspected after %d writes", dead, i)
+				}
+				key := fmt.Sprintf("key-%d", i)
+				if err := cl.WriteKey(ctx, key, "v-"+key); err != nil {
+					t.Fatalf("write %s: %v", key, err)
+				}
+				acked = append(acked, key)
+			}
+			for i := range c.N() {
+				if i == dead {
+					continue
+				}
+				if err := c.Server(i).Store().Reopen(); err != nil {
+					t.Fatalf("reopen server %d: %v", i, err)
+				}
+			}
+			// Each acked write was acked by a whole quorum of live
+			// replicas, so at least that many hold it after recovery.
+			reader := c.NewClient(2)
+			for _, key := range acked {
+				held := 0
+				for i := range c.N() {
+					if i != dead && c.Server(i).SnapshotKey(key).Value == "v-"+key {
+						held++
+					}
+				}
+				if held < sys.MinQuorumSize() {
+					t.Errorf("acked write %s survives recovery at %d replicas, want ≥ a quorum of %d", key, held, sys.MinQuorumSize())
+				}
+				if got, err := reader.ReadKey(ctx, key); err != nil || got.Value != "v-"+key {
+					t.Errorf("acked write %s read back as %+v after recovery (err %v)", key, got, err)
+				}
+			}
+		})
+	}
+}
+
 func TestParseBehaviorRestart(t *testing.T) {
 	b, err := ParseBehavior("restart")
 	if err != nil || b != Restart {

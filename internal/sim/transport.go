@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bqs/internal/store"
 )
 
 // Op identifies a protocol message. The [MR98a] register protocol needs
@@ -62,7 +64,9 @@ type Response struct {
 
 // Transport delivers protocol messages to servers. Implementations must be
 // safe for concurrent use by many client goroutines and must honor ctx:
-// once the context is done, Invoke returns promptly with ctx.Err().
+// once the context is done, Invoke returns promptly with ctx.Err(). The
+// built-in transport checks ctx once per phase, at its start; after that
+// only a modelled latency's sleep notices it.
 //
 // A non-nil error aborts the client operation outright (cancellation,
 // deadline, or a transport-level failure); server unresponsiveness is NOT
@@ -78,9 +82,9 @@ type Transport interface {
 // answered. The contract mirrors Invoke — an unresponsive member is
 // Response{OK: false} in its slot, and the error return is reserved for
 // aborts, after which out must be left alone. A Cluster uses it for every
-// phase that neither runs inline nor goes through a Session's batcher, so
-// a transport that can issue a whole phase from the caller's goroutine
-// spares the cluster a goroutine per member.
+// phase that does not go through a Session's batcher, so a transport that
+// can issue a whole phase from the caller's goroutine spares the cluster a
+// goroutine per member.
 type PhaseTransport interface {
 	Transport
 	InvokePhase(ctx context.Context, members []int, req Request, out []Response) error
@@ -235,22 +239,62 @@ func (t *memTransport) dropped() bool {
 
 // Invoke delivers req to the given server, sleeping out the server's
 // modelled latency (interruptible by ctx) and losing the reply with the
-// configured drop probability.
+// configured drop probability: a phase of one member.
 func (t *memTransport) Invoke(ctx context.Context, server int, req Request) (Response, error) {
-	if err := ctx.Err(); err != nil {
-		return Response{}, err
+	var out [1]Response
+	err := t.invokePhase(ctx, []int{server}, req, out[:])
+	return out[0], err
+}
+
+// invokePhase serves a whole quorum phase on the caller's goroutine,
+// writing member k's reply to out[k]. ctx is checked and the server table
+// loaded once, then the members are called in order, each after its
+// modelled latency, if any, and its loss roll. A write is staged, not applied: once every member has it,
+// the phase waits on each pending commit, so members that share a group
+// commit share the wait, and a member whose commit failed answers
+// Response{OK: false} — nothing is acked before it is durable.
+func (t *memTransport) invokePhase(ctx context.Context, members []int, req Request, out []Response) error {
+	select { // Done takes no lock, where Err takes the context's mutex
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
 	}
 	st := t.state.Load()
-	if server < 0 || server >= len(st.servers) {
-		return Response{}, fmt.Errorf("sim: transport: server %d out of range [0,%d)", server, len(st.servers))
+	var commits []*store.Commit // made by the first member that must wait
+	for k, i := range members {
+		if i < 0 || i >= len(st.servers) {
+			return fmt.Errorf("sim: transport: server %d out of range [0,%d)", i, len(st.servers))
+		}
+		if err := t.sleep(ctx, st.latencyOf(i)); err != nil {
+			return err
+		}
+		if t.dropped() {
+			out[k] = Response{OK: false}
+			continue
+		}
+		var c *store.Commit
+		var err error
+		if req.Op == OpWrite {
+			out[k], c, err = st.servers[i].StageRequest(req)
+		} else {
+			out[k], err = st.servers[i].HandleRequest(req)
+		}
+		if err != nil {
+			return err
+		}
+		if c != nil {
+			if commits == nil {
+				commits = make([]*store.Commit, len(members))
+			}
+			commits[k] = c
+		}
 	}
-	if err := t.sleep(ctx, st.latencyOf(server)); err != nil {
-		return Response{}, err
+	for k, c := range commits {
+		if c.Wait() != nil {
+			out[k] = Response{OK: false}
+		}
 	}
-	if t.dropped() {
-		return Response{OK: false}, nil
-	}
-	return st.servers[server].HandleRequest(req)
+	return nil
 }
 
 // InvokeBatch implements BatchTransport: the frame pays ONE round trip —

@@ -138,9 +138,10 @@ func Stage(st Store, rec Record) (*Commit, error) {
 // commit, or on anything an engine this package does not know might do —
 // and so whether Stage can hand back a Commit that is not yet finished.
 // Only no engine at all (nil) and a *Mem answer at once; a wrapper around
-// a *Mem is another type and so counts as blocking. Callers use it to
-// decide whether a replica's work may run on a goroutine that must not
-// stall.
+// a *Mem is another type and so counts as blocking. Its callers are in
+// the wire package: a shard serves batch frames on its connection read
+// loop only when no replica's store may block. (An in-memory sim phase
+// needs no answer: it stages every write and then waits on the commits.)
 func MayBlock(st Store) bool {
 	switch st.(type) {
 	case nil, *Mem:
