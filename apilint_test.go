@@ -39,8 +39,6 @@ var apiAllowlist = map[string]string{
 	"core.IsBMasking":                     "ROADMAP 10: the intersection column",
 	"core.ExplicitSystem.IsTransversal":   "ROADMAP 10: the intersection column",
 	"wire.Client.FetchConfig":             "ROADMAP 25(a): the unanimity follower",
-	"sim.Cluster.NewDisseminationClient":  "ROADMAP 28: the dissemination rule",
-	"systems.NewDisseminationThreshold":   "ROADMAP 28: the dissemination rule",
 	"combin.TailUpperBound":               "ROADMAP 29(b): Lemma A.2 column",
 	"measures.LoadFair":                   "ROADMAP 29(b): Proposition 3.9 column",
 	"systems.RT.CrashUpperBound":          "ROADMAP 29(b): Proposition 5.7 column",

@@ -63,15 +63,15 @@ type (
 	// Cluster is a simulated server fleet behind a masking quorum system,
 	// safe for any number of concurrent clients.
 	Cluster = sim.Cluster
-	// Client reads and writes the replicated variable via quorums; its
-	// context-aware operations probe quorum members inline when no probe
-	// can block and in parallel otherwise, and honor deadlines and
-	// cancellation. Cluster.NewClient returns one running the masking
-	// protocol, Cluster.NewDisseminationClient one running the [MR98a]
-	// self-verifying-data protocol, which needs only IS ≥ b+1.
+	// Client reads and writes the replicated variable via quorums with
+	// the b-masking protocol (Cluster.NewClient), and its context-aware
+	// operations honor deadlines and cancellation. A quorum phase runs on
+	// the caller's goroutine: one call over the built-in transport
+	// without a latency model, and over TCP one frame per member with one
+	// flush per shard connection. It fans out a goroutine per member only
+	// for a Session's probes, or under a latency model or a custom
+	// WithTransport without WithDeterministic.
 	Client = sim.Client
-	// Authenticator simulates the signature scheme dissemination relies on.
-	Authenticator = sim.Authenticator
 	// Behavior is a server fault mode for injection.
 	Behavior = sim.Behavior
 	// TaggedValue is a register value with its write timestamp.
@@ -302,10 +302,6 @@ func WithOptimalStrategy() ClusterOption { return sim.WithOptimalStrategy() }
 // WithSessionBatch sets how many probes a session frame holds before it
 // flushes; 1 disables coalescing (the unbatched baseline).
 func WithSessionBatch(n int) SessionOption { return sim.WithSessionBatch(n) }
-
-// NewAuthenticator returns the simulated signature registry used by
-// Cluster.NewDisseminationClient.
-func NewAuthenticator() *Authenticator { return sim.NewAuthenticator() }
 
 // NewInMemoryTransport returns the stock lossless zero-latency transport
 // over the given servers, for wrapping in WithTransport factories.

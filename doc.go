@@ -28,15 +28,16 @@
 //     independently per key, for exercising the constructions end to end
 //     under injected crash and Byzantine faults: a concurrent,
 //     context-aware quorum-access engine (Cluster/Client over a pluggable
-//     Transport) that probes quorum members inline when no probe can
-//     block and in parallel otherwise, supports any number of concurrent
-//     clients, and measures empirical
-//     load from live traffic (Cluster.LoadProfile) for comparison against
-//     the Theorem 4.1 bounds. There is one Client and one quorum-access
-//     loop; what separates the masking protocol (Cluster.NewClient) from
-//     the dissemination one (Cluster.NewDisseminationClient) is only the
-//     reply-acceptance rule — b+1 matching votes, or a verified
-//     signature. A masking write takes the (b+1)-th largest timestamp a
+//     Transport) that supports any number of concurrent clients and
+//     measures empirical load from live traffic (Cluster.LoadProfile) for
+//     comparison against the Theorem 4.1 bounds. A quorum phase is one
+//     call on the caller's goroutine over the built-in transport without
+//     a latency model, and over TCP one frame per member with one flush
+//     per shard connection; it fans out a goroutine per member only for
+//     a Session's probes, or under a latency model or a custom
+//     WithTransport without WithDeterministic. A client
+//     (Cluster.NewClient) believes a value only when b+1 replies of a
+//     quorum agree on it. A write takes the (b+1)-th largest timestamp a
 //     quorum reports: some correct server reported at least that, so b
 //     liars cannot inflate it, and b+1 correct servers report at least
 //     any completed write's, so it dominates them all — with no vote to

@@ -12,10 +12,8 @@ import (
 	"bqs/internal/bitset"
 )
 
-// Client accesses the keyed object space through quorums, under either
-// protocol of [MR98a]: NewClient attaches the masking rule,
-// NewDisseminationClient the signed one (see acceptance — the rule is the
-// only thing the two protocols do differently). Each client owns its rng
+// Client accesses the keyed object space through quorums with the
+// b-masking protocol of [MR98a] (see masking). Each client owns its rng
 // and suspicion state, so distinct clients can run concurrently without
 // sharing anything but the cluster; a single Client is also safe to share
 // across goroutines — its internal mutex guards only the rng, suspicion
@@ -25,7 +23,7 @@ import (
 type Client struct {
 	id      int
 	cluster *Cluster
-	rule    acceptance
+	rule    masking
 
 	mu        sync.Mutex
 	rng       *rand.Rand
@@ -55,13 +53,11 @@ var (
 )
 
 // NewClient attaches a masking-protocol client to the cluster.
-func (c *Cluster) NewClient(id int) *Client { return c.newClient(id, masking{c.b}) }
-
-func (c *Cluster) newClient(id int, rule acceptance) *Client {
+func (c *Cluster) NewClient(id int) *Client {
 	return &Client{
 		id:         id,
 		cluster:    c,
-		rule:       rule,
+		rule:       masking{c.b},
 		rng:        c.clientRNG(id),
 		suspected:  newSuspicion(c.N()),
 		lastSeq:    make(map[string]int64),
@@ -69,39 +65,16 @@ func (c *Cluster) newClient(id int, rule acceptance) *Client {
 	}
 }
 
-// acceptance is the reply-acceptance rule: which answers of a quorum a
-// client may believe. It is the whole difference between the two quorum
-// varieties of Section 3 (after [MR98a]) — b-masking systems
-// (|Q₁∩Q₂| ≥ 2b+1, arbitrary data) and dissemination systems
-// (|Q₁∩Q₂| ≥ b+1, self-verifying data) — so it is the only thing the
-// two protocols implement separately. Every method is handed the replies
-// of a COMPLETE quorum (each member answered; quorumOp guarantees it) and
-// is defined for every such set, so no phase of either protocol retries
+// masking is the b-masking reply-acceptance rule of Section 3 (after
+// [MR98a]), for quorum systems with |Q₁∩Q₂| ≥ 2b+1: believe what b+1
+// servers agree on, since at most b of them lie. Both methods are handed
+// the replies of a COMPLETE quorum (each member answered; quorumOp
+// guarantees it) and are defined for every such set, so no phase retries
 // for any reason but a silent member. The replies come as a slice in
 // whatever order the phase gathered them — ascending server order when
-// one call serves the whole phase — and no rule may depend on that order.
-type acceptance interface {
-	// timestampOp is the op a write's timestamp phase sends: the rule's
-	// timestamp method must be able to judge the replies it draws.
-	timestampOp() Op
-	// timestamp returns, from a quorum's timestampOp replies, a
-	// timestamp that dominates every completed write of key and that at
-	// most b lying servers cannot inflate.
-	timestamp(key string, replies []Response) Timestamp
-	// value returns the newest believable value among a quorum's OpRead
-	// replies, and false when the rule believes none of them.
-	value(key string, replies []Response) (TaggedValue, bool)
-	// sign makes tv believable under this rule before it is stored.
-	sign(key string, tv TaggedValue)
-}
-
-// masking is the b-masking rule: believe what b+1 servers agree on, since
-// at most b of them lie.
+// one call serves the whole phase — and neither method depends on that
+// order.
 type masking struct{ b int }
-
-// timestampOp is OpReadTimestamps: the rule counts timestamps alone, so
-// the members need not send their values.
-func (masking) timestampOp() Op { return OpReadTimestamps }
 
 // timestamp returns the (b+1)-th largest reported timestamp. At least one
 // correct server reported something ≥ it, so b fabricators cannot run the
@@ -111,7 +84,7 @@ func (masking) timestampOp() Op { return OpReadTimestamps }
 // timestamps it exists for every reply set — a quorum that catches many
 // writes in flight agrees on nothing — which is what makes the timestamp
 // phase wait-free. Fewer than b+1 replies yield the zero timestamp.
-func (m masking) timestamp(_ string, replies []Response) Timestamp {
+func (m masking) timestamp(replies []Response) Timestamp {
 	// top holds the (up to) b+1 largest timestamps seen, descending; it
 	// lives on the stack for every b a test or benchmark here uses.
 	var buf [8]Timestamp
@@ -143,7 +116,7 @@ func (m masking) timestamp(_ string, replies []Response) Timestamp {
 // value returns the highest-timestamped pair with ≥ b+1 identical votes:
 // b+1 voters include a correct server, and correct servers only serve
 // what a writer wrote.
-func (m masking) value(_ string, replies []Response) (TaggedValue, bool) {
+func (m masking) value(replies []Response) (TaggedValue, bool) {
 	// A quorum's replies hold few distinct pairs — one when no write is
 	// in flight — so a linear scan over a stack array tallies them without
 	// hashing any value; past eight distinct pairs the array spills to the
@@ -172,9 +145,6 @@ func (m masking) value(_ string, replies []Response) (TaggedValue, bool) {
 	}
 	return best, found
 }
-
-// sign is a no-op: masking data carries no proof, only votes.
-func (masking) sign(string, TaggedValue) {}
 
 // pickQuorum picks a quorum avoiding suspects — through the cluster's
 // picker, so selection follows the installed access strategy when one is
@@ -241,7 +211,7 @@ type opScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(opScratch) }}
 
-// quorumOp is the one retry loop every phase of both protocols runs: pick
+// quorumOp is the one retry loop every read and write phase runs: pick
 // a quorum avoiding suspects, probe every member (through via when it is
 // non-nil — a Session's batcher — else the cluster's transport), charging
 // each phase to the client's load stripe, suspect the silent ones, and
@@ -274,12 +244,13 @@ func (cl *Client) quorumOp(ctx context.Context, req Request, via Transport, sc *
 	return nil, ErrRetriesExhausted
 }
 
-// nextTS mints the write timestamp: one past the timestamp the rule drew
-// from phase 1, bumped past every timestamp this client already minted
-// for the key. The floor is what keeps CONCURRENT writes by one client to
-// one key from colliding — both may observe the same quorum timestamp,
-// and (Seq, Writer) pairs must stay unique per value or the vouching
-// rules could count votes for two different values under one timestamp.
+// nextTS mints the write timestamp: one past the timestamp the masking
+// rule drew from phase 1, bumped past every timestamp this client already
+// minted for the key. The floor is what keeps CONCURRENT writes by one
+// client to one key from colliding — both may observe the same quorum
+// timestamp, and (Seq, Writer) pairs must stay unique per value or the
+// vouching rule could count votes for two different values under one
+// timestamp.
 func (cl *Client) nextTS(key string, observed Timestamp) Timestamp {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -320,12 +291,11 @@ func (cl *Client) Write(ctx context.Context, value string) error {
 }
 
 // WriteKey performs the [MR98a] write on key's register: draw from some
-// quorum a timestamp greater than that of any completed write (the
-// (b+1)-th largest reported under the masking rule, the largest VERIFIED
-// one under the signed rule — servers that cannot sign cannot inflate
-// it), sign (key, value, ts) if the protocol signs, then store it at
-// every member of a quorum. Timestamps are per key, so the protocol's
-// safety argument applies to each key independently. It returns as soon
+// quorum's timestamp-only replies a timestamp greater than that of any
+// completed write (the (b+1)-th largest reported, which b liars cannot
+// inflate), then store (value, ts) at every member of a quorum.
+// Timestamps are per key, so the protocol's safety argument applies to
+// each key independently. It returns as soon
 // as ctx is done, with an error wrapping ctx.Err().
 func (cl *Client) WriteKey(ctx context.Context, key, value string) error {
 	return cl.writeKey(ctx, key, value, nil)
@@ -341,12 +311,11 @@ func (cl *Client) writeKey(ctx context.Context, key, value string, via Transport
 	defer func() { cl.end(st, false, start, err) }()
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	replies, err := cl.quorumOp(ctx, Request{Op: cl.rule.timestampOp(), Key: key, ReaderID: cl.id}, via, sc)
+	replies, err := cl.quorumOp(ctx, Request{Op: OpReadTimestamps, Key: key, ReaderID: cl.id}, via, sc)
 	if err != nil {
 		return fmt.Errorf("sim: write: %w", err)
 	}
-	tv := TaggedValue{Value: value, TS: cl.nextTS(key, cl.rule.timestamp(key, replies))}
-	cl.rule.sign(key, tv)
+	tv := TaggedValue{Value: value, TS: cl.nextTS(key, cl.rule.timestamp(replies))}
 	if _, err = cl.quorumOp(ctx, Request{Op: OpWrite, Key: key, Value: tv}, via, sc); err != nil {
 		return fmt.Errorf("sim: write: %w", err)
 	}
@@ -360,14 +329,10 @@ func (cl *Client) Read(ctx context.Context) (TaggedValue, error) {
 }
 
 // ReadKey performs the [MR98a] read on key's register: gather answers
-// from a quorum and return the newest one the client's rule
-// believes. Masking keeps pairs vouched for by ≥ b+1 members; with
-// IS ≥ 2b+1 every read quorum shares b+1 correct servers with the last
-// write quorum. The signed rule keeps verified pairs; with IS ≥ b+1
-// every read quorum shares a correct server with the last write quorum,
-// so the newest authentic value is always present, and values signed for
-// other keys fail verification, which is what stops cross-key replay. It
-// returns as soon as ctx is done, with an error wrapping ctx.Err().
+// from a quorum and return the newest pair vouched for by ≥ b+1
+// members; with IS ≥ 2b+1 every read quorum shares b+1 correct servers
+// with the last write quorum. It returns as soon as ctx is done, with an
+// error wrapping ctx.Err().
 func (cl *Client) ReadKey(ctx context.Context, key string) (TaggedValue, error) {
 	return cl.readKey(ctx, key, nil)
 }
@@ -386,7 +351,7 @@ func (cl *Client) readKey(ctx context.Context, key string, via Transport) (tv Ta
 	if err != nil {
 		return TaggedValue{}, fmt.Errorf("sim: read: %w", err)
 	}
-	tv, ok := cl.rule.value(key, replies)
+	tv, ok := cl.rule.value(replies)
 	if !ok {
 		return TaggedValue{}, ErrNoCandidate
 	}

@@ -66,11 +66,11 @@ func TestTimestampPhaseIsWaitFree(t *testing.T) {
 	}
 }
 
-// TestAcceptanceRules checks the two reply-acceptance rules as the pure
-// functions they are: what a complete quorum's replies make a client
+// TestAcceptanceRules checks the masking reply-acceptance rule as the
+// pure functions it is: what a complete quorum's replies make a client
 // believe, with no cluster behind them. Every case runs on its reply
 // slice and on the reverse of it: an in-memory phase gathers replies in
-// ascending server order, the parallel one in arrival order, and a rule
+// ascending server order, the parallel one in arrival order, and the rule
 // must believe the same thing either way.
 func TestAcceptanceRules(t *testing.T) {
 	const b = 2
@@ -94,14 +94,9 @@ func TestAcceptanceRules(t *testing.T) {
 	older := TaggedValue{Value: "v3", TS: ts(3)}
 	fake := TaggedValue{Value: FabricatedValue, TS: forged}
 
-	auth := NewAuthenticator()
-	auth.Sign("k", honest)
-	auth.Sign("k", older)
-	auth.Sign("other", TaggedValue{Value: "v9", TS: ts(9)})
-
 	cases := []struct {
 		name    string
-		rule    acceptance
+		rule    masking
 		replies []Response
 		wantTS  Timestamp
 		wantVal TaggedValue
@@ -119,15 +114,6 @@ func TestAcceptanceRules(t *testing.T) {
 		{"masking: never-written key reads as the empty register", masking{b}, replies(group{2*b + 1, TaggedValue{}}), Timestamp{}, TaggedValue{}, true},
 		{"masking: empty reply set", masking{b}, replies(), Timestamp{}, TaggedValue{}, false},
 		{"masking: b past the stack buffer", masking{9}, replies(group{9, fake}, group{10, honest}), ts(5), honest, true},
-
-		{"signed: one verified reply beats any number of unsigned ones",
-			signed{auth}, replies(group{2 * b, fake}, group{1, honest}), ts(5), honest, true},
-		{"signed: the highest verified reply wins",
-			signed{auth}, replies(group{1, honest}, group{3, older}), ts(5), honest, true},
-		{"signed: a value signed for another key never wins",
-			signed{auth}, replies(group{b, TaggedValue{Value: "v9", TS: ts(9)}}, group{1, older}), ts(3), older, true},
-		{"signed: never-written key", signed{auth}, replies(group{b + 1, TaggedValue{}}), Timestamp{}, TaggedValue{}, false},
-		{"signed: empty reply set", signed{auth}, replies(), Timestamp{}, TaggedValue{}, false},
 	}
 	for _, tc := range cases {
 		reversed := slices.Clone(tc.replies)
@@ -136,21 +122,14 @@ func TestAcceptanceRules(t *testing.T) {
 			name    string
 			replies []Response
 		}{{"as built", tc.replies}, {"reversed", reversed}} {
-			if got := tc.rule.timestamp("k", order.replies); got != tc.wantTS {
+			if got := tc.rule.timestamp(order.replies); got != tc.wantTS {
 				t.Errorf("%s (%s): timestamp = %+v, want %+v", tc.name, order.name, got, tc.wantTS)
 			}
-			got, ok := tc.rule.value("k", order.replies)
+			got, ok := tc.rule.value(order.replies)
 			if ok != tc.wantOK || got != tc.wantVal {
 				t.Errorf("%s (%s): value = %+v (believed %v), want %+v (believed %v)", tc.name, order.name, got, ok, tc.wantVal, tc.wantOK)
 			}
 		}
-	}
-	// sign is what makes a value believable under the signed rule, and only
-	// for the key it was signed for.
-	fresh := TaggedValue{Value: "v6", TS: ts(6)}
-	signed{auth}.sign("k", fresh)
-	if !auth.Verify("k", fresh) || auth.Verify("other", fresh) {
-		t.Error("signed.sign did not bind the value to exactly its key")
 	}
 }
 
@@ -189,7 +168,7 @@ func TestMaskingValue(t *testing.T) {
 		{"newest vouched pair wins", 1, replies(tv("a", 4), tv("a", 4), tv("b", 6), tv("b", 6), tv("c", 8)), tv("b", 6), true},
 		{"no pair with b+1 votes", 2, replies(tv("a", 1), tv("a", 1), tv("b", 2), tv("b", 2), tv("c", 3)), TaggedValue{}, false},
 	} {
-		got, found := masking{tc.b}.value("k", tc.replies)
+		got, found := masking{tc.b}.value(tc.replies)
 		if got != tc.want || found != tc.found {
 			t.Errorf("%s: value = %+v, %v; want %+v, %v", tc.name, got, found, tc.want, tc.found)
 		}

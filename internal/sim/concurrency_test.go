@@ -81,52 +81,6 @@ func TestConcurrentClientsStress(t *testing.T) {
 	t.Logf("stress: %d reads, %d writes, %d no-candidate retries", reads.Load(), writes.Load(), noCandidate.Load())
 }
 
-// TestConcurrentDisseminationClients gives the second protocol the same
-// -race workout: concurrent signed writers and readers must only ever
-// observe verified values.
-func TestConcurrentDisseminationClients(t *testing.T) {
-	const b = 2
-	sys, err := systems.NewDisseminationThreshold(3*b+1, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCluster(sys, 0, WithSeed(103))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.InjectFault(ByzantineFabricate, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	auth := NewAuthenticator()
-	var wg sync.WaitGroup
-	for id := 0; id < 16; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			dc := c.NewDisseminationClient(id, auth)
-			for op := 0; op < 10; op++ {
-				if id%2 == 0 {
-					if err := dc.Write(ctx, fmt.Sprintf("s%d-%d", id, op)); err != nil {
-						t.Errorf("client %d: %v", id, err)
-						return
-					}
-					continue
-				}
-				got, err := dc.Read(ctx)
-				if err != nil && !errors.Is(err, ErrNoCandidate) {
-					t.Errorf("client %d: %v", id, err)
-					return
-				}
-				if err == nil && got.Value != "" && !auth.Verify(DefaultKey, got) {
-					t.Errorf("client %d read unverified %q", id, got.Value)
-					return
-				}
-			}
-		}(id)
-	}
-	wg.Wait()
-}
-
 // TestCanceledContextAborts checks that an already-canceled context makes
 // Read and Write fail immediately with context.Canceled.
 func TestCanceledContextAborts(t *testing.T) {
@@ -142,13 +96,6 @@ func TestCanceledContextAborts(t *testing.T) {
 	}
 	if err := cl.Write(canceled, "never"); !errors.Is(err, context.Canceled) {
 		t.Errorf("write err = %v, want context.Canceled", err)
-	}
-	dc := c.NewDisseminationClient(2, NewAuthenticator())
-	if _, err := dc.Read(canceled); !errors.Is(err, context.Canceled) {
-		t.Errorf("dissemination read err = %v, want context.Canceled", err)
-	}
-	if err := dc.Write(canceled, "never"); !errors.Is(err, context.Canceled) {
-		t.Errorf("dissemination write err = %v, want context.Canceled", err)
 	}
 }
 

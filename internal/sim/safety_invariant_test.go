@@ -219,10 +219,6 @@ func checkHistory(t *testing.T, hist []histEntry, log *corruptionLog, b int) int
 	return checked
 }
 
-// historyFleet is the protocol under the checker: a b=1 fleet and the
-// constructor of the clients that access it.
-type historyFleet func(t *testing.T) (*Cluster, func(id int) *Client)
-
 // newThresholdCluster builds a cluster over Threshold(n=4b+1, ℓ=3b+1).
 func newThresholdCluster(t *testing.T, b int, seed int64) *Cluster {
 	t.Helper()
@@ -237,33 +233,12 @@ func newThresholdCluster(t *testing.T, b int, seed int64) *Cluster {
 	return c
 }
 
-// maskingFleet runs the masking protocol over Threshold(5,1).
-func maskingFleet(t *testing.T) (*Cluster, func(id int) *Client) {
-	c := newThresholdCluster(t, 1, 31)
-	return c, c.NewClient
-}
-
-// disseminationFleet runs the signed protocol over the dissemination
-// threshold at n=3b+1, whose intersections are only b+1.
-func disseminationFleet(t *testing.T) (*Cluster, func(id int) *Client) {
-	sys, err := systems.NewDisseminationThreshold(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCluster(sys, 0, WithSeed(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	auth := NewAuthenticator()
-	return c, func(id int) *Client { return c.NewDisseminationClient(id, auth) }
-}
-
-// runAdversarialHistory drives writer+readers against the given b=1
-// fleet while the given adversary corrupts servers, and returns the
-// completed-operation history plus the corruption log.
-func runAdversarialHistory(t *testing.T, fleet historyFleet, cfg AdversaryConfig) ([]histEntry, *corruptionLog) {
+// runAdversarialHistory drives writer+readers against a b=1 masking
+// fleet over Threshold(5,1) while the given adversary corrupts servers,
+// and returns the completed-operation history plus the corruption log.
+func runAdversarialHistory(t *testing.T, cfg AdversaryConfig) ([]histEntry, *corruptionLog) {
 	t.Helper()
-	c, newClient := fleet(t)
+	c := newThresholdCluster(t, 1, 31)
 	defer c.Close()
 
 	runCtx, cancel := context.WithCancel(context.Background())
@@ -296,7 +271,7 @@ func runAdversarialHistory(t *testing.T, fleet historyFleet, cfg AdversaryConfig
 	ops.Add(1)
 	go func() {
 		defer ops.Done()
-		w := newClient(100)
+		w := c.NewClient(100)
 		w.MaxRetries = 4 * c.N()
 		w.SuspicionTTL = 5 * time.Millisecond
 		for i := 0; i < writes; i++ {
@@ -310,7 +285,7 @@ func runAdversarialHistory(t *testing.T, fleet historyFleet, cfg AdversaryConfig
 		}
 	}()
 	readLoop := func(id, count int) {
-		cl := newClient(200 + id)
+		cl := c.NewClient(200 + id)
 		cl.MaxRetries = 4 * c.N()
 		cl.SuspicionTTL = 5 * time.Millisecond
 		for i := 0; i < count; i++ {
@@ -373,7 +348,7 @@ func assertSafeHistory(t *testing.T, hist []histEntry, log *corruptionLog, b int
 }
 
 func TestSafetyUnderRandomFabricatingAdversary(t *testing.T) {
-	hist, log := runAdversarialHistory(t, maskingFleet, AdversaryConfig{
+	hist, log := runAdversarialHistory(t, AdversaryConfig{
 		Kind: AdversaryRandom, B: 1, Behavior: ByzantineFabricate,
 		Interval: 2 * time.Millisecond, Seed: 1,
 	})
@@ -381,7 +356,7 @@ func TestSafetyUnderRandomFabricatingAdversary(t *testing.T) {
 }
 
 func TestSafetyUnderTargetedStaleAdversary(t *testing.T) {
-	hist, log := runAdversarialHistory(t, maskingFleet, AdversaryConfig{
+	hist, log := runAdversarialHistory(t, AdversaryConfig{
 		Kind: AdversaryTargeted, B: 1, Behavior: ByzantineStale,
 		Interval: 2 * time.Millisecond,
 	})
@@ -391,25 +366,10 @@ func TestSafetyUnderTargetedStaleAdversary(t *testing.T) {
 func TestSafetyUnderTimingAdversary(t *testing.T) {
 	// Timing alternates ByzantineStale and ByzantineEquivocate on its
 	// own, completing the three-behavior coverage the suite promises.
-	hist, log := runAdversarialHistory(t, maskingFleet, AdversaryConfig{
+	hist, log := runAdversarialHistory(t, AdversaryConfig{
 		Kind: AdversaryTiming, B: 1, Interval: 2 * time.Millisecond,
 	})
 	assertSafeHistory(t, hist, log, 1)
-}
-
-// The signed rule gets the same referee — both protocols are one Client,
-// so one harness: it must reject the fabrications it cannot verify and
-// still find the newest signed value behind a (verifying) stale replay.
-func TestDisseminationSafetyUnderAdversaries(t *testing.T) {
-	for name, cfg := range map[string]AdversaryConfig{
-		"random-fabricate": {Kind: AdversaryRandom, B: 1, Behavior: ByzantineFabricate, Interval: 2 * time.Millisecond, Seed: 1},
-		"targeted-stale":   {Kind: AdversaryTargeted, B: 1, Behavior: ByzantineStale, Interval: 2 * time.Millisecond},
-	} {
-		t.Run(name, func(t *testing.T) {
-			hist, log := runAdversarialHistory(t, disseminationFleet, cfg)
-			assertSafeHistory(t, hist, log, 1)
-		})
-	}
 }
 
 // TestRollingResizeHistoryStaysSafe is the -race rolling-resize safety

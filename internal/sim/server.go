@@ -10,10 +10,8 @@
 // key by key. Fault injection covers crashes (silent servers) and several
 // Byzantine behaviors (fabrication, stale replay, equivocation), so tests
 // can demonstrate both the protocol's guarantees at ≤ b faults and its
-// collapse past the 2b+1 bound. The dissemination protocol of [MR98a]
-// (self-verifying data, intersections of b+1) is the same Client running
-// the same quorum-access loop with a different reply-acceptance rule —
-// see acceptance in client.go.
+// collapse past the 2b+1 bound. The reply-acceptance rule — which
+// answers of a quorum a client may believe — is masking in client.go.
 //
 // The access layer is a concurrent engine: clients take a context.Context
 // and probe quorum members through a pluggable Transport (the built-in

@@ -495,56 +495,3 @@ func TestNextTSConcurrentWritersDistinct(t *testing.T) {
 		}
 	}
 }
-
-// TestAuthenticatorKeyBinding pins the dissemination signature binding:
-// a value signed for one key must not verify for another, or a
-// Byzantine server could replay key A's signed state as an answer about
-// key B.
-func TestAuthenticatorKeyBinding(t *testing.T) {
-	auth := NewAuthenticator()
-	tv := TaggedValue{Value: "signed", TS: Timestamp{Seq: 3, Writer: 1}}
-	auth.Sign("a", tv)
-	if !auth.Verify("a", tv) {
-		t.Fatal("signed value fails verification under its own key")
-	}
-	if auth.Verify("b", tv) {
-		t.Fatal("value signed for key a verifies for key b (cross-key replay)")
-	}
-}
-
-// TestDisseminationSessionKeyed runs the dissemination protocol's keyed
-// session path end to end on a b+1-intersecting threshold system.
-func TestDisseminationSessionKeyed(t *testing.T) {
-	sys, err := systems.NewDisseminationThreshold(9, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCluster(sys, 0, WithSeed(6)) // dissemination masks via signatures, not b+1 votes
-	if err != nil {
-		t.Fatal(err)
-	}
-	auth := NewAuthenticator()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	sess := c.NewDisseminationClient(1, auth).NewSession(WithSessionBatch(4))
-	defer sess.Close()
-	writes := make([]*WriteFuture, 4)
-	for k := range writes {
-		writes[k] = sess.WriteAsync(ctx, fmt.Sprintf("d/k%d", k), fmt.Sprintf("dv%d", k))
-	}
-	for k, f := range writes {
-		if err := f.Wait(); err != nil {
-			t.Fatalf("write k%d: %v", k, err)
-		}
-	}
-	for k := 0; k < 4; k++ {
-		tv, err := sess.Read(ctx, fmt.Sprintf("d/k%d", k))
-		if err != nil {
-			t.Fatalf("read k%d: %v", k, err)
-		}
-		if want := fmt.Sprintf("dv%d", k); tv.Value != want {
-			t.Fatalf("key d/k%d: got %q want %q", k, tv.Value, want)
-		}
-	}
-}

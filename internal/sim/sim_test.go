@@ -336,6 +336,91 @@ func TestViolationPast2bPlus1(t *testing.T) {
 	}
 }
 
+// TestMaskingProtocolNeedsBiggerIntersections is the contrast that shows
+// why Definition 3.5 asks for 2b+1: on a threshold system whose quorums
+// meet in only b+1 servers, b stale servers in the intersection of a
+// write quorum and a read quorum leave the newer value one honest vote,
+// and the masking read believes the older one. NewCluster refuses to
+// claim b on such a system, so the test stores the two writes on the
+// servers directly and asks the masking rule what the read quorum's
+// replies make it believe.
+func TestMaskingProtocolNeedsBiggerIntersections(t *testing.T) {
+	const b, n = 3, 10
+	sys, err := systems.NewThreshold(n, (n+b+2)/2) // ⌈(n+b+1)/2⌉ = 7
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.MinIntersection(); got != b+1 {
+		t.Fatalf("IS = %d, want b+1 = %d", got, b+1)
+	}
+	if _, err := NewCluster(sys, b); err == nil {
+		t.Fatalf("NewCluster accepted b=%d over IS = b+1", b)
+	}
+	c, err := NewCluster(sys, 0, WithSeed(89))
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(tv TaggedValue, members ...int) {
+		for _, i := range members {
+			if _, err := c.Server(i).HandleRequest(Request{Op: OpWrite, Key: DefaultKey, Value: tv}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	v1 := TaggedValue{Value: "v1", TS: Timestamp{Seq: 1, Writer: 1}}
+	v2 := TaggedValue{Value: "v2", TS: Timestamp{Seq: 2, Writer: 1}}
+	put(v1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	// The write quorum {0..6} and the read quorum {3..9} meet in
+	// {3, 4, 5, 6}; b of those replay v1 from here on.
+	if err := c.InjectFault(ByzantineStale, 3, 4, 5); err != nil {
+		t.Fatal(err)
+	}
+	put(v2, 0, 1, 2, 3, 4, 5, 6)
+	var replies []Response
+	for i := 3; i < n; i++ {
+		resp, err := c.Server(i).HandleRequest(Request{Op: OpRead, Key: DefaultKey, ReaderID: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies = append(replies, resp)
+	}
+	if got, ok := (masking{b}).value(replies); !ok || got != v1 {
+		t.Fatalf("masking read over IS = b+1 believed %+v (%v), want the stale %+v", got, ok, v1)
+	}
+}
+
+// TestWritersTakeTurns alternates two writers. Each write's timestamp
+// phase must see the other writer's last write — it sits at ≥ b+1
+// correct members of any quorum, so the (b+1)-th largest reported
+// timestamp is at least its — so the sequence numbers run 1, 2, 3, …
+// and every read returns the latest write. TestLoopbackWriteTimestamps
+// checks the same over TCP.
+func TestWritersTakeTurns(t *testing.T) {
+	const b = 2
+	sys, err := systems.NewMaskingThreshold(9, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(sys, b, WithSeed(83))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writers := []*Client{c.NewClient(1), c.NewClient(2)}
+	r := c.NewClient(3)
+	for i := range 6 {
+		w := i % 2
+		value := fmt.Sprintf("turn-%d", i)
+		if err := writers[w].Write(ctx, value); err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Read(ctx)
+		want := TaggedValue{Value: value, TS: Timestamp{Seq: int64(i + 1), Writer: w + 1}}
+		if err != nil || got != want {
+			t.Fatalf("after turn %d read %+v (%v), want %+v", i, got, err, want)
+		}
+	}
+}
+
 func TestMultipleWritersLastWins(t *testing.T) {
 	c := newThresholdCluster(t, 1, 37)
 	w1 := c.NewClient(1)

@@ -12,9 +12,9 @@
 // path that replays snapshot + log tail, tolerating a torn final record.
 //
 // The unit of storage is a Record: one applied write of the keyed object
-// space, carrying (key, value, timestamp, writerID, signature). Apply is
-// last-writer-wins by timestamp — exactly the register merge rule the
-// protocol runs — so replaying any superset of the log in any order
+// space, carrying (key, value, timestamp, writerID, unused signature).
+// Apply is last-writer-wins by timestamp — exactly the register merge rule
+// the protocol runs — so replaying any superset of the log in any order
 // converges to the same state, which is what makes the recovery path
 // (snapshot possibly newer than the log tail, duplicated records after a
 // crashed compaction) correct without coordination.
@@ -28,10 +28,9 @@ import (
 
 // Record is one applied write: the durable form of a key's timestamped
 // register value. Seq and Writer are the [MR98a] timestamp (lexicographic
-// order on the pair); Sig carries the self-verifying signature when the
-// dissemination protocol's authenticated values are in use (empty for the
-// masking protocol, whose values are vouched by quorum intersection
-// instead).
+// order on the pair). No writer sets Sig: masking values are vouched for
+// by quorum intersection, not signed. The WAL keeps the slot so that logs
+// already on disk still decode.
 type Record struct {
 	Key    string
 	Value  string

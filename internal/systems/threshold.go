@@ -46,8 +46,9 @@ func NewThreshold(n, l int) (*Threshold, error) {
 }
 
 // NewMaskingThreshold builds the b-masking Threshold system of [MR98a]:
-// quorums of size ⌈(n+2b+1)/2⌉, which intersect in ≥ 2b+1 elements. It
-// requires n ≥ 4b+1 (necessary for any b-masking system).
+// quorums of size ⌈(n+2b+1)/2⌉, which intersect in ≥ 2b+1 elements, the
+// intersection sim's masking rule needs to outvote b liars. It requires
+// n ≥ 4b+1 (necessary for any b-masking system).
 func NewMaskingThreshold(n, b int) (*Threshold, error) {
 	if b < 0 {
 		return nil, fmt.Errorf("systems: masking threshold: b=%d must be non-negative", b)
@@ -61,27 +62,6 @@ func NewMaskingThreshold(n, b int) (*Threshold, error) {
 		return nil, err
 	}
 	t.name = fmt.Sprintf("Threshold(n=%d,b=%d)", n, b)
-	return t, nil
-}
-
-// NewDisseminationThreshold builds the threshold dissemination quorum
-// system of [MR98a] for self-verifying data: quorums of size
-// ⌈(n+b+1)/2⌉, which intersect in ≥ b+1 servers (at least one correct).
-// It requires n ≥ 3b+1. Use it with sim.Cluster.NewDisseminationClient,
-// not with the masking protocol (its intersections are below 2b+1).
-func NewDisseminationThreshold(n, b int) (*Threshold, error) {
-	if b < 0 {
-		return nil, fmt.Errorf("systems: dissemination threshold: b=%d must be non-negative", b)
-	}
-	if n < 3*b+1 {
-		return nil, fmt.Errorf("systems: dissemination threshold: n=%d < 3b+1=%d", n, 3*b+1)
-	}
-	l := (n + b + 1 + 1) / 2 // ⌈(n+b+1)/2⌉
-	t, err := NewThreshold(n, l)
-	if err != nil {
-		return nil, err
-	}
-	t.name = fmt.Sprintf("DissemThreshold(n=%d,b=%d)", n, b)
 	return t, nil
 }
 
