@@ -17,13 +17,16 @@ import (
 // the checksum failing, and recovery truncates back to the last intact
 // record. All integers are big-endian, matching the wire codec's
 // convention.
+//
+// The sig slot is written empty and, on read, bounds-checked and skipped,
+// so logs from when a Record carried a signature still recover.
 const (
 	recordHeaderLen = 4 + 4 // size + crc
 
 	// MaxKeyLen and MaxValueLen bound a record's fields, mirroring the
 	// wire codec's limits so anything that travelled a frame can be
-	// logged; MaxSigLen bounds the signature field. A size field past
-	// MaxPayload can only be corruption and stops recovery without
+	// logged; MaxSigLen bounds the skipped signature field. A size field
+	// past MaxPayload can only be corruption and stops recovery without
 	// attempting the allocation.
 	MaxKeyLen   = 1 << 12
 	MaxValueLen = 1 << 16
@@ -48,10 +51,7 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	if len(rec.Value) > MaxValueLen {
 		return dst, fmt.Errorf("store: value of %d bytes exceeds %d", len(rec.Value), MaxValueLen)
 	}
-	if len(rec.Sig) > MaxSigLen {
-		return dst, fmt.Errorf("store: signature of %d bytes exceeds %d", len(rec.Sig), MaxSigLen)
-	}
-	size := payloadOverhead + len(rec.Key) + len(rec.Value) + len(rec.Sig)
+	size := payloadOverhead + len(rec.Key) + len(rec.Value)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(size))
 	crcAt := len(dst)
 	dst = binary.BigEndian.AppendUint32(dst, 0) // checksum patched below
@@ -62,8 +62,7 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	dst = append(dst, rec.Value...)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(rec.Seq))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(rec.Writer))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(rec.Sig)))
-	dst = append(dst, rec.Sig...)
+	dst = binary.BigEndian.AppendUint16(dst, 0) // siglen: no signature
 	crc := crc32.Checksum(dst[payloadAt:], castagnoli)
 	binary.BigEndian.PutUint32(dst[crcAt:], crc)
 	return dst, nil
@@ -110,10 +109,7 @@ func DecodeRecord(p []byte) (Record, error) {
 	if len(p) != sigLen {
 		return rec, fmt.Errorf("store: record has %d signature bytes, header says %d", len(p), sigLen)
 	}
-	if sigLen > 0 {
-		rec.Sig = append([]byte(nil), p...)
-	}
-	return rec, nil
+	return rec, nil // the signature, if any, is skipped
 }
 
 // scanRecords walks the framed records in buf, calling fn for each

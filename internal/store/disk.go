@@ -227,11 +227,12 @@ func (d *Disk) Flushes() int64 {
 }
 
 // Get returns the current record for key. Reads are served from memory
-// and never wait on the log.
+// and never wait on the log; the key is hashed before the lock is taken.
 func (d *Disk) Get(key string) (Record, bool) {
+	h := hashKey(key)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.mem.get(key)
+	return d.mem.get(key, h)
 }
 
 // Range calls fn for every stored record, in key order, until fn

@@ -14,7 +14,7 @@ import (
 // slot and a probe compares keys only when the tags match. The Store API
 // never deletes a key, so the index is insert-only: it has no tombstones,
 // and growing it rehashes the slab. A lookup reads one slot line and the
-// record's line.
+// record's line, or two.
 //
 // A table is not safe for concurrent use; each engine guards its own.
 type table struct {
@@ -32,10 +32,13 @@ var hashSeed = maphash.MakeSeed()
 // one tag.
 var hashKey = func(key string) uint64 { return maphash.String(hashSeed, key) }
 
-// lookup returns the slot holding key, or the empty slot where its probe
-// ended, and the record's slab index (-1 when key is absent). The index
-// must have room: at least one empty slot.
+// lookup returns the slot holding key, whose hash is h, or the empty
+// slot where its probe ended, and the record's slab index (-1 when key is
+// absent). A non-empty index always has room: at least one empty slot.
 func (t *table) lookup(key string, h uint64) (slot uint64, idx int) {
+	if len(t.slots) == 0 {
+		return 0, -1
+	}
 	mask := uint64(len(t.slots) - 1)
 	tag := h >> 32
 	for i := h & mask; ; i = (i + 1) & mask {
@@ -51,12 +54,9 @@ func (t *table) lookup(key string, h uint64) (slot uint64, idx int) {
 	}
 }
 
-// get returns key's record.
-func (t *table) get(key string) (Record, bool) {
-	if len(t.slots) == 0 {
-		return Record{}, false
-	}
-	if _, idx := t.lookup(key, hashKey(key)); idx >= 0 {
+// get returns key's record; h is hashKey(key).
+func (t *table) get(key string, h uint64) (Record, bool) {
+	if _, idx := t.lookup(key, h); idx >= 0 {
 		return t.recs[idx], true
 	}
 	return Record{}, false
@@ -67,16 +67,18 @@ func (t *table) get(key string) (Record, bool) {
 // every engine, so replaying any superset of the writes in any order
 // converges to the same state.
 func (t *table) merge(rec Record) {
-	// Keep the index at most three quarters full, so probe runs stay short.
-	if 4*(len(t.recs)+1) > 3*len(t.slots) {
-		t.grow()
-	}
 	h := hashKey(rec.Key)
 	slot, idx := t.lookup(rec.Key, h)
 	switch {
 	case idx < 0:
 		t.recs = append(t.recs, rec)
-		t.slots[slot] = h>>32<<32 | uint64(len(t.recs))
+		// Keep the index at most three quarters full, so probe runs stay
+		// short. Only an insert fills it, and growing places rec too.
+		if 4*len(t.recs) > 3*len(t.slots) {
+			t.grow()
+		} else {
+			t.slots[slot] = h>>32<<32 | uint64(len(t.recs))
+		}
 	case rec.After(t.recs[idx]):
 		t.recs[idx] = rec
 	}

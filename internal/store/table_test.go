@@ -42,7 +42,7 @@ func runTableModel(t *testing.T, engines map[string]Store) {
 		want, wok := model[key]
 		for name, s := range engines {
 			got, ok := s.Get(key)
-			if ok != wok || !recordsEqual(got, want) {
+			if ok != wok || got != want {
 				t.Fatalf("%s: Get(%q) = %+v, %v; model has %+v, %v", name, key, got, ok, want, wok)
 			}
 		}
@@ -63,9 +63,6 @@ func runTableModel(t *testing.T, engines map[string]Store) {
 			key := fmt.Sprintf("key-%d-%x", len(keys), rng.Int63())
 			keys = append(keys, key)
 			rec := Record{Key: key, Value: "v0", Seq: rng.Int63n(4), Writer: rng.Int63n(3)}
-			if rng.Intn(4) == 0 {
-				rec.Sig = []byte{byte(rng.Intn(256))}
-			}
 			apply(rec)
 			// Rewrite a known key with an older, equal or newer timestamp.
 			old := model[keys[rng.Intn(len(keys))]]
@@ -90,7 +87,7 @@ func runTableModel(t *testing.T, engines map[string]Store) {
 		for name, s := range engines {
 			var got []string
 			s.Range(func(rec Record) bool {
-				if !recordsEqual(rec, model[rec.Key]) {
+				if rec != model[rec.Key] {
 					t.Fatalf("%s: Range yields %+v, model has %+v", name, rec, model[rec.Key])
 				}
 				got = append(got, rec.Key)
@@ -109,7 +106,7 @@ func runTableModel(t *testing.T, engines map[string]Store) {
 	}
 	for _, k := range keys {
 		want := model[k]
-		if got, ok := engines["disk"].Get(k); !ok || !recordsEqual(got, want) {
+		if got, ok := engines["disk"].Get(k); !ok || got != want {
 			t.Fatalf("disk after Reopen: Get(%q) = %+v, %v; want %+v", k, got, ok, want)
 		}
 		if _, ok := engines["mem"].Get(k); ok {
@@ -122,6 +119,38 @@ func runTableModel(t *testing.T, engines map[string]Store) {
 		}
 		if err := s.Apply(Record{Key: keys[0], Seq: 1 << 40}); err != ErrClosed {
 			t.Fatalf("%s: Apply after Close: %v, want ErrClosed", name, err)
+		}
+	}
+}
+
+// TestTableOverwriteAtThreshold fills a table to exactly three quarters
+// of its index, 6 of 8 slots and 12,288 of 16,384, and rewrites every key
+// with a newer and an older timestamp: an overwrite adds no key, so the
+// index must not grow. The next new key grows it.
+func TestTableOverwriteAtThreshold(t *testing.T) {
+	for _, slots := range []int{minSlots, 1 << 14} {
+		var tab table
+		full := slots * 3 / 4
+		for i := range full {
+			tab.merge(Record{Key: fmt.Sprint(i), Seq: 1})
+		}
+		if len(tab.slots) != slots {
+			t.Fatalf("%d keys in %d slots, want %d", full, len(tab.slots), slots)
+		}
+		for i := range full {
+			key := fmt.Sprint(i)
+			tab.merge(Record{Key: key, Value: "new", Seq: 2})
+			tab.merge(Record{Key: key, Value: "old", Seq: 0})
+			if rec, ok := tab.get(key, hashKey(key)); !ok || rec.Value != "new" {
+				t.Fatalf("Get(%q) = %+v, %v after overwrites", key, rec, ok)
+			}
+		}
+		if len(tab.recs) != full || len(tab.slots) != slots {
+			t.Fatalf("overwrites left %d keys in %d slots, want %d in %d", len(tab.recs), len(tab.slots), full, slots)
+		}
+		tab.merge(Record{Key: "new", Seq: 1})
+		if len(tab.slots) != 2*slots {
+			t.Fatalf("key %d of %d slots grew the index to %d, want %d", full+1, slots, len(tab.slots), 2*slots)
 		}
 	}
 }
@@ -190,14 +219,27 @@ func TestMemConcurrentGetApply(t *testing.T) {
 	}
 }
 
-// BenchmarkColdGet is the in-memory read phase's store work at the
-// benchmark's mem_kv shape: 13 Mem stores of 16,384 keys with 64-byte
-// values, and each iteration one random key looked up at 10 of them, as
-// a Threshold(13,3) read quorum does. The stores together outgrow the
-// cache, so unlike a hot-key loop it measures the misses a lookup
-// takes. One op is one phase.
+// BenchmarkColdGet is an in-memory read phase's store work: Mem stores
+// holding 64-byte values, and each iteration one random key looked up at
+// a quorum of them. The threshold arm is the benchmark's mem_kv shape, 13
+// stores of 16,384 keys and a 10-member Threshold(13,3) read quorum; the
+// mpath arm is mpath_read's, 100 stores of 1,024 keys and a 50-member
+// phase, as an M-Path(10,3) quorum over n=100 probes. Either way the
+// stores together outgrow the cache, so unlike a hot-key loop it measures
+// the misses a lookup takes. One op is one phase.
 func BenchmarkColdGet(b *testing.B) {
-	const stores, keys, quorum = 13, 1 << 14, 10
+	for _, arm := range []struct {
+		name                  string
+		stores, keys, members int
+	}{
+		{"threshold", 13, 1 << 14, 10},
+		{"mpath", 100, 1 << 10, 50},
+	} {
+		b.Run(arm.name, func(b *testing.B) { benchColdGet(b, arm.stores, arm.keys, arm.members) })
+	}
+}
+
+func benchColdGet(b *testing.B, stores, keys, members int) {
 	names := make([]string, keys)
 	mems := make([]*Mem, stores)
 	for i := range mems {
@@ -217,14 +259,14 @@ func BenchmarkColdGet(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		key, first := names[rng.Intn(keys)], rng.Intn(stores)
-		for j := range quorum {
+		for j := range members {
 			if rec, ok := mems[(first+j)%stores].Get(key); ok {
 				found += len(rec.Value)
 			}
 		}
 	}
 	b.StopTimer()
-	if found != b.N*quorum*64 {
-		b.Fatalf("found %d value bytes, want %d", found, b.N*quorum*64)
+	if found != b.N*members*64 {
+		b.Fatalf("found %d value bytes, want %d", found, b.N*members*64)
 	}
 }
