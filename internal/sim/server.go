@@ -209,9 +209,6 @@ func NewServer(id int, opts ...ServerOption) *Server {
 	return s
 }
 
-// Store returns the server's storage engine.
-func (s *Server) Store() store.Store { return s.store }
-
 // SetBehavior switches the server's fault mode. Turning ByzantineStale
 // copies the registers the server then holds, which it replays from then
 // on. Restart is special: it is the kill-and-recover transition, not a
@@ -330,7 +327,7 @@ func (s *Server) byzantineRead(key string) (TaggedValue, bool) {
 // HandleRequest dispatches a protocol message to the server and returns
 // its answer. This is the hook a message layer needs to host a replica:
 // the in-memory transport calls it directly, and the wire package's TCP
-// listener calls it, or StageRequest, for each decoded frame. A server
+// listener calls StageRequest for each decoded item. A server
 // that is unresponsive (crashed), or whose store failed to make a write
 // durable, answers Response{OK: false}; the error return is reserved for
 // malformed requests (an Op the protocol doesn't define).

@@ -171,7 +171,7 @@ func TestInMemoryWritesPersistBeforeAck(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if err := c.Server(dead).Store().Close(); err != nil {
+			if err := c.Server(dead).store.Close(); err != nil {
 				t.Fatal(err)
 			}
 			cl := c.NewClient(1)
@@ -195,7 +195,7 @@ func TestInMemoryWritesPersistBeforeAck(t *testing.T) {
 				if i == dead {
 					continue
 				}
-				if err := c.Server(i).Store().Reopen(); err != nil {
+				if err := c.Server(i).store.Reopen(); err != nil {
 					t.Fatalf("reopen server %d: %v", i, err)
 				}
 			}

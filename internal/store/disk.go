@@ -100,6 +100,11 @@ func (rs RecoveryStats) String() string {
 // the whole flush window), and a periodic snapshot + log truncation
 // keeping recovery replay bounded. All file writes happen on a single
 // flusher goroutine, so the WAL is strictly append-ordered.
+//
+// A write or fsync error stops the log until Reopen: every later Stage
+// fails with an error wrapping the cause, and nothing is appended or
+// compacted. Going on is unsound — recovery would cut later records away
+// with the torn bytes, and a failed fsync may have dropped dirty pages.
 type Disk struct {
 	dir           string
 	fsync         bool
@@ -116,6 +121,7 @@ type Disk struct {
 	staged   int     // records in pending
 	flushing bool    // a flusher goroutine owns the files
 	closed   bool
+	failed   error // why the log stopped; nil until a write or fsync fails, and again after Reopen
 
 	recovered RecoveryStats
 	flushes   int64
@@ -262,8 +268,8 @@ func (d *Disk) Range(fn func(Record) bool) {
 func (d *Disk) Stage(rec Record) (*Commit, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return nil, ErrClosed
+	if err := d.stoppedLocked(); err != nil {
+		return nil, err
 	}
 	var err error
 	if d.pending, err = AppendRecord(d.pending, rec); err != nil {
@@ -303,29 +309,38 @@ func (d *Disk) takePendingLocked() (buf []byte, c *Commit, staged int) {
 	return buf, c, staged
 }
 
-// cutOffLocked ends the pending commit with ErrClosed: its records were
-// acked to no one, so losing them is the torn-tail case recovery is
-// built for.
-func (d *Disk) cutOffLocked() {
+// stoppedLocked reports why the store takes no more records: ErrClosed,
+// or the failure that stopped its log; nil while it is open and well.
+func (d *Disk) stoppedLocked() error {
+	if d.closed {
+		return ErrClosed
+	}
+	return d.failed
+}
+
+// cutOffLocked ends the pending commit with err: its records were acked
+// to no one, so losing them is the torn-tail case recovery is built for.
+func (d *Disk) cutOffLocked(err error) {
 	_, c, _ := d.takePendingLocked()
-	c.finish(ErrClosed)
+	c.finish(err)
 }
 
 // flushLoop is the single goroutine with file access while it runs: it
 // drains pending batches (write + one fsync each), compacts when the
 // WAL passes the threshold, and exits when nothing is pending. Every
-// commit it takes is always finished, success or not.
+// commit it takes is always finished, success or not; after a failed
+// write it only cuts off what was staged meanwhile.
 func (d *Disk) flushLoop() {
 	d.mu.Lock()
 	for {
-		if d.walSize >= d.snapThreshold && !d.closed {
+		if d.walSize >= d.snapThreshold && d.stoppedLocked() == nil {
 			d.compactLocked()
 			continue
 		}
-		if d.fsync && !d.closed && d.commit != nil {
+		if d.fsync && d.stoppedLocked() == nil && d.commit != nil {
 			// Group-commit window: hold the flush open so concurrent
 			// Stages land in this batch instead of each paying their own
-			// fsync. Skipped on close so shutdown drains promptly.
+			// fsync. Skipped once stopped, so shutdown drains promptly.
 			d.mu.Unlock()
 			time.Sleep(commitLinger)
 			d.mu.Lock()
@@ -336,8 +351,8 @@ func (d *Disk) flushLoop() {
 			d.mu.Unlock()
 			return
 		}
-		if d.closed {
-			d.cutOffLocked()
+		if err := d.stoppedLocked(); err != nil {
+			d.cutOffLocked(err)
 			continue
 		}
 		buf, c, staged := d.takePendingLocked()
@@ -347,18 +362,18 @@ func (d *Disk) flushLoop() {
 		if err == nil && d.fsync {
 			err = wal.Sync()
 		}
-		if err == nil {
+		d.mu.Lock()
+		d.spare = buf
+		d.flushes++
+		if err != nil {
+			d.failed = fmt.Errorf("store: wal append failed, log stopped until Reopen: %w", err)
+		} else {
+			d.walSize += int64(len(buf))
 			if d.fsync {
 				d.mFsyncs.Inc()
 			}
 			d.mBatch.Observe(float64(staged))
 			d.mWALBytes.Add(int64(len(buf)))
-		}
-		d.mu.Lock()
-		d.spare = buf
-		d.flushes++
-		if err == nil {
-			d.walSize += int64(len(buf))
 		}
 		// Finished last, so a writer whose Wait returns finds its flush
 		// already counted in Flushes and the metrics.
@@ -441,7 +456,7 @@ func (d *Disk) releaseFilesLocked() {
 	d.flushing = false
 	d.cond.Broadcast()
 	if d.closed {
-		d.cutOffLocked()
+		d.cutOffLocked(ErrClosed)
 	}
 }
 
@@ -449,16 +464,18 @@ func (d *Disk) releaseFilesLocked() {
 // same recovery a fresh process would, keeping exactly what was durable.
 // The pending group commit is cut off with ErrClosed — its records were
 // acked to no one, so losing them is the torn-tail case recovery is built
-// for — and a write+fsync already under way finishes first. The engine's
-// configuration (fsync, threshold) carries over.
+// for — and a write+fsync already under way finishes first. It clears a
+// stopped log (see Disk): recovery drops the torn bytes of the failed
+// write. The engine's configuration (fsync, threshold) carries over.
 func (d *Disk) Reopen() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// A restart loses what was not yet committed.
-	d.cutOffLocked()
+	d.cutOffLocked(ErrClosed)
 	if err := d.claimFilesLocked(); err != nil {
 		return err
 	}
+	d.failed = nil
 	d.wal.Close()
 	err := d.recover()
 	if err != nil {
@@ -481,7 +498,7 @@ func (d *Disk) Close() error {
 		return nil
 	}
 	d.closed = true
-	d.cutOffLocked()
+	d.cutOffLocked(ErrClosed)
 	d.cond.Broadcast()
 	for d.flushing {
 		d.cond.Wait()

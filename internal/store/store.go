@@ -8,8 +8,9 @@
 // package makes recovery real: Mem keeps the map semantics (state dies
 // with the process, the zero-cost default), and Disk is a durable engine
 // — an append-only, CRC-checksummed write-ahead log with group-commit
-// fsync batching, periodic snapshots with log truncation, and a recovery
-// path that replays snapshot + log tail, tolerating a torn final record.
+// fsync batching, periodic snapshots with log truncation, a fail-stop rule
+// for a failed append, and a recovery path that replays snapshot + log
+// tail, tolerating a torn final record.
 //
 // The unit of storage is a Record: one applied write of the keyed object
 // space, carrying (key, value, timestamp, writerID).
@@ -56,9 +57,9 @@ var ErrClosed = errors.New("store: closed")
 
 // Store is what sim.Server needs from a storage engine: it is the
 // server's register map, one Record per key, and the server keeps no
-// other copy. Implementations must be safe for concurrent use: Apply is
-// called from concurrent request handlers, Get from every read probe,
-// Range from fault injection, state handoff and tests.
+// other copy. Implementations must be safe for concurrent use: writes
+// arrive from concurrent connections and quorum phases, Get from every
+// read probe, Range from fault injection, state handoff and tests.
 //
 // Get and Range serve reads and must not wait on durability. Apply
 // persists a record with last-writer-wins timestamp merge and returns
@@ -103,8 +104,9 @@ func (c *Commit) finish(err error) {
 
 // Wait blocks until the commit is finished and returns its error: nil
 // once every record in it is durable, ErrClosed if Close or Reopen cut it
-// off, or the write or fsync error. A nil *Commit stands for a record
-// that was durable when staged, and returns nil at once.
+// off, or the write or fsync error that stopped the log (see Disk). A nil
+// *Commit stands for a record that was durable when staged, and returns
+// nil at once.
 func (c *Commit) Wait() error {
 	if c == nil {
 		return nil
@@ -118,8 +120,9 @@ func (c *Commit) Wait() error {
 // acked. An engine with a Stage method of its own (Disk) merges and
 // queues the record there; a *Mem applies it at once and returns a nil
 // Commit; any other engine — a wrapper, a foreign engine — runs its
-// Apply on a goroutine behind a Commit of its own. A non-nil error means
-// the record was not staged at all.
+// Apply on a goroutine behind a Commit of its own, since Stage must not
+// wait: wire shards call it on their read loops. A nil Commit marks a
+// durable write. A non-nil error means the record was not staged at all.
 func Stage(st Store, rec Record) (*Commit, error) {
 	switch s := st.(type) {
 	case *Mem:
@@ -130,22 +133,6 @@ func Stage(st Store, rec Record) (*Commit, error) {
 	c := newCommit()
 	go func() { c.finish(st.Apply(rec)) }()
 	return c, nil
-}
-
-// MayBlock reports whether an Apply on st can wait — on a disk's group
-// commit, or on anything an engine this package does not know might do —
-// and so whether Stage can hand back a Commit that is not yet finished.
-// Only no engine at all (nil) and a *Mem answer at once; a wrapper around
-// a *Mem is another type and so counts as blocking. Its callers are in
-// the wire package: a shard serves batch frames on its connection read
-// loop only when no replica's store may block. (An in-memory sim phase
-// needs no answer: it stages every write and then waits on the commits.)
-func MayBlock(st Store) bool {
-	switch st.(type) {
-	case nil, *Mem:
-		return false
-	}
-	return true
 }
 
 // Mem is the in-memory engine, and every sim.Server's default: the

@@ -82,27 +82,6 @@ func TestMemReopenWipes(t *testing.T) {
 	}
 }
 
-// TestMayBlock pins the one answer to "can an Apply wait?": no engine and
-// a bare Mem cannot; a Disk, and any wrapper — even one around a Mem —
-// can.
-func TestMayBlock(t *testing.T) {
-	disk, err := Open(t.TempDir(), WithFsync(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-	wrapped := struct{ Store }{NewMem()}
-	for _, tc := range []struct {
-		name string
-		st   Store
-		want bool
-	}{{"nil", nil, false}, {"mem", NewMem(), false}, {"disk", disk, true}, {"wrapped mem", wrapped, true}} {
-		if got := MayBlock(tc.st); got != tc.want {
-			t.Errorf("MayBlock(%s) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 func TestDiskReopenRecovers(t *testing.T) {
 	d, err := Open(t.TempDir(), WithFsync(false))
 	if err != nil {
@@ -468,9 +447,10 @@ func TestDiskCommitCutOff(t *testing.T) {
 	}
 }
 
-// TestStageEngines pins store.Stage's three routes: a Disk stages and
-// hands back its pending commit, a Mem applies at once behind a nil
-// commit, and any other engine applies on a goroutine behind a commit
+// TestStageEngines pins store.Stage's three routes, which are the whole
+// answer to "can a write wait?": a Disk stages and hands back its pending
+// commit, a Mem applies at once behind a nil commit, and any other engine
+// — even a wrapper around a Mem — applies on a goroutine behind a commit
 // of its own.
 func TestStageEngines(t *testing.T) {
 	disk, err := Open(t.TempDir(), WithFsync(false))

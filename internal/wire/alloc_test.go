@@ -71,11 +71,11 @@ func TestInvokeRoundTripAllocs(t *testing.T) {
 
 // TestDurableFrameAllocs pins what serving a 16-item write frame costs
 // on a shard over a store.Disk (fsync off, so no linger: the count is
-// the code's, not the device's). The frame's handler stages all sixteen
-// writes and waits once for the group commit that carries them — no
-// goroutine and no channel per item. What is left: the reply and commit
-// slices, one Commit and its channel, the WAL batch growing to hold the
-// frame, and the flusher started for it.
+// the code's, not the device's). The shard stages all sixteen writes and
+// waits once for the group commit that carries them — no goroutine and no
+// channel per item. What is left: the reply and commit slices, one Commit
+// and its channel, the WAL batch growing to hold the frame, and the
+// flusher started for it.
 func TestDurableFrameAllocs(t *testing.T) {
 	d, err := store.Open(t.TempDir(), store.WithFsync(false))
 	if err != nil {
@@ -93,7 +93,9 @@ func TestDurableFrameAllocs(t *testing.T) {
 		for i := range items {
 			items[i].Req.Value.TS.Seq++
 		}
-		for i, resp := range srv.handleBatch(items) {
+		resps := make([]sim.Response, len(items))
+		awaitCommits(resps, srv.stageItems(items, resps))
+		for i, resp := range resps {
 			if !resp.OK {
 				t.Fatalf("item %d: NACK", i)
 			}

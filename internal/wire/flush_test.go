@@ -360,16 +360,16 @@ func (l *gateListener) Accept() (net.Conn, error) {
 	return g, nil
 }
 
-// opaqueStore is a Mem the shard cannot see through: store.MayBlock
-// counts it as blocking, so the shard serves its frames on handler
-// goroutines, as it would over a store.Disk.
+// opaqueStore is a Mem the shard cannot see through: store.Stage applies
+// each write on a goroutine behind a pending commit, so the shard hands
+// each write frame's wait to a goroutine, as it would over a store.Disk.
 type opaqueStore struct{ store.Store }
 
 // gatedServer serves replica 0 behind a gateListener and returns a raw
 // client socket to it plus the server's side of that connection: the
 // gated socket and the frameWriter its read loop and handlers share. With
-// handlers, the replica's store is opaque, so batch frames are served on
-// goroutines; without, on the read loop.
+// handlers, the replica's store is opaque, so write frames are answered
+// by goroutines; without, on the read loop.
 func gatedServer(t *testing.T, handlers bool) (*Server, *sim.Server, net.Conn, *gateConn, *frameWriter) {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -382,9 +382,6 @@ func gatedServer(t *testing.T, handlers bool) (*Server, *sim.Server, net.Conn, *
 		reps[0] = sim.NewServer(0, sim.WithStore(opaqueStore{store.NewMem()}))
 	}
 	srv := NewServer(reps)
-	if srv.onLoop == handlers {
-		t.Fatalf("shard answers on its read loop = %v, want %v", srv.onLoop, !handlers)
-	}
 	go srv.Serve(gl)
 	t.Cleanup(func() { srv.Close() })
 	raw, err := net.Dial("tcp", lis.Addr().String())
@@ -448,9 +445,9 @@ func readReplies(t *testing.T, raw net.Conn, n int) map[uint64]bool {
 }
 
 // TestServerCoalescesBehindHeldFlush is the mirror of the client test for
-// reply frames on a shard that serves frames on handler goroutines (its
-// store may block): while the first handler's flush is held, nine more
-// handlers queue behind it, and the next write(2) carries all nine replies.
+// reply frames on a shard whose write frames are answered by goroutines
+// (each waits on a pending commit): while the first one's flush is held,
+// nine more queue behind it, and the next write(2) carries all nine replies.
 func TestServerCoalescesBehindHeldFlush(t *testing.T) {
 	_, _, raw, g, w := gatedServer(t, true)
 	arrived, release := barrierYield(w)
@@ -469,7 +466,7 @@ func TestServerCoalescesBehindHeldFlush(t *testing.T) {
 	}
 }
 
-// TestServerAnswersBurstInOneWrite: on a shard whose stores never block,
+// TestServerAnswersBurstInOneWrite: on a shard over store.Mem,
 // ten request frames that arrive in one write(2) are answered on the read
 // loop and their replies leave in one write(2) — the loop flushes only
 // once no whole frame is left to read.

@@ -204,9 +204,9 @@ func TestLoopbackWriteTimestamps(t *testing.T) {
 	}
 }
 
-// TestSharedStringsAcrossHandlers drives a shard that serves frames on
-// handler goroutines (its stores may block), so the strings its read loop
-// shares between frames reach several goroutines at once. Each caller
+// TestSharedStringsAcrossHandlers drives a shard whose stores are opaque,
+// so each write is applied on a goroutine of its own and the strings its
+// read loop shares between frames reach several goroutines at once. Each caller
 // writes its own key with a fresh value to every replica in one phase,
 // then reads it back in another: a phase's frames repeat one key and one
 // value, and the callers' phases interleave on one connection, so the
@@ -218,10 +218,7 @@ func TestSharedStringsAcrossHandlers(t *testing.T) {
 	for _, id := range members {
 		reps[id] = sim.NewServer(id, sim.WithStore(opaqueStore{store.NewMem()}))
 	}
-	addr, srv := startShard(t, reps)
-	if srv.onLoop {
-		t.Fatal("shard answers on its read loop, want handler goroutines")
-	}
+	addr, _ := startShard(t, reps)
 	routes := make(map[int]string)
 	for _, id := range members {
 		routes[id] = addr

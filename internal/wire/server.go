@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"net"
 	"sync"
 
@@ -20,27 +21,21 @@ var ErrServerClosed = errors.New("wire: server closed")
 
 // Server hosts a shard of the universe: a set of sim.Server replicas,
 // keyed by their global server index, reachable over TCP. Connections are
-// handled concurrently, each by its own read loop. Where a request can
-// wait, it gets one goroutine of its own: a reconfig frame, and any batch
-// frame on a shard with a replica whose store may block (store.MayBlock —
-// a store.Disk makes writes wait for its group commit). That goroutine
-// stages every item of the frame and then waits once per group commit
-// (see handleBatch), so a durable frame costs one goroutine, not one per
-// item. A shard whose stores never block answers batch frames on the read
-// loop itself, buffering the replies and flushing them before the loop
-// could block in read(2) — so a burst of frames that arrived together is
-// answered in one write(2), and no reply waits on the next request.
-// Replica behavior (crash and Byzantine fault injection) stays the
-// business of the underlying sim.Server objects.
+// handled concurrently, each by its own read loop, which serves batch
+// frames by one rule whatever the replicas' stores (see serveBatch): a
+// frame is answered on the loop unless a write in it waits for a group
+// commit, and then only that wait leaves the loop. A reconfig frame, which
+// can wait on the epoch drain, gets a goroutine of its own. Replica
+// behavior (crash and Byzantine fault injection) stays the business of
+// the underlying sim.Server objects.
 type Server struct {
 	replicas map[int]*sim.Server
-	onLoop   bool // no replica's store may block: batch frames are answered on the read loop
 	met      *wireMetrics
 
-	// epochMu guards the installed configuration record. Handlers of
-	// gated frames hold the read side for the whole replica operation,
-	// so an install (exclusive) doubles as the shard's drain: it waits
-	// out in-flight gated work, merges replica
+	// epochMu guards the installed configuration record. A gated frame
+	// holds the read side for the whole replica operation, from staging
+	// to its last commit, so an install (exclusive) doubles as the shard's
+	// drain: it waits out in-flight gated work, merges replica
 	// state on a quiesced shard, and every request admitted afterwards
 	// sees the new epoch. rec is zero until the first install — the
 	// shard then runs whatever configuration it booted with, at epoch 0.
@@ -76,21 +71,10 @@ func WithServerMetrics(reg *obs.Registry) ServerOption {
 }
 
 // NewServer returns a Server hosting the given replicas. The map is
-// copied; mutate replica behavior through the *sim.Server values. The
-// stores the replicas were built with decide where batch frames are
-// served (see Server).
+// copied; mutate replica behavior through the *sim.Server values.
 func NewServer(replicas map[int]*sim.Server, opts ...ServerOption) *Server {
-	m := make(map[int]*sim.Server, len(replicas))
-	onLoop := true
-	for id, s := range replicas {
-		m[id] = s
-		if store.MayBlock(s.Store()) {
-			onLoop = false
-		}
-	}
 	srv := &Server{
-		replicas:  m,
-		onLoop:    onLoop,
+		replicas:  maps.Clone(replicas),
 		met:       &wireMetrics{},
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]*frameWriter),
@@ -158,11 +142,13 @@ func (s *Server) Serve(lis net.Listener) error {
 // re-synchronize a corrupt stream) — which is also the whole of version
 // compatibility, since the peer reads the drop as a crashed shard.
 //
-// Frames served on the loop (see Server) leave their replies in the write
-// buffer while another whole frame is already read in; before a read that
-// could block, the loop flushes. It holds one in-flight registration from
-// its first unflushed reply to that flush, so Shutdown's drain waits for
-// replies buffered on the loop exactly as for a handler goroutine's.
+// Batch frames decode into one reused item slice. Replies answered on the
+// loop wait in the write buffer while another whole frame is already read
+// in; before a read that could block, the loop flushes — so a burst that
+// arrived together is answered in one write(2). The loop holds one
+// in-flight registration from its first unflushed reply to that flush, so
+// Shutdown's drain waits for those replies, and it is open while a frame
+// is staged, so a frame's goroutine registers under it.
 func (s *Server) serveConn(w *frameWriter) {
 	nc := w.nc
 	defer func() {
@@ -199,53 +185,39 @@ func (s *Server) serveConn(w *frameWriter) {
 		buf = frame
 		s.met.framesIn.Inc()
 		s.met.bytesIn.Add(int64(len(frame)) + 4) // +4: the length prefix is wire bytes too
-		var work func()                          // the frame's one closure: serves it on its own goroutine, replies on w
 		switch frame[0] {
 		case tagReconfig:
 			recID, rf, err := DecodeReconfig(frame)
 			if err != nil || (rf.Kind != ReconfigInstall && rf.Kind != ReconfigQuery) {
 				return // state/wrongepoch are server→client only: protocol error
 			}
-			work = func() {
+			if !s.beginRequest() {
+				return // shutting down: stop consuming new frames
+			}
+			go func() {
 				defer s.inflight.Done()
 				cur, _ := s.CurrentRecord()
 				if rf.Kind == ReconfigInstall {
 					cur = s.install(rf.Rec)
 				}
 				s.reply(w, true, recID, nil, ReconfigState, cur)
-			}
+			}()
 		case tagBatchRequest:
-			var dst []sim.BatchItem // a frame handed to a goroutine gets items of its own
-			if s.onLoop {
-				dst = items
-			}
-			batchID, gate, decoded, err := decodeBatchRequest(frame, dst, &strs)
-			if err != nil {
+			var batchID, gate uint64
+			if batchID, gate, items, err = decodeBatchRequest(frame, items, &strs); err != nil {
 				return
 			}
-			if !s.onLoop {
-				work = func() {
-					defer s.inflight.Done()
-					s.serveBatch(w, true, batchID, gate, decoded)
-				}
-				break
+			if !held && !s.beginRequest() {
+				return // shutting down: stop consuming new frames
 			}
-			items = decoded
-			if !held {
-				if !s.beginRequest() {
-					return // shutting down: stop consuming new frames
-				}
+			if s.serveBatch(w, batchID, gate, items) {
 				held = true
+			} else if !held {
+				s.inflight.Done() // handed off: its goroutine registered on its own
 			}
-			s.serveBatch(w, false, batchID, gate, items)
-			continue
 		default:
 			return // unknown frame kind: protocol error
 		}
-		if !s.beginRequest() {
-			return // shutting down: stop consuming new frames
-		}
-		go work()
 	}
 }
 
@@ -261,17 +233,18 @@ func frameBuffered(br *bufio.Reader) bool {
 
 // reply puts one reply frame on the connection — a batch response when
 // resps is non-nil, else rec as a reconfig frame of the given kind. With
-// flush, it also sees the frame flushed, by this handler or carried by
-// another's flush (see frameWriter), before it returns: a handler that is
-// done has its answer on the socket, which is what lets Shutdown wait on
-// the handlers alone. Without, the frame waits for the read loop's flush.
+// flush, it also sees the frame flushed, by this goroutine or carried by
+// another's flush (see frameWriter), before it returns: a goroutine that
+// is done has its answer on the socket, which is what lets Shutdown wait
+// on the in-flight registrations alone. Without, the frame waits for the
+// read loop's flush.
 // A failed write closes the connection, which unblocks the read loop.
 func (s *Server) reply(w *frameWriter, flush bool, id uint64, resps []sim.Response, kind ReconfigKind, rec reconfig.Record) {
 	encode := func(dst []byte) []byte {
 		if resps == nil {
 			return append(dst, recordFrame(id, kind, rec)...) // rare: off the probe path
 		}
-		dst, _ = AppendBatchResponse(dst, id, resps) // serveBatch's fit: always encodes
+		dst, _ = AppendBatchResponse(dst, id, resps) // answerBatch's fit: always encodes
 		return dst
 	}
 	var err error
@@ -285,13 +258,23 @@ func (s *Server) reply(w *frameWriter, flush bool, id uint64, resps []sim.Respon
 	}
 }
 
-// serveBatch answers one batch frame under its own epoch gate. A frame
-// gated at epoch E (gate = E+1) is served only while E is the shard's
-// current epoch — the replica work runs under the epoch read-lock, so it
-// cannot straddle an install — and a mismatch answers a wrongepoch frame
+// serveBatch serves one batch frame on the read loop. It stages every
+// item in order (see stage). With no commit pending, the reply goes into
+// the write buffer for the loop's flush, and serveBatch reports true.
+// Otherwise only the wait leaves the loop: one goroutine waits once per
+// group commit (a store.Disk puts every write staged in one window into
+// the same Commit), answers OK: false for exactly the items whose commit
+// failed, and replies — no reply leaves before every write in it is
+// durable, and a durable frame costs one goroutine, not one per item.
+//
+// A frame gated at epoch E (gate = E+1) is served only while E is the
+// shard's current epoch, and a mismatch answers a wrongepoch frame
 // carrying the shard's record (the retriable OK: false signal on the
-// client side, never an abort). A frame with gate 0 is served ungated:
-// the epoch plane is opt-in, and a flip is never gated.
+// client side, never an abort). Its epoch read lock is held until its
+// last commit, by the loop or by the goroutine (a sync.RWMutex may be
+// unlocked by another goroutine), so install waits out every gated write
+// that is staged but not yet durable. A frame with gate 0 is served
+// ungated: the epoch plane is opt-in, and a flip is never gated.
 //
 // Degradation is per item, never per frame: an item for a server this
 // shard does not host — or one whose value cannot travel back (an
@@ -300,24 +283,47 @@ func (s *Server) reply(w *frameWriter, flush bool, id uint64, resps []sim.Respon
 // MaxFrame (the flags+header floor of every item fits MaxBatchOps many
 // times over), so the reply always encodes and one huge stored value
 // cannot make the shard's other replicas read as crashed.
-func (s *Server) serveBatch(w *frameWriter, flush bool, id, gate uint64, items []sim.BatchItem) {
+func (s *Server) serveBatch(w *frameWriter, id, gate uint64, items []sim.BatchItem) bool {
 	if gate != 0 {
 		s.epochMu.RLock()
 		if cur := s.rec; gate-1 != cur.Epoch {
 			s.epochMu.RUnlock()
 			s.met.wrongEpoch.Inc()
-			s.reply(w, flush, id, nil, ReconfigWrongEpoch, cur)
-			return
+			s.reply(w, false, id, nil, ReconfigWrongEpoch, cur)
+			return true
 		}
 	}
 	s.met.batchOps.Observe(float64(len(items)))
-	var one [1]sim.Response // a lone probe is answered from the handler's stack
+	var one [1]sim.Response // a lone probe is answered from the loop's stack
+	var many []sim.Response // several, or one whose commit is pending, from the heap
 	resps := one[:]
-	if len(items) == 1 {
-		one[0] = s.handle(items[0].Server, items[0].Req)
-	} else {
-		resps = s.handleBatch(items)
+	if len(items) > 1 {
+		many = make([]sim.Response, len(items))
+		resps = many
 	}
+	commits := s.stageItems(items, resps)
+	if commits == nil {
+		s.answerBatch(w, false, id, gate, resps)
+		return true
+	}
+	if many == nil {
+		many = []sim.Response{one[0]} // a copy: the goroutine must not keep one alive, or it escapes on every frame
+	}
+	s.inflight.Add(1) // under the loop's registration: cannot race Shutdown's Wait
+	go s.awaitBatch(w, id, gate, many, commits)
+	return false
+}
+
+// awaitBatch finishes a frame whose commits are pending, off the loop.
+func (s *Server) awaitBatch(w *frameWriter, id, gate uint64, resps []sim.Response, commits []*store.Commit) {
+	defer s.inflight.Done()
+	awaitCommits(resps, commits)
+	s.answerBatch(w, true, id, gate, resps)
+}
+
+// answerBatch releases the frame's epoch gate and replies with resps,
+// NACKing whatever would not fit a frame (see serveBatch).
+func (s *Server) answerBatch(w *frameWriter, flush bool, id, gate uint64, resps []sim.Response) {
 	if gate != 0 {
 		s.epochMu.RUnlock()
 	}
@@ -332,22 +338,13 @@ func (s *Server) serveBatch(w *frameWriter, flush bool, id, gate uint64, items [
 	s.reply(w, flush, id, resps, 0, reconfig.Record{})
 }
 
-// handleBatch serves a frame of several items across the shard's
-// replicas: each item is dispatched to the replica hosting its server,
-// and the responses align index-by-index with the items. Every item is
-// staged in order first, and only then does the frame wait — once per
-// group commit its writes landed in, since a store.Disk puts every write
-// staged in one window into the same Commit — so a frame costs one
-// fsync wait, not one goroutine per item, and an item whose commit fails
-// answers Response{OK: false} alone. No reply leaves before every write
-// in it is durable. On a shard whose stores never block nothing waits,
-// and the items run one after another on the read loop.
-func (s *Server) handleBatch(items []sim.BatchItem) []sim.Response {
-	out := make([]sim.Response, len(items))
+// stageItems stages items[i] into resps[i] and returns the commits still
+// to wait on, indexed the same way; nil when nothing is pending.
+func (s *Server) stageItems(items []sim.BatchItem, resps []sim.Response) []*store.Commit {
 	var commits []*store.Commit // made by the first item that must wait
 	for i, it := range items {
 		var c *store.Commit
-		out[i], c = s.stage(it.Server, it.Req)
+		resps[i], c = s.stage(it.Server, it.Req)
 		if c != nil {
 			if commits == nil {
 				commits = make([]*store.Commit, len(items))
@@ -355,12 +352,17 @@ func (s *Server) handleBatch(items []sim.BatchItem) []sim.Response {
 			commits[i] = c
 		}
 	}
+	return commits
+}
+
+// awaitCommits waits on each item's commit in turn and NACKs the items
+// whose commit failed.
+func awaitCommits(resps []sim.Response, commits []*store.Commit) {
 	for i, c := range commits {
 		if c.Wait() != nil {
-			out[i] = sim.Response{OK: false}
+			resps[i] = sim.Response{OK: false}
 		}
 	}
-	return out
 }
 
 // beginRequest registers an in-flight request handler, refusing once
@@ -377,33 +379,19 @@ func (s *Server) beginRequest() bool {
 	return true
 }
 
-// handle applies one request to the addressed replica, or a flip item
-// to its behavior (control), and answers once a write is durable. A
-// request for a server this shard does not host answers
-// Response{OK: false}: to the client that is indistinguishable from a
-// crash, which is the correct suspicion signal for a misconfigured route.
-func (s *Server) handle(server int, req sim.Request) sim.Response {
+// stage applies one request to the addressed replica, or a flip item to
+// its behavior (control). A write's answer stands once the returned
+// commit's Wait succeeds (see sim.Server.StageRequest). A request for a
+// server this shard does not host answers Response{OK: false}: to the
+// client that is indistinguishable from a crash, which is the correct
+// suspicion signal for a misconfigured route.
+func (s *Server) stage(server int, req sim.Request) (sim.Response, *store.Commit) {
 	if req.Op == opFlip {
-		return s.control(server, sim.Behavior(req.ReaderID))
+		return s.control(server, sim.Behavior(req.ReaderID)), nil
 	}
 	rep, ok := s.replicas[server]
 	if !ok {
-		return sim.Response{OK: false}
-	}
-	resp, err := rep.HandleRequest(req)
-	if err != nil {
-		return sim.Response{OK: false}
-	}
-	return resp
-}
-
-// stage is handle, except that a write to a hosted replica is only
-// staged: its answer stands once the returned commit's Wait succeeds
-// (see sim.Server.StageRequest). Everything else is answered in full.
-func (s *Server) stage(server int, req sim.Request) (sim.Response, *store.Commit) {
-	rep, ok := s.replicas[server]
-	if !ok || req.Op != sim.OpWrite {
-		return s.handle(server, req), nil
+		return sim.Response{OK: false}, nil
 	}
 	resp, c, err := rep.StageRequest(req)
 	if err != nil {
