@@ -343,7 +343,7 @@ func (t *memTransport) GroupOf(int) int { return 0 }
 // WorthBatching implements FrameCoster: in-memory delivery only has a
 // per-frame cost worth amortizing when round-trip latency is modelled —
 // a lossless, instantaneous map call gains nothing from queueing behind
-// a linger.
+// the batcher's flusher.
 func (t *memTransport) WorthBatching() bool { return t.state.Load().latency != nil }
 
 // latencyOf returns the server's modelled round-trip delay.

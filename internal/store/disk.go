@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -26,20 +27,6 @@ const (
 // compacts: the state is snapshotted and the log truncated, bounding
 // both disk use and recovery replay time.
 const DefaultSnapshotThreshold = 4 << 20
-
-// commitLinger is how long the flusher asks to wait before each fsynced
-// group commit, collecting the records of every Stage that lands in the
-// window. A device sustains only a few thousand fsyncs per second no
-// matter how small they are, so at high concurrency the linger is what
-// turns one-fsync-per-write into one fsync per wave; at low concurrency
-// it is a latency tax on an operation that already pays an fsync. The
-// tax is larger than the constant: an idle Go scheduler parks in the
-// netpoller with millisecond resolution, so on a 2-core Linux VM the
-// sleep measured p50 1.08 ms and p99 1.15 ms, against 77 µs for the fsync
-// of a lone append — a single durable write pays ≈ 14× its fsync in
-// linger. It only applies while fsync is enabled: without the fsync there
-// is no per-flush floor worth amortizing.
-const commitLinger = 500 * time.Microsecond
 
 // DiskOption configures Open.
 type DiskOption func(*Disk)
@@ -95,11 +82,18 @@ func (rs RecoveryStats) String() string {
 
 // Disk is the durable engine: current state in memory, every applied
 // write appended to a CRC-checksummed WAL before it is acknowledged,
-// fsyncs batched by group commit (records staged while a flush is in
-// progress share the next one — one fsync and one Commit amortized across
-// the whole flush window), and a periodic snapshot + log truncation
-// keeping recovery replay bounded. All file writes happen on a single
-// flusher goroutine, so the WAL is strictly append-ordered.
+// fsyncs batched by group commit, and a periodic snapshot + log
+// truncation keeping recovery replay bounded. All file writes happen on a
+// single flusher goroutine, so the WAL is strictly append-ordered.
+//
+// Group commit flushes by the rule a wire connection flushes by
+// (wire/flush.go): the flusher yields the processor once — so every
+// goroutine ready to Stage gets its record in behind — and then writes
+// and fsyncs whatever is staged; whatever is staged during that
+// write+fsync forms the next commit. A timer would tax the lone write
+// with its period (a 500 µs sleep costs ≈ 1.1 ms, ≈ 20× a lone fsync),
+// and with no yield at all writers that stage from goroutines of their
+// own (store.Stage's fallback) measured about one record per fsync.
 //
 // A write or fsync error stops the log until Reopen: every later Stage
 // fails with an error wrapping the cause, and nothing is appended or
@@ -109,6 +103,7 @@ type Disk struct {
 	dir           string
 	fsync         bool
 	snapThreshold int64
+	yield         func() // runtime.Gosched, the flush rule's one yield; tests substitute their own
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signalled when the flusher goes idle
@@ -140,7 +135,7 @@ type Disk struct {
 // last-writer-wins merge, and truncate any torn or corrupt suffix left
 // by a crash mid-append. The directory must be private to this store.
 func Open(dir string, opts ...DiskOption) (*Disk, error) {
-	d := &Disk{dir: dir, fsync: true, snapThreshold: DefaultSnapshotThreshold}
+	d := &Disk{dir: dir, fsync: true, snapThreshold: DefaultSnapshotThreshold, yield: runtime.Gosched}
 	d.cond = sync.NewCond(&d.mu)
 	for _, opt := range opts {
 		opt(d)
@@ -183,6 +178,12 @@ func (d *Disk) recover() error {
 	walPath := filepath.Join(d.dir, walName)
 	wal, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	// The WAL may have just been created: make its directory entry
+	// durable before any record in it is acknowledged.
+	if err := syncDir(d.dir); err != nil {
+		wal.Close()
 		return fmt.Errorf("store: %w", err)
 	}
 	buf, err := os.ReadFile(walPath)
@@ -260,7 +261,8 @@ func (d *Disk) Range(fn func(Record) bool) {
 // without waiting: it returns the group commit that will carry the
 // record, so a caller with several records stages them all and then
 // waits once per commit instead of once per record. The first record
-// staged into an idle store starts the flusher; everything staged while a
+// staged into an idle store starts the flusher, and every Stage made
+// while it yields joins the same commit; everything staged while a
 // write+fsync is in flight shares the next one — that is the group commit
 // window, and with a batching Session upstream it is what keeps durable
 // throughput within a small factor of the in-memory engine. The record is
@@ -327,9 +329,11 @@ func (d *Disk) cutOffLocked(err error) {
 
 // flushLoop is the single goroutine with file access while it runs: it
 // drains pending batches (write + one fsync each), compacts when the
-// WAL passes the threshold, and exits when nothing is pending. Every
-// commit it takes is always finished, success or not; after a failed
-// write it only cuts off what was staged meanwhile.
+// WAL passes the threshold, and exits when nothing is pending. Before
+// each fsynced batch it yields once (see Disk), so a batch is whatever
+// the runnable writers staged, not what a timer let in. Every commit it
+// takes is always finished, success or not; after a failed write it only
+// cuts off what was staged meanwhile.
 func (d *Disk) flushLoop() {
 	d.mu.Lock()
 	for {
@@ -338,11 +342,12 @@ func (d *Disk) flushLoop() {
 			continue
 		}
 		if d.fsync && d.stoppedLocked() == nil && d.commit != nil {
-			// Group-commit window: hold the flush open so concurrent
-			// Stages land in this batch instead of each paying their own
-			// fsync. Skipped once stopped, so shutdown drains promptly.
+			// Group-commit window: one yield, so every goroutine ready
+			// to Stage lands in this batch instead of paying an fsync of
+			// its own. Skipped without fsync (no per-flush floor to
+			// amortize) and once stopped, so shutdown drains promptly.
 			d.mu.Unlock()
-			time.Sleep(commitLinger)
+			d.yield()
 			d.mu.Lock()
 		}
 		if d.commit == nil {
@@ -413,9 +418,15 @@ func (d *Disk) compactLocked() {
 		if err := os.Rename(tmp, filepath.Join(d.dir, snapName)); err != nil {
 			return err
 		}
-		// A crash between the rename above and the truncate below leaves
-		// the old records both in the snapshot and in the WAL; recovery's
-		// last-writer-wins merge makes the duplication harmless.
+		// The rename must be durable before the truncate: otherwise a
+		// crash could keep the empty WAL and lose the new snapshot's
+		// directory entry, and recovery would find the old snapshot
+		// alone. A crash between the two leaves the old records both in
+		// the snapshot and in the WAL; recovery's last-writer-wins merge
+		// makes the duplication harmless.
+		if err := syncDir(d.dir); err != nil {
+			return err
+		}
 		if err := wal.Truncate(0); err != nil {
 			return err
 		}
@@ -429,6 +440,20 @@ func (d *Disk) compactLocked() {
 		d.walSize = 0
 		d.mSnapshots.Inc()
 	}
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in
+// it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // claimFilesLocked waits until no flusher owns the files and takes

@@ -70,8 +70,8 @@ func TestInvokeRoundTripAllocs(t *testing.T) {
 }
 
 // TestDurableFrameAllocs pins what serving a 16-item write frame costs
-// on a shard over a store.Disk (fsync off, so no linger: the count is
-// the code's, not the device's). The shard stages all sixteen writes and
+// on a shard over a store.Disk (fsync off, so the flusher neither yields
+// nor fsyncs: the count is the code's, not the device's). The shard stages all sixteen writes and
 // waits once for the group commit that carries them — no goroutine and no
 // channel per item. What is left: the reply and commit slices, one Commit
 // and its channel, the WAL batch growing to hold the frame, and the
