@@ -164,6 +164,9 @@ type Server struct {
 	// construction: a write to it applies in place, with no Commit and
 	// no per-probe type switch on the in-memory hot path.
 	mem *store.Mem
+	// storeErr is the store's Err when it has one (a store.Disk), resolved
+	// once at construction: non-nil while its log is stopped (see stopped).
+	storeErr func() error
 
 	// behavior is the fault mode. Every probe reads it without a lock;
 	// it changes only under mu, together with stale.
@@ -206,6 +209,9 @@ func NewServer(id int, opts ...ServerOption) *Server {
 		s.store = store.NewMem()
 	}
 	s.mem, _ = s.store.(*store.Mem)
+	if st, ok := s.store.(interface{ Err() error }); ok {
+		s.storeErr = st.Err
+	}
 	return s
 }
 
@@ -246,15 +252,23 @@ func (s *Server) restart() {
 	s.SetBehavior(Correct)
 }
 
+// stopped reports whether the server's store has stopped its log after a
+// failed write (Disk.Err). Its memory may then hold writes that were
+// nacked and that recovery drops, so until a Restart recovers the store
+// the server answers every probe as Crashed does (Definition 3.10's
+// crash-and-recover model).
+func (s *Server) stopped() bool { return s.storeErr != nil && s.storeErr() != nil }
+
 // Behavior returns the current fault mode. It takes no lock, so the
 // probe path writes nothing another core reads.
 func (s *Server) Behavior() Behavior { return Behavior(s.behavior.Load()) }
 
 // HandleWrite applies a timestamped write to key's register. It returns
-// false when the server is unresponsive (crashed), or when the store
-// could not make the write durable — to the client both read as
-// unresponsiveness, the protocol's correct signal for a write whose
-// durability is unknown. Byzantine servers acknowledge but may discard.
+// false when the server is unresponsive (crashed, or over a stopped
+// store), or when the store could not make the write durable — to the
+// client both read as unresponsiveness, the protocol's correct signal for
+// a write whose durability is unknown. Byzantine servers acknowledge but
+// may discard.
 func (s *Server) HandleWrite(key string, tv TaggedValue) bool {
 	ok, c := s.stageWrite(key, tv)
 	return ok && c.Wait() == nil
@@ -279,14 +293,21 @@ func (s *Server) stageWrite(key string, tv TaggedValue) (bool, *store.Commit) {
 	if s.mem != nil {
 		return s.mem.Apply(rec) == nil, nil
 	}
+	if s.stopped() {
+		return false, nil
+	}
 	c, err := store.Stage(s.store, rec)
 	return err == nil, c
 }
 
 // HandleRead returns the server's answer to a read probe of key's
-// register, and false when unresponsive. A never-written key reads as the
-// zero TaggedValue, like the empty register it is.
+// register, and false when unresponsive (crashed, or over a stopped
+// store). A never-written key reads as the zero TaggedValue, like the
+// empty register it is.
 func (s *Server) HandleRead(readerID int, key string) (TaggedValue, bool) {
+	if s.stopped() {
+		return TaggedValue{}, false
+	}
 	switch s.Behavior() {
 	case Crashed:
 		return TaggedValue{}, false

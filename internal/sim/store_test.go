@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"bqs/internal/store"
@@ -233,5 +236,51 @@ func TestParseBehaviorRestart(t *testing.T) {
 	}
 	if Restart.IsByzantine() {
 		t.Fatal("Restart classified Byzantine")
+	}
+}
+
+// stoppableStore is a store.Mem with a store.Disk's Err: stop makes it
+// report a stopped log, as a Disk does after a failed append, until
+// Reopen.
+type stoppableStore struct {
+	*store.Mem
+	stop atomic.Bool
+}
+
+func (s *stoppableStore) Err() error {
+	if s.stop.Load() {
+		return errors.New("store: wal append failed, log stopped until Reopen")
+	}
+	return nil
+}
+
+func (s *stoppableStore) Reopen() error {
+	s.stop.Store(false)
+	return s.Mem.Reopen()
+}
+
+// TestStoppedStoreAnswersNoRead: over the in-memory transport, a replica
+// whose store stopped its log answers every probe OK: false, as a crashed
+// one does — its memory may hold a write that was nacked and that
+// recovery drops — until a Restart recovers the store.
+func TestStoppedStoreAnswersNoRead(t *testing.T) {
+	st := &stoppableStore{Mem: store.NewMem()}
+	s := NewServer(0, WithStore(st))
+	tr := newMemTransport([]*Server{s}, 1, 0, 0, 0)
+	ctx := context.Background()
+	write := Request{Op: OpWrite, Key: "k", Value: TaggedValue{Value: "v", TS: Timestamp{Seq: 1, Writer: 1}}}
+	read := Request{Op: OpRead, Key: "k"}
+	if resp, err := tr.Invoke(ctx, 0, write); err != nil || !resp.OK {
+		t.Fatalf("write before the stop = %+v, %v", resp, err)
+	}
+	st.stop.Store(true)
+	for _, req := range []Request{read, {Op: OpReadTimestamps, Key: "k"}, write} {
+		if resp, err := tr.Invoke(ctx, 0, req); err != nil || resp.OK {
+			t.Errorf("%v over a stopped store = %+v, %v, want OK: false", req.Op, resp, err)
+		}
+	}
+	s.SetBehavior(Restart)
+	if resp, err := tr.Invoke(ctx, 0, read); err != nil || !resp.OK {
+		t.Fatalf("read after Restart = %+v, %v, want it served", resp, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bqs/internal/obs"
@@ -41,10 +42,12 @@ func WithFsync(on bool) DiskOption {
 
 // WithMetrics wires the engine into an obs.Registry: WAL appends,
 // group-commit flushes and their batch sizes (records per fsync), bytes
-// written, snapshot compactions, and recovery replay time. Instruments
-// are get-or-create by name, so several stores in one process (one per
-// replica) share the same series — the numbers are per process, like a
-// real database's. A nil registry is a no-op.
+// written, snapshot compactions, recovery replay time, and commits failed
+// by a stopped log, each stop also logged as an event naming the store's
+// directory and the error. Instruments are get-or-create by name, so
+// several stores in one process (one per replica) share the same series —
+// the numbers are per process, like a real database's. A nil registry is
+// a no-op.
 func WithMetrics(reg *obs.Registry) DiskOption {
 	return func(d *Disk) {
 		if reg == nil {
@@ -56,6 +59,8 @@ func WithMetrics(reg *obs.Registry) DiskOption {
 		d.mBatch = reg.Histogram("bqs_store_fsync_batch_size", obs.SizeBuckets)
 		d.mSnapshots = reg.Counter("bqs_store_snapshots_total")
 		d.mRecovery = reg.Histogram("bqs_store_recovery_seconds", obs.DurationBuckets)
+		d.mCommitFails = reg.Counter("bqs_store_commit_failures_total")
+		d.reg = reg
 	}
 }
 
@@ -96,9 +101,10 @@ func (rs RecoveryStats) String() string {
 // own (store.Stage's fallback) measured about one record per fsync.
 //
 // A write or fsync error stops the log until Reopen: every later Stage
-// fails with an error wrapping the cause, and nothing is appended or
-// compacted. Going on is unsound — recovery would cut later records away
-// with the torn bytes, and a failed fsync may have dropped dirty pages.
+// fails with an error wrapping the cause, Err reports it, and nothing is
+// appended or compacted. Going on is unsound — recovery would cut later
+// records away with the torn bytes, and a failed fsync may have dropped
+// dirty pages.
 type Disk struct {
 	dir           string
 	fsync         bool
@@ -116,7 +122,9 @@ type Disk struct {
 	staged   int     // records in pending
 	flushing bool    // a flusher goroutine owns the files
 	closed   bool
-	failed   error // why the log stopped; nil until a write or fsync fails, and again after Reopen
+	// failed is why the log stopped: nil until a write or fsync fails, and
+	// again after Reopen. Written under mu; Err reads it without.
+	failed atomic.Pointer[error]
 
 	recovered RecoveryStats
 	flushes   int64
@@ -128,6 +136,9 @@ type Disk struct {
 	mBatch     *obs.Histogram
 	mSnapshots *obs.Counter
 	mRecovery  *obs.Histogram
+
+	mCommitFails *obs.Counter
+	reg          *obs.Registry // for the event a stopped log logs
 }
 
 // Open opens (or creates) a durable store in dir, running recovery:
@@ -317,7 +328,19 @@ func (d *Disk) stoppedLocked() error {
 	if d.closed {
 		return ErrClosed
 	}
-	return d.failed
+	return d.Err()
+}
+
+// Err reports why the log stopped: the failed write or fsync, from then
+// until a Reopen recovers; nil while the log is well. Until then the
+// table may hold records of the failed commit that were never acked and
+// that recovery drops, so a caller serving reads from it must not. It
+// takes no lock.
+func (d *Disk) Err() error {
+	if p := d.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // cutOffLocked ends the pending commit with err: its records were acked
@@ -357,6 +380,9 @@ func (d *Disk) flushLoop() {
 			return
 		}
 		if err := d.stoppedLocked(); err != nil {
+			if !d.closed {
+				d.mCommitFails.Inc()
+			}
 			d.cutOffLocked(err)
 			continue
 		}
@@ -371,7 +397,10 @@ func (d *Disk) flushLoop() {
 		d.spare = buf
 		d.flushes++
 		if err != nil {
-			d.failed = fmt.Errorf("store: wal append failed, log stopped until Reopen: %w", err)
+			stop := fmt.Errorf("store: wal append failed, log stopped until Reopen: %w", err)
+			d.failed.Store(&stop)
+			d.mCommitFails.Inc()
+			d.reg.Eventf("store %s: %v", d.dir, stop)
 		} else {
 			d.walSize += int64(len(buf))
 			if d.fsync {
@@ -500,7 +529,7 @@ func (d *Disk) Reopen() error {
 	if err := d.claimFilesLocked(); err != nil {
 		return err
 	}
-	d.failed = nil
+	d.failed.Store(nil)
 	d.wal.Close()
 	err := d.recover()
 	if err != nil {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"bqs/internal/obs"
 )
 
 // failStopDirEnv names the data directory of TestDiskFailsStop's child
@@ -19,9 +21,11 @@ const failStopDirEnv = "BQS_STORE_FAILSTOP_DIR"
 // RLIMIT_FSIZE to make the write fail: four records are acked, the fifth
 // append tears past the limit, and then, with the limit restored, no
 // Stage may succeed until Reopen — a record appended after the torn bytes
-// would be acked and then cut away by recovery along with them. After
-// Reopen every acked record is there and every nacked one is gone, and
-// the store takes writes again.
+// would be acked and then cut away by recovery along with them. Err
+// reports the stop, the failed commit is counted and the stop logged as
+// an event naming the directory. After Reopen Err is nil, every acked
+// record is there and every nacked one is gone, and the store takes
+// writes again.
 func TestDiskFailsStop(t *testing.T) {
 	if dir := os.Getenv(failStopDirEnv); dir != "" {
 		failStop(t, dir)
@@ -36,7 +40,8 @@ func TestDiskFailsStop(t *testing.T) {
 }
 
 func failStop(t *testing.T, dir string) {
-	d, err := Open(dir) // fsync on, as in production
+	reg := obs.NewRegistry()
+	d, err := Open(dir, WithMetrics(reg)) // fsync on, as in production
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +72,15 @@ func failStop(t *testing.T, dir string) {
 	if got := fileSize(t, wal); got != durable+10 {
 		t.Fatalf("wal is %d bytes after the failed append, want %d: the test needs a torn record", got, durable+10)
 	}
+	if err := d.Err(); !errors.Is(err, syscall.EFBIG) {
+		t.Fatalf("Err after the failed append = %v, want an error wrapping EFBIG", err)
+	}
+	if v, _ := reg.Value("bqs_store_commit_failures_total"); v != 1 {
+		t.Fatalf("bqs_store_commit_failures_total = %v after one failed commit, want 1", v)
+	}
+	if evs := reg.Events(); len(evs) != 1 || !strings.Contains(evs[0].Msg, dir) || !strings.Contains(evs[0].Msg, "file too large") {
+		t.Fatalf("events = %+v, want one naming %s and the error", evs, dir)
+	}
 
 	for _, key := range []string{"after", "d"} {
 		_, err := d.Stage(Record{Key: key, Value: "nacked", Seq: 2})
@@ -80,6 +94,9 @@ func failStop(t *testing.T, dir string) {
 
 	if err := d.Reopen(); err != nil {
 		t.Fatal(err)
+	}
+	if err := d.Err(); err != nil {
+		t.Fatalf("Err after Reopen = %v, want nil", err)
 	}
 	mustApply(t, d, Record{Key: "after", Value: "acked", Seq: 3})
 	check := func(s Store, when string) {

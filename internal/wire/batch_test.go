@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"bqs/internal/obs"
 	"bqs/internal/sim"
 	"bqs/internal/store"
 	"bqs/internal/systems"
@@ -302,5 +304,96 @@ func TestWireBatchFailFast(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Errorf("backoff-gated batch took %v; want immediate", elapsed)
+	}
+}
+
+// stoppableStore is a store.Mem with a store.Disk's Err: stop makes it
+// report a stopped log, as a Disk does after a failed append, until
+// Reopen.
+type stoppableStore struct {
+	*store.Mem
+	stop atomic.Bool
+}
+
+func (s *stoppableStore) Err() error {
+	if s.stop.Load() {
+		return errors.New("store: wal append failed, log stopped until Reopen")
+	}
+	return nil
+}
+
+func (s *stoppableStore) Reopen() error {
+	s.stop.Store(false)
+	return s.Mem.Reopen()
+}
+
+// TestWireStoppedStoreAnswersNoRead: on a wire.Server shard, a replica
+// whose store stopped its log answers every probe OK: false, as a crashed
+// one does, until a Restart flip recovers the store.
+func TestWireStoppedStoreAnswersNoRead(t *testing.T) {
+	st := &stoppableStore{Mem: store.NewMem()}
+	addr, _ := startShard(t, map[int]*sim.Server{0: sim.NewServer(0, sim.WithStore(st))})
+	cl, err := Dial(map[int]string{0: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	write := sim.Request{Op: sim.OpWrite, Key: "k", Value: sim.TaggedValue{Value: "v", TS: sim.Timestamp{Seq: 1, Writer: 1}}}
+	read := sim.Request{Op: sim.OpRead, Key: "k"}
+	if resp, err := cl.Invoke(ctx, 0, write); err != nil || !resp.OK {
+		t.Fatalf("write before the stop = %+v, %v", resp, err)
+	}
+	st.stop.Store(true)
+	for _, req := range []sim.Request{read, write} {
+		if resp, err := cl.Invoke(ctx, 0, req); err != nil || resp.OK {
+			t.Errorf("%v over a stopped store = %+v, %v, want OK: false", req.Op, resp, err)
+		}
+	}
+	if err := cl.Flip(ctx, 0, sim.Restart); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := cl.Invoke(ctx, 0, read); err != nil || !resp.OK {
+		t.Fatalf("read after Restart = %+v, %v, want it served", resp, err)
+	}
+}
+
+// TestInvokeBatchInterleavedShards: items that alternate between two
+// shards — in no order the address grouping already has — travel one
+// frame per shard, and each response still lands at its own item's index.
+func TestInvokeBatchInterleavedShards(t *testing.T) {
+	addrA, _ := startShard(t, newReplicas([]int{0, 1}))
+	addrB, _ := startShard(t, newReplicas([]int{2, 3}))
+	reg := obs.NewRegistry()
+	tr, err := Dial(map[int]string{0: addrA, 1: addrA, 2: addrB, 3: addrB}, WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	servers := []int{0, 2, 1, 3, 0, 2}
+	var writes, reads []sim.BatchItem
+	for i, server := range servers {
+		key := fmt.Sprintf("k%d", i)
+		tv := sim.TaggedValue{Value: fmt.Sprintf("v%d@%d", i, server), TS: sim.Timestamp{Seq: 1, Writer: 1}}
+		writes = append(writes, sim.BatchItem{Server: server, Req: sim.Request{Op: sim.OpWrite, Key: key, Value: tv}})
+		reads = append(reads, sim.BatchItem{Server: server, Req: sim.Request{Op: sim.OpRead, Key: key}})
+	}
+	if resps, err := tr.InvokeBatch(ctx, writes); err != nil || len(resps) != len(writes) {
+		t.Fatalf("writes: resps=%+v err=%v", resps, err)
+	}
+	resps, err := tr.InvokeBatch(ctx, reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resps {
+		if want := writes[i].Req.Value; !r.OK || r.Value != want {
+			t.Errorf("item %d (server %d) = %+v, want %+v", i, servers[i], r, want)
+		}
+	}
+	if v, _ := reg.Value("bqs_wire_frames_total", "side", "client", "dir", "out"); v != 4 {
+		t.Errorf("client frames out = %v, want one per shard per batch (4)", v)
 	}
 }

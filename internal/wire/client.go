@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -178,10 +179,10 @@ func (c *Client) Invoke(ctx context.Context, server int, req sim.Request) (sim.R
 // caller's goroutine. Each member's probe travels as a frame of its own,
 // encoded straight into its connection's write buffer, and each
 // connection the phase touched is flushed once, after the phase's last
-// frame and the flush rule's one yield. Each probe's pending entry points
-// at its slot out[k]: the connection's read loop decodes the reply into
-// it, and the caller wakes once, when the phase's last slot is answered —
-// no goroutine, channel or call object per probe. A member no frame can
+// frame and the flush rule's one yield. Each probe's waiter points at its
+// slot out[k]: the connection's read loop decodes the reply into it, and
+// the caller wakes once, when the phase's last slot is answered — no
+// goroutine, channel or call object per probe. A member no frame can
 // carry, or one whose address is unreachable, answers Response{OK: false}
 // as Invoke would; the error return is reserved for aborts (ctx done,
 // closed client, unrouted server), after which out is never written
@@ -204,83 +205,60 @@ func (c *Client) runPhase(ctx context.Context, ph *phase, members []int, req sim
 			return fmt.Errorf("wire: no route for server %d", server)
 		}
 	}
-	var gate uint64 // 0: ungated, for epoch-unaware clients
-	if c.cfg.epoch != nil {
-		gate = c.cfg.epoch.Load() + 1
+	gate := c.gate()
+	if req.Op == opFlip {
+		gate = 0 // the gate covers data, not faults
+	}
+	ph.out = out
+	var one [1]sim.BatchItem
+	encode := func(dst []byte, id uint64) []byte {
+		dst, _ = appendBatchRequest(dst, id, gate, one[:]) // fitsFrame: always encodes
+		return dst
 	}
 	for k, server := range members {
-		out[k] = sim.Response{} // from admit on, only the read loop writes the slot
-		one := [1]sim.BatchItem{{Server: server, Req: req}}
+		out[k] = sim.Response{} // from put on, only the read loop writes the slot
+		one[0] = sim.BatchItem{Server: server, Req: req}
 		if !fitsFrame(one[0]) {
 			continue // no frame can carry it: unresponsive, not an abort
 		}
-		addr := c.routes[server]
-		g := c.addrGroup[addr]
-		cn := ph.conns[g]
-		if cn == nil {
-			var err error
-			if cn, err = c.conn(addr); err != nil {
-				ph.forget()
-				return err
-			}
-			ph.conns[g] = cn
-		}
-		ph.left.Add(1)
-		w, id, err := cn.admit(ctx, waiter{slot: &out[k], ph: ph})
-		if err != nil {
-			ph.left.Add(-1)
-			if err == errDown {
-				continue
-			}
-			ph.forget()
+		if err := ph.put(ctx, c, c.routes[server], waiter{ph: ph, k: k, n: 1}, encode); err != nil {
 			return err
 		}
-		cn.cfg.met.batchOps.Observe(1)
-		if err := w.put(func(dst []byte) []byte {
-			dst, _ = appendBatchRequest(dst, id, gate, one[:]) // fitsFrame: always encodes
-			return dst
-		}); err != nil {
-			cn.fail(w) // answers this slot, and every other in flight on cn, OK: false
-			continue
-		}
-		if !slices.Contains(ph.writers, w) {
-			ph.writers = append(ph.writers, w)
-		}
 	}
-	if len(ph.writers) > 0 {
-		// The flush rule's one yield (see frameWriter), once for the whole
-		// phase: concurrent callers get their frames in behind ours.
-		ph.writers[0].yield()
-	}
-	for _, w := range ph.writers {
-		if w.flush() != nil {
-			w.nc.Close() // the read loop's teardown answers every slot on it OK: false
-		}
-	}
-	if ph.left.Add(-1) == 0 {
-		return nil // every slot answered already, or none was sent
-	}
-	select {
-	case <-ph.done:
-		return nil
-	case <-ctx.Done():
-		ph.forget()
-		return ctx.Err()
-	}
+	return ph.wait(ctx)
 }
 
-// phase is one quorum phase in flight: the countdown of its unanswered
-// slots — plus one while the caller is still sending, so that replies
-// racing the sends cannot finish the phase early — and the connections it
-// uses. Phases are pooled; the reply slots are the caller's, except one,
-// Invoke's own.
+// gate is the epoch gate request frames carry: the client's epoch + 1, or
+// 0 (ungated) on an epoch-unaware client.
+func (c *Client) gate() uint64 {
+	if c.cfg.epoch == nil {
+		return 0
+	}
+	return c.cfg.epoch.Load() + 1
+}
+
+// phase is every frame one caller has in flight — the probes of a quorum
+// phase, the frames of a batch, a flip, or a reconfig frame per shard —
+// and the countdown of their unanswered waiters, plus one while the caller
+// is still putting frames, so that replies racing the puts cannot finish
+// the phase early. Phases are pooled; the reply slots are the caller's,
+// except one, Invoke's own.
 type phase struct {
 	left atomic.Int32
-	done chan struct{} // receives once, from whoever answers the last slot
+	done chan struct{} // receives once, from whoever answers the last waiter
 
+	out     []sim.Response // the reply slots batch responses fill
+	states  []state        // the slots reconfig state replies fill
 	conns   []*conn        // by address group: the connection this phase uses there
 	writers []*frameWriter // each holding some of the phase's frames, to flush once
 	one     [1]sim.Response
+}
+
+// state is a shard's answer to a reconfig frame: the record it holds (zero
+// when it has none), with ok set once the answer arrived.
+type state struct {
+	rec reconfig.Record
+	ok  bool
 }
 
 var phasePool = sync.Pool{New: func() any { return &phase{done: make(chan struct{}, 1)} }}
@@ -299,23 +277,91 @@ func getPhase(groups int) *phase {
 // withdrawn by forget, so no read loop can reach it any more.
 func putPhase(ph *phase) {
 	select {
-	case <-ph.done: // the last slot of a forgotten phase was answered before forget
+	case <-ph.done: // the last waiter of a forgotten phase was answered before forget
 	default:
 	}
+	ph.out, ph.states = nil, nil
 	clear(ph.conns)
 	clear(ph.writers)
 	ph.writers = ph.writers[:0]
 	phasePool.Put(ph)
 }
 
-// answer counts one slot answered, waking the caller at the last.
+// put registers wt under a fresh request ID on the phase's connection to
+// addr, opened on first use, and encodes its frame — encode gets the free
+// tail of the write buffer and the ID — for wait to flush. An address
+// that is unreachable, now or at any time before it answers, is not an
+// error: wt's slots keep their zero value, so dead servers read as
+// crashed. The error return is reserved for aborts (ctx done, closed
+// client), after which the phase is withdrawn.
+func (ph *phase) put(ctx context.Context, c *Client, addr string, wt waiter, encode func(dst []byte, id uint64) []byte) error {
+	g := c.addrGroup[addr]
+	cn := ph.conns[g]
+	if cn == nil {
+		var err error
+		if cn, err = c.conn(addr); err != nil {
+			ph.forget()
+			return err
+		}
+		ph.conns[g] = cn
+	}
+	ph.left.Add(1)
+	w, id, err := cn.admit(ctx, wt)
+	if err != nil {
+		ph.left.Add(-1)
+		if err == errDown {
+			return nil
+		}
+		ph.forget()
+		return err
+	}
+	if wt.n > 0 {
+		cn.cfg.met.batchOps.Observe(float64(wt.n))
+	}
+	if err := w.put(id, encode); err != nil {
+		cn.fail(w) // answers this waiter, and every other in flight on cn, OK: false
+		return nil
+	}
+	if !slices.Contains(ph.writers, w) {
+		ph.writers = append(ph.writers, w)
+	}
+	return nil
+}
+
+// wait sends the phase's frames and parks until they are answered: the
+// flush rule's one yield (see frameWriter), once for the whole phase, so
+// that concurrent callers get their frames in behind ours; one flush per
+// connection the phase wrote to; one wake, at the last answer. If ctx is
+// done first, the phase is withdrawn and ctx.Err() returned.
+func (ph *phase) wait(ctx context.Context) error {
+	if len(ph.writers) > 0 {
+		ph.writers[0].yield()
+	}
+	for _, w := range ph.writers {
+		if w.flush() != nil {
+			w.nc.Close() // the read loop's teardown answers every waiter on it OK: false
+		}
+	}
+	if ph.left.Add(-1) == 0 {
+		return nil // every waiter answered already, or none was put
+	}
+	select {
+	case <-ph.done:
+		return nil
+	case <-ctx.Done():
+		ph.forget()
+		return ctx.Err()
+	}
+}
+
+// answer counts one waiter answered, waking the caller at the last.
 func (ph *phase) answer() {
 	if ph.left.Add(-1) == 0 {
 		ph.done <- struct{}{}
 	}
 }
 
-// forget withdraws every probe of an abandoned phase from its
+// forget withdraws every frame of an abandoned phase from its
 // connections' pending tables. Slots are only ever written under their
 // connection's mutex, so once forget has held each of them in turn, no
 // reply — late or racing — can touch the caller's slots or the phase.
@@ -334,99 +380,87 @@ func (ph *phase) forget() {
 	}
 }
 
-// connFor picks a connection to the address hosting the given server.
-func (c *Client) connFor(ctx context.Context, server int) (*conn, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	addr, ok := c.routes[server]
-	if !ok {
-		return nil, fmt.Errorf("wire: no route for server %d", server)
-	}
-	return c.conn(addr)
-}
-
 // InvokeBatch implements sim.BatchTransport: items are grouped by the
 // address hosting their servers and each group travels as one batch frame
-// (several when it exceeds a frame's bounds, all on one connection). Every
-// frame is sent before the first reply is awaited, so a call spanning
-// shards costs the slowest shard's round trip, not their sum. A group
-// whose address is unreachable fails fast AS A UNIT — one backoff-gate
-// check for the whole frame, every item answering Response{OK: false} —
-// so a dead shard costs one redial-backoff window, not one per operation.
-// An item no frame can carry (key or value past the per-item bounds)
-// answers OK: false alone and never poisons the frame of the others.
-// Responses align with items; the error return is reserved for aborts
-// (ctx done, closed client, unrouted server).
+// (several when it exceeds a frame's bounds), all put on one phase, so a
+// call spanning shards costs the slowest shard's round trip, not their
+// sum. The items are laid out by address first — the batcher's frames
+// come so already — so that each frame's replies fill one run of slots.
+// A group whose address is unreachable fails fast AS A UNIT — one
+// backoff-gate check per frame, every item answering Response{OK: false}
+// — so a dead shard costs one redial-backoff window, not one per
+// operation. An item no frame can carry (key or value past the per-item
+// bounds) answers OK: false alone and never poisons the frame of the
+// others. Responses align with items; the error return is reserved for
+// aborts (ctx done, closed client, unrouted server).
 func (c *Client) InvokeBatch(ctx context.Context, items []sim.BatchItem) ([]sim.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	out := make([]sim.Response, len(items))
-	// The batcher already groups per address, so the common case is one
-	// group; the grouping here keeps the contract honest for direct
-	// callers.
-	groups := make([]struct {
-		cn    *conn
-		idx   []int
-		items []sim.BatchItem
-	}, len(c.addrGroup))
-	for i, it := range items {
+	grouped, prev := true, 0
+	for _, it := range items {
 		addr, ok := c.routes[it.Server]
 		if !ok {
 			return nil, fmt.Errorf("wire: no route for server %d", it.Server)
 		}
-		if !fitsFrame(it) {
+		g := c.addrGroup[addr]
+		grouped = grouped && g >= prev
+		prev = g
+	}
+	out := make([]sim.Response, len(items))
+	laid, slots := items, out
+	var order []int // laid[j] is items[order[j]]; nil while they are one and the same
+	if !grouped {
+		order = make([]int, len(items))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int {
+			return cmp.Compare(c.GroupOf(items[a].Server), c.GroupOf(items[b].Server))
+		})
+		laid, slots = make([]sim.BatchItem, len(items)), make([]sim.Response, len(items))
+		for j, i := range order {
+			laid[j] = items[i]
+		}
+	}
+	ph := getPhase(len(c.addrGroup))
+	defer putPhase(ph)
+	ph.out = slots
+	gate := c.gate()
+	for start := 0; start < len(laid); {
+		end := c.chunkEnd(laid, start)
+		if end == start {
+			start++ // no frame can carry it: it answers OK: false alone
 			continue
 		}
-		g := &groups[c.addrGroup[addr]]
-		if g.cn == nil {
-			var err error
-			if g.cn, err = c.conn(addr); err != nil {
-				return nil, err
-			}
+		chunk := laid[start:end]
+		err := ph.put(ctx, c, c.routes[chunk[0].Server], waiter{ph: ph, k: start, n: len(chunk)}, func(dst []byte, id uint64) []byte {
+			dst, _ = appendBatchRequest(dst, id, gate, chunk) // chunkEnd: always encodes
+			return dst
+		})
+		if err != nil {
+			return nil, err
 		}
-		g.idx = append(g.idx, i)
-		g.items = append(g.items, it)
+		start = end
 	}
-	var flights []*pendingCall // one per frame sent,
-	var dests [][]int          // and where its responses go in out
-	var err error
-	for _, g := range groups {
-		for start := 0; err == nil && start < len(g.items); {
-			end := chunkEnd(g.items, start)
-			var pc *pendingCall
-			if pc, err = g.cn.sendBatch(ctx, g.items[start:end]); err == nil {
-				flights, dests = append(flights, pc), append(dests, g.idx[start:end])
-			}
-			start = end
-		}
-	}
-	// Every frame that left is awaited even after an abort: ctx done or a
-	// closed client resolves each of them at once.
-	for i, pc := range flights {
-		got, aerr := pc.await(ctx)
-		if aerr != nil {
-			err = aerr
-		}
-		for k, r := range got.resps {
-			out[dests[i][k]] = r
-		}
-	}
-	if err != nil {
+	if err := ph.wait(ctx); err != nil {
 		return nil, err
+	}
+	for j, i := range order {
+		out[i] = slots[j]
 	}
 	return out, nil
 }
 
-// chunkEnd returns the end index of the largest frame-sized chunk of
-// items starting at start: at most MaxBatchOps operations and under the
-// MaxFrame payload bound. Every item fits a frame alone (fitsFrame), so a
-// chunk is never empty.
-func chunkEnd(items []sim.BatchItem, start int) int {
+// chunkEnd returns the end index of the frame that starts at items[start]:
+// the longest run of items for one address that each fit a frame
+// (fitsFrame), at most MaxBatchOps of them and under the MaxFrame payload
+// bound. The run is empty only when items[start] fits no frame.
+func (c *Client) chunkEnd(items []sim.BatchItem, start int) int {
+	addr := c.routes[items[start].Server]
 	bytes := reqHeaderLen
 	end := start
-	for end < len(items) && end-start < MaxBatchOps {
+	for end < len(items) && end-start < MaxBatchOps && fitsFrame(items[end]) && c.routes[items[end].Server] == addr {
 		sz := reqItemLen(items[end])
 		if end > start && bytes+sz > MaxFrame {
 			break
@@ -439,30 +473,23 @@ func chunkEnd(items []sim.BatchItem, start int) int {
 
 // Flip implements faults.Flipper over the network: it sends an ungated frame
 // of one flip item to the shard hosting the given server, asking it to
-// switch that replica to behavior. This is the remote half of the churn
-// engine — a faults.FaultController driving a wire.Client replays its fault schedule
-// against a live TCP deployment exactly as it would against an in-memory
-// Cluster. The error reports an unreachable shard or a server the
-// addressed shard does not host; a schedule driver counts such flips as
-// misses and keeps going.
+// switch that replica to behavior — a phase of one member, as Invoke. This
+// is the remote half of the churn engine — a faults.FaultController
+// driving a wire.Client replays its fault schedule against a live TCP
+// deployment exactly as it would against an in-memory Cluster. The error
+// reports an unreachable shard or a server the addressed shard does not
+// host; a schedule driver counts such flips as misses and keeps going.
 func (c *Client) Flip(ctx context.Context, server int, behavior sim.Behavior) error {
-	cn, err := c.connFor(ctx, server)
+	req := sim.Request{Op: opFlip, ReaderID: int(behavior)}
+	if badFlip(sim.BatchItem{Req: req}) {
+		return fmt.Errorf("wire: flip to unknown behavior %d", int(behavior))
+	}
+	ack, err := c.Invoke(ctx, server, req)
 	if err != nil {
 		return err
 	}
-	one := [1]sim.BatchItem{{Server: server, Req: sim.Request{Op: opFlip, ReaderID: int(behavior)}}}
-	pc, err := cn.send(ctx, 1, func(dst []byte, id uint64) ([]byte, error) {
-		return AppendBatchRequest(dst, id, one[:]) // ungated: the gate covers data, not faults
-	})
-	if err != nil {
-		return err
-	}
-	ack, err := pc.await(ctx)
-	if err != nil {
-		return err
-	}
-	if !ack.resps[0].OK {
-		return fmt.Errorf("wire: flip server %d to %v: shard %s unreachable or not hosting it", server, behavior, cn.addr)
+	if !ack.OK {
+		return fmt.Errorf("wire: flip server %d to %v: shard %s unreachable or not hosting it", server, behavior, c.routes[server])
 	}
 	return nil
 }
@@ -482,16 +509,18 @@ func (c *Client) CurrentRecord() (reconfig.Record, bool) {
 }
 
 // InstallEpoch implements reconfig.Installer: the record travels as an
-// install frame to every distinct address in the route table, and once
-// all shards acknowledge an epoch ≥ rec.Epoch the client adopts it —
-// subsequent request frames carry the new epoch in their gate. This is
-// the cutover step of Cluster.Reconfigure over a wire transport; its
-// position AFTER the drain and BEFORE the epoch publish is what keeps the
-// adoption safe (no request routed with the old system is ever gated at
-// the new epoch). The last epoch, 2^64−1, has no gate value and is
-// refused.
+// install frame to every distinct address in the route table, all in one
+// round trip, and once all shards acknowledge an epoch ≥ rec.Epoch the
+// client adopts it — subsequent request frames carry the new epoch in
+// their gate. This is the cutover step of Cluster.Reconfigure over a wire
+// transport; its position AFTER the drain and BEFORE the epoch publish is
+// what keeps the adoption safe (no request routed with the old system is
+// ever gated at the new epoch). The last epoch, 2^64−1, has no gate value
+// and is refused.
 // Installs are idempotent at the shards, so retries and concurrent
-// coordinators converge. Requires an epoch-aware client (WithEpochs).
+// coordinators converge; a failed install leaves the client's epoch
+// alone, whichever shards installed. Requires an epoch-aware client
+// (WithEpochs).
 func (c *Client) InstallEpoch(ctx context.Context, rec reconfig.Record) error {
 	if c.cfg.epoch == nil {
 		return fmt.Errorf("wire: InstallEpoch on an epoch-unaware client (dial with WithEpochs)")
@@ -502,20 +531,16 @@ func (c *Client) InstallEpoch(ctx context.Context, rec reconfig.Record) error {
 	if rec.Epoch == math.MaxUint64 {
 		return fmt.Errorf("wire: install: epoch %d leaves no gate value", rec.Epoch)
 	}
-	for _, addr := range c.addrs() {
-		cn, err := c.conn(addr)
-		if err != nil {
-			return err
+	addrs, states, err := c.reconfigRound(ctx, ReconfigFrame{Kind: ReconfigInstall, Rec: rec})
+	if err != nil {
+		return err
+	}
+	for k, st := range states {
+		if !st.ok {
+			return fmt.Errorf("wire: install epoch %d: shard %s unreachable", rec.Epoch, addrs[k])
 		}
-		got, err := cn.roundTripReconfig(ctx, ReconfigFrame{Kind: ReconfigInstall, Rec: rec})
-		if err != nil {
-			return err
-		}
-		if !got.stateOK {
-			return fmt.Errorf("wire: install epoch %d: shard %s unreachable", rec.Epoch, addr)
-		}
-		if got.rec.Epoch < rec.Epoch {
-			return fmt.Errorf("wire: install epoch %d: shard %s acked epoch %d", rec.Epoch, addr, got.rec.Epoch)
+		if st.rec.Epoch < rec.Epoch {
+			return fmt.Errorf("wire: install epoch %d: shard %s acked epoch %d", rec.Epoch, addrs[k], st.rec.Epoch)
 		}
 	}
 	for {
@@ -531,29 +556,54 @@ func (c *Client) InstallEpoch(ctx context.Context, rec reconfig.Record) error {
 	}
 }
 
-// FetchConfig queries every shard for its current record and returns
-// the newest one found — the refresh path for a client told it is
-// stale. ok is false when no shard has a record installed; the error
-// return is reserved for aborts (ctx done, closed client) — an
-// unreachable shard is simply skipped, exactly as quorum probes treat
-// it.
+// FetchConfig queries every shard, all in one round trip, for its current
+// record and returns the newest one found — the refresh path for a client
+// told it is stale. ok is false when no shard has a record installed; the
+// error return is reserved for aborts (ctx done, closed client) — an
+// unreachable shard is simply skipped, exactly as quorum probes treat it.
 func (c *Client) FetchConfig(ctx context.Context) (reconfig.Record, bool, error) {
+	_, states, err := c.reconfigRound(ctx, ReconfigFrame{Kind: ReconfigQuery})
+	if err != nil {
+		return reconfig.Record{}, false, err
+	}
 	var best reconfig.Record
 	found := false
-	for _, addr := range c.addrs() {
-		cn, err := c.conn(addr)
-		if err != nil {
-			return reconfig.Record{}, false, err
-		}
-		got, err := cn.roundTripReconfig(ctx, ReconfigFrame{Kind: ReconfigQuery})
-		if err != nil {
-			return reconfig.Record{}, false, err
-		}
-		if got.stateOK && got.rec.Epoch >= best.Epoch && got.rec != (reconfig.Record{}) {
-			best, found = got.rec, true
+	for _, st := range states {
+		if st.ok && st.rec.Epoch >= best.Epoch && st.rec != (reconfig.Record{}) {
+			best, found = st.rec, true
 		}
 	}
 	return best, found, nil
+}
+
+// reconfigRound puts f on one phase as a frame to every distinct address
+// and returns the addresses, sorted, with each one's state reply; a shard
+// that did not answer has ok false.
+func (c *Client) reconfigRound(ctx context.Context, f ReconfigFrame) ([]string, []state, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	if _, err := AppendReconfig(nil, 0, f); err != nil {
+		return nil, nil, err // fails here, so that the frames below always encode
+	}
+	addrs := c.addrs()
+	states := make([]state, len(addrs))
+	ph := getPhase(len(c.addrGroup))
+	defer putPhase(ph)
+	ph.states = states
+	encode := func(dst []byte, id uint64) []byte {
+		dst, _ = AppendReconfig(dst, id, f)
+		return dst
+	}
+	for k, addr := range addrs {
+		if err := ph.put(ctx, c, addr, waiter{ph: ph, k: k}, encode); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := ph.wait(ctx); err != nil {
+		return nil, nil, err
+	}
+	return addrs, states, nil
 }
 
 // addrs returns the distinct addresses of the route table, sorted for
@@ -636,146 +686,27 @@ type conn struct {
 	closed     bool
 }
 
-// waiter is what a request ID in flight resolves: a call awaiting a whole
-// reply frame, or one slot of a quorum phase, which a single response
-// fills. Either is answered exactly once, by whoever deletes it from
-// conn.pending — under conn.mu, which is what lets a phase withdraw its
-// slots (phase.forget).
+// waiter is one frame in flight: the n reply slots of ph.out from k on,
+// which the frame's batch response fills, or, for a reconfig frame
+// (n = 0), the slot ph.states[k], which its state reply fills. It is
+// answered exactly once, by whoever deletes it from conn.pending — under
+// conn.mu, which is what lets a phase withdraw its frames (phase.forget).
+// A slot no reply fills keeps its zero value, which is how a crashed peer
+// answers: Response{OK: false}, or no state.
 type waiter struct {
-	call *pendingCall  // a frame sent through send; nil for a phase slot
-	slot *sim.Response // the phase slot the response lands in
 	ph   *phase
+	k, n int
 }
 
-// fail answers the waiter the way a crashed peer would: OK: false.
-func (wt waiter) fail() {
-	if wt.call != nil {
-		wt.call.fail()
-		return
-	}
-	*wt.slot = sim.Response{}
-	wt.ph.answer()
-}
-
-// pendingCall is one in-flight frame awaiting its reply. The channel is
-// buffered so teardown and readLoop never block on an abandoned waiter.
-// A call resolves exactly once — by whoever deletes it from conn.pending,
-// or by send when it never got that far — and is recycled only by the
-// goroutine that RECEIVED that reply: a waiter that gave up (ctx done)
-// leaves its call to the collector, so a late reply for the forgotten id
-// can never land in a recycled call.
-type pendingCall struct {
-	done chan reply
-	cn   *conn
-	id   uint64
-	n    int // responses the reply must carry; 0 for a call awaiting a state frame
-}
-
-var callPool = sync.Pool{New: func() any { return &pendingCall{done: make(chan reply, 1)} }}
-
-// reply is what a pending call resolves to: the responses of a batchResp
-// frame, aligned with the request's items, or the record of a reconfig
-// state frame (zero when the shard has nothing installed).
-type reply struct {
-	resps   []sim.Response
-	rec     reconfig.Record
-	stateOK bool // a state frame arrived
-}
-
-// fail answers the call the way a crashed peer would: every response the
-// zero Response (OK: false), and no state.
-func (pc *pendingCall) fail() { pc.done <- reply{resps: make([]sim.Response, pc.n)} }
-
-// errDown is the internal signal that the remote end is unreachable; send
-// translates it into the crashed-peer reply.
+// errDown is the internal signal that the remote end is unreachable; put
+// reads it as the crashed-peer answer.
 var errDown = fmt.Errorf("wire: server down")
-
-// roundTripReconfig sends a reconfig install or query frame and waits
-// for the shard's state reply; an unreachable shard reads as
-// reply{stateOK: false}.
-func (cn *conn) roundTripReconfig(ctx context.Context, f ReconfigFrame) (reply, error) {
-	pc, err := cn.send(ctx, 0, func(dst []byte, id uint64) ([]byte, error) {
-		return AppendReconfig(dst, id, f)
-	})
-	if err != nil {
-		return reply{}, err
-	}
-	return pc.await(ctx)
-}
-
-// sendBatch sends one batch frame of items that all fit it (fitsFrame,
-// chunkEnd), gated at the client's epoch; await returns the aligned
-// responses.
-func (cn *conn) sendBatch(ctx context.Context, items []sim.BatchItem) (*pendingCall, error) {
-	cn.cfg.met.batchOps.Observe(float64(len(items)))
-	var gate uint64 // 0: ungated, for epoch-unaware clients
-	if cn.cfg.epoch != nil {
-		gate = cn.cfg.epoch.Load() + 1
-	}
-	return cn.send(ctx, len(items), func(dst []byte, id uint64) ([]byte, error) {
-		return appendBatchRequest(dst, id, gate, items)
-	})
-}
 
 // fitsFrame reports whether AppendBatchRequest accepts the item; one that
 // fits can always be sent, alone in its frame if need be (MaxValueLen
 // leaves room for the longest key).
 func fitsFrame(it sim.BatchItem) bool {
 	return it.Server >= 0 && int64(it.Server) <= int64(^uint32(0)) && len(it.Req.Key) <= MaxKeyLen && len(it.Req.Value.Value) <= MaxValueLen && !badFlip(it)
-}
-
-// await waits for the reply to a call send returned.
-func (pc *pendingCall) await(ctx context.Context) (reply, error) {
-	select {
-	case got := <-pc.done:
-		callPool.Put(pc)
-		return got, nil
-	case <-ctx.Done():
-		// A late response for the forgotten id is discarded by readLoop.
-		pc.cn.mu.Lock()
-		delete(pc.cn.pending, pc.id)
-		pc.cn.mu.Unlock()
-		return reply{}, ctx.Err()
-	}
-}
-
-// send ensures the connection is up, registers a pending call expecting n
-// responses (n = 0: a state frame) and puts the frame built by encode —
-// called with the free tail of the write buffer and the fresh request ID —
-// on the connection's frameWriter. An unreachable peer, at send time or
-// any time before the answer, is not an error: after one dial attempt or
-// backoff-gate check the call resolves to the crashed-peer reply, so dead
-// servers read as crashed. The error return is reserved for aborts (ctx
-// done, closed client, unencodable frame).
-func (cn *conn) send(ctx context.Context, n int, encode func(dst []byte, id uint64) ([]byte, error)) (*pendingCall, error) {
-	pc := callPool.Get().(*pendingCall)
-	pc.cn, pc.n = cn, n
-	w, id, err := cn.admit(ctx, waiter{call: pc})
-	if err == errDown {
-		pc.fail()
-		return pc, nil
-	}
-	if err != nil {
-		callPool.Put(pc)
-		return nil, err
-	}
-	pc.id = id
-	werr := w.send(func(dst []byte) []byte {
-		dst, err = encode(dst, id)
-		return dst
-	})
-	if err != nil {
-		// Unencodable frame (invalid record or behavior): caller bug, abort.
-		// The call stays out of the pool — a concurrent teardown may fail it.
-		cn.mu.Lock()
-		delete(cn.pending, id)
-		cn.mu.Unlock()
-		return nil, err
-	}
-	if werr != nil {
-		cn.fail(w)
-	}
-	return pc, nil
 }
 
 // admit ensures the connection is up and registers wt under a fresh
@@ -909,7 +840,7 @@ func (cn *conn) readLoop(w *frameWriter) {
 			}
 			switch rf.Kind {
 			case ReconfigState:
-				if !cn.resolve(rid, nil, rf.Rec) {
+				if !cn.resolve(rid, nil, &rf.Rec) {
 					goto done
 				}
 			case ReconfigWrongEpoch:
@@ -923,7 +854,7 @@ func (cn *conn) readLoop(w *frameWriter) {
 				wt, ok := cn.pending[rid]
 				if ok {
 					delete(cn.pending, rid)
-					wt.fail()
+					wt.ph.answer()
 				}
 				cn.mu.Unlock()
 				if h := cn.cfg.onStale; h != nil {
@@ -934,7 +865,7 @@ func (cn *conn) readLoop(w *frameWriter) {
 			}
 		case tagBatchResponse:
 			id, resps, err := decodeBatchResponse(frame, scratch, &strs)
-			if err != nil || !cn.resolve(id, resps, reconfig.Record{}) {
+			if err != nil || !cn.resolve(id, resps, nil) {
 				goto done
 			}
 			scratch = resps
@@ -947,41 +878,34 @@ done:
 }
 
 // resolve answers the waiter for id with a reply frame: resps for a batch
-// response (the read loop's scratch — a phase slot takes its one
-// response, a call a copy), or, when resps is empty, the record of a
-// state frame. It reports false when the waiter expects another kind or
-// count of reply — a protocol error; a reply for an id nobody awaits, a
-// late one for a forgotten request, is dropped.
-func (cn *conn) resolve(id uint64, resps []sim.Response, rec reconfig.Record) bool {
+// response (the read loop's scratch, copied into the waiter's slots), or
+// rec for a state frame. It reports false when the waiter expects another
+// kind or count of reply — a protocol error; a reply for an id nobody
+// awaits, a late one for a forgotten request, is dropped.
+func (cn *conn) resolve(id uint64, resps []sim.Response, rec *reconfig.Record) bool {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	wt, ok := cn.pending[id]
 	if !ok {
 		return true
 	}
-	n := 1 // a phase slot takes exactly one response
-	if wt.call != nil {
-		n = wt.call.n
-	}
-	if n != len(resps) {
+	if len(resps) != wt.n || (rec != nil) != (wt.n == 0) {
 		return false
 	}
 	delete(cn.pending, id)
-	switch {
-	case wt.call == nil:
-		*wt.slot = resps[0]
-		wt.ph.answer()
-	case n == 0:
-		wt.call.done <- reply{rec: rec, stateOK: true} // buffered; never blocks
-	default:
-		wt.call.done <- reply{resps: slices.Clone(resps)}
+	if rec != nil {
+		wt.ph.states[wt.k] = state{rec: *rec, ok: true}
 	}
+	for i, r := range resps { // element by element: a probe's one reply costs no copy call
+		wt.ph.out[wt.k+i] = r
+	}
+	wt.ph.answer()
 	return true
 }
 
 // teardownLocked closes w's connection and, if it is still the live one,
-// answers every pending call with OK: false so waiters treat the remote
-// servers as crashed. Called with cn.mu held.
+// answers every pending waiter, leaving its slots OK: false, so callers
+// treat the remote servers as crashed. Called with cn.mu held.
 func (cn *conn) teardownLocked(w *frameWriter) {
 	w.nc.Close()
 	if cn.w != w {
@@ -990,7 +914,7 @@ func (cn *conn) teardownLocked(w *frameWriter) {
 	cn.w = nil
 	for id, wt := range cn.pending {
 		delete(cn.pending, id)
-		wt.fail()
+		wt.ph.answer()
 	}
 }
 

@@ -43,14 +43,14 @@ func newFrameWriter(nc net.Conn, met *wireMetrics) *frameWriter {
 	return &frameWriter{nc: nc, met: met, yield: runtime.Gosched, bw: bufio.NewWriterSize(nc, writeBufSize)}
 }
 
-// send puts on the connection the one frame encode — called under w.mu —
-// appends to the free tail of the write buffer; an encode that appends
-// nothing (the caller's frame failed to encode) sends nothing. A write
-// error is sticky in the bufio.Writer, so whoever flushes next sees it
-// too; the caller that gets one tears the connection down, which fails
-// each frame the flush carried exactly once.
-func (w *frameWriter) send(encode func(dst []byte) []byte) error {
-	if err := w.put(encode); err != nil {
+// send puts on the connection the one frame encode — called under w.mu
+// with the free tail of the write buffer and the frame's request ID —
+// appends; every caller's frame is known to encode by then. A write error
+// is sticky in the bufio.Writer, so whoever flushes next sees it too; the
+// caller that gets one tears the connection down, which fails each frame
+// the flush carried exactly once.
+func (w *frameWriter) send(id uint64, encode func(dst []byte, id uint64) []byte) error {
+	if err := w.put(id, encode); err != nil {
 		return err
 	}
 	w.yield()
@@ -61,13 +61,9 @@ func (w *frameWriter) send(encode func(dst []byte) []byte) error {
 // whoever flushes next. A caller that puts several frames — a quorum
 // phase, a server read loop answering a burst — flushes once, after the
 // last.
-func (w *frameWriter) put(encode func(dst []byte) []byte) error {
+func (w *frameWriter) put(id uint64, encode func(dst []byte, id uint64) []byte) error {
 	w.mu.Lock()
-	out := encode(w.bw.AvailableBuffer())
-	if len(out) == 0 {
-		w.mu.Unlock()
-		return nil
-	}
+	out := encode(w.bw.AvailableBuffer(), id)
 	_, err := w.bw.Write(out)
 	w.frames++
 	w.mu.Unlock()

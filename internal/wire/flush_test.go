@@ -105,13 +105,31 @@ func fakeShard(t *testing.T, before func(items []sim.BatchItem)) string {
 // connection is closed when the test ends.
 func scriptedShard(t *testing.T, serve func(nc net.Conn, id uint64, items []sim.BatchItem) error) string {
 	t.Helper()
+	addr, _ := frameShard(t, func(nc net.Conn, frame []byte) error {
+		if frame[0] != tagBatchRequest {
+			return nil
+		}
+		id, items, err := DecodeBatchRequest(frame)
+		if err != nil {
+			return err
+		}
+		return serve(nc, id, items)
+	})
+	return addr
+}
+
+// frameShard is scriptedShard for every kind of frame: serve gets each
+// frame's payload. stop closes the listener and every connection, as the
+// end of the test does.
+func frameShard(t *testing.T, serve func(nc net.Conn, frame []byte) error) (addr string, stop func()) {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
 	var conns []net.Conn
-	t.Cleanup(func() {
+	stop = sync.OnceFunc(func() {
 		lis.Close()
 		mu.Lock()
 		defer mu.Unlock()
@@ -119,6 +137,7 @@ func scriptedShard(t *testing.T, serve func(nc net.Conn, id uint64, items []sim.
 			nc.Close()
 		}
 	})
+	t.Cleanup(stop)
 	go func() {
 		for {
 			nc, err := lis.Accept()
@@ -138,18 +157,14 @@ func scriptedShard(t *testing.T, serve func(nc net.Conn, id uint64, items []sim.
 						return
 					}
 					buf = frame
-					if frame[0] != tagBatchRequest {
-						continue
-					}
-					id, items, err := DecodeBatchRequest(frame)
-					if err != nil || serve(nc, id, items) != nil {
+					if serve(nc, frame) != nil {
 						return
 					}
 				}
 			}()
 		}
 	}()
-	return lis.Addr().String()
+	return lis.Addr().String(), stop
 }
 
 // gatedClientConn dials addr, wraps the socket in a gateConn and installs
@@ -188,8 +203,8 @@ func waitN(t *testing.T, ch <-chan struct{}, n int, what string) {
 }
 
 // TestClientCoalescesBehindHeldFlush pins the mechanism of the flush rule
-// on the client: while one sender's flush is held in write(2), nine more
-// senders queue up behind it; once each has its frame in the buffer, the
+// on the client: while one caller's flush is held in write(2), nine more
+// callers queue up behind it; once each has its frame in the buffer, the
 // next write(2) carries all nine.
 func TestClientCoalescesBehindHeldFlush(t *testing.T) {
 	addr := fakeShard(t, nil)
@@ -207,13 +222,8 @@ func TestClientCoalescesBehindHeldFlush(t *testing.T) {
 	oks := make([]bool, 10)
 	call := func(i int) {
 		defer wg.Done()
-		pc, err := cn.sendBatch(ctx, probe(i))
-		if err != nil {
-			t.Errorf("send %d: %v", i, err)
-			return
-		}
-		got, err := pc.await(ctx)
-		oks[i] = err == nil && got.resps[0].OK
+		resps, err := cl.InvokeBatch(ctx, probe(i))
+		oks[i] = err == nil && resps[0].OK
 	}
 	wg.Add(1)
 	go call(0)
@@ -223,7 +233,7 @@ func TestClientCoalescesBehindHeldFlush(t *testing.T) {
 		go call(i)
 	}
 	g.gate <- struct{}{} // the held flush completes, carrying frame 0 alone
-	waitN(t, arrived, 9, "nine senders to buffer their frames")
+	waitN(t, arrived, 9, "nine callers to buffer their frames")
 	release()
 	close(g.gate)
 	wg.Wait()
@@ -238,9 +248,11 @@ func TestClientCoalescesBehindHeldFlush(t *testing.T) {
 }
 
 // TestClientFailedCoalescedFlush: when the write(2) that carries nine
-// senders' frames fails, every call in flight on the connection — the nine
-// and the one already on the wire — resolves to OK: false exactly once,
-// nobody hangs, and the next call redials.
+// callers' frames fails, every call in flight on the connection — the
+// nine and the one already on the wire — resolves to OK: false exactly
+// once, nobody hangs, and the next call redials. A waiter is answered
+// only by whoever deletes it from the connection's pending table, so an
+// empty table once every call returned means each was answered once.
 func TestClientFailedCoalescedFlush(t *testing.T) {
 	hold, holding := make(chan struct{}), make(chan struct{}, 1)
 	var held atomic.Bool
@@ -264,17 +276,11 @@ func TestClientFailedCoalescedFlush(t *testing.T) {
 	defer cancel()
 
 	var wg sync.WaitGroup
-	calls := make([]*pendingCall, 10)
-	replies := make([]reply, 10)
+	replies := make([][]sim.Response, 10)
 	call := func(i int) {
 		defer wg.Done()
-		pc, err := cn.sendBatch(ctx, probe(i))
-		if err != nil {
-			t.Errorf("send %d: %v", i, err)
-			return
-		}
-		calls[i] = pc
-		if replies[i], err = pc.await(ctx); err != nil {
+		var err error
+		if replies[i], err = cl.InvokeBatch(ctx, probe(i)); err != nil {
 			t.Errorf("call %d hung until its deadline: %v", i, err)
 		}
 	}
@@ -286,7 +292,7 @@ func TestClientFailedCoalescedFlush(t *testing.T) {
 		go call(i)
 	}
 	g.gate <- struct{}{}
-	waitN(t, arrived, 9, "nine senders to buffer their frames")
+	waitN(t, arrived, 9, "nine callers to buffer their frames")
 	release()
 	close(g.gate) // the combined write(2) now runs, and fails
 	wg.Wait()
@@ -294,12 +300,15 @@ func TestClientFailedCoalescedFlush(t *testing.T) {
 		t.Fatalf("frames per write(2) = %v, want the failing second one to carry 9", got)
 	}
 	for i, r := range replies {
-		if len(r.resps) != 1 || r.resps[0].OK {
+		if len(r) != 1 || r[0].OK {
 			t.Errorf("call %d resolved to %+v, want one OK:false response", i, r)
 		}
-		if calls[i] != nil && len(calls[i].done) != 0 {
-			t.Errorf("call %d was resolved twice", i)
-		}
+	}
+	cn.mu.Lock()
+	left := len(cn.pending)
+	cn.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d waiters still pending after every call returned", left)
 	}
 	// The connection is gone: the next call dials a fresh one (the gated
 	// one was attached by hand, so this is the client's first dial) and is
@@ -315,31 +324,41 @@ func TestClientFailedCoalescedFlush(t *testing.T) {
 	}
 }
 
-// TestLoneFrameIsNotStarved: a single probe on an idle connection is on
-// the socket by the time send returns — before its sender parks waiting
-// for the reply, with no second sender needed to trigger the flush.
+// TestLoneFrameIsNotStarved: a single probe on an idle connection reaches
+// the socket while its caller waits for the reply, with no second sender
+// needed to trigger the flush: the shard sees the frame while it still
+// holds the reply back.
 func TestLoneFrameIsNotStarved(t *testing.T) {
-	hold := make(chan struct{})
-	addr := fakeShard(t, func([]sim.BatchItem) { <-hold })
+	hold, seen := make(chan struct{}), make(chan struct{}, 1)
+	addr := fakeShard(t, func([]sim.BatchItem) {
+		seen <- struct{}{}
+		<-hold
+	})
 	cl, err := Dial(map[int]string{0: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cn, g := gatedClientConn(t, cl, addr)
+	_, g := gatedClientConn(t, cl, addr)
 	close(g.gate)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	pc, err := cn.sendBatch(ctx, probe(0))
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		resps []sim.Response
+		err   error
 	}
+	done := make(chan result, 1)
+	go func() {
+		resps, err := cl.InvokeBatch(ctx, probe(0))
+		done <- result{resps, err}
+	}()
+	waitN(t, seen, 1, "the lone frame to reach the shard")
 	if got := g.frameCounts(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("after send returned, frames per write(2) = %v, want [1]", got)
+		t.Fatalf("while the reply is held, frames per write(2) = %v, want [1]", got)
 	}
 	close(hold)
-	if got, err := pc.await(ctx); err != nil || !got.resps[0].OK {
-		t.Fatalf("lone probe: reply=%+v err=%v", got, err)
+	if got := <-done; got.err != nil || !got.resps[0].OK {
+		t.Fatalf("lone probe: reply=%+v err=%v", got.resps, got.err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -191,5 +193,85 @@ func TestPhaseOverLoopback(t *testing.T) {
 	}
 	if v, _ := regC.Value("bqs_wire_frames_total", "side", "client", "dir", "out"); v != 2*float64(len(members)) {
 		t.Fatalf("client frames out = %v after the aborted phase, want %d", v, 2*len(members))
+	}
+}
+
+// stateShard is a stand-in for wire.Server's reconfig plane: it answers an
+// install with the installed record and a query with the last record
+// installed (zero before any), after calling before, so a test decides
+// when a state reply comes.
+func stateShard(t *testing.T, before func()) (addr string, stop func()) {
+	t.Helper()
+	var mu sync.Mutex
+	var cur reconfig.Record
+	return frameShard(t, func(nc net.Conn, frame []byte) error {
+		id, f, err := DecodeReconfig(frame)
+		if err != nil {
+			return err
+		}
+		before()
+		mu.Lock()
+		if f.Kind == ReconfigInstall {
+			cur = f.Rec
+		}
+		out, err := AppendReconfig(nil, id, ReconfigFrame{Kind: ReconfigState, Rec: cur})
+		mu.Unlock()
+		if err != nil {
+			return err
+		}
+		_, err = nc.Write(out)
+		return err
+	})
+}
+
+// TestInstallAndQueryTakeOneRound: InstallEpoch and FetchConfig put their
+// frame on every shard before they wait for any state reply. Each of the
+// two shards answers a frame only once the other has seen its own, so a
+// client that wrote to the second shard after the first one's reply —
+// one round trip per shard — would never finish. CurrentRecord follows
+// the installs: nothing before the first, the record once every shard
+// acknowledged it, and the same record after an install that one
+// unreachable shard failed.
+func TestInstallAndQueryTakeOneRound(t *testing.T) {
+	aSeen, bSeen, bGone := make(chan struct{}, 4), make(chan struct{}, 4), make(chan struct{})
+	addrA, _ := stateShard(t, func() {
+		aSeen <- struct{}{}
+		select {
+		case <-bSeen:
+		case <-bGone:
+		}
+	})
+	addrB, stopB := stateShard(t, func() {
+		bSeen <- struct{}{}
+		<-aSeen
+	})
+	cl, err := Dial(map[int]string{0: addrA, 1: addrB}, WithEpochs(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if got, ok := cl.CurrentRecord(); ok {
+		t.Fatalf("CurrentRecord before any install = %+v, want none", got)
+	}
+	rec := reconfig.Record{Epoch: 3, Kind: "threshold", Universe: 2}
+	if err := cl.InstallEpoch(ctx, rec); err != nil {
+		t.Fatalf("InstallEpoch: %v, want both shards installed in one round trip", err)
+	}
+	if got, ok := cl.CurrentRecord(); !ok || got != rec {
+		t.Fatalf("CurrentRecord after the install = %+v, %v, want %+v", got, ok, rec)
+	}
+	if got, ok, err := cl.FetchConfig(ctx); err != nil || !ok || got != rec {
+		t.Fatalf("FetchConfig = %+v, %v, %v, want %+v from one round trip", got, ok, err, rec)
+	}
+	stopB()
+	close(bGone)
+	next := reconfig.Record{Epoch: 4, Kind: "threshold", Universe: 2}
+	if err := cl.InstallEpoch(ctx, next); err == nil || !strings.Contains(err.Error(), addrB) {
+		t.Fatalf("InstallEpoch with shard %s down = %v, want its unreachable error", addrB, err)
+	}
+	if got, ok := cl.CurrentRecord(); !ok || got != rec {
+		t.Fatalf("CurrentRecord after the failed install = %+v, %v, want %+v unchanged", got, ok, rec)
 	}
 }

@@ -240,7 +240,7 @@ func frameBuffered(br *bufio.Reader) bool {
 // read loop's flush.
 // A failed write closes the connection, which unblocks the read loop.
 func (s *Server) reply(w *frameWriter, flush bool, id uint64, resps []sim.Response, kind ReconfigKind, rec reconfig.Record) {
-	encode := func(dst []byte) []byte {
+	encode := func(dst []byte, id uint64) []byte {
 		if resps == nil {
 			return append(dst, recordFrame(id, kind, rec)...) // rare: off the probe path
 		}
@@ -249,9 +249,9 @@ func (s *Server) reply(w *frameWriter, flush bool, id uint64, resps []sim.Respon
 	}
 	var err error
 	if flush {
-		err = w.send(encode)
+		err = w.send(id, encode)
 	} else {
-		err = w.put(encode)
+		err = w.put(id, encode)
 	}
 	if err != nil {
 		w.nc.Close()
