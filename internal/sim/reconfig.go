@@ -190,12 +190,17 @@ func (c *Cluster) accumulateRetired(old *epochState) {
 // partially-written value this way is legal for the [MR98a] safe register
 // — the write happened; handoff merely finishes its propagation — and
 // reading stored state (not asking the servers) sidesteps Byzantine reply
-// behaviors, which corrupt answers, not registers. Returns how many keys
-// moved. Cluster.Reconfigure runs it over the whole fleet; a wire shard
+// behaviors, which corrupt answers, not registers. A server over a stopped
+// store is no source: its memory may hold a nacked write that recovery
+// drops, so it counts as crashed, as it does to every probe. Returns how
+// many keys moved. Cluster.Reconfigure runs it over the whole fleet; a wire shard
 // runs it over the replicas it hosts.
 func MergeState(from, to []*Server) int {
 	best := make(map[string]TaggedValue)
 	for _, s := range from {
+		if s.stopped() {
+			continue
+		}
 		for _, key := range s.Keys() {
 			tv := s.SnapshotKey(key)
 			if cur, ok := best[key]; !ok || cur.TS.Less(tv.TS) {

@@ -293,10 +293,7 @@ func (s *Server) stageWrite(key string, tv TaggedValue) (bool, *store.Commit) {
 	if s.mem != nil {
 		return s.mem.Apply(rec) == nil, nil
 	}
-	if s.stopped() {
-		return false, nil
-	}
-	c, err := store.Stage(s.store, rec)
+	c, err := store.Stage(s.store, rec) // a stopped store refuses it
 	return err == nil, c
 }
 

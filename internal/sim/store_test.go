@@ -240,8 +240,8 @@ func TestParseBehaviorRestart(t *testing.T) {
 }
 
 // stoppableStore is a store.Mem with a store.Disk's Err: stop makes it
-// report a stopped log, as a Disk does after a failed append, until
-// Reopen.
+// report a stopped log and refuse every write, as a Disk does after a
+// failed append, until Reopen.
 type stoppableStore struct {
 	*store.Mem
 	stop atomic.Bool
@@ -252,6 +252,13 @@ func (s *stoppableStore) Err() error {
 		return errors.New("store: wal append failed, log stopped until Reopen")
 	}
 	return nil
+}
+
+func (s *stoppableStore) Apply(rec store.Record) error {
+	if err := s.Err(); err != nil {
+		return err
+	}
+	return s.Mem.Apply(rec)
 }
 
 func (s *stoppableStore) Reopen() error {
@@ -282,5 +289,26 @@ func TestStoppedStoreAnswersNoRead(t *testing.T) {
 	s.SetBehavior(Restart)
 	if resp, err := tr.Invoke(ctx, 0, read); err != nil || !resp.OK {
 		t.Fatalf("read after Restart = %+v, %v, want it served", resp, err)
+	}
+}
+
+// TestMergeStateSkipsStoppedStore: a handoff reads no state from a
+// replica whose store stopped its log — its memory may hold a nacked write
+// that recovery drops — and reads it again once the store is recovered.
+func TestMergeStateSkipsStoppedStore(t *testing.T) {
+	st := &stoppableStore{Mem: store.NewMem()}
+	src := NewServer(0, WithStore(st))
+	tv := TaggedValue{Value: "v", TS: Timestamp{Seq: 1, Writer: 1}}
+	if !src.HandleWrite("k", tv) {
+		t.Fatal("write before the stop refused")
+	}
+	st.stop.Store(true)
+	dst := NewServer(1)
+	if n := MergeState([]*Server{src}, []*Server{dst}); n != 0 || dst.SnapshotKey("k") != (TaggedValue{}) {
+		t.Fatalf("merge from a stopped store moved %d keys, k = %+v; want none", n, dst.SnapshotKey("k"))
+	}
+	st.stop.Store(false)
+	if n := MergeState([]*Server{src}, []*Server{dst}); n != 1 || dst.SnapshotKey("k") != tv {
+		t.Fatalf("merge after recovery moved %d keys, k = %+v; want 1, %+v", n, dst.SnapshotKey("k"), tv)
 	}
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -380,60 +379,40 @@ func (ph *phase) forget() {
 	}
 }
 
-// InvokeBatch implements sim.BatchTransport: items are grouped by the
-// address hosting their servers and each group travels as one batch frame
-// (several when it exceeds a frame's bounds), all put on one phase, so a
-// call spanning shards costs the slowest shard's round trip, not their
-// sum. The items are laid out by address first — the batcher's frames
-// come so already — so that each frame's replies fill one run of slots.
-// A group whose address is unreachable fails fast AS A UNIT — one
-// backoff-gate check per frame, every item answering Response{OK: false}
-// — so a dead shard costs one redial-backoff window, not one per
-// operation. An item no frame can carry (key or value past the per-item
-// bounds) answers OK: false alone and never poisons the frame of the
-// others. Responses align with items; the error return is reserved for
-// aborts (ctx done, closed client, unrouted server).
+// InvokeBatch implements sim.BatchTransport: each run of items for one
+// address travels as one batch frame (several when it exceeds a frame's
+// bounds), all put on one phase, so a call spanning shards costs the
+// slowest shard's round trip, not their sum. The batcher sends one address
+// group per call; a caller whose items interleave shards pays one frame
+// per run. Each frame's replies fill its own run of the result. A run
+// whose address is unreachable fails fast AS A UNIT — one backoff-gate
+// check per frame, every item answering Response{OK: false} — so a dead
+// shard costs one redial-backoff window, not one per operation. An item no
+// frame can carry (key or value past the per-item bounds) answers
+// OK: false alone and never poisons the frame of the others. Responses
+// align with items; the error return is reserved for aborts (ctx done,
+// closed client, unrouted server).
 func (c *Client) InvokeBatch(ctx context.Context, items []sim.BatchItem) ([]sim.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	grouped, prev := true, 0
 	for _, it := range items {
-		addr, ok := c.routes[it.Server]
-		if !ok {
+		if _, ok := c.routes[it.Server]; !ok {
 			return nil, fmt.Errorf("wire: no route for server %d", it.Server)
 		}
-		g := c.addrGroup[addr]
-		grouped = grouped && g >= prev
-		prev = g
 	}
 	out := make([]sim.Response, len(items))
-	laid, slots := items, out
-	var order []int // laid[j] is items[order[j]]; nil while they are one and the same
-	if !grouped {
-		order = make([]int, len(items))
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortStableFunc(order, func(a, b int) int {
-			return cmp.Compare(c.GroupOf(items[a].Server), c.GroupOf(items[b].Server))
-		})
-		laid, slots = make([]sim.BatchItem, len(items)), make([]sim.Response, len(items))
-		for j, i := range order {
-			laid[j] = items[i]
-		}
-	}
 	ph := getPhase(len(c.addrGroup))
 	defer putPhase(ph)
-	ph.out = slots
+	ph.out = out
 	gate := c.gate()
-	for start := 0; start < len(laid); {
-		end := c.chunkEnd(laid, start)
+	for start := 0; start < len(items); {
+		end := c.chunkEnd(items, start)
 		if end == start {
 			start++ // no frame can carry it: it answers OK: false alone
 			continue
 		}
-		chunk := laid[start:end]
+		chunk := items[start:end]
 		err := ph.put(ctx, c, c.routes[chunk[0].Server], waiter{ph: ph, k: start, n: len(chunk)}, func(dst []byte, id uint64) []byte {
 			dst, _ = appendBatchRequest(dst, id, gate, chunk) // chunkEnd: always encodes
 			return dst
@@ -445,9 +424,6 @@ func (c *Client) InvokeBatch(ctx context.Context, items []sim.BatchItem) ([]sim.
 	}
 	if err := ph.wait(ctx); err != nil {
 		return nil, err
-	}
-	for j, i := range order {
-		out[i] = slots[j]
 	}
 	return out, nil
 }
