@@ -255,8 +255,9 @@ func (s *Server) restart() {
 // stopped reports whether the server's store has stopped its log after a
 // failed write (Disk.Err). Its memory may then hold writes that were
 // nacked and that recovery drops, so until a Restart recovers the store
-// the server answers every probe as Crashed does (Definition 3.10's
-// crash-and-recover model).
+// the server answers every read as Crashed does (Definition 3.10's
+// crash-and-recover model) and gives a handoff no state; its writes the
+// stopped store refuses itself.
 func (s *Server) stopped() bool { return s.storeErr != nil && s.storeErr() != nil }
 
 // Behavior returns the current fault mode. It takes no lock, so the
