@@ -66,11 +66,11 @@ type (
 	// Client reads and writes the replicated variable via quorums with
 	// the b-masking protocol (Cluster.NewClient), and its context-aware
 	// operations honor deadlines and cancellation. A quorum phase runs on
-	// the caller's goroutine: one call over the built-in transport
-	// without a latency model, and over TCP one frame per member with one
-	// flush per shard connection. It fans out a goroutine per member only
-	// for a Session's probes, or under a latency model or a custom
-	// WithTransport without WithDeterministic.
+	// the caller's goroutine: one call over the built-in transport, which
+	// under a latency model calls each member at its arrival time, and
+	// over TCP one frame per member with one flush per shard connection.
+	// It fans out a goroutine per member only for a Session's batched
+	// probes or under a custom WithTransport.
 	Client = sim.Client
 	// Behavior is a server fault mode for injection.
 	Behavior = sim.Behavior

@@ -10,7 +10,7 @@
 //	bqs-sim [-system threshold|grid|mgrid|rt|boostfpp|mpath|wheel] [-b 3]
 //	        [-strategy uniform|optimal] [-byzantine 3] [-crashed 2]
 //	        [-clients 8] [-ops 100] [-duration 0] [-drop 0] [-latency 0]
-//	        [-jitter 0] [-timeout 0] [-deterministic] [-seed 1]
+//	        [-jitter 0] [-timeout 0] [-seed 1]
 //	        [-keys 0] [-key-dist uniform|zipf:S] [-batch 1]
 //	        [-fault-schedule SPEC] [-churn SPEC] [-suspicion-ttl 0]
 //	        [-availability SPEC] [-p-vector SPEC] [-domains SPEC]
@@ -117,7 +117,6 @@ func run() error {
 	drop := flag.Float64("drop", 0, "per-message response-loss probability")
 	latency := flag.Duration("latency", 0, "base per-server round-trip latency")
 	jitter := flag.Duration("jitter", 0, "per-server latency jitter (uniform on [0,jitter])")
-	deterministic := flag.Bool("deterministic", false, "probe sequentially for exact reproducibility")
 	availability := flag.String("availability", "", "availability experiment \"p=0.1,epochs=2000[,seed=N][,mctrials=N]\": empirical crash rate vs F_p(Q); replaces the workload (-adversary then places faults per epoch)")
 	pVector := flag.String("p-vector", "", "heterogeneous per-server crash probabilities for -availability: \"0.1\" uniform, \"0.1,0.2,...\" positional, or \"*:0.05,0-3:0.2\" ranged")
 	domains := flag.String("domains", "", "correlated failure domains for -availability: \"members:prob\" entries, e.g. \"0-3:0.05,8+12:0.2\"")
@@ -156,21 +155,6 @@ func run() error {
 
 	opts := []sim.Option{sim.WithSeed(shared.Seed), sim.WithDropRate(*drop),
 		sim.WithLatency(*latency, *jitter), sim.WithMetrics(reg)}
-	if *deterministic {
-		opts = append(opts, sim.WithDeterministic())
-		// Reproducibility needs a single-threaded workload: concurrent
-		// clients interleave nondeterministically over the shared servers
-		// and transport rng no matter how probes are issued.
-		if shared.Clients != 1 {
-			fmt.Printf("note: -deterministic forces -clients 1 (was %d)\n", shared.Clients)
-			shared.Clients = 1
-		}
-		// Session pipelining interleaves operations nondeterministically.
-		if shared.Batch > 1 {
-			fmt.Printf("note: -deterministic forces -batch 1 (was %d)\n", shared.Batch)
-			shared.Batch = 1
-		}
-	}
 	plan, err := shared.Plan(sys)
 	if err != nil {
 		return err

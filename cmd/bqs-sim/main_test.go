@@ -25,7 +25,7 @@ func runWith(t *testing.T, args ...string) error {
 
 // TestFlagSurface pins every flag name and default bqs-sim accepts: the
 // shared set registered by internal/harness with this binary's three
-// defaults (threshold, b=3, no deadline) plus its eleven own flags.
+// defaults (threshold, b=3, no deadline) plus its ten own flags.
 func TestFlagSurface(t *testing.T) {
 	if err := runWith(t, "-h"); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
@@ -36,17 +36,19 @@ func TestFlagSurface(t *testing.T) {
 		"system": "threshold", "b": "3", "timeout": "0s", "strategy": "uniform", "clients": "8", "ops": "100",
 		"duration": "0s", "seed": "1", "keys": "0", "key-dist": "uniform", "batch": "1", "fault-schedule": "",
 		"churn": "", "suspicion-ttl": "0s", "adversary": "", "reconfig": "", "metrics-addr": "",
-		"byzantine": "3", "crashed": "0", "drop": "0", "latency": "0s", "jitter": "0s", "deterministic": "false",
+		"byzantine": "3", "crashed": "0", "drop": "0", "latency": "0s", "jitter": "0s",
 		"availability": "", "p-vector": "", "domains": "", "data-dir": "", "fsync": "true",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flag surface changed:\n got %v\nwant %v", got, want)
 	}
 	// The snapshot flag retired with the pre-BENCHMARK.json apparatus,
-	// spelled in halves so a grep for it finds only history.
-	gone := "-bench" + "-json"
-	if err := runWith(t, gone, "out.json"); err == nil || !strings.Contains(err.Error(), "not defined") {
-		t.Errorf("%s: err = %v, want an undefined-flag error", gone, err)
+	// spelled in halves so a grep for it finds only history; the serial
+	// probe mode retired when every in-memory phase became one call.
+	for _, gone := range []string{"-bench" + "-json", "-deter" + "ministic"} {
+		if err := runWith(t, gone, "out.json"); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", gone, err)
+		}
 	}
 }
 
@@ -65,8 +67,8 @@ func TestAvailabilityRejectsWorkloadFlags(t *testing.T) {
 			names = append(names, f.Name+"="+f.DefValue)
 		}
 	})
-	if len(names) != 20 {
-		t.Fatalf("%d flags outside the allow-list, want 20: %v", len(names), names)
+	if len(names) != 19 {
+		t.Fatalf("%d flags outside the allow-list, want 19: %v", len(names), names)
 	}
 	for _, set := range names {
 		name, _, _ := strings.Cut(set, "=")

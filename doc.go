@@ -31,11 +31,12 @@
 //     Transport) that supports any number of concurrent clients and
 //     measures empirical load from live traffic (Cluster.LoadProfile) for
 //     comparison against the Theorem 4.1 bounds. A quorum phase is one
-//     call on the caller's goroutine over the built-in transport without
-//     a latency model, and over TCP one frame per member with one flush
-//     per shard connection; it fans out a goroutine per member only for
-//     a Session's probes, or under a latency model or a custom
-//     WithTransport without WithDeterministic. A client
+//     call on the caller's goroutine over the built-in transport, which
+//     under a latency model calls each member at its arrival time, and
+//     over TCP one frame per member with one flush per shard connection;
+//     it fans out a goroutine per member only for a Session's batched
+//     probes or under a custom WithTransport, so a single-client run is
+//     reproducible from its seed with no option set. A client
 //     (Cluster.NewClient) believes a value only when b+1 replies of a
 //     quorum agree on it. A write takes the (b+1)-th largest timestamp a
 //     quorum reports: some correct server reported at least that, so b

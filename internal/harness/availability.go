@@ -212,7 +212,7 @@ func RunAvailability(sys core.Construction, b int, cfg AvailabilityConfig) (Avai
 	case !hetero && !(cfg.P >= 0 && cfg.P <= 1):
 		return AvailabilityResult{}, errors.New("availability spec needs p=<probability in [0,1]> (or a p-vector, domains, or an adversary)")
 	}
-	opts := []sim.Option{sim.WithSeed(cfg.Seed), sim.WithDeterministic()}
+	opts := []sim.Option{sim.WithSeed(cfg.Seed)}
 	if cfg.Registry != nil {
 		opts = append(opts, sim.WithMetrics(cfg.Registry))
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"bqs/internal/core"
 	"bqs/internal/store"
@@ -157,5 +158,37 @@ func TestDurableWritePhaseAllocs(t *testing.T) {
 	t.Logf("one write phase over %d Disk stores: %v allocs", len(members), allocs)
 	if allocs > 31 {
 		t.Errorf("a write phase over Disk stores allocates %v times, want ≤ 31", allocs)
+	}
+}
+
+// TestLatencyPhaseAllocs pins what one read phase of a Threshold(13,3)
+// quorum costs under a latency model: the built-in transport serves it on
+// the caller's goroutine, so what is left is the slice of members in
+// arrival order and the one timer the phase sleeps on. A goroutine per
+// member, each with a timer of its own, measured 42.
+func TestLatencyPhaseAllocs(t *testing.T) {
+	sys, err := systems.NewMaskingThreshold(13, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(sys, 3, WithLatency(20*time.Microsecond, 20*time.Microsecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := c.NewClient(1).pickQuorum(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := q.Elements()
+	out := make([]Response, len(members))
+	req := Request{Op: OpRead, Key: "k", ReaderID: 1}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.probeQuorum(ctx, 1, members, req, nil, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one read phase of %d members under a latency model: %v allocs", len(members), allocs)
+	if allocs > 4 {
+		t.Errorf("a latency-modelled read phase allocates %v times, want ≤ 4", allocs)
 	}
 }

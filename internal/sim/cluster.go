@@ -18,15 +18,14 @@ import (
 
 // config collects the NewCluster functional options.
 type config struct {
-	seed       int64
-	dropRate   float64
-	latBase    time.Duration
-	latJitter  time.Duration
-	sequential bool
-	transport  func(servers []*Server) Transport
-	optimal    bool
-	stores     func(id int) (store.Store, error)
-	metrics    *obs.Registry
+	seed      int64
+	dropRate  float64
+	latBase   time.Duration
+	latJitter time.Duration
+	transport func(servers []*Server) Transport
+	optimal   bool
+	stores    func(id int) (store.Store, error)
+	metrics   *obs.Registry
 }
 
 // strategyEnumLimit caps how many quorums WithOptimalStrategy will
@@ -127,20 +126,6 @@ func WithStores(factory func(id int) (store.Store, error)) Option {
 	}
 }
 
-// WithDeterministic makes every quorum phase run from the calling
-// goroutine, members contacted in ascending server order: one after
-// another where the cluster would otherwise fan a phase out in parallel
-// goroutines (a latency model, whose sleeps then add up, or middleware),
-// and in one call where the transport serves whole phases. With a fixed
-// WithSeed and one client per goroutine, runs are exactly reproducible —
-// the mode the original synchronous simulator provided.
-func WithDeterministic() Option {
-	return func(c *config) error {
-		c.sequential = true
-		return nil
-	}
-}
-
 // Cluster is a set of servers fronted by a b-masking quorum system. It is
 // safe for any number of concurrent clients: load bookkeeping is atomic
 // and striped by client id, server behavior is an atomic read, and all
@@ -152,15 +137,14 @@ func WithDeterministic() Option {
 // itself are epoch-invariant: b (reconfiguration never changes the
 // masking bound), the transport, seeds and factories.
 type Cluster struct {
-	b          int
-	transport  Transport
-	mem        *memTransport // non-nil when the built-in transport is in use
-	seed       int64
-	sequential bool
-	optimal    bool // re-solve the load LP for each epoch's system
+	b         int
+	transport Transport
+	mem       *memTransport // non-nil when the built-in transport is in use
+	seed      int64
+	optimal   bool // re-solve the load LP for each epoch's system
 
-	// phase serves a whole phase in one call, when the transport can: a
-	// PhaseTransport's InvokePhase, or mem.invokePhase (see NewCluster).
+	// phase serves a whole phase in one call, when the transport is a
+	// PhaseTransport (the built-in one is).
 	phase func(ctx context.Context, members []int, req Request, out []Response) error
 
 	// cur is the current epoch; every operation and every scrape reads
@@ -210,7 +194,6 @@ func NewCluster(system core.System, b int, opts ...Option) (*Cluster, error) {
 	c := &Cluster{
 		b:            b,
 		seed:         cfg.seed,
-		sequential:   cfg.sequential,
 		optimal:      cfg.optimal,
 		storeFactory: cfg.stores,
 		stores:       make(map[int]store.Store),
@@ -239,13 +222,8 @@ func NewCluster(system core.System, b int, opts ...Option) (*Cluster, error) {
 		c.mem = newMemTransport(servers, cfg.seed, cfg.dropRate, cfg.latBase, cfg.latJitter)
 		c.transport = c.mem
 	}
-	// The built-in transport serves whole phases unless a latency model
-	// is on: then its members' sleeps overlap (fanOut) or, sequential,
-	// each probe is timed on its own (the serial loop).
 	if pt, ok := c.transport.(PhaseTransport); ok {
 		c.phase = pt.InvokePhase
-	} else if c.mem != nil && cfg.latBase+cfg.latJitter == 0 {
-		c.phase = c.mem.invokePhase
 	}
 	if cfg.metrics != nil {
 		c.initMetrics(cfg.metrics)
@@ -451,18 +429,15 @@ func (c *Cluster) invokeBatch(ctx context.Context, items []BatchItem) ([]Respons
 }
 
 // probeQuorum sends req to every quorum member and writes member k's reply
-// to out[k] (len(out) == len(members)). A phase takes the first path that
-// fits:
-//   - a goroutine per member (fanOut) when its probes go through via, the
-//     session batcher;
-//   - one call to c.phase: InvokePhase on a PhaseTransport (a wire.Client
-//     sends every probe from the caller's goroutine and its read loops
-//     fill the slots), or the built-in transport's invokePhase, which
-//     calls the members in ascending order on the caller's goroutine,
-//     when it has no latency model;
-//   - a serial loop of single probes WithDeterministic: a latency model,
-//     whose sleeps then add up, or middleware;
-//   - otherwise fanOut: a latency model, or middleware.
+// to out[k] (len(out) == len(members)). A phase takes one of two paths:
+//   - one call to c.phase, when its probes do not go through a Session's
+//     batcher and the transport serves whole phases: the built-in
+//     transport's InvokePhase calls the members on the caller's
+//     goroutine, each at its modelled arrival time under a latency
+//     model, and a wire.Client sends every probe from the caller's
+//     goroutine and its read loops fill the slots;
+//   - otherwise fanOut, a goroutine per member: the Session batcher
+//     (via), or a transport the cluster cannot see through (middleware).
 //
 // probeQuorum is the one place load is charged: one phase and one access
 // per member, into client's stripe, whatever the path. Every path is done
@@ -482,30 +457,19 @@ func (c *Cluster) probeQuorum(ctx context.Context, client int, members []int, re
 
 // probeQuorumUntimed is probeQuorum without the fan-out span.
 func (c *Cluster) probeQuorumUntimed(ctx context.Context, members []int, req Request, via Transport, out []Response) error {
-	switch {
-	case via != nil:
-		return c.fanOut(ctx, members, out, req, via)
-	case c.phase != nil:
+	if via == nil && c.phase != nil {
 		return c.invokePhase(ctx, members, req, out)
-	case c.sequential:
-		for k, i := range members {
-			var err error
-			if out[k], err = c.invoke(ctx, i, req); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return c.fanOut(ctx, members, out, req, nil)
 	}
+	return c.fanOut(ctx, members, out, req, via)
 }
 
-// invokePhase hands a whole phase to c.phase. The phase's probes share
-// one wait, so with telemetry on each member's
+// invokePhase hands a whole phase to c.phase. The built-in transport
+// times its own probes (memTransport.probe). Over any other, the phase's
+// probes share one wait, so with telemetry on each member's
 // bqs_quorum_probe_seconds sample is that wait; with it off no clock is
 // read.
 func (c *Cluster) invokePhase(ctx context.Context, members []int, req Request, out []Response) error {
-	if !c.met.on {
+	if !c.met.on || c.mem != nil {
 		return c.phase(ctx, members, req, out)
 	}
 	start := time.Now()
@@ -519,8 +483,8 @@ func (c *Cluster) invokePhase(ctx context.Context, members []int, req Request, o
 
 // fanOut probes every member in its own goroutine, writing member k's
 // reply to out[k], and returns the first transport error. It serves the
-// transports that can only take one probe at a time — the latency model,
-// middleware, the session batcher. It is a function of its own so that
+// transports that can only take one probe at a time — middleware, the
+// session batcher. It is a function of its own so that
 // what the goroutines capture (req above all) moves to the heap only on
 // this path.
 func (c *Cluster) fanOut(ctx context.Context, members []int, out []Response, req Request, via Transport) error {

@@ -116,21 +116,22 @@ func (s countingStore) Apply(rec store.Record) error {
 }
 
 // TestDoneContextReachesNoReplica: the in-memory phase checks its context
-// before it calls a single member, so a phase, or a whole operation,
-// started under a canceled context or an expired deadline fails with the
-// context's error and no replica's store sees a Get or an Apply.
+// before it calls a single member, with or without a latency model, so a
+// phase, or a whole operation, started under a canceled context or an
+// expired deadline fails with the context's error and no replica's store
+// sees a Get or an Apply.
 func TestDoneContextReachesNoReplica(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancelExpired()
-	for _, deterministic := range []bool{false, true} {
+	for _, latency := range []bool{false, true} {
 		var gets, applies atomic.Int64
 		opts := []Option{WithStores(func(int) (store.Store, error) {
 			return countingStore{Mem: store.NewMem(), gets: &gets, applies: &applies}, nil
 		})}
-		if deterministic {
-			opts = append(opts, WithDeterministic())
+		if latency {
+			opts = append(opts, WithLatency(20*time.Microsecond, 40*time.Microsecond))
 		}
 		c, err := NewCluster(mustThreshold(t, 2), 2, opts...)
 		if err != nil {
@@ -144,20 +145,20 @@ func TestDoneContextReachesNoReplica(t *testing.T) {
 			for _, op := range []Op{OpReadTimestamps, OpRead, OpWrite} {
 				req := Request{Op: op, Key: "k", Value: TaggedValue{Value: "v", TS: Timestamp{Seq: 1, Writer: 1}}}
 				if err := c.probeQuorum(done, 1, members, req, nil, out); !errors.Is(err, want) {
-					t.Errorf("deterministic=%v: %v phase under %v: err = %v", deterministic, op, want, err)
+					t.Errorf("latency=%v: %v phase under %v: err = %v", latency, op, want, err)
 				}
 			}
 			if _, err := cl.ReadKey(done, "k"); !errors.Is(err, want) {
-				t.Errorf("deterministic=%v: read under %v: err = %v", deterministic, want, err)
+				t.Errorf("latency=%v: read under %v: err = %v", latency, want, err)
 			}
 			if err := cl.WriteKey(done, "k", "v"); !errors.Is(err, want) {
-				t.Errorf("deterministic=%v: write under %v: err = %v", deterministic, want, err)
+				t.Errorf("latency=%v: write under %v: err = %v", latency, want, err)
 			}
 		}
 		c.Close()
 		if gets.Load() != 0 || applies.Load() != 0 {
-			t.Errorf("deterministic=%v: done contexts reached the stores: %d Gets, %d Applys",
-				deterministic, gets.Load(), applies.Load())
+			t.Errorf("latency=%v: done contexts reached the stores: %d Gets, %d Applys",
+				latency, gets.Load(), applies.Load())
 		}
 	}
 }
@@ -259,34 +260,46 @@ func TestResetLoadProfile(t *testing.T) {
 	}
 }
 
-// TestDeterministicModeReproducible runs the same seeded workload twice in
-// single-threaded mode over a lossy network and demands identical
-// per-server access profiles — the reproducibility contract of
-// WithDeterministic.
+// TestDeterministicModeReproducible runs the same seeded single-client
+// workload twice over a lossy network and demands identical per-server
+// access profiles: with no option set, a phase over the built-in
+// transport rolls its members' loss dice on the caller's goroutine in a
+// fixed order — member order, or arrival order under a latency model,
+// where goroutines per member would roll them in whatever order they woke.
 func TestDeterministicModeReproducible(t *testing.T) {
-	run := func() []float64 {
-		c, err := NewCluster(mustThreshold(t, 2), 2,
-			WithSeed(131), WithDropRate(0.05), WithDeterministic())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl := c.NewClient(1)
-		cl.MaxRetries = 64
-		for i := 0; i < 20; i++ {
-			if err := cl.Write(ctx, fmt.Sprintf("d%d", i)); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"no latency", nil},
+		{"latency", []Option{WithLatency(20*time.Microsecond, 60*time.Microsecond)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() []float64 {
+				c, err := NewCluster(mustThreshold(t, 2), 2,
+					append([]Option{WithSeed(131), WithDropRate(0.05)}, tc.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl := c.NewClient(1)
+				cl.MaxRetries = 64
+				for i := 0; i < 20; i++ {
+					if err := cl.Write(ctx, fmt.Sprintf("d%d", i)); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := cl.Read(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return c.LoadProfile()
 			}
-			if _, err := cl.Read(ctx); err != nil {
-				t.Fatal(err)
+			a, b := run(), run()
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("server %d: %.6f vs %.6f — seeded runs diverged", i, a[i], b[i])
+				}
 			}
-		}
-		return c.LoadProfile()
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("server %d: %.6f vs %.6f — deterministic runs diverged", i, a[i], b[i])
-		}
+		})
 	}
 }
 

@@ -153,8 +153,8 @@ func TestBlockingProbesFanOut(t *testing.T) {
 // fixed Threshold(13,3) quorum over Mem stores, no picker and no
 // acceptance rule. inline is the default transport, which serves the
 // phase on the benchmark's goroutine; fanout is the same in-memory
-// delivery behind WithTransport, which the cluster cannot see through, so
-// every probe gets its own goroutine. shared-deadline is inline in the
+// delivery behind opaque middleware, which the cluster cannot see
+// through, so every probe gets its own goroutine. shared-deadline is inline in the
 // shape of a benchmark run: b.RunParallel goroutines, each its own
 // client, probe under one context.WithTimeout context (run it with
 // -cpu 2 or more for the goroutines to contend).
@@ -169,7 +169,9 @@ func BenchmarkQuorumPhase(b *testing.B) {
 		parallel bool
 	}{
 		{"inline", nil, false},
-		{"fanout", []Option{WithTransport(func(servers []*Server) Transport { return NewInMemoryTransport(servers, 1) })}, false},
+		{"fanout", []Option{WithTransport(func(servers []*Server) Transport {
+			return opaqueTransport{t: NewInMemoryTransport(servers, 1)}
+		})}, false},
 		{"shared-deadline", nil, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -211,6 +213,9 @@ func BenchmarkQuorumPhase(b *testing.B) {
 		})
 	}
 }
+
+// The built-in transport serves whole phases itself.
+var _ PhaseTransport = (*memTransport)(nil)
 
 // phaseTransport is the stock in-memory transport behind a PhaseTransport
 // face, counting what travels each way: whole phases and their probes
@@ -279,26 +284,80 @@ func TestPhaseTransportCarriesWholePhases(t *testing.T) {
 	}
 }
 
-// TestDeterministicLatencyTimesEachProbe: WithDeterministic over a
-// latency model calls a phase's members one after another, and each
-// bqs_quorum_probe_seconds sample is still one probe's round trip, not
-// the serial phase's sum of them: seven round trips on Threshold(9,2),
-// against the 4-RTT ceiling that leaves room for timer slack.
+// TestDeterministicLatencyTimesEachProbe: under a latency model the
+// built-in transport calls a phase's members on the caller's goroutine,
+// each at its arrival time, and each bqs_quorum_probe_seconds sample runs
+// from the phase's start to that member's answer, not to the phase's end:
+// with round trips spread over [1 ms, 9 ms] the mean probe sample stays
+// well under the mean phase sample, where reporting the phase's wait for
+// every member would make the two equal.
 func TestDeterministicLatencyTimesEachProbe(t *testing.T) {
-	const rtt = 5 * time.Millisecond
 	reg := obs.NewRegistry()
-	c, err := NewCluster(mustThreshold(t, 2), 2, WithMetrics(reg), WithLatency(rtt, 0), WithDeterministic())
+	c, err := NewCluster(mustThreshold(t, 2), 2, WithMetrics(reg), WithLatency(time.Millisecond, 8*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.NewClient(1).ReadKey(ctx, "k"); err != nil {
+	cl := c.NewClient(1)
+	for range 5 {
+		if _, err := cl.ReadKey(ctx, "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mean := func(name string) time.Duration {
+		h := reg.Histogram(name, obs.DurationBuckets)
+		if h.Count() == 0 {
+			t.Fatalf("no %s samples", name)
+		}
+		return time.Duration(h.Sum() / float64(h.Count()) * float64(time.Second))
+	}
+	probe, phase := mean("bqs_quorum_probe_seconds"), mean("bqs_quorum_phase_seconds")
+	t.Logf("mean probe sample %v, mean phase sample %v", probe, phase)
+	if probe > phase*3/4 {
+		t.Fatalf("mean probe sample %v against a mean phase of %v: the samples time the phase, not its probes", probe, phase)
+	}
+}
+
+// TestBatchFrameStagesEveryWrite: a Session frame over the built-in
+// transport stages every write before it waits on any, as a phase does,
+// so stores that block until the whole write phase has arrived each get
+// their write; serving the frame item by item would hold it at the first
+// store until the deadline.
+func TestBatchFrameStagesEveryWrite(t *testing.T) {
+	const b = 3
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	bar := newPhaseBarrier(mustThreshold(t, b).MinQuorumSize(), ctx.Done())
+	c, err := NewCluster(mustThreshold(t, b), b, WithLatency(time.Microsecond, 0),
+		WithStores(func(int) (store.Store, error) { return barrierStore{Mem: store.NewMem(), bar: bar}, nil }))
+	if err != nil {
 		t.Fatal(err)
 	}
-	h := reg.Histogram("bqs_quorum_probe_seconds", obs.DurationBuckets)
-	if h.Count() == 0 {
-		t.Fatal("no probe samples")
+	defer c.Close()
+	s := c.NewClient(1).NewSession()
+	defer s.Close()
+	if !s.Batching() {
+		t.Fatal("session bypasses the batcher despite modelled latency")
 	}
-	if mean := time.Duration(h.Sum() / float64(h.Count()) * float64(time.Second)); mean >= 4*rtt {
-		t.Fatalf("mean probe sample %v at a %v round trip: the samples time the serial phase, not its probes", mean, rtt)
+	if err := s.Write(ctx, "k", "v"); err != nil {
+		t.Fatalf("write through batch frames over stores that can block: %v", err)
+	}
+	if tv, err := s.Read(ctx, "k"); err != nil || tv.Value != "v" {
+		t.Fatalf("read after the write: tv=%+v err=%v", tv, err)
+	}
+}
+
+// TestOutOfRangeMemberFails: a phase naming a server the table lacks
+// fails with an error, with or without a latency model, instead of
+// indexing past the table while ordering the members by arrival.
+func TestOutOfRangeMemberFails(t *testing.T) {
+	for _, opts := range [][]Option{nil, {WithLatency(time.Microsecond, time.Microsecond)}} {
+		c, err := NewCluster(mustThreshold(t, 1), 1, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := []int{0, c.N()}
+		if err := c.probeQuorum(ctx, 1, members, Request{Op: OpRead, Key: "k"}, nil, make([]Response, 2)); err == nil {
+			t.Errorf("latency=%v: a phase with member %d of %d servers did not fail", opts != nil, c.N(), c.N())
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -123,7 +124,10 @@ func TestSessionOverPlainTransportRunsInParallel(t *testing.T) {
 // 0.8–1.0× of the blocking calls on the 2-core reference host; a session
 // that queued its probes behind the batcher pays a goroutine per probe
 // and a flush per frame and measures 0.15–0.20×, far below the 0.5 floor.
-// Trials interleave and the best of each side is compared.
+// Each trial runs one blocking and one session pass back to back, so a
+// burst of machine load skews the two sides of a pair alike, and the
+// median of the pairs' ratios is compared: one disturbed pair moves it
+// no further than its neighbour.
 func TestInMemoryBatchedThroughputNoRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive regression gauge")
@@ -172,13 +176,15 @@ func TestInMemoryBatchedThroughputNoRegression(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	bestBlocking, bestSession := time.Duration(1<<62), time.Duration(1<<62)
-	for range 5 {
-		bestBlocking = min(bestBlocking, run(false))
-		bestSession = min(bestSession, run(true))
+	ratios := make([]float64, 5)
+	for i := range ratios {
+		blocking, session := run(false), run(true)
+		ratios[i] = float64(blocking) / float64(session) // >1 means the session is faster
+		t.Logf("pair %d: %d blocking calls %v, batch=%d session %v: ratio %.2f", i, ops, blocking, wave, session, ratios[i])
 	}
-	ratio := float64(bestBlocking) / float64(bestSession) // >1 means the session is faster
-	t.Logf("in-memory throughput ratio session/blocking = %.2f (%d blocking calls %v, batch=%d session %v)", ratio, ops, bestBlocking, wave, bestSession)
+	slices.Sort(ratios)
+	ratio := ratios[len(ratios)/2]
+	t.Logf("in-memory throughput ratio session/blocking = %.2f, the median of %d pairs", ratio, len(ratios))
 	if ratio < 0.5 {
 		t.Fatalf("batch=%d session at %.2f× of blocking calls in-memory; the batcher bypass regressed", wave, ratio)
 	}

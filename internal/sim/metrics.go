@@ -76,6 +76,9 @@ func (c *Cluster) initMetrics(reg *obs.Registry) {
 	m.pickSeconds = reg.Histogram("bqs_quorum_pick_seconds", obs.DurationBuckets)
 	m.phaseSeconds = reg.Histogram("bqs_quorum_phase_seconds", obs.DurationBuckets)
 	m.probeSeconds = reg.Histogram("bqs_quorum_probe_seconds", obs.DurationBuckets)
+	if c.mem != nil {
+		c.mem.probe = m.probeSeconds
+	}
 	m.readSeconds = reg.Histogram("bqs_client_read_seconds", obs.DurationBuckets)
 	m.writeSeconds = reg.Histogram("bqs_client_write_seconds", obs.DurationBuckets)
 	m.batchOps = reg.Histogram("bqs_cluster_batch_ops", obs.SizeBuckets)

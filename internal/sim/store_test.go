@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bqs/internal/store"
 	"bqs/internal/systems"
@@ -153,21 +154,21 @@ func TestClusterRestartChurnDurable(t *testing.T) {
 // and the closed replica, whose Stage fails, answers OK: false and is
 // suspected. After every live Disk goes through its crash-recovery
 // boundary, every acked write is still held by a whole quorum and reads
-// back. It runs once on the default path and once WithDeterministic.
+// back. It runs once without a latency model and once with one.
 func TestInMemoryWritesPersistBeforeAck(t *testing.T) {
 	const dead = 4
 	sys, err := systems.NewMaskingThreshold(13, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, deterministic := range []bool{false, true} {
-		t.Run(fmt.Sprintf("deterministic=%v", deterministic), func(t *testing.T) {
+	for _, latency := range []bool{false, true} {
+		t.Run(fmt.Sprintf("latency=%v", latency), func(t *testing.T) {
 			dir := t.TempDir()
 			opts := []Option{WithSeed(17), WithStores(func(id int) (store.Store, error) {
 				return store.Open(filepath.Join(dir, fmt.Sprintf("server-%04d", id)))
 			})}
-			if deterministic {
-				opts = append(opts, WithDeterministic())
+			if latency {
+				opts = append(opts, WithLatency(20*time.Microsecond, 40*time.Microsecond))
 			}
 			c, err := NewCluster(sys, 3, opts...)
 			if err != nil {

@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"bqs/internal/obs"
 	"bqs/internal/store"
 )
 
@@ -155,6 +158,10 @@ type memTransport struct {
 
 	mu  sync.Mutex // guards rng; taken when dropRate > 0 and by resize
 	rng *rand.Rand
+
+	// probe is the cluster's bqs_quorum_probe_seconds, nil without
+	// WithMetrics: the transport times its own phases' probes.
+	probe *obs.Histogram
 }
 
 // memState is one epoch's view of the in-memory network: the servers and
@@ -174,25 +181,9 @@ func newMemTransport(servers []*Server, seed int64, dropRate float64, base, jitt
 		dropRate:  dropRate,
 		rng:       rand.New(rand.NewSource(seed)),
 	}
-	st := &memState{servers: servers}
-	if base > 0 || jitter > 0 {
-		st.latency = make([]time.Duration, len(servers))
-		for i := range st.latency {
-			st.latency[i] = t.drawLatency()
-		}
-	}
-	t.state.Store(st)
+	t.state.Store(&memState{})
+	t.resize(servers)
 	return t
-}
-
-// drawLatency rolls one server's modelled round trip from
-// [latBase, latBase+latJitter]. Callers hold mu or are construction.
-func (t *memTransport) drawLatency() time.Duration {
-	d := t.latBase
-	if t.latJitter > 0 {
-		d += time.Duration(t.rng.Int63n(int64(t.latJitter) + 1))
-	}
-	return d
 }
 
 // resize swaps in a new server table at an epoch cutover. Servers
@@ -201,17 +192,16 @@ func (t *memTransport) drawLatency() time.Duration {
 // added servers draw fresh delays from the same distribution. In-flight
 // probes that loaded the old state finish against the old table.
 func (t *memTransport) resize(servers []*Server) {
-	old := t.state.Load()
 	st := &memState{servers: servers}
 	if t.latBase > 0 || t.latJitter > 0 {
 		st.latency = make([]time.Duration, len(servers))
+		kept := copy(st.latency, t.state.Load().latency)
 		t.mu.Lock()
-		for i := range st.latency {
-			if i < len(old.latency) {
-				st.latency[i] = old.latency[i]
-				continue
+		for i := kept; i < len(servers); i++ {
+			st.latency[i] = t.latBase
+			if t.latJitter > 0 {
+				st.latency[i] += time.Duration(t.rng.Int63n(int64(t.latJitter) + 1))
 			}
-			st.latency[i] = t.drawLatency()
 		}
 		t.mu.Unlock()
 	}
@@ -226,12 +216,12 @@ func NewInMemoryTransport(servers []*Server, seed int64) Transport {
 	return newMemTransport(servers, seed, 0, 0, 0)
 }
 
-// dropped rolls the message-loss dice. Lock-free when the network is
-// lossless.
-func (t *memTransport) dropped() bool {
-	if t.dropRate <= 0 {
-		return false
-	}
+// dropped rolls the message-loss dice. Lock-free, and inlined, when the
+// network is lossless.
+func (t *memTransport) dropped() bool { return t.dropRate > 0 && t.lose() }
+
+// lose draws one loss roll under mu.
+func (t *memTransport) lose() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.rng.Float64() < t.dropRate
@@ -242,66 +232,71 @@ func (t *memTransport) dropped() bool {
 // configured drop probability: a phase of one member.
 func (t *memTransport) Invoke(ctx context.Context, server int, req Request) (Response, error) {
 	var out [1]Response
-	err := t.invokePhase(ctx, []int{server}, req, out[:])
+	err := t.InvokePhase(ctx, []int{server}, req, out[:])
 	return out[0], err
 }
 
-// invokePhase serves a whole quorum phase on the caller's goroutine,
-// writing member k's reply to out[k]. ctx is checked and the server table
-// loaded once, then the members are called in order, each after its
-// modelled latency, if any, and its loss roll. A write is staged, not applied: once every member has it,
-// the phase waits on each pending commit, so members that share a group
-// commit share the wait, and a member whose commit failed answers
-// Response{OK: false} — nothing is acked before it is durable.
-func (t *memTransport) invokePhase(ctx context.Context, members []int, req Request, out []Response) error {
+// InvokePhase implements PhaseTransport on the caller's goroutine, with
+// one ctx check and one server-table load. Members are called in order
+// or, under a latency model, each at its arrival time (the phase's start
+// plus its round trip), ties in member order, sleeping to each on one
+// timer: round trips overlap as parallel probes' would, and timer slack
+// does not add up. A reached member rolls for loss, then is served
+// (stage); the pending commits are waited on last (awaitCommits). With
+// telemetry on, each member's bqs_quorum_probe_seconds sample runs from
+// the phase's start to its reply; a staged write's commit wait is the
+// phase's.
+func (t *memTransport) InvokePhase(ctx context.Context, members []int, req Request, out []Response) error {
 	select { // Done takes no lock, where Err takes the context's mutex
 	case <-ctx.Done():
 		return ctx.Err()
 	default:
 	}
 	st := t.state.Load()
-	var commits []*store.Commit // made by the first member that must wait
-	for k, i := range members {
+	var order []int // member slots in arrival order; nil without a latency model
+	var start time.Time
+	if st.latency != nil {
+		order = st.arrivals(members)
+	}
+	if order != nil || t.probe != nil {
+		start = time.Now()
+	}
+	var timer *time.Timer
+	var commits []*store.Commit
+	for n := range members {
+		k := n
+		if order != nil {
+			k = order[n]
+			var err error
+			if timer, err = sleepUntil(ctx, timer, start.Add(st.latencyOf(members[k]))); err != nil {
+				return err
+			}
+		}
+		i := members[k]
 		if i < 0 || i >= len(st.servers) {
 			return fmt.Errorf("sim: transport: server %d out of range [0,%d)", i, len(st.servers))
 		}
-		if err := t.sleep(ctx, st.latencyOf(i)); err != nil {
-			return err
-		}
 		if t.dropped() {
 			out[k] = Response{OK: false}
-			continue
-		}
-		var c *store.Commit
-		var err error
-		if req.Op == OpWrite {
-			out[k], c, err = st.servers[i].StageRequest(req)
 		} else {
-			out[k], err = st.servers[i].HandleRequest(req)
-		}
-		if err != nil {
-			return err
-		}
-		if c != nil {
-			if commits == nil {
-				commits = make([]*store.Commit, len(members))
+			var err error
+			if commits, err = stage(st.servers[i], req, out, k, commits); err != nil {
+				return err
 			}
-			commits[k] = c
+		}
+		if t.probe != nil {
+			t.probe.ObserveDuration(time.Since(start))
 		}
 	}
-	for k, c := range commits {
-		if c.Wait() != nil {
-			out[k] = Response{OK: false}
-		}
-	}
+	awaitCommits(out, commits)
 	return nil
 }
 
 // InvokeBatch implements BatchTransport: the frame pays ONE round trip —
 // the slowest destination's modelled latency — and one loss roll (a lost
 // frame loses every reply in it), which is exactly the economics that make
-// session batching worthwhile. Items are then dispatched to their servers
-// in order.
+// session batching worthwhile. Its items are then served and waited on as
+// a phase's members are (stage, awaitCommits).
 func (t *memTransport) InvokeBatch(ctx context.Context, items []BatchItem) ([]Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -312,25 +307,55 @@ func (t *memTransport) InvokeBatch(ctx context.Context, items []BatchItem) ([]Re
 		if it.Server < 0 || it.Server >= len(st.servers) {
 			return nil, fmt.Errorf("sim: transport: server %d out of range [0,%d)", it.Server, len(st.servers))
 		}
-		if d := st.latencyOf(it.Server); d > worst {
-			worst = d
-		}
+		worst = max(worst, st.latencyOf(it.Server))
 	}
-	if err := t.sleep(ctx, worst); err != nil {
+	if _, err := sleepUntil(ctx, nil, time.Now().Add(worst)); err != nil {
 		return nil, err
 	}
 	out := make([]Response, len(items))
 	if t.dropped() {
 		return out, nil // whole frame lost: every item reads unresponsive
 	}
-	for i, it := range items {
-		resp, err := st.servers[it.Server].HandleRequest(it.Req)
-		if err != nil {
-			resp = Response{OK: false}
+	var commits []*store.Commit
+	for k, it := range items {
+		var err error
+		if commits, err = stage(st.servers[it.Server], it.Req, out, k, commits); err != nil {
+			out[k] = Response{OK: false}
 		}
-		out[i] = resp
 	}
+	awaitCommits(out, commits)
 	return out, nil
+}
+
+// stage serves req at s into out[k]: a read in full, a write staged
+// (Server.StageRequest), its pending commit put in commits[k], a slice
+// made by the first slot that must wait. Staging every write before
+// waiting on any lets writes share a group commit's wait.
+func stage(s *Server, req Request, out []Response, k int, commits []*store.Commit) ([]*store.Commit, error) {
+	var c *store.Commit
+	var err error
+	if req.Op == OpWrite {
+		out[k], c, err = s.StageRequest(req)
+	} else {
+		out[k], err = s.HandleRequest(req)
+	}
+	if c != nil {
+		if commits == nil {
+			commits = make([]*store.Commit, len(out))
+		}
+		commits[k] = c
+	}
+	return commits, err
+}
+
+// awaitCommits waits on each pending commit in turn and NACKs the slots
+// whose commit failed: nothing is acked before it is durable.
+func awaitCommits(out []Response, commits []*store.Commit) {
+	for k, c := range commits {
+		if c.Wait() != nil {
+			out[k] = Response{OK: false}
+		}
+	}
 }
 
 // GroupOf implements BatchGrouper: in-memory delivery has no per-server
@@ -346,25 +371,45 @@ func (t *memTransport) GroupOf(int) int { return 0 }
 // the batcher's flusher.
 func (t *memTransport) WorthBatching() bool { return t.state.Load().latency != nil }
 
-// latencyOf returns the server's modelled round-trip delay.
+// latencyOf returns the server's modelled round-trip delay, zero for a
+// server the table lacks.
 func (st *memState) latencyOf(server int) time.Duration {
-	if st.latency == nil {
+	if server < 0 || server >= len(st.latency) {
 		return 0
 	}
 	return st.latency[server]
 }
 
-// sleep waits out d, interruptibly by ctx.
-func (t *memTransport) sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
+// arrivals returns the slots of members in arrival order: by modelled
+// round trip, ties in member order.
+func (st *memState) arrivals(members []int) []int {
+	order := make([]int, len(members))
+	for k := range order {
+		order[k] = k
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(st.latencyOf(members[a]), st.latencyOf(members[b]))
+	})
+	return order
+}
+
+// sleepUntil waits until at, interruptibly by ctx, on timer, which it
+// makes on first need and returns for the next wait.
+func sleepUntil(ctx context.Context, timer *time.Timer, at time.Time) (*time.Timer, error) {
+	d := time.Until(at)
+	if d <= 0 {
+		return timer, nil
+	}
+	if timer == nil {
+		timer = time.NewTimer(d)
+	} else {
+		timer.Reset(d)
+	}
 	select {
 	case <-ctx.Done():
-		return ctx.Err()
+		timer.Stop()
+		return timer, ctx.Err()
 	case <-timer.C:
-		return nil
+		return timer, nil
 	}
 }
